@@ -17,17 +17,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import (CSV_HEADER, ComparisonRecord, run_comparison)
+from .analysis import CSV_HEADER, ComparisonRecord, Problem, run_comparison
 from .basis import (apply_landau_hamiltonian, boundary_residuals,
                     build_orbital_set)
 from .config import (SimulationConfig, inner_product, load_config,
                      quantization_ulps)
-from .errors import InvalidValue, IoFailure, LandauHFError
-from .hartree_fock import HFState, hf_energy, integrate_hf
-from .manybody import (ExactPropagator, FillingSpec,
-                       assemble_hamiltonian, embed_slater,
-                       enumerate_determinants, noninteracting_ground_state,
-                       two_body_tensor)
+from .errors import IoFailure, LandauHFError
+from .hartree_fock import integrate_hf
+from .manybody import (ExactPropagator, FillingSpec, embed_slater,
+                       noninteracting_ground_state)
 
 
 def _fmt(x: float) -> str:
@@ -129,20 +127,6 @@ def _config_echo(config: SimulationConfig) -> dict:
     }
 
 
-def _initial_occupation(config: SimulationConfig, energies) -> tuple:
-    filling = FillingSpec.from_counts(config.N, config.domain.M)
-    levels = [energies[n * config.domain.M] for n in range(config.n_max + 1)]
-    _, sets = noninteracting_ground_state(filling, levels)
-    return sets[0]
-
-
-def _unit_columns(K: int, occupation) -> np.ndarray:
-    C = np.zeros((K, len(occupation)), dtype=np.complex128)
-    for col, alpha in enumerate(occupation):
-        C[alpha, col] = 1.0
-    return C
-
-
 def cmd_validate(args) -> int:
     try:
         config = load_config(args.config)
@@ -230,17 +214,6 @@ def cmd_groundstate(args) -> int:
     return 0
 
 
-def _dynamics_setup(config: SimulationConfig, threads: int):
-    oset = build_orbital_set(config, grid=config.tensor_grid)
-    tensor = two_body_tensor(config.potential, oset, config.tensor_grid,
-                             threads=threads)
-    det_basis = enumerate_determinants(oset.size, config.N)
-    H = assemble_hamiltonian(det_basis, oset.energies, tensor)
-    occ0 = _initial_occupation(config, oset.energies)
-    C0 = _unit_columns(oset.size, occ0)
-    return oset, tensor, det_basis, H, C0
-
-
 def cmd_evolve_exact(args) -> int:
     config = load_config(args.config)
     manifest = Manifest("evolve-exact", args.config)
@@ -248,18 +221,22 @@ def cmd_evolve_exact(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
 
-    oset, tensor, det_basis, H, C0 = _dynamics_setup(config, args.threads)
+    problem = Problem(config, args.threads)
+    H = problem.H
     manifest.phase("assemble")
-    psi0 = embed_slater(1.0, C0, det_basis).coefficients
+    psi = embed_slater(1.0, problem.initial_orbitals,
+                       problem.det_basis).coefficients
     prop = ExactPropagator(H, config.constants.hbar)
     n_steps = max(1, round(config.t_final / config.dt)) if config.t_final > 0 else 0
     dt = config.t_final / n_steps if n_steps else 0.0
     rows = []
+    t_prev = 0.0
     for step in range(0, n_steps + 1):
         if step % config.sample_stride and step != n_steps:
             continue
         t = step * dt
-        psi = prop.advance(psi0, t)
+        psi = prop.advance(psi, t - t_prev)
+        t_prev = t
         rows.append((t, float(np.real(np.vdot(psi, H @ psi))),
                      float(np.linalg.norm(psi))))
     write_csv(os.path.join(out, "exact_timeseries.csv"), "t,energy,norm", rows)
@@ -279,16 +256,22 @@ def cmd_evolve_hf(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
 
-    oset, tensor, det_basis, H, C0 = _dynamics_setup(config, args.threads)
-    manifest.phase("assemble")
+    problem = Problem(config, args.threads)
+    orbitals = None
     if args.initial != "nigs-ground":
-        data = np.load(args.initial)
-        C0 = np.asarray(data["orbitals"], dtype=np.complex128)
-    hf0 = HFState(time=0.0, a=1.0 + 0.0j, orbitals=C0)
-    e0 = hf_energy(hf0, oset.energies, tensor)
-    hf0 = HFState(time=0.0, a=1.0 + 0.0j, orbitals=C0, e0=e0)
-    traj = integrate_hf(hf0, dt, t_final, scheme, tensor, oset.energies,
-                        config.constants, sample_stride=config.sample_stride)
+        # OSError/ValueError: unreadable or not numpy data; KeyError: an .npz
+        # without 'orbitals'; IndexError: a bare .npy array
+        try:
+            with open(args.initial, "rb") as fh:
+                orbitals = np.asarray(np.load(fh)["orbitals"],
+                                      dtype=np.complex128)
+        except (OSError, ValueError, KeyError, IndexError) as exc:
+            raise IoFailure(f"cannot read orbitals from {args.initial}: {exc}") from exc
+    hf0 = problem.initial_state(orbitals)
+    manifest.phase("setup")
+    traj = integrate_hf(hf0, dt, t_final, scheme, problem.tensor,
+                        problem.energies, config.constants,
+                        sample_stride=config.sample_stride)
     rows = [(t, s.a.real, s.a.imag, traj.energies[i], traj.norms[i],
              traj.gram_devs[i])
             for i, (t, s) in enumerate(zip(traj.times, traj.states))]
@@ -382,9 +365,6 @@ def dispatch(argv) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except InvalidValue as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except LandauHFError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidValue, MalformedConfig
+from .errors import GridMismatch, InvalidValue, IoFailure, MalformedConfig
 from .potentials import PotentialSpec
 
 
@@ -186,7 +186,6 @@ class SimulationConfig:
     lattice_cut: int = 0          # 0 means: choose automatically per orbital
     gram_tol: float = 1e-8
     lattice_tail_tol: float = 1e-14
-    krylov_tol: float = 1e-10
 
     def __post_init__(self):
         if self.N < 1:
@@ -304,5 +303,9 @@ def parse_config(text: str) -> SimulationConfig:
 
 
 def load_config(path) -> SimulationConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)

@@ -64,10 +64,6 @@ class DimensionMismatch(LandauHFError):
     """Incompatible vector/matrix dimensions."""
 
 
-class ConvergenceFailure(LandauHFError):
-    """Iterative propagation failed to reach its tolerance."""
-
-
 class NotOrthonormal(LandauHFError):
     """Orbital set is not orthonormal within tolerance."""
 

@@ -70,6 +70,13 @@ def partial_trace_rdm(psi_tensor: np.ndarray, K: int, N: int) -> np.ndarray:
     return N * psi @ psi.conj().T
 
 
+def dense_propagate(H, psi: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
+    """exp(-i H t / hbar) psi through a dense eigendecomposition of H."""
+    Hd = H.toarray() if hasattr(H, "toarray") else np.asarray(H)
+    w, V = np.linalg.eigh(Hd)
+    return V @ (np.exp(-1j * w * t / hbar) * (V.conj().T @ psi))
+
+
 def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):
     """Symmetric, Hermitian 4-index tensor from a random symmetric kernel."""
     Vmat = rng.normal(size=(P, P)) * scale

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau_hf as lhf
-from landau_hf.analysis import (defect_sector_norms, defect_vector,
+from landau_hf.analysis import (Problem, defect_sector_norms, defect_vector,
                                 run_comparison)
 from landau_hf.errors import NotHermitian, SupportViolation
 from landau_hf.hartree_fock import HFState
@@ -156,6 +156,28 @@ def test_small_time_error_slope():
     result = run_comparison(cfg)
     for rec in result.records:
         assert rec.error_norm <= 1.05 * slope * rec.t + 1e-12
+
+
+def test_comparison_chains_samples_like_one_shot_propagation():
+    # run_comparison advances the exact state from sample to sample; each
+    # record must match propagating the initial state over the whole time
+    cfg = make_config(M=3, n_max=2, N=2, strength=0.2, t_final=0.1,
+                      sample_stride=20)
+    result = run_comparison(cfg)
+    problem = Problem(cfg)
+    hf0 = problem.initial_state()
+    traj = lhf.integrate_hf(hf0, cfg.dt, cfg.t_final, cfg.integrator,
+                            problem.tensor, problem.energies, cfg.constants,
+                            sample_stride=cfg.sample_stride)
+    basis = problem.det_basis
+    psi0 = lhf.embed_slater(1.0, hf0.orbitals, basis).coefficients
+    assert len(result.records) == len(traj.times) == 6
+    for rec, t, state in zip(result.records, traj.times, traj.states):
+        psi_t = helpers.dense_propagate(problem.H, psi0, t, cfg.constants.hbar)
+        err = lhf.error_norm(ManyBodyState(basis=basis, coefficients=psi_t),
+                             state, basis)
+        assert rec.error_norm > 0.0 or t == 0.0
+        assert abs(rec.error_norm - err) < 1e-10
 
 
 def test_error_never_exceeds_triangle_ceiling():

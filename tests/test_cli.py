@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from landau_hf.analysis import ComparisonRecord
@@ -173,3 +175,62 @@ def test_float_serialization_round_trips(tmp_path):
     write_timeseries([rec], str(path))
     row = path.read_text().splitlines()[1].split(",")
     assert float(row[1]) == value
+
+
+def test_evolve_hf_beyond_determinant_cap(tmp_path):
+    from landau_hf.manybody import DET_SPACE_CAP
+    assert math.comb(21, 10) > DET_SPACE_CAP
+    cfg = write_cfg(tmp_path, M=7, n_max=2, N=10)
+    out = tmp_path / "out"
+    assert dispatch(["evolve-hf", "--config", cfg, "--out-dir", str(out),
+                     "--t-final", "0.002", "--threads", "1"]) == 0
+    lines = (out / "hf_timeseries.csv").read_text().splitlines()
+    assert lines[0] == "t,re_a,im_a,energy,norm,orth_drift"
+    assert len(lines) == 3
+
+
+def _evolve_hf_rejects(tmp_path, capsys, cfg, initial="nigs-ground"):
+    out = tmp_path / "out"
+    rc = dispatch(["evolve-hf", "--config", cfg, "--out-dir", str(out),
+                   "--t-final", "0.002", "--initial", initial])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "hf_timeseries.csv").exists()
+
+
+def test_missing_config_exits_one(tmp_path, capsys):
+    _evolve_hf_rejects(tmp_path, capsys, str(tmp_path / "absent.cfg"))
+
+
+def test_missing_initial_file_exits_one(tmp_path, capsys):
+    _evolve_hf_rejects(tmp_path, capsys, write_cfg(tmp_path),
+                       initial=str(tmp_path / "absent.npz"))
+
+
+def test_initial_orbitals_of_wrong_shape_exit_one(tmp_path, capsys):
+    path = tmp_path / "orbs.npz"
+    np.savez(path, orbitals=np.eye(9, 3))          # config has N = 2
+    _evolve_hf_rejects(tmp_path, capsys, write_cfg(tmp_path, N=2),
+                       initial=str(path))
+
+
+def test_nonorthonormal_initial_orbitals_exit_one(tmp_path, capsys):
+    path = tmp_path / "orbs.npz"
+    np.savez(path, orbitals=np.ones((9, 2)))       # rank 1
+    _evolve_hf_rejects(tmp_path, capsys, write_cfg(tmp_path, N=2),
+                       initial=str(path))
+
+
+def test_bound_violation_is_reported_not_raised(tmp_path, monkeypatch):
+    monkeypatch.setattr("landau_hf.analysis.apriori_bound",
+                        lambda N, v_norm, constants, t: 0.0)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert dispatch(["compare", "--config", cfg, "--out-dir", str(out),
+                     "--threads", "1"]) == 1
+    summary = json.loads((out / "compare_summary.json").read_text())
+    assert summary["bound_violations"] > 0
+    assert len((out / "compare_timeseries.csv").read_text().splitlines()) >= 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False
+    assert manifest["validations"]["bound_violations"]["ok"] is False
