@@ -26,7 +26,8 @@ from .basis import build_orbital_set
 from .config import PhysicalConstants, SimulationConfig
 from .errors import (DimensionMismatch, NotHermitian, NotOrthonormal,
                      SupportViolation)
-from .hartree_fock import (HFState, hf_energy, hf_rhs, integrate_hf)
+from .hartree_fock import (HFState, hf_energy, hf_rhs, integrate_hf,
+                           time_grid)
 from .manybody import (DeterminantBasis, ExactPropagator, FillingSpec,
                        InteractionTensor, ManyBodyState, assemble_hamiltonian,
                        embed_slater, embed_wedge, enumerate_determinants,
@@ -137,29 +138,14 @@ def defect_norm(state: HFState, H, basis: DeterminantBasis,
 
 
 def rdm_exact(state: ManyBodyState, basis: DeterminantBasis) -> np.ndarray:
-    """One-body reduced density matrix of a many-body state; trace N."""
-    K, N = basis.K, basis.N
-    occ = basis.occupations
-    c = state.coefficients
-    omega = np.zeros((K, K), dtype=np.complex128)
-    occ_lists = [tuple(row) for row in occ.tolist()]
-    for d, row in enumerate(occ_lists):
-        cd = c[d]
-        if cd == 0:
-            continue
-        row_set = set(row)
-        for pos_a, alpha in enumerate(row):
-            omega[alpha, alpha] += abs(cd) ** 2
-            rem = row[:pos_a] + row[pos_a + 1:]
-            sign_a = -1.0 if pos_a % 2 else 1.0
-            for gamma in range(K):
-                if gamma == alpha or gamma in row_set:
-                    continue
-                pos_c = sum(1 for r in rem if r < gamma)
-                new = rem[:pos_c] + (gamma,) + rem[pos_c:]
-                dprime = basis.index[new]
-                sign = sign_a * (-1.0 if pos_c % 2 else 1.0)
-                omega[alpha, gamma] += sign * np.conj(c[dprime]) * cd
+    """One-body reduced density matrix, trace N: omega[p, p] sums |c_i|^2
+    over the determinants occupying p, omega[p, q] sign * conj(c_j) c_i over
+    the replacements p -> q."""
+    c, occ = state.coefficients, basis.occupations
+    omega = np.zeros((basis.K, basis.K), dtype=np.complex128)
+    np.add.at(omega, (occ, occ), (np.abs(c) ** 2)[:, None])
+    for i, j, P, Q, sign in basis.replacements(1):
+        np.add.at(omega, (P[:, 0], Q[:, 0]), sign * np.conj(c[j]) * c[i])
     return omega
 
 
@@ -285,45 +271,39 @@ def run_comparison(config: SimulationConfig, threads: int = 1,
     v_norm = tensor.sup_norm
     hbar = config.constants.hbar
 
-    # accumulate the defect integral along every accepted step
-    defect_integral = {"value": 0.0, "last_t": 0.0, "last_d": None}
-    defect_at = {}
+    # trapezoid integral of the defect up to each step; (t, defect) of the last
+    integral, last = [], []
 
     def on_step(state: HFState):
         d = defect_norm(state, H, det_basis, energies, tensor,
                         config.constants, check_support=check_support)
-        last_d = defect_integral["last_d"]
-        if last_d is not None:
-            dt = state.time - defect_integral["last_t"]
-            defect_integral["value"] += 0.5 * dt * (last_d + d)
-        defect_integral["last_t"] = state.time
-        defect_integral["last_d"] = d
-        defect_at[round(state.time, 12)] = defect_integral["value"]
+        integral.append(integral[-1] + 0.5 * (state.time - last[0]) * (last[1] + d)
+                        if last else 0.0)
+        last[:] = (state.time, d)
 
     trajectory = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
                               tensor, energies, config.constants,
                               sample_stride=config.sample_stride,
                               step_callback=on_step)
+    _, samples = time_grid(config.dt, config.t_final, config.sample_stride)
 
     records = []
     t_prev = 0.0
-    for idx, t in enumerate(trajectory.times):
+    for idx, (step, t) in enumerate(zip(samples, trajectory.times)):
         state = trajectory.states[idx]
         psi = propagator.advance(psi, t - t_prev)
         t_prev = t
         exact = ManyBodyState(basis=det_basis, coefficients=psi)
-        err = error_norm(exact, state, det_basis)
-        rec = ComparisonRecord(
+        records.append(ComparisonRecord(
             t=float(t),
-            error_norm=err,
+            error_norm=error_norm(exact, state, det_basis),
             apriori_bound=apriori_bound(config.N, v_norm, config.constants, float(t)),
-            defect_bound=defect_at[round(float(t), 12)],
+            defect_bound=integral[step],
             energy_exact=float(np.real(np.vdot(psi, H @ psi))),
             energy_hf=float(trajectory.energies[idx]),
             rdm_trace_dist=trace_norm_diff(rdm_exact(exact, det_basis),
                                            rdm_slater(state)),
-        )
-        records.append(rec)
+        ))
 
     ratios = [r.error_norm / r.apriori_bound for r in records if r.apriori_bound > 0]
     summary = {

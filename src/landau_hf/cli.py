@@ -23,7 +23,7 @@ from .basis import (apply_landau_hamiltonian, boundary_residuals,
 from .config import (SimulationConfig, inner_product, load_config,
                      quantization_ulps)
 from .errors import IoFailure, LandauHFError
-from .hartree_fock import integrate_hf
+from .hartree_fock import integrate_hf, time_grid
 from .manybody import (ExactPropagator, FillingSpec, embed_slater,
                        noninteracting_ground_state)
 
@@ -227,13 +227,9 @@ def cmd_evolve_exact(args) -> int:
     psi = embed_slater(1.0, problem.initial_orbitals,
                        problem.det_basis).coefficients
     prop = ExactPropagator(H, config.constants.hbar)
-    n_steps = max(1, round(config.t_final / config.dt)) if config.t_final > 0 else 0
-    dt = config.t_final / n_steps if n_steps else 0.0
-    rows = []
-    t_prev = 0.0
-    for step in range(0, n_steps + 1):
-        if step % config.sample_stride and step != n_steps:
-            continue
+    dt, samples = time_grid(config.dt, config.t_final, config.sample_stride)
+    rows, t_prev = [], 0.0
+    for step in samples:
         t = step * dt
         psi = prop.advance(psi, t - t_prev)
         t_prev = t

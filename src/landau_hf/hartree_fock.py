@@ -166,6 +166,15 @@ def _loewdin(a: complex, orbitals: np.ndarray) -> tuple[complex, np.ndarray]:
     return a_new, orbitals @ inv_sqrt
 
 
+def time_grid(dt: float, t_final: float, sample_stride: int) -> tuple[float, list[int]]:
+    """Step dividing [0, t_final] into round(t_final / dt) steps (at least one
+    if t_final > 0) and the sampled steps: every sample_stride-th and the last."""
+    n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
+    dt_eff = t_final / n_steps if n_steps else 0.0
+    return dt_eff, [step for step in range(n_steps + 1)
+                    if step % sample_stride == 0 or step == n_steps]
+
+
 def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
                  tensor: InteractionTensor, energies: np.ndarray,
                  constants: PhysicalConstants, sample_stride: int = 1,
@@ -174,15 +183,15 @@ def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
 
     scheme 'rk4' integrates as-is; 'rk4+reorth' follows every step with a
     symmetric orthogonalization plus phase compensation (a pure gauge move).
-    The callback, when given, sees every accepted step including t = 0.
+    The callback sees every accepted step, t = 0 included; time_grid picks
+    the recorded ones.
     """
     if scheme not in ("rk4", "rk4+reorth"):
         raise ValueError(f"unknown scheme '{scheme}'")
     reorth = scheme.endswith("+reorth")
-    hbar = constants.hbar
 
-    n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
-    dt_eff = t_final / n_steps if n_steps else 0.0
+    dt_eff, samples = time_grid(dt, t_final, sample_stride)
+    n_steps, sampled = samples[-1], set(samples)
 
     e0 = initial.e0
     if e0 is None:
@@ -234,7 +243,7 @@ def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
 
         if step_callback is not None:
             step_callback(snapshot())
-        if step % sample_stride == 0 or step == n_steps:
+        if step in sampled:
             record()
 
     return HFTrajectory(times=np.asarray(times), states=states,

@@ -9,6 +9,10 @@ elements are stored in physicists' order,
 
 so a and g belong to the first particle, b and d to the second.
 
+DeterminantBasis.replacements tabulates, for all determinants at once, the
+single and double orbital replacements with target rank and fermionic sign;
+Hamiltonian assembly and the one-body reduced density matrix consume it.
+
 Exact dynamics has one propagator, ExactPropagator: the action of
 exp(-i H t / hbar) on a vector from the sparse H, with cost growing with
 t * ||H||_1 rather than with dim^3.
@@ -18,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +37,7 @@ from .errors import (DimensionMismatch, LengthMismatch, NotOrthonormal,
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
+REPLACEMENT_BLOCK = 256          # source determinants per replacements() block
 
 
 @dataclass(frozen=True)
@@ -39,14 +45,56 @@ class DeterminantBasis:
     K: int
     N: int
     occupations: np.ndarray          # (dim, N) int, rows sorted lexicographically
-    index: dict
 
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
 
+    @cached_property
+    def _binomials(self) -> np.ndarray:
+        return np.array([[min(math.comb(a, b), self.dim) for b in range(self.N + 1)]
+                         for a in range(self.K)], dtype=np.int64)
+
+    def rank(self, occ) -> np.ndarray:
+        """Row of each increasing occupation (..., N) in the lexicographic
+        order, C(K,N) - 1 - sum_k C(K-1-c_k, N-k) (combinatorial numbers);
+        no term exceeds dim - 1, so binomials clipped at dim fit in int64."""
+        terms = self._binomials[self.K - 1 - np.asarray(occ), self.N - np.arange(self.N)]
+        return self.dim - 1 - terms.sum(axis=-1)
+
     def lookup(self, occ) -> int:
-        return self.index[tuple(occ)]
+        occ = np.asarray(occ)
+        if (occ.shape != (self.N,) or occ.dtype.kind not in "iu"
+                or np.any(np.diff(occ, prepend=-1, append=self.K) <= 0)):
+            raise KeyError(f"{occ.tolist()} is not an occupation of {self.N} of {self.K}")
+        return int(self.rank(occ))
+
+    def replacements(self, n: int):
+        """Every replacement of n occupied by n empty orbitals, as arrays
+        (i, j, P, Q, sign) over blocks of REPLACEMENT_BLOCK source rows i:
+        row j is row i with the orbitals P (E, n) replaced by Q (E, n), both
+        ascending; the sign (-1)^(sum pos(P) + sum newpos(Q)), places in the
+        source and the target, is the parity of sorting after replacing in place.
+        """
+        K, N = self.K, self.N
+        removed, added = (np.array(list(itertools.combinations(range(m), n)),
+                                   dtype=np.int64).reshape(-1, n) for m in (N, K - N))
+        shape = (len(removed), len(added))
+        for start in range(0, self.dim, REPLACEMENT_BLOCK):
+            occ = self.occupations[start:start + REPLACEMENT_BLOCK]
+            B = occ.shape[0]
+            virt = np.nonzero(np.all(occ[:, :, None] != np.arange(K), axis=1))[1]
+            virt = virt.reshape(B, K - N)
+            P = np.broadcast_to(occ[:, removed][:, :, None], (B, *shape, n))
+            Q = np.broadcast_to(virt[:, added][:, None], (B, *shape, n))
+            target = np.broadcast_to(occ[:, None, None], (B, *shape, N)).copy()
+            np.put_along_axis(target, removed[None, :, None], Q, axis=-1)
+            target.sort(axis=-1)
+            parity = (removed.sum(axis=1)[:, None]
+                      + (target[..., None, :] < Q[..., None]).sum(axis=(-2, -1)))
+            yield (np.repeat(np.arange(start, start + B), shape[0] * shape[1]),
+                   self.rank(target).ravel(), P.reshape(-1, n), Q.reshape(-1, n),
+                   np.where(parity % 2, -1.0, 1.0).ravel())
 
 
 def enumerate_determinants(K: int, N: int, cap: int = DET_SPACE_CAP) -> DeterminantBasis:
@@ -57,8 +105,7 @@ def enumerate_determinants(K: int, N: int, cap: int = DET_SPACE_CAP) -> Determin
     if dim > cap:
         raise TooLarge(f"determinant space C({K},{N}) = {dim} exceeds cap {cap}")
     occupations = np.array(list(itertools.combinations(range(K), N)), dtype=np.int64)
-    index = {tuple(row): i for i, row in enumerate(occupations)}
-    return DeterminantBasis(K=K, N=N, occupations=occupations, index=index)
+    return DeterminantBasis(K=K, N=N, occupations=occupations)
 
 
 @dataclass
@@ -153,16 +200,12 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     return InteractionTensor(values=v, sup_norm=potential.sup_norm())
 
 
-def _pair_element(v: np.ndarray, p, q, r, s) -> complex:
-    """Antisymmetrized pair element <pq||rs> = v[p,q,r,s] - v[p,q,s,r]."""
-    return v[p, q, r, s] - v[p, q, s, r]
-
-
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
                          tensor: InteractionTensor | None) -> sp.csr_matrix:
-    """One-body diagonal plus two-body elements between determinants
-    differing in at most two occupied indices, with fermionic signs from
-    aligning the occupation lists.
+    """One-body diagonal plus, with <pq||rs> = v[p,q,r,s] - v[p,q,s,r], the
+    sum of <pr||pr> over occupied pairs, sign * sum_{r occ} <pr||qr> per
+    single replacement p -> q (the r = p term vanishes by exchange symmetry)
+    and sign * <p1p2||q1q2> per double one; the upper triangle is mirrored.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
@@ -170,58 +213,29 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
             f"{energies.shape[0]} one-body energies for K={basis.K}")
     occ = basis.occupations
     dim, N = occ.shape
-    diag_1b = energies[occ].sum(axis=1).astype(np.complex128)
+    diag = energies[occ].sum(axis=1).astype(np.complex128)
 
     if tensor is None or tensor.is_zero():
-        return sp.diags(diag_1b, format="csr")
+        return sp.diags(diag, format="csr")
 
     v = tensor.values
     if v.shape[0] != basis.K:
         raise DimensionMismatch(f"tensor rank {v.shape[0]} for K={basis.K}")
+    w = v - v.transpose(0, 1, 3, 2)
+    for k, l in itertools.combinations(range(N), 2):
+        diag += w[occ[:, k], occ[:, l], occ[:, k], occ[:, l]]
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+    for n in (1, 2):
+        for i, j, P, Q, sign in basis.replacements(n):
+            up = j > i
+            i, P, Q = i[up], P[up], Q[up]
+            elem = (sum(w[P[:, 0], r, Q[:, 0], r] for r in occ[i].T) if n == 1
+                    else w[P[:, 0], P[:, 1], Q[:, 0], Q[:, 1]])
+            rows.append(i); cols.append(j[up]); vals.append(sign[up] * elem)
 
-    rows, cols, vals = [], [], []
-    full = range(basis.K)
-    for i in range(dim):
-        occ_i = occ[i]
-        occ_set = set(occ_i.tolist())
-        pos = {p: k for k, p in enumerate(occ_i.tolist())}
-        virt = [q for q in full if q not in occ_set]
-
-        elem = diag_1b[i]
-        for k, p in enumerate(occ_i):
-            for r in occ_i[k + 1:]:
-                elem += _pair_element(v, p, r, p, r)
-        rows.append(i); cols.append(i); vals.append(elem)
-
-        # single replacement p -> q, upper triangle only
-        for p in occ_i:
-            for q in virt:
-                new = sorted(occ_set - {p} | {q})
-                j = basis.index[tuple(new)]
-                if j <= i:
-                    continue
-                lo, hi = (p, q) if p < q else (q, p)
-                between = sum(1 for r in occ_i if lo < r < hi)
-                sign = -1.0 if between % 2 else 1.0
-                elem = sign * sum(_pair_element(v, p, r, q, r)
-                                  for r in occ_i if r != p)
-                rows.append(i); cols.append(j); vals.append(elem)
-
-        # double replacement (p1, p2) -> (q1, q2), upper triangle only
-        for (p1, p2) in itertools.combinations(occ_i.tolist(), 2):
-            for (q1, q2) in itertools.combinations(virt, 2):
-                new = sorted(occ_set - {p1, p2} | {q1, q2})
-                j = basis.index[tuple(new)]
-                if j <= i:
-                    continue
-                new_pos = {r: k for k, r in enumerate(new)}
-                parity = pos[p1] + pos[p2] + new_pos[q1] + new_pos[q2]
-                sign = -1.0 if parity % 2 else 1.0
-                elem = sign * _pair_element(v, p1, p2, q1, q2)
-                rows.append(i); cols.append(j); vals.append(elem)
-
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim),
-                          dtype=np.complex128).tocsr()
+    upper = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(dim, dim), dtype=np.complex128).tocsr()
     lower = sp.triu(upper, k=1).conj().T
     return (upper + lower).tocsr()
 

@@ -208,8 +208,8 @@ def test_rdm_trace_is_particle_number(system, rng):
     assert np.max(np.abs(omega - omega.conj().T)) < 1e-12
 
 
-def test_rdm_matches_partial_trace_oracle(rng):
-    K, N = 4, 2
+@pytest.mark.parametrize("K,N", [(4, 1), (4, 2), (5, 3), (6, 3), (4, 4)])
+def test_rdm_matches_partial_trace_oracle(rng, K, N):
     basis = lhf.enumerate_determinants(K, N)
     c = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     c /= np.linalg.norm(c)

@@ -45,6 +45,43 @@ def test_enumeration_cap():
         lhf.enumerate_determinants(40, 20, cap=1000)
 
 
+def test_lookup_roundtrip_where_binomials_overflow_int64():
+    # C(69, 34) > 2^63 sits in the binomial table of K=70, N=67
+    assert math.comb(69, 34) > np.iinfo(np.int64).max
+    basis = lhf.enumerate_determinants(70, 67)
+    assert basis.dim == 54740
+    assert np.array_equal(basis.rank(basis.occupations), np.arange(basis.dim))
+    for i in [*range(0, basis.dim, 97), basis.dim - 1]:
+        assert basis.lookup(basis.occupations[i]) == i
+
+
+@pytest.mark.parametrize("occ", [(1, 0), (0, 4), (-1, 2), (1, 1), (0, 1, 2), (0.0, 1.0)])
+def test_lookup_rejects_occupation_outside_basis(occ):
+    basis = lhf.enumerate_determinants(4, 2)
+    with pytest.raises(KeyError):
+        basis.lookup(occ)
+
+
+# --- replacement tables ---------------------------------------------------------
+
+@pytest.mark.parametrize("K,N,n", [(4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 1),
+                                   (5, 3, 2), (6, 3, 2), (6, 4, 2), (4, 4, 1)])
+def test_replacements_targets_and_signs(K, N, n):
+    basis = lhf.enumerate_determinants(K, N)
+    entries = [e for block in basis.replacements(n) for e in zip(*block)]
+    assert len(entries) == basis.dim * math.comb(N, n) * math.comb(K - N, n)
+    for i, j, P, Q, sign in entries:
+        occ_i = basis.occupations[i].tolist()
+        occ_j = basis.occupations[j].tolist()
+        assert occ_j == sorted(set(occ_i) - set(P.tolist()) | set(Q.tolist()))
+        # replace the columns of P in place by Q: the wedge is sign * D_j
+        moved = dict(zip(P.tolist(), Q.tolist()))
+        cols = np.zeros((K, N), dtype=complex)
+        cols[[moved.get(o, o) for o in occ_i], range(N)] = 1.0
+        ref = helpers.occupation_tensor(occ_j, K)
+        assert np.allclose(helpers.wedge_tensor(cols), sign * ref, atol=1e-14)
+
+
 # --- Slater overlaps ----------------------------------------------------------
 
 def test_overlap_of_orthonormal_set(rng):
@@ -149,7 +186,7 @@ def test_assemble_hermitian(tensor_m3, oset_m3):
     assert abs((H - H.getH()).toarray()).max() <= 1e-10
 
 
-@pytest.mark.parametrize("K,N", [(4, 2), (6, 2), (5, 3)])
+@pytest.mark.parametrize("K,N", [(4, 2), (6, 2), (5, 3), (4, 1), (4, 4)])
 def test_assemble_matches_tensor_space_oracle(rng, K, N):
     v, _ = helpers.random_interaction_tensor(rng, K)
     energies = rng.uniform(0.2, 2.0, K)
