@@ -5,8 +5,10 @@ a-priori bound (1/hbar) sqrt(N(N-1)) sup|V| t, the a-posteriori bound by the
 time integral of the residual ||du/dt - H u / (i hbar)||, and one-body
 reduced density matrices in trace norm.  The residual of the effective flow
 lives, up to roundoff, entirely on determinants in which exactly two orbitals
-are replaced by vectors orthogonal to the occupied span; the sector
-decomposition is computed explicitly and acts as a structural self-check.
+are replaced by vectors orthogonal to the occupied span, so its norm has a
+closed form in orbital space, evaluated at every integrator step.  At every
+recorded sample the residual is also embedded in the determinant basis and
+decomposed by sectors, a structural self-check of that closed form.
 
 Problem is the one set-up shared by run_comparison and the command line:
 basis, tensor, determinant space, H and the initial orbitals, each built on
@@ -77,7 +79,6 @@ def error_norm(exact: ManyBodyState, hf: HFState,
 
 def _complement_basis(orbitals: np.ndarray) -> np.ndarray:
     """Unitary (K, K) whose first N columns span the occupied subspace."""
-    K, N = orbitals.shape
     Q, _ = np.linalg.qr(orbitals, mode="complete")
     return Q
 
@@ -116,25 +117,39 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
     return np.sqrt(norms_sq)
 
 
-def defect_norm(state: HFState, H, basis: DeterminantBasis,
-                energies: np.ndarray, tensor: InteractionTensor,
-                constants: PhysicalConstants, check_support: bool = True,
-                sector_tol: float = SECTOR_TOL) -> float:
-    """||du/dt - H u/(i hbar)||, with a structural check that the residual
-    is confined to the two-replacement sector."""
-    d = defect_vector(state, H, basis, energies, tensor, constants)
-    if check_support:
-        if basis.N >= 2:
-            sectors = defect_sector_norms(d, state.orbitals, basis)
-            outside = math.sqrt(max(float(np.sum(sectors ** 2)) - sectors[2] ** 2, 0.0))
-        else:
-            sectors = None
-            outside = float(np.linalg.norm(d))
-        if outside > sector_tol:
-            raise SupportViolation(
-                f"defect leaks {outside:.3e} outside the two-replacement "
-                f"sector (sector norms {sectors})")
-    return float(np.linalg.norm(d))
+def defect_norm(state: HFState, tensor: InteractionTensor,
+                constants: PhysicalConstants) -> float:
+    """||du/dt - H u/(i hbar)|| = |a|/hbar sqrt(1/4 sum_ijab |<ab||ij>|^2),
+    i, j over the orbitals and a, b over the complement of their span, by
+    sequential contractions in O(K^4 N)."""
+    C = state.orbitals
+    comp = np.eye(C.shape[0]) - C @ C.conj().T        # projector onto the complement
+    g = np.einsum("pqrj,ri->pqij", tensor.values @ C, C)        # <pq|V|ij>
+    g = g - g.swapaxes(2, 3)                                     # <pq||ij>
+    g = np.tensordot(comp, np.tensordot(comp, g, axes=(1, 1)), axes=(1, 1))
+    return abs(state.a) / constants.hbar * 0.5 * float(np.linalg.norm(g))
+
+
+def check_defect_support(state: HFState, d: float, H, basis: DeterminantBasis,
+                         energies: np.ndarray, tensor: InteractionTensor,
+                         constants: PhysicalConstants) -> tuple[float, float]:
+    """Embedded oracle of the closed-form defect d at one state: the norm of
+    the residual outside the two-replacement sector and its distance from d.
+    Raises SupportViolation if either exceeds SECTOR_TOL."""
+    vec = defect_vector(state, H, basis, energies, tensor, constants)
+    norm = float(np.linalg.norm(vec))
+    sectors = defect_sector_norms(vec, state.orbitals, basis)
+    leak = float(np.linalg.norm(np.delete(sectors, 2))) if basis.N >= 2 else norm
+    if leak > SECTOR_TOL:
+        raise SupportViolation(
+            f"defect leaks {leak:.3e} outside the two-replacement sector at "
+            f"t = {state.time} (sector norms {sectors})")
+    dev = abs(norm - d)
+    if dev > SECTOR_TOL:
+        raise SupportViolation(
+            f"closed-form defect {d!r} is {dev:.3e} from the embedded one at "
+            f"t = {state.time}")
+    return leak, dev
 
 
 def rdm_exact(state: ManyBodyState, basis: DeterminantBasis) -> np.ndarray:
@@ -252,15 +267,15 @@ class Problem:
         return replace(state, e0=hf_energy(state, self.energies, self.tensor))
 
 
-def run_comparison(config: SimulationConfig, threads: int = 1,
-                   check_support: bool = True) -> ComparisonResult:
+def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResult:
     """Evolve the same initial determinant exactly and effectively, sampling
     error norms, both bounds, energies, and the reduced-density distance.
 
-    The defect is evaluated at every integrator step so its trapezoid
-    integral carries discretization error well below the bound slack;
-    records are emitted at the configured sample stride.  A record that
-    breaks a bound is kept and counted in the summary's bound_violations.
+    The closed-form defect is evaluated at every integrator step so its
+    trapezoid integral carries discretization error well below the bound
+    slack; records are emitted at the configured sample stride, each after
+    check_defect_support.  A record that breaks a bound is kept and counted
+    in the summary's bound_violations.
     """
     problem = Problem(config, threads)
     energies, tensor = problem.energies, problem.tensor
@@ -271,26 +286,26 @@ def run_comparison(config: SimulationConfig, threads: int = 1,
     v_norm = tensor.sup_norm
     hbar = config.constants.hbar
 
-    # trapezoid integral of the defect up to each step; (t, defect) of the last
-    integral, last = [], []
+    defects = []                  # (t, closed-form defect) at every step
 
     def on_step(state: HFState):
-        d = defect_norm(state, H, det_basis, energies, tensor,
-                        config.constants, check_support=check_support)
-        integral.append(integral[-1] + 0.5 * (state.time - last[0]) * (last[1] + d)
-                        if last else 0.0)
-        last[:] = (state.time, d)
+        defects.append((state.time, defect_norm(state, tensor, config.constants)))
 
     trajectory = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
                               tensor, energies, config.constants,
                               sample_stride=config.sample_stride,
                               step_callback=on_step)
     _, samples = time_grid(config.dt, config.t_final, config.sample_stride)
+    integral = [0.0]              # trapezoid integral of the defect up to each step
+    for (t0, d0), (t1, d1) in zip(defects, defects[1:]):
+        integral.append(integral[-1] + 0.5 * (t1 - t0) * (d0 + d1))
 
-    records = []
+    records, checks = [], []
     t_prev = 0.0
     for idx, (step, t) in enumerate(zip(samples, trajectory.times)):
         state = trajectory.states[idx]
+        checks.append(check_defect_support(state, defects[step][1], H, det_basis,
+                                           energies, tensor, config.constants))
         psi = propagator.advance(psi, t - t_prev)
         t_prev = t
         exact = ManyBodyState(basis=det_basis, coefficients=psi)
@@ -323,6 +338,10 @@ def run_comparison(config: SimulationConfig, threads: int = 1,
         "final_energy_drift_hf": abs(records[-1].energy_hf
                                      - records[0].energy_hf),
         "initial_energy": hf0.e0,
+        "max_sector_leak": max(leak for leak, _ in checks),
+        "max_defect_closed_form_dev": max(dev for _, dev in checks),
+        "max_gram_deviation": float(np.max(trajectory.gram_devs)),
+        "max_phase_deviation": float(np.max(np.abs(trajectory.norms - 1.0))),
     }
     return ComparisonResult(records=records, summary=summary,
                             trajectory_times=trajectory.times)

@@ -70,10 +70,6 @@ class NotOrthonormal(LandauHFError):
 
 # --- effective dynamics ------------------------------------------------------
 
-class IndexOutOfRange(LandauHFError):
-    """Orbital index outside 0..N-1."""
-
-
 class StepUnstable(LandauHFError):
     """Single integrator step produced an excessive orthonormality drift."""
 

@@ -4,16 +4,18 @@ State: global phase a plus N orthonormal orbital coefficient vectors in the
 truncated basis, where the one-body operator is exactly diagonal.  The
 orbitals obey
 
-    i hbar d/dt phi_l = H1 phi_l + K_l phi_l - sum_{l' != l} X_{l,l'} phi_l',
+    i hbar d/dt phi_l = H1 phi_l + (J[rho] - X[rho]) phi_l,
 
-with the mean-field potential K_l built from the densities of the other
-orbitals and the nonlocal exchange X from their transition densities.  This
-orbital flow preserves orthonormality exactly but carries the tangential
-phase rate sum_l <phi_l | d/dt phi_l> = (T + 2W)/(i hbar), where T is the
-one-body and W the pair part of the energy.  For a*(wedge of orbitals) to
-satisfy the variational projection of the full dynamics (and hence preserve
-energy, norm, and the two-replacement structure of the residual), the phase
-must absorb the excess:
+the Fock operator of the full density rho = sum_l phi_l phi_l^H, with the
+direct (mean-field) potential J[rho] and the nonlocal exchange X[rho].  The
+self-terms of orbital l in J and X cancel exactly, so this equals the mean
+field and exchange of the other orbitals alone.  This orbital flow preserves
+orthonormality exactly but carries the tangential phase rate
+sum_l <phi_l | d/dt phi_l> = (T + 2W)/(i hbar), where T is the one-body and W
+the pair part of the energy.  For a*(wedge of orbitals) to satisfy the
+variational projection of the full dynamics (and hence preserve energy, norm,
+and the two-replacement structure of the residual), the phase must absorb the
+excess:
 
     i hbar da/dt = -W(t) a(t),
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PhysicalConstants
-from .errors import (IndexOutOfRange, NonFiniteValue, NotUnitary, StepUnstable)
+from .errors import NonFiniteValue, NotUnitary, StepUnstable
 from .manybody import InteractionTensor
 
 
@@ -72,40 +74,14 @@ class HFTrajectory:
             raise ValueError("diagnostic lengths do not match sample count")
 
 
-def _others_density(orbitals: np.ndarray, ell: int) -> np.ndarray:
-    """rho[d, b] = sum_{l' != ell} phi_l'[d] conj(phi_l'[b])."""
-    if not (0 <= ell < orbitals.shape[1]):
-        raise IndexOutOfRange(f"orbital index {ell} outside 0..{orbitals.shape[1] - 1}")
-    others = np.delete(orbitals, ell, axis=1)
-    return others @ others.conj().T
-
-
-def direct_potential_action(orbitals: np.ndarray, tensor: InteractionTensor,
-                            ell: int) -> np.ndarray:
-    """K_ell acting on phi_ell: the mean field of every other orbital."""
-    rho = _others_density(orbitals, ell)
-    J = np.einsum("abgd,db->ag", tensor.values, rho)
-    return J @ orbitals[:, ell]
-
-
-def exchange_potential_action(orbitals: np.ndarray, tensor: InteractionTensor,
-                              ell: int) -> np.ndarray:
-    """sum_{l' != ell} X_{ell,l'} phi_l', from the transition densities."""
-    rho = _others_density(orbitals, ell)
-    X = np.einsum("abgd,gb->ad", tensor.values, rho)
-    return X @ orbitals[:, ell]
-
-
 def _nonlinear_terms(orbitals: np.ndarray, tensor: InteractionTensor) -> np.ndarray:
-    """eta[:, l] = K_l phi_l - sum_{l' != l} X_{l,l'} phi_l' for every l."""
-    N = orbitals.shape[1]
-    eta = np.zeros_like(orbitals)
-    if tensor.is_zero() or N == 1:
-        return eta
-    for ell in range(N):
-        eta[:, ell] = (direct_potential_action(orbitals, tensor, ell)
-                       - exchange_potential_action(orbitals, tensor, ell))
-    return eta
+    """eta = (J[rho] - X[rho]) C with the full density rho = C C^H."""
+    if tensor.is_zero() or orbitals.shape[1] == 1:
+        return np.zeros_like(orbitals)
+    rho = orbitals @ orbitals.conj().T
+    J = np.einsum("abgd,db->ag", tensor.values, rho)
+    X = np.einsum("abgd,gb->ad", tensor.values, rho)
+    return (J - X) @ orbitals
 
 
 def interaction_energy(orbitals: np.ndarray, tensor: InteractionTensor) -> float:

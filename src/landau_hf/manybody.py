@@ -33,7 +33,7 @@ from scipy.sparse.linalg import expm_multiply
 from .basis import OrbitalSet
 from .config import Grid, PhysicalConstants
 from .errors import (DimensionMismatch, LengthMismatch, NotOrthonormal,
-                     TooLarge, TruncationTooSmall)
+                     SymmetryViolation, TooLarge, TruncationTooSmall)
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
@@ -192,7 +192,6 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     exch = np.max(np.abs(v - v.transpose(1, 0, 3, 2)))
     herm = np.max(np.abs(v - v.transpose(2, 3, 0, 1).conj()))
     if exch > sym_tol * scale or herm > sym_tol * scale:
-        from .errors import SymmetryViolation
         raise SymmetryViolation(
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
     v = 0.5 * (v + v.transpose(1, 0, 3, 2))

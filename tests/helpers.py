@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-Everything here works in the full K^N tensor product space via explicit
+The many-body oracles work in the full K^N tensor product space via explicit
 permutation sums and Kronecker products, deliberately avoiding the
-determinant-based code paths under test.
+determinant-based code paths under test; the mean-field oracle sums over the
+other orbitals one at a time instead of using the full density.
 """
 
 import itertools
@@ -89,6 +90,19 @@ def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):
     D = (phi.conj()[:, None, :] * phi[None, :, :] * w).reshape(K * K, P)
     v = (D @ Vmat @ D.T).reshape(K, K, K, K).transpose(0, 2, 1, 3)
     return v, float(np.abs(Vmat).max())
+
+
+def per_orbital_mean_field(orbitals: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """eta[:, l] = (J - X)[rho_l] phi_l, with rho_l the density of every
+    orbital but l: direct and exchange terms one orbital at a time."""
+    eta = np.zeros_like(orbitals)
+    for ell in range(orbitals.shape[1]):
+        others = np.delete(orbitals, ell, axis=1)
+        rho = others @ others.conj().T
+        J = np.einsum("abgd,db->ag", v, rho)
+        X = np.einsum("abgd,gb->ad", v, rho)
+        eta[:, ell] = (J - X) @ orbitals[:, ell]
+    return eta
 
 
 def midpoint_quad_1d(f, lo: float, hi: float, n: int) -> float:

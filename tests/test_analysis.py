@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau_hf as lhf
-from landau_hf.analysis import (Problem, defect_sector_norms, defect_vector,
+from landau_hf import analysis
+from landau_hf.analysis import (SECTOR_TOL, Problem, check_defect_support,
+                                defect_sector_norms, defect_vector,
                                 run_comparison)
 from landau_hf.errors import NotHermitian, SupportViolation
 from landau_hf.hartree_fock import HFState
@@ -82,14 +84,12 @@ def test_apriori_scaling_structure(N, v, t, hbar):
 # --- defect ------------------------------------------------------------------------
 
 def test_defect_zero_without_interaction(system, rng):
-    cfg, oset, _, basis, _ = system
+    cfg, oset, _, _, _ = system
     zero = lhf.two_body_tensor(lhf.PotentialSpec(kind="zero"), oset,
                                cfg.tensor_grid)
-    H0 = lhf.assemble_hamiltonian(basis, oset.energies, None)
     C = np.linalg.qr(rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))[0]
     st = HFState(time=0.0, a=1.0 + 0j, orbitals=C)
-    assert lhf.defect_norm(st, H0, basis, oset.energies, zero,
-                           cfg.constants) < 1e-10
+    assert lhf.defect_norm(st, zero, cfg.constants) < 1e-10
 
 
 def test_defect_below_uniform_bound(system, rng):
@@ -97,7 +97,7 @@ def test_defect_below_uniform_bound(system, rng):
     for _ in range(4):
         C = np.linalg.qr(rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))[0]
         st = HFState(time=0.0, a=np.exp(0.4j), orbitals=C)
-        d = lhf.defect_norm(st, H, basis, oset.energies, tensor, cfg.constants)
+        d = lhf.defect_norm(st, tensor, cfg.constants)
         assert d <= lhf.apriori_bound(2, tensor.sup_norm, cfg.constants, 1.0) + 1e-8
 
 
@@ -123,12 +123,53 @@ def test_defect_support_violation_detected(system, rng):
     sectors = defect_sector_norms(d_bad, C, basis)
     assert sectors[0] > 1e-4
     # the derivation's cancellations need orthonormal orbitals; a skewed set
-    # must trip the checked entry point
+    # must trip the sample check
     skewed = C.copy()
     skewed[:, 0] *= 1.5
     bad = HFState(time=0.0, a=1.0 + 0j, orbitals=skewed)
     with pytest.raises(SupportViolation):
-        lhf.defect_norm(bad, H, basis, oset.energies, tensor, cfg.constants)
+        check_defect_support(bad, lhf.defect_norm(bad, tensor, cfg.constants),
+                             H, basis, oset.energies, tensor, cfg.constants)
+
+
+@pytest.mark.parametrize("kind", ["separable-cosine", "periodic-gaussian"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_closed_form_defect_matches_embedded(rng, kind, N):
+    cfg = make_config(M=3, n_max=2, N=N, strength=0.5, kind=kind)
+    oset = lhf.build_orbital_set(cfg, grid=cfg.tensor_grid)
+    tensor = lhf.two_body_tensor(cfg.potential, oset, cfg.tensor_grid)
+    basis = lhf.enumerate_determinants(9, N)
+    H = lhf.assemble_hamiltonian(basis, oset.energies, tensor)
+    constants = lhf.PhysicalConstants(hbar=0.7)
+    for _ in range(2):
+        C = np.linalg.qr(rng.normal(size=(9, N)) + 1j * rng.normal(size=(9, N)))[0]
+        st = HFState(time=0.0, a=1.3 * np.exp(0.4j), orbitals=C)
+        d = defect_vector(st, H, basis, oset.energies, tensor, constants)
+        assert lhf.defect_norm(st, tensor, constants) == pytest.approx(
+            np.linalg.norm(d), abs=1e-12)
+
+
+def test_comparison_raises_on_sector_leak(monkeypatch):
+    # a residual with a component along u itself lives in sector 0
+    cfg = make_config(M=2, n_max=1, N=2, t_final=0.02, sample_stride=10)
+    rhs = analysis.hf_rhs
+
+    def leaky(state, *args):
+        da, dphi = rhs(state, *args)
+        return da + 1e-6 * state.a, dphi
+
+    monkeypatch.setattr(analysis, "hf_rhs", leaky)
+    with pytest.raises(SupportViolation, match="outside the two-replacement"):
+        run_comparison(cfg)
+
+
+def test_comparison_raises_on_closed_form_deviation(monkeypatch):
+    cfg = make_config(M=2, n_max=1, N=2, t_final=0.02, sample_stride=10)
+    closed = analysis.defect_norm
+    monkeypatch.setattr(analysis, "defect_norm",
+                        lambda *args: closed(*args) + 1e-6)
+    with pytest.raises(SupportViolation, match="closed-form defect"):
+        run_comparison(cfg)
 
 
 def test_integrated_defect_dominates_error():
@@ -138,6 +179,11 @@ def test_integrated_defect_dominates_error():
     for rec in result.records:
         assert rec.error_norm <= rec.defect_bound + 1e-7
         assert rec.defect_bound <= rec.apriori_bound + 1e-7
+    summary = result.summary
+    assert summary["max_sector_leak"] <= SECTOR_TOL
+    assert summary["max_defect_closed_form_dev"] <= SECTOR_TOL
+    assert summary["max_gram_deviation"] < 1e-8
+    assert summary["max_phase_deviation"] < 1e-8
 
 
 def test_small_time_error_slope():
@@ -152,7 +198,7 @@ def test_small_time_error_slope():
         filling, [oset.energies[3 * n] for n in range(3)])
     C0 = unit_columns(9, sets[0])
     st0 = HFState(time=0.0, a=1.0 + 0j, orbitals=C0)
-    slope = lhf.defect_norm(st0, H, basis, oset.energies, tensor, cfg.constants)
+    slope = lhf.defect_norm(st0, tensor, cfg.constants)
     result = run_comparison(cfg)
     for rec in result.records:
         assert rec.error_norm <= 1.05 * slope * rec.t + 1e-12

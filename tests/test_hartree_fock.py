@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import landau_hf as lhf
-from landau_hf.errors import (IndexOutOfRange, LandauHFError, NotUnitary)
-from landau_hf.hartree_fock import (HFState, _loewdin, interaction_energy)
+from landau_hf.errors import LandauHFError, NotUnitary
+from landau_hf.hartree_fock import (HFState, _loewdin, _nonlinear_terms,
+                                    interaction_energy)
 from landau_hf.manybody import InteractionTensor
 
+import helpers
 from conftest import make_config
 
 
@@ -22,40 +24,40 @@ def setup():
     return cfg, oset, tensor
 
 
-# --- direct and exchange actions ----------------------------------------------
+# --- mean field and exchange --------------------------------------------------
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_fock_form_matches_per_orbital_oracle(rng, N):
+    v, sup = helpers.random_interaction_tensor(rng, 7)
+    C = random_state(rng, 7, N).orbitals
+    eta = _nonlinear_terms(C, InteractionTensor(values=v, sup_norm=sup))
+    oracle = helpers.per_orbital_mean_field(C, v)
+    assert np.max(np.abs(eta - oracle)) < 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
 
 def test_zero_potential_gives_zero_actions(setup, rng):
     cfg, oset, _ = setup
     zero = lhf.two_body_tensor(lhf.PotentialSpec(kind="zero"), oset, cfg.tensor_grid)
     C = random_state(rng, 9, 3).orbitals
-    assert np.allclose(lhf.direct_potential_action(C, zero, 0), 0.0)
-    assert np.allclose(lhf.exchange_potential_action(C, zero, 1), 0.0)
+    assert np.allclose(_nonlinear_terms(C, zero), 0.0)
 
 
 def test_single_particle_has_no_mean_field(setup, rng):
     _, _, tensor = setup
     C = random_state(rng, 9, 1).orbitals
-    assert np.allclose(lhf.direct_potential_action(C, tensor, 0), 0.0)
-    assert np.allclose(lhf.exchange_potential_action(C, tensor, 0), 0.0)
+    assert np.allclose(_nonlinear_terms(C, tensor), 0.0)
 
 
-def test_index_out_of_range(setup, rng):
-    _, _, tensor = setup
-    C = random_state(rng, 9, 2).orbitals
-    with pytest.raises(IndexOutOfRange):
-        lhf.direct_potential_action(C, tensor, 2)
-
-
-def test_exchange_vanishes_for_disjoint_orbitals_constant_v(setup):
+def test_constant_kernel_gives_scaled_orbitals(setup, rng):
+    # V = c: the direct term is c N, the exchange term c rho, so on
+    # orthonormal orbitals eta = c (N - 1) C
     cfg, oset, _ = setup
     const = lhf.PotentialSpec(kind="separable-cosine", strength=0.4,
                               harmonic1=0, harmonic2=0)
     tensor = lhf.two_body_tensor(const, oset, cfg.tensor_grid)
-    C = np.zeros((9, 2), dtype=complex)
-    C[0, 0] = 1.0
-    C[4, 1] = 1.0
-    out = lhf.exchange_potential_action(C, tensor, 0)
-    assert np.max(np.abs(out)) < 1e-8
+    C = random_state(rng, 9, 3).orbitals
+    eta = _nonlinear_terms(C, tensor)
+    assert np.max(np.abs(eta - 0.4 * 2 * C)) < 1e-8
 
 
 def test_actions_match_grid_space_evaluation(setup):
@@ -78,15 +80,14 @@ def test_actions_match_grid_space_evaluation(setup):
     K0 = (vals @ (np.abs(f1) ** 2)) * w
     K_phi = K0 * f0
     direct_grid = phi.conj() @ K_phi * w
-    direct_tensor = lhf.direct_potential_action(C, tensor, 0)
-    assert np.max(np.abs(direct_grid - direct_tensor)) < 1e-8
 
     # exchange: transition density between the two orbitals
     X01 = (vals @ (f1.conj() * f0)) * w
     X_phi = X01 * f1
     exchange_grid = phi.conj() @ X_phi * w
-    exchange_tensor = lhf.exchange_potential_action(C, tensor, 0)
-    assert np.max(np.abs(exchange_grid - exchange_tensor)) < 1e-8
+
+    eta = _nonlinear_terms(C, tensor)
+    assert np.max(np.abs(eta[:, 0] - (direct_grid - exchange_grid))) < 1e-8
 
 
 # --- right-hand side -----------------------------------------------------------
@@ -194,8 +195,9 @@ def test_step_halving_is_fourth_order(setup, rng):
     st = random_state(rng, 9, 2)
 
     def endpoint(dt):
+        # a stride past the last step records only the start and the endpoint
         traj = lhf.integrate_hf(st, dt, 0.1, "rk4", tensor, oset.energies,
-                                cfg.constants)
+                                cfg.constants, sample_stride=10 ** 5)
         s = traj.states[-1]
         return s.a * lhf.embed_wedge(s.orbitals, basis)
 
