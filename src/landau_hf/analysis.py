@@ -342,6 +342,7 @@ def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResu
         "max_defect_closed_form_dev": max(dev for _, dev in checks),
         "max_gram_deviation": float(np.max(trajectory.gram_devs)),
         "max_phase_deviation": float(np.max(np.abs(trajectory.norms - 1.0))),
+        "tensor_symmetry_deviation": tensor.symmetry_deviation,
     }
     return ComparisonResult(records=records, summary=summary,
                             trajectory_times=trajectory.times)

@@ -22,7 +22,8 @@ from .basis import (apply_landau_hamiltonian, boundary_residuals,
                     build_orbital_set)
 from .config import (SimulationConfig, inner_product, load_config,
                      quantization_ulps)
-from .errors import IoFailure, LandauHFError
+from .errors import (InvalidValue, IoFailure, LandauHFError,
+                     SupportViolation)
 from .hartree_fock import integrate_hf, time_grid
 from .manybody import (ExactPropagator, FillingSpec, embed_slater,
                        noninteracting_ground_state)
@@ -291,7 +292,12 @@ def cmd_compare(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
 
-    result = run_comparison(config, threads=args.threads)
+    try:
+        result = run_comparison(config, threads=args.threads)
+    except SupportViolation as exc:
+        manifest.validation("defect_support", False, str(exc))
+        manifest.write(out)
+        raise
     manifest.phase("compare")
     write_timeseries(result.records, os.path.join(out, "compare_timeseries.csv"))
     manifest.add_output("compare_timeseries.csv")
@@ -360,6 +366,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise InvalidValue("threads", "must be >= 1")
         return args.func(args)
     except LandauHFError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,8 +32,9 @@ from scipy.sparse.linalg import expm_multiply
 
 from .basis import OrbitalSet
 from .config import Grid, PhysicalConstants
-from .errors import (DimensionMismatch, LengthMismatch, NotOrthonormal,
-                     SymmetryViolation, TooLarge, TruncationTooSmall)
+from .errors import (DimensionMismatch, InvalidValue, LengthMismatch,
+                     NotOrthonormal, SymmetryViolation, TooLarge,
+                     TruncationTooSmall)
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
@@ -128,10 +129,13 @@ def slater_overlap(orbs_a: np.ndarray, orbs_b: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class InteractionTensor:
-    """Dense v[a, b, g, d] with exchange symmetry and hermiticity enforced."""
+    """Dense v[a, b, g, d] with exchange symmetry and hermiticity enforced;
+    symmetry_deviation is the larger of the two deviations of the raw
+    quadrature, relative to max(max |v|, 1), before symmetrization."""
 
     values: np.ndarray
     sup_norm: float
+    symmetry_deviation: float = 0.0
 
     @property
     def K(self) -> int:
@@ -145,48 +149,46 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                     threads: int = 1, sym_tol: float = 1e-8) -> InteractionTensor:
     """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y).
 
-    Separable kernels contract one rank at a time; tabulated kernels go
-    through the dense pair matrix.  The raw tensor is checked against its
-    exchange/hermiticity symmetries and then symmetrized.
+    Translation-invariant kernels (PotentialSpec.fourier_modes) take one 2-D
+    FFT R_ag of the pair densities conj(phi_a) phi_g w, one a at a time on
+    min(threads, cpu count) FFT workers, and form
+    v[a, b, g, d] = sum_k w_k R_ag(-k) R_bd(k) as one (K^2, R) @ (R, K^2)
+    product; the output does not depend on threads.  Rank-expanded kernels
+    contract one term at a time; tabulated kernels go through the dense pair
+    matrix.  The raw tensor is checked against its exchange/hermiticity
+    symmetries and then symmetrized.
     """
+    if threads < 1:
+        raise InvalidValue("threads", "must be >= 1")
     oset = orbitals.sampled_on(grid)
     K = oset.size
     phi = oset.matrix()                      # (K, P)
     w = grid.weight
     potential.check_symmetry(grid)
 
-    terms = potential.separable_terms(grid)
-    v = np.zeros((K, K, K, K), dtype=np.complex128)
-    if terms is not None:
-        def one_term(term):
-            c, f, g = term
+    modes = potential.fourier_modes(grid)
+    if modes is not None:
+        import scipy.fft        # ~5 MB resident; imported only where it is used
+        (k1, k2), weights = modes
+        minus = (-k1 % grid.G1, -k2 % grid.G2)
+        A = np.empty((K, K, len(weights)), dtype=np.complex128)   # R_ag(-k)
+        B = np.empty_like(A)                                      # R_bd(k)
+        workers = min(threads, os.cpu_count() or 1)
+        for a in range(K):
+            dens = (phi[a].conj() * phi * w).reshape(K, *grid.shape)
+            R = scipy.fft.fft2(dens, workers=workers)
+            A[a], B[a] = R[:, minus[0], minus[1]], R[:, k1, k2]
+        v = (A.reshape(K * K, -1) * weights) @ B.reshape(K * K, -1).T
+    elif (terms := potential.separable_terms(grid)) is not None:
+        v = np.zeros((K, K, K, K), dtype=np.complex128)
+        for c, f, g in terms:
             A = (phi.conj() * f.ravel()) @ phi.T * w      # <a| f |g>
             B = (phi.conj() * g.ravel()) @ phi.T * w      # <b| g |d>
-            return c, A, B
-
-        if threads > 1 and len(terms) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_term, terms))
-        else:
-            results = [one_term(t) for t in terms]
-        for c, A, B in results:               # fixed order: deterministic sum
-            v += c * np.einsum("ag,bd->abgd", A, B)
+            v += c * np.einsum("ag,bd->agbd", A, B)
     else:
-        vals = potential.pair_values(grid)
-        dens = phi.conj()[:, None, :] * phi[None, :, :] * w   # (K, K, P)
-        D = dens.reshape(K * K, -1)
-        if threads > 1:
-            rows = np.array_split(np.arange(D.shape[0]), threads)
-            W = np.empty((D.shape[0], vals.shape[1]), dtype=np.complex128)
-
-            def fill(block):
-                W[block, :] = D[block, :] @ vals
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, rows))
-        else:
-            W = D @ vals
-        v = (W @ D.T).reshape(K, K, K, K).transpose(0, 2, 1, 3)
+        D = (phi.conj()[:, None, :] * phi[None, :, :] * w).reshape(K * K, -1)
+        v = D @ potential.pair_values(grid) @ D.T
+    v = v.reshape(K, K, K, K).transpose(0, 2, 1, 3)    # (ag, bd) -> [a, b, g, d]
 
     scale = max(float(np.max(np.abs(v))), 1.0)
     exch = np.max(np.abs(v - v.transpose(1, 0, 3, 2)))
@@ -196,7 +198,8 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
     v = 0.5 * (v + v.transpose(1, 0, 3, 2))
     v = 0.5 * (v + v.transpose(2, 3, 0, 1).conj())
-    return InteractionTensor(values=v, sup_norm=potential.sup_norm())
+    return InteractionTensor(values=v, sup_norm=potential.sup_norm(),
+                             symmetry_deviation=float(max(exch, herm)) / scale)
 
 
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,

@@ -11,10 +11,11 @@ by sup|V|.  Kinds:
                      periodization of exp(-|d|^2 / (2 sigma^2))
   tabulated          values on grid x grid, supplied as an array (escape hatch)
 
-For quadrature the kernel is always handled through an exact (on the grid)
-separable expansion V(x;y) = sum_r c_r f_r(x) g_r(y); the translation-invariant
-Gaussian kind obtains its expansion from the discrete Fourier transform of its
-difference table, the tabulated kind falls back to the dense pair matrix.
+For quadrature each kind exposes the form that is exact on the grid and
+cheapest to contract: the zero and cosine kinds their rank expansion
+V(x;y) = sum_r c_r f_r(x) g_r(y) (separable_terms), the translation-invariant
+Gaussian kind the real discrete Fourier weights of its difference table
+(fourier_modes), and the tabulated kind its dense pair matrix (pair_values).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import InvalidValue, SymmetryViolation
 KINDS = ("zero", "separable-cosine", "periodic-gaussian", "tabulated")
 
 # discrete Fourier modes below this relative weight are dropped from the
-# separable expansion of translation-invariant kernels
+# expansion of translation-invariant kernels
 _MODE_FLOOR = 1e-16
 
 
@@ -100,35 +101,29 @@ class PotentialSpec:
         return tab / tab[0, 0]
 
     def separable_terms(self, grid):
-        """Expansion V(x;y) = sum_r c_r f_r(x) g_r(y), or None for tabulated.
-
-        Terms are exact on the grid (Fourier modes below the relative floor
-        are dropped for the Gaussian kind).  Ordering is deterministic.
-        """
+        """Rank expansion V(x;y) = sum_r c_r f_r(x) g_r(y) of the zero and
+        cosine kinds, exact on the grid; None for the other kinds."""
         if self.kind == "zero":
             return []
         if self.kind == "separable-cosine":
             g = self._cosine_factor(grid).astype(np.complex128)
             return [(self.strength, g, g)]
-        if self.kind == "periodic-gaussian":
-            tab = self._difference_table(grid) * self.strength
-            what = np.fft.fft2(tab) / (grid.G1 * grid.G2)
-            # real symmetric difference table -> real mode weights
-            what = what.real
-            i1 = np.arange(grid.G1)
-            i2 = np.arange(grid.G2)
-            terms = []
-            floor = _MODE_FLOOR * max(abs(self.strength), 1.0)
-            for k1 in range(grid.G1):
-                row = np.exp(2j * np.pi * k1 * i1 / grid.G1)
-                for k2 in range(grid.G2):
-                    c = what[k1, k2]
-                    if abs(c) <= floor:
-                        continue
-                    mode = np.outer(row, np.exp(2j * np.pi * k2 * i2 / grid.G2))
-                    terms.append((float(c), mode, mode.conj()))
-            return terms
         return None
+
+    def fourier_modes(self, grid):
+        """Kept discrete Fourier modes of the Gaussian kind, None for the others.
+
+        On grid indices V(x;y) = sum_k w_k exp(2 pi i k.(x - y) / G) with
+        w = fft2(difference table) / P, real because the table is real and
+        even.  Modes with |w_k| <= _MODE_FLOOR * max(|strength|, 1) are
+        dropped.  Returns the index arrays (k1, k2), row-major, and w_k.
+        """
+        if self.kind != "periodic-gaussian":
+            return None
+        tab = self._difference_table(grid) * self.strength
+        weights = (np.fft.fft2(tab) / (grid.G1 * grid.G2)).real
+        kept = np.nonzero(np.abs(weights) > _MODE_FLOOR * max(abs(self.strength), 1.0))
+        return kept, weights[kept]
 
     def pair_values(self, grid) -> np.ndarray:
         """Dense (P, P) matrix of V at all grid point pairs (row: x, col: y)."""

@@ -234,3 +234,43 @@ def test_bound_violation_is_reported_not_raised(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False
     assert manifest["validations"]["bound_violations"]["ok"] is False
+
+
+def test_support_violation_writes_failed_manifest(tmp_path, monkeypatch, capsys):
+    import landau_hf.analysis as analysis
+    closed = analysis.defect_norm
+    monkeypatch.setattr(analysis, "defect_norm", lambda *args: closed(*args) + 1e-6)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert dispatch(["compare", "--config", cfg, "--out-dir", str(out),
+                     "--threads", "1"]) == 1
+    assert "closed-form defect" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False
+    check = manifest["validations"]["defect_support"]
+    assert check["ok"] is False and "closed-form defect" in check["detail"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["compare", "evolve-hf", "basis"])
+def test_threads_below_one_exit_one(tmp_path, capsys, command, threads):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", cfg, "--out-dir", str(out),
+                     "--threads", threads]) == 1
+    assert "error: invalid value for 'threads'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gaussian_compare_is_thread_count_invariant(tmp_path):
+    cfg = tmp_path / "gauss.cfg"
+    cfg.write_text(GOOD_CFG.format(M=2, n_max=1, N=2, strength=0.2, t_final=0.02)
+                   .replace("separable-cosine", "periodic-gaussian"))
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for out, threads in zip(outs, ("1", "2")):
+        assert dispatch(["compare", "--config", str(cfg), "--out-dir", str(out),
+                         "--threads", threads]) == 0
+    for name in ("compare_timeseries.csv", "compare_summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    summary = json.loads((outs[0] / "compare_summary.json").read_text())
+    assert 0.0 <= summary["tensor_symmetry_deviation"] <= 1e-8

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau_hf as lhf
-from landau_hf.errors import (DimensionMismatch, LengthMismatch,
-                              NotOrthonormal, TooLarge, TruncationTooSmall)
+from landau_hf.errors import (DimensionMismatch, InvalidValue, LengthMismatch,
+                              NotOrthonormal, SymmetryViolation, TooLarge,
+                              TruncationTooSmall)
 from landau_hf.manybody import ManyBodyState, InteractionTensor
 
 import helpers
@@ -160,6 +161,47 @@ def test_tensor_tabulated_matches_separable(cfg_m3, oset_m3):
     t_sep = lhf.two_body_tensor(pot, oset_m3, grid)
     t_tab = lhf.two_body_tensor(pot_tab, oset_m3, grid)
     assert np.max(np.abs(t_sep.values - t_tab.values)) < 1e-10
+
+
+@pytest.mark.parametrize("strength,sigma", [(0.3, 1.0), (-0.5, 1.0), (0.3, 0.15),
+                                            (0.3, 4.0)])
+def test_fft_tensor_matches_dense_pair_matrix(oset_m3, strength, sigma):
+    # odd, non-square grid: the -k index map differs from k on both axes
+    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=15, G2=24)
+    pot = lhf.PotentialSpec(kind="periodic-gaussian", strength=strength, sigma=sigma)
+    pot_tab = lhf.PotentialSpec(kind="tabulated", table=pot.pair_values(grid))
+    t_fft = lhf.two_body_tensor(pot, oset_m3, grid)
+    t_tab = lhf.two_body_tensor(pot_tab, oset_m3, grid)
+    assert np.max(np.abs(t_fft.values - t_tab.values)) < 1e-12
+
+
+@pytest.mark.parametrize("pot", [
+    lhf.PotentialSpec(kind="zero"),
+    lhf.PotentialSpec(kind="separable-cosine", strength=0.7),
+    lhf.PotentialSpec(kind="periodic-gaussian", strength=-0.4, sigma=0.8),
+    lhf.PotentialSpec(kind="tabulated", table=np.diag(np.linspace(0.1, 0.5, 24 * 24))),
+], ids=["zero", "separable-cosine", "periodic-gaussian", "tabulated"])
+def test_tensor_symmetry_deviation_recorded(oset_m3, pot):
+    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+    devs = [lhf.two_body_tensor(pot, oset_m3, grid, threads=t).symmetry_deviation
+            for t in (1, 2)]
+    assert math.isfinite(devs[0]) and 0.0 <= devs[0] <= 1e-8
+    assert devs[0] == devs[1]
+
+
+def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset_m3):
+    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+    table = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3).pair_values(grid)
+    skew = rng.normal(size=table.shape)
+    for eps, sym_tol in ((1e-3, 1e-8), (1e-9, 1e-12)):  # kernel check, tensor check
+        pot = lhf.PotentialSpec(kind="tabulated", table=table + eps * skew)
+        with pytest.raises(SymmetryViolation):
+            lhf.two_body_tensor(pot, oset_m3, grid, sym_tol=sym_tol)
+
+
+def test_tensor_rejects_threads_below_one(cfg_m3, oset_m3):
+    with pytest.raises(InvalidValue):
+        lhf.two_body_tensor(cfg_m3.potential, oset_m3, cfg_m3.tensor_grid, threads=0)
 
 
 def test_tensor_thread_count_invariance(cfg_m3, oset_m3):

@@ -33,15 +33,24 @@ def test_cosine_zero_harmonics_is_constant(grid):
     assert np.max(np.abs(vals - 0.3)) < 1e-15
 
 
-def test_gaussian_separable_terms_reconstruct(grid):
+@pytest.mark.parametrize("shape", [(12, 12), (15, 24)], ids=["12x12", "15x24"])
+def test_gaussian_fourier_modes_reconstruct(shape):
+    grid = lhf.Grid(L1=2.0 * np.pi, L2=2.0 * np.pi, G1=shape[0], G2=shape[1])
     pot = PotentialSpec(kind="periodic-gaussian", strength=0.4, sigma=1.1)
     vals = pot.pair_values(grid)
-    terms = pot.separable_terms(grid)
-    rebuilt = np.zeros_like(vals, dtype=complex)
-    for c, f, g in terms:
-        rebuilt += c * np.outer(f.ravel(), g.ravel())
+    (k1, k2), weights = pot.fourier_modes(grid)
+    i1, i2 = np.meshgrid(np.arange(grid.G1), np.arange(grid.G2), indexing="ij")
+    phase = (np.outer(i1.ravel(), k1) / grid.G1 + np.outer(i2.ravel(), k2) / grid.G2)
+    modes = np.exp(2j * np.pi * phase)                     # (P, R)
+    rebuilt = (modes * weights) @ modes.conj().T
     assert np.max(np.abs(rebuilt.imag)) < 1e-12
     assert np.max(np.abs(rebuilt.real - vals)) < 1e-12
+
+
+def test_only_gaussian_has_fourier_modes(grid):
+    for kind in ("zero", "separable-cosine"):
+        assert PotentialSpec(kind=kind).fourier_modes(grid) is None
+    assert PotentialSpec(kind="periodic-gaussian").separable_terms(grid) is None
 
 
 def test_gaussian_peak_and_symmetry(grid):
