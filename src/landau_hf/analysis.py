@@ -7,8 +7,10 @@ reduced density matrices in trace norm.  The residual of the effective flow
 lives, up to roundoff, entirely on determinants in which exactly two orbitals
 are replaced by vectors orthogonal to the occupied span, so its norm has a
 closed form in orbital space, evaluated at every integrator step.  At every
-recorded sample the residual is also embedded in the determinant basis and
-decomposed by sectors, a structural self-check of that closed form.
+recorded sample the residual is also embedded in the determinant basis with
+the one-body operator dGamma of the orbital velocity, and split into sectors
+by the spectral projectors of the complement number operator: a structural
+self-check of that closed form that never lists the C(K, N) rotated wedges.
 
 Problem is the one set-up shared by run_comparison and the command line:
 basis, tensor, determinant space, H and the initial orbitals, each built on
@@ -17,7 +19,6 @@ first use, so the effective flow alone never lists the determinant space.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -77,44 +78,39 @@ def error_norm(exact: ManyBodyState, hf: HFState,
     return float(np.linalg.norm(exact.coefficients - embedded))
 
 
-def _complement_basis(orbitals: np.ndarray) -> np.ndarray:
-    """Unitary (K, K) whose first N columns span the occupied subspace."""
-    Q, _ = np.linalg.qr(orbitals, mode="complete")
-    return Q
-
-
 def defect_vector(state: HFState, H, basis: DeterminantBasis,
                   energies: np.ndarray, tensor: InteractionTensor,
                   constants: PhysicalConstants) -> np.ndarray:
-    """du/dt - H u / (i hbar) embedded in the determinant basis."""
+    """du/dt - H u / (i hbar) embedded in the determinant basis, with
+    du/dt = da w + a dGamma(dphi C^+) w and w the wedge of the orbitals C:
+    dGamma(X) replaces each column c_l by X c_l in turn, and C^+ C = 1 for
+    any full-rank C, so column l becomes dphi_l."""
     da, dphi = hf_rhs(state, energies, tensor, constants)
     C = state.orbitals
-    udot = da * embed_wedge(C, basis)
-    for ell in range(state.N):
-        cols = C.copy()
-        cols[:, ell] = dphi[:, ell]
-        udot = udot + state.a * embed_wedge(cols, basis)
-    u = state.a * embed_wedge(C, basis)
-    return udot - (H @ u) / (1j * constants.hbar)
+    w = embed_wedge(C, basis)
+    udot = da * w + state.a * (basis.one_body(dphi @ np.linalg.pinv(C)) @ w)
+    return udot - (H @ (state.a * w)) / (1j * constants.hbar)
 
 
 def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
                         basis: DeterminantBasis) -> np.ndarray:
     """Norm of the defect in each replacement sector 0..N.
 
-    Sector j collects wedges of j complement vectors with N-j occupied-span
-    vectors; the transform is the compound matrix of a unitary completing
-    the orbitals, so the sector norms square-sum to the defect norm.
+    Sector j, wedges of j vectors orthogonal to the orbitals with N-j of
+    their span, is the eigenspace j of the complement number operator
+    n_c = dGamma(1 - Q Q^H), Q an orthonormal basis of the span, and has the
+    projector prod_{k != j} (n_c - k) / (j - k) over k = 0..N.
     """
-    Q = _complement_basis(orbitals)
-    N = basis.N
-    norms_sq = np.zeros(N + 1)
-    for combo in itertools.combinations(range(basis.K), N):
-        col = embed_wedge(Q[:, list(combo)], basis)
-        amp = np.vdot(col, defect)
-        sector = sum(1 for c in combo if c >= N)
-        norms_sq[sector] += abs(amp) ** 2
-    return np.sqrt(norms_sq)
+    Q = np.linalg.qr(orbitals)[0]
+    n_c = basis.one_body(np.eye(basis.K) - Q @ Q.conj().T)
+    norms = np.zeros(basis.N + 1)
+    for j in range(basis.N + 1):
+        vec = defect
+        for k in range(basis.N + 1):
+            if k != j:
+                vec = (n_c @ vec - k * vec) / (j - k)
+        norms[j] = np.linalg.norm(vec)
+    return norms
 
 
 def defect_norm(state: HFState, tensor: InteractionTensor,

@@ -52,12 +52,9 @@ def write_timeseries(records: list[ComparisonRecord], path: str):
     times = [r.t for r in records]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("record times must be strictly increasing")
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.t, r.error_norm, r.apriori_bound, r.defect_bound,
-            r.energy_exact, r.energy_hf, r.rdm_trace_dist)))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, CSV_HEADER, ((r.t, r.error_norm, r.apriori_bound, r.defect_bound,
+                                  r.energy_exact, r.energy_hf, r.rdm_trace_dist)
+                                 for r in records))
 
 
 def write_csv(path: str, header: str, rows):
@@ -68,12 +65,20 @@ def write_csv(path: str, header: str, rows):
 
 
 class Manifest:
-    """Record of one run: config echo, timings, outputs, validations."""
+    """Record of one run: config echo, timings, outputs, validations.
 
-    def __init__(self, command: str, config_path: str | None):
+    Creates the out dir.  As a context manager around a command's work it
+    writes manifest.json on leaving, also when a LandauHFError stops the
+    run: then with ok false and the message as a failed validation,
+    defect_support for a SupportViolation and error otherwise.
+    """
+
+    def __init__(self, command: str, args, config: SimulationConfig):
+        self.out_dir = args.out_dir
         self.data = {
             "command": command,
-            "config_path": config_path,
+            "config_path": args.config,
+            "config": _config_echo(config),
             "version": __version__,
             "timings": {},
             "outputs": [],
@@ -82,6 +87,17 @@ class Manifest:
         }
         self._t0 = time.perf_counter()
         self._phase_start = self._t0
+        os.makedirs(self.out_dir, exist_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, LandauHFError):
+            name = "defect_support" if isinstance(exc, SupportViolation) else "error"
+            self.validation(name, False, str(exc))
+        if exc is None or isinstance(exc, LandauHFError):
+            self.write()
 
     def phase(self, name: str):
         now = time.perf_counter()
@@ -96,13 +112,13 @@ class Manifest:
         if not ok:
             self.data["ok"] = False
 
-    def write(self, out_dir: str):
+    def write(self):
         self.data["timings"]["total"] = time.perf_counter() - self._t0
         for name in self.data["outputs"]:
-            full = os.path.join(out_dir, name)
+            full = os.path.join(self.out_dir, name)
             if not (os.path.exists(full) and os.path.getsize(full) > 0):
                 raise IoFailure(f"declared output {name} missing or empty")
-        _write_json(os.path.join(out_dir, "manifest.json"), self.data)
+        _write_json(os.path.join(self.out_dir, "manifest.json"), self.data)
 
 
 def _config_echo(config: SimulationConfig) -> dict:
@@ -152,94 +168,81 @@ def cmd_validate(args) -> int:
 
 def cmd_basis(args) -> int:
     config = load_config(args.config)
-    manifest = Manifest("basis", args.config)
-    manifest.data["config"] = _config_echo(config)
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
+    with Manifest("basis", args, config) as manifest:
+        oset = build_orbital_set(config)
+        manifest.phase("build_basis")
 
-    oset = build_orbital_set(config)
-    manifest.phase("build_basis")
+        X1, X2 = config.grid.mesh()
+        report = {"gram_max_dev": oset.gram_deviation(),
+                  "bc_residuals": {}, "eigenresiduals": {}}
+        for orb in oset.orbitals:
+            tag = f"n{orb.n}_m{orb.m}"
+            name = f"orbital_{tag}.csv"
+            rows = zip(X1.ravel(), X2.ravel(),
+                       orb.values.real.ravel(), orb.values.imag.ravel())
+            write_csv(os.path.join(out, name), "x1,x2,Re,Im", rows)
+            manifest.add_output(name)
+            r1, r2 = boundary_residuals(orb)
+            report["bc_residuals"][tag] = {"x1": r1, "x2": r2}
+            applied = apply_landau_hamiltonian(orb, config.constants)
+            level = oset.energies[oset.index(orb.n, orb.m)]
+            residual = applied.values - level * orb.values
+            report["eigenresiduals"][tag] = float(
+                np.sqrt(abs(inner_product(residual, residual, config.grid))))
+        manifest.phase("validate")
 
-    X1, X2 = config.grid.mesh()
-    report = {"gram_max_dev": oset.gram_deviation(),
-              "bc_residuals": {}, "eigenresiduals": {}}
-    for orb in oset.orbitals:
-        tag = f"n{orb.n}_m{orb.m}"
-        name = f"orbital_{tag}.csv"
-        rows = zip(X1.ravel(), X2.ravel(),
-                   orb.values.real.ravel(), orb.values.imag.ravel())
-        write_csv(os.path.join(out, name), "x1,x2,Re,Im", rows)
-        manifest.add_output(name)
-        r1, r2 = boundary_residuals(orb)
-        report["bc_residuals"][tag] = {"x1": r1, "x2": r2}
-        applied = apply_landau_hamiltonian(orb, config.constants)
-        level = oset.energies[oset.index(orb.n, orb.m)]
-        residual = applied.values - level * orb.values
-        report["eigenresiduals"][tag] = float(
-            np.sqrt(abs(inner_product(residual, residual, config.grid))))
-    manifest.phase("validate")
-
-    _write_json(os.path.join(out, "basis_report.json"), report)
-    manifest.add_output("basis_report.json")
-    manifest.validation("gram", report["gram_max_dev"] <= config.gram_tol,
-                        report["gram_max_dev"])
-    manifest.write(out)
+        _write_json(os.path.join(out, "basis_report.json"), report)
+        manifest.add_output("basis_report.json")
+        manifest.validation("gram", report["gram_max_dev"] <= config.gram_tol,
+                            report["gram_max_dev"])
     print(json.dumps({"gram_max_dev": report["gram_max_dev"]}, sort_keys=True))
     return 0 if report["gram_max_dev"] <= config.gram_tol else 1
 
 
 def cmd_groundstate(args) -> int:
     config = load_config(args.config)
-    manifest = Manifest("groundstate", args.config)
-    manifest.data["config"] = _config_echo(config)
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-
-    from .basis import landau_level
-    filling = FillingSpec.from_counts(config.N, config.domain.M)
-    levels = [landau_level(n, config.constants) for n in range(config.n_max + 1)]
-    energy, sets = noninteracting_ground_state(filling, levels)
-    payload = {
-        "E0": energy,
-        "nu": filling.nu,
-        "r": filling.remainder,
-        "degeneracy": filling.degeneracy,
-        "occupations": [list(s) for s in sets],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    _write_text(os.path.join(out, "groundstate.json"), text + "\n")
-    manifest.add_output("groundstate.json")
-    manifest.phase("groundstate")
-    manifest.write(out)
+    with Manifest("groundstate", args, config) as manifest:
+        from .basis import landau_level
+        filling = FillingSpec.from_counts(config.N, config.domain.M)
+        levels = [landau_level(n, config.constants) for n in range(config.n_max + 1)]
+        energy, sets = noninteracting_ground_state(filling, levels)
+        payload = {
+            "E0": energy,
+            "nu": filling.nu,
+            "r": filling.remainder,
+            "degeneracy": filling.degeneracy,
+            "occupations": [list(s) for s in sets],
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        print(text)
+        _write_text(os.path.join(args.out_dir, "groundstate.json"), text + "\n")
+        manifest.add_output("groundstate.json")
+        manifest.phase("groundstate")
     return 0
 
 
 def cmd_evolve_exact(args) -> int:
     config = load_config(args.config)
-    manifest = Manifest("evolve-exact", args.config)
-    manifest.data["config"] = _config_echo(config)
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-
-    problem = Problem(config, args.threads)
-    H = problem.H
-    manifest.phase("assemble")
-    psi = embed_slater(1.0, problem.initial_orbitals,
-                       problem.det_basis).coefficients
-    prop = ExactPropagator(H, config.constants.hbar)
-    dt, samples = time_grid(config.dt, config.t_final, config.sample_stride)
-    rows, t_prev = [], 0.0
-    for step in samples:
-        t = step * dt
-        psi = prop.advance(psi, t - t_prev)
-        t_prev = t
-        rows.append((t, float(np.real(np.vdot(psi, H @ psi))),
-                     float(np.linalg.norm(psi))))
-    write_csv(os.path.join(out, "exact_timeseries.csv"), "t,energy,norm", rows)
-    manifest.add_output("exact_timeseries.csv")
-    manifest.phase("evolve")
-    manifest.write(out)
+    with Manifest("evolve-exact", args, config) as manifest:
+        problem = Problem(config, args.threads)
+        H = problem.H
+        manifest.phase("assemble")
+        psi = embed_slater(1.0, problem.initial_orbitals,
+                           problem.det_basis).coefficients
+        prop = ExactPropagator(H, config.constants.hbar)
+        dt, samples = time_grid(config.dt, config.t_final, config.sample_stride)
+        rows, t_prev = [], 0.0
+        for step in samples:
+            t = step * dt
+            psi = prop.advance(psi, t - t_prev)
+            t_prev = t
+            rows.append((t, float(np.real(np.vdot(psi, H @ psi))),
+                         float(np.linalg.norm(psi))))
+        write_csv(os.path.join(args.out_dir, "exact_timeseries.csv"),
+                  "t,energy,norm", rows)
+        manifest.add_output("exact_timeseries.csv")
+        manifest.phase("evolve")
     return 0
 
 
@@ -248,69 +251,54 @@ def cmd_evolve_hf(args) -> int:
     dt = args.dt if args.dt is not None else config.dt
     t_final = args.t_final if args.t_final is not None else config.t_final
     scheme = args.scheme if args.scheme is not None else config.integrator
-    manifest = Manifest("evolve-hf", args.config)
-    manifest.data["config"] = _config_echo(config)
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-
-    problem = Problem(config, args.threads)
-    orbitals = None
-    if args.initial != "nigs-ground":
-        # OSError/ValueError: unreadable or not numpy data; KeyError: an .npz
-        # without 'orbitals'; IndexError: a bare .npy array
-        try:
-            with open(args.initial, "rb") as fh:
-                orbitals = np.asarray(np.load(fh)["orbitals"],
-                                      dtype=np.complex128)
-        except (OSError, ValueError, KeyError, IndexError) as exc:
-            raise IoFailure(f"cannot read orbitals from {args.initial}: {exc}") from exc
-    hf0 = problem.initial_state(orbitals)
-    manifest.phase("setup")
-    traj = integrate_hf(hf0, dt, t_final, scheme, problem.tensor,
-                        problem.energies, config.constants,
-                        sample_stride=config.sample_stride)
-    rows = [(t, s.a.real, s.a.imag, traj.energies[i], traj.norms[i],
-             traj.gram_devs[i])
-            for i, (t, s) in enumerate(zip(traj.times, traj.states))]
-    write_csv(os.path.join(out, "hf_timeseries.csv"),
-              "t,re_a,im_a,energy,norm,orth_drift", rows)
-    manifest.add_output("hf_timeseries.csv")
-    if args.snapshots:
-        arrays = {f"orbitals_{i}": s.orbitals for i, s in enumerate(traj.states)}
-        arrays["times"] = traj.times
-        np.savez(os.path.join(out, "hf_orbitals.npz"), **arrays)
-        manifest.add_output("hf_orbitals.npz")
-    manifest.phase("evolve")
-    manifest.write(out)
+    with Manifest("evolve-hf", args, config) as manifest:
+        problem = Problem(config, args.threads)
+        orbitals = None
+        if args.initial != "nigs-ground":
+            # OSError/ValueError: unreadable or not numpy data; KeyError: an
+            # .npz without 'orbitals'; IndexError: a bare .npy array
+            try:
+                with open(args.initial, "rb") as fh:
+                    orbitals = np.asarray(np.load(fh)["orbitals"],
+                                          dtype=np.complex128)
+            except (OSError, ValueError, KeyError, IndexError) as exc:
+                raise IoFailure(f"cannot read orbitals from {args.initial}: {exc}") from exc
+        hf0 = problem.initial_state(orbitals)
+        manifest.phase("setup")
+        traj = integrate_hf(hf0, dt, t_final, scheme, problem.tensor,
+                            problem.energies, config.constants,
+                            sample_stride=config.sample_stride)
+        rows = [(t, s.a.real, s.a.imag, traj.energies[i], traj.norms[i],
+                 traj.gram_devs[i])
+                for i, (t, s) in enumerate(zip(traj.times, traj.states))]
+        write_csv(os.path.join(out, "hf_timeseries.csv"),
+                  "t,re_a,im_a,energy,norm,orth_drift", rows)
+        manifest.add_output("hf_timeseries.csv")
+        if args.snapshots:
+            arrays = {f"orbitals_{i}": s.orbitals for i, s in enumerate(traj.states)}
+            arrays["times"] = traj.times
+            np.savez(os.path.join(out, "hf_orbitals.npz"), **arrays)
+            manifest.add_output("hf_orbitals.npz")
+        manifest.phase("evolve")
     return 0
 
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
-    manifest = Manifest("compare", args.config)
-    manifest.data["config"] = _config_echo(config)
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-
-    try:
+    with Manifest("compare", args, config) as manifest:
         result = run_comparison(config, threads=args.threads)
-    except SupportViolation as exc:
-        manifest.validation("defect_support", False, str(exc))
-        manifest.write(out)
-        raise
-    manifest.phase("compare")
-    write_timeseries(result.records, os.path.join(out, "compare_timeseries.csv"))
-    manifest.add_output("compare_timeseries.csv")
-    _write_json(os.path.join(out, "compare_summary.json"), result.summary)
-    manifest.add_output("compare_summary.json")
-    manifest.validation("bound_violations",
-                        result.summary["bound_violations"] == 0,
-                        result.summary["bound_violations"])
-    manifest.write(out)
+        manifest.phase("compare")
+        write_timeseries(result.records, os.path.join(out, "compare_timeseries.csv"))
+        manifest.add_output("compare_timeseries.csv")
+        _write_json(os.path.join(out, "compare_summary.json"), result.summary)
+        manifest.add_output("compare_summary.json")
+        violations = result.summary["bound_violations"]
+        manifest.validation("bound_violations", violations == 0, violations)
     print(json.dumps({"max_error": result.summary["max_error"],
-                      "bound_violations": result.summary["bound_violations"]},
-                     sort_keys=True))
-    return 0 if result.summary["bound_violations"] == 0 else 1
+                      "bound_violations": violations}, sort_keys=True))
+    return 0 if violations == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

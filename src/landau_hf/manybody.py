@@ -10,8 +10,9 @@ elements are stored in physicists' order,
 so a and g belong to the first particle, b and d to the second.
 
 DeterminantBasis.replacements tabulates, for all determinants at once, the
-single and double orbital replacements with target rank and fermionic sign;
-Hamiltonian assembly and the one-body reduced density matrix consume it.
+single and double orbital replacements with target rank and fermionic sign.
+Hamiltonian assembly consumes both; the single ones also feed the one-body
+reduced density matrix and DeterminantBasis.one_body, the sparse dGamma(M).
 
 Exact dynamics has one propagator, ExactPropagator: the action of
 exp(-i H t / hbar) on a vector from the sparse H, with cost growing with
@@ -96,6 +97,21 @@ class DeterminantBasis:
             yield (np.repeat(np.arange(start, start + B), shape[0] * shape[1]),
                    self.rank(target).ravel(), P.reshape(-1, n), Q.reshape(-1, n),
                    np.where(parity % 2, -1.0, 1.0).ravel())
+
+    def one_body(self, M) -> sp.csr_matrix:
+        """dGamma(M) = sum_pq M[q, p] a+_q a_p, M acting on each orbital in
+        turn, as CSR: sum of M[p, p] over the occupied p on the diagonal and
+        sign * M[Q, P] at (j, i) per single replacement, dim (1 + N (K - N)) entries."""
+        M = np.asarray(M)
+        if M.shape != (self.K, self.K):
+            raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
+        rows, cols = [np.arange(self.dim)], [np.arange(self.dim)]
+        vals = [M[self.occupations, self.occupations].sum(axis=1)]
+        for i, j, P, Q, sign in self.replacements(1):
+            rows.append(j); cols.append(i); vals.append(sign * M[Q[:, 0], P[:, 0]])
+        return sp.csr_matrix((np.concatenate(vals),
+                              (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(self.dim, self.dim))
 
 
 def enumerate_determinants(K: int, N: int, cap: int = DET_SPACE_CAP) -> DeterminantBasis:

@@ -3,13 +3,18 @@
 The many-body oracles work in the full K^N tensor product space via explicit
 permutation sums and Kronecker products, deliberately avoiding the
 determinant-based code paths under test; the mean-field oracle sums over the
-other orbitals one at a time instead of using the full density.
+other orbitals one at a time instead of using the full density.  The defect
+oracles embed determinants column by column: the residual as a sum of wedges
+with one orbital replaced, and its sector norms by projecting onto every one
+of the C(K, N) wedges of a unitary completing the orbitals.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from landau_hf.hartree_fock import hf_rhs
 
 
 def perm_sign(perm) -> float:
@@ -37,18 +42,22 @@ def occupation_tensor(occ, K: int) -> np.ndarray:
     return wedge_tensor(cols)
 
 
+def one_body_tensor(h: np.ndarray, N: int) -> np.ndarray:
+    """sum_i 1 x ... x h x ... x 1 (h on particle i) on the K^N tensor space."""
+    K = h.shape[0]
+    out = np.zeros((K ** N, K ** N), dtype=complex)
+    for i in range(N):
+        op = np.ones((1, 1))
+        for k in range(N):
+            op = np.kron(op, h if k == i else np.eye(K))
+        out += op
+    return out
+
+
 def dense_hamiltonian(K: int, N: int, energies, v: np.ndarray) -> np.ndarray:
     """One-body sum plus all pair interactions, on the K^N tensor space."""
     dim = K ** N
-    H = np.zeros((dim, dim), dtype=complex)
-    h1 = np.diag(np.asarray(energies, dtype=float)).astype(complex)
-    eye = np.eye(K, dtype=complex)
-    for i in range(N):
-        mats = [h1 if k == i else eye for k in range(N)]
-        op = mats[0]
-        for m in mats[1:]:
-            op = np.kron(op, m)
-        H += op
+    H = one_body_tensor(np.diag(np.asarray(energies, dtype=float)), N)
     for i, j in itertools.combinations(range(N), 2):
         T = np.eye(dim, dtype=complex).reshape([K] * N + [dim])
         T2 = np.moveaxis(T, (i, j), (0, 1))
@@ -103,6 +112,40 @@ def per_orbital_mean_field(orbitals: np.ndarray, v: np.ndarray) -> np.ndarray:
         X = np.einsum("abgd,gb->ad", v, rho)
         eta[:, ell] = (J - X) @ orbitals[:, ell]
     return eta
+
+
+def _wedge(columns: np.ndarray, basis) -> np.ndarray:
+    """Coefficients of the wedge of the columns: det of the rows of each
+    occupation."""
+    return np.linalg.det(columns[basis.occupations, :])
+
+
+def columnwise_defect_vector(state, H, basis, energies, tensor, constants):
+    """du/dt - H u / (i hbar) with du/dt = da w + a sum_l (w with column l
+    replaced by dphi_l), one embedding per column."""
+    da, dphi = hf_rhs(state, energies, tensor, constants)
+    C = state.orbitals
+    udot = da * _wedge(C, basis)
+    for ell in range(state.N):
+        cols = C.copy()
+        cols[:, ell] = dphi[:, ell]
+        udot = udot + state.a * _wedge(cols, basis)
+    u = state.a * _wedge(C, basis)
+    return udot - (H @ u) / (1j * constants.hbar)
+
+
+def compound_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
+                          basis) -> np.ndarray:
+    """Sector norms 0..N by the compound matrix of a unitary Q whose first
+    N columns span the orbitals: the amplitude on each wedge of N columns
+    of Q, summed in squares by the number of columns beyond the first N."""
+    Q = np.linalg.qr(orbitals, mode="complete")[0]
+    N = basis.N
+    norms_sq = np.zeros(N + 1)
+    for combo in itertools.combinations(range(basis.K), N):
+        amp = np.vdot(_wedge(Q[:, list(combo)], basis), defect)
+        norms_sq[sum(1 for c in combo if c >= N)] += abs(amp) ** 2
+    return np.sqrt(norms_sq)
 
 
 def midpoint_quad_1d(f, lo: float, hi: float, n: int) -> float:

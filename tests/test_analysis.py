@@ -12,7 +12,7 @@ from landau_hf.analysis import (SECTOR_TOL, Problem, check_defect_support,
                                 run_comparison)
 from landau_hf.errors import NotHermitian, SupportViolation
 from landau_hf.hartree_fock import HFState
-from landau_hf.manybody import ManyBodyState
+from landau_hf.manybody import InteractionTensor, ManyBodyState
 
 import helpers
 from conftest import make_config
@@ -147,6 +147,38 @@ def test_closed_form_defect_matches_embedded(rng, kind, N):
         d = defect_vector(st, H, basis, oset.energies, tensor, constants)
         assert lhf.defect_norm(st, tensor, constants) == pytest.approx(
             np.linalg.norm(d), abs=1e-12)
+
+
+@pytest.mark.parametrize("K,N", [(5, 2), (9, 3), (10, 5), (12, 4), (5, 4)])
+def test_sample_check_matches_embedding_oracles(rng, K, N):
+    # dGamma form of the defect vector and sector projectors of the complement
+    # number operator against the column-by-column and compound-matrix
+    # embeddings; K - N < 2 leaves the two-replacement sector empty
+    basis = lhf.enumerate_determinants(K, N)
+    v, sup = helpers.random_interaction_tensor(rng, K, P=K + 3)
+    tensor = InteractionTensor(values=v, sup_norm=sup)
+    energies = rng.uniform(0.2, 2.0, K)
+    H = lhf.assemble_hamiltonian(basis, energies, tensor)
+    constants = lhf.PhysicalConstants(hbar=0.7)
+
+    def assert_close(got, want, scale):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, scale)
+
+    x = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    C = np.linalg.qr(rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N)))[0]
+    assert_close(defect_sector_norms(x, C, basis),
+                 helpers.compound_sector_norms(x, C, basis), np.linalg.norm(x))
+    skewed = C.copy()
+    skewed[:, 0] *= 1.5
+    skewed[:, -1] += 0.3 * C[:, 0]
+    for orbitals in (C, skewed):
+        st = HFState(time=0.0, a=1.3 * np.exp(0.4j), orbitals=orbitals)
+        d = defect_vector(st, H, basis, energies, tensor, constants)
+        scale = np.linalg.norm(d)
+        assert_close(d, helpers.columnwise_defect_vector(
+            st, H, basis, energies, tensor, constants), scale)
+        assert_close(defect_sector_norms(d, orbitals, basis),
+                     helpers.compound_sector_norms(d, orbitals, basis), scale)
 
 
 def test_comparison_raises_on_sector_leak(monkeypatch):

@@ -251,6 +251,20 @@ def test_support_violation_writes_failed_manifest(tmp_path, monkeypatch, capsys)
     assert check["ok"] is False and "closed-form defect" in check["detail"]
 
 
+@pytest.mark.parametrize("command", ["compare", "evolve-exact"])
+def test_too_large_writes_failed_manifest(tmp_path, capsys, command):
+    cfg = tmp_path / "k30.cfg"                        # C(30, 10) over the cap
+    cfg.write_text(GOOD_CFG.format(M=10, n_max=2, N=10, strength=0.1, t_final=0.05)
+                   .replace("grid1 = 32", "grid1 = 64").replace("= 48", "= 64"))
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", str(cfg), "--out-dir", str(out),
+                     "--threads", "1"]) == 1
+    assert "exceeds cap" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False and manifest["outputs"] == []
+    assert "exceeds cap" in manifest["validations"]["error"]["detail"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 @pytest.mark.parametrize("command", ["compare", "evolve-hf", "basis"])
 def test_threads_below_one_exit_one(tmp_path, capsys, command, threads):

@@ -83,6 +83,48 @@ def test_replacements_targets_and_signs(K, N, n):
         assert np.allclose(helpers.wedge_tensor(cols), sign * ref, atol=1e-14)
 
 
+# --- one-body operators ------------------------------------------------------
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("K,N", [(4, 1), (4, 2), (5, 3), (6, 3), (4, 4)])
+def test_one_body_matches_tensor_space_oracle(rng, K, N):
+    basis = lhf.enumerate_determinants(K, N)
+    M = random_complex(rng, K, K)
+    op = basis.one_body(M)
+    assert op.nnz == basis.dim * (1 + N * (K - N))
+    S = np.stack([helpers.occupation_tensor(occ, K) for occ in basis.occupations])
+    oracle = S.conj() @ helpers.one_body_tensor(M, N) @ S.T
+    assert np.max(np.abs(op.toarray() - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("K,N", [(4, 2), (6, 3), (7, 2)])
+def test_one_body_adjoint(rng, K, N):
+    basis = lhf.enumerate_determinants(K, N)
+    M = random_complex(rng, K, K)
+    assert np.array_equal(basis.one_body(M).getH().toarray(),
+                          basis.one_body(M.conj().T).toarray())
+
+
+@pytest.mark.parametrize("K,N", [(4, 1), (5, 2), (6, 3), (8, 3), (4, 4)])
+def test_one_body_expectation_is_rdm_contraction(rng, K, N):
+    # both consumers of replacements(1): <psi|dGamma(M)|psi> = sum M[q,p] omega[p,q]
+    basis = lhf.enumerate_determinants(K, N)
+    M = random_complex(rng, K, K)
+    c = random_complex(rng, basis.dim)
+    c /= np.linalg.norm(c)
+    omega = lhf.rdm_exact(ManyBodyState(basis=basis, coefficients=c), basis)
+    assert np.vdot(c, basis.one_body(M) @ c) == pytest.approx(
+        np.einsum("qp,pq->", M, omega), abs=1e-12)
+
+
+def test_one_body_rejects_wrong_shape():
+    with pytest.raises(DimensionMismatch):
+        lhf.enumerate_determinants(4, 2).one_body(np.eye(3))
+
+
 # --- Slater overlaps ----------------------------------------------------------
 
 def test_overlap_of_orthonormal_set(rng):
