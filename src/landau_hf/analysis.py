@@ -155,8 +155,8 @@ def rdm_exact(state: ManyBodyState, basis: DeterminantBasis) -> np.ndarray:
     c, occ = state.coefficients, basis.occupations
     omega = np.zeros((basis.K, basis.K), dtype=np.complex128)
     np.add.at(omega, (occ, occ), (np.abs(c) ** 2)[:, None])
-    for i, j, P, Q, sign in basis.replacements(1):
-        np.add.at(omega, (P[:, 0], Q[:, 0]), sign * np.conj(c[j]) * c[i])
+    i, j, p, q, sign = basis.singles
+    np.add.at(omega, (p, q), sign * np.conj(c[j]) * c[i])
     return omega
 
 

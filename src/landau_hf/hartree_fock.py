@@ -75,12 +75,13 @@ class HFTrajectory:
 
 
 def _nonlinear_terms(orbitals: np.ndarray, tensor: InteractionTensor) -> np.ndarray:
-    """eta = (J[rho] - X[rho]) C with the full density rho = C C^H."""
+    """eta = (J[rho] - X[rho]) C, rho = C C^H; J and X are one product each
+    on the pair layout pair[(ag), (bd)] of v, using no symmetry of v."""
     if tensor.is_zero() or orbitals.shape[1] == 1:
         return np.zeros_like(orbitals)
     rho = orbitals @ orbitals.conj().T
-    J = np.einsum("abgd,db->ag", tensor.values, rho)
-    X = np.einsum("abgd,gb->ad", tensor.values, rho)
+    J = (tensor.pair @ rho.T.ravel()).reshape(rho.shape)
+    X = rho.ravel() @ tensor.pair.reshape(len(rho), -1, len(rho))
     return (J - X) @ orbitals
 
 

@@ -11,8 +11,8 @@ so a and g belong to the first particle, b and d to the second.
 
 DeterminantBasis.replacements tabulates, for all determinants at once, the
 single and double orbital replacements with target rank and fermionic sign.
-Hamiltonian assembly consumes both; the single ones also feed the one-body
-reduced density matrix and DeterminantBasis.one_body, the sparse dGamma(M).
+Hamiltonian assembly consumes both; the single ones, kept as .singles, also
+feed the one-body reduced density matrix and DeterminantBasis.one_body.
 
 Exact dynamics has one propagator, ExactPropagator: the action of
 exp(-i H t / hbar) on a vector from the sparse H, with cost growing with
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -98,19 +98,24 @@ class DeterminantBasis:
                    self.rank(target).ravel(), P.reshape(-1, n), Q.reshape(-1, n),
                    np.where(parity % 2, -1.0, 1.0).ravel())
 
+    @cached_property
+    def singles(self) -> tuple:
+        """replacements(1) in one piece, (i, j, removed p, added q, sign)."""
+        i, j, P, Q, sign = (np.concatenate(parts) for parts in zip(*self.replacements(1)))
+        return i, j, P[:, 0], Q[:, 0], sign
+
     def one_body(self, M) -> sp.csr_matrix:
         """dGamma(M) = sum_pq M[q, p] a+_q a_p, M acting on each orbital in
         turn, as CSR: sum of M[p, p] over the occupied p on the diagonal and
-        sign * M[Q, P] at (j, i) per single replacement, dim (1 + N (K - N)) entries."""
+        sign * M[q, p] at (j, i) per single replacement, dim (1 + N (K - N)) entries."""
         M = np.asarray(M)
         if M.shape != (self.K, self.K):
             raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
-        rows, cols = [np.arange(self.dim)], [np.arange(self.dim)]
-        vals = [M[self.occupations, self.occupations].sum(axis=1)]
-        for i, j, P, Q, sign in self.replacements(1):
-            rows.append(j); cols.append(i); vals.append(sign * M[Q[:, 0], P[:, 0]])
-        return sp.csr_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
+        i, j, p, q, sign = self.singles
+        diag = np.arange(self.dim)
+        vals = np.concatenate([M[self.occupations, self.occupations].sum(axis=1),
+                               sign * M[q, p]])
+        return sp.csr_matrix((vals, (np.concatenate([diag, j]), np.concatenate([diag, i]))),
                              shape=(self.dim, self.dim))
 
 
@@ -145,35 +150,59 @@ def slater_overlap(orbs_a: np.ndarray, orbs_b: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class InteractionTensor:
-    """Dense v[a, b, g, d] with exchange symmetry and hermiticity enforced;
-    symmetry_deviation is the larger of the two deviations of the raw
-    quadrature, relative to max(max |v|, 1), before symmetrization."""
+    """v[a, b, g, d] = <ab|V|gd> as a view of one (K^2, K^2) buffer in pair
+    layout, pair[(a g), (b d)]; other memory orders are copied in once, here,
+    where the zero flag is computed.  symmetry_deviation: the larger raw
+    exchange/hermiticity deviation, relative to max(max |v|, 1)."""
 
     values: np.ndarray
     sup_norm: float
     symmetry_deviation: float = 0.0
+    pair: np.ndarray = field(init=False, repr=False, compare=False)
+    _zero: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        K = np.shape(self.values)[0]
+        pair = np.ascontiguousarray(np.transpose(self.values, (0, 2, 1, 3)))
+        pair = pair.reshape(K * K, K * K)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "values", pair.reshape((K,) * 4).transpose(0, 2, 1, 3))
+        object.__setattr__(self, "_zero", not np.any(pair))
 
     @property
     def K(self) -> int:
         return self.values.shape[0]
 
     def is_zero(self) -> bool:
-        return self.values.size == 0 or not np.any(self.values)
+        return self._zero
+
+
+def symmetry_deviations(pair: np.ndarray) -> tuple[float, float]:
+    """max |v[a,b,g,d] - v[b,a,d,g]| (exchange, the transpose of the pair
+    matrix) and max |v[a,b,g,d] - conj(v[g,d,a,b])| (hermiticity) of a
+    pair-layout tensor, one slab of fixed a at a time, each pair once."""
+    S = pair.reshape((math.isqrt(pair.shape[0]),) * 4)        # [a, g, b, d]
+    exch = max(np.abs(S[a, :, a:] - S[a:, :, a].transpose(2, 0, 1)).max()
+               for a in range(len(S)))
+    herm = max(np.abs(S[a, a:] - S[a:, a].transpose(0, 2, 1).conj()).max()
+               for a in range(len(S)))
+    return float(exch), float(herm)
 
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                     threads: int = 1, sym_tol: float = 1e-8) -> InteractionTensor:
-    """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y).
+    """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y),
+    every kernel kind writing the pair layout (ag), (bd).
 
     Translation-invariant kernels (PotentialSpec.fourier_modes) take one 2-D
-    FFT R_ag of the pair densities conj(phi_a) phi_g w, one a at a time on
-    min(threads, cpu count) FFT workers, and form
-    v[a, b, g, d] = sum_k w_k R_ag(-k) R_bd(k) as one (K^2, R) @ (R, K^2)
-    product; the output does not depend on threads.  Rank-expanded kernels
-    contract one term at a time; tabulated kernels go through the dense pair
-    matrix.  The raw tensor is checked against its exchange/hermiticity
-    symmetries and then symmetrized.
-    """
+    FFT R_ag of the pair densities conj(phi_a) phi_g w, g >= a, one a at a
+    time on min(threads, cpu count) FFT workers; R_ga(k) = conj(R_ag(-k))
+    completes B[(bd), k] = R_bd(k), its conjugate with (a, g) swapped is
+    A[(ag), k] = R_ag(-k), and v = sum_k w_k A[:, k] B[:, k]^T is one
+    (K^2, R) @ (R, K^2) product; the output does not depend on threads.
+    Rank-expanded kernels contract one term at a time; tabulated kernels go
+    through the dense pair matrix.  The raw tensor is checked against its
+    exchange/hermiticity symmetries and then symmetrized."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     oset = orbitals.sampled_on(grid)
@@ -187,35 +216,41 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         import scipy.fft        # ~5 MB resident; imported only where it is used
         (k1, k2), weights = modes
         minus = (-k1 % grid.G1, -k2 % grid.G2)
-        A = np.empty((K, K, len(weights)), dtype=np.complex128)   # R_ag(-k)
-        B = np.empty_like(A)                                      # R_bd(k)
+        B = np.empty((K, K, len(weights)), dtype=np.complex128)   # R_bd(k)
         workers = min(threads, os.cpu_count() or 1)
         for a in range(K):
-            dens = (phi[a].conj() * phi * w).reshape(K, *grid.shape)
+            dens = (phi[a].conj() * phi[a:] * w).reshape(K - a, *grid.shape)
             R = scipy.fft.fft2(dens, workers=workers)
-            A[a], B[a] = R[:, minus[0], minus[1]], R[:, k1, k2]
-        v = (A.reshape(K * K, -1) * weights) @ B.reshape(K * K, -1).T
+            B[a:, a] = R[:, minus[0], minus[1]].conj()
+            B[a, a:] = R[:, k1, k2]
+        A = np.multiply(B.transpose(1, 0, 2).conj(), weights, out=np.empty_like(B))
+        v = A.reshape(K * K, -1) @ B.reshape(K * K, -1).T
     elif (terms := potential.separable_terms(grid)) is not None:
-        v = np.zeros((K, K, K, K), dtype=np.complex128)
+        v = np.zeros((K * K, K * K), dtype=np.complex128)
         for c, f, g in terms:
             A = (phi.conj() * f.ravel()) @ phi.T * w      # <a| f |g>
             B = (phi.conj() * g.ravel()) @ phi.T * w      # <b| g |d>
-            v += c * np.einsum("ag,bd->agbd", A, B)
+            v += c * np.einsum("ag,bd->agbd", A, B).reshape(K * K, K * K)
     else:
         D = (phi.conj()[:, None, :] * phi[None, :, :] * w).reshape(K * K, -1)
         v = D @ potential.pair_values(grid) @ D.T
-    v = v.reshape(K, K, K, K).transpose(0, 2, 1, 3)    # (ag, bd) -> [a, b, g, d]
 
     scale = max(float(np.max(np.abs(v))), 1.0)
-    exch = np.max(np.abs(v - v.transpose(1, 0, 3, 2)))
-    herm = np.max(np.abs(v - v.transpose(2, 3, 0, 1).conj()))
+    exch, herm = symmetry_deviations(v)
     if exch > sym_tol * scale or herm > sym_tol * scale:
         raise SymmetryViolation(
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
-    v = 0.5 * (v + v.transpose(1, 0, 3, 2))
-    v = 0.5 * (v + v.transpose(2, 3, 0, 1).conj())
-    return InteractionTensor(values=v, sup_norm=potential.sup_norm(),
-                             symmetry_deviation=float(max(exch, herm)) / scale)
+    # v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place one
+    # slab of fixed a at a time; an entry and its image get the same bits
+    S = v.reshape(K, K, K, K)                                  # [a, g, b, d]
+    for a in range(K):
+        m = 0.5 * (S[a, :, a:] + S[a:, :, a].transpose(2, 0, 1))
+        S[a, :, a:], S[a:, :, a] = m, m.transpose(1, 2, 0)
+    for a in range(K):
+        m = 0.5 * (S[a, a:] + S[a:, a].transpose(0, 2, 1).conj())
+        S[a, a:], S[a:, a] = m, m.transpose(0, 2, 1).conj()
+    return InteractionTensor(values=S.transpose(0, 2, 1, 3), sup_norm=potential.sup_norm(),
+                             symmetry_deviation=max(exch, herm) / scale)
 
 
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,

@@ -2,8 +2,9 @@
 
 The many-body oracles work in the full K^N tensor product space via explicit
 permutation sums and Kronecker products, deliberately avoiding the
-determinant-based code paths under test; the mean-field oracle sums over the
-other orbitals one at a time instead of using the full density.  The defect
+determinant-based code paths under test; the mean-field oracles contract
+v[a, b, g, d] by index sums rather than on its pair layout, one of them over
+the other orbitals one at a time instead of the full density.  The defect
 oracles embed determinants column by column: the residual as a sum of wedges
 with one orbital replaced, and its sector norms by projecting onto every one
 of the C(K, N) wedges of a unitary completing the orbitals.
@@ -101,16 +102,21 @@ def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):
     return v, float(np.abs(Vmat).max())
 
 
+def fock_matrix(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """J[rho] - X[rho] by index sums over v[a, b, g, d]:
+    J[a, g] = sum_bd v[a,b,g,d] rho[d,b], X[a, d] = sum_bg v[a,b,g,d] rho[g,b]."""
+    J = np.einsum("abgd,db->ag", v, rho)
+    X = np.einsum("abgd,gb->ad", v, rho)
+    return J - X
+
+
 def per_orbital_mean_field(orbitals: np.ndarray, v: np.ndarray) -> np.ndarray:
     """eta[:, l] = (J - X)[rho_l] phi_l, with rho_l the density of every
     orbital but l: direct and exchange terms one orbital at a time."""
     eta = np.zeros_like(orbitals)
     for ell in range(orbitals.shape[1]):
         others = np.delete(orbitals, ell, axis=1)
-        rho = others @ others.conj().T
-        J = np.einsum("abgd,db->ag", v, rho)
-        X = np.einsum("abgd,gb->ad", v, rho)
-        eta[:, ell] = (J - X) @ orbitals[:, ell]
+        eta[:, ell] = fock_matrix(v, others @ others.conj().T) @ orbitals[:, ell]
     return eta
 
 

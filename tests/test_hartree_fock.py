@@ -35,6 +35,33 @@ def test_fock_form_matches_per_orbital_oracle(rng, N):
     assert np.max(np.abs(eta - oracle)) < 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
+def _unsymmetric_tensor(rng, K):
+    return rng.normal(size=(K,) * 4) + 1j * rng.normal(size=(K,) * 4)
+
+
+@pytest.mark.parametrize("layout", [
+    np.ascontiguousarray,
+    np.asfortranarray,
+    lambda v: np.ascontiguousarray(v.transpose(3, 1, 2, 0)).transpose(3, 1, 2, 0),
+], ids=["c-order", "fortran-order", "transposed-view"])
+@pytest.mark.parametrize("make", [
+    lambda rng, K: helpers.random_interaction_tensor(rng, K)[0],
+    _unsymmetric_tensor,
+], ids=["symmetric", "no-symmetry"])
+def test_fock_action_matches_index_sum_oracle(rng, layout, make):
+    # the pair-layout products use no symmetry of v and accept any memory order
+    K, N = 7, 3
+    v = make(rng, K)
+    given = layout(v)
+    assert np.array_equal(given, v)
+    tensor = InteractionTensor(values=given, sup_norm=1.0)
+    assert np.shares_memory(tensor.values, tensor.pair)
+    assert np.array_equal(tensor.values, v)
+    C = random_state(rng, K, N).orbitals
+    oracle = helpers.fock_matrix(v, C @ C.conj().T) @ C
+    assert np.max(np.abs(_nonlinear_terms(C, tensor) - oracle)) < 1e-13
+
+
 def test_zero_potential_gives_zero_actions(setup, rng):
     cfg, oset, _ = setup
     zero = lhf.two_body_tensor(lhf.PotentialSpec(kind="zero"), oset, cfg.tensor_grid)

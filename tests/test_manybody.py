@@ -11,7 +11,8 @@ import landau_hf as lhf
 from landau_hf.errors import (DimensionMismatch, InvalidValue, LengthMismatch,
                               NotOrthonormal, SymmetryViolation, TooLarge,
                               TruncationTooSmall)
-from landau_hf.manybody import ManyBodyState, InteractionTensor
+from landau_hf.manybody import (InteractionTensor, ManyBodyState,
+                                symmetry_deviations)
 
 import helpers
 
@@ -83,6 +84,23 @@ def test_replacements_targets_and_signs(K, N, n):
         assert np.allclose(helpers.wedge_tensor(cols), sign * ref, atol=1e-14)
 
 
+def test_singles_is_the_whole_single_replacement_table(monkeypatch, rng):
+    basis = lhf.enumerate_determinants(12, 5)      # dim 792, four blocks
+    whole = [np.concatenate(part) for part in zip(*basis.replacements(1))]
+    i, j, p, q, sign = basis.singles
+    for got, expect in zip((i, j, p, q, sign), whole[:2] + [whole[2][:, 0],
+                                                            whole[3][:, 0], whole[4]]):
+        assert np.array_equal(got, expect)
+    # built once: one_body and rdm_exact read the kept table
+    def fail(self, n):
+        raise AssertionError("replacements rebuilt")
+    monkeypatch.setattr(lhf.DeterminantBasis, "replacements", fail)
+    c = random_complex(rng, basis.dim)
+    basis.one_body(np.eye(12))
+    lhf.rdm_exact(ManyBodyState(basis=basis, coefficients=c), basis)
+    assert basis.singles[0] is i
+
+
 # --- one-body operators ------------------------------------------------------
 
 def random_complex(rng, *shape):
@@ -110,7 +128,7 @@ def test_one_body_adjoint(rng, K, N):
 
 @pytest.mark.parametrize("K,N", [(4, 1), (5, 2), (6, 3), (8, 3), (4, 4)])
 def test_one_body_expectation_is_rdm_contraction(rng, K, N):
-    # both consumers of replacements(1): <psi|dGamma(M)|psi> = sum M[q,p] omega[p,q]
+    # both consumers of singles: <psi|dGamma(M)|psi> = sum M[q,p] omega[p,q]
     basis = lhf.enumerate_determinants(K, N)
     M = random_complex(rng, K, K)
     c = random_complex(rng, basis.dim)
@@ -217,12 +235,15 @@ def test_fft_tensor_matches_dense_pair_matrix(oset_m3, strength, sigma):
     assert np.max(np.abs(t_fft.values - t_tab.values)) < 1e-12
 
 
-@pytest.mark.parametrize("pot", [
+ALL_KINDS = pytest.mark.parametrize("pot", [
     lhf.PotentialSpec(kind="zero"),
     lhf.PotentialSpec(kind="separable-cosine", strength=0.7),
     lhf.PotentialSpec(kind="periodic-gaussian", strength=-0.4, sigma=0.8),
     lhf.PotentialSpec(kind="tabulated", table=np.diag(np.linspace(0.1, 0.5, 24 * 24))),
 ], ids=["zero", "separable-cosine", "periodic-gaussian", "tabulated"])
+
+
+@ALL_KINDS
 def test_tensor_symmetry_deviation_recorded(oset_m3, pot):
     grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
     devs = [lhf.two_body_tensor(pot, oset_m3, grid, threads=t).symmetry_deviation
@@ -239,6 +260,50 @@ def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset_m3):
         pot = lhf.PotentialSpec(kind="tabulated", table=table + eps * skew)
         with pytest.raises(SymmetryViolation):
             lhf.two_body_tensor(pot, oset_m3, grid, sym_tol=sym_tol)
+
+
+@ALL_KINDS
+def test_tensor_is_one_pair_layout_buffer(oset_m3, pot):
+    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+    t = lhf.two_body_tensor(pot, oset_m3, grid)
+    K = t.K
+    assert t.pair.shape == (K * K, K * K) and t.pair.flags.c_contiguous
+    assert np.shares_memory(t.values, t.pair)
+    assert np.array_equal(t.pair.reshape(K, K, K, K), t.values.transpose(0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("inject", ["exchange", "hermitian", "both"])
+def test_slab_symmetry_deviations_match_full_array_formula(rng, inject):
+    K = 6
+    v, _ = helpers.random_interaction_tensor(rng, K)
+    r = random_complex(rng, K, K, K, K)
+    exch_of = lambda x: x.transpose(1, 0, 3, 2)
+    herm_of = lambda x: x.transpose(2, 3, 0, 1).conj()
+    if inject == "exchange":        # keeps hermiticity, breaks exchange symmetry
+        v = v + 1e-6 * (r + herm_of(r))
+    elif inject == "hermitian":     # keeps exchange symmetry, breaks hermiticity
+        v = v + 1e-6 * (r + exch_of(r))
+    else:
+        v = v + 1e-6 * r
+    pair = np.ascontiguousarray(v.transpose(0, 2, 1, 3)).reshape(K * K, K * K)
+    exch, herm = symmetry_deviations(pair)
+    assert exch == np.max(np.abs(v - exch_of(v))) == np.max(np.abs(pair - pair.T))
+    assert herm == np.max(np.abs(v - herm_of(v)))
+    assert (exch > 1e-8, herm > 1e-8) == {"exchange": (True, False),
+                                          "hermitian": (False, True),
+                                          "both": (True, True)}[inject]
+
+
+def test_tensor_symmetrized_exactly_from_asymmetric_quadrature(rng, oset_m3):
+    # a skew below sym_tol is removed: each entry and its images end up equal
+    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+    table = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3).pair_values(grid)
+    pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-9 * rng.normal(size=table.shape))
+    t = lhf.two_body_tensor(pot, oset_m3, grid)
+    assert t.symmetry_deviation > 1e-13
+    assert symmetry_deviations(t.pair) == (0.0, 0.0)
+    exact = lhf.two_body_tensor(lhf.PotentialSpec(kind="tabulated", table=table), oset_m3, grid)
+    assert np.max(np.abs(t.values - exact.values)) < 1e-8
 
 
 def test_tensor_rejects_threads_below_one(cfg_m3, oset_m3):
