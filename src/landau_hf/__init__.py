@@ -22,7 +22,7 @@ from .manybody import (DeterminantBasis, FillingSpec, InteractionTensor,
                        noninteracting_ground_state, slater_overlap,
                        two_body_tensor)
 from .hartree_fock import (HFState, HFTrajectory, gauge_transform, hf_energy,
-                           hf_rhs, integrate_hf)
+                           hf_rhs, hf_steps, integrate_hf)
 from .analysis import (ComparisonRecord, ScalingConfig, apriori_bound,
                        defect_norm, error_norm, rdm_exact, rdm_slater,
                        rescale_mean_field, run_comparison, trace_norm_diff)

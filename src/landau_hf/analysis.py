@@ -29,8 +29,7 @@ from .basis import build_orbital_set
 from .config import PhysicalConstants, SimulationConfig
 from .errors import (DimensionMismatch, NotHermitian, NotOrthonormal,
                      SupportViolation)
-from .hartree_fock import (HFState, hf_energy, hf_rhs, integrate_hf,
-                           time_grid)
+from .hartree_fock import HFState, hf_energy, hf_rhs, hf_steps, time_grid
 from .manybody import (DeterminantBasis, ExactPropagator, FillingSpec,
                        InteractionTensor, ManyBodyState, assemble_hamiltonian,
                        embed_slater, embed_wedge, enumerate_determinants,
@@ -206,7 +205,6 @@ def rescale_mean_field(config: SimulationConfig) -> ScalingConfig:
 class ComparisonResult:
     records: list
     summary: dict
-    trajectory_times: np.ndarray
 
 
 class Problem:
@@ -262,57 +260,62 @@ class Problem:
             raise NotOrthonormal(f"initial orbital Gram deviates by {dev:.3e}")
         return replace(state, e0=hf_energy(state, self.energies, self.tensor))
 
+    def exact_samples(self):
+        """(t, psi) at time_grid's samples: the determinant of the initial
+        orbitals under exp(-i H t / hbar), advanced from sample to sample."""
+        config = self.config
+        psi = embed_slater(1.0, self.initial_orbitals, self.det_basis).coefficients
+        propagator = ExactPropagator(self.H, config.constants.hbar)
+        dt, samples = time_grid(config.dt, config.t_final, config.sample_stride)
+        times = [step * dt for step in samples]
+        for t_prev, t in zip([0.0] + times, times):
+            psi = propagator.advance(psi, t - t_prev)
+            yield t, psi
+
 
 def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResult:
     """Evolve the same initial determinant exactly and effectively, sampling
     error norms, both bounds, energies, and the reduced-density distance.
 
-    The closed-form defect is evaluated at every integrator step so its
-    trapezoid integral carries discretization error well below the bound
-    slack; records are emitted at the configured sample stride, each after
-    check_defect_support.  A record that breaks a bound is kept and counted
-    in the summary's bound_violations.
+    One pass over hf_steps adds the closed-form defect of every step to a
+    trapezoid integral, whose discretization error stays well below the
+    bound slack.  At each sample the state passes check_defect_support and
+    meets the next state of Problem.exact_samples in a record.  A record
+    that breaks a bound is kept and counted in the summary's
+    bound_violations.
     """
     problem = Problem(config, threads)
-    energies, tensor = problem.energies, problem.tensor
+    energies, tensor, constants = problem.energies, problem.tensor, config.constants
     det_basis, H = problem.det_basis, problem.H
     hf0 = problem.initial_state()
-    psi = embed_slater(1.0, hf0.orbitals, det_basis).coefficients
-    propagator = ExactPropagator(H, config.constants.hbar)
     v_norm = tensor.sup_norm
-    hbar = config.constants.hbar
-
-    defects = []                  # (t, closed-form defect) at every step
-
-    def on_step(state: HFState):
-        defects.append((state.time, defect_norm(state, tensor, config.constants)))
-
-    trajectory = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
-                              tensor, energies, config.constants,
-                              sample_stride=config.sample_stride,
-                              step_callback=on_step)
-    _, samples = time_grid(config.dt, config.t_final, config.sample_stride)
-    integral = [0.0]              # trapezoid integral of the defect up to each step
-    for (t0, d0), (t1, d1) in zip(defects, defects[1:]):
-        integral.append(integral[-1] + 0.5 * (t1 - t0) * (d0 + d1))
+    sampled = set(time_grid(config.dt, config.t_final, config.sample_stride)[1])
+    exact = problem.exact_samples()
 
     records, checks = [], []
-    t_prev = 0.0
-    for idx, (step, t) in enumerate(zip(samples, trajectory.times)):
-        state = trajectory.states[idx]
-        checks.append(check_defect_support(state, defects[step][1], H, det_basis,
-                                           energies, tensor, config.constants))
-        psi = propagator.advance(psi, t - t_prev)
-        t_prev = t
-        exact = ManyBodyState(basis=det_basis, coefficients=psi)
+    defect_bound = max_gram = max_phase = 0.0
+    for step, state in hf_steps(hf0, config.dt, config.t_final, config.integrator,
+                                tensor, energies, constants):
+        d = defect_norm(state, tensor, constants)
+        if step:
+            defect_bound += 0.5 * (state.time - t_prev) * (d_prev + d)
+        t_prev, d_prev = state.time, d
+        if step not in sampled:
+            continue
+        checks.append(check_defect_support(state, d, H, det_basis, energies,
+                                           tensor, constants))
+        max_gram = max(max_gram, state.gram_deviation())
+        max_phase = max(max_phase, abs(abs(state.a) - 1.0))
+        psi = next(exact)[1]
+        psi_state = ManyBodyState(basis=det_basis, coefficients=psi)
         records.append(ComparisonRecord(
-            t=float(t),
-            error_norm=error_norm(exact, state, det_basis),
-            apriori_bound=apriori_bound(config.N, v_norm, config.constants, float(t)),
-            defect_bound=integral[step],
+            t=state.time,
+            error_norm=error_norm(psi_state, state, det_basis),
+            apriori_bound=apriori_bound(config.N, v_norm, constants, state.time),
+            defect_bound=defect_bound,
             energy_exact=float(np.real(np.vdot(psi, H @ psi))),
-            energy_hf=float(trajectory.energies[idx]),
-            rdm_trace_dist=trace_norm_diff(rdm_exact(exact, det_basis),
+            energy_hf=hf_energy(state, energies, tensor),
+            rdm_trace_dist=trace_norm_diff(rdm_exact(psi_state, det_basis),
                                            rdm_slater(state)),
         ))
 
@@ -321,7 +324,7 @@ def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResu
         "N": config.N,
         "K": det_basis.K,
         "v_sup_norm": v_norm,
-        "hbar": hbar,
+        "hbar": constants.hbar,
         "samples": len(records),
         "max_error": max(r.error_norm for r in records),
         "max_error_over_apriori": max(ratios) if ratios else 0.0,
@@ -336,9 +339,8 @@ def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResu
         "initial_energy": hf0.e0,
         "max_sector_leak": max(leak for leak, _ in checks),
         "max_defect_closed_form_dev": max(dev for _, dev in checks),
-        "max_gram_deviation": float(np.max(trajectory.gram_devs)),
-        "max_phase_deviation": float(np.max(np.abs(trajectory.norms - 1.0))),
+        "max_gram_deviation": max_gram,
+        "max_phase_deviation": max_phase,
         "tensor_symmetry_deviation": tensor.symmetry_deviation,
     }
-    return ComparisonResult(records=records, summary=summary,
-                            trajectory_times=trajectory.times)
+    return ComparisonResult(records=records, summary=summary)

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,9 +25,8 @@ from .config import (SimulationConfig, inner_product, load_config,
                      quantization_ulps)
 from .errors import (InvalidValue, IoFailure, LandauHFError,
                      SupportViolation)
-from .hartree_fock import integrate_hf, time_grid
-from .manybody import (ExactPropagator, FillingSpec, embed_slater,
-                       noninteracting_ground_state)
+from .hartree_fock import integrate_hf
+from .manybody import FillingSpec, noninteracting_ground_state
 
 
 def _fmt(x: float) -> str:
@@ -228,17 +228,8 @@ def cmd_evolve_exact(args) -> int:
         problem = Problem(config, args.threads)
         H = problem.H
         manifest.phase("assemble")
-        psi = embed_slater(1.0, problem.initial_orbitals,
-                           problem.det_basis).coefficients
-        prop = ExactPropagator(H, config.constants.hbar)
-        dt, samples = time_grid(config.dt, config.t_final, config.sample_stride)
-        rows, t_prev = [], 0.0
-        for step in samples:
-            t = step * dt
-            psi = prop.advance(psi, t - t_prev)
-            t_prev = t
-            rows.append((t, float(np.real(np.vdot(psi, H @ psi))),
-                         float(np.linalg.norm(psi))))
+        rows = [(t, float(np.real(np.vdot(psi, H @ psi))), float(np.linalg.norm(psi)))
+                for t, psi in problem.exact_samples()]
         write_csv(os.path.join(args.out_dir, "exact_timeseries.csv"),
                   "t,energy,norm", rows)
         manifest.add_output("exact_timeseries.csv")
@@ -247,10 +238,9 @@ def cmd_evolve_exact(args) -> int:
 
 
 def cmd_evolve_hf(args) -> int:
-    config = load_config(args.config)
-    dt = args.dt if args.dt is not None else config.dt
-    t_final = args.t_final if args.t_final is not None else config.t_final
-    scheme = args.scheme if args.scheme is not None else config.integrator
+    flags = {"dt": args.dt, "t_final": args.t_final, "integrator": args.scheme}
+    config = replace(load_config(args.config),
+                     **{key: value for key, value in flags.items() if value is not None})
     out = args.out_dir
     with Manifest("evolve-hf", args, config) as manifest:
         problem = Problem(config, args.threads)
@@ -266,12 +256,11 @@ def cmd_evolve_hf(args) -> int:
                 raise IoFailure(f"cannot read orbitals from {args.initial}: {exc}") from exc
         hf0 = problem.initial_state(orbitals)
         manifest.phase("setup")
-        traj = integrate_hf(hf0, dt, t_final, scheme, problem.tensor,
-                            problem.energies, config.constants,
+        traj = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
+                            problem.tensor, problem.energies, config.constants,
                             sample_stride=config.sample_stride)
-        rows = [(t, s.a.real, s.a.imag, traj.energies[i], traj.norms[i],
-                 traj.gram_devs[i])
-                for i, (t, s) in enumerate(zip(traj.times, traj.states))]
+        rows = [(t, s.a.real, s.a.imag, e, n, g) for t, s, e, n, g in zip(
+            traj.times, traj.states, traj.energies, traj.norms, traj.gram_devs)]
         write_csv(os.path.join(out, "hf_timeseries.csv"),
                   "t,re_a,im_a,energy,norm,orth_drift", rows)
         manifest.add_output("hf_timeseries.csv")

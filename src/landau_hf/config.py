@@ -196,10 +196,10 @@ class SimulationConfig:
                      f"(n_max+1)*M={self.single_particle_dim}")
         if self.n_max < 0:
             raise InvalidValue("n_max", "must be >= 0")
-        if not (self.dt > 0.0):
-            raise InvalidValue("dt", "must be > 0")
-        if self.t_final < 0.0:
-            raise InvalidValue("t_final", "must be >= 0")
+        if not (0.0 < self.dt < math.inf):          # NaN fails too
+            raise InvalidValue("dt", "must be finite and > 0")
+        if not (0.0 <= self.t_final < math.inf):
+            raise InvalidValue("t_final", "must be finite and >= 0")
         if self.integrator not in _INTEGRATORS:
             raise InvalidValue("integrator", f"must be one of {_INTEGRATORS}")
         if self.sample_stride < 1:

@@ -22,6 +22,9 @@ excess:
 which reduces to a constant phase for vanishing interaction.  W is evaluated
 from the current orbitals at every stage; the total energy T + W is a flow
 invariant and is cached at t = 0 for diagnostics.
+
+hf_steps walks time_grid's steps once and yields every state; integrate_hf
+keeps the sampled ones, and per-step consumers read the generator directly.
 """
 
 from __future__ import annotations
@@ -152,78 +155,62 @@ def time_grid(dt: float, t_final: float, sample_stride: int) -> tuple[float, lis
                     if step % sample_stride == 0 or step == n_steps]
 
 
-def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
-                 tensor: InteractionTensor, energies: np.ndarray,
-                 constants: PhysicalConstants, sample_stride: int = 1,
-                 step_callback=None, step_gram_tol: float = 1e-3) -> HFTrajectory:
-    """Classical RK4 on the coupled (a, orbitals) system.
+def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
+             tensor: InteractionTensor, energies: np.ndarray,
+             constants: PhysicalConstants, step_gram_tol: float = 1e-3):
+    """Classical RK4 on the coupled (a, orbitals) system, yielding
+    (step, state) at every step of time_grid's grid, t = 0 included.
 
     scheme 'rk4' integrates as-is; 'rk4+reorth' follows every step with a
     symmetric orthogonalization plus phase compensation (a pure gauge move).
-    The callback sees every accepted step, t = 0 included; time_grid picks
-    the recorded ones.
+    A step that leaves a non-finite value raises NonFiniteValue; one that
+    grows the Gram deviation by more than step_gram_tol raises StepUnstable.
     """
     if scheme not in ("rk4", "rk4+reorth"):
         raise ValueError(f"unknown scheme '{scheme}'")
-    reorth = scheme.endswith("+reorth")
-
-    dt_eff, samples = time_grid(dt, t_final, sample_stride)
-    n_steps, sampled = samples[-1], set(samples)
-
-    e0 = initial.e0
-    if e0 is None:
-        e0 = hf_energy(initial, energies, tensor)
-    a, C = complex(initial.a), initial.orbitals.astype(np.complex128).copy()
-    t = float(initial.time)
+    dt_eff, steps = time_grid(dt, t_final, 1)
+    e0 = hf_energy(initial, energies, tensor) if initial.e0 is None else initial.e0
+    state = HFState(time=float(initial.time), a=complex(initial.a),
+                    orbitals=initial.orbitals.astype(np.complex128), e0=e0)
 
     def rhs(a_val, C_val):
-        st = HFState(time=t, a=a_val, orbitals=C_val, e0=e0)
-        return hf_rhs(st, energies, tensor, constants)
+        return hf_rhs(HFState(state.time, a_val, C_val, e0), energies, tensor, constants)
 
-    def snapshot():
-        return HFState(time=t, a=a, orbitals=C.copy(), e0=e0)
-
-    times, states, energy_log, norm_log, gram_log = [], [], [], [], []
-
-    def record():
-        st = snapshot()
-        times.append(t)
-        states.append(st)
-        energy_log.append(hf_energy(st, energies, tensor))
-        norm_log.append(abs(a))
-        gram_log.append(st.gram_deviation())
-
-    record()
-    if step_callback is not None:
-        step_callback(states[0])
-
-    for step in range(1, n_steps + 1):
-        gram_before = float(np.max(np.abs(C.conj().T @ C - np.eye(C.shape[1]))))
+    yield 0, state
+    for step in steps[1:]:
+        gram_before = state.gram_deviation()
+        a, C = state.a, state.orbitals
         k1a, k1C = rhs(a, C)
         k2a, k2C = rhs(a + 0.5 * dt_eff * k1a, C + 0.5 * dt_eff * k1C)
         k3a, k3C = rhs(a + 0.5 * dt_eff * k2a, C + 0.5 * dt_eff * k2C)
         k4a, k4C = rhs(a + dt_eff * k3a, C + dt_eff * k3C)
         a = a + dt_eff / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
         C = C + dt_eff / 6.0 * (k1C + 2 * k2C + 2 * k3C + k4C)
-        t = initial.time + step * dt_eff
+        state = HFState(time=initial.time + step * dt_eff, a=a, orbitals=C, e0=e0)
 
-        if not (np.isfinite(a.real) and np.isfinite(a.imag)
-                and np.all(np.isfinite(C))):
-            raise NonFiniteValue(f"non-finite value at t = {t}")
-        gram_after = float(np.max(np.abs(C.conj().T @ C - np.eye(C.shape[1]))))
-        if gram_after - gram_before > step_gram_tol:
-            raise StepUnstable(
-                f"orthonormality drifted by {gram_after - gram_before:.3e} "
-                f"in one step at t = {t}")
-        if reorth:
-            a, C = _loewdin(a, C)
+        if not (np.isfinite(a) and np.all(np.isfinite(C))):
+            raise NonFiniteValue(f"non-finite value at t = {state.time}")
+        drift = state.gram_deviation() - gram_before
+        if drift > step_gram_tol:
+            raise StepUnstable(f"orthonormality drifted by {drift:.3e} "
+                               f"in one step at t = {state.time}")
+        if scheme == "rk4+reorth":
+            state = HFState(state.time, *_loewdin(a, C), e0)
+        yield step, state
 
-        if step_callback is not None:
-            step_callback(snapshot())
-        if step in sampled:
-            record()
 
-    return HFTrajectory(times=np.asarray(times), states=states,
-                        energies=np.asarray(energy_log),
-                        norms=np.asarray(norm_log),
-                        gram_devs=np.asarray(gram_log))
+def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
+                 tensor: InteractionTensor, energies: np.ndarray,
+                 constants: PhysicalConstants, sample_stride: int = 1,
+                 step_gram_tol: float = 1e-3) -> HFTrajectory:
+    """The states of hf_steps at time_grid's samples, with their energy,
+    |a| and Gram deviation."""
+    sampled = set(time_grid(dt, t_final, sample_stride)[1])
+    states = [s for step, s in hf_steps(initial, dt, t_final, scheme, tensor,
+                                        energies, constants, step_gram_tol)
+              if step in sampled]
+    return HFTrajectory(
+        times=np.asarray([s.time for s in states]), states=states,
+        energies=np.asarray([hf_energy(s, energies, tensor) for s in states]),
+        norms=np.asarray([abs(s.a) for s in states]),
+        gram_devs=np.asarray([s.gram_deviation() for s in states]))

@@ -11,7 +11,7 @@ from landau_hf.analysis import (SECTOR_TOL, Problem, check_defect_support,
                                 defect_sector_norms, defect_vector,
                                 run_comparison)
 from landau_hf.errors import NotHermitian, SupportViolation
-from landau_hf.hartree_fock import HFState
+from landau_hf.hartree_fock import HFState, time_grid
 from landau_hf.manybody import InteractionTensor, ManyBodyState
 
 import helpers
@@ -256,6 +256,23 @@ def test_comparison_chains_samples_like_one_shot_propagation():
                              state, basis)
         assert rec.error_norm > 0.0 or t == 0.0
         assert abs(rec.error_norm - err) < 1e-10
+
+
+def test_defect_bound_is_trapezoid_over_every_step():
+    cfg = make_config(M=3, n_max=2, N=2, strength=0.2, t_final=0.05,
+                      sample_stride=20)
+    result = run_comparison(cfg)
+    problem = Problem(cfg)
+    traj = lhf.integrate_hf(problem.initial_state(), cfg.dt, cfg.t_final,
+                            cfg.integrator, problem.tensor, problem.energies,
+                            cfg.constants, sample_stride=1)
+    d = [lhf.defect_norm(s, problem.tensor, cfg.constants) for s in traj.states]
+    integral = [0.0]
+    for t0, t1, d0, d1 in zip(traj.times, traj.times[1:], d, d[1:]):
+        integral.append(integral[-1] + 0.5 * (t1 - t0) * (d0 + d1))
+    _, samples = time_grid(cfg.dt, cfg.t_final, cfg.sample_stride)
+    assert samples == [0, 20, 40, 50]
+    assert [r.defect_bound for r in result.records] == [integral[s] for s in samples]
 
 
 def test_error_never_exceeds_triangle_ceiling():

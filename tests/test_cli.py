@@ -125,6 +125,19 @@ def test_evolve_exact_conserves(tmp_path):
     assert max(abs(n - 1.0) for n in norms) < 1e-9
 
 
+def test_evolve_exact_matches_compare_exact_column(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    for command in ("evolve-exact", "compare"):
+        assert dispatch([command, "--config", cfg, "--out-dir", str(out),
+                         "--threads", "1"]) == 0
+    exact = [ln.split(",")[:2] for ln in
+             (out / "exact_timeseries.csv").read_text().splitlines()[1:]]
+    compare = [ln.split(",") for ln in
+               (out / "compare_timeseries.csv").read_text().splitlines()[1:]]
+    assert exact == [[row[0], row[4]] for row in compare]
+
+
 def test_basis_subcommand_report(tmp_path):
     cfg = write_cfg(tmp_path, M=2, n_max=1, N=2)
     out = tmp_path / "out"
@@ -196,6 +209,30 @@ def _evolve_hf_rejects(tmp_path, capsys, cfg, initial="nigs-ground"):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "hf_timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--dt", "0", "dt"), ("--dt", "-0.001", "dt"), ("--dt", "nan", "dt"),
+    ("--dt", "inf", "dt"), ("--t-final", "-1", "t_final"),
+    ("--t-final", "nan", "t_final"), ("--t-final", "inf", "t_final"),
+])
+def test_evolve_hf_flags_are_validated(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "out"
+    assert dispatch(["evolve-hf", "--config", write_cfg(tmp_path),
+                     "--out-dir", str(out), flag, value]) == 1
+    assert f"error: invalid value for '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_hf_manifest_echoes_flags(tmp_path):
+    out = tmp_path / "out"
+    assert dispatch(["evolve-hf", "--config", write_cfg(tmp_path), "--out-dir",
+                     str(out), "--dt", "0.01", "--t-final", "0.1",
+                     "--scheme", "rk4+reorth"]) == 0
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert (echo["dt"], echo["t_final"], echo["integrator"]) == (0.01, 0.1, "rk4+reorth")
+    lines = (out / "hf_timeseries.csv").read_text().splitlines()
+    assert len(lines) == 3 and float(lines[-1].split(",")[0]) == pytest.approx(0.1)
 
 
 def test_missing_config_exits_one(tmp_path, capsys):

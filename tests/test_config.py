@@ -89,6 +89,16 @@ def test_particle_count_capacity_enforced():
     assert err.value.key == "N"
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dt", 0.0), ("dt", -1e-3), ("dt", math.nan), ("dt", math.inf),
+    ("t_final", -0.1), ("t_final", math.nan), ("t_final", math.inf),
+])
+def test_time_grid_values_must_be_finite(key, value):
+    with pytest.raises(InvalidValue) as err:
+        make_config(**{key: value})
+    assert err.value.key == key
+
+
 def test_grid_midpoints_and_weights():
     grid = lhf.Grid(L1=2.0, L2=4.0, G1=4, G2=8)
     assert grid.x1[0] == pytest.approx(-1.0 + 0.25)
