@@ -119,7 +119,7 @@ def defect_norm(state: HFState, tensor: InteractionTensor,
     sequential contractions in O(K^4 N)."""
     C = state.orbitals
     comp = np.eye(C.shape[0]) - C @ C.conj().T        # projector onto the complement
-    g = np.einsum("pqrj,ri->pqij", tensor.values @ C, C)        # <pq|V|ij>
+    g = np.tensordot(tensor.values @ C, C, axes=(2, 0)).swapaxes(2, 3)  # <pq|V|ij>
     g = g - g.swapaxes(2, 3)                                     # <pq||ij>
     g = np.tensordot(comp, np.tensordot(comp, g, axes=(1, 1)), axes=(1, 1))
     return abs(state.a) / constants.hbar * 0.5 * float(np.linalg.norm(g))
