@@ -30,6 +30,9 @@ from .errors import (DegreeOutOfRange, GridTooCoarse, OffGridDisplacement,
                      OrthonormalityFailure, TruncationTooSmall)
 
 MAX_HERMITE_DEGREE = 512
+TAIL_TOL = 1e-14           # lattice shells below this fraction of the peak are dropped
+EDGE_STENCIL = 12          # midpoint samples per one-sided edge extrapolation
+GRAM_TOL = 1e-8            # largest |Gram - 1| entry of an orbital basis
 
 
 class HermiteEvaluator:
@@ -119,15 +122,14 @@ def grid_reduced_field(grid: Grid, flux_count: int) -> float:
 
 
 def finite_volume_orbital(n: int, m: int, grid: Grid, flux_count: int,
-                          lattice_cut: int = 0,
-                          tail_tol: float = 1e-14) -> OrbitalField:
+                          lattice_cut: int = 0) -> OrbitalField:
     """Eigenstate of the boxed kinetic operator with labels (n, m).
 
     Built as the lattice sum over x1 translations of the infinite-volume
     states; each summand is an outer product of an x1 profile and an x2
     harmonic, so the sum is assembled separably.  With lattice_cut = 0 the
     sum is extended until the next shell's sampled maximum falls below
-    tail_tol times the accumulated peak; an explicit cut is checked the same
+    TAIL_TOL times the accumulated peak; an explicit cut is checked the same
     way and rejected if too small.
     """
     M = flux_count
@@ -154,7 +156,7 @@ def finite_volume_orbital(n: int, m: int, grid: Grid, flux_count: int,
             values += np.outer(profile, harmonic)
         for l1 in (lattice_cut + 1, -(lattice_cut + 1)):
             _, _, mx = shell(l1)
-            if mx > tail_tol * peak:
+            if mx > TAIL_TOL * peak:
                 raise TruncationTooSmall(
                     f"lattice_cut={lattice_cut} leaves tail {mx / peak:.2e} "
                     f"of peak for orbital (n={n}, m={m})")
@@ -165,7 +167,7 @@ def finite_volume_orbital(n: int, m: int, grid: Grid, flux_count: int,
             for sgn in ((1,) if l1 == 0 else (1, -1)):
                 profile, harmonic, mx = shell(sgn * l1)
                 center = abs((sgn * l1 - m / M)) * grid.L1
-                if mx > tail_tol * max(peak, 1e-300) or center <= turn:
+                if mx > TAIL_TOL * max(peak, 1e-300) or center <= turn:
                     values += np.outer(profile, harmonic)
                     peak = max(peak, mx)
                     hit = True
@@ -274,12 +276,12 @@ def _edge_weights(p: int) -> np.ndarray:
     return w
 
 
-def boundary_residuals(field: OrbitalField, flux_count: int | None = None,
-                       stencil: int = 12) -> tuple[float, float]:
+def boundary_residuals(field: OrbitalField,
+                       flux_count: int | None = None) -> tuple[float, float]:
     """Boundary-condition mismatch at the two seams.
 
     The grid holds midpoint samples only, so the field is extrapolated to
-    each box edge one-sidedly (degree stencil-1 polynomial) from both sides
+    each box edge one-sidedly (degree EDGE_STENCIL-1 polynomial) from both sides
     and the two edge values are compared, with the x1 comparison twisted by
     exp(-i 2 pi M x2 / L2).  Smooth compliant fields give residuals at the
     extrapolation-error level; incompatible fields give O(1).
@@ -289,8 +291,8 @@ def boundary_residuals(field: OrbitalField, flux_count: int | None = None,
     if M is None:
         raise ValueError("flux_count needed: pass it or use a labelled field")
     f = field.values
-    p1 = min(stencil, grid.G1)
-    p2 = min(stencil, grid.G2)
+    p1 = min(EDGE_STENCIL, grid.G1)
+    p2 = min(EDGE_STENCIL, grid.G2)
     w1 = _edge_weights(p1)
     w2 = _edge_weights(p2)
 
@@ -322,7 +324,6 @@ class OrbitalSet:
     flux_count: int
     grid: Grid
     lattice_cut: int
-    tail_tol: float
 
     @property
     def size(self) -> int:
@@ -338,12 +339,11 @@ class OrbitalSet:
     def gram_deviation(self) -> float:
         return float(np.max(np.abs(self.gram - np.eye(self.size))))
 
-    def sampled_on(self, grid: Grid, gram_tol: float = 1e-8) -> "OrbitalSet":
+    def sampled_on(self, grid: Grid) -> "OrbitalSet":
         """Re-evaluate the same labelled basis on another grid."""
         if grid == self.grid:
             return self
-        return _build(self.n_max, self.flux_count, grid, self.lattice_cut,
-                      self.tail_tol, self.energies, gram_tol=gram_tol)
+        return _build(self.n_max, self.flux_count, grid, self.lattice_cut, self.energies)
 
 
 def _nyquist_guard(n_max: int, flux_count: int, grid: Grid, cut_hint: int):
@@ -363,27 +363,21 @@ def _nyquist_guard(n_max: int, flux_count: int, grid: Grid, cut_hint: int):
 
 
 def _build(n_max: int, flux_count: int, grid: Grid, lattice_cut: int,
-           tail_tol: float, energies: np.ndarray, gram_tol: float | None) -> OrbitalSet:
+           energies: np.ndarray) -> OrbitalSet:
     _nyquist_guard(n_max, flux_count, grid, lattice_cut)
-    orbitals = []
-    for n in range(n_max + 1):
-        for m in range(flux_count):
-            orbitals.append(finite_volume_orbital(
-                n, m, grid, flux_count, lattice_cut, tail_tol))
+    orbitals = [finite_volume_orbital(n, m, grid, flux_count, lattice_cut)
+                for n in range(n_max + 1) for m in range(flux_count)]
     mat = np.stack([orb.values.ravel() for orb in orbitals])
     gram = (mat.conj() @ mat.T) * grid.weight
-    oset = OrbitalSet(orbitals=tuple(orbitals), gram=gram, energies=energies,
+    dev = np.abs(gram - np.eye(len(orbitals)))
+    worst = np.unravel_index(np.argmax(dev), dev.shape)
+    if dev[worst] > GRAM_TOL:
+        raise OrthonormalityFailure(
+            f"Gram deviation {dev[worst]:.3e} > {GRAM_TOL:.1e} between "
+            f"orbitals {worst[0]} and {worst[1]}")
+    return OrbitalSet(orbitals=tuple(orbitals), gram=gram, energies=energies,
                       n_max=n_max, flux_count=flux_count, grid=grid,
-                      lattice_cut=lattice_cut, tail_tol=tail_tol)
-    if gram_tol is not None:
-        dev = np.abs(gram - np.eye(len(orbitals)))
-        worst = np.unravel_index(np.argmax(dev), dev.shape)
-        if dev[worst] > gram_tol:
-            a, bidx = worst
-            raise OrthonormalityFailure(
-                f"Gram deviation {dev[worst]:.3e} > {gram_tol:.1e} between "
-                f"orbitals {a} and {bidx}")
-    return oset
+                      lattice_cut=lattice_cut)
 
 
 def build_orbital_set(config: SimulationConfig, grid: Grid | None = None) -> OrbitalSet:
@@ -393,5 +387,4 @@ def build_orbital_set(config: SimulationConfig, grid: Grid | None = None) -> Orb
     energies = np.array([landau_level(n, config.constants)
                          for n in range(config.n_max + 1)
                          for _ in range(M)])
-    return _build(config.n_max, M, grid, config.lattice_cut,
-                  config.lattice_tail_tol, energies, config.gram_tol)
+    return _build(config.n_max, M, grid, config.lattice_cut, energies)

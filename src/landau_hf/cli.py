@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import CSV_HEADER, ComparisonRecord, Problem, run_comparison
-from .basis import (apply_landau_hamiltonian, boundary_residuals,
+from .basis import (GRAM_TOL, apply_landau_hamiltonian, boundary_residuals,
                     build_orbital_set)
 from .config import (SimulationConfig, inner_product, load_config,
                      quantization_ulps)
@@ -194,10 +194,10 @@ def cmd_basis(args) -> int:
 
         _write_json(os.path.join(out, "basis_report.json"), report)
         manifest.add_output("basis_report.json")
-        manifest.validation("gram", report["gram_max_dev"] <= config.gram_tol,
+        manifest.validation("gram", report["gram_max_dev"] <= GRAM_TOL,
                             report["gram_max_dev"])
     print(json.dumps({"gram_max_dev": report["gram_max_dev"]}, sort_keys=True))
-    return 0 if report["gram_max_dev"] <= config.gram_tol else 1
+    return 0 if report["gram_max_dev"] <= GRAM_TOL else 1
 
 
 def cmd_groundstate(args) -> int:
@@ -246,18 +246,19 @@ def cmd_evolve_hf(args) -> int:
         problem = Problem(config, args.threads)
         orbitals = None
         if args.initial != "nigs-ground":
-            # OSError/ValueError: unreadable or not numpy data; KeyError: an
-            # .npz without 'orbitals'; IndexError: a bare .npy array
+            # OSError/ValueError: unreadable or not numpy data; EOFError: empty;
+            # KeyError: an .npz without 'orbitals'; IndexError: a bare .npy array
             try:
                 with open(args.initial, "rb") as fh:
                     orbitals = np.asarray(np.load(fh)["orbitals"],
                                           dtype=np.complex128)
-            except (OSError, ValueError, KeyError, IndexError) as exc:
+            except (OSError, EOFError, ValueError, KeyError, IndexError) as exc:
                 raise IoFailure(f"cannot read orbitals from {args.initial}: {exc}") from exc
         hf0 = problem.initial_state(orbitals)
+        tensor = problem.tensor
         manifest.phase("setup")
         traj = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
-                            problem.tensor, problem.energies, config.constants,
+                            tensor, problem.energies, config.constants,
                             sample_stride=config.sample_stride)
         rows = [(t, s.a.real, s.a.imag, e, n, g) for t, s, e, n, g in zip(
             traj.times, traj.states, traj.energies, traj.norms, traj.gram_devs)]
@@ -296,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Magnetic-fermion dynamics in the truncated level basis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out-dir", default="./out", help="output directory")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 

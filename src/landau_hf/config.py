@@ -184,8 +184,6 @@ class SimulationConfig:
     integrator: str = "rk4"
     sample_stride: int = 10
     lattice_cut: int = 0          # 0 means: choose automatically per orbital
-    gram_tol: float = 1e-8
-    lattice_tail_tol: float = 1e-14
 
     def __post_init__(self):
         if self.N < 1:

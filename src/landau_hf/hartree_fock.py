@@ -21,7 +21,7 @@ excess:
 
 which reduces to a constant phase for vanishing interaction.  W is evaluated
 from the current orbitals at every stage; the total energy T + W is a flow
-invariant and is cached at t = 0 for diagnostics.
+invariant, evaluated by hf_energy only where a sample records it.
 
 hf_steps walks time_grid's steps once and yields every state; integrate_hf
 keeps the sampled ones, and per-step consumers read the generator directly.
@@ -37,6 +37,9 @@ from .config import PhysicalConstants
 from .errors import NonFiniteValue, NotUnitary, StepUnstable
 from .manybody import InteractionTensor
 
+STEP_GRAM_TOL = 1e-3       # largest Gram-deviation growth in one RK4 step
+UNITARY_TOL = 1e-10        # largest |U^H U - 1| a gauge transform accepts
+
 
 @dataclass(frozen=True)
 class HFState:
@@ -45,7 +48,6 @@ class HFState:
     time: float
     a: complex
     orbitals: np.ndarray          # (K, N), columns orthonormal
-    e0: float | None = None       # total energy cached at t = 0
 
     @property
     def N(self) -> int:
@@ -115,7 +117,7 @@ def hf_energy(state: HFState, energies: np.ndarray,
     return T + interaction_energy(C, tensor)
 
 
-def gauge_transform(state: HFState, U: np.ndarray, tol: float = 1e-10) -> HFState:
+def gauge_transform(state: HFState, U: np.ndarray) -> HFState:
     """Mix orbitals by a unitary and divide the phase by its determinant.
 
     The embedded many-body state is unchanged: the wedge picks up det U,
@@ -126,11 +128,9 @@ def gauge_transform(state: HFState, U: np.ndarray, tol: float = 1e-10) -> HFStat
     if U.shape != (N, N):
         raise NotUnitary(f"expected ({N}, {N}) matrix, got {U.shape}")
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(N))))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise NotUnitary(f"U deviates from unitarity by {dev:.3e}")
-    det = np.linalg.det(U)
-    return HFState(time=state.time, a=state.a / det,
-                   orbitals=state.orbitals @ U, e0=state.e0)
+    return HFState(state.time, state.a / np.linalg.det(U), state.orbitals @ U)
 
 
 def _loewdin(a: complex, orbitals: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -157,24 +157,23 @@ def time_grid(dt: float, t_final: float, sample_stride: int) -> tuple[float, lis
 
 def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
              tensor: InteractionTensor, energies: np.ndarray,
-             constants: PhysicalConstants, step_gram_tol: float = 1e-3):
+             constants: PhysicalConstants):
     """Classical RK4 on the coupled (a, orbitals) system, yielding
     (step, state) at every step of time_grid's grid, t = 0 included.
 
     scheme 'rk4' integrates as-is; 'rk4+reorth' follows every step with a
     symmetric orthogonalization plus phase compensation (a pure gauge move).
     A step that leaves a non-finite value raises NonFiniteValue; one that
-    grows the Gram deviation by more than step_gram_tol raises StepUnstable.
+    grows the Gram deviation by more than STEP_GRAM_TOL raises StepUnstable.
     """
     if scheme not in ("rk4", "rk4+reorth"):
         raise ValueError(f"unknown scheme '{scheme}'")
     dt_eff, steps = time_grid(dt, t_final, 1)
-    e0 = hf_energy(initial, energies, tensor) if initial.e0 is None else initial.e0
     state = HFState(time=float(initial.time), a=complex(initial.a),
-                    orbitals=initial.orbitals.astype(np.complex128), e0=e0)
+                    orbitals=initial.orbitals.astype(np.complex128))
 
     def rhs(a_val, C_val):
-        return hf_rhs(HFState(state.time, a_val, C_val, e0), energies, tensor, constants)
+        return hf_rhs(HFState(state.time, a_val, C_val), energies, tensor, constants)
 
     yield 0, state
     for step in steps[1:]:
@@ -186,28 +185,27 @@ def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
         k4a, k4C = rhs(a + dt_eff * k3a, C + dt_eff * k3C)
         a = a + dt_eff / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
         C = C + dt_eff / 6.0 * (k1C + 2 * k2C + 2 * k3C + k4C)
-        state = HFState(time=initial.time + step * dt_eff, a=a, orbitals=C, e0=e0)
+        state = HFState(time=initial.time + step * dt_eff, a=a, orbitals=C)
 
         if not (np.isfinite(a) and np.all(np.isfinite(C))):
             raise NonFiniteValue(f"non-finite value at t = {state.time}")
         drift = state.gram_deviation() - gram_before
-        if drift > step_gram_tol:
+        if drift > STEP_GRAM_TOL:
             raise StepUnstable(f"orthonormality drifted by {drift:.3e} "
                                f"in one step at t = {state.time}")
         if scheme == "rk4+reorth":
-            state = HFState(state.time, *_loewdin(a, C), e0)
+            state = HFState(state.time, *_loewdin(a, C))
         yield step, state
 
 
 def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
                  tensor: InteractionTensor, energies: np.ndarray,
-                 constants: PhysicalConstants, sample_stride: int = 1,
-                 step_gram_tol: float = 1e-3) -> HFTrajectory:
+                 constants: PhysicalConstants, sample_stride: int = 1) -> HFTrajectory:
     """The states of hf_steps at time_grid's samples, with their energy,
     |a| and Gram deviation."""
     sampled = set(time_grid(dt, t_final, sample_stride)[1])
     states = [s for step, s in hf_steps(initial, dt, t_final, scheme, tensor,
-                                        energies, constants, step_gram_tol)
+                                        energies, constants)
               if step in sampled]
     return HFTrajectory(
         times=np.asarray([s.time for s in states]), states=states,

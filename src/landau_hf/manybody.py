@@ -40,6 +40,8 @@ from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
 REPLACEMENT_BLOCK = 256          # source determinants per replacements() block
+TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
+SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,13 @@ class DeterminantBasis:
                              shape=(self.dim, self.dim))
 
 
-def enumerate_determinants(K: int, N: int, cap: int = DET_SPACE_CAP) -> DeterminantBasis:
+def enumerate_determinants(K: int, N: int) -> DeterminantBasis:
     """All C(K, N) increasing occupation tuples in lexicographic order."""
     if not (1 <= N <= K):
         raise DimensionMismatch(f"need 1 <= N <= K, got N={N}, K={K}")
     dim = math.comb(K, N)
-    if dim > cap:
-        raise TooLarge(f"determinant space C({K},{N}) = {dim} exceeds cap {cap}")
+    if dim > DET_SPACE_CAP:
+        raise TooLarge(f"determinant space C({K},{N}) = {dim} exceeds cap {DET_SPACE_CAP}")
     occupations = np.array(list(itertools.combinations(range(K), N)), dtype=np.int64)
     return DeterminantBasis(K=K, N=N, occupations=occupations)
 
@@ -190,7 +192,7 @@ def symmetry_deviations(pair: np.ndarray) -> tuple[float, float]:
 
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
-                    threads: int = 1, sym_tol: float = 1e-8) -> InteractionTensor:
+                    threads: int = 1) -> InteractionTensor:
     """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y),
     every kernel kind writing the pair layout (ag), (bd).
 
@@ -237,7 +239,7 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
 
     scale = max(float(np.max(np.abs(v))), 1.0)
     exch, herm = symmetry_deviations(v)
-    if exch > sym_tol * scale or herm > sym_tol * scale:
+    if exch > TENSOR_SYM_TOL * scale or herm > TENSOR_SYM_TOL * scale:
         raise SymmetryViolation(
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
     # v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place one
@@ -365,12 +367,12 @@ def embed_wedge(columns: np.ndarray, basis: DeterminantBasis) -> np.ndarray:
 
 
 def embed_slater(phase: complex, orbitals: np.ndarray,
-                 basis: DeterminantBasis, gram_tol: float = 1e-6) -> ManyBodyState:
+                 basis: DeterminantBasis) -> ManyBodyState:
     """Many-body coefficients of phase * (orthonormal orbital wedge)."""
     C = np.asarray(orbitals)
     gram = C.conj().T @ C
     dev = float(np.max(np.abs(gram - np.eye(C.shape[1]))))
-    if dev > gram_tol:
+    if dev > SLATER_GRAM_TOL:
         raise NotOrthonormal(f"orbital Gram deviates by {dev:.3e}")
     return ManyBodyState(basis=basis, coefficients=phase * embed_wedge(C, basis))
 

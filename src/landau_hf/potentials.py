@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, SymmetryViolation
+from .errors import InvalidValue, IoFailure, SymmetryViolation
 
 KINDS = ("zero", "separable-cosine", "periodic-gaussian", "tabulated")
 
 # discrete Fourier modes below this relative weight are dropped from the
 # expansion of translation-invariant kernels
 _MODE_FLOOR = 1e-16
+KERNEL_SYM_TOL = 1e-8      # largest tabulated asymmetry, relative to max(max |V|, 1)
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,8 @@ class PotentialSpec:
             raise InvalidValue("kind", f"must be one of {KINDS}")
         if not math.isfinite(self.strength):
             raise InvalidValue("strength", "must be finite")
-        if self.kind == "periodic-gaussian" and not (self.sigma > 0):
-            raise InvalidValue("sigma", "must be > 0")
+        if self.kind == "periodic-gaussian" and not (0 < self.sigma < math.inf):
+            raise InvalidValue("sigma", "must be finite and > 0")
         if self.kind == "tabulated":
             if self.table is None:
                 raise InvalidValue("path", "tabulated kind needs a value table")
@@ -64,7 +65,11 @@ class PotentialSpec:
         if kind == "tabulated":
             if path is None:
                 raise InvalidValue("path", "tabulated kind needs path=<.npy file>")
-            table = np.load(path)
+            # OSError: unreadable; EOFError: empty; ValueError: not numpy data
+            try:
+                table = np.load(path)
+            except (OSError, EOFError, ValueError) as exc:
+                raise IoFailure(f"cannot read kernel table {path}: {exc}") from exc
         return cls(kind=kind, strength=strength, harmonic1=harmonic1,
                    harmonic2=harmonic2, sigma=sigma, table=table)
 
@@ -147,14 +152,14 @@ class PotentialSpec:
                 "path", f"table shape {table.shape} does not match grid ({P}, {P})")
         return table
 
-    def check_symmetry(self, grid, tol: float = 1e-8) -> float:
-        """Max |V(x;y) - V(y;x)| over grid pairs; raises beyond tol."""
+    def check_symmetry(self, grid) -> float:
+        """Max |V(x;y) - V(y;x)| over grid pairs; raises beyond KERNEL_SYM_TOL."""
         if self.kind in ("zero", "separable-cosine", "periodic-gaussian"):
             return 0.0  # symmetric by construction
         vals = self.pair_values(grid)
         dev = float(np.max(np.abs(vals - vals.T)))
         scale = max(float(np.max(np.abs(vals))), 1.0)
-        if dev > tol * scale:
+        if dev > KERNEL_SYM_TOL * scale:
             raise SymmetryViolation(
                 f"tabulated kernel asymmetric: max deviation {dev:.3e}")
         return dev

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau_hf as lhf
-from landau_hf import analysis
+from landau_hf import analysis, hartree_fock
 from landau_hf.analysis import (SECTOR_TOL, Problem, check_defect_support,
                                 defect_sector_norms, defect_vector,
                                 run_comparison)
@@ -202,6 +202,17 @@ def test_comparison_raises_on_closed_form_deviation(monkeypatch):
                         lambda *args: closed(*args) + 1e-6)
     with pytest.raises(SupportViolation, match="closed-form defect"):
         run_comparison(cfg)
+
+
+def test_comparison_evaluates_hf_energy_once_per_record(monkeypatch):
+    cfg = make_config(M=2, n_max=1, N=2, t_final=0.02, sample_stride=10)
+    calls, energy = [], analysis.hf_energy
+    counted = lambda *args: calls.append(args) or energy(*args)
+    monkeypatch.setattr(analysis, "hf_energy", counted)
+    monkeypatch.setattr(hartree_fock, "hf_energy", counted)
+    result = run_comparison(cfg)
+    assert len(result.records) == 3 and len(calls) == 3
+    assert result.summary["initial_energy"] == result.records[0].energy_hf
 
 
 def test_integrated_defect_dominates_error():

@@ -235,6 +235,47 @@ def test_evolve_hf_manifest_echoes_flags(tmp_path):
     assert len(lines) == 3 and float(lines[-1].split(",")[0]) == pytest.approx(0.1)
 
 
+def test_empty_initial_file_writes_failed_manifest(tmp_path, capsys):
+    path = tmp_path / "orbs.npz"
+    path.write_bytes(b"")
+    _evolve_hf_rejects(tmp_path, capsys, write_cfg(tmp_path), initial=str(path))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["ok"] is False
+    assert "cannot read orbitals" in manifest["validations"]["error"]["detail"]
+
+
+def _kernel_cfg(tmp_path, kernel):
+    path = tmp_path / "kernel.cfg"
+    path.write_text(GOOD_CFG.format(M=3, n_max=2, N=2, strength=0.1, t_final=0.05)
+                    .replace("kind = separable-cosine", kernel))
+    return str(path)
+
+
+def _exits_one_without_traceback(tmp_path, capsys, command, cfg, message):
+    extra = [] if command == "validate" else ["--out-dir", str(tmp_path / "out")]
+    assert dispatch([command, "--config", cfg] + extra) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "evolve-hf", "compare"])
+@pytest.mark.parametrize("content", [None, b"", b"not numpy data"])
+def test_unreadable_kernel_table_exits_one(tmp_path, capsys, command, content):
+    table = tmp_path / "table.npy"
+    if content is not None:
+        table.write_bytes(content)
+    cfg = _kernel_cfg(tmp_path, f"kind = tabulated\npath = {table}")
+    _exits_one_without_traceback(tmp_path, capsys, command, cfg,
+                                 "cannot read kernel table")
+
+
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_infinite_sigma_exits_one(tmp_path, capsys, command):
+    cfg = _kernel_cfg(tmp_path, "kind = periodic-gaussian\nsigma = inf")
+    _exits_one_without_traceback(tmp_path, capsys, command, cfg,
+                                 "invalid value for 'sigma'")
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     _evolve_hf_rejects(tmp_path, capsys, str(tmp_path / "absent.cfg"))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import landau_hf as lhf
+from landau_hf import hartree_fock
 from landau_hf.errors import LandauHFError, NotUnitary
 from landau_hf.hartree_fock import (HFState, _loewdin, _nonlinear_terms,
                                     interaction_energy)
@@ -11,9 +12,9 @@ import helpers
 from conftest import make_config
 
 
-def random_state(rng, K, N, **kw):
+def random_state(rng, K, N):
     C = np.linalg.qr(rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N)))[0]
-    return HFState(time=0.0, a=np.exp(0.3j), orbitals=C, **kw)
+    return HFState(time=0.0, a=np.exp(0.3j), orbitals=C)
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +202,20 @@ def test_linear_case_is_exactly_solvable(setup):
 
 def test_phase_modulus_stays_one(setup, rng):
     cfg, oset, tensor = setup
-    st = random_state(rng, 9, 2, e0=None)
+    st = random_state(rng, 9, 2)
     traj = lhf.integrate_hf(st, 1e-3, 1.0, "rk4", tensor, oset.energies,
                             cfg.constants)
     assert np.max(np.abs(traj.norms - 1.0)) < 1e-8
+
+
+def test_energy_evaluated_once_per_sample(setup, rng, monkeypatch):
+    cfg, oset, tensor = setup
+    calls, energy = [], hartree_fock.hf_energy
+    monkeypatch.setattr(hartree_fock, "hf_energy",
+                        lambda *args: calls.append(args) or energy(*args))
+    traj = lhf.integrate_hf(random_state(rng, 9, 2), 1e-3, 0.05, "rk4", tensor,
+                            oset.energies, cfg.constants, sample_stride=10)
+    assert len(traj.times) == 6 and len(calls) == 6
 
 
 def test_conservation_along_trajectory(setup, rng):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau_hf as lhf
+from landau_hf import manybody
 from landau_hf.errors import (DimensionMismatch, InvalidValue, LengthMismatch,
                               NotOrthonormal, SymmetryViolation, TooLarge,
                               TruncationTooSmall)
@@ -43,8 +44,9 @@ def test_enumeration_lookup_roundtrip(K, N):
 
 
 def test_enumeration_cap():
+    assert math.comb(40, 20) > manybody.DET_SPACE_CAP
     with pytest.raises(TooLarge):
-        lhf.enumerate_determinants(40, 20, cap=1000)
+        lhf.enumerate_determinants(40, 20)
 
 
 def test_lookup_roundtrip_where_binomials_overflow_int64():
@@ -252,14 +254,18 @@ def test_tensor_symmetry_deviation_recorded(oset_m3, pot):
     assert devs[0] == devs[1]
 
 
-def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset_m3):
+def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset_m3, monkeypatch):
     grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
     table = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3).pair_values(grid)
     skew = rng.normal(size=table.shape)
-    for eps, sym_tol in ((1e-3, 1e-8), (1e-9, 1e-12)):  # kernel check, tensor check
-        pot = lhf.PotentialSpec(kind="tabulated", table=table + eps * skew)
-        with pytest.raises(SymmetryViolation):
-            lhf.two_body_tensor(pot, oset_m3, grid, sym_tol=sym_tol)
+    pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-3 * skew)
+    with pytest.raises(SymmetryViolation, match="tabulated kernel asymmetric"):
+        lhf.two_body_tensor(pot, oset_m3, grid)
+    # a skew the kernel check lets through trips a tightened tensor check
+    monkeypatch.setattr(manybody, "TENSOR_SYM_TOL", 1e-12)
+    pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-9 * skew)
+    with pytest.raises(SymmetryViolation, match="tensor symmetry"):
+        lhf.two_body_tensor(pot, oset_m3, grid)
 
 
 @ALL_KINDS
@@ -295,7 +301,7 @@ def test_slab_symmetry_deviations_match_full_array_formula(rng, inject):
 
 
 def test_tensor_symmetrized_exactly_from_asymmetric_quadrature(rng, oset_m3):
-    # a skew below sym_tol is removed: each entry and its images end up equal
+    # a skew below TENSOR_SYM_TOL is removed: each entry and its images end up equal
     grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
     table = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3).pair_values(grid)
     pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-9 * rng.normal(size=table.shape))

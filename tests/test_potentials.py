@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,13 @@ def test_tabulated_requires_symmetry(grid, rng):
 def test_tabulated_needs_table():
     with pytest.raises(InvalidValue):
         PotentialSpec(kind="tabulated")
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+def test_gaussian_sigma_must_be_finite_and_positive(sigma):
+    with pytest.raises(InvalidValue) as info:
+        PotentialSpec(kind="periodic-gaussian", strength=0.4, sigma=sigma)
+    assert info.value.key == "sigma"
 
 
 def test_unknown_kind_rejected():
