@@ -20,7 +20,7 @@ E_n = (hbar^2 / 2m) b (2n + 1), independent of m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,50 +35,24 @@ EDGE_STENCIL = 12          # midpoint samples per one-sided edge extrapolation
 GRAM_TOL = 1e-8            # largest |Gram - 1| entry of an orbital basis
 
 
-class HermiteEvaluator:
-    """Orthonormal Hermite functions by the stable three-term recurrence.
+def hermite_function(n: int, z):
+    """Orthonormal Hermite function h_n(z) for scalar or array z.
+
+    Stable three-term recurrence, normalized so that integral h_n h_m dz =
+    delta_{nm}; factorials and powers of two are never formed explicitly:
 
     h_0(z) = pi^(-1/4) exp(-z^2 / 2)
-    h_1(z) = sqrt(2) z h_0(z)
-    h_{n+1}(z) = sqrt(2/(n+1)) z h_n(z) - sqrt(n/(n+1)) h_{n-1}(z)
-
-    Normalized so that integral h_n h_m dz = delta_{nm}; factorials and powers
-    of two are never formed explicitly.
+    h_{k+1}(z) = sqrt(2/(k+1)) z h_k(z) - sqrt(k/(k+1)) h_{k-1}(z)
     """
-
-    def __init__(self, max_degree: int = MAX_HERMITE_DEGREE):
-        if max_degree < 0:
-            raise DegreeOutOfRange("max_degree must be >= 0")
-        self.max_degree = max_degree
-
-    def table(self, z) -> np.ndarray:
-        """All h_n(z) for n = 0..max_degree, stacked on the leading axis."""
-        z = np.asarray(z, dtype=float)
-        out = np.empty((self.max_degree + 1,) + z.shape)
-        h0 = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
-        out[0] = h0
-        if self.max_degree >= 1:
-            out[1] = math.sqrt(2.0) * z * h0
-        for n in range(1, self.max_degree):
-            out[n + 1] = (math.sqrt(2.0 / (n + 1)) * z * out[n]
-                          - math.sqrt(n / (n + 1)) * out[n - 1])
-        return out
-
-    def value(self, n: int, z):
-        if not (0 <= n <= self.max_degree):
-            raise DegreeOutOfRange(f"degree {n} outside [0, {self.max_degree}]")
-        z = np.asarray(z, dtype=float)
-        hm1 = np.zeros_like(z)
-        h = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
-        for k in range(n):
-            h, hm1 = (math.sqrt(2.0 / (k + 1)) * z * h
-                      - math.sqrt(k / (k + 1)) * hm1), h
-        return h
-
-
-def hermite_function(n: int, z, max_degree: int = MAX_HERMITE_DEGREE):
-    """h_n(z) for scalar or array z."""
-    return HermiteEvaluator(max_degree).value(n, z)
+    if not (0 <= n <= MAX_HERMITE_DEGREE):
+        raise DegreeOutOfRange(f"degree {n} outside [0, {MAX_HERMITE_DEGREE}]")
+    z = np.asarray(z, dtype=float)
+    hm1 = np.zeros_like(z)
+    h = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
+    for k in range(n):
+        h, hm1 = (math.sqrt(2.0 / (k + 1)) * z * h
+                  - math.sqrt(k / (k + 1)) * hm1), h
+    return h
 
 
 def landau_level(n: int, constants: PhysicalConstants) -> float:
@@ -104,13 +78,14 @@ def infinite_volume_orbital(n: int, k2: float, x1, x2, reduced_field: float):
 
 @dataclass(frozen=True)
 class OrbitalField:
-    """Complex field sampled on a grid, optionally tagged with (n, m) labels."""
+    """Complex field sampled on a grid of a box threaded by flux_count flux
+    quanta, optionally tagged with (n, m) labels."""
 
     grid: Grid
     values: np.ndarray
+    flux_count: int
     n: int | None = None
     m: int | None = None
-    flux_count: int | None = None
 
     def norm(self) -> float:
         return math.sqrt(abs(inner_product(self.values, self.values, self.grid)))
@@ -127,10 +102,12 @@ def finite_volume_orbital(n: int, m: int, grid: Grid, flux_count: int,
 
     Built as the lattice sum over x1 translations of the infinite-volume
     states; each summand is an outer product of an x1 profile and an x2
-    harmonic, so the sum is assembled separably.  With lattice_cut = 0 the
-    sum is extended until the next shell's sampled maximum falls below
-    TAIL_TOL times the accumulated peak; an explicit cut is checked the same
-    way and rejected if too small.
+    harmonic, so the sum is assembled separably.  Shells |l1| = 0, 1, ... are
+    added while one of them lies inside the classical turning range or its
+    sampled maximum exceeds TAIL_TOL times the accumulated peak.  A positive
+    lattice_cut bounds |l1|: needing a shell beyond it raises
+    TruncationTooSmall, and below it the sum is the same as with the
+    default lattice_cut = 0, whose bound is 10 000 shells.
     """
     M = flux_count
     if not (0 <= m < M):
@@ -138,79 +115,37 @@ def finite_volume_orbital(n: int, m: int, grid: Grid, flux_count: int,
     b = grid_reduced_field(grid, M)
     sqrt_b = math.sqrt(b)
     prefactor = b ** 0.25 / math.sqrt(grid.L2)
-    evaluator = HermiteEvaluator(max(n, 1))
-
-    def shell(l1: int) -> tuple[np.ndarray, np.ndarray, float]:
-        profile = evaluator.value(n, sqrt_b * (grid.x1 + (l1 - m / M) * grid.L1))
-        harmonic = np.exp(2j * np.pi * (m - M * l1) * grid.x2 / grid.L2)
-        return profile, harmonic, float(np.max(np.abs(profile)))
-
     turn = math.sqrt(2 * n + 1.0) / sqrt_b + grid.L1  # beyond this, shells decay
+    bound = lattice_cut or 10_000
     values = np.zeros((grid.G1, grid.G2), dtype=np.complex128)
     peak = 0.0
-    if lattice_cut > 0:
-        cuts = range(-lattice_cut, lattice_cut + 1)
-        for l1 in cuts:
-            profile, harmonic, mx = shell(l1)
-            peak = max(peak, mx)
-            values += np.outer(profile, harmonic)
-        for l1 in (lattice_cut + 1, -(lattice_cut + 1)):
-            _, _, mx = shell(l1)
-            if mx > TAIL_TOL * peak:
-                raise TruncationTooSmall(
-                    f"lattice_cut={lattice_cut} leaves tail {mx / peak:.2e} "
-                    f"of peak for orbital (n={n}, m={m})")
-    else:
-        l1 = 0
-        while True:
-            hit = False
-            for sgn in ((1,) if l1 == 0 else (1, -1)):
-                profile, harmonic, mx = shell(sgn * l1)
-                center = abs((sgn * l1 - m / M)) * grid.L1
-                if mx > TAIL_TOL * max(peak, 1e-300) or center <= turn:
-                    values += np.outer(profile, harmonic)
-                    peak = max(peak, mx)
-                    hit = True
-            if not hit:
-                break
-            l1 += 1
-            if l1 > 10_000:
-                raise TruncationTooSmall("lattice sum failed to converge")
+    l1 = 0
+    while True:
+        hit = False
+        for shell in ((0,) if l1 == 0 else (l1, -l1)):
+            profile = hermite_function(n, sqrt_b * (grid.x1 + (shell - m / M) * grid.L1))
+            mx = float(np.max(np.abs(profile)))
+            center = abs(shell - m / M) * grid.L1
+            if mx > TAIL_TOL * max(peak, 1e-300) or center <= turn:
+                if l1 > bound:
+                    raise TruncationTooSmall(
+                        f"lattice sum for orbital (n={n}, m={m}) needs shell "
+                        f"l1={shell} beyond the cut {bound}")
+                harmonic = np.exp(2j * np.pi * (m - M * shell) * grid.x2 / grid.L2)
+                values += np.outer(profile, harmonic)
+                peak = max(peak, mx)
+                hit = True
+        if not hit:
+            break
+        l1 += 1
     values *= prefactor
     return OrbitalField(grid=grid, values=values, n=n, m=m, flux_count=M)
 
 
-def magnetic_translate(field: OrbitalField, a, flux_count: int | None = None) -> OrbitalField:
-    """Translate by a = (a1, a2) and multiply by exp(-i b a1 x2).
-
-    Displacements must be integer multiples of the grid spacing so the shift
-    is exact.  Samples pulled across the x1 seam pick up the boundary phase
-    exp(i 2 pi M x2 / L2) per crossing (the x2 seam is plainly periodic), i.e.
-    the grid data is read through its boundary-condition-consistent extension.
-    """
-    grid = field.grid
-    M = flux_count if flux_count is not None else field.flux_count
-    if M is None:
-        raise ValueError("flux_count needed: pass it or use a labelled field")
-    a1, a2 = float(a[0]), float(a[1])
-    s1f, s2f = a1 / grid.h1, a2 / grid.h2
-    s1, s2 = round(s1f), round(s2f)
-    if abs(s1f - s1) > 1e-9 or abs(s2f - s2) > 1e-9:
-        raise OffGridDisplacement(
-            f"displacement {a} is not an integer multiple of ({grid.h1}, {grid.h2})")
-    b = grid_reduced_field(grid, M)
-    idx = np.arange(grid.G1) + s1
-    src = idx % grid.G1
-    wraps = idx // grid.G1                      # crossings of the x1 seam
-    shifted = np.roll(field.values, -s2, axis=1)[src, :]
-    phase_bc = np.exp(2j * np.pi * M * np.outer(wraps, grid.x2 + a2) / grid.L2)
-    phase_tr = np.exp(-1j * b * a1 * grid.x2)[None, :]
-    return OrbitalField(grid=grid, values=phase_tr * phase_bc * shifted,
-                        n=field.n, m=field.m, flux_count=M)
-
-
 def _shift_x1(values: np.ndarray, s: int, grid: Grid, flux_count: int) -> np.ndarray:
-    """values at (x1 + s*h1, x2) read through the twisted-periodic extension."""
+    """values at (x1 + s*h1, x2) read through the twisted-periodic extension:
+    samples pulled across the x1 seam pick up exp(i 2 pi M x2 / L2) per
+    crossing."""
     idx = np.arange(grid.G1) + s
     out = values[idx % grid.G1, :].copy()
     wraps = idx // grid.G1
@@ -222,8 +157,28 @@ def _shift_x1(values: np.ndarray, s: int, grid: Grid, flux_count: int) -> np.nda
     return out
 
 
-def apply_landau_hamiltonian(field: OrbitalField, constants: PhysicalConstants,
-                             flux_count: int | None = None) -> OrbitalField:
+def magnetic_translate(field: OrbitalField, a) -> OrbitalField:
+    """Translate by a = (a1, a2) and multiply by exp(-i b a1 x2).
+
+    Displacements must be integer multiples of the grid spacing so the shift
+    is exact.  The x1 shift reads the grid data through its boundary-
+    condition-consistent extension (_shift_x1); the x2 seam is plainly
+    periodic.
+    """
+    grid = field.grid
+    a1, a2 = float(a[0]), float(a[1])
+    s1f, s2f = a1 / grid.h1, a2 / grid.h2
+    s1, s2 = round(s1f), round(s2f)
+    if abs(s1f - s1) > 1e-9 or abs(s2f - s2) > 1e-9:
+        raise OffGridDisplacement(
+            f"displacement {a} is not an integer multiple of ({grid.h1}, {grid.h2})")
+    b = grid_reduced_field(grid, field.flux_count)
+    shifted = np.roll(_shift_x1(field.values, s1, grid, field.flux_count), -s2, axis=1)
+    return replace(field, values=np.exp(-1j * b * a1 * grid.x2)[None, :] * shifted)
+
+
+def apply_landau_hamiltonian(field: OrbitalField,
+                             constants: PhysicalConstants) -> OrbitalField:
     """Kinetic operator via 4th-order centered differences.
 
     Stencil points crossing the box edge are evaluated through the magnetic-
@@ -231,9 +186,7 @@ def apply_landau_hamiltonian(field: OrbitalField, constants: PhysicalConstants,
     O(h^4) finite-difference truncation for a true eigenstate.
     """
     grid = field.grid
-    M = flux_count if flux_count is not None else field.flux_count
-    if M is None:
-        raise ValueError("flux_count needed: pass it or use a labelled field")
+    M = field.flux_count
     b = constants.reduced_field
     ell_B = 1.0 / math.sqrt(b)
     if grid.h1 > ell_B / 8.0 or grid.h2 > ell_B / 8.0:
@@ -258,7 +211,7 @@ def apply_landau_hamiltonian(field: OrbitalField, constants: PhysicalConstants,
     x1 = grid.x1[:, None]
     out = (-d11 - d22 + 2j * b * x1 * d2 + (b * x1) ** 2 * f)
     out *= constants.hbar ** 2 / (2.0 * constants.mass)
-    return OrbitalField(grid=grid, values=out, n=field.n, m=field.m, flux_count=M)
+    return replace(field, values=out)
 
 
 @lru_cache(maxsize=None)
@@ -276,8 +229,7 @@ def _edge_weights(p: int) -> np.ndarray:
     return w
 
 
-def boundary_residuals(field: OrbitalField,
-                       flux_count: int | None = None) -> tuple[float, float]:
+def boundary_residuals(field: OrbitalField) -> tuple[float, float]:
     """Boundary-condition mismatch at the two seams.
 
     The grid holds midpoint samples only, so the field is extrapolated to
@@ -287,9 +239,6 @@ def boundary_residuals(field: OrbitalField,
     extrapolation-error level; incompatible fields give O(1).
     """
     grid = field.grid
-    M = flux_count if flux_count is not None else field.flux_count
-    if M is None:
-        raise ValueError("flux_count needed: pass it or use a labelled field")
     f = field.values
     p1 = min(EDGE_STENCIL, grid.G1)
     p2 = min(EDGE_STENCIL, grid.G2)
@@ -298,7 +247,7 @@ def boundary_residuals(field: OrbitalField,
 
     left = np.tensordot(w1, f[:p1, :], axes=(0, 0))          # value at x1=-L1/2
     right = np.tensordot(w1, f[grid.G1 - 1 - np.arange(p1), :], axes=(0, 0))
-    twist = np.exp(-2j * np.pi * M * grid.x2 / grid.L2)
+    twist = np.exp(-2j * np.pi * field.flux_count * grid.x2 / grid.L2)
     res1 = float(np.max(np.abs(left - twist * right)))
 
     bottom = np.tensordot(w2, f[:, :p2], axes=(0, 1))        # value at x2=-L2/2
@@ -307,9 +256,9 @@ def boundary_residuals(field: OrbitalField,
     return res1, res2
 
 
-def check_magnetic_bc(field: OrbitalField, flux_count: int | None = None) -> float:
+def check_magnetic_bc(field: OrbitalField) -> float:
     """Max boundary-condition residual over both seams (see boundary_residuals)."""
-    r1, r2 = boundary_residuals(field, flux_count)
+    r1, r2 = boundary_residuals(field)
     return max(r1, r2)
 
 

@@ -183,7 +183,7 @@ class SimulationConfig:
     t_final: float = 1.0
     integrator: str = "rk4"
     sample_stride: int = 10
-    lattice_cut: int = 0          # 0 means: choose automatically per orbital
+    lattice_cut: int = 0          # bound on |l1| of the shell sum; 0: 10 000
 
     def __post_init__(self):
         if self.N < 1:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau_hf as lhf
-from landau_hf.basis import (boundary_residuals, grid_reduced_field,
-                             infinite_volume_profile)
+from landau_hf.basis import (MAX_HERMITE_DEGREE, boundary_residuals,
+                             grid_reduced_field, infinite_volume_profile)
 from landau_hf.errors import (DegreeOutOfRange, GridTooCoarse,
                               OffGridDisplacement, TruncationTooSmall)
-from helpers import midpoint_quad_1d
+from helpers import midpoint_quad_1d, seam_phase_translate
 
 from conftest import make_config
 
@@ -63,19 +63,10 @@ def test_hermite_quadrature_normalization():
 
 
 def test_hermite_degree_out_of_range():
-    ev = lhf.HermiteEvaluator(max_degree=4)
-    with pytest.raises(DegreeOutOfRange):
-        ev.value(5, 0.0)
-    with pytest.raises(DegreeOutOfRange):
-        ev.value(-1, 0.0)
-
-
-def test_hermite_table_consistent():
-    ev = lhf.HermiteEvaluator(max_degree=6)
-    z = np.linspace(-3, 3, 11)
-    tab = ev.table(z)
-    for n in range(7):
-        assert np.allclose(tab[n], ev.value(n, z), atol=1e-14)
+    assert np.isfinite(lhf.hermite_function(MAX_HERMITE_DEGREE, 0.5))
+    for n in (-1, MAX_HERMITE_DEGREE + 1):
+        with pytest.raises(DegreeOutOfRange):
+            lhf.hermite_function(n, 0.0)
 
 
 # --- level energies ----------------------------------------------------------
@@ -139,14 +130,24 @@ def test_orbital_cross_level_orthogonal(cfg_m3):
 
 
 def test_lattice_cut_stability(cfg_m3):
+    # a cut is a bound on the automatic shell sum, never a different sum
     grid = cfg_m3.grid
-    base = lhf.finite_volume_orbital(0, 1, grid, 3, lattice_cut=4)
-    more = lhf.finite_volume_orbital(0, 1, grid, 3, lattice_cut=6)
-    assert np.max(np.abs(base.values - more.values)) < 1e-12
+    for n, m in ((0, 1), (2, 0), (1, 2)):
+        auto = lhf.finite_volume_orbital(n, m, grid, 3)
+        kept = 0
+        for cut in range(1, 9):
+            try:
+                cut_sum = lhf.finite_volume_orbital(n, m, grid, 3, lattice_cut=cut)
+            except TruncationTooSmall:
+                assert kept == 0, "a larger cut raised after a smaller one passed"
+                continue
+            assert np.array_equal(cut_sum.values, auto.values)
+            kept += 1
+        assert kept >= 3
 
 
 def test_lattice_cut_too_small(cfg_m3):
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(TruncationTooSmall, match="beyond the cut 1"):
         lhf.finite_volume_orbital(2, 0, cfg_m3.grid, 3, lattice_cut=1)
 
 
@@ -176,6 +177,22 @@ def test_translate_partial_shift_unitary(oset_m3, cfg_m3):
     phi = oset_m3.orbitals[1]
     out = lhf.magnetic_translate(phi, (grid.h1 * 5, grid.h2 * 3))
     assert out.norm() == pytest.approx(phi.norm(), abs=1e-12)
+
+
+def test_translate_matches_seam_phase_formula(oset_m3, cfg_m3, rng):
+    grid = cfg_m3.grid
+    fields = [oset_m3.orbitals[4],
+              lhf.OrbitalField(grid=grid, flux_count=3,
+                               values=rng.normal(size=grid.shape)
+                               + 1j * rng.normal(size=grid.shape))]
+    for phi in fields:
+        for s1, s2 in ((0, 0), (5, 3), (-7, 11), (grid.G1 + 9, -grid.G2 - 2),
+                       (-2 * grid.G1 - 1, 1)):
+            a = (s1 * grid.h1, s2 * grid.h2)
+            out = lhf.magnetic_translate(phi, a)
+            expect = seam_phase_translate(phi.values, a, grid, 3)
+            assert np.max(np.abs(out.values - expect)) <= 1e-13
+            assert (out.n, out.m, out.flux_count) == (phi.n, phi.m, 3)
 
 
 def test_translate_off_grid_rejected(oset_m3, cfg_m3):
@@ -227,7 +244,7 @@ def test_constant_field_feels_scalar_potential(cfg_m3):
     grid = cfg_m3.grid
     c = lhf.OrbitalField(grid=grid, values=np.full(grid.shape, 2.0 + 0j),
                          flux_count=3)
-    out = lhf.apply_landau_hamiltonian(c, cfg_m3.constants, flux_count=3)
+    out = lhf.apply_landau_hamiltonian(c, cfg_m3.constants)
     b = cfg_m3.constants.reduced_field
     expect = 0.5 * (b * grid.x1[:, None]) ** 2 * 2.0
     interior = slice(2, grid.G1 - 2)
@@ -237,11 +254,11 @@ def test_constant_field_feels_scalar_potential(cfg_m3):
 def test_grid_too_coarse_rejected(cfg_m3):
     grid = lhf.Grid(L1=cfg_m3.domain.L1, L2=cfg_m3.domain.L2, G1=16, G2=16)
     phi = lhf.OrbitalField(grid=grid, values=np.ones(grid.shape, complex),
-                           flux_count=3)
+                           flux_count=30)
     domain = lhf.DomainConfig(L1=grid.L1, L2=grid.L2, M=30)
     constants = lhf.PhysicalConstants.for_domain(domain)
     with pytest.raises(GridTooCoarse):
-        lhf.apply_landau_hamiltonian(phi, constants, flux_count=30)
+        lhf.apply_landau_hamiltonian(phi, constants)
 
 
 # --- boundary-condition checks ----------------------------------------------
