@@ -91,18 +91,19 @@ class PotentialSpec:
                 * np.cos(2.0 * np.pi * self.harmonic2 * X2 / grid.L2))
 
     def _difference_table(self, grid) -> np.ndarray:
-        """Periodized Gaussian at grid offsets, normalized to 1 at zero offset."""
-        d1 = np.arange(grid.G1) * grid.h1
-        d2 = np.arange(grid.G2) * grid.h2
-        n1 = int(math.ceil(9.0 * self.sigma / grid.L1)) + 1
-        n2 = int(math.ceil(9.0 * self.sigma / grid.L2)) + 1
-        tab = np.zeros((grid.G1, grid.G2))
+        """Periodized Gaussian at grid offsets, normalized to 1 at zero offset.
+
+        The Gaussian factorizes by axis, so its lattice images do too: the
+        table is the outer product of one image sum per axis.
+        """
         s2 = 2.0 * self.sigma ** 2
-        for a in range(-n1, n1 + 1):
-            e1 = np.exp(-((d1 + a * grid.L1) ** 2) / s2)
-            for b in range(-n2, n2 + 1):
-                e2 = np.exp(-((d2 + b * grid.L2) ** 2) / s2)
-                tab += np.outer(e1, e2)
+
+        def images(G: int, L: float) -> np.ndarray:
+            d = np.arange(G) * (L / G)
+            n = int(math.ceil(9.0 * self.sigma / L)) + 1
+            return sum(np.exp(-((d + a * L) ** 2) / s2) for a in range(-n, n + 1))
+
+        tab = np.outer(images(grid.G1, grid.L1), images(grid.G2, grid.L2))
         return tab / tab[0, 0]
 
     def separable_terms(self, grid):

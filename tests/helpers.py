@@ -9,7 +9,8 @@ oracles embed determinants column by column: the residual as a sum of wedges
 with one orbital replaced, and its sector norms by projecting onto every one
 of the C(K, N) wedges of a unitary completing the orbitals.  The magnetic
 translation oracle applies the x1-seam phase in one closed formula instead of
-through the seam shift of the kinetic operator.
+through the seam shift of the kinetic operator.  The periodized Gaussian
+oracles sum its lattice images pair by pair, or per axis in Poisson-dual form.
 """
 
 import itertools
@@ -173,3 +174,35 @@ def seam_phase_translate(values: np.ndarray, a, grid, flux_count: int) -> np.nda
     b = 2.0 * math.pi * flux_count / (grid.L1 * grid.L2)
     phase_tr = np.exp(-1j * b * a[0] * grid.x2)[None, :]
     return phase_tr * phase_bc * shifted
+
+
+def double_image_gaussian_table(sigma: float, grid) -> np.ndarray:
+    """Periodized Gaussian at grid offsets, normalized to 1 at zero offset,
+    summed over every pair of lattice images (a, b) as one outer product
+    each."""
+    d1 = np.arange(grid.G1) * grid.h1
+    d2 = np.arange(grid.G2) * grid.h2
+    n1 = int(math.ceil(9.0 * sigma / grid.L1)) + 1
+    n2 = int(math.ceil(9.0 * sigma / grid.L2)) + 1
+    tab = np.zeros((grid.G1, grid.G2))
+    s2 = 2.0 * sigma ** 2
+    for a in range(-n1, n1 + 1):
+        e1 = np.exp(-((d1 + a * grid.L1) ** 2) / s2)
+        for b in range(-n2, n2 + 1):
+            e2 = np.exp(-((d2 + b * grid.L2) ** 2) / s2)
+            tab += np.outer(e1, e2)
+    return tab / tab[0, 0]
+
+
+def poisson_gaussian_table(sigma: float, grid, modes: int = 50) -> np.ndarray:
+    """The same table from the Poisson-summed image series per axis,
+    sum_a exp(-(d + a L)^2 / (2 sigma^2)) proportional to
+    1 + 2 sum_k exp(-2 (pi sigma k / L)^2) cos(2 pi k d / L), which converges
+    in a few modes once sigma is comparable to L."""
+    def axis(G, L):
+        d = np.arange(G) * (L / G)
+        k = np.arange(1, modes + 1)[:, None]
+        return 1.0 + 2.0 * np.sum(np.exp(-2.0 * (math.pi * sigma * k / L) ** 2)
+                                  * np.cos(2.0 * math.pi * k * d / L), axis=0)
+    tab = np.outer(axis(grid.G1, grid.L1), axis(grid.G2, grid.L2))
+    return tab / tab[0, 0]

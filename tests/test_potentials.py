@@ -6,6 +6,7 @@ import pytest
 import landau_hf as lhf
 from landau_hf.errors import InvalidValue, SymmetryViolation
 from landau_hf.potentials import PotentialSpec
+from helpers import double_image_gaussian_table, poisson_gaussian_table
 
 
 @pytest.fixture
@@ -91,3 +92,25 @@ def test_gaussian_sigma_must_be_finite_and_positive(sigma):
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidValue):
         PotentialSpec(kind="coulomb")
+
+
+GAUSSIAN_GRIDS = [lhf.Grid(L1=2.0 * np.pi, L2=2.0 * np.pi, G1=64, G2=64),
+                  lhf.Grid(L1=5.0, L2=3.0, G1=20, G2=12)]
+
+
+@pytest.mark.parametrize("grid", GAUSSIAN_GRIDS, ids=["box64", "rect20x12"])
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.2, math.pi / 2])
+def test_gaussian_table_matches_image_pair_sum(grid, sigma):
+    pot = PotentialSpec(kind="periodic-gaussian", strength=1.0, sigma=sigma)
+    table = pot._difference_table(grid)
+    oracle = double_image_gaussian_table(sigma, grid)
+    assert np.max(np.abs(table - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("grid", GAUSSIAN_GRIDS, ids=["box64", "rect20x12"])
+@pytest.mark.parametrize("sigma", [3.0, 20.0, 100.0])
+def test_wide_gaussian_table_matches_poisson_sum(grid, sigma):
+    # the pair sum would take (2n+1)^2 outer products, n ~ 9 sigma / L
+    pot = PotentialSpec(kind="periodic-gaussian", strength=1.0, sigma=sigma)
+    table = pot._difference_table(grid)
+    assert np.max(np.abs(table - poisson_gaussian_table(sigma, grid))) <= 1e-14
