@@ -20,7 +20,7 @@ first use, so the effective flow alone never lists the determinant space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +60,7 @@ class ComparisonRecord:
                 and self.error_norm <= 2.0 + 1e-12)
 
 
-CSV_HEADER = "t,error_norm,apriori_bound,defect_bound,energy_exact,energy_hf,rdm_trace_dist"
+CSV_HEADER = ",".join(f.name for f in fields(ComparisonRecord))
 
 
 def apriori_bound(N: int, v_norm: float, constants: PhysicalConstants,

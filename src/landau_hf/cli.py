@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from . import __version__
 from .analysis import CSV_HEADER, ComparisonRecord, Problem, run_comparison
 from .basis import (GRAM_TOL, apply_landau_hamiltonian, boundary_residuals,
                     build_orbital_set)
-from .config import (SimulationConfig, inner_product, load_config,
-                     quantization_ulps)
+from .config import (INTEGRATORS, SimulationConfig, inner_product,
+                     load_config, quantization_ulps)
 from .errors import (InvalidValue, IoFailure, LandauHFError,
                      SupportViolation)
 from .hartree_fock import integrate_hf
@@ -52,9 +52,7 @@ def write_timeseries(records: list[ComparisonRecord], path: str):
     times = [r.t for r in records]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("record times must be strictly increasing")
-    write_csv(path, CSV_HEADER, ((r.t, r.error_norm, r.apriori_bound, r.defect_bound,
-                                  r.energy_exact, r.energy_hf, r.rdm_trace_dist)
-                                 for r in records))
+    write_csv(path, CSV_HEADER, (astuple(r) for r in records))
 
 
 def write_csv(path: str, header: str, rows):
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--scheme", choices=("rk4", "rk4+reorth"), default=None)
+    p.add_argument("--scheme", choices=INTEGRATORS, default=None)
     p.add_argument("--initial", default="nigs-ground",
                    help="'nigs-ground' or a .npz file with an 'orbitals' array")
     p.add_argument("--snapshots", action="store_true",

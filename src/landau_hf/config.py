@@ -165,7 +165,7 @@ _SECTION_KEYS = {
 _REQUIRED = {("domain", "L1"), ("domain", "L2"), ("domain", "M"),
              ("basis", "n_max"), ("dynamics", "N")}
 
-_INTEGRATORS = ("rk4", "rk4+reorth")
+INTEGRATORS = ("rk4", "rk4+reorth")
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,8 @@ class SimulationConfig:
             raise InvalidValue("dt", "must be finite and > 0")
         if not (0.0 <= self.t_final < math.inf):
             raise InvalidValue("t_final", "must be finite and >= 0")
-        if self.integrator not in _INTEGRATORS:
-            raise InvalidValue("integrator", f"must be one of {_INTEGRATORS}")
+        if self.integrator not in INTEGRATORS:
+            raise InvalidValue("integrator", f"must be one of {INTEGRATORS}")
         if self.sample_stride < 1:
             raise InvalidValue("sample_stride", "must be >= 1")
         if self.lattice_cut < 0:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PhysicalConstants
+from .config import INTEGRATORS, PhysicalConstants
 from .errors import NonFiniteValue, NotUnitary, StepUnstable
 from .manybody import InteractionTensor
 
@@ -166,7 +166,7 @@ def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
     A step that leaves a non-finite value raises NonFiniteValue; one that
     grows the Gram deviation by more than STEP_GRAM_TOL raises StepUnstable.
     """
-    if scheme not in ("rk4", "rk4+reorth"):
+    if scheme not in INTEGRATORS:
         raise ValueError(f"unknown scheme '{scheme}'")
     dt_eff, steps = time_grid(dt, t_final, 1)
     state = HFState(time=float(initial.time), a=complex(initial.a),

@@ -70,6 +70,10 @@ class PotentialSpec:
                 table = np.load(path)
             except (OSError, EOFError, ValueError) as exc:
                 raise IoFailure(f"cannot read kernel table {path}: {exc}") from exc
+            if not isinstance(table, np.ndarray):       # an .npz archive
+                table.close()
+                raise IoFailure(f"kernel table {path} is an .npz archive, "
+                                "not one .npy array")
         return cls(kind=kind, strength=strength, harmonic1=harmonic1,
                    harmonic2=harmonic2, sigma=sigma, table=table)
 

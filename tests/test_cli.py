@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from landau_hf.analysis import ComparisonRecord
-from landau_hf.cli import dispatch, write_timeseries
+from landau_hf.cli import build_parser, dispatch, write_timeseries
+from landau_hf.config import INTEGRATORS
 
 GOOD_CFG = """
 [domain]
@@ -267,6 +268,23 @@ def test_unreadable_kernel_table_exits_one(tmp_path, capsys, command, content):
     cfg = _kernel_cfg(tmp_path, f"kind = tabulated\npath = {table}")
     _exits_one_without_traceback(tmp_path, capsys, command, cfg,
                                  "cannot read kernel table")
+
+
+def test_npz_kernel_table_exits_one(tmp_path, capsys):
+    table = tmp_path / "table.npz"
+    np.savez(table, values=np.eye(2))
+    cfg = _kernel_cfg(tmp_path, f"kind = tabulated\npath = {table}")
+    _exits_one_without_traceback(tmp_path, capsys, "validate", cfg,
+                                 f"kernel table {table} is an .npz archive")
+
+
+def test_scheme_choices_are_the_config_integrators(tmp_path):
+    parser = build_parser()
+    for scheme in INTEGRATORS:
+        args = parser.parse_args(["evolve-hf", "--config", "c.cfg", "--scheme", scheme])
+        assert args.scheme == scheme
+    assert dispatch(["evolve-hf", "--config", write_cfg(tmp_path),
+                     "--scheme", "euler"]) == 2
 
 
 @pytest.mark.parametrize("command", ["validate", "compare"])
