@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -120,26 +120,10 @@ class Manifest:
 
 
 def _config_echo(config: SimulationConfig) -> dict:
-    return {
-        "hbar": config.constants.hbar,
-        "mass": config.constants.mass,
-        "charge": config.constants.charge,
-        "light_speed": config.constants.light_speed,
-        "B": config.constants.B,
-        "L1": config.domain.L1,
-        "L2": config.domain.L2,
-        "M": config.domain.M,
-        "n_max": config.n_max,
-        "N": config.N,
-        "grid": list(config.grid.shape),
-        "tensor_grid": list(config.tensor_grid.shape),
-        "potential_kind": config.potential.kind,
-        "potential_strength": config.potential.strength,
-        "dt": config.dt,
-        "t_final": config.t_final,
-        "integrator": config.integrator,
-        "sample_stride": config.sample_stride,
-    }
+    """Every config key's resolved value, plus the derived field B."""
+    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.init}
+    echo["B"] = config.constants.B
+    return echo
 
 
 def cmd_validate(args) -> int:

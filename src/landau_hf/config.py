@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -47,12 +48,12 @@ class PhysicalConstants:
         return self.hbar * self.reduced_field / self.mass
 
     @classmethod
-    def for_domain(cls, domain: "DomainConfig", hbar: float = 1.0, mass: float = 1.0,
-                   charge: float = 1.0, light_speed: float = 1.0) -> "PhysicalConstants":
-        """Derive B from the flux count so quantization holds exactly."""
+    def for_domain(cls, domain: "DomainConfig", **units) -> "PhysicalConstants":
+        """Derive B from the flux count so quantization holds exactly; the
+        units are checked before B divides by the charge."""
+        c = cls(**units)
         b = 2.0 * math.pi * domain.M / (domain.L1 * domain.L2)
-        B = b * hbar * light_speed / charge
-        return cls(hbar=hbar, mass=mass, charge=charge, light_speed=light_speed, B=B)
+        return replace(c, B=b * c.hbar * c.light_speed / c.charge)
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,6 @@ class Grid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x1, self.x2, indexing="ij")
 
-    @classmethod
-    def for_domain(cls, domain: DomainConfig, G1: int, G2: int) -> "Grid":
-        return cls(L1=domain.L1, L2=domain.L2, G1=G1, G2=G2)
-
 
 def _field_data(f):
     values = getattr(f, "values", f)
@@ -154,38 +151,78 @@ def inner_product(f, g, grid: Grid | None = None) -> complex:
     return complex(np.vdot(fv, gv) * use.weight)
 
 
-_SECTION_KEYS = {
-    "constants": {"hbar", "mass", "charge", "light_speed"},
-    "domain": {"L1", "L2", "M"},
-    "basis": {"n_max", "grid1", "grid2", "tensor_grid1", "tensor_grid2", "lattice_cut"},
-    "dynamics": {"N", "dt", "t_final", "integrator", "sample_stride"},
-    "potential": {"kind", "strength", "harmonic1", "harmonic2", "sigma", "path"},
-}
-
-_REQUIRED = {("domain", "L1"), ("domain", "L2"), ("domain", "M"),
-             ("basis", "n_max"), ("dynamics", "N")}
-
 INTEGRATORS = ("rk4", "rk4+reorth")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    """Validated bundle of everything one run needs."""
+    """Everything one run needs: one field per config-file key, then the
+    objects derived from them.
 
-    constants: PhysicalConstants
-    domain: DomainConfig
-    grid: Grid                    # basis evaluation / reporting grid
-    tensor_grid: Grid             # grid used for two-body quadrature
+    A field's type and default are its key's; a field without a default is
+    a required key.  __post_init__ fills the derived defaults (grid2 and
+    tensor_grid2 follow grid1 and tensor_grid1, sigma is min(L1, L2) / 4),
+    builds domain, constants, grid, tensor_grid and potential, and checks
+    every value, so dataclasses.replace re-validates an override.
+    """
+
+    # [constants]
+    hbar: float = PhysicalConstants.hbar
+    mass: float = PhysicalConstants.mass
+    charge: float = PhysicalConstants.charge
+    light_speed: float = PhysicalConstants.light_speed
+    # [domain]
+    L1: float
+    L2: float
+    M: int
+    # [basis]
     n_max: int
+    grid1: int = 256              # basis evaluation / reporting grid
+    grid2: int | None = None
+    tensor_grid1: int = 64        # grid used for two-body quadrature
+    tensor_grid2: int | None = None
+    lattice_cut: int = 0          # bound on |l1| of the shell sum; 0: 10 000
+    # [dynamics]
     N: int
-    potential: PotentialSpec
     dt: float = 1e-3
     t_final: float = 1.0
     integrator: str = "rk4"
     sample_stride: int = 10
-    lattice_cut: int = 0          # bound on |l1| of the shell sum; 0: 10 000
+    # [potential]
+    kind: str = PotentialSpec.kind
+    strength: float = PotentialSpec.strength
+    harmonic1: int = PotentialSpec.harmonic1
+    harmonic2: int = PotentialSpec.harmonic2
+    sigma: float | None = None
+    path: str | None = None
+
+    domain: DomainConfig = field(init=False)
+    constants: PhysicalConstants = field(init=False)
+    grid: Grid = field(init=False)
+    tensor_grid: Grid = field(init=False)
+    potential: PotentialSpec = field(init=False)
 
     def __post_init__(self):
+        def derive(name, value):
+            object.__setattr__(self, name, value)
+
+        derive("domain", DomainConfig(L1=self.L1, L2=self.L2, M=self.M))
+        derive("constants", PhysicalConstants.for_domain(
+            self.domain, hbar=self.hbar, mass=self.mass, charge=self.charge,
+            light_speed=self.light_speed))
+        if self.grid2 is None:
+            derive("grid2", self.grid1)
+        if self.tensor_grid2 is None:
+            derive("tensor_grid2", self.tensor_grid1)
+        if self.sigma is None:
+            derive("sigma", min(self.L1, self.L2) / 4.0)
+        derive("grid", Grid(L1=self.L1, L2=self.L2, G1=self.grid1, G2=self.grid2))
+        derive("tensor_grid", Grid(L1=self.L1, L2=self.L2, G1=self.tensor_grid1,
+                                   G2=self.tensor_grid2))
+        derive("potential", PotentialSpec.from_params(
+            self.kind, self.strength, self.harmonic1, self.harmonic2,
+            self.sigma, self.path))
+
         if self.N < 1:
             raise InvalidValue("N", "must be >= 1")
         if self.N > self.single_particle_dim:
@@ -210,24 +247,23 @@ class SimulationConfig:
         return (self.n_max + 1) * self.domain.M
 
 
-def _get_typed(section: str, key: str, raw: str, kind):
-    try:
-        if kind is int:
-            value = int(raw)
-        elif kind is float:
-            value = float(raw)
-        else:
-            value = raw.strip()
-    except ValueError:
-        raise InvalidValue(key, f"cannot parse '{raw}' in section [{section}]")
-    return value
+# the section of each SimulationConfig key; types and defaults are the fields'
+_SECTIONS = {
+    "constants": ("hbar", "mass", "charge", "light_speed"),
+    "domain": ("L1", "L2", "M"),
+    "basis": ("n_max", "grid1", "grid2", "tensor_grid1", "tensor_grid2", "lattice_cut"),
+    "dynamics": ("N", "dt", "t_final", "integrator", "sample_stride"),
+    "potential": ("kind", "strength", "harmonic1", "harmonic2", "sigma", "path"),
+}
 
 
 def parse_config(text: str) -> SimulationConfig:
     """Parse a key=value config document into a validated SimulationConfig.
 
-    Sections: [constants], [domain], [basis], [dynamics], [potential].
-    Unknown sections or keys are errors; numbers are decimal floats.
+    Sections: [constants], [domain], [basis], [dynamics], [potential], each
+    holding the SimulationConfig fields _SECTIONS lists for it.  Unknown
+    sections, unknown keys and keys in the wrong section are errors; each
+    value is read with its field's type, numbers as decimals.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -235,69 +271,29 @@ def parse_config(text: str) -> SimulationConfig:
     except configparser.Error as exc:
         raise MalformedConfig(str(exc)) from exc
 
-    values: dict[tuple[str, str], str] = {}
+    # an optional field's text is read as its non-None type
+    types = {name: next((t for t in get_args(hint) if t is not type(None)), hint)
+             for name, hint in get_type_hints(SimulationConfig).items()}
+    values = {}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise InvalidValue(section, "unknown section")
+        # configparser lowercases keys by default; keep case-sensitive match
+        canon = {k.lower(): k for k in _SECTIONS[section]}
         for key, raw in parser.items(section):
-            # configparser lowercases keys by default; keep case-sensitive match
-            canon = {k.lower(): k for k in _SECTION_KEYS[section]}
             if key.lower() not in canon:
                 raise InvalidValue(key, f"unknown key in section [{section}]")
-            values[(section, canon[key.lower()])] = raw
+            name = canon[key.lower()]
+            try:
+                values[name] = types[name](raw.strip())
+            except ValueError:
+                raise InvalidValue(name, f"cannot parse '{raw}' in section [{section}]")
 
-    for section, key in _REQUIRED:
-        if (section, key) not in values:
-            raise InvalidValue(key, f"required key missing from [{section}]")
-
-    def get(section, key, kind, default=None):
-        if (section, key) in values:
-            return _get_typed(section, key, values[(section, key)], kind)
-        return default
-
-    domain = DomainConfig(
-        L1=get("domain", "L1", float),
-        L2=get("domain", "L2", float),
-        M=get("domain", "M", int),
-    )
-    constants = PhysicalConstants.for_domain(
-        domain,
-        hbar=get("constants", "hbar", float, 1.0),
-        mass=get("constants", "mass", float, 1.0),
-        charge=get("constants", "charge", float, 1.0),
-        light_speed=get("constants", "light_speed", float, 1.0),
-    )
-    G1 = get("basis", "grid1", int, 256)
-    G2 = get("basis", "grid2", int, G1)
-    T1 = get("basis", "tensor_grid1", int, 64)
-    T2 = get("basis", "tensor_grid2", int, T1)
-    grid = Grid.for_domain(domain, G1, G2)
-    tensor_grid = Grid.for_domain(domain, T1, T2)
-
-    kind = get("potential", "kind", str, "zero")
-    potential = PotentialSpec.from_params(
-        kind=kind,
-        strength=get("potential", "strength", float, 0.0),
-        harmonic1=get("potential", "harmonic1", int, 1),
-        harmonic2=get("potential", "harmonic2", int, 1),
-        sigma=get("potential", "sigma", float, min(domain.L1, domain.L2) / 4.0),
-        path=get("potential", "path", str, None),
-    )
-
-    return SimulationConfig(
-        constants=constants,
-        domain=domain,
-        grid=grid,
-        tensor_grid=tensor_grid,
-        n_max=get("basis", "n_max", int),
-        N=get("dynamics", "N", int),
-        potential=potential,
-        dt=get("dynamics", "dt", float, 1e-3),
-        t_final=get("dynamics", "t_final", float, 1.0),
-        integrator=get("dynamics", "integrator", str, "rk4"),
-        sample_stride=get("dynamics", "sample_stride", int, 10),
-        lattice_cut=get("basis", "lattice_cut", int, 0),
-    )
+    for section, keys in _SECTIONS.items():
+        for f in fields(SimulationConfig):
+            if f.name in keys and f.default is MISSING and f.name not in values:
+                raise InvalidValue(f.name, f"required key missing from [{section}]")
+    return SimulationConfig(**values)
 
 
 def load_config(path) -> SimulationConfig:

@@ -34,8 +34,8 @@ from scipy.sparse.linalg import expm_multiply
 from .basis import OrbitalSet
 from .config import Grid, PhysicalConstants
 from .errors import (DimensionMismatch, InvalidValue, LengthMismatch,
-                     NotOrthonormal, SymmetryViolation, TooLarge,
-                     TruncationTooSmall)
+                     NonFiniteValue, NotOrthonormal, SymmetryViolation,
+                     TooLarge, TruncationTooSmall)
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
@@ -380,10 +380,13 @@ def embed_slater(phase: complex, orbitals: np.ndarray,
 class ExactPropagator:
     """exp(-i H t / hbar) acting on vectors, by the truncated Taylor scheme of
     Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011) on the sparse
-    generator -i H / hbar; no dense H and no eigendecomposition is formed."""
+    generator -i H / hbar; no dense H and no eigendecomposition is formed.
+    A generator with a non-finite entry raises NonFiniteValue."""
 
     def __init__(self, H, hbar: float = 1.0):
         self.generator = sp.csr_matrix(H, dtype=np.complex128) * (-1j / hbar)
+        if not np.all(np.isfinite(self.generator.data)):
+            raise NonFiniteValue("exact generator -i H / hbar has a non-finite entry")
 
     def advance(self, psi0: np.ndarray, t: float) -> np.ndarray:
         # Above t * ||H||_1 / hbar ~ 64 expm_multiply sizes its steps from a

@@ -37,7 +37,7 @@ KERNEL_SYM_TOL = 1e-8      # largest tabulated asymmetry, relative to max(max |V
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    kind: str
+    kind: str = "zero"
     strength: float = 0.0
     harmonic1: int = 1
     harmonic2: int = 1
@@ -49,7 +49,7 @@ class PotentialSpec:
             raise InvalidValue("kind", f"must be one of {KINDS}")
         if not math.isfinite(self.strength):
             raise InvalidValue("strength", "must be finite")
-        if self.kind == "periodic-gaussian" and not (0 < self.sigma < math.inf):
+        if not (0 < self.sigma < math.inf):      # every kind: the manifest echoes it
             raise InvalidValue("sigma", "must be finite and > 0")
         if self.kind == "tabulated":
             if self.table is None:
@@ -59,8 +59,10 @@ class PotentialSpec:
                 raise InvalidValue("path", "table must be a square (P, P) array")
 
     @classmethod
-    def from_params(cls, kind, strength=0.0, harmonic1=1, harmonic2=1,
-                    sigma=1.0, path=None) -> "PotentialSpec":
+    def from_params(cls, kind, strength, harmonic1, harmonic2, sigma,
+                    path) -> "PotentialSpec":
+        """The kernel a config's [potential] keys name; loads the table of
+        the tabulated kind from path."""
         table = None
         if kind == "tabulated":
             if path is None:

@@ -294,6 +294,63 @@ def test_infinite_sigma_exits_one(tmp_path, capsys, command):
                                  "invalid value for 'sigma'")
 
 
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_zero_charge_exits_one(tmp_path, capsys, command):
+    cfg = tmp_path / "charge.cfg"
+    cfg.write_text("[constants]\ncharge = 0\n" + GOOD_CFG.format(
+        M=3, n_max=2, N=2, strength=0.1, t_final=0.05))
+    _exits_one_without_traceback(tmp_path, capsys, command, str(cfg),
+                                 "invalid value for 'charge'")
+
+
+@pytest.mark.parametrize("command", ["compare", "evolve-exact"])
+def test_non_finite_generator_writes_failed_manifest(tmp_path, capsys, command):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(GOOD_CFG.format(M=3, n_max=2, N=2, strength=1e308, t_final=0.05)
+                   .replace("separable-cosine", "periodic-gaussian"))
+    _exits_one_without_traceback(tmp_path, capsys, command, str(cfg),
+                                 "exact generator -i H / hbar has a non-finite entry")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["ok"] is False
+    assert "non-finite" in manifest["validations"]["error"]["detail"]
+
+
+# every config key at a value other than its default
+ALL_KEYS = {
+    "constants": {"hbar": 1.5, "mass": 2.0, "charge": 0.5, "light_speed": 3.0},
+    "domain": {"L1": 7.0, "L2": 5.0, "M": 2},
+    "basis": {"n_max": 1, "grid1": 16, "grid2": 24, "tensor_grid1": 12,
+              "tensor_grid2": 20, "lattice_cut": 50},
+    "dynamics": {"N": 2, "dt": 0.002, "t_final": 0.01, "integrator": "rk4+reorth",
+                 "sample_stride": 3},
+    "potential": {"kind": "periodic-gaussian", "strength": 0.3, "harmonic1": 2,
+                  "harmonic2": 3, "sigma": 0.7, "path": "unused.npy"},
+}
+
+
+def _echo(tmp_path, name, sections):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()))
+    out = tmp_path / name
+    assert dispatch(["groundstate", "--config", str(path), "--out-dir", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+def test_manifest_echoes_every_key_and_B(tmp_path):
+    echo = _echo(tmp_path, "all", ALL_KEYS)
+    B = echo.pop("B")
+    assert echo == {k: v for keys in ALL_KEYS.values() for k, v in keys.items()}
+    assert len(echo) == 24
+    assert B == pytest.approx(2.0 * math.pi * 2 / 35.0 * 1.5 * 3.0 / 0.5, rel=1e-15)
+
+
+def test_echoes_differ_in_sigma(tmp_path):
+    other = dict(ALL_KEYS, potential=dict(ALL_KEYS["potential"], sigma=0.8))
+    assert _echo(tmp_path, "a", ALL_KEYS) != _echo(tmp_path, "b", other)
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     _evolve_hf_rejects(tmp_path, capsys, str(tmp_path / "absent.cfg"))
 

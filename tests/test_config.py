@@ -44,38 +44,49 @@ def test_cyclotron_frequency_consistent():
     assert c.cyclotron_frequency == pytest.approx(c.hbar * c.reduced_field / c.mass)
 
 
-def test_missing_required_key_names_it():
-    text = """
-[domain]
-L1 = 6.28
-L2 = 6.28
-M = 1
+MINIMAL = {"domain": {"L1": "6.28", "L2": "6.28", "M": "1"},
+           "basis": {"n_max": "0"}, "dynamics": {"N": "1"}}
 
-[basis]
-n_max = 0
-"""
-    with pytest.raises(InvalidValue) as err:
-        lhf.parse_config(text)
-    assert err.value.key == "N"
+
+def _minimal():
+    return {name: dict(keys) for name, keys in MINIMAL.items()}
+
+
+def _text(sections):
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+def test_missing_required_key_names_it():
+    for section, keys in MINIMAL.items():
+        for key in keys:
+            sections = _minimal()
+            del sections[section][key]
+            with pytest.raises(InvalidValue) as err:
+                lhf.parse_config(_text(sections))
+            assert err.value.key == key
+            assert f"required key missing from [{section}]" in str(err.value)
 
 
 def test_unknown_key_rejected():
-    cfg_text = """
-[domain]
-L1 = 6.28
-L2 = 6.28
-M = 1
-wibble = 3
+    # an unknown name, and a known key under another key's section
+    for section, key in (("domain", "wibble"), ("basis", "dt")):
+        sections = _minimal()
+        sections[section][key] = "3"
+        with pytest.raises(InvalidValue) as err:
+            lhf.parse_config(_text(sections))
+        assert err.value.key == key
+        assert f"unknown key in section [{section}]" in str(err.value)
 
-[basis]
-n_max = 0
 
-[dynamics]
-N = 1
-"""
-    with pytest.raises(InvalidValue) as err:
-        lhf.parse_config(cfg_text)
-    assert err.value.key == "wibble"
+def test_omitted_keys_take_derived_defaults():
+    text = _text(dict(MINIMAL, domain={"L1": "8.0", "L2": "6.0", "M": "1"},
+                      basis={"n_max": "0", "grid1": "40", "tensor_grid1": "24"},
+                      potential={"kind": "periodic-gaussian"}))
+    cfg = lhf.parse_config(text)
+    assert (cfg.grid2, cfg.tensor_grid2, cfg.sigma) == (40, 24, 1.5)
+    assert cfg.grid.shape == (40, 40) and cfg.tensor_grid.shape == (24, 24)
+    assert cfg.potential.sigma == 1.5
 
 
 def test_syntax_error_is_malformed():

@@ -84,9 +84,11 @@ def test_tabulated_needs_table():
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
 def test_gaussian_sigma_must_be_finite_and_positive(sigma):
-    with pytest.raises(InvalidValue) as info:
-        PotentialSpec(kind="periodic-gaussian", strength=0.4, sigma=sigma)
-    assert info.value.key == "sigma"
+    # every kind checks sigma, so the manifest's echo of it is strict JSON
+    for kind in ("periodic-gaussian", "zero", "separable-cosine"):
+        with pytest.raises(InvalidValue) as info:
+            PotentialSpec(kind=kind, strength=0.4, sigma=sigma)
+        assert info.value.key == "sigma"
 
 
 def test_unknown_kind_rejected():
