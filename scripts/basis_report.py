@@ -3,29 +3,18 @@
 boundary-condition residuals, and the eigenresidual convergence ratio."""
 
 import argparse
-import math
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
-from landau_hf import (Grid, apply_landau_hamiltonian, build_orbital_set,
-                       check_magnetic_bc, finite_volume_orbital, inner_product,
-                       landau_level, load_config)
+from landau_hf import Grid, basis_report, build_orbital_set, load_config
 
 
-def eigenresiduals(config, G):
+def report_at(config, G: int) -> dict:
+    """basis_report of the basis sampled on a G x G grid."""
     grid = Grid(L1=config.domain.L1, L2=config.domain.L2, G1=G, G2=G)
-    out = []
-    for n in range(config.n_max + 1):
-        for m in range(config.domain.M):
-            phi = finite_volume_orbital(n, m, grid, config.domain.M)
-            Hphi = apply_landau_hamiltonian(phi, config.constants)
-            diff = Hphi.values - landau_level(n, config.constants) * phi.values
-            out.append(math.sqrt(abs(inner_product(diff, diff, grid))))
-    return np.array(out)
+    return basis_report(build_orbital_set(config, grid=grid), config.constants)
 
 
 def main():
@@ -36,21 +25,19 @@ def main():
     args = parser.parse_args()
 
     config = load_config(args.config)
-    grid = Grid(L1=config.domain.L1, L2=config.domain.L2,
-                G1=args.grid, G2=args.grid)
-    oset = build_orbital_set(config, grid=grid)
+    G1, G2 = args.grid, args.grid * 2
+    report, report2 = report_at(config, G1), report_at(config, G2)
 
-    print(f"orbitals: {oset.size}   grid: {args.grid}^2")
-    print(f"gram max deviation: {oset.gram_deviation():.3e}")
-    bc = max(check_magnetic_bc(phi) for phi in oset.orbitals)
+    print(f"orbitals: {config.single_particle_dim}   grid: {G1}^2")
+    print(f"gram max deviation: {report['gram_max_dev']:.3e}")
+    bc = max(max(r.values()) for r in report["bc_residuals"].values())
     print(f"worst boundary-condition residual: {bc:.3e}")
 
-    r1 = eigenresiduals(config, args.grid)
-    r2 = eigenresiduals(config, args.grid * 2)
-    print(f"eigenresidual (max) at {args.grid}^2: {r1.max():.3e}")
-    print(f"eigenresidual (max) at {args.grid * 2}^2: {r2.max():.3e}")
-    print(f"convergence ratio under doubling: {r1.max() / r2.max():.1f} "
-          f"(16 = clean 4th order)")
+    r1 = max(report["eigenresiduals"].values())
+    r2 = max(report2["eigenresiduals"].values())
+    print(f"eigenresidual (max) at {G1}^2: {r1:.3e}")
+    print(f"eigenresidual (max) at {G2}^2: {r2:.3e}")
+    print(f"convergence ratio under doubling: {r1 / r2:.1f} (16 = clean 4th order)")
 
 
 if __name__ == "__main__":

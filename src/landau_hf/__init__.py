@@ -12,8 +12,8 @@ from .config import (DomainConfig, Grid, PhysicalConstants, SimulationConfig,
                      inner_product, load_config, parse_config)
 from .potentials import PotentialSpec
 from .basis import (OrbitalField, OrbitalSet, apply_landau_hamiltonian,
-                    boundary_residuals, build_orbital_set, check_magnetic_bc,
-                    finite_volume_orbital, hermite_function,
+                    basis_report, boundary_residuals, build_orbital_set,
+                    check_magnetic_bc, finite_volume_orbital, hermite_function,
                     infinite_volume_orbital, landau_level, magnetic_translate)
 from .manybody import (DeterminantBasis, FillingSpec, InteractionTensor,
                        ManyBodyState, assemble_hamiltonian, embed_slater,

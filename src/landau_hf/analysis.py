@@ -13,8 +13,9 @@ by the spectral projectors of the complement number operator: a structural
 self-check of that closed form that never lists the C(K, N) rotated wedges.
 
 Problem is the one set-up shared by run_comparison and the command line:
-basis, tensor, determinant space, H and the initial orbitals, each built on
-first use, so the effective flow alone never lists the determinant space.
+noninteracting ground state, basis, tensor, determinant space, H and the
+initial orbitals, each built on first use, so the effective flow alone never
+lists the determinant space and the ground state alone builds no orbital.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import GRAM_TOL, build_orbital_set
+from .basis import GRAM_TOL, build_orbital_set, landau_level
 from .config import PhysicalConstants, SimulationConfig
 from .errors import (DimensionMismatch, NotHermitian, NotOrthonormal,
                      SupportViolation)
@@ -211,7 +212,8 @@ class ComparisonResult:
 
 
 class Problem:
-    """The set-up of one run, each piece built on first use and kept."""
+    """The set-up of one run for every compute subcommand and run_comparison,
+    each piece built on first use and kept; ground_state builds no orbital."""
 
     def __init__(self, config: SimulationConfig, threads: int = 1):
         self.config = config
@@ -239,14 +241,20 @@ class Problem:
         return assemble_hamiltonian(self.det_basis, self.energies, self.tensor)
 
     @cached_property
+    def ground_state(self) -> tuple[FillingSpec, float, list]:
+        """(filling, E0, occupation sets) of the noninteracting ground state,
+        from the level energies alone: no orbital is built."""
+        config = self.config
+        filling = FillingSpec.from_counts(config.N, config.domain.M)
+        levels = [landau_level(n, config.constants) for n in range(config.n_max + 1)]
+        return (filling, *noninteracting_ground_state(filling, levels))
+
+    @cached_property
     def initial_orbitals(self) -> np.ndarray:
         """Unit columns on the first noninteracting ground-state occupation."""
-        config, M = self.config, self.config.domain.M
-        filling = FillingSpec.from_counts(config.N, M)
-        levels = [self.energies[n * M] for n in range(config.n_max + 1)]
-        _, sets = noninteracting_ground_state(filling, levels)
-        C = np.zeros((self.orbital_set.size, config.N), dtype=np.complex128)
-        C[list(sets[0]), range(config.N)] = 1.0
+        sets = self.ground_state[2]
+        C = np.zeros((self.config.single_particle_dim, self.config.N), dtype=np.complex128)
+        C[list(sets[0]), range(self.config.N)] = 1.0
         return C
 
     def initial_state(self, orbitals: np.ndarray | None = None) -> HFState:

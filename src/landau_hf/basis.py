@@ -337,3 +337,18 @@ def build_orbital_set(config: SimulationConfig, grid: Grid | None = None) -> Orb
                          for n in range(config.n_max + 1)
                          for _ in range(M)])
     return _build(config.n_max, M, grid, config.lattice_cut, energies)
+
+
+def basis_report(oset: OrbitalSet, constants: PhysicalConstants) -> dict:
+    """Gram deviation of the basis and, per orbital tag n{n}_m{m}, its seam
+    residuals (boundary_residuals) and eigenresidual ||H phi - E_n phi||."""
+    report = {"gram_max_dev": oset.gram_deviation(),
+              "bc_residuals": {}, "eigenresiduals": {}}
+    for orb, level in zip(oset.orbitals, oset.energies):
+        tag = f"n{orb.n}_m{orb.m}"
+        r1, r2 = boundary_residuals(orb)
+        report["bc_residuals"][tag] = {"x1": r1, "x2": r2}
+        residual = apply_landau_hamiltonian(orb, constants).values - level * orb.values
+        report["eigenresiduals"][tag] = math.sqrt(abs(inner_product(residual, residual,
+                                                                    oset.grid)))
+    return report

@@ -9,6 +9,7 @@ identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,14 +20,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import CSV_HEADER, ComparisonRecord, Problem, run_comparison
-from .basis import (GRAM_TOL, apply_landau_hamiltonian, boundary_residuals,
-                    build_orbital_set)
-from .config import (INTEGRATORS, SimulationConfig, inner_product,
-                     load_config, quantization_ulps)
+from .basis import GRAM_TOL, basis_report, build_orbital_set
+from .config import (INTEGRATORS, SimulationConfig, load_config,
+                     quantization_ulps)
 from .errors import (InvalidValue, IoFailure, LandauHFError,
                      SupportViolation)
 from .hartree_fock import integrate_hf
-from .manybody import FillingSpec, noninteracting_ground_state
 
 
 def _fmt(x: float) -> str:
@@ -65,10 +64,13 @@ def write_csv(path: str, header: str, rows):
 class Manifest:
     """Record of one run: config echo, timings, outputs, validations.
 
-    Creates the out dir.  As a context manager around a command's work it
-    writes manifest.json on leaving, also when a LandauHFError stops the
-    run: then with ok false and the message as a failed validation,
-    defect_support for a SupportViolation and error otherwise.
+    dispatch opens the one Manifest of every compute subcommand, which
+    creates the out dir.  Each output file is written inside a
+    `with manifest.output(name) as path:` block and listed only once that
+    block ends without an error.  On leaving, the Manifest writes
+    manifest.json, also when a LandauHFError stops the run: then with ok
+    false and the message as a failed validation, defect_support for a
+    SupportViolation and error otherwise.
     """
 
     def __init__(self, command: str, args, config: SimulationConfig):
@@ -102,8 +104,17 @@ class Manifest:
         self.data["timings"][name] = now - self._phase_start
         self._phase_start = now
 
-    def add_output(self, path: str):
-        self.data["outputs"].append(os.path.basename(path))
+    @contextlib.contextmanager
+    def output(self, name: str):
+        """Path of the output name in the out dir; name is listed once the
+        with block that writes it ends without an error, and an OSError
+        there becomes an IoFailure."""
+        path = os.path.join(self.out_dir, name)
+        try:
+            yield path
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        self.data["outputs"].append(name)
 
     def validation(self, name: str, ok: bool, detail=None):
         self.data["validations"][name] = {"ok": bool(ok), "detail": detail}
@@ -135,9 +146,6 @@ def cmd_validate(args) -> int:
     checks = {}
     ulps = quantization_ulps(config.domain, config.constants)
     checks["flux_quantization_ulps"] = {"ok": ulps <= 4.0, "detail": ulps}
-    checks["particles_fit_truncation"] = {
-        "ok": config.N <= config.single_particle_dim,
-        "detail": [config.N, config.single_particle_dim]}
     try:
         dev = config.potential.check_symmetry(config.tensor_grid)
         checks["potential_symmetric"] = {"ok": True, "detail": dev}
@@ -148,126 +156,93 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_basis(args) -> int:
-    config = load_config(args.config)
-    out = args.out_dir
-    with Manifest("basis", args, config) as manifest:
-        oset = build_orbital_set(config)
-        manifest.phase("build_basis")
-
-        X1, X2 = config.grid.mesh()
-        report = {"gram_max_dev": oset.gram_deviation(),
-                  "bc_residuals": {}, "eigenresiduals": {}}
-        for orb in oset.orbitals:
-            tag = f"n{orb.n}_m{orb.m}"
-            name = f"orbital_{tag}.csv"
-            rows = zip(X1.ravel(), X2.ravel(),
-                       orb.values.real.ravel(), orb.values.imag.ravel())
-            write_csv(os.path.join(out, name), "x1,x2,Re,Im", rows)
-            manifest.add_output(name)
-            r1, r2 = boundary_residuals(orb)
-            report["bc_residuals"][tag] = {"x1": r1, "x2": r2}
-            applied = apply_landau_hamiltonian(orb, config.constants)
-            level = oset.energies[oset.index(orb.n, orb.m)]
-            residual = applied.values - level * orb.values
-            report["eigenresiduals"][tag] = float(
-                np.sqrt(abs(inner_product(residual, residual, config.grid))))
-        manifest.phase("validate")
-
-        _write_json(os.path.join(out, "basis_report.json"), report)
-        manifest.add_output("basis_report.json")
-        manifest.validation("gram", report["gram_max_dev"] <= GRAM_TOL,
-                            report["gram_max_dev"])
-    print(json.dumps({"gram_max_dev": report["gram_max_dev"]}, sort_keys=True))
-    return 0 if report["gram_max_dev"] <= GRAM_TOL else 1
+def cmd_basis(args, config: SimulationConfig, manifest: Manifest) -> int:
+    oset = build_orbital_set(config)
+    manifest.phase("build_basis")
+    X1, X2 = config.grid.mesh()
+    for orb in oset.orbitals:
+        rows = zip(X1.ravel(), X2.ravel(),
+                   orb.values.real.ravel(), orb.values.imag.ravel())
+        with manifest.output(f"orbital_n{orb.n}_m{orb.m}.csv") as path:
+            write_csv(path, "x1,x2,Re,Im", rows)
+    report = basis_report(oset, config.constants)
+    manifest.phase("validate")
+    with manifest.output("basis_report.json") as path:
+        _write_json(path, report)
+    gram = report["gram_max_dev"]
+    manifest.validation("gram", gram <= GRAM_TOL, gram)
+    print(json.dumps({"gram_max_dev": gram}, sort_keys=True))
+    return 0 if gram <= GRAM_TOL else 1
 
 
-def cmd_groundstate(args) -> int:
-    config = load_config(args.config)
-    with Manifest("groundstate", args, config) as manifest:
-        from .basis import landau_level
-        filling = FillingSpec.from_counts(config.N, config.domain.M)
-        levels = [landau_level(n, config.constants) for n in range(config.n_max + 1)]
-        energy, sets = noninteracting_ground_state(filling, levels)
-        payload = {
-            "E0": energy,
-            "nu": filling.nu,
-            "r": filling.remainder,
-            "degeneracy": filling.degeneracy,
-            "occupations": [list(s) for s in sets],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        print(text)
-        _write_text(os.path.join(args.out_dir, "groundstate.json"), text + "\n")
-        manifest.add_output("groundstate.json")
-        manifest.phase("groundstate")
+def cmd_groundstate(args, config: SimulationConfig, manifest: Manifest) -> int:
+    filling, energy, sets = Problem(config, args.threads).ground_state
+    payload = {
+        "E0": energy,
+        "nu": filling.nu,
+        "r": filling.remainder,
+        "degeneracy": filling.degeneracy,
+        "occupations": [list(s) for s in sets],
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    with manifest.output("groundstate.json") as path:
+        _write_text(path, text + "\n")
+    manifest.phase("groundstate")
     return 0
 
 
-def cmd_evolve_exact(args) -> int:
-    config = load_config(args.config)
-    with Manifest("evolve-exact", args, config) as manifest:
-        problem = Problem(config, args.threads)
-        H = problem.H
-        manifest.phase("assemble")
-        rows = [(t, float(np.real(np.vdot(psi, H @ psi))), float(np.linalg.norm(psi)))
-                for t, psi in problem.exact_samples()]
-        write_csv(os.path.join(args.out_dir, "exact_timeseries.csv"),
-                  "t,energy,norm", rows)
-        manifest.add_output("exact_timeseries.csv")
-        manifest.phase("evolve")
+def cmd_evolve_exact(args, config: SimulationConfig, manifest: Manifest) -> int:
+    problem = Problem(config, args.threads)
+    H = problem.H
+    manifest.phase("assemble")
+    rows = [(t, float(np.real(np.vdot(psi, H @ psi))), float(np.linalg.norm(psi)))
+            for t, psi in problem.exact_samples()]
+    with manifest.output("exact_timeseries.csv") as path:
+        write_csv(path, "t,energy,norm", rows)
+    manifest.phase("evolve")
     return 0
 
 
-def cmd_evolve_hf(args) -> int:
-    flags = {"dt": args.dt, "t_final": args.t_final, "integrator": args.scheme}
-    config = replace(load_config(args.config),
-                     **{key: value for key, value in flags.items() if value is not None})
-    out = args.out_dir
-    with Manifest("evolve-hf", args, config) as manifest:
-        problem = Problem(config, args.threads)
-        orbitals = None
-        if args.initial != "nigs-ground":
-            # OSError/ValueError: unreadable or not numpy data; EOFError: empty;
-            # KeyError: an .npz without 'orbitals'; IndexError: a bare .npy array
-            try:
-                with open(args.initial, "rb") as fh:
-                    orbitals = np.asarray(np.load(fh)["orbitals"],
-                                          dtype=np.complex128)
-            except (OSError, EOFError, ValueError, KeyError, IndexError) as exc:
-                raise IoFailure(f"cannot read orbitals from {args.initial}: {exc}") from exc
-        hf0 = problem.initial_state(orbitals)
-        tensor = problem.tensor
-        manifest.phase("setup")
-        traj = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
-                            tensor, problem.energies, config.constants,
-                            sample_stride=config.sample_stride)
-        rows = [(t, s.a.real, s.a.imag, e, n, g) for t, s, e, n, g in zip(
-            traj.times, traj.states, traj.energies, traj.norms, traj.gram_devs)]
-        write_csv(os.path.join(out, "hf_timeseries.csv"),
-                  "t,re_a,im_a,energy,norm,orth_drift", rows)
-        manifest.add_output("hf_timeseries.csv")
-        if args.snapshots:
-            arrays = {f"orbitals_{i}": s.orbitals for i, s in enumerate(traj.states)}
-            arrays["times"] = traj.times
-            np.savez(os.path.join(out, "hf_orbitals.npz"), **arrays)
-            manifest.add_output("hf_orbitals.npz")
-        manifest.phase("evolve")
+def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
+    problem = Problem(config, args.threads)
+    orbitals = None
+    if args.initial != "nigs-ground":
+        # OSError/ValueError: unreadable or not numpy data; EOFError: empty;
+        # KeyError: an .npz without 'orbitals'; IndexError: a bare .npy array
+        try:
+            with open(args.initial, "rb") as fh:
+                orbitals = np.asarray(np.load(fh)["orbitals"], dtype=np.complex128)
+        except (OSError, EOFError, ValueError, KeyError, IndexError) as exc:
+            raise IoFailure(f"cannot read orbitals from {args.initial}: {exc}") from exc
+    hf0 = problem.initial_state(orbitals)
+    tensor = problem.tensor
+    manifest.phase("setup")
+    traj = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
+                        tensor, problem.energies, config.constants,
+                        sample_stride=config.sample_stride)
+    rows = [(t, s.a.real, s.a.imag, e, n, g) for t, s, e, n, g in zip(
+        traj.times, traj.states, traj.energies, traj.norms, traj.gram_devs)]
+    with manifest.output("hf_timeseries.csv") as path:
+        write_csv(path, "t,re_a,im_a,energy,norm,orth_drift", rows)
+    if args.snapshots:
+        arrays = {f"orbitals_{i}": s.orbitals for i, s in enumerate(traj.states)}
+        arrays["times"] = traj.times
+        with manifest.output("hf_orbitals.npz") as path:
+            np.savez(path, **arrays)
+    manifest.phase("evolve")
     return 0
 
 
-def cmd_compare(args) -> int:
-    config = load_config(args.config)
-    out = args.out_dir
-    with Manifest("compare", args, config) as manifest:
-        result = run_comparison(config, threads=args.threads)
-        manifest.phase("compare")
-        write_timeseries(result.records, os.path.join(out, "compare_timeseries.csv"))
-        manifest.add_output("compare_timeseries.csv")
-        _write_json(os.path.join(out, "compare_summary.json"), result.summary)
-        manifest.add_output("compare_summary.json")
-        violations = result.summary["bound_violations"]
-        manifest.validation("bound_violations", violations == 0, violations)
+def cmd_compare(args, config: SimulationConfig, manifest: Manifest) -> int:
+    result = run_comparison(config, threads=args.threads)
+    manifest.phase("compare")
+    with manifest.output("compare_timeseries.csv") as path:
+        write_timeseries(result.records, path)
+    with manifest.output("compare_summary.json") as path:
+        _write_json(path, result.summary)
+    violations = result.summary["bound_violations"]
+    manifest.validation("bound_violations", violations == 0, violations)
     print(json.dumps({"max_error": result.summary["max_error"],
                       "bound_violations": violations}, sort_keys=True))
     return 0 if violations == 0 else 1
@@ -279,55 +254,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Magnetic-fermion dynamics in the truncated level basis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="path to config file")
-        p.add_argument("--out-dir", default="./out", help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-
     p = sub.add_parser("validate", help="check a config without computing")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_validate)
+    for name, func, text in (
+            ("basis", cmd_basis, "build and validate the orbital basis"),
+            ("groundstate", cmd_groundstate, "noninteracting ground-state data"),
+            ("evolve-exact", cmd_evolve_exact, "propagate the full dynamics"),
+            ("evolve-hf", cmd_evolve_hf, "propagate the effective dynamics"),
+            ("compare", cmd_compare, "exact-vs-effective error analysis")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="path to config file")
+        p.add_argument("--out-dir", default="./out", help="output directory")
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.set_defaults(func=func, dt=None, t_final=None, scheme=None)
 
-    p = sub.add_parser("basis", help="build and validate the orbital basis")
-    common(p)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("groundstate", help="noninteracting ground-state data")
-    common(p)
-    p.set_defaults(func=cmd_groundstate)
-
-    p = sub.add_parser("evolve-exact", help="propagate the full dynamics")
-    common(p)
-    p.set_defaults(func=cmd_evolve_exact)
-
-    p = sub.add_parser("evolve-hf", help="propagate the effective dynamics")
-    common(p)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-final", type=float, default=None)
-    p.add_argument("--scheme", choices=INTEGRATORS, default=None)
+    p = sub.choices["evolve-hf"]
+    p.add_argument("--dt", type=float)
+    p.add_argument("--t-final", type=float)
+    p.add_argument("--scheme", choices=INTEGRATORS)
     p.add_argument("--initial", default="nigs-ground",
                    help="'nigs-ground' or a .npz file with an 'orbitals' array")
     p.add_argument("--snapshots", action="store_true",
                    help="also write orbital snapshots")
-    p.set_defaults(func=cmd_evolve_hf)
-
-    p = sub.add_parser("compare", help="exact-vs-effective error analysis")
-    common(p)
-    p.set_defaults(func=cmd_compare)
-
     return parser
 
 
 def dispatch(argv) -> int:
+    """The one run path of the compute subcommands: check --threads, load
+    the config, apply --dt, --t-final and --scheme over it (revalidated by
+    dataclasses.replace), open the Manifest and call args.func(args, config,
+    manifest).  validate loads its own config.  A LandauHFError exits 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        if getattr(args, "threads", 1) < 1:
+        if args.func is cmd_validate:
+            return cmd_validate(args)
+        if args.threads < 1:
             raise InvalidValue("threads", "must be >= 1")
-        return args.func(args)
+        config = load_config(args.config)
+        flags = {"dt": args.dt, "t_final": args.t_final, "integrator": args.scheme}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        if flags:
+            config = replace(config, **flags)
+        with Manifest(args.command, args, config) as manifest:
+            return args.func(args, config, manifest)
     except LandauHFError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

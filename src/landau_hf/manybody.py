@@ -202,16 +202,15 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     completes B[(bd), k] = R_bd(k), its conjugate with (a, g) swapped is
     A[(ag), k] = R_ag(-k), and v = sum_k w_k A[:, k] B[:, k]^T is one
     (K^2, R) @ (R, K^2) product; the output does not depend on threads.
-    Rank-expanded kernels contract one term at a time; tabulated kernels go
-    through the dense pair matrix.  The raw tensor is checked against its
-    exchange/hermiticity symmetries and then symmetrized."""
+    Rank-expanded kernels contract one term at a time; tabulated kernels are
+    checked and go through the dense pair matrix.  The raw tensor is checked
+    finite and against its exchange/hermiticity symmetries, then symmetrized."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     oset = orbitals.sampled_on(grid)
     K = oset.size
     phi = oset.matrix()                      # (K, P)
     w = grid.weight
-    potential.check_symmetry(grid)
 
     modes = potential.fourier_modes(grid)
     if modes is not None:
@@ -234,12 +233,15 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
             B = (phi.conj() * g.ravel()) @ phi.T * w      # <b| g |d>
             v += c * np.einsum("ag,bd->agbd", A, B).reshape(K * K, K * K)
     else:
+        potential.check_symmetry(grid)
         D = (phi.conj()[:, None, :] * phi[None, :, :] * w).reshape(K * K, -1)
         v = D @ potential.pair_values(grid) @ D.T
 
     scale = max(float(np.max(np.abs(v))), 1.0)
+    if not math.isfinite(scale):                # NaN too: max(nan, 1.0) is nan
+        raise NonFiniteValue("two-body tensor has a non-finite entry")
     exch, herm = symmetry_deviations(v)
-    if exch > TENSOR_SYM_TOL * scale or herm > TENSOR_SYM_TOL * scale:
+    if not (exch <= TENSOR_SYM_TOL * scale and herm <= TENSOR_SYM_TOL * scale):
         raise SymmetryViolation(
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
     # v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place one

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, IoFailure, SymmetryViolation
+from .errors import InvalidValue, IoFailure, NonFiniteValue, SymmetryViolation
 
 KINDS = ("zero", "separable-cosine", "periodic-gaussian", "tabulated")
 
@@ -128,12 +128,16 @@ class PotentialSpec:
         On grid indices V(x;y) = sum_k w_k exp(2 pi i k.(x - y) / G) with
         w = fft2(difference table) / P, real because the table is real and
         even.  Modes with |w_k| <= _MODE_FLOOR * max(|strength|, 1) are
-        dropped.  Returns the index arrays (k1, k2), row-major, and w_k.
+        dropped.  Returns the index arrays (k1, k2), row-major, and w_k;
+        raises NonFiniteValue if a weight overflows.
         """
         if self.kind != "periodic-gaussian":
             return None
         tab = self._difference_table(grid) * self.strength
-        weights = (np.fft.fft2(tab) / (grid.G1 * grid.G2)).real
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = (np.fft.fft2(tab) / (grid.G1 * grid.G2)).real
+        if bad := int(np.count_nonzero(~np.isfinite(weights))):
+            raise NonFiniteValue(f"{bad} of {weights.size} kernel Fourier weights are non-finite")
         kept = np.nonzero(np.abs(weights) > _MODE_FLOOR * max(abs(self.strength), 1.0))
         return kept, weights[kept]
 
@@ -160,13 +164,19 @@ class PotentialSpec:
         return table
 
     def check_symmetry(self, grid) -> float:
-        """Max |V(x;y) - V(y;x)| over grid pairs; raises beyond KERNEL_SYM_TOL."""
-        if self.kind in ("zero", "separable-cosine", "periodic-gaussian"):
-            return 0.0  # symmetric by construction
+        """Max |V(x;y) - V(y;x)| over grid pairs, 0 for the analytic kinds;
+        raises SymmetryViolation beyond KERNEL_SYM_TOL and NonFiniteValue for
+        a non-finite table value or Gaussian Fourier weight."""
+        if self.kind == "periodic-gaussian":
+            self.fourier_modes(grid)
+        if self.kind != "tabulated":
+            return 0.0
         vals = self.pair_values(grid)
-        dev = float(np.max(np.abs(vals - vals.T)))
         scale = max(float(np.max(np.abs(vals))), 1.0)
-        if dev > KERNEL_SYM_TOL * scale:
+        if not math.isfinite(scale):            # NaN too: max(nan, 1.0) is nan
+            raise NonFiniteValue("tabulated kernel has a non-finite value")
+        dev = float(np.max(np.abs(vals - vals.T)))
+        if not dev <= KERNEL_SYM_TOL * scale:
             raise SymmetryViolation(
                 f"tabulated kernel asymmetric: max deviation {dev:.3e}")
         return dev

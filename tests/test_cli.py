@@ -303,16 +303,50 @@ def test_zero_charge_exits_one(tmp_path, capsys, command):
                                  "invalid value for 'charge'")
 
 
-@pytest.mark.parametrize("command", ["compare", "evolve-exact"])
-def test_non_finite_generator_writes_failed_manifest(tmp_path, capsys, command):
+def _huge_gaussian_cfg(tmp_path):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(GOOD_CFG.format(M=3, n_max=2, N=2, strength=1e308, t_final=0.05)
                    .replace("separable-cosine", "periodic-gaussian"))
-    _exits_one_without_traceback(tmp_path, capsys, command, str(cfg),
-                                 "exact generator -i H / hbar has a non-finite entry")
+    return str(cfg)
+
+
+def _nan_table_cfg(tmp_path):
+    table = np.zeros((12 * 12, 12 * 12))          # tensor grid 12 x 12
+    table[5, 5] = np.nan
+    np.save(tmp_path / "nan.npy", table)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(GOOD_CFG.format(M=3, n_max=2, N=2, strength=0.1, t_final=0.05)
+                   .replace("tensor_grid1 = 48", "tensor_grid1 = 12")
+                   .replace("kind = separable-cosine",
+                            f"kind = tabulated\npath = {tmp_path / 'nan.npy'}"))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["compare", "evolve-exact", "evolve-hf"])
+def test_non_finite_kernel_writes_failed_manifest(tmp_path, capsys, command):
+    # the overflowing Fourier weights stop set-up before the tensor is formed
+    _exits_one_without_traceback(tmp_path, capsys, command, _huge_gaussian_cfg(tmp_path),
+                                 "Fourier weights are non-finite")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["ok"] is False
+    assert manifest["ok"] is False and manifest["outputs"] == []
     assert "non-finite" in manifest["validations"]["error"]["detail"]
+
+
+@pytest.mark.parametrize("make_cfg,message", [
+    (_huge_gaussian_cfg, "Fourier weights are non-finite"),
+    (_nan_table_cfg, "tabulated kernel has a non-finite value"),
+], ids=["gaussian-1e308", "nan-table"])
+def test_validate_rejects_non_finite_kernel(tmp_path, capsys, make_cfg, message):
+    assert dispatch(["validate", "--config", make_cfg(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+    payload = json.loads(out, parse_constant=reject)
+    check = payload["checks"]["potential_symmetric"]
+    assert payload["ok"] is False and check["ok"] is False
+    assert message in check["detail"]
 
 
 # every config key at a value other than its default
@@ -441,3 +475,46 @@ def test_gaussian_compare_is_thread_count_invariant(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     summary = json.loads((outs[0] / "compare_summary.json").read_text())
     assert 0.0 <= summary["tensor_symmetry_deviation"] <= 1e-8
+
+
+COMPUTE_RUNS = {
+    "basis": [], "groundstate": [], "evolve-exact": [],
+    "evolve-hf": ["--snapshots", "--t-final", "0.02"], "compare": [],
+}
+
+
+@pytest.mark.parametrize("command", COMPUTE_RUNS)
+def test_manifest_lists_exactly_the_files_written(tmp_path, command):
+    cfg = write_cfg(tmp_path, M=2, n_max=1, N=2)
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", cfg, "--out-dir", str(out), "--threads", "1"]
+                    + COMPUTE_RUNS[command]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert sorted(manifest["outputs"]) == sorted(written)
+    assert len(manifest["outputs"]) == len(written) > 0
+
+
+@pytest.mark.parametrize("command,name", [
+    ("compare", "compare_timeseries.csv"), ("evolve-hf", "hf_orbitals.npz")])
+def test_failed_write_is_not_listed(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)                 # a directory in the file's place
+    assert dispatch([command, "--config", write_cfg(tmp_path), "--out-dir", str(out),
+                     "--threads", "1"] + COMPUTE_RUNS[command]) == 1
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False and "cannot write" in manifest["validations"]["error"]["detail"]
+    assert name not in manifest["outputs"]
+
+
+def test_groundstate_builds_no_orbital(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("groundstate built the orbital basis")
+    for module in ("basis", "analysis", "cli"):
+        monkeypatch.setattr(f"landau_hf.{module}.build_orbital_set", refuse)
+    out = tmp_path / "out"
+    assert dispatch(["groundstate", "--config", write_cfg(tmp_path, M=4, N=6),
+                     "--out-dir", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["degeneracy"] == 6

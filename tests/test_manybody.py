@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import landau_hf as lhf
 from landau_hf import manybody
 from landau_hf.errors import (DimensionMismatch, InvalidValue, LengthMismatch,
-                              NotOrthonormal, SymmetryViolation, TooLarge,
-                              TruncationTooSmall)
+                              NonFiniteValue, NotOrthonormal, SymmetryViolation,
+                              TooLarge, TruncationTooSmall)
 from landau_hf.manybody import (InteractionTensor, ManyBodyState,
                                 symmetry_deviations)
 
@@ -252,6 +252,38 @@ def test_tensor_symmetry_deviation_recorded(oset_m3, pot):
             for t in (1, 2)]
     assert math.isfinite(devs[0]) and 0.0 <= devs[0] <= 1e-8
     assert devs[0] == devs[1]
+
+
+def _nan_table(P):
+    table = np.zeros((P, P))
+    table[3, 3] = np.nan
+    return table
+
+
+@pytest.mark.parametrize("pot", [
+    lhf.PotentialSpec(kind="periodic-gaussian", strength=1e308),
+    lhf.PotentialSpec(kind="tabulated", table=_nan_table(24 * 24)),
+], ids=["gaussian-1e308", "nan-table"])
+def test_tensor_raises_on_non_finite_kernel(oset_m3, pot):
+    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+    with pytest.raises(NonFiniteValue):
+        lhf.two_body_tensor(pot, oset_m3, grid)
+
+
+def test_gaussian_tensor_evaluates_the_kernel_once(oset_m3, monkeypatch):
+    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+    calls = []
+    modes = lhf.PotentialSpec.fourier_modes
+    monkeypatch.setattr(lhf.PotentialSpec, "fourier_modes",
+                        lambda self, g: calls.append(g) or modes(self, g))
+    lhf.two_body_tensor(lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3),
+                        oset_m3, grid)
+    assert calls == [grid]
+
+
+def test_exact_propagator_rejects_non_finite_generator():
+    with pytest.raises(NonFiniteValue, match="exact generator"):
+        manybody.ExactPropagator(sp.diags([1.0, np.inf], format="csr"))
 
 
 def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset_m3, monkeypatch):

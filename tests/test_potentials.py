@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import landau_hf as lhf
-from landau_hf.errors import InvalidValue, SymmetryViolation
+from landau_hf.errors import InvalidValue, NonFiniteValue, SymmetryViolation
 from landau_hf.potentials import PotentialSpec
 from helpers import double_image_gaussian_table, poisson_gaussian_table
 
@@ -75,6 +75,24 @@ def test_tabulated_requires_symmetry(grid, rng):
     pot = PotentialSpec(kind="tabulated", table=good)
     assert pot.check_symmetry(grid) == 0.0
     assert pot.sup_norm() == np.max(np.abs(good))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_table_fails_the_symmetry_check(grid, bad):
+    P = grid.G1 * grid.G2
+    table = np.zeros((P, P))
+    table[2, 2] = bad
+    with pytest.raises(NonFiniteValue):
+        PotentialSpec(kind="tabulated", table=table).check_symmetry(grid)
+
+
+def test_overflowing_gaussian_weights_raise(grid):
+    pot = PotentialSpec(kind="periodic-gaussian", strength=1e308)
+    with pytest.raises(NonFiniteValue, match="Fourier weights are non-finite"):
+        pot.fourier_modes(grid)
+    with pytest.raises(NonFiniteValue):
+        pot.check_symmetry(grid)
+    assert PotentialSpec(kind="periodic-gaussian", strength=1e300).check_symmetry(grid) == 0.0
 
 
 def test_tabulated_needs_table():
