@@ -154,13 +154,18 @@ def check_defect_support(state: HFState, d: float, H, basis: DeterminantBasis,
 def rdm_exact(state: ManyBodyState, basis: DeterminantBasis) -> np.ndarray:
     """One-body reduced density matrix, trace N: omega[p, p] sums |c_i|^2
     over the determinants occupying p, omega[p, q] sign * conj(c_j) c_i over
-    the replacements p -> q."""
-    c, occ = state.coefficients, basis.occupations
-    omega = np.zeros((basis.K, basis.K), dtype=np.complex128)
-    np.add.at(omega, (occ, occ), (np.abs(c) ** 2)[:, None])
+    the replacements p -> q; real and imaginary parts are each one bincount
+    over the flat index p K + q."""
+    c, occ, K = state.coefficients, basis.occupations, basis.K
     i, j, p, q, sign = basis.singles
-    np.add.at(omega, (p, q), sign * np.conj(c[j]) * c[i])
-    return omega
+    off = sign * np.conj(c[j]) * c[i]
+    pq = p * K + q
+    diag = np.repeat(np.abs(c) ** 2, basis.N)
+    omega = np.empty(K * K, dtype=np.complex128)
+    omega.real = np.bincount(np.concatenate([(occ * (K + 1)).ravel(), pq]),
+                             np.concatenate([diag, off.real]), K * K)
+    omega.imag = np.bincount(pq, off.imag, K * K)
+    return omega.reshape(K, K)
 
 
 def rdm_slater(state: HFState) -> np.ndarray:

@@ -15,8 +15,11 @@ Hamiltonian assembly consumes both; the single ones, kept as .singles, also
 feed the one-body reduced density matrix and DeterminantBasis.one_body.
 
 Exact dynamics has one propagator, ExactPropagator: the action of
-exp(-i H t / hbar) on a vector from the sparse H, with cost growing with
-t * ||H||_1 rather than with dim^3.
+exp(-i H t / hbar) on a vector from the sparse H by truncated Taylor sums,
+with cost growing with t * ||H||_1 rather than with dim^3.  Its set-up (the
+shifted generator and its 1-norm) is done once per H, its Taylor degree and
+step count once per interval, so an advance is matvecs alone; it draws no
+random number.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .basis import OrbitalSet
 from .config import Grid, PhysicalConstants
@@ -42,6 +44,17 @@ DET_SPACE_CAP = 200_000
 REPLACEMENT_BLOCK = 256          # source determinants per replacements() block
 TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
 SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
+TAYLOR_TOL = 2.0 ** -53          # truncation tolerance of ExactPropagator's Taylor sums
+# theta_m for TAYLOR_TOL (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from
+# Higham, Functions of Matrices, Table A.3): the largest |t| ||A||_1 / s at
+# which m Taylor terms per step meet the tolerance
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9}
 
 
 @dataclass(frozen=True)
@@ -379,28 +392,70 @@ def embed_slater(phase: complex, orbitals: np.ndarray,
     return ManyBodyState(basis=basis, coefficients=phase * embed_wedge(C, basis))
 
 
+def taylor_parameters(norm: float) -> tuple[int, int]:
+    """(m*, s) of the fewest matvecs m s over TAYLOR_THETA, s = ceil(norm /
+    theta_m) for norm = |t| ||A||_1, the smaller m on a tie; (0, 1) at 0."""
+    if norm == 0:
+        return 0, 1
+    return min(((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
+
+
 class ExactPropagator:
     """exp(-i H t / hbar) acting on vectors, by the truncated Taylor scheme of
-    Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011) on the sparse
-    generator -i H / hbar; no dense H and no eigendecomposition is formed.
-    A generator with a non-finite entry raises NonFiniteValue."""
+    Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2) on the
+    sparse generator; no dense H and no eigendecomposition is formed.
+
+    The set-up is done once per H: the generator A = -i (H - mu_H) / hbar,
+    shifted by the mean mu_H = tr H / dim of H's spectrum, is one complex CSR
+    copy of H with its stored diagonal shifted in place, kept with
+    mu = -i mu_H / hbar and the exact 1-norm ||A||_1.  Each distinct
+    interval t gets its Taylor degree m* and step count s once, in schedule,
+    from |t| ||A||_1 and TAYLOR_THETA: the exact-norm branch of the
+    algorithm, a valid bound for every A since ||A^p||_1^(1/p) <= ||A||_1.
+    An advance is then at most s m* matvecs, each Taylor sum stopped once
+    its terms fall below TAYLOR_TOL of it, and a factor exp(t mu / s) per
+    step.  No random number is drawn: the result depends on (H, psi, t)
+    alone.  A generator with a non-finite entry or 1-norm raises
+    NonFiniteValue, an interval t with non-finite t ||A||_1 InvalidValue."""
 
     def __init__(self, H, hbar: float = 1.0):
-        self.generator = sp.csr_matrix(H, dtype=np.complex128) * (-1j / hbar)
-        if not np.all(np.isfinite(self.generator.data)):
+        A = sp.csr_matrix(H, dtype=np.complex128, copy=True)
+        if not np.all(np.isfinite(A.data)):
             raise NonFiniteValue("exact generator -i H / hbar has a non-finite entry")
+        A.data *= -1j / hbar
+        diag = A.diagonal()
+        self.mu = diag.sum() / A.shape[0]
+        A.setdiag(diag - self.mu)
+        self.generator = A
+        self.norm = float(np.bincount(A.indices, weights=np.abs(A.data),
+                                      minlength=A.shape[1]).max())
+        if not math.isfinite(self.norm):
+            raise NonFiniteValue("exact generator -i H / hbar has an infinite 1-norm")
+        self.schedule: dict[float, tuple[int, int]] = {}
 
     def advance(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        # Above t * ||H||_1 / hbar ~ 64 expm_multiply sizes its steps from a
-        # randomized 1-norm estimate drawn from numpy's global generator; a
-        # fixed draw makes the result depend on (H, psi0, t) alone, and the
-        # caller's generator state is restored.
-        saved = np.random.get_state()
-        np.random.seed(0)
-        try:
-            return expm_multiply(t * self.generator, psi0)
-        finally:
-            np.random.set_state(saved)
+        if t not in self.schedule:
+            norm = abs(t) * self.norm
+            if not (math.isfinite(t) and math.isfinite(norm)):
+                raise InvalidValue("t", f"interval {t!r} times ||A||_1 = "
+                                   f"{self.norm:.6g} is not finite")
+            self.schedule[t] = taylor_parameters(norm)
+        m, s = self.schedule[t]
+        F = B = psi0
+        eta = np.exp(t * self.mu / s)
+        for _ in range(s):
+            c1 = np.abs(B).max()
+            for j in range(m):
+                B = (t / (s * (j + 1))) * (self.generator @ B)
+                c2 = np.abs(B).max()
+                F = F + B
+                if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():
+                    break
+                c1 = c2
+            F = eta * F
+            B = F
+        return F
 
 
 def evolve_exact(state: ManyBodyState, H, t: float,

@@ -35,6 +35,18 @@ _MODE_FLOOR = 1e-16
 KERNEL_SYM_TOL = 1e-8      # largest tabulated asymmetry, relative to max(max |V|, 1)
 
 
+def gaussian_axis_series(sigma: float, L: float) -> tuple[str, int]:
+    """The shorter series for the periodized Gaussian along an axis of length
+    L, as (form, n) with terms -n..n, each cut where its dropped terms fall
+    below exp(-40.5) of its leading one: the image sum
+    sum_a exp(-(d + a L)^2 / (2 sigma^2)), n = ceil(9 sigma / L) + 1, or its
+    Poisson dual 1 + 2 sum_k exp(-2 (pi sigma k / L)^2) cos(2 pi k d / L),
+    proportional to it, n = ceil(4.5 L / (pi sigma)); images on a tie."""
+    images = np.ceil(9.0 * sigma / L) + 1.0         # inf only for a huge sigma,
+    modes = np.ceil(4.5 * L / (math.pi * sigma))    # this only for a tiny one
+    return ("images", int(images)) if images <= modes else ("dual", int(modes))
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     kind: str = "zero"
@@ -100,16 +112,21 @@ class PotentialSpec:
         """Periodized Gaussian at grid offsets, normalized to 1 at zero offset.
 
         The Gaussian factorizes by axis, so its lattice images do too: the
-        table is the outer product of one image sum per axis.
+        table is the outer product of one series per axis, the shorter one
+        of gaussian_axis_series.
         """
         s2 = 2.0 * self.sigma ** 2
 
-        def images(G: int, L: float) -> np.ndarray:
+        def axis(G: int, L: float) -> np.ndarray:
             d = np.arange(G) * (L / G)
-            n = int(math.ceil(9.0 * self.sigma / L)) + 1
-            return sum(np.exp(-((d + a * L) ** 2) / s2) for a in range(-n, n + 1))
+            form, n = gaussian_axis_series(self.sigma, L)
+            if form == "images":
+                return sum(np.exp(-((d + a * L) ** 2) / s2) for a in range(-n, n + 1))
+            k = np.arange(1, n + 1)[:, None]
+            return 1.0 + 2.0 * np.sum(np.exp(-2.0 * (math.pi * self.sigma * k / L) ** 2)
+                                      * np.cos(2.0 * math.pi * k * d / L), axis=0)
 
-        tab = np.outer(images(grid.G1, grid.L1), images(grid.G2, grid.L2))
+        tab = np.outer(axis(grid.G1, grid.L1), axis(grid.G2, grid.L2))
         return tab / tab[0, 0]
 
     def separable_terms(self, grid):

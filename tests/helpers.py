@@ -11,6 +11,7 @@ of the C(K, N) wedges of a unitary completing the orbitals.  The magnetic
 translation oracle applies the x1-seam phase in one closed formula instead of
 through the seam shift of the kinetic operator.  The periodized Gaussian
 oracles sum its lattice images pair by pair, or per axis in Poisson-dual form.
+The reduced density matrix oracle accumulates it entry by entry with np.add.at.
 """
 
 import itertools
@@ -89,6 +90,18 @@ def dense_propagate(H, psi: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarr
     Hd = H.toarray() if hasattr(H, "toarray") else np.asarray(H)
     w, V = np.linalg.eigh(Hd)
     return V @ (np.exp(-1j * w * t / hbar) * (V.conj().T @ psi))
+
+
+def add_at_rdm(coefficients: np.ndarray, basis) -> np.ndarray:
+    """One-body reduced density matrix accumulated entry by entry with
+    np.add.at: |c_i|^2 on the diagonal of every occupied p, then
+    sign * conj(c_j) c_i at (p, q) per single replacement p -> q."""
+    c, occ = coefficients, basis.occupations
+    omega = np.zeros((basis.K, basis.K), dtype=np.complex128)
+    np.add.at(omega, (occ, occ), (np.abs(c) ** 2)[:, None])
+    i, j, p, q, sign = basis.singles
+    np.add.at(omega, (p, q), sign * np.conj(c[j]) * c[i])
+    return omega
 
 
 def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):

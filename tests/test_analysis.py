@@ -327,6 +327,14 @@ def test_rdm_matches_partial_trace_oracle(rng, K, N):
     assert np.max(np.abs(omega - oracle)) < 1e-10
 
 
+@pytest.mark.parametrize("K,N", [(4, 1), (5, 3), (9, 3), (12, 4), (4, 4)])
+def test_rdm_equals_entrywise_accumulation(rng, K, N):
+    basis = lhf.enumerate_determinants(K, N)
+    c = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    omega = lhf.rdm_exact(ManyBodyState(basis=basis, coefficients=c), basis)
+    assert np.array_equal(omega, helpers.add_at_rdm(c, basis))
+
+
 def test_rdm_spectrum_between_zero_and_one(system, rng):
     _, _, _, basis, _ = system
     c = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)

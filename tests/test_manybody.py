@@ -579,6 +579,85 @@ def test_evolve_independent_of_global_random_state(rng):
     assert len(outs) == 1
 
 
+def _hopping_ring(dim):
+    # no stored diagonal: the propagator's shift inserts it
+    return sp.csr_matrix(sp.diags([np.ones(dim - 1), np.ones(dim - 1)], [-1, 1]))
+
+
+@pytest.mark.parametrize("make_H,t,hbar", [
+    (lambda rng: _random_hermitian(rng, 20), 1e-3, 1.0),
+    # t ||A||_1 ~ 800 > 64: expm_multiply sizes its steps from a norm estimate
+    (lambda rng: _random_hermitian(rng, 80) * 5.0, 2.0, 1.0),
+    (lambda rng: _random_hermitian(rng, 30), 1.3, 0.7),
+    (lambda rng: _hopping_ring(25), 0.9, 1.0),
+], ids=["small-t", "large-norm", "hbar-0.7", "no-diagonal"])
+def test_advance_matches_public_expm_multiply(rng, make_H, t, hbar):
+    from scipy.sparse.linalg import expm_multiply
+    H = make_H(rng)
+    psi = random_complex(rng, H.shape[0])
+    psi /= np.linalg.norm(psi)
+    prop = manybody.ExactPropagator(H, hbar)
+    # the oracle's randomized 1-norm estimate draws from the global generator
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        expect = expm_multiply((-1j * t / hbar) * H, psi)
+    finally:
+        np.random.set_state(saved)
+    assert np.max(np.abs(prop.advance(psi, t) - expect)) <= 1e-12
+
+
+def test_one_propagator_gives_the_bits_of_a_new_one_per_call(rng):
+    H = _random_hermitian(rng, 40)
+    psi = random_complex(rng, 40)
+    prop = manybody.ExactPropagator(H, 0.8)
+    for t in (0.1, 0.25, 0.1, -0.3, 0.1):
+        fresh = manybody.ExactPropagator(H, 0.8).advance(psi, t)
+        reused = prop.advance(psi, t)
+        assert reused.tobytes() == fresh.tobytes()
+        psi = reused
+
+
+def test_taylor_parameters_are_chosen_once_per_interval(rng, monkeypatch):
+    calls = []
+    choose = manybody.taylor_parameters
+    monkeypatch.setattr(manybody, "taylor_parameters",
+                        lambda norm: calls.append(norm) or choose(norm))
+    prop = manybody.ExactPropagator(_random_hermitian(rng, 16))
+    psi = random_complex(rng, 16)
+    for t in (0.1, 0.2, 0.1, 0.1, 0.2, -0.1, 0.0, 0.1):
+        psi = prop.advance(psi, t)
+    assert len(prop.schedule) == len(calls) == 4
+    assert prop.schedule[0.0] == (0, 1)
+
+
+def test_taylor_parameters_exact_norm_branch():
+    assert manybody.taylor_parameters(0.0) == (0, 1)
+    # one step of m terms while the norm is below theta_m, the cheapest m
+    assert manybody.taylor_parameters(0.5) == (14, 1)
+    assert manybody.taylor_parameters(9.9) == (55, 1)
+    # 50 terms in 12 steps, 600 matvecs, beat 55 terms in 11 steps, 605
+    assert manybody.taylor_parameters(100.0) == (50, 12)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_advance_rejects_non_finite_interval(rng, t):
+    prop = manybody.ExactPropagator(_random_hermitian(rng, 6))
+    with pytest.raises(InvalidValue, match="'t'"):
+        prop.advance(random_complex(rng, 6), t)
+    assert prop.schedule == {}
+
+
+def test_advance_backward_matches_dense_oracle(rng):
+    H = _random_hermitian(rng, 30)
+    psi = random_complex(rng, 30)
+    psi /= np.linalg.norm(psi)
+    prop = manybody.ExactPropagator(H, 0.7)
+    back = prop.advance(psi, -1.1)
+    assert np.max(np.abs(back - helpers.dense_propagate(H, psi, -1.1, 0.7))) < 1e-12
+    assert np.max(np.abs(prop.advance(back, 1.1) - psi)) < 1e-12
+
+
 def test_exact_evolution_conserves_energy_and_norm(tensor_m3, oset_m3):
     basis = lhf.enumerate_determinants(9, 2)
     H = lhf.assemble_hamiltonian(basis, oset_m3.energies, tensor_m3)

@@ -5,7 +5,7 @@ import pytest
 
 import landau_hf as lhf
 from landau_hf.errors import InvalidValue, NonFiniteValue, SymmetryViolation
-from landau_hf.potentials import PotentialSpec
+from landau_hf.potentials import PotentialSpec, gaussian_axis_series
 from helpers import double_image_gaussian_table, poisson_gaussian_table
 
 
@@ -134,3 +134,27 @@ def test_wide_gaussian_table_matches_poisson_sum(grid, sigma):
     pot = PotentialSpec(kind="periodic-gaussian", strength=1.0, sigma=sigma)
     table = pot._difference_table(grid)
     assert np.max(np.abs(table - poisson_gaussian_table(sigma, grid))) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", GAUSSIAN_GRIDS, ids=["box64", "rect20x12"])
+@pytest.mark.parametrize("sigma", [1e2, 1e4, 1e7])
+def test_very_wide_gaussian_table_sums_one_dual_mode(grid, sigma):
+    # the image sum would take 2 ceil(9 sigma / L) + 3 terms per axis
+    for L in (grid.L1, grid.L2):
+        assert gaussian_axis_series(sigma, L) == ("dual", 1)
+    pot = PotentialSpec(kind="periodic-gaussian", strength=1.0, sigma=sigma)
+    table = pot._difference_table(grid)
+    assert np.max(np.abs(table - poisson_gaussian_table(sigma, grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("sigma,expect", [
+    (math.pi / 2, ("images", 4)), (1.0, ("images", 3)),
+    (1.9, ("images", 4)), (2.5, ("dual", 4))],
+    ids=["default", "gaussian-cfg", "below-crossover", "above-crossover"])
+def test_gaussian_series_is_the_shorter_one(sigma, expect):
+    # on a 2 pi axis: images a = -n..n, n = ceil(9 sigma / L) + 1, against
+    # dual modes k = -m..m, m = ceil(4.5 L / (pi sigma))
+    L = 2.0 * math.pi
+    assert gaussian_axis_series(sigma, L) == expect
+    assert expect[1] == min(math.ceil(9.0 * sigma / L) + 1,
+                            math.ceil(4.5 * L / (math.pi * sigma)))
