@@ -17,9 +17,9 @@ feed the one-body reduced density matrix and DeterminantBasis.one_body.
 Exact dynamics has one propagator, ExactPropagator: the action of
 exp(-i H t / hbar) on a vector from the sparse H by truncated Taylor sums,
 with cost growing with t * ||H||_1 rather than with dim^3.  Its set-up (the
-shifted generator and its 1-norm) is done once per H, its Taylor degree and
-step count once per interval, so an advance is matvecs alone; it draws no
-random number.
+shifted generator and its 1-norm) is done once per H, so an advance picks
+its Taylor degree and step count from the interval and then does matvecs
+alone; it draws no random number.
 """
 
 from __future__ import annotations
@@ -409,13 +409,12 @@ class ExactPropagator:
     The set-up is done once per H: the generator A = -i (H - mu_H) / hbar,
     shifted by the mean mu_H = tr H / dim of H's spectrum, is one complex CSR
     copy of H with its stored diagonal shifted in place, kept with
-    mu = -i mu_H / hbar and the exact 1-norm ||A||_1.  Each distinct
-    interval t gets its Taylor degree m* and step count s once, in schedule,
-    from |t| ||A||_1 and TAYLOR_THETA: the exact-norm branch of the
+    mu = -i mu_H / hbar and the exact 1-norm ||A||_1.  An advance over t
+    takes its Taylor degree m* and step count s from |t| ||A||_1 and
+    TAYLOR_THETA (taylor_parameters): the exact-norm branch of the
     algorithm, a valid bound for every A since ||A^p||_1^(1/p) <= ||A||_1.
-    An advance is then at most s m* matvecs, each Taylor sum stopped once
-    its terms fall below TAYLOR_TOL of it, and a factor exp(t mu / s) per
-    step.  No random number is drawn: the result depends on (H, psi, t)
+    It is then at most s m* matvecs, each Taylor sum stopped once its terms
+    fall below TAYLOR_TOL of it, and a factor exp(t mu / s) per step.  No random number is drawn: the result depends on (H, psi, t)
     alone.  A generator with a non-finite entry or 1-norm raises
     NonFiniteValue, an interval t with non-finite t ||A||_1 InvalidValue."""
 
@@ -432,16 +431,13 @@ class ExactPropagator:
                                       minlength=A.shape[1]).max())
         if not math.isfinite(self.norm):
             raise NonFiniteValue("exact generator -i H / hbar has an infinite 1-norm")
-        self.schedule: dict[float, tuple[int, int]] = {}
 
     def advance(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        if t not in self.schedule:
-            norm = abs(t) * self.norm
-            if not (math.isfinite(t) and math.isfinite(norm)):
-                raise InvalidValue("t", f"interval {t!r} times ||A||_1 = "
-                                   f"{self.norm:.6g} is not finite")
-            self.schedule[t] = taylor_parameters(norm)
-        m, s = self.schedule[t]
+        norm = abs(t) * self.norm
+        if not (math.isfinite(t) and math.isfinite(norm)):
+            raise InvalidValue("t", f"interval {t!r} times ||A||_1 = "
+                               f"{self.norm:.6g} is not finite")
+        m, s = taylor_parameters(norm)
         F = B = psi0
         eta = np.exp(t * self.mu / s)
         for _ in range(s):

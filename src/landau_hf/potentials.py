@@ -35,16 +35,15 @@ _MODE_FLOOR = 1e-16
 KERNEL_SYM_TOL = 1e-8      # largest tabulated asymmetry, relative to max(max |V|, 1)
 
 
-def gaussian_axis_series(sigma: float, L: float) -> tuple[str, int]:
-    """The shorter series for the periodized Gaussian along an axis of length
-    L, as (form, n) with terms -n..n, each cut where its dropped terms fall
-    below exp(-40.5) of its leading one: the image sum
-    sum_a exp(-(d + a L)^2 / (2 sigma^2)), n = ceil(9 sigma / L) + 1, or its
+def _gaussian_axis_terms(sigma: float, L: float) -> tuple[float, float]:
+    """Half-lengths (images, modes) of the two series for the periodized
+    Gaussian along an axis of length L, each with terms -n..n and cut where
+    its dropped terms fall below exp(-40.5) of its leading one: the image sum
+    sum_a exp(-(d + a L)^2 / (2 sigma^2)), n = ceil(9 sigma / L) + 1, and its
     Poisson dual 1 + 2 sum_k exp(-2 (pi sigma k / L)^2) cos(2 pi k d / L),
-    proportional to it, n = ceil(4.5 L / (pi sigma)); images on a tie."""
-    images = np.ceil(9.0 * sigma / L) + 1.0         # inf only for a huge sigma,
-    modes = np.ceil(4.5 * L / (math.pi * sigma))    # this only for a tiny one
-    return ("images", int(images)) if images <= modes else ("dual", int(modes))
+    proportional to it, n = ceil(4.5 L / (pi sigma)).  The first is inf only
+    for a huge sigma, the second only for a tiny one."""
+    return np.ceil(9.0 * sigma / L) + 1.0, np.ceil(4.5 * L / (math.pi * sigma))
 
 
 @dataclass(frozen=True)
@@ -113,16 +112,17 @@ class PotentialSpec:
 
         The Gaussian factorizes by axis, so its lattice images do too: the
         table is the outer product of one series per axis, the shorter one
-        of gaussian_axis_series.
+        of _gaussian_axis_terms, the image sum on a tie.
         """
         s2 = 2.0 * self.sigma ** 2
 
         def axis(G: int, L: float) -> np.ndarray:
             d = np.arange(G) * (L / G)
-            form, n = gaussian_axis_series(self.sigma, L)
-            if form == "images":
+            images, modes = _gaussian_axis_terms(self.sigma, L)
+            if images <= modes:
+                n = int(images)
                 return sum(np.exp(-((d + a * L) ** 2) / s2) for a in range(-n, n + 1))
-            k = np.arange(1, n + 1)[:, None]
+            k = np.arange(1, int(modes) + 1)[:, None]
             return 1.0 + 2.0 * np.sum(np.exp(-2.0 * (math.pi * self.sigma * k / L) ** 2)
                                       * np.cos(2.0 * math.pi * k * d / L), axis=0)
 

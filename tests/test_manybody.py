@@ -618,19 +618,6 @@ def test_one_propagator_gives_the_bits_of_a_new_one_per_call(rng):
         psi = reused
 
 
-def test_taylor_parameters_are_chosen_once_per_interval(rng, monkeypatch):
-    calls = []
-    choose = manybody.taylor_parameters
-    monkeypatch.setattr(manybody, "taylor_parameters",
-                        lambda norm: calls.append(norm) or choose(norm))
-    prop = manybody.ExactPropagator(_random_hermitian(rng, 16))
-    psi = random_complex(rng, 16)
-    for t in (0.1, 0.2, 0.1, 0.1, 0.2, -0.1, 0.0, 0.1):
-        psi = prop.advance(psi, t)
-    assert len(prop.schedule) == len(calls) == 4
-    assert prop.schedule[0.0] == (0, 1)
-
-
 def test_taylor_parameters_exact_norm_branch():
     assert manybody.taylor_parameters(0.0) == (0, 1)
     # one step of m terms while the norm is below theta_m, the cheapest m
@@ -645,7 +632,6 @@ def test_advance_rejects_non_finite_interval(rng, t):
     prop = manybody.ExactPropagator(_random_hermitian(rng, 6))
     with pytest.raises(InvalidValue, match="'t'"):
         prop.advance(random_complex(rng, 6), t)
-    assert prop.schedule == {}
 
 
 def test_advance_backward_matches_dense_oracle(rng):

@@ -5,7 +5,7 @@ import pytest
 
 import landau_hf as lhf
 from landau_hf.errors import InvalidValue, NonFiniteValue, SymmetryViolation
-from landau_hf.potentials import PotentialSpec, gaussian_axis_series
+from landau_hf.potentials import PotentialSpec, _gaussian_axis_terms
 from helpers import double_image_gaussian_table, poisson_gaussian_table
 
 
@@ -141,20 +141,19 @@ def test_wide_gaussian_table_matches_poisson_sum(grid, sigma):
 def test_very_wide_gaussian_table_sums_one_dual_mode(grid, sigma):
     # the image sum would take 2 ceil(9 sigma / L) + 3 terms per axis
     for L in (grid.L1, grid.L2):
-        assert gaussian_axis_series(sigma, L) == ("dual", 1)
+        images, modes = _gaussian_axis_terms(sigma, L)
+        assert modes == 1 < images
     pot = PotentialSpec(kind="periodic-gaussian", strength=1.0, sigma=sigma)
     table = pot._difference_table(grid)
     assert np.max(np.abs(table - poisson_gaussian_table(sigma, grid))) <= 1e-13
 
 
-@pytest.mark.parametrize("sigma,expect", [
-    (math.pi / 2, ("images", 4)), (1.0, ("images", 3)),
-    (1.9, ("images", 4)), (2.5, ("dual", 4))],
+@pytest.mark.parametrize("sigma,images,modes", [
+    (math.pi / 2, 4, 6), (1.0, 3, 9), (1.9, 4, 5), (2.5, 5, 4)],
     ids=["default", "gaussian-cfg", "below-crossover", "above-crossover"])
-def test_gaussian_series_is_the_shorter_one(sigma, expect):
+def test_gaussian_series_term_counts(sigma, images, modes):
     # on a 2 pi axis: images a = -n..n, n = ceil(9 sigma / L) + 1, against
-    # dual modes k = -m..m, m = ceil(4.5 L / (pi sigma))
+    # dual modes k = -m..m, m = ceil(4.5 L / (pi sigma)); the table sums the
+    # shorter, so the default and gaussian.cfg's sigma keep the image sum
     L = 2.0 * math.pi
-    assert gaussian_axis_series(sigma, L) == expect
-    assert expect[1] == min(math.ceil(9.0 * sigma / L) + 1,
-                            math.ceil(4.5 * L / (math.pi * sigma)))
+    assert _gaussian_axis_terms(sigma, L) == (images, modes)
