@@ -30,7 +30,8 @@ from .basis import GRAM_TOL, build_orbital_set, landau_level
 from .config import PhysicalConstants, SimulationConfig
 from .errors import (DimensionMismatch, NotHermitian, NotOrthonormal,
                      SupportViolation)
-from .hartree_fock import HFState, hf_energy, hf_rhs, hf_steps, time_grid
+from .hartree_fock import (HFState, hf_energy, hf_rhs, hf_steps, is_sample,
+                           time_grid)
 from .manybody import (DeterminantBasis, ExactPropagator, FillingSpec,
                        InteractionTensor, ManyBodyState, assemble_hamiltonian,
                        embed_slater, embed_wedge, enumerate_determinants,
@@ -277,16 +278,20 @@ class Problem:
         return state
 
     def exact_samples(self):
-        """(t, psi) at time_grid's samples: the determinant of the initial
-        orbitals under exp(-i H t / hbar), advanced from sample to sample."""
+        """(t, psi) at time_grid's samples (is_sample): the determinant of the
+        initial orbitals under exp(-i H t / hbar), advanced from sample to
+        sample."""
         config = self.config
         psi = embed_slater(1.0, self.initial_orbitals, self.det_basis).coefficients
         propagator = ExactPropagator(self.H, config.constants.hbar)
-        dt, samples = time_grid(config.dt, config.t_final, config.sample_stride)
-        times = [step * dt for step in samples]
-        for t_prev, t in zip([0.0] + times, times):
-            psi = propagator.advance(psi, t - t_prev)
-            yield t, psi
+        dt, n_steps = time_grid(config.dt, config.t_final)
+        t_prev = 0.0
+        for step in range(n_steps + 1):
+            if is_sample(step, n_steps, config.sample_stride):
+                t = step * dt
+                psi = propagator.advance(psi, t - t_prev)
+                t_prev = t
+                yield t, psi
 
 
 def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResult:
@@ -305,7 +310,7 @@ def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResu
     det_basis, H = problem.det_basis, problem.H
     hf0 = problem.initial_state()
     v_norm = tensor.sup_norm
-    sampled = set(time_grid(config.dt, config.t_final, config.sample_stride)[1])
+    n_steps = time_grid(config.dt, config.t_final)[1]
     exact = problem.exact_samples()
 
     records, checks = [], []
@@ -316,7 +321,7 @@ def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResu
         if step:
             defect_bound += 0.5 * (state.time - t_prev) * (d_prev + d)
         t_prev, d_prev = state.time, d
-        if step not in sampled:
+        if not is_sample(step, n_steps, config.sample_stride):
             continue
         checks.append(check_defect_support(state, d, H, det_basis, energies,
                                            tensor, constants))

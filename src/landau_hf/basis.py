@@ -269,10 +269,8 @@ class OrbitalSet:
     orbitals: tuple[OrbitalField, ...]
     gram: np.ndarray
     energies: np.ndarray
-    n_max: int
     flux_count: int
     grid: Grid
-    lattice_cut: int
 
     @property
     def size(self) -> int:
@@ -287,12 +285,6 @@ class OrbitalSet:
 
     def gram_deviation(self) -> float:
         return float(np.max(np.abs(self.gram - np.eye(self.size))))
-
-    def sampled_on(self, grid: Grid) -> "OrbitalSet":
-        """Re-evaluate the same labelled basis on another grid."""
-        if grid == self.grid:
-            return self
-        return _build(self.n_max, self.flux_count, grid, self.lattice_cut, self.energies)
 
 
 def _nyquist_guard(n_max: int, flux_count: int, grid: Grid, cut_hint: int):
@@ -311,11 +303,13 @@ def _nyquist_guard(n_max: int, flux_count: int, grid: Grid, cut_hint: int):
             f"G1={grid.G1} under-resolves the level-{n_max} profile")
 
 
-def _build(n_max: int, flux_count: int, grid: Grid, lattice_cut: int,
-           energies: np.ndarray) -> OrbitalSet:
-    _nyquist_guard(n_max, flux_count, grid, lattice_cut)
-    orbitals = [finite_volume_orbital(n, m, grid, flux_count, lattice_cut)
-                for n in range(n_max + 1) for m in range(flux_count)]
+def build_orbital_set(config: SimulationConfig, grid: Grid | None = None) -> OrbitalSet:
+    """All (n_max+1)*M orbitals on the given grid (default: config.grid)."""
+    grid = grid or config.grid
+    n_max, M, cut = config.n_max, config.domain.M, config.lattice_cut
+    _nyquist_guard(n_max, M, grid, cut)
+    orbitals = [finite_volume_orbital(n, m, grid, M, cut)
+                for n in range(n_max + 1) for m in range(M)]
     mat = np.stack([orb.values.ravel() for orb in orbitals])
     gram = (mat.conj() @ mat.T) * grid.weight
     dev = np.abs(gram - np.eye(len(orbitals)))
@@ -324,19 +318,10 @@ def _build(n_max: int, flux_count: int, grid: Grid, lattice_cut: int,
         raise OrthonormalityFailure(
             f"Gram deviation {dev[worst]:.3e} > {GRAM_TOL:.1e} between "
             f"orbitals {worst[0]} and {worst[1]}")
-    return OrbitalSet(orbitals=tuple(orbitals), gram=gram, energies=energies,
-                      n_max=n_max, flux_count=flux_count, grid=grid,
-                      lattice_cut=lattice_cut)
-
-
-def build_orbital_set(config: SimulationConfig, grid: Grid | None = None) -> OrbitalSet:
-    """All (n_max+1)*M orbitals on the given grid (default: config.grid)."""
-    grid = grid or config.grid
-    M = config.domain.M
     energies = np.array([landau_level(n, config.constants)
-                         for n in range(config.n_max + 1)
-                         for _ in range(M)])
-    return _build(config.n_max, M, grid, config.lattice_cut, energies)
+                         for n in range(n_max + 1) for _ in range(M)])
+    return OrbitalSet(orbitals=tuple(orbitals), gram=gram, energies=energies,
+                      flux_count=M, grid=grid)
 
 
 def basis_report(oset: OrbitalSet, constants: PhysicalConstants) -> dict:

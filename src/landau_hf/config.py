@@ -72,10 +72,6 @@ class DomainConfig:
         if int(self.M) != self.M or self.M < 1:
             raise InvalidValue("M", "must be an integer >= 1")
 
-    @property
-    def area(self) -> float:
-        return self.L1 * self.L2
-
 
 def quantization_ulps(domain: DomainConfig, constants: PhysicalConstants) -> float:
     """|b*L1*L2 - 2*pi*M| measured in units of the spacing of 2*pi*M."""
@@ -216,6 +212,9 @@ class SimulationConfig:
             derive("tensor_grid2", self.tensor_grid1)
         if self.sigma is None:
             derive("sigma", min(self.L1, self.L2) / 4.0)
+        for key in ("grid1", "grid2", "tensor_grid1", "tensor_grid2"):
+            if getattr(self, key) < 1:
+                raise InvalidValue(key, "must be >= 1")
         derive("grid", Grid(L1=self.L1, L2=self.L2, G1=self.grid1, G2=self.grid2))
         derive("tensor_grid", Grid(L1=self.L1, L2=self.L2, G1=self.tensor_grid1,
                                    G2=self.tensor_grid2))
@@ -223,14 +222,14 @@ class SimulationConfig:
             self.kind, self.strength, self.harmonic1, self.harmonic2,
             self.sigma, self.path))
 
+        if self.n_max < 0:
+            raise InvalidValue("n_max", "must be >= 0")
         if self.N < 1:
             raise InvalidValue("N", "must be >= 1")
         if self.N > self.single_particle_dim:
             raise InvalidValue(
                 "N", f"N={self.N} exceeds truncated space "
                      f"(n_max+1)*M={self.single_particle_dim}")
-        if self.n_max < 0:
-            raise InvalidValue("n_max", "must be >= 0")
         if not (0.0 < self.dt < math.inf):          # NaN fails too
             raise InvalidValue("dt", "must be finite and > 0")
         if not (0.0 <= self.t_final < math.inf):

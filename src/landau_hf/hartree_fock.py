@@ -23,8 +23,9 @@ which reduces to a constant phase for vanishing interaction.  W is evaluated
 from the current orbitals at every stage; the total energy T + W is a flow
 invariant, evaluated by hf_energy only where a sample records it.
 
-hf_steps walks time_grid's steps once and yields every state; integrate_hf
-keeps the sampled ones, and per-step consumers read the generator directly.
+hf_steps counts the steps of time_grid's grid and yields every state as it
+is taken, holding only the current one; integrate_hf keeps the sampled ones
+(is_sample), and per-step consumers read the generator directly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import INTEGRATORS, PhysicalConstants
-from .errors import NonFiniteValue, NotUnitary, StepUnstable
+from .errors import InvalidValue, NonFiniteValue, NotUnitary, StepUnstable
 from .manybody import InteractionTensor
 
 STEP_GRAM_TOL = 1e-3       # largest Gram-deviation growth in one RK4 step
@@ -53,10 +54,6 @@ class HFState:
     def N(self) -> int:
         return self.orbitals.shape[1]
 
-    @property
-    def K(self) -> int:
-        return self.orbitals.shape[0]
-
     def gram_deviation(self) -> float:
         C = self.orbitals
         return float(np.max(np.abs(C.conj().T @ C - np.eye(self.N))))
@@ -69,14 +66,6 @@ class HFTrajectory:
     energies: np.ndarray
     norms: np.ndarray             # |a| at each sample
     gram_devs: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        n = len(self.times)
-        if not (len(self.states) == len(self.energies)
-                == len(self.norms) == len(self.gram_devs) == n):
-            raise ValueError("diagnostic lengths do not match sample count")
 
 
 def _nonlinear_terms(orbitals: np.ndarray, tensor: InteractionTensor) -> np.ndarray:
@@ -146,13 +135,17 @@ def _loewdin(a: complex, orbitals: np.ndarray) -> tuple[complex, np.ndarray]:
     return a_new, orbitals @ inv_sqrt
 
 
-def time_grid(dt: float, t_final: float, sample_stride: int) -> tuple[float, list[int]]:
-    """Step dividing [0, t_final] into round(t_final / dt) steps (at least one
-    if t_final > 0) and the sampled steps: every sample_stride-th and the last."""
+def time_grid(dt: float, t_final: float) -> tuple[float, int]:
+    """Step dividing [0, t_final] into n_steps = round(t_final / dt) steps (at
+    least one if t_final > 0), and n_steps."""
     n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
-    dt_eff = t_final / n_steps if n_steps else 0.0
-    return dt_eff, [step for step in range(n_steps + 1)
-                    if step % sample_stride == 0 or step == n_steps]
+    return (t_final / n_steps if n_steps else 0.0), n_steps
+
+
+def is_sample(step: int, n_steps: int, sample_stride: int) -> bool:
+    """Whether a step of an n_steps grid is sampled: every sample_stride-th
+    step is, and the last."""
+    return step % sample_stride == 0 or step == n_steps
 
 
 def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
@@ -165,10 +158,11 @@ def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
     symmetric orthogonalization plus phase compensation (a pure gauge move).
     A step that leaves a non-finite value raises NonFiniteValue; one that
     grows the Gram deviation by more than STEP_GRAM_TOL raises StepUnstable.
+    Each state's Gram deviation is computed once and kept for the next step.
     """
     if scheme not in INTEGRATORS:
-        raise ValueError(f"unknown scheme '{scheme}'")
-    dt_eff, steps = time_grid(dt, t_final, 1)
+        raise InvalidValue("scheme", f"'{scheme}' is not one of {INTEGRATORS}")
+    dt_eff, n_steps = time_grid(dt, t_final)
     state = HFState(time=float(initial.time), a=complex(initial.a),
                     orbitals=initial.orbitals.astype(np.complex128))
 
@@ -176,8 +170,8 @@ def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
         return hf_rhs(HFState(state.time, a_val, C_val), energies, tensor, constants)
 
     yield 0, state
-    for step in steps[1:]:
-        gram_before = state.gram_deviation()
+    gram = state.gram_deviation()
+    for step in range(1, n_steps + 1):
         a, C = state.a, state.orbitals
         k1a, k1C = rhs(a, C)
         k2a, k2C = rhs(a + 0.5 * dt_eff * k1a, C + 0.5 * dt_eff * k1C)
@@ -189,24 +183,26 @@ def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
 
         if not (np.isfinite(a) and np.all(np.isfinite(C))):
             raise NonFiniteValue(f"non-finite value at t = {state.time}")
-        drift = state.gram_deviation() - gram_before
+        gram_before, gram = gram, state.gram_deviation()
+        drift = gram - gram_before
         if drift > STEP_GRAM_TOL:
             raise StepUnstable(f"orthonormality drifted by {drift:.3e} "
                                f"in one step at t = {state.time}")
         if scheme == "rk4+reorth":
             state = HFState(state.time, *_loewdin(a, C))
+            gram = state.gram_deviation()
         yield step, state
 
 
 def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
                  tensor: InteractionTensor, energies: np.ndarray,
                  constants: PhysicalConstants, sample_stride: int = 1) -> HFTrajectory:
-    """The states of hf_steps at time_grid's samples, with their energy,
-    |a| and Gram deviation."""
-    sampled = set(time_grid(dt, t_final, sample_stride)[1])
+    """The states of hf_steps at time_grid's samples (is_sample), with their
+    energy, |a| and Gram deviation."""
+    n_steps = time_grid(dt, t_final)[1]
     states = [s for step, s in hf_steps(initial, dt, t_final, scheme, tensor,
                                         energies, constants)
-              if step in sampled]
+              if is_sample(step, n_steps, sample_stride)]
     return HFTrajectory(
         times=np.asarray([s.time for s in states]), states=states,
         energies=np.asarray([hf_energy(s, energies, tensor) for s in states]),

@@ -15,11 +15,11 @@ Hamiltonian assembly consumes both; the single ones, kept as .singles, also
 feed the one-body reduced density matrix and DeterminantBasis.one_body.
 
 Exact dynamics has one propagator, ExactPropagator: the action of
-exp(-i H t / hbar) on a vector from the sparse H by truncated Taylor sums,
-with cost growing with t * ||H||_1 rather than with dim^3.  Its set-up (the
-shifted generator and its 1-norm) is done once per H, so an advance picks
-its Taylor degree and step count from the interval and then does matvecs
-alone; it draws no random number.
+exp(-i H t / hbar) on a vector from the sparse H, used as given, by truncated
+Taylor sums whose cost grows with t * ||H||_1 rather than with dim^3.  The
+shift by the mean of H's spectrum is applied inside each matvec, so the
+set-up is that mean and one 1-norm; an advance picks its Taylor degree and
+step count from the interval, then does matvecs alone and draws no random number.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import scipy.sparse as sp
 
 from .basis import OrbitalSet
 from .config import Grid, PhysicalConstants
-from .errors import (DimensionMismatch, InvalidValue, LengthMismatch,
-                     NonFiniteValue, NotOrthonormal, SymmetryViolation,
-                     TooLarge, TruncationTooSmall)
+from .errors import (DimensionMismatch, GridMismatch, InvalidValue,
+                     LengthMismatch, NonFiniteValue, NotOrthonormal,
+                     SymmetryViolation, TooLarge, TruncationTooSmall)
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
@@ -206,8 +206,9 @@ def symmetry_deviations(pair: np.ndarray) -> tuple[float, float]:
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                     threads: int = 1) -> InteractionTensor:
-    """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y),
-    every kernel kind writing the pair layout (ag), (bd).
+    """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y)
+    on grid, every kernel kind writing the pair layout (ag), (bd); the
+    orbitals must be sampled on grid (GridMismatch otherwise).
 
     Translation-invariant kernels (PotentialSpec.fourier_modes) take one 2-D
     FFT R_ag of the pair densities conj(phi_a) phi_g w, g >= a, one a at a
@@ -220,9 +221,10 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     finite and against its exchange/hermiticity symmetries, then symmetrized."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
-    oset = orbitals.sampled_on(grid)
-    K = oset.size
-    phi = oset.matrix()                      # (K, P)
+    if orbitals.grid != grid:
+        raise GridMismatch(f"orbitals sampled on {orbitals.grid}, tensor grid {grid}")
+    K = orbitals.size
+    phi = orbitals.matrix()                  # (K, P)
     w = grid.weight
 
     modes = potential.fourier_modes(grid)
@@ -250,9 +252,12 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         D = (phi.conj()[:, None, :] * phi[None, :, :] * w).reshape(K * K, -1)
         v = D @ potential.pair_values(grid) @ D.T
 
+    # the symmetry checks and the symmetrization add entries in pairs, so an
+    # entry must stay below half the float range; NaN fails too
     scale = max(float(np.max(np.abs(v))), 1.0)
-    if not math.isfinite(scale):                # NaN too: max(nan, 1.0) is nan
-        raise NonFiniteValue("two-body tensor has a non-finite entry")
+    if not math.isfinite(2.0 * scale):
+        raise NonFiniteValue("two-body tensor has a non-finite entry, or one "
+                             "beyond half the float range")
     exch, herm = symmetry_deviations(v)
     if not (exch <= TENSOR_SYM_TOL * scale and herm <= TENSOR_SYM_TOL * scale):
         raise SymmetryViolation(
@@ -404,31 +409,29 @@ def taylor_parameters(norm: float) -> tuple[int, int]:
 class ExactPropagator:
     """exp(-i H t / hbar) acting on vectors, by the truncated Taylor scheme of
     Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2) on the
-    sparse generator; no dense H and no eigendecomposition is formed.
+    sparse H as given (a CSR H is not copied); no dense H, no
+    eigendecomposition and no random number.
 
-    The set-up is done once per H: the generator A = -i (H - mu_H) / hbar,
-    shifted by the mean mu_H = tr H / dim of H's spectrum, is one complex CSR
-    copy of H with its stored diagonal shifted in place, kept with
-    mu = -i mu_H / hbar and the exact 1-norm ||A||_1.  An advance over t
-    takes its Taylor degree m* and step count s from |t| ||A||_1 and
-    TAYLOR_THETA (taylor_parameters): the exact-norm branch of the
-    algorithm, a valid bound for every A since ||A^p||_1^(1/p) <= ||A||_1.
-    It is then at most s m* matvecs, each Taylor sum stopped once its terms
-    fall below TAYLOR_TOL of it, and a factor exp(t mu / s) per step.  No random number is drawn: the result depends on (H, psi, t)
-    alone.  A generator with a non-finite entry or 1-norm raises
-    NonFiniteValue, an interval t with non-finite t ||A||_1 InvalidValue."""
+    The generator A = -i (H - mu) / hbar, mu = tr H / dim, is never formed:
+    each matvec is -i (H B - mu B) / hbar and each Taylor step ends with the
+    factor exp(-i t mu / (hbar s)).  ||A||_1 is one bincount over the columns
+    with |h_jj| replaced by |h_jj - mu| (an upper bound if the CSR holds
+    duplicates).  An advance over t takes (m*, s) from |t| ||A||_1
+    (taylor_parameters: the exact-norm branch, valid since ||A^p||_1^(1/p)
+    <= ||A||_1), then at most s m* matvecs, each Taylor sum stopped once its
+    terms fall below TAYLOR_TOL of it.  A non-finite entry of H or an
+    infinite ||A||_1 raises NonFiniteValue, a non-finite t ||A||_1
+    InvalidValue."""
 
     def __init__(self, H, hbar: float = 1.0):
-        A = sp.csr_matrix(H, dtype=np.complex128, copy=True)
-        if not np.all(np.isfinite(A.data)):
+        H = sp.csr_matrix(H)
+        if not np.all(np.isfinite(H.data)):
             raise NonFiniteValue("exact generator -i H / hbar has a non-finite entry")
-        A.data *= -1j / hbar
-        diag = A.diagonal()
-        self.mu = diag.sum() / A.shape[0]
-        A.setdiag(diag - self.mu)
-        self.generator = A
-        self.norm = float(np.bincount(A.indices, weights=np.abs(A.data),
-                                      minlength=A.shape[1]).max())
+        diag = H.diagonal()
+        self.H, self.hbar, self.mu = H, hbar, diag.sum() / H.shape[0]
+        columns = np.bincount(H.indices, weights=np.abs(H.data), minlength=H.shape[1])
+        columns += np.abs(diag - self.mu) - np.abs(diag)
+        self.norm = float(columns.max()) / abs(hbar)
         if not math.isfinite(self.norm):
             raise NonFiniteValue("exact generator -i H / hbar has an infinite 1-norm")
 
@@ -438,12 +441,13 @@ class ExactPropagator:
             raise InvalidValue("t", f"interval {t!r} times ||A||_1 = "
                                f"{self.norm:.6g} is not finite")
         m, s = taylor_parameters(norm)
+        h = -1j * t / (self.hbar * s)        # one Taylor step of -i (H - mu) t / hbar
         F = B = psi0
-        eta = np.exp(t * self.mu / s)
+        eta = np.exp(h * self.mu)
         for _ in range(s):
             c1 = np.abs(B).max()
             for j in range(m):
-                B = (t / (s * (j + 1))) * (self.generator @ B)
+                B = (h / (j + 1)) * (self.H @ B - self.mu * B)
                 c2 = np.abs(B).max()
                 F = F + B
                 if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():

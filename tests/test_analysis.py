@@ -11,7 +11,7 @@ from landau_hf.analysis import (SECTOR_TOL, Problem, check_defect_support,
                                 defect_sector_norms, defect_vector,
                                 run_comparison)
 from landau_hf.errors import NotHermitian, SupportViolation
-from landau_hf.hartree_fock import HFState, time_grid
+from landau_hf.hartree_fock import HFState, is_sample, time_grid
 from landau_hf.manybody import InteractionTensor, ManyBodyState
 
 import helpers
@@ -281,7 +281,8 @@ def test_defect_bound_is_trapezoid_over_every_step():
     integral = [0.0]
     for t0, t1, d0, d1 in zip(traj.times, traj.times[1:], d, d[1:]):
         integral.append(integral[-1] + 0.5 * (t1 - t0) * (d0 + d1))
-    _, samples = time_grid(cfg.dt, cfg.t_final, cfg.sample_stride)
+    _, n_steps = time_grid(cfg.dt, cfg.t_final)
+    samples = [s for s in range(n_steps + 1) if is_sample(s, n_steps, cfg.sample_stride)]
     assert samples == [0, 20, 40, 50]
     assert [r.defect_bound for r in result.records] == [integral[s] for s in samples]
 

@@ -259,6 +259,14 @@ def _exits_one_without_traceback(tmp_path, capsys, command, cfg, message):
     assert message in err and "Traceback" not in err
 
 
+def test_compare_with_zero_sample_stride_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "stride.cfg"
+    cfg.write_text(GOOD_CFG.format(M=3, n_max=2, N=2, strength=0.1, t_final=0.05)
+                   .replace("sample_stride = 10", "sample_stride = 0"))
+    _exits_one_without_traceback(tmp_path, capsys, "compare", str(cfg),
+                                 "error: invalid value for 'sample_stride'")
+
+
 @pytest.mark.parametrize("command", ["validate", "evolve-hf", "compare"])
 @pytest.mark.parametrize("content", [None, b"", b"not numpy data"])
 def test_unreadable_kernel_table_exits_one(tmp_path, capsys, command, content):

@@ -79,6 +79,20 @@ def test_unknown_key_rejected():
         assert f"unknown key in section [{section}]" in str(err.value)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("dynamics", "N", "0"), ("basis", "n_max", "-1"),
+    ("dynamics", "integrator", "euler"), ("dynamics", "sample_stride", "0"),
+    ("basis", "lattice_cut", "-1"), ("domain", "L1", "0"), ("domain", "M", "0"),
+    ("basis", "grid1", "0"), ("wibble", "wibble", "1"), ("dynamics", "dt", "abc"),
+], ids=lambda v: str(v))
+def test_bad_value_names_its_key(section, key, value):
+    sections = _minimal()
+    sections.setdefault(section, {})[key] = value
+    with pytest.raises(InvalidValue) as err:
+        lhf.parse_config(_text(sections))
+    assert err.value.key == key
+
+
 def test_omitted_keys_take_derived_defaults():
     text = _text(dict(MINIMAL, domain={"L1": "8.0", "L2": "6.0", "M": "1"},
                       basis={"n_max": "0", "grid1": "40", "tensor_grid1": "24"},

@@ -1,9 +1,12 @@
+import tracemalloc
+from itertools import islice
+
 import numpy as np
 import pytest
 
 import landau_hf as lhf
 from landau_hf import hartree_fock
-from landau_hf.errors import LandauHFError, NotUnitary
+from landau_hf.errors import InvalidValue, LandauHFError, NonFiniteValue, NotUnitary
 from landau_hf.hartree_fock import (HFState, _loewdin, _nonlinear_terms,
                                     interaction_energy)
 from landau_hf.manybody import InteractionTensor
@@ -93,8 +96,7 @@ def test_actions_match_grid_space_evaluation(setup):
     # project back onto the basis and compare with the tensor contraction
     cfg, oset, tensor = setup
     grid = cfg.tensor_grid
-    oset_t = oset.sampled_on(grid)
-    phi = oset_t.matrix()                         # (K, P) samples
+    phi = oset.matrix()                           # (K, P) samples on the tensor grid
     w = grid.weight
     vals = cfg.potential.pair_values(grid)        # (P, P)
 
@@ -287,6 +289,40 @@ def test_unstable_step_raises(setup, rng):
     with pytest.raises(LandauHFError):
         lhf.integrate_hf(st, 10.0, 100.0, "rk4", tensor, oset.energies,
                          cfg.constants)
+
+
+def test_overflowing_step_raises_non_finite(setup, rng):
+    cfg, oset, _ = setup
+    tensor = InteractionTensor(values=np.full((9,) * 4, 1e308, dtype=complex),
+                               sup_norm=1e308)
+    steps = lhf.hf_steps(random_state(rng, 9, 2), 1e-3, 0.01, "rk4", tensor,
+                         oset.energies, cfg.constants)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+        list(steps)
+
+
+def test_unknown_scheme_is_an_invalid_value(setup, rng):
+    cfg, oset, tensor = setup
+    st = random_state(rng, 9, 2)
+    with pytest.raises(InvalidValue, match="'scheme'"):
+        next(lhf.hf_steps(st, 1e-3, 0.01, "euler", tensor, oset.energies, cfg.constants))
+    with pytest.raises(InvalidValue, match="'scheme'"):
+        lhf.integrate_hf(st, 1e-3, 0.01, "euler", tensor, oset.energies, cfg.constants)
+
+
+def test_first_steps_of_a_long_grid_allocate_no_step_list(setup, rng):
+    # 10^8 steps: a list of them alone would take gigabytes
+    cfg, oset, tensor = setup
+    st = random_state(rng, 9, 2)
+    tracemalloc.start()
+    try:
+        steps = list(islice(lhf.hf_steps(st, 1e-8, 1.0, "rk4", tensor, oset.energies,
+                                         cfg.constants), 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [step for step, _ in steps] == [0, 1]
+    assert peak < 1e6
 
 
 # --- gauge transform -------------------------------------------------------------

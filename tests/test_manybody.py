@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import landau_hf as lhf
 from landau_hf import manybody
-from landau_hf.errors import (DimensionMismatch, InvalidValue, LengthMismatch,
-                              NonFiniteValue, NotOrthonormal, SymmetryViolation,
-                              TooLarge, TruncationTooSmall)
+from landau_hf.errors import (DimensionMismatch, GridMismatch, InvalidValue,
+                              LengthMismatch, NonFiniteValue, NotOrthonormal,
+                              SymmetryViolation, TooLarge, TruncationTooSmall)
 from landau_hf.manybody import (InteractionTensor, ManyBodyState,
                                 symmetry_deviations)
 
@@ -177,6 +177,13 @@ def test_overlap_length_mismatch(rng):
 
 # --- two-body tensor ----------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def oset24(cfg_m3):
+    """cfg_m3's basis built on a 24 x 24 tensor grid."""
+    grid = lhf.Grid(L1=cfg_m3.domain.L1, L2=cfg_m3.domain.L2, G1=24, G2=24)
+    return lhf.build_orbital_set(cfg_m3, grid=grid)
+
+
 def test_tensor_zero_potential(cfg_m3, oset_m3):
     pot = lhf.PotentialSpec(kind="zero")
     tensor = lhf.two_body_tensor(pot, oset_m3, cfg_m3.tensor_grid)
@@ -199,8 +206,7 @@ def test_tensor_separable_factorization(cfg_m3, oset_m3):
     pot = cfg_m3.potential  # separable-cosine, strength 0.2
     tensor = lhf.two_body_tensor(pot, oset_m3, cfg_m3.tensor_grid)
     grid = cfg_m3.tensor_grid
-    oset = oset_m3.sampled_on(grid)
-    phi = oset.matrix()
+    phi = oset_m3.matrix()
     X1, X2 = grid.mesh()
     g = (np.cos(2 * np.pi * X1 / grid.L1) * np.cos(2 * np.pi * X2 / grid.L2)).ravel()
     A = (phi.conj() * g) @ phi.T * grid.weight
@@ -214,26 +220,27 @@ def test_tensor_symmetries(tensor_m3):
     assert np.max(np.abs(v - v.transpose(2, 3, 0, 1).conj())) < 1e-12
 
 
-def test_tensor_tabulated_matches_separable(cfg_m3, oset_m3):
+def test_tensor_tabulated_matches_separable(oset24):
     # dense tabulated path must agree with the separable path on the same kernel
-    grid = lhf.Grid(L1=cfg_m3.domain.L1, L2=cfg_m3.domain.L2, G1=24, G2=24)
+    grid = oset24.grid
     pot = lhf.PotentialSpec(kind="separable-cosine", strength=0.2)
     table = pot.pair_values(grid)
     pot_tab = lhf.PotentialSpec(kind="tabulated", table=table)
-    t_sep = lhf.two_body_tensor(pot, oset_m3, grid)
-    t_tab = lhf.two_body_tensor(pot_tab, oset_m3, grid)
+    t_sep = lhf.two_body_tensor(pot, oset24, grid)
+    t_tab = lhf.two_body_tensor(pot_tab, oset24, grid)
     assert np.max(np.abs(t_sep.values - t_tab.values)) < 1e-10
 
 
 @pytest.mark.parametrize("strength,sigma", [(0.3, 1.0), (-0.5, 1.0), (0.3, 0.15),
                                             (0.3, 4.0)])
-def test_fft_tensor_matches_dense_pair_matrix(oset_m3, strength, sigma):
+def test_fft_tensor_matches_dense_pair_matrix(cfg_m3, strength, sigma):
     # odd, non-square grid: the -k index map differs from k on both axes
-    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=15, G2=24)
+    grid = lhf.Grid(L1=cfg_m3.domain.L1, L2=cfg_m3.domain.L2, G1=15, G2=24)
+    oset = lhf.build_orbital_set(cfg_m3, grid=grid)
     pot = lhf.PotentialSpec(kind="periodic-gaussian", strength=strength, sigma=sigma)
     pot_tab = lhf.PotentialSpec(kind="tabulated", table=pot.pair_values(grid))
-    t_fft = lhf.two_body_tensor(pot, oset_m3, grid)
-    t_tab = lhf.two_body_tensor(pot_tab, oset_m3, grid)
+    t_fft = lhf.two_body_tensor(pot, oset, grid)
+    t_tab = lhf.two_body_tensor(pot_tab, oset, grid)
     assert np.max(np.abs(t_fft.values - t_tab.values)) < 1e-12
 
 
@@ -246,9 +253,9 @@ ALL_KINDS = pytest.mark.parametrize("pot", [
 
 
 @ALL_KINDS
-def test_tensor_symmetry_deviation_recorded(oset_m3, pot):
-    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
-    devs = [lhf.two_body_tensor(pot, oset_m3, grid, threads=t).symmetry_deviation
+def test_tensor_symmetry_deviation_recorded(oset24, pot):
+    grid = oset24.grid
+    devs = [lhf.two_body_tensor(pot, oset24, grid, threads=t).symmetry_deviation
             for t in (1, 2)]
     assert math.isfinite(devs[0]) and 0.0 <= devs[0] <= 1e-8
     assert devs[0] == devs[1]
@@ -260,24 +267,35 @@ def _nan_table(P):
     return table
 
 
-@pytest.mark.parametrize("pot", [
-    lhf.PotentialSpec(kind="periodic-gaussian", strength=1e308),
-    lhf.PotentialSpec(kind="tabulated", table=_nan_table(24 * 24)),
-], ids=["gaussian-1e308", "nan-table"])
-def test_tensor_raises_on_non_finite_kernel(oset_m3, pot):
-    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
-    with pytest.raises(NonFiniteValue):
-        lhf.two_body_tensor(pot, oset_m3, grid)
+@pytest.mark.parametrize("pot,message", [
+    (lhf.PotentialSpec(kind="periodic-gaussian", strength=1e308),
+     "Fourier weights are non-finite"),
+    (lhf.PotentialSpec(kind="tabulated", table=_nan_table(24 * 24)),
+     "tabulated kernel has a non-finite value"),
+    # finite and symmetric, but its tensor entries, ~1e308, would overflow
+    # when the symmetrization adds them in pairs
+    (lhf.PotentialSpec(kind="tabulated", table=np.full((24 * 24, 24 * 24), 1e308)),
+     "two-body tensor has a non-finite entry"),
+], ids=["gaussian-1e308", "nan-table", "1e308-table"])
+def test_tensor_raises_on_non_finite_kernel(oset24, pot, message):
+    grid = oset24.grid
+    with pytest.raises(NonFiniteValue, match=message):
+        lhf.two_body_tensor(pot, oset24, grid)
 
 
-def test_gaussian_tensor_evaluates_the_kernel_once(oset_m3, monkeypatch):
-    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+def test_tensor_rejects_a_basis_sampled_on_another_grid(cfg_m3, oset24):
+    with pytest.raises(GridMismatch):
+        lhf.two_body_tensor(cfg_m3.potential, oset24, cfg_m3.tensor_grid)
+
+
+def test_gaussian_tensor_evaluates_the_kernel_once(oset24, monkeypatch):
+    grid = oset24.grid
     calls = []
     modes = lhf.PotentialSpec.fourier_modes
     monkeypatch.setattr(lhf.PotentialSpec, "fourier_modes",
                         lambda self, g: calls.append(g) or modes(self, g))
     lhf.two_body_tensor(lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3),
-                        oset_m3, grid)
+                        oset24, grid)
     assert calls == [grid]
 
 
@@ -286,24 +304,30 @@ def test_exact_propagator_rejects_non_finite_generator():
         manybody.ExactPropagator(sp.diags([1.0, np.inf], format="csr"))
 
 
-def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset_m3, monkeypatch):
-    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+def test_exact_propagator_rejects_an_infinite_norm():
+    H = sp.csr_matrix(np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308)))
+    with pytest.raises(NonFiniteValue, match="infinite 1-norm"):
+        manybody.ExactPropagator(H)
+
+
+def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset24, monkeypatch):
+    grid = oset24.grid
     table = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3).pair_values(grid)
     skew = rng.normal(size=table.shape)
     pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-3 * skew)
     with pytest.raises(SymmetryViolation, match="tabulated kernel asymmetric"):
-        lhf.two_body_tensor(pot, oset_m3, grid)
+        lhf.two_body_tensor(pot, oset24, grid)
     # a skew the kernel check lets through trips a tightened tensor check
     monkeypatch.setattr(manybody, "TENSOR_SYM_TOL", 1e-12)
     pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-9 * skew)
     with pytest.raises(SymmetryViolation, match="tensor symmetry"):
-        lhf.two_body_tensor(pot, oset_m3, grid)
+        lhf.two_body_tensor(pot, oset24, grid)
 
 
 @ALL_KINDS
-def test_tensor_is_one_pair_layout_buffer(oset_m3, pot):
-    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
-    t = lhf.two_body_tensor(pot, oset_m3, grid)
+def test_tensor_is_one_pair_layout_buffer(oset24, pot):
+    grid = oset24.grid
+    t = lhf.two_body_tensor(pot, oset24, grid)
     K = t.K
     assert t.pair.shape == (K * K, K * K) and t.pair.flags.c_contiguous
     assert np.shares_memory(t.values, t.pair)
@@ -332,15 +356,15 @@ def test_slab_symmetry_deviations_match_full_array_formula(rng, inject):
                                           "both": (True, True)}[inject]
 
 
-def test_tensor_symmetrized_exactly_from_asymmetric_quadrature(rng, oset_m3):
+def test_tensor_symmetrized_exactly_from_asymmetric_quadrature(rng, oset24):
     # a skew below TENSOR_SYM_TOL is removed: each entry and its images end up equal
-    grid = lhf.Grid(L1=oset_m3.grid.L1, L2=oset_m3.grid.L2, G1=24, G2=24)
+    grid = oset24.grid
     table = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3).pair_values(grid)
     pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-9 * rng.normal(size=table.shape))
-    t = lhf.two_body_tensor(pot, oset_m3, grid)
+    t = lhf.two_body_tensor(pot, oset24, grid)
     assert t.symmetry_deviation > 1e-13
     assert symmetry_deviations(t.pair) == (0.0, 0.0)
-    exact = lhf.two_body_tensor(lhf.PotentialSpec(kind="tabulated", table=table), oset_m3, grid)
+    exact = lhf.two_body_tensor(lhf.PotentialSpec(kind="tabulated", table=table), oset24, grid)
     assert np.max(np.abs(t.values - exact.values)) < 1e-8
 
 
@@ -580,8 +604,25 @@ def test_evolve_independent_of_global_random_state(rng):
 
 
 def _hopping_ring(dim):
-    # no stored diagonal: the propagator's shift inserts it
+    # no stored diagonal: the propagator's shift applies to it all the same
     return sp.csr_matrix(sp.diags([np.ones(dim - 1), np.ones(dim - 1)], [-1, 1]))
+
+
+def _unstored_diagonal_entry(rng):
+    H = _random_hermitian(rng, 20).tolil()
+    H[3, 3] = 0.0
+    H = H.tocsr()
+    assert 3 not in H.indices[H.indptr[3]:H.indptr[4]]
+    return H
+
+
+def _duplicate_entries(rng):
+    # every entry stored twice, as two equal halves: ||H - mu||_1 is unchanged
+    H = _random_hermitian(rng, 20)
+    D = sp.csr_matrix((np.repeat(H.data / 2, 2), np.repeat(H.indices, 2),
+                       2 * H.indptr), shape=H.shape)
+    assert D.nnz == 2 * H.nnz
+    return D
 
 
 @pytest.mark.parametrize("make_H,t,hbar", [
@@ -590,7 +631,10 @@ def _hopping_ring(dim):
     (lambda rng: _random_hermitian(rng, 80) * 5.0, 2.0, 1.0),
     (lambda rng: _random_hermitian(rng, 30), 1.3, 0.7),
     (lambda rng: _hopping_ring(25), 0.9, 1.0),
-], ids=["small-t", "large-norm", "hbar-0.7", "no-diagonal"])
+    (_unstored_diagonal_entry, 0.9, 0.7),
+    (_duplicate_entries, 0.9, 0.7),
+], ids=["small-t", "large-norm", "hbar-0.7", "no-diagonal", "unstored-diagonal",
+        "duplicates"])
 def test_advance_matches_public_expm_multiply(rng, make_H, t, hbar):
     from scipy.sparse.linalg import expm_multiply
     H = make_H(rng)
@@ -605,6 +649,33 @@ def test_advance_matches_public_expm_multiply(rng, make_H, t, hbar):
     finally:
         np.random.set_state(saved)
     assert np.max(np.abs(prop.advance(psi, t) - expect)) <= 1e-12
+
+
+def test_propagator_keeps_a_complex_csr_as_given(rng):
+    H = _random_hermitian(rng, 12)
+    assert H.dtype == np.complex128
+    assert np.shares_memory(manybody.ExactPropagator(H).H.data, H.data)
+
+
+@pytest.mark.parametrize("make_H", [_unstored_diagonal_entry, _duplicate_entries],
+                         ids=["unstored-diagonal", "duplicates"])
+def test_propagator_norm_is_the_dense_shifted_norm(rng, make_H):
+    H, hbar = make_H(rng), 0.7
+    dense = H.toarray()
+    shifted = (dense - np.trace(dense) / len(dense) * np.eye(len(dense))) / hbar
+    norm = manybody.ExactPropagator(H, hbar).norm
+    assert norm == pytest.approx(np.abs(shifted).sum(axis=0).max(), rel=1e-12)
+
+
+def test_propagator_norm_bounds_cancelling_duplicates(rng):
+    # stored duplicates a + x and -x count as |a + x| + |x| >= |a|
+    H = _random_hermitian(rng, 20)
+    x = random_complex(rng, H.nnz)
+    D = sp.csr_matrix((np.column_stack([H.data + x, -x]).ravel(),
+                       np.repeat(H.indices, 2), 2 * H.indptr), shape=H.shape)
+    assert np.max(np.abs(D.toarray() - H.toarray())) < 1e-12
+    exact = manybody.ExactPropagator(H).norm
+    assert manybody.ExactPropagator(D).norm >= exact
 
 
 def test_one_propagator_gives_the_bits_of_a_new_one_per_call(rng):
