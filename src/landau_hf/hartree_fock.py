@@ -30,6 +30,7 @@ is taken, holding only the current one; integrate_hf keeps the sampled ones
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,10 +160,21 @@ def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
     A step that leaves a non-finite value raises NonFiniteValue; one that
     grows the Gram deviation by more than STEP_GRAM_TOL raises StepUnstable.
     Each state's Gram deviation is computed once and kept for the next step.
+    The scheme, dt (finite, > 0) and t_final (finite, >= 0) are checked here,
+    before the generator is returned: a bad one raises InvalidValue at the call.
     """
     if scheme not in INTEGRATORS:
         raise InvalidValue("scheme", f"'{scheme}' is not one of {INTEGRATORS}")
-    dt_eff, n_steps = time_grid(dt, t_final)
+    if not 0.0 < dt < math.inf:                 # NaN fails too
+        raise InvalidValue("dt", "must be finite and > 0")
+    if not 0.0 <= t_final < math.inf:
+        raise InvalidValue("t_final", "must be finite and >= 0")
+    return _rk4_steps(initial, *time_grid(dt, t_final), scheme, tensor, energies, constants)
+
+
+def _rk4_steps(initial: HFState, dt_eff: float, n_steps: int, scheme: str,
+               tensor: InteractionTensor, energies: np.ndarray,
+               constants: PhysicalConstants):
     state = HFState(time=float(initial.time), a=complex(initial.a),
                     orbitals=initial.orbitals.astype(np.complex128))
 
@@ -199,10 +211,9 @@ def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
                  constants: PhysicalConstants, sample_stride: int = 1) -> HFTrajectory:
     """The states of hf_steps at time_grid's samples (is_sample), with their
     energy, |a| and Gram deviation."""
+    steps = hf_steps(initial, dt, t_final, scheme, tensor, energies, constants)
     n_steps = time_grid(dt, t_final)[1]
-    states = [s for step, s in hf_steps(initial, dt, t_final, scheme, tensor,
-                                        energies, constants)
-              if is_sample(step, n_steps, sample_stride)]
+    states = [s for step, s in steps if is_sample(step, n_steps, sample_stride)]
     return HFTrajectory(
         times=np.asarray([s.time for s in states]), states=states,
         energies=np.asarray([hf_energy(s, energies, tensor) for s in states]),

@@ -9,10 +9,14 @@ elements are stored in physicists' order,
 
 so a and g belong to the first particle, b and d to the second.
 
-DeterminantBasis.replacements tabulates, for all determinants at once, the
-single and double orbital replacements with target rank and fermionic sign.
-Hamiltonian assembly consumes both; the single ones, kept as .singles, also
-feed the one-body reduced density matrix and DeterminantBasis.one_body.
+DeterminantBasis.replacement_rows tabulates, for a block of determinants at
+once, the single or double orbital replacements with target rank and
+fermionic sign, both read from bit strings of the occupations with no sort;
+replacements flattens them block by block.  assemble_hamiltonian consumes
+both and writes H as CSR directly, a bounded block of rows at a time, after
+checking that its closed-form size fits H_BYTE_CAP; the single ones, kept as
+.singles, also feed the one-body reduced density matrix and
+DeterminantBasis.one_body.
 
 Exact dynamics has one propagator, ExactPropagator: the action of
 exp(-i H t / hbar) on a vector from the sparse H, used as given, by truncated
@@ -24,6 +28,7 @@ step count from the interval, then does matvecs alone and draws no random number
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -42,6 +47,8 @@ from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
 REPLACEMENT_BLOCK = 256          # source determinants per replacements() block
+ASSEMBLY_BLOCK = 2 ** 15         # candidate entries of H per assemble_hamiltonian block
+H_BYTE_CAP = 2 ** 30             # largest predicted CSR size of H, in bytes
 TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
 SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
 TAYLOR_TOL = 2.0 ** -53          # truncation tolerance of ExactPropagator's Taylor sums
@@ -86,32 +93,69 @@ class DeterminantBasis:
             raise KeyError(f"{occ.tolist()} is not an occupation of {self.N} of {self.K}")
         return int(self.rank(occ))
 
-    def replacements(self, n: int):
-        """Every replacement of n occupied by n empty orbitals, as arrays
-        (i, j, P, Q, sign) over blocks of REPLACEMENT_BLOCK source rows i:
-        row j is row i with the orbitals P (E, n) replaced by Q (E, n), both
-        ascending; the sign (-1)^(sum pos(P) + sum newpos(Q)), places in the
-        source and the target, is the parity of sorting after replacing in place.
-        """
+    @cached_property
+    def _bit_tables(self) -> tuple:
+        """Occupations as little-endian bit strings, byte k holding orbitals
+        8k..8k+7; per byte k: one[k, o] the bit of orbital o, below[k, o] the
+        bits of the orbitals under o, and rank[k, 256 c + b] the sum of rank's
+        terms C(K-1-o, N-c-m) over the set bits o of byte value b, m of them
+        under o and c occupied below the byte (a term past N or K counts 0)."""
+        K, N = self.K, self.N
+        one, below = (np.packbits(x, axis=0, bitorder="little")
+                      for x in (np.eye(K, dtype=bool), np.tri(K, k=-1, dtype=bool).T))
+        t = np.arange(8)
+        bits = (np.arange(256)[:, None] >> t) & 1                         # [b, t]
+        place = np.arange(N + 1)[:, None, None] + np.cumsum(bits, axis=1) - bits
+        orbital = 8 * np.arange(len(one))[:, None, None, None] + t        # [k, ., ., t]
+        valid = (bits == 1) & (place < N) & (orbital < K)
+        terms = self._binomials[np.maximum(K - 1 - orbital, 0), np.maximum(N - place, 0)]
+        return one, below, np.where(valid, terms, 0).sum(axis=-1).reshape(len(one), -1)
+
+    def replacement_rows(self, n: int, start: int, stop: int) -> tuple:
+        """Every replacement of n occupied by n empty orbitals from the source
+        rows start..stop-1, as (j, P, Q, sign): the orbitals P (B, r, n)
+        removed and Q (B, a, n) added, both ascending, and per pair (B, r, a)
+        the row j of the target and the sign (-1)^(sum pos(P) + sum newpos(Q)),
+        places in the source and the target: the parity of sorting after
+        replacing in place.
+
+        Nothing is sorted.  Byte by byte (_bit_tables), the target's bit
+        string is the source's with the bits of P and Q flipped, its rank
+        sums rank's terms from a table, and sum newpos(Q) is, mod 2, the
+        number of target bits under an odd number of the q in Q."""
         K, N = self.K, self.N
         removed, added = (np.array(list(itertools.combinations(range(m), n)),
                                    dtype=np.int64).reshape(-1, n) for m in (N, K - N))
-        shape = (len(removed), len(added))
+        occ = self.occupations[start:stop]
+        held = np.zeros((len(occ), K), dtype=bool)
+        held[np.arange(len(occ))[:, None], occ] = True
+        P, Q = occ[:, removed], np.nonzero(~held)[1].reshape(len(occ), K - N)[:, added]
+        held = np.packbits(held, axis=1, bitorder="little")
+
+        def flips(table, X):
+            return functools.reduce(np.bitwise_xor, (table[X[..., m]] for m in range(n)))
+
+        total = np.zeros(P.shape[:2] + Q.shape[1:2], dtype=np.int64)
+        at = np.zeros(total.shape, dtype=np.intp)            # 256 * occupied below byte k
+        parity = removed.sum(axis=1)[:, None] % 2
+        for k, (one, below, rank) in enumerate(zip(*self._bit_tables)):
+            byte = (held[:, k, None] ^ flips(one, P))[:, :, None] | flips(one, Q)[:, None]
+            total += rank.take(at + byte)
+            at += np.left_shift(np.bitwise_count(byte), 8, dtype=np.intp)
+            parity = parity ^ np.bitwise_count(byte & flips(below, Q)[:, None])
+        return self.dim - 1 - total, P, Q, np.where(parity & 1, -1.0, 1.0)
+
+    def replacements(self, n: int):
+        """replacement_rows over blocks of REPLACEMENT_BLOCK source rows, as
+        flat arrays (i, j, P, Q, sign): row j is row i with the orbitals P
+        (E, n) replaced by Q (E, n), in the order (i, P, Q)."""
         for start in range(0, self.dim, REPLACEMENT_BLOCK):
-            occ = self.occupations[start:start + REPLACEMENT_BLOCK]
-            B = occ.shape[0]
-            virt = np.nonzero(np.all(occ[:, :, None] != np.arange(K), axis=1))[1]
-            virt = virt.reshape(B, K - N)
-            P = np.broadcast_to(occ[:, removed][:, :, None], (B, *shape, n))
-            Q = np.broadcast_to(virt[:, added][:, None], (B, *shape, n))
-            target = np.broadcast_to(occ[:, None, None], (B, *shape, N)).copy()
-            np.put_along_axis(target, removed[None, :, None], Q, axis=-1)
-            target.sort(axis=-1)
-            parity = (removed.sum(axis=1)[:, None]
-                      + (target[..., None, :] < Q[..., None]).sum(axis=(-2, -1)))
-            yield (np.repeat(np.arange(start, start + B), shape[0] * shape[1]),
-                   self.rank(target).ravel(), P.reshape(-1, n), Q.reshape(-1, n),
-                   np.where(parity % 2, -1.0, 1.0).ravel())
+            stop = min(start + REPLACEMENT_BLOCK, self.dim)
+            j, P, Q, sign = self.replacement_rows(n, start, stop)
+            shape = (*j.shape, n)
+            yield (np.repeat(np.arange(start, stop), j[0].size), j.ravel(),
+                   np.broadcast_to(P[:, :, None], shape).reshape(-1, n),
+                   np.broadcast_to(Q[:, None], shape).reshape(-1, n), sign.ravel())
 
     @cached_property
     def singles(self) -> tuple:
@@ -280,13 +324,22 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     """One-body diagonal plus, with <pq||rs> = v[p,q,r,s] - v[p,q,s,r], the
     sum of <pr||pr> over occupied pairs, sign * sum_{r occ} <pr||qr> per
     single replacement p -> q (the r = p term vanishes by exchange symmetry)
-    and sign * <p1p2||q1q2> per double one; the upper triangle is mirrored.
+    and sign * <p1p2||q1q2> per double one.  An entry below the diagonal is
+    the conjugate of its partner above, summed as that partner's row sums it
+    (a single one over the occupations of the upper row).
+
+    H is written as CSR directly, about ASSEMBLY_BLOCK candidate entries at a
+    time, into arrays sized up front: each row has its diagonal, N (K - N)
+    single and C(N,2) C(K-N,2) double replacements, sorted by column; an
+    exact zero is dropped and a -0.0 part stored as 0.0.  An H whose CSR at
+    that count would exceed H_BYTE_CAP bytes raises TooLarge before any
+    replacement is listed.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
         raise DimensionMismatch(
             f"{energies.shape[0]} one-body energies for K={basis.K}")
-    occ = basis.occupations
+    occ, K = basis.occupations, basis.K
     dim, N = occ.shape
     diag = energies[occ].sum(axis=1).astype(np.complex128)
 
@@ -294,25 +347,71 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
         return sp.diags(diag, format="csr")
 
     v = tensor.values
-    if v.shape[0] != basis.K:
-        raise DimensionMismatch(f"tensor rank {v.shape[0]} for K={basis.K}")
+    if v.shape[0] != K:
+        raise DimensionMismatch(f"tensor rank {v.shape[0]} for K={K}")
+    n_single = N * (K - N)
+    width = 1 + n_single + math.comb(N, 2) * math.comb(K - N, 2)
+    nbytes = dim * width * (16 + 4) + (dim + 1) * 4        # complex data, int32 indices
+    if nbytes > H_BYTE_CAP:
+        raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
+                       f"as CSR ({dim * width} entries), over the budget of "
+                       f"{H_BYTE_CAP / 1e9:.2f} GB")
     w = v - v.transpose(0, 1, 3, 2)
     for k, l in itertools.combinations(range(N), 2):
         diag += w[occ[:, k], occ[:, l], occ[:, k], occ[:, l]]
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
-    for n in (1, 2):
-        for i, j, P, Q, sign in basis.replacements(n):
-            up = j > i
-            i, P, Q = i[up], P[up], Q[up]
-            elem = (sum(w[P[:, 0], r, Q[:, 0], r] for r in occ[i].T) if n == 1
-                    else w[P[:, 0], P[:, 1], Q[:, 0], Q[:, 1]])
-            rows.append(i); cols.append(j[up]); vals.append(sign[up] * elem)
+    # flat tables for np.take: <pr||qr> at (r K + p) K + q, and <p1p2||q1q2>
+    # at pair(p1, p2) C(K,2) + pair(q1, q2) over ascending pairs, its conjugate
+    # transpose first (for the lower triangle), then itself at C(K,2)^2 on
+    single_elem = w.transpose(1, 3, 0, 2)[np.arange(K), np.arange(K)].ravel()
+    a, b = np.triu_indices(K, 1)
+    double_elem = w[a[:, None], b[:, None], a, b]
+    double_elem = np.concatenate([double_elem.T.conj().ravel(), double_elem.ravel()])
+    pair = np.zeros((K, K), dtype=np.intp)
+    pair[a, b] = np.arange(len(a))
+    occ_r = occ.T * K * K                   # r K^2 per occupied r, column by column
 
-    upper = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(dim, dim), dtype=np.complex128).tocsr()
-    lower = sp.triu(upper, k=1).conj().T
-    return (upper + lower).tocsr()
+    data = np.empty(dim * width, dtype=np.complex128)
+    indices = np.empty(dim * width, dtype=np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    shift = width.bit_length()              # sort key: column << shift | place in row
+    rows = max(1, ASSEMBLY_BLOCK // width)
+    for start in range(0, dim, rows):
+        stop = min(start + rows, dim)
+        i = np.arange(start, stop)[:, None, None]
+        key = np.empty((len(i), width), dtype=np.int64)
+        vals = np.empty((len(i), width), dtype=np.complex128)
+        key[:, 0], vals[:, 0] = i.ravel(), diag[start:stop]
+
+        # singles: above the diagonal summed over row i's occupations, below
+        # over row j's with p and q swapped, then conjugated
+        j, P, Q, sign = basis.replacement_rows(1, start, stop)
+        up, q = j > i, Q.transpose(0, 2, 1)
+        pq, src = np.where(up, P * K + q, q * K + P), np.where(up, i, j)
+        elem = sign * sum(single_elem.take(r.take(src) + pq) for r in occ_r)
+        key[:, 1:1 + n_single] = j.reshape(len(i), -1)
+        vals[:, 1:1 + n_single] = np.where(up, elem, elem.conj()).reshape(len(i), -1)
+
+        j, P, Q, sign = basis.replacement_rows(2, start, stop)
+        at = pair[P[..., 0], P[..., 1]][:, :, None] * len(a) + pair[Q[..., 0], Q[..., 1]][:, None]
+        at += (j > i) * len(a) ** 2
+        key[:, 1 + n_single:] = j.reshape(len(i), -1)
+        vals[:, 1 + n_single:] = (sign * double_elem.take(at)).reshape(len(i), -1)
+
+        # each row sorted by column; exact zeros dropped, -0.0 parts made 0.0
+        key <<= shift
+        key |= np.arange(width)
+        key.sort(axis=1)
+        vals = vals.take((key & ((1 << shift) - 1)) + np.arange(0, key.size, width)[:, None])
+        vals += 0
+        keep = vals != 0
+        lo = indptr[start]
+        indptr[start + 1:stop + 1] = lo + np.cumsum(keep.sum(axis=1))
+        data[lo:indptr[stop]] = vals[keep]
+        indices[lo:indptr[stop]] = (key >> shift)[keep]
+    if indptr[-1] < len(data):                 # shrunk in place: no view of either exists
+        data.resize(indptr[-1], refcheck=False)
+        indices.resize(indptr[-1], refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,18 @@ translation oracle applies the x1-seam phase in one closed formula instead of
 through the seam shift of the kinetic operator.  The periodized Gaussian
 oracles sum its lattice images pair by pair, or per axis in Poisson-dual form.
 The reduced density matrix oracle accumulates it entry by entry with np.add.at.
+The replacement-table oracle sorts every target occupation and ranks it; the
+Hamiltonian oracle consumes it as COO lists and mirrors the upper triangle
+with scipy's transpose and sum.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
+from landau_hf import manybody
 from landau_hf.hartree_fock import hf_rhs
 
 
@@ -102,6 +107,58 @@ def add_at_rdm(coefficients: np.ndarray, basis) -> np.ndarray:
     i, j, p, q, sign = basis.singles
     np.add.at(omega, (p, q), sign * np.conj(c[j]) * c[i])
     return omega
+
+
+def sorted_replacements(basis, n: int):
+    """basis.replacements(n) by sorting, in blocks of REPLACEMENT_BLOCK rows:
+    every target occupation is written out, sorted and ranked, and the sign
+    is the parity of the places of P in the source plus those of Q in the
+    sorted target."""
+    K, N, block = basis.K, basis.N, manybody.REPLACEMENT_BLOCK
+    removed, added = (np.array(list(itertools.combinations(range(m), n)),
+                               dtype=np.int64).reshape(-1, n) for m in (N, K - N))
+    shape = (len(removed), len(added))
+    for start in range(0, basis.dim, block):
+        occ = basis.occupations[start:start + block]
+        B = occ.shape[0]
+        virt = np.nonzero(np.all(occ[:, :, None] != np.arange(K), axis=1))[1]
+        virt = virt.reshape(B, K - N)
+        P = np.broadcast_to(occ[:, removed][:, :, None], (B, *shape, n))
+        Q = np.broadcast_to(virt[:, added][:, None], (B, *shape, n))
+        target = np.broadcast_to(occ[:, None, None], (B, *shape, N)).copy()
+        np.put_along_axis(target, removed[None, :, None], Q, axis=-1)
+        target.sort(axis=-1)
+        parity = (removed.sum(axis=1)[:, None]
+                  + (target[..., None, :] < Q[..., None]).sum(axis=(-2, -1)))
+        yield (np.repeat(np.arange(start, start + B), shape[0] * shape[1]),
+               basis.rank(target).ravel(), P.reshape(-1, n), Q.reshape(-1, n),
+               np.where(parity % 2, -1.0, 1.0).ravel())
+
+
+def coo_hamiltonian(basis, energies, tensor) -> sp.csr_matrix:
+    """assemble_hamiltonian through COO lists of the upper triangle from
+    sorted_replacements, mirrored as upper + triu(upper, 1)^H."""
+    energies = np.asarray(energies, dtype=float)
+    occ = basis.occupations
+    dim, N = occ.shape
+    diag = energies[occ].sum(axis=1).astype(np.complex128)
+    v = tensor.values
+    w = v - v.transpose(0, 1, 3, 2)
+    for k, l in itertools.combinations(range(N), 2):
+        diag += w[occ[:, k], occ[:, l], occ[:, k], occ[:, l]]
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+    for n in (1, 2):
+        for i, j, P, Q, sign in sorted_replacements(basis, n):
+            up = j > i
+            i, P, Q = i[up], P[up], Q[up]
+            elem = (sum(w[P[:, 0], r, Q[:, 0], r] for r in occ[i].T) if n == 1
+                    else w[P[:, 0], P[:, 1], Q[:, 0], Q[:, 1]])
+            rows.append(i); cols.append(j[up]); vals.append(sign[up] * elem)
+    upper = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(dim, dim), dtype=np.complex128).tocsr()
+    lower = sp.triu(upper, k=1).conj().T
+    return (upper + lower).tocsr()
 
 
 def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):

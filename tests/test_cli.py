@@ -7,6 +7,7 @@ import pytest
 from landau_hf.analysis import ComparisonRecord
 from landau_hf.cli import build_parser, dispatch, write_timeseries
 from landau_hf.config import INTEGRATORS
+from landau_hf.manybody import DeterminantBasis
 
 GOOD_CFG = """
 [domain]
@@ -458,6 +459,27 @@ def test_too_large_writes_failed_manifest(tmp_path, capsys, command):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
     assert "exceeds cap" in manifest["validations"]["error"]["detail"]
+
+
+@pytest.mark.parametrize("command", ["compare", "evolve-exact"])
+def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
+                                                       command):
+    # K = 24, N = 6: C(24, 6) = 134596 is under the dimension cap, H needs 6.47 GB
+    def unlisted(*args):
+        raise AssertionError("a replacement block was built")
+    monkeypatch.setattr(DeterminantBasis, "replacements", unlisted)
+    monkeypatch.setattr(DeterminantBasis, "replacement_rows", unlisted)
+    cfg = tmp_path / "k24.cfg"
+    cfg.write_text(GOOD_CFG.format(M=8, n_max=2, N=6, strength=0.1, t_final=0.05)
+                   .replace("grid1 = 32", "grid1 = 64").replace("= 48", "= 64"))
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", str(cfg), "--out-dir", str(out),
+                     "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: H on C(24,6) = 134596 determinants needs 6.47 GB")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False and manifest["outputs"] == []
+    assert "over the budget" in manifest["validations"]["error"]["detail"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import islice
 
@@ -308,6 +309,22 @@ def test_unknown_scheme_is_an_invalid_value(setup, rng):
         next(lhf.hf_steps(st, 1e-3, 0.01, "euler", tensor, oset.energies, cfg.constants))
     with pytest.raises(InvalidValue, match="'scheme'"):
         lhf.integrate_hf(st, 1e-3, 0.01, "euler", tensor, oset.energies, cfg.constants)
+
+
+@pytest.mark.parametrize("dt,t_final,scheme,key", [
+    (1e-3, 0.01, "euler", "scheme"), (0.0, 0.01, "rk4", "dt"), (-1e-3, 0.01, "rk4", "dt"),
+    (math.nan, 0.01, "rk4", "dt"), (math.inf, 0.01, "rk4", "dt"),
+    (1e-3, -0.01, "rk4", "t_final"), (1e-3, math.nan, "rk4", "t_final"),
+    (1e-3, math.inf, "rk4", "t_final")])
+def test_hf_steps_checks_its_arguments_at_the_call(setup, rng, dt, t_final, scheme, key):
+    # the generator is never advanced: the call itself raises
+    cfg, oset, tensor = setup
+    with pytest.raises(InvalidValue, match=f"'{key}'"):
+        lhf.hf_steps(random_state(rng, 9, 2), dt, t_final, scheme, tensor,
+                     oset.energies, cfg.constants)
+    with pytest.raises(InvalidValue, match=f"'{key}'"):
+        lhf.integrate_hf(random_state(rng, 9, 2), dt, t_final, scheme, tensor,
+                         oset.energies, cfg.constants)
 
 
 def test_first_steps_of_a_long_grid_allocate_no_step_list(setup, rng):

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from landau_hf import manybody
 from landau_hf.errors import (DimensionMismatch, GridMismatch, InvalidValue,
                               LengthMismatch, NonFiniteValue, NotOrthonormal,
                               SymmetryViolation, TooLarge, TruncationTooSmall)
+from landau_hf.analysis import Problem
 from landau_hf.manybody import (InteractionTensor, ManyBodyState,
                                 symmetry_deviations)
 
@@ -101,6 +105,34 @@ def test_singles_is_the_whole_single_replacement_table(monkeypatch, rng):
     basis.one_body(np.eye(12))
     lhf.rdm_exact(ManyBodyState(basis=basis, coefficients=c), basis)
     assert basis.singles[0] is i
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("K,N,block,blocks", [
+    (4, 4, 256, None), (4, 1, 256, None), (9, 3, 256, None),
+    (12, 5, 256, None),                     # dim 792: three blocks of 256, one of 24
+    (63, 2, 16, 2), (64, 2, 16, 2), (65, 2, 16, 2), (65, 63, 16, 2),
+    (70, 67, 16, 2)])                       # binomials past int64
+def test_replacement_table_matches_sorting_oracle(monkeypatch, K, N, block, blocks, n):
+    monkeypatch.setattr(manybody, "REPLACEMENT_BLOCK", block)
+    basis = lhf.enumerate_determinants(K, N)
+    got = list(itertools.islice(basis.replacements(n), blocks))
+    expect = list(itertools.islice(helpers.sorted_replacements(basis, n), blocks))
+    assert len(got) == len(expect) == (blocks or -(-basis.dim // block))
+    for new, old in zip(got, expect):
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_replacement_rows_are_the_flat_table_unflattened():
+    basis = lhf.enumerate_determinants(9, 4)
+    i, j, P, Q, sign = next(basis.replacements(2))
+    j2, P2, Q2, sign2 = basis.replacement_rows(2, 0, basis.dim)
+    shape = j2.shape                             # (126, C(4,2), C(5,2))
+    assert shape == (126, 6, 10)
+    assert np.array_equal(j2.ravel(), j) and np.array_equal(sign2.ravel(), sign)
+    assert np.array_equal(np.broadcast_to(P2[:, :, None], (*shape, 2)).reshape(-1, 2), P)
+    assert np.array_equal(np.broadcast_to(Q2[:, None], (*shape, 2)).reshape(-1, 2), Q)
 
 
 # --- one-body operators ------------------------------------------------------
@@ -406,6 +438,96 @@ def test_assemble_matches_tensor_space_oracle(rng, K, N):
     H = lhf.assemble_hamiltonian(basis, energies, tensor).toarray()
     oracle = helpers.projected_hamiltonian(basis, energies, v)
     assert np.max(np.abs(H - oracle)) < 1e-9
+
+
+def assert_same_csr(H, oracle):
+    """Bit for bit: index dtypes, indptr, indices (sorted), data with signed zeros."""
+    assert H.indptr.dtype == oracle.indptr.dtype and H.indices.dtype == oracle.indices.dtype
+    assert np.array_equal(H.indptr, oracle.indptr)
+    assert np.array_equal(H.indices, oracle.indices) and H.has_sorted_indices
+    assert H.data.dtype == oracle.data.dtype and H.data.tobytes() == oracle.data.tobytes()
+
+
+def momentum_masked(v, modulus=3):
+    """v kept where a + b = g + d mod modulus: exact zeros in H, symmetries kept."""
+    a, b, g, d = np.ix_(*[np.arange(len(v))] * 4)
+    return np.where((a + b - g - d) % modulus == 0, v, 0)
+
+
+@pytest.mark.parametrize("K,N,masked", [(4, 2, False), (5, 3, False), (8, 3, False),
+                                        (4, 1, False), (4, 4, False), (9, 4, True),
+                                        (12, 4, True)])
+def test_assemble_matches_coo_oracle_on_random_tensors(rng, K, N, masked):
+    v, _ = helpers.random_interaction_tensor(rng, K, P=K + 3)
+    tensor = InteractionTensor(values=momentum_masked(v) if masked else v, sup_norm=1.0)
+    energies = rng.uniform(0.2, 2.0, K)
+    basis = lhf.enumerate_determinants(K, N)
+    H = lhf.assemble_hamiltonian(basis, energies, tensor)
+    assert_same_csr(H, helpers.coo_hamiltonian(basis, energies, tensor))
+    if masked:
+        assert 0 < H.nnz < basis.dim * (1 + N * (K - N)
+                                        + math.comb(N, 2) * math.comb(K - N, 2))
+
+
+@pytest.mark.parametrize("path,changes", [
+    ("configs/k16n4.cfg", {"M": 3, "n_max": 3}),       # exact_k12n4: cosine, K=12, N=4
+    ("configs/gaussian.cfg", {"N": 3})])                # compare_k9n3: Gaussian, K=9, N=3
+def test_assemble_matches_coo_oracle_on_shipped_kernels(path, changes):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    problem = Problem(dataclasses.replace(lhf.load_config(root / path), **changes))
+    basis, tensor = problem.det_basis, problem.tensor
+    assert_same_csr(problem.H, helpers.coo_hamiltonian(basis, problem.energies, tensor))
+
+
+def test_assembly_peak_memory_is_bounded_by_the_csr(rng):
+    v, _ = helpers.random_interaction_tensor(rng, 16, P=19)
+    tensor = InteractionTensor(values=v, sup_norm=1.0)
+    basis = lhf.enumerate_determinants(16, 4)
+    basis.occupations
+    tracemalloc.start()
+    try:
+        H = lhf.assemble_hamiltonian(basis, np.ones(16), tensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+    assert H.nnz == 809900 and peak <= 1.5 * csr
+
+
+def csr_bytes(K, N):
+    """Closed-form CSR size of H: complex data and int32 indices per entry."""
+    dim = math.comb(K, N)
+    return dim * (1 + N * (K - N) + math.comb(N, 2) * math.comb(K - N, 2)) * 20 + (dim + 1) * 4
+
+
+def test_byte_budget_admits_k20n5_and_rejects_k24n6():
+    assert csr_bytes(20, 5) <= manybody.H_BYTE_CAP < csr_bytes(24, 6)
+    assert math.comb(24, 6) <= manybody.DET_SPACE_CAP
+
+
+def test_byte_budget_is_the_size_of_the_csr(rng, monkeypatch):
+    v, _ = helpers.random_interaction_tensor(rng, 7)
+    tensor = InteractionTensor(values=v, sup_norm=1.0)
+    basis = lhf.enumerate_determinants(7, 3)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", csr_bytes(7, 3))
+    H = lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
+    assert H.data.nbytes + H.indices.nbytes + H.indptr.nbytes == csr_bytes(7, 3)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", csr_bytes(7, 3) - 1)
+    with pytest.raises(TooLarge, match="over the budget"):
+        lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
+
+
+def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
+    def unlisted(*args):
+        raise AssertionError("a replacement block was built")
+    monkeypatch.setattr(lhf.DeterminantBasis, "replacements", unlisted)
+    monkeypatch.setattr(lhf.DeterminantBasis, "replacement_rows", unlisted)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    config = dataclasses.replace(lhf.load_config(root / "configs/k16n4.cfg"), n_max=2, N=6)
+    problem = Problem(config)
+    assert problem.det_basis.dim == 134596              # under DET_SPACE_CAP
+    with pytest.raises(TooLarge, match=r"needs 6\.47 GB as CSR \(323568784 entries\)"):
+        problem.H
 
 
 def test_assemble_dimension_mismatch(tensor_m3):
