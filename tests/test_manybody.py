@@ -21,6 +21,8 @@ from landau_hf.manybody import (InteractionTensor, ManyBodyState,
 
 import helpers
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 # --- determinant enumeration -------------------------------------------------
 
@@ -473,8 +475,7 @@ def test_assemble_matches_coo_oracle_on_random_tensors(rng, K, N, masked):
     ("configs/k16n4.cfg", {"M": 3, "n_max": 3}),       # exact_k12n4: cosine, K=12, N=4
     ("configs/gaussian.cfg", {"N": 3})])                # compare_k9n3: Gaussian, K=9, N=3
 def test_assemble_matches_coo_oracle_on_shipped_kernels(path, changes):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    problem = Problem(dataclasses.replace(lhf.load_config(root / path), **changes))
+    problem = Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
     basis, tensor = problem.det_basis, problem.tensor
     assert_same_csr(problem.H, helpers.coo_hamiltonian(basis, problem.energies, tensor))
 
@@ -483,7 +484,6 @@ def test_assembly_peak_memory_is_bounded_by_the_csr(rng):
     v, _ = helpers.random_interaction_tensor(rng, 16, P=19)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(16, 4)
-    basis.occupations
     tracemalloc.start()
     try:
         H = lhf.assemble_hamiltonian(basis, np.ones(16), tensor)
@@ -522,8 +522,7 @@ def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
         raise AssertionError("a replacement block was built")
     monkeypatch.setattr(lhf.DeterminantBasis, "replacements", unlisted)
     monkeypatch.setattr(lhf.DeterminantBasis, "replacement_rows", unlisted)
-    root = pathlib.Path(__file__).resolve().parents[1]
-    config = dataclasses.replace(lhf.load_config(root / "configs/k16n4.cfg"), n_max=2, N=6)
+    config = dataclasses.replace(lhf.load_config(ROOT / "configs/k16n4.cfg"), n_max=2, N=6)
     problem = Problem(config)
     assert problem.det_basis.dim == 134596              # under DET_SPACE_CAP
     with pytest.raises(TooLarge, match=r"needs 6\.47 GB as CSR \(323568784 entries\)"):
