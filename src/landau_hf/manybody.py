@@ -97,7 +97,7 @@ class DeterminantBasis:
     def _bit_tables(self) -> tuple:
         """Occupations as little-endian bit strings, byte k holding orbitals
         8k..8k+7; per byte k: one[k, o] the bit of orbital o, below[k, o] the
-        bits of the orbitals under o, and rank[k, 256 c + b] the sum of rank's
+        bits of the orbitals under o, and terms[k, 256 c + b] the sum of rank's
         terms C(K-1-o, N-c-m) over the set bits o of byte value b, m of them
         under o and c occupied below the byte (a term past N or K counts 0)."""
         K, N = self.K, self.N
@@ -138,9 +138,9 @@ class DeterminantBasis:
         total = np.zeros(P.shape[:2] + Q.shape[1:2], dtype=np.int64)
         at = np.zeros(total.shape, dtype=np.intp)            # 256 * occupied below byte k
         parity = removed.sum(axis=1)[:, None] % 2
-        for k, (one, below, rank) in enumerate(zip(*self._bit_tables)):
+        for k, (one, below, terms) in enumerate(zip(*self._bit_tables)):
             byte = (held[:, k, None] ^ flips(one, P))[:, :, None] | flips(one, Q)[:, None]
-            total += rank.take(at + byte)
+            total += terms.take(at + byte)
             at += np.left_shift(np.bitwise_count(byte), 8, dtype=np.intp)
             parity = parity ^ np.bitwise_count(byte & flips(below, Q)[:, None])
         return self.dim - 1 - total, P, Q, np.where(parity & 1, -1.0, 1.0)
