@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Per-layer ladder of the exact path, written to BENCH_<label>.json.
+"""Per-layer ladders of the exact path and end-to-end compare times, written
+to BENCH_<label>.json.
 
-Each rung builds its problem through analysis.Problem from configs/k16n4.cfg
-(cosine kernel) with M, n_max and N set: K = M (n_max + 1) orbitals and
-C(K, N) determinants.  It times the assembly of H, one
-ExactPropagator(H).advance(psi, 0.1) from a seeded random unit vector, the
-first build of the single-replacement table (DeterminantBasis.singles) and
-rdm_exact after it, each the median of REPEATS runs (the table once), and
-records the tracemalloc peak of one more assembly over the bytes of the CSR
-it returns.  The machine block names where the numbers come from.
+There is one ladder per kernel kind, because the selection rule keeps a
+different share of the tensor for each: configs/k16n4.cfg (cosine, 4/M^2 at
+harmonic2 = 1) and configs/gaussian.cfg (Gaussian, 1/M).  Each rung builds
+its problem through analysis.Problem from the ladder's config with M, n_max
+and N set: K = M (n_max + 1) orbitals and C(K, N) determinants.  It times
+the assembly of H, one ExactPropagator(H).advance(psi, 0.1) from a seeded
+random unit vector, the first build of the single-replacement table
+(DeterminantBasis.singles) and rdm_exact after it, each the median of
+REPEATS runs (the table once), and records the tracemalloc peak of one more
+assembly over the bytes of the CSR it returns.  The compare rows run
+`landau-hf compare --threads 1` REPEATS times on each of COMPARE_CONFIGS in
+a fresh process and keep the manifest's total time.  The machine block
+names where the numbers come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
 """
@@ -22,6 +28,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -37,6 +44,8 @@ from landau_hf.manybody import (ExactPropagator, ManyBodyState,  # noqa: E402
                                 assemble_hamiltonian)
 
 LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5)]   # (M, n_max, N): K = 12, 16, 20, 20
+LADDER_CONFIGS = {"cosine": "configs/k16n4.cfg", "gaussian": "configs/gaussian.cfg"}
+COMPARE_CONFIGS = ["configs/example.cfg", "configs/gaussian.cfg", "configs/k16n4.cfg"]
 REPEATS = 3
 INTERVAL = 0.1
 SEED = 20240917
@@ -63,9 +72,8 @@ def median_time(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def rung(M: int, n_max: int, N: int) -> dict:
-    config = dataclasses.replace(load_config(ROOT / "configs" / "k16n4.cfg"),
-                                 M=M, n_max=n_max, N=N)
+def rung(path: str, M: int, n_max: int, N: int) -> dict:
+    config = dataclasses.replace(load_config(ROOT / path), M=M, n_max=n_max, N=N)
     problem = Problem(config)
     basis, energies, tensor = problem.det_basis, problem.energies, problem.tensor
     assemble_s = median_time(lambda: assemble_hamiltonian(basis, energies, tensor), REPEATS)
@@ -92,17 +100,39 @@ def rung(M: int, n_max: int, N: int) -> dict:
             "singles_s": singles_s, "rdm_s": rdm_s}
 
 
+def compare_row(path: str) -> dict:
+    """`landau-hf compare --threads 1` on path, REPEATS fresh processes: the
+    manifest's total time of each and their median, with its counters."""
+    totals = []
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for _ in range(REPEATS):
+        with tempfile.TemporaryDirectory() as out:
+            subprocess.run([sys.executable, "-m", "landau_hf.cli", "compare", "--config",
+                            str(ROOT / path), "--out-dir", out, "--threads", "1"],
+                           env=env, check=True, capture_output=True)
+            manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
+        totals.append(manifest["timings"]["total"])
+    return {"config": path, "total_s": statistics.median(totals), "runs_s": totals,
+            "counters": manifest.get("counters")}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     args = parser.parse_args()
     started = time.perf_counter()
-    ladder = []
-    for M, n_max, N in LADDER:
-        ladder.append(rung(M, n_max, N))
-        print(json.dumps(ladder[-1]), flush=True)
-    result = {"label": args.label, "machine": machine(), "config": "configs/k16n4.cfg",
-              "interval": INTERVAL, "repeats": REPEATS, "ladder": ladder,
+    ladders = {}
+    for kind, path in LADDER_CONFIGS.items():
+        ladders[kind] = {"config": path, "rungs": []}
+        for M, n_max, N in LADDER:
+            ladders[kind]["rungs"].append(rung(path, M, n_max, N))
+            print(kind, json.dumps(ladders[kind]["rungs"][-1]), flush=True)
+    compare = []
+    for path in COMPARE_CONFIGS:
+        compare.append(compare_row(path))
+        print(json.dumps(compare[-1]), flush=True)
+    result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
+              "repeats": REPEATS, "ladders": ladders, "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")

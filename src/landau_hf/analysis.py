@@ -13,9 +13,11 @@ by the spectral projectors of the complement number operator: a structural
 self-check of that closed form that never lists the C(K, N) rotated wedges.
 
 Problem is the one set-up shared by run_comparison and the command line:
-noninteracting ground state, basis, tensor, determinant space, H and the
-initial orbitals, each built on first use, so the effective flow alone never
-lists the determinant space and the ground state alone builds no orbital.
+noninteracting ground state, basis, tensor, determinant space, H, its
+propagator and the initial orbitals, each built on first use, so the
+effective flow alone never lists the determinant space and the ground state
+alone builds no orbital.  Problem.counters reports the sizes of what was
+built for manifest.json.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ def rescale_mean_field(config: SimulationConfig) -> ScalingConfig:
 class ComparisonResult:
     records: list
     summary: dict
+    counters: dict
 
 
 class Problem:
@@ -245,6 +248,27 @@ class Problem:
     @cached_property
     def H(self):
         return assemble_hamiltonian(self.det_basis, self.energies, self.tensor)
+
+    @cached_property
+    def propagator(self) -> ExactPropagator:
+        return ExactPropagator(self.H, self.config.constants.hbar)
+
+    def counters(self) -> dict:
+        """K and N, then what was built: dim, nnz(H), the tensor's rank and
+        the fraction of its entries the selection rule keeps, and the
+        propagator's matvecs.  Read from the built pieces; nothing is timed."""
+        built = vars(self)
+        out = {"K": self.config.single_particle_dim, "N": self.config.N}
+        if "det_basis" in built:
+            out["dim"] = self.det_basis.dim
+        if "H" in built:
+            out["nnz"] = self.H.nnz
+        if "tensor" in built:
+            out["tensor_rank"] = self.tensor.rank
+            out["tensor_rule_kept"] = self.tensor.rule_kept
+        if "propagator" in built:
+            out["matvecs"] = self.propagator.matvecs
+        return out
 
     @cached_property
     def ground_state(self) -> tuple[FillingSpec, float, list]:
@@ -283,13 +307,12 @@ class Problem:
         sample."""
         config = self.config
         psi = embed_slater(1.0, self.initial_orbitals, self.det_basis).coefficients
-        propagator = ExactPropagator(self.H, config.constants.hbar)
         dt, n_steps = time_grid(config.dt, config.t_final)
         t_prev = 0.0
         for step in range(n_steps + 1):
             if is_sample(step, n_steps, config.sample_stride):
                 t = step * dt
-                psi = propagator.advance(psi, t - t_prev)
+                psi = self.propagator.advance(psi, t - t_prev)
                 t_prev = t
                 yield t, psi
 
@@ -364,4 +387,4 @@ def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResu
         "max_phase_deviation": max_phase,
         "tensor_symmetry_deviation": tensor.symmetry_deviation,
     }
-    return ComparisonResult(records=records, summary=summary)
+    return ComparisonResult(records=records, summary=summary, counters=problem.counters())

@@ -62,7 +62,7 @@ def write_csv(path: str, header: str, rows):
 
 
 class Manifest:
-    """Record of one run: config echo, timings, outputs, validations.
+    """Record of one run: config echo, timings, counters, outputs, validations.
 
     dispatch opens the one Manifest of every compute subcommand, which
     creates the out dir.  Each output file is written inside a
@@ -81,6 +81,7 @@ class Manifest:
             "config": _config_echo(config),
             "version": __version__,
             "timings": {},
+            "counters": {},
             "outputs": [],
             "validations": {},
             "ok": True,
@@ -176,7 +177,9 @@ def cmd_basis(args, config: SimulationConfig, manifest: Manifest) -> int:
 
 
 def cmd_groundstate(args, config: SimulationConfig, manifest: Manifest) -> int:
-    filling, energy, sets = Problem(config, args.threads).ground_state
+    problem = Problem(config, args.threads)
+    filling, energy, sets = problem.ground_state
+    manifest.data["counters"] = problem.counters()
     payload = {
         "E0": energy,
         "nu": filling.nu,
@@ -198,6 +201,7 @@ def cmd_evolve_exact(args, config: SimulationConfig, manifest: Manifest) -> int:
     manifest.phase("assemble")
     rows = [(t, float(np.real(np.vdot(psi, H @ psi))), float(np.linalg.norm(psi)))
             for t, psi in problem.exact_samples()]
+    manifest.data["counters"] = problem.counters()
     with manifest.output("exact_timeseries.csv") as path:
         write_csv(path, "t,energy,norm", rows)
     manifest.phase("evolve")
@@ -221,6 +225,7 @@ def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
     traj = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
                         tensor, problem.energies, config.constants,
                         sample_stride=config.sample_stride)
+    manifest.data["counters"] = problem.counters()
     rows = [(t, s.a.real, s.a.imag, e, n, g) for t, s, e, n, g in zip(
         traj.times, traj.states, traj.energies, traj.norms, traj.gram_devs)]
     with manifest.output("hf_timeseries.csv") as path:
@@ -237,6 +242,7 @@ def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
 def cmd_compare(args, config: SimulationConfig, manifest: Manifest) -> int:
     result = run_comparison(config, threads=args.threads)
     manifest.phase("compare")
+    manifest.data["counters"] = result.counters
     with manifest.output("compare_timeseries.csv") as path:
         write_timeseries(result.records, path)
     with manifest.output("compare_summary.json") as path:

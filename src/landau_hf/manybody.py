@@ -9,6 +9,16 @@ elements are stored in physicists' order,
 
 so a and g belong to the first particle, b and d to the second.
 
+two_body_tensor writes exact zeros where the magnetic translations of the
+torus forbid an entry (Haldane, PRL 55, 2095 (1985)): the x2 momentum m mod
+M of each orbital is exact, so with the cosine kernel m_g - m_a and m_d - m_b
+must each be +-harmonic2 mod M, and with the translation-invariant Gaussian
+kernel m_a + m_b = m_g + m_d mod M; harmonics are read at the grid's signed
+frequency (PotentialSpec.x2_transfers).  The zeros are set in the one-body
+factors before the contraction, so assemble_hamiltonian, which drops exact
+zeros, stores and multiplies only what the rule allows: 1/M of the pairs
+for the Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
+
 DeterminantBasis.replacement_rows tabulates, for a block of determinants at
 once, the single or double orbital replacements with target rank and
 fermionic sign, both read from bit strings of the occupations with no sort;
@@ -212,11 +222,16 @@ class InteractionTensor:
     """v[a, b, g, d] = <ab|V|gd> as a view of one (K^2, K^2) buffer in pair
     layout, pair[(a g), (b d)]; other memory orders are copied in once, here,
     where the zero flag is computed.  symmetry_deviation: the larger raw
-    exchange/hermiticity deviation, relative to max(max |v|, 1)."""
+    exchange/hermiticity deviation, relative to max(max |v|, 1).  rank: the
+    terms the quadrature contracted (kept Fourier modes or separable terms),
+    None for a dense table; rule_kept: the fraction of entries the selection
+    rule leaves free, 1.0 without a rule."""
 
     values: np.ndarray
     sup_norm: float
     symmetry_deviation: float = 0.0
+    rank: int | None = None
+    rule_kept: float = 1.0
     pair: np.ndarray = field(init=False, repr=False, compare=False)
     _zero: bool = field(init=False, repr=False, compare=False)
 
@@ -261,15 +276,25 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     A[(ag), k] = R_ag(-k), and v = sum_k w_k A[:, k] B[:, k]^T is one
     (K^2, R) @ (R, K^2) product; the output does not depend on threads.
     Rank-expanded kernels contract one term at a time; tabulated kernels are
-    checked and go through the dense pair matrix.  The raw tensor is checked
-    finite and against its exchange/hermiticity symmetries, then symmetrized."""
+    checked and go through the dense pair matrix.
+
+    The selection rule of the magnetic translations (Haldane 1985;
+    PotentialSpec.x2_transfers) is applied to the factors before the
+    contraction: a forbidden <b|g_r|d> in a term's K x K matrices, or
+    R_bd(k) in B, is set to 0, so every entry the rule forbids, aliasing
+    round-off on the grid, is a sum of exact zeros; no entry is tested
+    against a tolerance.  The raw tensor is checked finite and against its
+    exchange/hermiticity symmetries, then symmetrized."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
         raise GridMismatch(f"orbitals sampled on {orbitals.grid}, tensor grid {grid}")
-    K = orbitals.size
+    K, M = orbitals.size, orbitals.flux_count
     phi = orbitals.matrix()                  # (K, P)
     w = grid.weight
+    labels = np.array([orb.m for orb in orbitals.orbitals])
+    transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
+    rule = potential.x2_transfers(grid, M)
 
     modes = potential.fourier_modes(grid)
     if modes is not None:
@@ -283,13 +308,17 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
             R = scipy.fft.fft2(dens, workers=workers)
             B[a:, a] = R[:, minus[0], minus[1]].conj()
             B[a, a:] = R[:, k1, k2]
+        rule = rule[k2]                                  # one row per kept mode
+        np.copyto(B, 0, where=(~rule).T[transfer])
         A = np.multiply(B.transpose(1, 0, 2).conj(), weights, out=np.empty_like(B))
         v = A.reshape(K * K, -1) @ B.reshape(K * K, -1).T
     elif (terms := potential.separable_terms(grid)) is not None:
         v = np.zeros((K * K, K * K), dtype=np.complex128)
-        for c, f, g in terms:
+        for (c, f, g), allowed in zip(terms, rule):
             A = (phi.conj() * f.ravel()) @ phi.T * w      # <a| f |g>
             B = (phi.conj() * g.ravel()) @ phi.T * w      # <b| g |d>
+            A[~allowed[transfer.T]] = 0
+            B[~allowed[transfer]] = 0
             v += c * np.einsum("ag,bd->agbd", A, B).reshape(K * K, K * K)
     else:
         potential.check_symmetry(grid)
@@ -316,7 +345,20 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         m = 0.5 * (S[a, a:] + S[a:, a].transpose(0, 2, 1).conj())
         S[a, a:], S[a:, a] = m, m.transpose(0, 2, 1).conj()
     return InteractionTensor(values=S.transpose(0, 2, 1, 3), sup_norm=potential.sup_norm(),
-                             symmetry_deviation=max(exch, herm) / scale)
+                             symmetry_deviation=max(exch, herm) / scale,
+                             rank=None if rule is None else len(rule),
+                             rule_kept=1.0 if rule is None else rule_kept(rule, transfer))
+
+
+def rule_kept(rule: np.ndarray, transfer: np.ndarray) -> float:
+    """Fraction of the tensor entries the selection rule leaves free, from
+    transfer[x, y] = m_y - m_x mod M: (ag, bd) is free when one row of rule
+    marks both m_a - m_g (the first factor allows minus the row's transfers)
+    and m_d - m_b.  Orbital pairs are counted per transfer, so no K^4 array
+    is formed."""
+    pairs = np.bincount(transfer.ravel(), minlength=rule.shape[1])
+    joint = (rule.T.astype(np.int64) @ rule) > 0          # [m_a - m_g, m_d - m_b]
+    return float(pairs @ joint @ pairs) / transfer.size ** 2
 
 
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
@@ -520,7 +562,7 @@ class ExactPropagator:
     <= ||A||_1), then at most s m* matvecs, each Taylor sum stopped once its
     terms fall below TAYLOR_TOL of it.  A non-finite entry of H or an
     infinite ||A||_1 raises NonFiniteValue, a non-finite t ||A||_1
-    InvalidValue."""
+    InvalidValue.  matvecs counts the products with H over every advance."""
 
     def __init__(self, H, hbar: float = 1.0):
         H = sp.csr_matrix(H)
@@ -528,6 +570,7 @@ class ExactPropagator:
             raise NonFiniteValue("exact generator -i H / hbar has a non-finite entry")
         diag = H.diagonal()
         self.H, self.hbar, self.mu = H, hbar, diag.sum() / H.shape[0]
+        self.matvecs = 0
         columns = np.bincount(H.indices, weights=np.abs(H.data), minlength=H.shape[1])
         columns += np.abs(diag - self.mu) - np.abs(diag)
         self.norm = float(columns.max()) / abs(hbar)
@@ -547,6 +590,7 @@ class ExactPropagator:
             c1 = np.abs(B).max()
             for j in range(m):
                 B = (h / (j + 1)) * (self.H @ B - self.mu * B)
+                self.matvecs += 1
                 c2 = np.abs(B).max()
                 F = F + B
                 if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():

@@ -16,6 +16,18 @@ cheapest to contract: the zero and cosine kinds their rank expansion
 V(x;y) = sum_r c_r f_r(x) g_r(y) (separable_terms), the translation-invariant
 Gaussian kind the real discrete Fourier weights of its difference table
 (fourier_modes), and the tabulated kind its dense pair matrix (pair_values).
+
+Selection rule (x2_transfers).  The box orbital phi_{n,m} has x2 harmonics
+m - M l1 only, so its x2 momentum m mod M is exact: the magnetic
+translations of the torus commute with the kinetic operator (Haldane, PRL 55,
+2095 (1985)).  A one-body factor whose grid x2 harmonics are -t gives
+<a|f|g> = 0 unless m_g - m_a = t (mod M) for one of its t.  The cosine factor
+allows t = +-harmonic2, the Gaussian's Fourier mode k, exp(-2 pi i k.y / G)
+in the second particle, t = k2; the zero kind has no factor and the
+tabulated kind no rule.  A harmonic is taken at the grid's signed frequency,
+in -G2/2 .. G2/2 - 1 like numpy.fft.fftfreq (so harmonic2 = G2 - 2 is -2):
+the sampled factor has that frequency, and where M does not divide G2 the
+unsigned index gives another residue.
 """
 
 from __future__ import annotations
@@ -44,6 +56,12 @@ def _gaussian_axis_terms(sigma: float, L: float) -> tuple[float, float]:
     proportional to it, n = ceil(4.5 L / (pi sigma)).  The first is inf only
     for a huge sigma, the second only for a tiny one."""
     return np.ceil(9.0 * sigma / L) + 1.0, np.ceil(4.5 * L / (math.pi * sigma))
+
+
+def signed_frequency(k, G: int):
+    """Grid frequency of the integer harmonic k on G points, in -G//2 .. (G-1)//2
+    (numpy.fft.fftfreq(G, 1 / G) at k mod G)."""
+    return (np.asarray(k) + G // 2) % G - G // 2
 
 
 @dataclass(frozen=True)
@@ -157,6 +175,25 @@ class PotentialSpec:
             raise NonFiniteValue(f"{bad} of {weights.size} kernel Fourier weights are non-finite")
         kept = np.nonzero(np.abs(weights) > _MODE_FLOOR * max(abs(self.strength), 1.0))
         return kept, weights[kept]
+
+    def x2_transfers(self, grid, M: int) -> np.ndarray | None:
+        """The magnetic-translation selection rule (module docstring) of the
+        one-body factors on grid with M flux quanta, as a boolean (rows, M)
+        array: row r marks the transfers t mod M that the second particle's
+        factor allows, <b|g_r|d> = 0 unless m_d - m_b = t for a marked t; the
+        first particle's factor f_r allows -t.  Rows are the terms of
+        separable_terms, none for the zero kind, and for the Gaussian kind the
+        x2 mode indices 0..G2-1 (row k2 of fourier_modes' k2).  None for the
+        tabulated kind, which has no rule."""
+        residues = np.arange(M)
+        if self.kind == "zero":
+            return np.zeros((0, M), dtype=bool)
+        if self.kind == "separable-cosine":
+            s = signed_frequency(self.harmonic2, grid.G2)
+            return ((residues == s % M) | (residues == -s % M))[None, :]
+        if self.kind == "periodic-gaussian":
+            return residues == signed_frequency(np.arange(grid.G2), grid.G2)[:, None] % M
+        return None
 
     def pair_values(self, grid) -> np.ndarray:
         """Dense (P, P) matrix of V at all grid point pairs (row: x, col: y)."""

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from landau_hf.analysis import ComparisonRecord
+from landau_hf.analysis import ComparisonRecord, Problem
 from landau_hf.cli import build_parser, dispatch, write_timeseries
-from landau_hf.config import INTEGRATORS
+from landau_hf.config import INTEGRATORS, load_config
 from landau_hf.manybody import DeterminantBasis
 
 GOOD_CFG = """
@@ -88,6 +88,27 @@ def test_compare_outputs_and_manifest(tmp_path):
         full = out / name
         assert full.exists() and full.stat().st_size > 0
     assert "compare_timeseries.csv" in manifest["outputs"]
+
+
+def test_manifest_counters_name_what_each_run_built(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, M=3, n_max=2, N=3)
+    counters = {}
+    for command in ("compare", "evolve-exact", "evolve-hf", "groundstate"):
+        out = tmp_path / command
+        assert dispatch([command, "--config", cfg, "--out-dir", str(out),
+                         "--threads", "1"]) == 0
+        counters[command] = json.loads((out / "manifest.json").read_text())["counters"]
+    problem = Problem(load_config(cfg))
+    samples = sum(1 for _ in problem.exact_samples())
+    assert samples == 6 and problem.propagator.matvecs > samples
+    # cosine, harmonic2 = 1, M = 3: transfers +-1 mod 3 in each particle, 4/9
+    expect = {"K": 9, "N": 3, "dim": 84, "nnz": problem.H.nnz, "tensor_rank": 1,
+              "tensor_rule_kept": 4 / 9, "matvecs": problem.propagator.matvecs}
+    assert counters["compare"] == counters["evolve-exact"] == expect
+    assert 84 < expect["nnz"] < 84 * (1 + 3 * 6 + 3 * 15)
+    assert counters["evolve-hf"] == {"K": 9, "N": 3, "tensor_rank": 1,
+                                     "tensor_rule_kept": 4 / 9}
+    assert counters["groundstate"] == {"K": 9, "N": 3}
 
 
 def test_compare_runs_are_reproducible(tmp_path):

@@ -20,6 +20,7 @@ from landau_hf.manybody import (InteractionTensor, ManyBodyState,
                                 symmetry_deviations)
 
 import helpers
+from conftest import make_config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -278,6 +279,80 @@ def test_fft_tensor_matches_dense_pair_matrix(cfg_m3, strength, sigma):
     assert np.max(np.abs(t_fft.values - t_tab.values)) < 1e-12
 
 
+def rule_free(monkeypatch):
+    """Make every kernel's selection rule allow every transfer: the tensor as
+    computed without the rule."""
+    rule = lhf.PotentialSpec.x2_transfers
+    monkeypatch.setattr(lhf.PotentialSpec, "x2_transfers",
+                        lambda self, grid, M: None if (r := rule(self, grid, M)) is None
+                        else np.ones_like(r))
+
+
+def translation_allowed(oset, pot, G2):
+    """(K,)*4 mask of the entries the magnetic translations allow, from the
+    orbitals' m labels alone: Sum m conserved mod M for the Gaussian kind,
+    m_g - m_a and m_d - m_b each +-harmonic2 at its numpy.fft.fftfreq
+    frequency for the cosine kind."""
+    M = oset.flux_count
+    a, b, g, d = np.ix_(*[np.array([orb.m for orb in oset.orbitals])] * 4)
+    if pot.kind == "periodic-gaussian":
+        return (a + b - g - d) % M == 0
+    s = int(np.fft.fftfreq(G2, 1 / G2)[pot.harmonic2 % G2])
+    return np.isin((g - a) % M, [s % M, -s % M]) & np.isin((d - b) % M, [s % M, -s % M])
+
+
+# 32 x 32 tensor grid; M = 3 does not divide G2 = 32, M = 4 does
+RULE_CASES = {
+    "gaussian-M3": (3, 2, lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3, sigma=0.5)),
+    "gaussian-M4": (4, 1, lhf.PotentialSpec(kind="periodic-gaussian", strength=-0.5, sigma=1.0)),
+    "cosine-h1": (3, 2, lhf.PotentialSpec(kind="separable-cosine", strength=0.7)),
+    "cosine-h-1": (3, 2, lhf.PotentialSpec(kind="separable-cosine", strength=0.7, harmonic2=-1)),
+    "cosine-h0": (3, 2, lhf.PotentialSpec(kind="separable-cosine", strength=0.7, harmonic2=0)),
+    "cosine-h3": (3, 2, lhf.PotentialSpec(kind="separable-cosine", strength=0.7, harmonic2=3)),
+    "cosine-M4-h2": (4, 1, lhf.PotentialSpec(kind="separable-cosine", strength=0.7, harmonic2=2)),
+    "cosine-h30": (3, 2, lhf.PotentialSpec(kind="separable-cosine", strength=0.7, harmonic2=30)),
+    "cosine-h33": (3, 2, lhf.PotentialSpec(kind="separable-cosine", strength=0.7, harmonic2=33)),
+}
+
+
+def rule_case(name):
+    M, n_max, pot = RULE_CASES[name]
+    grid = lhf.Grid(L1=2.0 * np.pi, L2=2.0 * np.pi, G1=32, G2=32)
+    oset = lhf.build_orbital_set(make_config(M=M, n_max=n_max), grid=grid)
+    return oset, pot, grid
+
+
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_rule_tensor_matches_tabulated_oracle(name):
+    oset, pot, grid = rule_case(name)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    oracle = lhf.two_body_tensor(lhf.PotentialSpec(kind="tabulated",
+                                                   table=pot.pair_values(grid)), oset, grid)
+    allowed = translation_allowed(oset, pot, grid.G2)
+    scale = np.abs(oracle.values).max()
+    assert np.all(tensor.values[~allowed] == 0.0)
+    # two quadratures, each within 1e-15 max of a long-double one
+    assert np.abs(tensor.values - oracle.values)[allowed].max() <= 2e-15 * scale
+    # what the rule zeroes is aliasing round-off in the oracle
+    assert np.abs(oracle.values[~allowed]).max() <= 1e-14 * scale
+    assert tensor.rule_kept == allowed.mean() < 1.0
+    assert oracle.rule_kept == 1.0 and oracle.rank is None
+    assert np.count_nonzero(oracle.values[~allowed]) > 0
+
+
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_rule_moves_no_allowed_entry(name, monkeypatch):
+    oset, pot, grid = rule_case(name)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    rule_free(monkeypatch)
+    free = lhf.two_body_tensor(pot, oset, grid)
+    allowed = translation_allowed(oset, pot, grid.G2)
+    scale = np.abs(free.values).max()
+    assert np.abs(tensor.values - free.values)[allowed].max() <= 1e-15 * scale
+    assert np.abs(free.values[~allowed]).max() <= 1e-14 * scale
+    assert free.rule_kept == 1.0 and tensor.rank == free.rank
+
+
 ALL_KINDS = pytest.mark.parametrize("pot", [
     lhf.PotentialSpec(kind="zero"),
     lhf.PotentialSpec(kind="separable-cosine", strength=0.7),
@@ -471,13 +546,19 @@ def test_assemble_matches_coo_oracle_on_random_tensors(rng, K, N, masked):
                                         + math.comb(N, 2) * math.comb(K - N, 2))
 
 
-@pytest.mark.parametrize("path,changes", [
-    ("configs/k16n4.cfg", {"M": 3, "n_max": 3}),       # exact_k12n4: cosine, K=12, N=4
-    ("configs/gaussian.cfg", {"N": 3})])                # compare_k9n3: Gaussian, K=9, N=3
-def test_assemble_matches_coo_oracle_on_shipped_kernels(path, changes):
+# nnz: the selection rule's exact zeros leave 80,943 of 99,495, 1,812 of
+# 5,376 and 115,260 of 809,900 entries
+@pytest.mark.parametrize("path,changes,nnz", [
+    ("configs/k16n4.cfg", {"M": 3, "n_max": 3}, 80943),   # exact_k12n4: cosine, K=12, N=4
+    ("configs/gaussian.cfg", {"N": 3}, 1812),              # compare_k9n3: Gaussian, K=9, N=3
+    ("configs/k16n4.cfg", {}, 115260)],                    # cosine, K=16, N=4, M=8
+    ids=["configs/k16n4.cfg-changes0", "configs/gaussian.cfg-changes1",
+         "configs/k16n4.cfg-changes2"])
+def test_assemble_matches_coo_oracle_on_shipped_kernels(path, changes, nnz):
     problem = Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
     basis, tensor = problem.det_basis, problem.tensor
     assert_same_csr(problem.H, helpers.coo_hamiltonian(basis, problem.energies, tensor))
+    assert problem.H.nnz == nnz
 
 
 def test_assembly_peak_memory_is_bounded_by_the_csr(rng):
@@ -808,6 +889,25 @@ def test_one_propagator_gives_the_bits_of_a_new_one_per_call(rng):
         reused = prop.advance(psi, t)
         assert reused.tobytes() == fresh.tobytes()
         psi = reused
+
+
+def test_propagator_counts_its_matvecs(rng):
+    H = _random_hermitian(rng, 30)
+    psi = random_complex(rng, 30)
+    prop = manybody.ExactPropagator(H, 0.7)
+    assert prop.matvecs == 0
+    prop.advance(psi, 0.0)
+    assert prop.matvecs == 0
+    counts = []
+    for t in (0.4, -1.1):
+        before = prop.matvecs
+        prop.advance(psi, t)
+        m, s = manybody.taylor_parameters(abs(t) * prop.norm)
+        counts.append(prop.matvecs - before)
+        assert 0 < counts[-1] <= m * s
+    fresh = manybody.ExactPropagator(H, 0.7)
+    fresh.advance(psi, 0.4)
+    assert fresh.matvecs == counts[0]
 
 
 def test_taylor_parameters_exact_norm_branch():

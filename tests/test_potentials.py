@@ -5,7 +5,7 @@ import pytest
 
 import landau_hf as lhf
 from landau_hf.errors import InvalidValue, NonFiniteValue, SymmetryViolation
-from landau_hf.potentials import PotentialSpec, _gaussian_axis_terms
+from landau_hf.potentials import PotentialSpec, _gaussian_axis_terms, signed_frequency
 from helpers import double_image_gaussian_table, poisson_gaussian_table
 
 
@@ -54,6 +54,46 @@ def test_only_gaussian_has_fourier_modes(grid):
     for kind in ("zero", "separable-cosine"):
         assert PotentialSpec(kind=kind).fourier_modes(grid) is None
     assert PotentialSpec(kind="periodic-gaussian").separable_terms(grid) is None
+
+
+@pytest.mark.parametrize("G", [15, 16, 32, 64])
+def test_signed_frequency_is_numpy_fftfreq(G):
+    k = np.arange(-2 * G, 2 * G)
+    assert np.array_equal(signed_frequency(k, G), np.fft.fftfreq(G, 1 / G)[k % G])
+
+
+def _marked(row):
+    return set(np.flatnonzero(row).tolist())
+
+
+# (M, G2, harmonic2, transfers): M = 3 does not divide G2, so a harmonic
+# beyond G2 / 2 must be folded to its signed frequency before taking it mod M
+@pytest.mark.parametrize("M,G2,h2,transfers", [
+    (3, 64, 1, {1, 2}), (3, 64, -1, {1, 2}), (3, 64, 0, {0}), (3, 64, 3, {0}),
+    (4, 64, 2, {2}), (3, 64, 40, {0}), (3, 32, 30, {1, 2}), (3, 32, 33, {1, 2}),
+    (8, 64, 1, {1, 7})])
+def test_cosine_transfers_are_plus_minus_the_signed_harmonic(M, G2, h2, transfers):
+    grid = lhf.Grid(L1=2.0 * np.pi, L2=2.0 * np.pi, G1=8, G2=G2)
+    rule = PotentialSpec(kind="separable-cosine", harmonic2=h2).x2_transfers(grid, M)
+    assert rule.shape == (1, M) and _marked(rule[0]) == transfers
+
+
+@pytest.mark.parametrize("M,G2", [(3, 64), (3, 15), (4, 32)])
+def test_gaussian_transfer_of_mode_k2_is_its_signed_frequency(M, G2):
+    grid = lhf.Grid(L1=2.0 * np.pi, L2=2.0 * np.pi, G1=8, G2=G2)
+    rule = PotentialSpec(kind="periodic-gaussian", strength=0.2).x2_transfers(grid, M)
+    assert rule.shape == (G2, M)
+    for k2 in range(G2):
+        signed = k2 if k2 < G2 - G2 // 2 else k2 - G2
+        assert _marked(rule[k2]) == {signed % M}
+    if (M, G2) == (3, 64):
+        assert _marked(rule[63]) == {2} and _marked(rule[40]) == {0}
+
+
+def test_zero_kind_has_no_factor_and_tabulated_no_rule(grid):
+    assert PotentialSpec(kind="zero").x2_transfers(grid, 3).shape == (0, 3)
+    table = PotentialSpec(kind="separable-cosine", strength=0.2).pair_values(grid)
+    assert PotentialSpec(kind="tabulated", table=table).x2_transfers(grid, 3) is None
 
 
 def test_gaussian_peak_and_symmetry(grid):
