@@ -448,8 +448,9 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
         keep = vals != 0
         lo = indptr[start]
         indptr[start + 1:stop + 1] = lo + np.cumsum(keep.sum(axis=1))
-        data[lo:indptr[stop]] = vals[keep]
-        indices[lo:indptr[stop]] = (key >> shift)[keep]
+        kept = np.flatnonzero(keep)     # a gather: a mask copy branches per entry
+        data[lo:indptr[stop]] = vals.take(kept)
+        indices[lo:indptr[stop]] = (key >> shift).take(kept)
     if indptr[-1] < len(data):                 # shrunk in place: no view of either exists
         data.resize(indptr[-1], refcheck=False)
         indices.resize(indptr[-1], refcheck=False)
