@@ -8,10 +8,15 @@ harmonic2 = 1) and configs/gaussian.cfg (Gaussian, 1/M).  Each rung builds
 its problem through analysis.Problem from the ladder's config with M, n_max
 and N set: K = M (n_max + 1) orbitals and C(K, N) determinants.  It times
 the assembly of H, one ExactPropagator(H).advance(psi, 0.1) from a seeded
-random unit vector, the first build of the single-replacement table
-(DeterminantBasis.singles) and rdm_exact after it, each the median of
-REPEATS runs (the table once), and records the tracemalloc peak of one more
-assembly over the bytes of the CSR it returns.  The compare rows run
+random unit vector, the build of the determinant-space table that
+DeterminantBasis.one_body and rdm_exact read (TABLE: the one-hole table, or
+on a checkout from before it the single-replacement table it replaced) on a
+basis fresh from enumerate_determinants, and rdm_exact, each the median of
+REPEATS runs, and records the tracemalloc peak of one more assembly over
+the bytes of the CSR it returns.  The replacement rows time
+DeterminantBasis.replacement_rows(1) and (2) over every block of rows the
+assembly takes, on a basis fresh from enumerate_determinants (so the table
+build counts), at each (K, N) of REPLACEMENT_SIZES.  The compare rows run
 `landau-hf compare --threads 1` REPEATS times on each of COMPARE_CONFIGS in
 a fresh process and keep the manifest's total time.  The machine block
 names where the numbers come from.
@@ -22,6 +27,7 @@ names where the numbers come from.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import platform
@@ -40,12 +46,15 @@ import scipy  # noqa: E402
 
 from landau_hf import load_config  # noqa: E402
 from landau_hf.analysis import Problem, rdm_exact  # noqa: E402
-from landau_hf.manybody import (ExactPropagator, ManyBodyState,  # noqa: E402
-                                assemble_hamiltonian)
+from landau_hf.manybody import (ASSEMBLY_BLOCK, DeterminantBasis,  # noqa: E402
+                                ExactPropagator, ManyBodyState,
+                                assemble_hamiltonian, enumerate_determinants)
 
 LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5)]   # (M, n_max, N): K = 12, 16, 20, 20
 LADDER_CONFIGS = {"cosine": "configs/k16n4.cfg", "gaussian": "configs/gaussian.cfg"}
 COMPARE_CONFIGS = ["configs/example.cfg", "configs/gaussian.cfg", "configs/k16n4.cfg"]
+REPLACEMENT_SIZES = [(63, 2), (20, 5)]
+TABLE = "one_hole" if hasattr(DeterminantBasis, "one_hole") else "singles"
 REPEATS = 3
 INTERVAL = 0.1
 SEED = 20240917
@@ -90,14 +99,30 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
     psi /= np.linalg.norm(psi)
     hbar = config.constants.hbar
     advance_s = median_time(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL), REPEATS)
-    singles_s = median_time(lambda: basis.singles, 1)
+    fresh = [enumerate_determinants(basis.K, N) for _ in range(REPEATS)]
+    table_s = median_time(lambda: getattr(fresh.pop(), TABLE), REPEATS)
     state = ManyBodyState(basis=basis, coefficients=psi)
     rdm_s = median_time(lambda: rdm_exact(state, basis), REPEATS)
     return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "dim": basis.dim, "nnz": H.nnz,
             "assemble_s": assemble_s, "assemble_ns_per_nnz": assemble_s / H.nnz * 1e9,
             "assemble_peak_mb": peak / 1e6, "csr_mb": csr / 1e6,
             "assemble_peak_over_csr": peak / csr, "advance_s": advance_s,
-            "singles_s": singles_s, "rdm_s": rdm_s}
+            "table": TABLE, "table_s": table_s, "rdm_s": rdm_s}
+
+
+def replacement_row(K: int, N: int) -> dict:
+    """replacement_rows(1) and (2) over every block of rows the assembly
+    takes, from a fresh enumerate_determinants(K, N), the median of REPEATS."""
+    width = 1 + N * (K - N) + math.comb(N, 2) * math.comb(K - N, 2)
+    rows = max(1, ASSEMBLY_BLOCK // width)
+
+    def run():
+        basis = enumerate_determinants(K, N)
+        for start in range(0, basis.dim, rows):
+            for n in (1, 2):
+                basis.replacement_rows(n, start, min(start + rows, basis.dim))
+    return {"K": K, "N": N, "dim": math.comb(K, N), "block_rows": rows,
+            "replacement_rows_s": median_time(run, REPEATS)}
 
 
 def compare_row(path: str) -> dict:
@@ -127,12 +152,17 @@ def main():
         for M, n_max, N in LADDER:
             ladders[kind]["rungs"].append(rung(path, M, n_max, N))
             print(kind, json.dumps(ladders[kind]["rungs"][-1]), flush=True)
+    replacements = []
+    for K, N in REPLACEMENT_SIZES:
+        replacements.append(replacement_row(K, N))
+        print(json.dumps(replacements[-1]), flush=True)
     compare = []
     for path in COMPARE_CONFIGS:
         compare.append(compare_row(path))
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
-              "repeats": REPEATS, "ladders": ladders, "compare": compare,
+              "repeats": REPEATS, "ladders": ladders, "replacement_rows": replacements,
+              "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")

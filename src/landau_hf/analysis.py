@@ -92,7 +92,7 @@ def defect_vector(state: HFState, H, basis: DeterminantBasis,
     da, dphi = hf_rhs(state, energies, tensor, constants)
     C = state.orbitals
     w = embed_wedge(C, basis)
-    udot = da * w + state.a * (basis.one_body(dphi @ np.linalg.pinv(C)) @ w)
+    udot = da * w + state.a * basis.one_body(dphi @ np.linalg.pinv(C), w)
     return udot - (H @ (state.a * w)) / (1j * constants.hbar)
 
 
@@ -106,13 +106,13 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
     projector prod_{k != j} (n_c - k) / (j - k) over k = 0..N.
     """
     Q = np.linalg.qr(orbitals)[0]
-    n_c = basis.one_body(np.eye(basis.K) - Q @ Q.conj().T)
+    complement = np.eye(basis.K) - Q @ Q.conj().T
     norms = np.zeros(basis.N + 1)
     for j in range(basis.N + 1):
         vec = defect
         for k in range(basis.N + 1):
             if k != j:
-                vec = (n_c @ vec - k * vec) / (j - k)
+                vec = (basis.one_body(complement, vec) - k * vec) / (j - k)
         norms[j] = np.linalg.norm(vec)
     return norms
 
@@ -155,20 +155,12 @@ def check_defect_support(state: HFState, d: float, H, basis: DeterminantBasis,
 
 
 def rdm_exact(state: ManyBodyState, basis: DeterminantBasis) -> np.ndarray:
-    """One-body reduced density matrix, trace N: omega[p, p] sums |c_i|^2
-    over the determinants occupying p, omega[p, q] sign * conj(c_j) c_i over
-    the replacements p -> q; real and imaginary parts are each one bincount
-    over the flat index p K + q."""
-    c, occ, K = state.coefficients, basis.occupations, basis.K
-    i, j, p, q, sign = basis.singles
-    off = sign * np.conj(c[j]) * c[i]
-    pq = p * K + q
-    diag = np.repeat(np.abs(c) ** 2, basis.N)
-    omega = np.empty(K * K, dtype=np.complex128)
-    omega.real = np.bincount(np.concatenate([(occ * (K + 1)).ravel(), pq]),
-                             np.concatenate([diag, off.real]), K * K)
-    omega.imag = np.bincount(pq, off.imag, K * K)
-    return omega.reshape(K, K)
+    """One-body reduced density matrix, trace N: omega[p, q] =
+    <psi| a+_q a_p |psi> = sum_h D[p, h] conj(D[q, h]), so omega = D D^H with
+    D = A_1 psi the hole amplitudes on the one-hole table
+    (DeterminantBasis.hole_amplitudes)."""
+    D = basis.hole_amplitudes(state.coefficients)
+    return D @ D.conj().T
 
 
 def rdm_slater(state: HFState) -> np.ndarray:
@@ -281,11 +273,9 @@ class Problem:
 
     @cached_property
     def initial_orbitals(self) -> np.ndarray:
-        """Unit columns on the first noninteracting ground-state occupation."""
-        sets = self.ground_state[2]
-        C = np.zeros((self.config.single_particle_dim, self.config.N), dtype=np.complex128)
-        C[list(sets[0]), range(self.config.N)] = 1.0
-        return C
+        """Unit columns on orbitals 0..N-1, the first noninteracting
+        ground-state occupation (noninteracting_ground_state), with no set listed."""
+        return np.eye(self.config.single_particle_dim, self.config.N, dtype=np.complex128)
 
     def initial_state(self, orbitals: np.ndarray | None = None) -> HFState:
         """HF state at t = 0 on the given (K, N) orbitals, the initial

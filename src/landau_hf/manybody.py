@@ -19,14 +19,18 @@ factors before the contraction, so assemble_hamiltonian, which drops exact
 zeros, stores and multiplies only what the rule allows: 1/M of the pairs
 for the Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
 
-DeterminantBasis.replacement_rows tabulates, for a block of determinants at
-once, the single or double orbital replacements with target rank and
-fermionic sign, both read from bit strings of the occupations with no sort;
-replacements flattens them block by block.  assemble_hamiltonian consumes
-both and writes H as CSR directly, a bounded block of rows at a time, after
-checking that its closed-form size fits H_BYTE_CAP; the single ones, kept as
-.singles, also feed the one-body reduced density matrix and
-DeterminantBasis.one_body.
+The determinant space has one primitive, DeterminantBasis.one_hole: for
+every determinant and place, the rank of the (N-1)-particle determinant
+left by removing that orbital, and the inverse map back (determinant CI
+through (N-1)-particle intermediates: Knowles & Handy, CPL 111, 315 (1984);
+Olsen et al., JCP 89, 2185 (1988)).  replacement_rows chains single
+replacements on it to give, for a block of determinants at once, every
+single or double replacement with target rank and fermionic sign, with no
+sort; assemble_hamiltonian consumes them and writes H as CSR directly, a
+bounded block of rows at a time, after checking that its closed-form size
+fits H_BYTE_CAP.  The hole amplitudes D = A_1 x on the same table give
+DeterminantBasis.one_body, dGamma(M) x, as one product M @ D and one gather,
+and the one-body reduced density matrix as D D^H.
 
 Exact dynamics has one propagator, ExactPropagator: the action of
 exp(-i H t / hbar) on a vector from the sparse H, used as given, by truncated
@@ -38,7 +42,6 @@ step count from the interval, then does matvecs alone and draws no random number
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -56,7 +59,6 @@ from .errors import (DimensionMismatch, GridMismatch, InvalidValue,
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
-REPLACEMENT_BLOCK = 256          # source determinants per replacements() block
 ASSEMBLY_BLOCK = 2 ** 15         # candidate entries of H per assemble_hamiltonian block
 H_BYTE_CAP = 2 ** 30             # largest predicted CSR size of H, in bytes
 TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
@@ -104,22 +106,24 @@ class DeterminantBasis:
         return int(self.rank(occ))
 
     @cached_property
-    def _bit_tables(self) -> tuple:
-        """Occupations as little-endian bit strings, byte k holding orbitals
-        8k..8k+7; per byte k: one[k, o] the bit of orbital o, below[k, o] the
-        bits of the orbitals under o, and terms[k, 256 c + b] the sum of rank's
-        terms C(K-1-o, N-c-m) over the set bits o of byte value b, m of them
-        under o and c occupied below the byte (a term past N or K counts 0)."""
-        K, N = self.K, self.N
-        one, below = (np.packbits(x, axis=0, bitorder="little")
-                      for x in (np.eye(K, dtype=bool), np.tri(K, k=-1, dtype=bool).T))
-        t = np.arange(8)
-        bits = (np.arange(256)[:, None] >> t) & 1                         # [b, t]
-        place = np.arange(N + 1)[:, None, None] + np.cumsum(bits, axis=1) - bits
-        orbital = 8 * np.arange(len(one))[:, None, None, None] + t        # [k, ., ., t]
-        valid = (bits == 1) & (place < N) & (orbital < K)
-        terms = self._binomials[np.maximum(K - 1 - orbital, 0), np.maximum(N - place, 0)]
-        return one, below, np.where(valid, terms, 0).sum(axis=-1).reshape(len(one), -1)
+    def one_hole(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one-hole table (h, inv) over the C(K, N-1) determinants a_p
+        leaves, ranked like N-1 of K: h[i, k] is the rank of row i without its
+        k-th orbital, and inv[h[i, k] w + o - k] = i for o = occupations[i, k]
+        and w = K - N + 1, o - k being the place of o among the hole's empty
+        orbitals.  h is C(K,N-1) - 1 minus the prefix sum of the remainder's
+        terms C(K-1-c_l, N-1-l) before place k and the suffix sum of rank's
+        terms C(K-1-c_l, N-l) after it, each term at most C(K-1, N-1) <= dim,
+        so within rank's clipped binomials; no remainder is formed."""
+        K, N, occ = self.K, self.N, self.occupations
+        places = np.arange(N)
+        before = self._binomials[K - 1 - occ, N - 1 - places]
+        after = self._binomials[K - 1 - occ, N - places]
+        h = (math.comb(K, N - 1) - 1 - (np.cumsum(before, axis=1) - before)
+             - (after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)))
+        inv = np.empty(math.comb(K, N - 1) * (K - N + 1), dtype=np.int64)
+        inv[h * (K - N + 1) + occ - places] = np.arange(self.dim)[:, None]
+        return h, inv
 
     def replacement_rows(self, n: int, start: int, stop: int) -> tuple:
         """Every replacement of n occupied by n empty orbitals from the source
@@ -129,63 +133,52 @@ class DeterminantBasis:
         places in the source and the target: the parity of sorting after
         replacing in place.
 
-        Nothing is sorted.  Byte by byte (_bit_tables), the target's bit
-        string is the source's with the bits of P and Q flipped, its rank
-        sums rank's terms from a table, and sum newpos(Q) is, mod 2, the
-        number of target bits under an odd number of the q in Q."""
+        Nothing is sorted.  A replacement is n chained singles p -> q on the
+        one-hole table (one_hole), p_1 -> q_1 first, each from the row the
+        last one reached: with p at place k of that row and q the a-th of its
+        empty orbitals, the target is inv[h[row, k] w + a + [p < q]], and the
+        single's parity k + q - a - [p < q] adds to the others."""
         K, N = self.K, self.N
+        h, inv = self.one_hole
         removed, added = (np.array(list(itertools.combinations(range(m), n)),
                                    dtype=np.int64).reshape(-1, n) for m in (N, K - N))
         occ = self.occupations[start:stop]
         held = np.zeros((len(occ), K), dtype=bool)
         held[np.arange(len(occ))[:, None], occ] = True
         P, Q = occ[:, removed], np.nonzero(~held)[1].reshape(len(occ), K - N)[:, added]
-        held = np.packbits(held, axis=1, bitorder="little")
 
-        def flips(table, X):
-            return functools.reduce(np.bitwise_xor, (table[X[..., m]] for m in range(n)))
+        j, parity = np.arange(start, stop)[:, None, None], 0
+        for m in range(n):               # the earlier p and q of the chain move k and a
+            p, q = P[:, :, None, m], Q[:, None, :, m]
+            k = removed[:, None, m] - m + sum(Q[:, None, :, l] < p for l in range(m))
+            a = added[:, m] - m + sum(P[:, :, None, l] < q for l in range(m)) + (p < q)
+            j = inv.take(h.take(j * N + k) * (K - N + 1) + a)
+            parity = parity + k + q - a
+        return j, P, Q, np.where(parity & 1, -1.0, 1.0)
 
-        total = np.zeros(P.shape[:2] + Q.shape[1:2], dtype=np.int64)
-        at = np.zeros(total.shape, dtype=np.intp)            # 256 * occupied below byte k
-        parity = removed.sum(axis=1)[:, None] % 2
-        for k, (one, below, terms) in enumerate(zip(*self._bit_tables)):
-            byte = (held[:, k, None] ^ flips(one, P))[:, :, None] | flips(one, Q)[:, None]
-            total += terms.take(at + byte)
-            at += np.left_shift(np.bitwise_count(byte), 8, dtype=np.intp)
-            parity = parity ^ np.bitwise_count(byte & flips(below, Q)[:, None])
-        return self.dim - 1 - total, P, Q, np.where(parity & 1, -1.0, 1.0)
+    def hole_amplitudes(self, x) -> np.ndarray:
+        """D = A_1 x, (K, C(K,N-1)): D[p, h] = <h| a_p |x>, written by
+        assignment, (-1)^k x[i] at (occupations[i, k], h[i, k]); each entry is
+        hit at most once."""
+        x = np.asarray(x)
+        if x.shape != (self.dim,):
+            raise DimensionMismatch(f"vector of shape {x.shape} for dim={self.dim}")
+        D = np.zeros((self.K, math.comb(self.K, self.N - 1)), dtype=np.complex128)
+        np.put(D, self.occupations * D.shape[1] + self.one_hole[0],
+               x[:, None] * (-1.0) ** np.arange(self.N))
+        return D
 
-    def replacements(self, n: int):
-        """replacement_rows over blocks of REPLACEMENT_BLOCK source rows, as
-        flat arrays (i, j, P, Q, sign): row j is row i with the orbitals P
-        (E, n) replaced by Q (E, n), in the order (i, P, Q)."""
-        for start in range(0, self.dim, REPLACEMENT_BLOCK):
-            stop = min(start + REPLACEMENT_BLOCK, self.dim)
-            j, P, Q, sign = self.replacement_rows(n, start, stop)
-            shape = (*j.shape, n)
-            yield (np.repeat(np.arange(start, stop), j[0].size), j.ravel(),
-                   np.broadcast_to(P[:, :, None], shape).reshape(-1, n),
-                   np.broadcast_to(Q[:, None], shape).reshape(-1, n), sign.ravel())
-
-    @cached_property
-    def singles(self) -> tuple:
-        """replacements(1) in one piece, (i, j, removed p, added q, sign)."""
-        i, j, P, Q, sign = (np.concatenate(parts) for parts in zip(*self.replacements(1)))
-        return i, j, P[:, 0], Q[:, 0], sign
-
-    def one_body(self, M) -> sp.csr_matrix:
-        """dGamma(M) = sum_pq M[q, p] a+_q a_p, M acting on each orbital in
-        turn, as CSR: sum of M[p, p] over the occupied p on the diagonal and
-        sign * M[q, p] at (j, i) per single replacement, dim (1 + N (K - N)) entries."""
+    def one_body(self, M, x) -> np.ndarray:
+        """dGamma(M) x, dGamma(M) = sum_pq M[q, p] a+_q a_p (M acting on each
+        orbital in turn), through the one-hole table with no matrix of
+        dGamma: D = hole_amplitudes(x), one product M @ D, and per row i the
+        sum over its places k of (-1)^k (M D)[occupations[i, k], h[i, k]]."""
         M = np.asarray(M)
         if M.shape != (self.K, self.K):
             raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
-        i, j, p, q, sign = self.singles
-        diag = np.arange(self.dim)
-        vals = np.concatenate([M[self.occupations, self.occupations].sum(axis=1),
-                               sign * M[q, p]])
-        return sp.csr_matrix((vals, (np.concatenate([diag, j]), np.concatenate([diag, i]))),
-                             shape=(self.dim, self.dim))
+        MD = M @ self.hole_amplitudes(x)
+        at = self.occupations * MD.shape[1] + self.one_hole[0]
+        return (MD.take(at) * (-1.0) ** np.arange(self.N)).sum(axis=1)
 
 
 def enumerate_determinants(K: int, N: int) -> DeterminantBasis:
@@ -495,7 +488,9 @@ def noninteracting_ground_state(filling: FillingSpec, level_energies) -> tuple[f
     """Minimal total one-body energy and every occupation set attaining it.
 
     Fill the lowest levels completely (M states each) and distribute the
-    remainder over the next level in all C(M, r) ways.
+    remainder over the next level in all C(M, r) ways, in lexicographic order,
+    so the first set is orbitals 0..N-1.  More than DET_SPACE_CAP sets raise
+    TooLarge before any is listed.
     """
     level_energies = np.asarray(level_energies, dtype=float)
     q, r, M = filling.filled_levels, filling.remainder, filling.M
@@ -507,6 +502,9 @@ def noninteracting_ground_state(filling: FillingSpec, level_energies) -> tuple[f
     energy = float(M * level_energies[:q].sum())
     if r > 0:
         energy += r * float(level_energies[q])
+    if filling.degeneracy > DET_SPACE_CAP:
+        raise TooLarge(f"ground-state degeneracy C({M},{r}) = {filling.degeneracy} "
+                       f"exceeds cap {DET_SPACE_CAP}")
     core = [n * M + m for n in range(q) for m in range(M)]
     if r == 0:
         return energy, [tuple(core)]

@@ -23,7 +23,6 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from landau_hf import manybody
 from landau_hf.hartree_fock import hf_rhs
 
 
@@ -104,17 +103,18 @@ def add_at_rdm(coefficients: np.ndarray, basis) -> np.ndarray:
     c, occ = coefficients, basis.occupations
     omega = np.zeros((basis.K, basis.K), dtype=np.complex128)
     np.add.at(omega, (occ, occ), (np.abs(c) ** 2)[:, None])
-    i, j, p, q, sign = basis.singles
-    np.add.at(omega, (p, q), sign * np.conj(c[j]) * c[i])
+    for i, j, P, Q, sign in sorted_replacements(basis, 1):
+        np.add.at(omega, (P[:, 0], Q[:, 0]), sign * np.conj(c[j]) * c[i])
     return omega
 
 
-def sorted_replacements(basis, n: int):
-    """basis.replacements(n) by sorting, in blocks of REPLACEMENT_BLOCK rows:
-    every target occupation is written out, sorted and ranked, and the sign
-    is the parity of the places of P in the source plus those of Q in the
-    sorted target."""
-    K, N, block = basis.K, basis.N, manybody.REPLACEMENT_BLOCK
+def sorted_replacements(basis, n: int, block: int = 256):
+    """Every replacement of n occupied by n empty orbitals as flat arrays
+    (i, j, P, Q, sign) in the order (i, P, Q), one block of source rows at a
+    time, by sorting: every target occupation is written out, sorted and
+    ranked, and the sign is the parity of the places of P in the source plus
+    those of Q in the sorted target."""
+    K, N = basis.K, basis.N
     removed, added = (np.array(list(itertools.combinations(range(m), n)),
                                dtype=np.int64).reshape(-1, n) for m in (N, K - N))
     shape = (len(removed), len(added))

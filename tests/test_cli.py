@@ -1,13 +1,18 @@
 import json
 import math
+import pathlib
+import types
 
 import numpy as np
 import pytest
 
+from landau_hf import analysis, manybody
 from landau_hf.analysis import ComparisonRecord, Problem
 from landau_hf.cli import build_parser, dispatch, write_timeseries
 from landau_hf.config import INTEGRATORS, load_config
-from landau_hf.manybody import DeterminantBasis
+from landau_hf.manybody import DeterminantBasis, FillingSpec
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 GOOD_CFG = """
 [domain]
@@ -70,6 +75,50 @@ def test_groundstate_reports_degeneracy(tmp_path, capsys):
     assert len(payload["occupations"]) == 6
     again = json.loads((out / "groundstate.json").read_text())
     assert again == payload
+
+
+def unlisted(*args, **kwargs):
+    raise AssertionError("the ground-state occupation sets were listed")
+
+
+def test_groundstate_over_the_cap_writes_failed_manifest(tmp_path, capsys, monkeypatch):
+    # K = 60 (M = 30, n_max = 1), N = 10: C(30, 10) = 30,045,015 occupation sets
+    monkeypatch.setattr(manybody, "itertools", types.SimpleNamespace(combinations=unlisted))
+    text = (ROOT / "configs/k30n10.cfg").read_text()
+    for key, value in (("M", 30), ("n_max", 1), ("grid1", 256), ("grid2", 256)):
+        text = text.replace(next(line for line in text.splitlines()
+                                 if line.startswith(f"{key} = ")), f"{key} = {value}")
+    cfg = tmp_path / "k60.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert dispatch(["groundstate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ground-state degeneracy C(30,10) = 30045015 "
+                                   "exceeds cap")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False and manifest["outputs"] == []
+    assert manifest["config"]["M"] == 30 and manifest["config"]["n_max"] == 1
+    assert "exceeds cap" in manifest["validations"]["error"]["detail"]
+
+
+@pytest.mark.parametrize("name", ["example", "gaussian", "k16n4", "k30n10"])
+def test_initial_orbitals_list_no_occupation_set(monkeypatch, name):
+    config = load_config(ROOT / f"configs/{name}.cfg")
+    sets = manybody.noninteracting_ground_state(
+        FillingSpec.from_counts(config.N, config.domain.M), np.ones(config.n_max + 1))[1]
+    expect = np.zeros((config.single_particle_dim, config.N), dtype=np.complex128)
+    expect[list(sets[0]), range(config.N)] = 1.0
+    monkeypatch.setattr(analysis, "noninteracting_ground_state", unlisted)
+    C = Problem(config).initial_orbitals
+    assert C.dtype == expect.dtype and np.array_equal(C, expect)
+
+
+def test_evolve_hf_lists_no_occupation_set(tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "noninteracting_ground_state", unlisted)
+    out = tmp_path / "out"
+    assert dispatch(["evolve-hf", "--config", write_cfg(tmp_path, M=4, N=6),
+                     "--out-dir", str(out), "--t-final", "0.002"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["ok"] is True
 
 
 def test_compare_outputs_and_manifest(tmp_path):
@@ -488,7 +537,6 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
     # K = 24, N = 6: C(24, 6) = 134596 is under the dimension cap, H needs 6.47 GB
     def unlisted(*args):
         raise AssertionError("a replacement block was built")
-    monkeypatch.setattr(DeterminantBasis, "replacements", unlisted)
     monkeypatch.setattr(DeterminantBasis, "replacement_rows", unlisted)
     cfg = tmp_path / "k24.cfg"
     cfg.write_text(GOOD_CFG.format(M=8, n_max=2, N=6, strength=0.1, t_final=0.05)

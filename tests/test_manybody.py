@@ -73,13 +73,55 @@ def test_lookup_rejects_occupation_outside_basis(occ):
         basis.lookup(occ)
 
 
-# --- replacement tables ---------------------------------------------------------
+# --- the one-hole table and the replacement tables ------------------------------
+
+@pytest.mark.parametrize("K,N", [(4, 1), (5, 1), (4, 4), (5, 5), (5, 2), (6, 3),
+                                 (9, 3), (12, 4), (12, 5), (8, 7)])
+def test_one_hole_ranks_are_the_remainders_ranks(K, N):
+    basis = lhf.enumerate_determinants(K, N)
+    h, inv = basis.one_hole
+    row = {c: r for r, c in enumerate(itertools.combinations(range(K), N - 1))}
+    expect = [[row[tuple(np.delete(occ, k).tolist())] for k in range(N)]
+              for occ in basis.occupations]
+    assert h.dtype == inv.dtype == np.int64
+    assert np.array_equal(h, expect)
+    # inv[h w + a] = i, a the place of the removed orbital among the hole's
+    # empty orbitals: every (hole, empty orbital) pair is one determinant
+    w = K - N + 1
+    assert inv.shape == (math.comb(K, N - 1) * w,) == (basis.dim * N,)
+    for i, occ in enumerate(basis.occupations):
+        for k, o in enumerate(occ):
+            hole = np.delete(occ, k)
+            assert inv[h[i, k] * w + o - np.count_nonzero(hole < o)] == i
+
+
+def test_one_hole_where_binomials_overflow_int64():
+    basis = lhf.enumerate_determinants(70, 67)          # C(69, 34) > 2^63 in the table
+    h, inv = basis.one_hole
+    for i in [*range(0, basis.dim, 97), basis.dim - 1]:
+        for k in (0, 33, 66):
+            rest = np.delete(basis.occupations[i], k).tolist()
+            rank = math.comb(70, 66) - 1 - sum(math.comb(69 - c, 66 - l)
+                                               for l, c in enumerate(rest))
+            assert h[i, k] == rank
+    assert np.array_equal(np.sort(inv), np.repeat(np.arange(basis.dim), 67))
+
+
+def flat_rows(basis, n, start, stop):
+    """replacement_rows(n, start, stop) as flat arrays (i, j, P, Q, sign) in
+    the order (i, P, Q)."""
+    j, P, Q, sign = basis.replacement_rows(n, start, stop)
+    shape = (*j.shape, n)
+    return (np.repeat(np.arange(start, stop), j[0].size), j.ravel(),
+            np.broadcast_to(P[:, :, None], shape).reshape(-1, n),
+            np.broadcast_to(Q[:, None], shape).reshape(-1, n), sign.ravel())
+
 
 @pytest.mark.parametrize("K,N,n", [(4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 1),
                                    (5, 3, 2), (6, 3, 2), (6, 4, 2), (4, 4, 1)])
 def test_replacements_targets_and_signs(K, N, n):
     basis = lhf.enumerate_determinants(K, N)
-    entries = [e for block in basis.replacements(n) for e in zip(*block)]
+    entries = list(zip(*flat_rows(basis, n, 0, basis.dim)))
     assert len(entries) == basis.dim * math.comb(N, n) * math.comb(K - N, n)
     for i, j, P, Q, sign in entries:
         occ_i = basis.occupations[i].tolist()
@@ -93,49 +135,22 @@ def test_replacements_targets_and_signs(K, N, n):
         assert np.allclose(helpers.wedge_tensor(cols), sign * ref, atol=1e-14)
 
 
-def test_singles_is_the_whole_single_replacement_table(monkeypatch, rng):
-    basis = lhf.enumerate_determinants(12, 5)      # dim 792, four blocks
-    whole = [np.concatenate(part) for part in zip(*basis.replacements(1))]
-    i, j, p, q, sign = basis.singles
-    for got, expect in zip((i, j, p, q, sign), whole[:2] + [whole[2][:, 0],
-                                                            whole[3][:, 0], whole[4]]):
-        assert np.array_equal(got, expect)
-    # built once: one_body and rdm_exact read the kept table
-    def fail(self, n):
-        raise AssertionError("replacements rebuilt")
-    monkeypatch.setattr(lhf.DeterminantBasis, "replacements", fail)
-    c = random_complex(rng, basis.dim)
-    basis.one_body(np.eye(12))
-    lhf.rdm_exact(ManyBodyState(basis=basis, coefficients=c), basis)
-    assert basis.singles[0] is i
-
-
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("K,N,block,blocks", [
     (4, 4, 256, None), (4, 1, 256, None), (9, 3, 256, None),
     (12, 5, 256, None),                     # dim 792: three blocks of 256, one of 24
     (63, 2, 16, 2), (64, 2, 16, 2), (65, 2, 16, 2), (65, 63, 16, 2),
     (70, 67, 16, 2)])                       # binomials past int64
-def test_replacement_table_matches_sorting_oracle(monkeypatch, K, N, block, blocks, n):
-    monkeypatch.setattr(manybody, "REPLACEMENT_BLOCK", block)
+def test_replacement_table_matches_sorting_oracle(K, N, block, blocks, n):
     basis = lhf.enumerate_determinants(K, N)
-    got = list(itertools.islice(basis.replacements(n), blocks))
-    expect = list(itertools.islice(helpers.sorted_replacements(basis, n), blocks))
-    assert len(got) == len(expect) == (blocks or -(-basis.dim // block))
-    for new, old in zip(got, expect):
-        for a, b in zip(new, old):
+    expect = list(itertools.islice(helpers.sorted_replacements(basis, n, block), blocks))
+    assert len(expect) == (blocks or -(-basis.dim // block))
+    for start, old in zip(range(0, basis.dim, block), expect):
+        stop = min(start + block, basis.dim)
+        assert basis.replacement_rows(n, start, stop)[0].shape == (
+            stop - start, math.comb(N, n), math.comb(K - N, n))
+        for a, b in zip(flat_rows(basis, n, start, stop), old):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_replacement_rows_are_the_flat_table_unflattened():
-    basis = lhf.enumerate_determinants(9, 4)
-    i, j, P, Q, sign = next(basis.replacements(2))
-    j2, P2, Q2, sign2 = basis.replacement_rows(2, 0, basis.dim)
-    shape = j2.shape                             # (126, C(4,2), C(5,2))
-    assert shape == (126, 6, 10)
-    assert np.array_equal(j2.ravel(), j) and np.array_equal(sign2.ravel(), sign)
-    assert np.array_equal(np.broadcast_to(P2[:, :, None], (*shape, 2)).reshape(-1, 2), P)
-    assert np.array_equal(np.broadcast_to(Q2[:, None], (*shape, 2)).reshape(-1, 2), Q)
 
 
 # --- one-body operators ------------------------------------------------------
@@ -144,40 +159,49 @@ def random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def one_body_matrix(basis, M):
+    """dGamma(M) column by column, applied to each unit vector."""
+    return np.column_stack([basis.one_body(M, e) for e in np.eye(basis.dim)])
+
+
 @pytest.mark.parametrize("K,N", [(4, 1), (4, 2), (5, 3), (6, 3), (4, 4)])
 def test_one_body_matches_tensor_space_oracle(rng, K, N):
     basis = lhf.enumerate_determinants(K, N)
     M = random_complex(rng, K, K)
-    op = basis.one_body(M)
-    assert op.nnz == basis.dim * (1 + N * (K - N))
     S = np.stack([helpers.occupation_tensor(occ, K) for occ in basis.occupations])
     oracle = S.conj() @ helpers.one_body_tensor(M, N) @ S.T
-    assert np.max(np.abs(op.toarray() - oracle)) < 1e-12
+    assert np.max(np.abs(one_body_matrix(basis, M) - oracle)) < 1e-12
+    # dGamma(M) x and its adjoint dGamma(M^H) y on random vectors
+    x, y = random_complex(rng, basis.dim), random_complex(rng, basis.dim)
+    assert np.max(np.abs(basis.one_body(M, x) - oracle @ x)) < 1e-12
+    assert np.max(np.abs(basis.one_body(M.conj().T, y) - oracle.conj().T @ y)) < 1e-12
 
 
 @pytest.mark.parametrize("K,N", [(4, 2), (6, 3), (7, 2)])
 def test_one_body_adjoint(rng, K, N):
     basis = lhf.enumerate_determinants(K, N)
     M = random_complex(rng, K, K)
-    assert np.array_equal(basis.one_body(M).getH().toarray(),
-                          basis.one_body(M.conj().T).toarray())
+    assert np.array_equal(one_body_matrix(basis, M).conj().T,
+                          one_body_matrix(basis, M.conj().T))
 
 
 @pytest.mark.parametrize("K,N", [(4, 1), (5, 2), (6, 3), (8, 3), (4, 4)])
 def test_one_body_expectation_is_rdm_contraction(rng, K, N):
-    # both consumers of singles: <psi|dGamma(M)|psi> = sum M[q,p] omega[p,q]
+    # both read the hole amplitudes: <psi|dGamma(M)|psi> = sum M[q,p] omega[p,q]
     basis = lhf.enumerate_determinants(K, N)
     M = random_complex(rng, K, K)
     c = random_complex(rng, basis.dim)
     c /= np.linalg.norm(c)
     omega = lhf.rdm_exact(ManyBodyState(basis=basis, coefficients=c), basis)
-    assert np.vdot(c, basis.one_body(M) @ c) == pytest.approx(
+    assert np.vdot(c, basis.one_body(M, c)) == pytest.approx(
         np.einsum("qp,pq->", M, omega), abs=1e-12)
 
 
 def test_one_body_rejects_wrong_shape():
     with pytest.raises(DimensionMismatch):
-        lhf.enumerate_determinants(4, 2).one_body(np.eye(3))
+        lhf.enumerate_determinants(4, 2).one_body(np.eye(3), np.ones(6))
+    with pytest.raises(DimensionMismatch):
+        lhf.enumerate_determinants(4, 2).one_body(np.eye(4), np.ones(5))
 
 
 # --- Slater overlaps ----------------------------------------------------------
@@ -601,7 +625,6 @@ def test_byte_budget_is_the_size_of_the_csr(rng, monkeypatch):
 def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
     def unlisted(*args):
         raise AssertionError("a replacement block was built")
-    monkeypatch.setattr(lhf.DeterminantBasis, "replacements", unlisted)
     monkeypatch.setattr(lhf.DeterminantBasis, "replacement_rows", unlisted)
     config = dataclasses.replace(lhf.load_config(ROOT / "configs/k16n4.cfg"), n_max=2, N=6)
     problem = Problem(config)
