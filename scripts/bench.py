@@ -146,16 +146,18 @@ def main():
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     args = parser.parse_args()
     started = time.perf_counter()
+    # first, before the ladder's large arrays have been allocated and freed:
+    # those change how fast the many small temporaries of these rows come back
+    replacements = []
+    for K, N in REPLACEMENT_SIZES:
+        replacements.append(replacement_row(K, N))
+        print(json.dumps(replacements[-1]), flush=True)
     ladders = {}
     for kind, path in LADDER_CONFIGS.items():
         ladders[kind] = {"config": path, "rungs": []}
         for M, n_max, N in LADDER:
             ladders[kind]["rungs"].append(rung(path, M, n_max, N))
             print(kind, json.dumps(ladders[kind]["rungs"][-1]), flush=True)
-    replacements = []
-    for K, N in REPLACEMENT_SIZES:
-        replacements.append(replacement_row(K, N))
-        print(json.dumps(replacements[-1]), flush=True)
     compare = []
     for path in COMPARE_CONFIGS:
         compare.append(compare_row(path))
