@@ -8,12 +8,10 @@ harmonic2 = 1) and configs/gaussian.cfg (Gaussian, 1/M).  Each rung builds
 its problem through analysis.Problem from the ladder's config with M, n_max
 and N set: K = M (n_max + 1) orbitals and C(K, N) determinants.  It times
 the assembly of H, one ExactPropagator(H).advance(psi, 0.1) from a seeded
-random unit vector, the build of the determinant-space table that
-DeterminantBasis.one_body and rdm_exact read (TABLE: the one-hole table, or
-on a checkout from before it the single-replacement table it replaced) on a
-basis fresh from enumerate_determinants, and rdm_exact, each the median of
-REPEATS runs, and records the tracemalloc peak of one more assembly over
-the bytes of the CSR it returns.  The replacement rows time
+random unit vector, the build of DeterminantBasis.one_hole, the table that
+one_body and rdm_exact read, on a basis fresh from enumerate_determinants,
+and rdm_exact, each the median of REPEATS runs, and records the tracemalloc
+peak of one more assembly over the bytes of the CSR it returns.  The replacement rows time
 DeterminantBasis.replacement_rows(1) and (2) over every block of rows the
 assembly takes, on a basis fresh from enumerate_determinants (so the table
 build counts), at each (K, N) of REPLACEMENT_SIZES.  The compare rows run
@@ -46,15 +44,14 @@ import scipy  # noqa: E402
 
 from landau_hf import load_config  # noqa: E402
 from landau_hf.analysis import Problem, rdm_exact  # noqa: E402
-from landau_hf.manybody import (ASSEMBLY_BLOCK, DeterminantBasis,  # noqa: E402
-                                ExactPropagator, ManyBodyState,
-                                assemble_hamiltonian, enumerate_determinants)
+from landau_hf.manybody import (ASSEMBLY_BLOCK, ExactPropagator,  # noqa: E402
+                                ManyBodyState, assemble_hamiltonian,
+                                enumerate_determinants)
 
 LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5)]   # (M, n_max, N): K = 12, 16, 20, 20
 LADDER_CONFIGS = {"cosine": "configs/k16n4.cfg", "gaussian": "configs/gaussian.cfg"}
 COMPARE_CONFIGS = ["configs/example.cfg", "configs/gaussian.cfg", "configs/k16n4.cfg"]
 REPLACEMENT_SIZES = [(63, 2), (20, 5)]
-TABLE = "one_hole" if hasattr(DeterminantBasis, "one_hole") else "singles"
 REPEATS = 3
 INTERVAL = 0.1
 SEED = 20240917
@@ -100,14 +97,14 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
     hbar = config.constants.hbar
     advance_s = median_time(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL), REPEATS)
     fresh = [enumerate_determinants(basis.K, N) for _ in range(REPEATS)]
-    table_s = median_time(lambda: getattr(fresh.pop(), TABLE), REPEATS)
+    table_s = median_time(lambda: fresh.pop().one_hole, REPEATS)
     state = ManyBodyState(basis=basis, coefficients=psi)
     rdm_s = median_time(lambda: rdm_exact(state, basis), REPEATS)
     return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "dim": basis.dim, "nnz": H.nnz,
             "assemble_s": assemble_s, "assemble_ns_per_nnz": assemble_s / H.nnz * 1e9,
             "assemble_peak_mb": peak / 1e6, "csr_mb": csr / 1e6,
             "assemble_peak_over_csr": peak / csr, "advance_s": advance_s,
-            "table": TABLE, "table_s": table_s, "rdm_s": rdm_s}
+            "table_s": table_s, "rdm_s": rdm_s}
 
 
 def replacement_row(K: int, N: int) -> dict:

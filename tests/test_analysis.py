@@ -331,11 +331,12 @@ def test_rdm_matches_partial_trace_oracle(rng, K, N):
 @pytest.mark.parametrize("K,N", [(4, 1), (5, 3), (9, 3), (12, 4), (4, 4)])
 def test_rdm_equals_entrywise_accumulation(rng, K, N):
     basis = lhf.enumerate_determinants(K, N)
-    c = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    # Gaussian integers with integer |c|: every product and partial sum of
+    # D D^H and of the oracle is exact, so any summation order agrees bitwise
+    values = np.array([1, 2, 3, 1j, 2j, 3 + 4j, 3 - 4j, 5 + 12j, 5 - 12j])
+    c = rng.choice([-1, 1], size=basis.dim) * rng.choice(values, size=basis.dim)
     omega = lhf.rdm_exact(ManyBodyState(basis=basis, coefficients=c), basis)
-    oracle = helpers.add_at_rdm(c, basis)
-    # D D^H sums over holes, the oracle over replacements: equal to round-off
-    assert np.max(np.abs(omega - oracle)) <= 1e-14 * np.abs(oracle).max()
+    assert np.array_equal(omega, helpers.add_at_rdm(c, basis))
 
 
 def test_rdm_spectrum_between_zero_and_one(system, rng):
