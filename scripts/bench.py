@@ -16,14 +16,18 @@ DeterminantBasis.replacement_rows(1) and (2) over every block of rows the
 assembly takes, on a basis fresh from enumerate_determinants (so the table
 build counts), at each (K, N) of REPLACEMENT_SIZES.  The compare rows run
 `landau-hf compare --threads 1` REPEATS times on each of COMPARE_CONFIGS in
-a fresh process and keep the manifest's total time.  The machine block
-names where the numbers come from.
+a fresh process and keep the manifest's total time.  The tensor rows time
+two_body_tensor on TENSOR_CONFIG (K = 30, Gaussian kernel) at its sigma and
+at each of TENSOR_SIGMAS, where more Fourier modes are kept, the median of
+REPEATS runs with the orbitals built once.  The machine block names where
+the numbers come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,16 +46,18 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from landau_hf import load_config  # noqa: E402
+from landau_hf import build_orbital_set, load_config  # noqa: E402
 from landau_hf.analysis import Problem, rdm_exact  # noqa: E402
 from landau_hf.manybody import (ASSEMBLY_BLOCK, ExactPropagator,  # noqa: E402
                                 ManyBodyState, assemble_hamiltonian,
-                                enumerate_determinants)
+                                enumerate_determinants, two_body_tensor)
 
 LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5)]   # (M, n_max, N): K = 12, 16, 20, 20
 LADDER_CONFIGS = {"cosine": "configs/k16n4.cfg", "gaussian": "configs/gaussian.cfg"}
 COMPARE_CONFIGS = ["configs/example.cfg", "configs/gaussian.cfg", "configs/k16n4.cfg"]
 REPLACEMENT_SIZES = [(63, 2), (20, 5)]
+TENSOR_CONFIG = "configs/k30n10.cfg"
+TENSOR_SIGMAS = [0.3, 0.1]       # 2161 and all 4096 modes of the 64^2 tensor grid
 REPEATS = 3
 INTERVAL = 0.1
 SEED = 20240917
@@ -122,6 +128,22 @@ def replacement_row(K: int, N: int) -> dict:
             "replacement_rows_s": median_time(run, REPEATS)}
 
 
+def tensor_rows(path: str) -> list[dict]:
+    """two_body_tensor on path's orbitals at its sigma and at each of
+    TENSOR_SIGMAS, the median of REPEATS, with the kept Fourier modes."""
+    config = load_config(ROOT / path)
+    grid = config.tensor_grid
+    orbitals = build_orbital_set(config, grid=grid)
+    rows = []
+    for sigma in [config.potential.sigma, *TENSOR_SIGMAS]:
+        potential = dataclasses.replace(config.potential, sigma=sigma)
+        build = functools.partial(two_body_tensor, potential, orbitals, grid)
+        rows.append({"config": path, "K": orbitals.size, "grid": list(grid.shape),
+                     "sigma": sigma, "rank": build().rank,
+                     "tensor_s": median_time(build, REPEATS)})
+    return rows
+
+
 def compare_row(path: str) -> dict:
     """`landau-hf compare --threads 1` on path, REPEATS fresh processes: the
     manifest's total time of each and their median, with its counters."""
@@ -155,13 +177,16 @@ def main():
         for M, n_max, N in LADDER:
             ladders[kind]["rungs"].append(rung(path, M, n_max, N))
             print(kind, json.dumps(ladders[kind]["rungs"][-1]), flush=True)
+    tensors = tensor_rows(TENSOR_CONFIG)
+    for row in tensors:
+        print(json.dumps(row), flush=True)
     compare = []
     for path in COMPARE_CONFIGS:
         compare.append(compare_row(path))
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
               "repeats": REPEATS, "ladders": ladders, "replacement_rows": replacements,
-              "compare": compare,
+              "tensor": tensors, "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")

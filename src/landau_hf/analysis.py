@@ -103,17 +103,25 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
     Sector j, wedges of j vectors orthogonal to the orbitals with N-j of
     their span, is the eigenspace j of the complement number operator
     n_c = dGamma(1 - Q Q^H), Q an orthonormal basis of the span, and has the
-    projector prod_{k != j} (n_c - k) / (j - k) over k = 0..N.
+    projector prod_{k != j} (n_c - k) / (j - k) over k = 0..N.  Each
+    projector is a polynomial of degree N in s = n_c - N/2, whose spectrum
+    -N/2..N/2 keeps the powers small: the N powers s^m v are formed once,
+    and sector j is sum_m c_jm s^m v with c_j the ascending coefficients of
+    prod_{k != j} (x - (k - N/2)) / (j - k).
     """
     Q = np.linalg.qr(orbitals)[0]
     complement = np.eye(basis.K) - Q @ Q.conj().T
+    shift = basis.N / 2
+    powers = [defect]
+    for _ in range(basis.N):
+        powers.append(basis.one_body(complement, powers[-1]) - shift * powers[-1])
+    powers = np.array(powers)
+    levels = np.arange(basis.N + 1)
     norms = np.zeros(basis.N + 1)
-    for j in range(basis.N + 1):
-        vec = defect
-        for k in range(basis.N + 1):
-            if k != j:
-                vec = (basis.one_body(complement, vec) - k * vec) / (j - k)
-        norms[j] = np.linalg.norm(vec)
+    for j in levels:
+        others = np.delete(levels, j)
+        coefficients = np.poly(others - shift)[::-1] / np.prod(j - others)
+        norms[j] = np.linalg.norm(coefficients @ powers)
     return norms
 
 

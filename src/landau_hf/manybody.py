@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,6 +60,7 @@ from .potentials import PotentialSpec
 DET_SPACE_CAP = 200_000
 ASSEMBLY_BLOCK = 2 ** 15         # candidate entries of H per assemble_hamiltonian block
 H_BYTE_CAP = 2 ** 30             # largest predicted CSR size of H, in bytes
+TENSOR_BYTE_CAP = 2 ** 30        # largest predicted size of two_body_tensor's arrays, in bytes
 TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
 SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
 TAYLOR_TOL = 2.0 ** -53          # truncation tolerance of ExactPropagator's Taylor sums
@@ -262,14 +262,20 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     on grid, every kernel kind writing the pair layout (ag), (bd); the
     orbitals must be sampled on grid (GridMismatch otherwise).
 
-    Translation-invariant kernels (PotentialSpec.fourier_modes) take one 2-D
-    FFT R_ag of the pair densities conj(phi_a) phi_g w, g >= a, one a at a
-    time on min(threads, cpu count) FFT workers; R_ga(k) = conj(R_ag(-k))
-    completes B[(bd), k] = R_bd(k), its conjugate with (a, g) swapped is
-    A[(ag), k] = R_ag(-k), and v = sum_k w_k A[:, k] B[:, k]^T is one
-    (K^2, R) @ (R, K^2) product; the output does not depend on threads.
-    Rank-expanded kernels contract one term at a time; tabulated kernels are
-    checked and go through the dense pair matrix.
+    Translation-invariant kernels (PotentialSpec.fourier_modes) take the
+    discrete Fourier coefficients R_ag of the pair densities conj(phi_a)
+    phi_g w, g >= a, one a at a time, at the kept modes only: a partial DFT,
+    one product with the x2 columns E2 (dft_columns) and one with the x1
+    columns E1, at the distinct kept k1 and k2 and their negatives;
+    R_ga(k) = conj(R_ag(-k)) completes B[(bd), k] = R_bd(k), its conjugate
+    with (a, g) swapped is A[(ag), k] = R_ag(-k), and v = sum_k w_k A[:, k]
+    B[:, k]^T is one (K^2, R) @ (R, K^2) product.  Rank-expanded kernels
+    contract one term at a time; tabulated kernels are checked and go through
+    the dense pair matrix.  Before any factor is allocated, the predicted
+    bytes, 16 K^4 for the pair matrix plus 32 K^2 R for A and B with R kept
+    Fourier modes, are checked against TENSOR_BYTE_CAP (TooLarge).  threads
+    must be >= 1 and changes no work: every product runs on the BLAS's own
+    threads.
 
     The selection rule of the magnetic translations (Haldane 1985;
     PotentialSpec.x2_transfers) is applied to the factors before the
@@ -283,24 +289,30 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     if orbitals.grid != grid:
         raise GridMismatch(f"orbitals sampled on {orbitals.grid}, tensor grid {grid}")
     K, M = orbitals.size, orbitals.flux_count
+    modes = potential.fourier_modes(grid)
+    R = 0 if modes is None else len(modes[1])
+    nbytes = 16 * K ** 4 + 32 * K ** 2 * R
+    if nbytes > TENSOR_BYTE_CAP:
+        raise TooLarge(f"two-body tensor at K = {K} with {R} Fourier modes needs "
+                       f"{nbytes / 1e9:.2f} GB, over the budget of "
+                       f"{TENSOR_BYTE_CAP / 1e9:.2f} GB")
     phi = orbitals.matrix()                  # (K, P)
     w = grid.weight
     labels = np.array([orb.m for orb in orbitals.orbitals])
     transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
     rule = potential.x2_transfers(grid, M)
 
-    modes = potential.fourier_modes(grid)
     if modes is not None:
-        import scipy.fft        # ~5 MB resident; imported only where it is used
         (k1, k2), weights = modes
-        minus = (-k1 % grid.G1, -k2 % grid.G2)
+        E1, at1, minus1 = dft_columns(k1, grid.G1)
+        E2, at2, minus2 = dft_columns(k2, grid.G2)
+        cw = phi.conj() * w
         B = np.empty((K, K, len(weights)), dtype=np.complex128)   # R_bd(k)
-        workers = min(threads, os.cpu_count() or 1)
         for a in range(K):
-            dens = (phi[a].conj() * phi[a:] * w).reshape(K - a, *grid.shape)
-            R = scipy.fft.fft2(dens, workers=workers)
-            B[a:, a] = R[:, minus[0], minus[1]].conj()
-            B[a, a:] = R[:, k1, k2]
+            half = ((cw[a] * phi[a:]).reshape(-1, grid.G2) @ E2).reshape(K - a, grid.G1, -1)
+            R = E1.T @ half                        # R_ag(u1, u2), g >= a
+            B[a:, a] = R[:, minus1, minus2].conj()
+            B[a, a:] = R[:, at1, at2]
         rule = rule[k2]                                  # one row per kept mode
         np.copyto(B, 0, where=(~rule).T[transfer])
         A = np.multiply(B.transpose(1, 0, 2).conj(), weights, out=np.empty_like(B))
@@ -341,6 +353,16 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                              symmetry_deviation=max(exch, herm) / scale,
                              rank=None if rule is None else len(rule),
                              rule_kept=1.0 if rule is None else rule_kept(rule, transfer))
+
+
+def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of the length-G DFT matrix, E[x, u] = exp(-2 pi i x u / G),
+    at the distinct u among k and -k mod G, with the column of each k and of
+    each -k; x u is reduced mod G first, so each entry is a root of unity
+    whatever the size of x u."""
+    u, column = np.unique(np.concatenate([k, -k % G]), return_inverse=True)
+    E = np.exp(-2j * np.pi * (np.outer(np.arange(G), u) % G) / G)
+    return E, column[:len(k)], column[len(k):]
 
 
 def rule_kept(rule: np.ndarray, transfer: np.ndarray) -> float:

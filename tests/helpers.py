@@ -14,13 +14,15 @@ oracles sum its lattice images pair by pair, or per axis in Poisson-dual form.
 The reduced density matrix oracle accumulates it entry by entry with np.add.at.
 The replacement-table oracle sorts every target occupation and ranks it; the
 Hamiltonian oracle consumes it as COO lists and mirrors the upper triangle
-with scipy's transpose and sum.
+with scipy's transpose and sum.  The Gaussian-tensor oracle takes a full 2-D
+FFT of every pair density and reads the kept modes off it.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 
 from landau_hf.hartree_fock import hf_rhs
@@ -161,6 +163,29 @@ def coo_hamiltonian(basis, energies, tensor) -> sp.csr_matrix:
     return (upper + lower).tocsr()
 
 
+def fft2_gaussian_pair_matrix(potential, orbitals, grid) -> np.ndarray:
+    """Raw pair matrix v[(ag), (bd)] of a translation-invariant kernel from a
+    full 2-D FFT R_ag of the pair densities conj(phi_a) phi_g w, g >= a, one
+    a at a time, read at the kept modes k and -k, with the selection rule's
+    zeros set in B[(bd), k] = R_bd(k); not symmetrized."""
+    K, M = orbitals.size, orbitals.flux_count
+    phi = orbitals.matrix()
+    (k1, k2), weights = potential.fourier_modes(grid)
+    minus = (-k1 % grid.G1, -k2 % grid.G2)
+    B = np.empty((K, K, len(weights)), dtype=np.complex128)
+    for a in range(K):
+        dens = (phi[a].conj() * phi[a:] * grid.weight).reshape(K - a, *grid.shape)
+        R = scipy.fft.fft2(dens)
+        B[a:, a] = R[:, minus[0], minus[1]].conj()
+        B[a, a:] = R[:, k1, k2]
+    labels = np.array([orb.m for orb in orbitals.orbitals])
+    transfer = (labels - labels[:, None]) % M
+    rule = potential.x2_transfers(grid, M)[k2]
+    B[(~rule).T[transfer]] = 0
+    A = B.transpose(1, 0, 2).conj() * weights
+    return A.reshape(K * K, -1) @ B.reshape(K * K, -1).T
+
+
 def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):
     """Symmetric, Hermitian 4-index tensor from a random symmetric kernel."""
     Vmat = rng.normal(size=(P, P)) * scale
@@ -225,6 +250,20 @@ def compound_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
         amp = np.vdot(_wedge(Q[:, list(combo)], basis), defect)
         norms_sq[sum(1 for c in combo if c >= N)] += abs(amp) ** 2
     return np.sqrt(norms_sq)
+
+
+def unit_sector_vector(rng, orbitals: np.ndarray, basis) -> np.ndarray:
+    """A vector with norm 1 in every nonempty sector 0..N: random amplitudes
+    on the wedges of N columns of the unitary compound_sector_norms uses,
+    summed per sector and each sector's sum scaled to unit norm."""
+    Q = np.linalg.qr(orbitals, mode="complete")[0]
+    N = basis.N
+    parts = np.zeros((N + 1, basis.dim), dtype=np.complex128)
+    for combo in itertools.combinations(range(basis.K), N):
+        amp = rng.normal() + 1j * rng.normal()
+        parts[sum(1 for c in combo if c >= N)] += amp * _wedge(Q[:, list(combo)], basis)
+    norms = np.linalg.norm(parts, axis=1)
+    return (parts[norms > 0] / norms[norms > 0, None]).sum(axis=0)
 
 
 def midpoint_quad_1d(f, lo: float, hi: float, n: int) -> float:

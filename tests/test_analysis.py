@@ -164,10 +164,13 @@ def test_sample_check_matches_embedding_oracles(rng, K, N):
     def assert_close(got, want, scale):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, scale)
 
-    x = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    # unit norm in each of the min(N, K - N) + 1 nonempty sectors, so the
+    # deviation is relative to every sector's norm
     C = np.linalg.qr(rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N)))[0]
-    assert_close(defect_sector_norms(x, C, basis),
-                 helpers.compound_sector_norms(x, C, basis), np.linalg.norm(x))
+    x = helpers.unit_sector_vector(rng, C, basis)
+    want = helpers.compound_sector_norms(x, C, basis)
+    assert_close(want, np.arange(N + 1) <= K - N, 1.0)
+    assert_close(defect_sector_norms(x, C, basis), want, 1.0)
     skewed = C.copy()
     skewed[:, 0] *= 1.5
     skewed[:, -1] += 0.3 * C[:, 0]

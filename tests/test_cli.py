@@ -551,6 +551,28 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
     assert "over the budget" in manifest["validations"]["error"]["detail"]
 
 
+@pytest.mark.parametrize("command", ["evolve-hf", "compare"])
+def test_tensor_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # K = 9 and 89 kept modes: 16 K^4 + 32 K^2 R = 335,664 bytes, over a 100 kB cap
+    def unbuilt(*args):
+        raise AssertionError("a Fourier factor was built")
+    monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", 10 ** 5)
+    monkeypatch.setattr(manybody, "dft_columns", unbuilt)
+    cfg = tmp_path / "gauss.cfg"
+    cfg.write_text(GOOD_CFG.format(M=3, n_max=2, N=2, strength=0.1, t_final=0.05)
+                   .replace("separable-cosine", "periodic-gaussian"))
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", str(cfg), "--out-dir", str(out),
+                     "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: two-body tensor at K = 9 with 89 Fourier modes needs ")
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False and manifest["outputs"] == []
+    assert "over the budget" in manifest["validations"]["error"]["detail"]
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 @pytest.mark.parametrize("command", ["compare", "evolve-hf", "basis"])
 def test_threads_below_one_exit_one(tmp_path, capsys, command, threads):

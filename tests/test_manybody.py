@@ -303,6 +303,22 @@ def test_fft_tensor_matches_dense_pair_matrix(cfg_m3, strength, sigma):
     assert np.max(np.abs(t_fft.values - t_tab.values)) < 1e-12
 
 
+@pytest.mark.parametrize("G1,G2", [(24, 24), (16, 24), (15, 24)])
+@pytest.mark.parametrize("sigma", [None, 0.3, 0.1], ids=["default", "0.3", "0.1"])
+def test_gaussian_tensor_matches_full_fft_oracle(cfg_m3, G1, G2, sigma):
+    # the partial DFT at the kept modes against a full fft2 per pair row; at
+    # sigma = 0.1 every mode is kept, the Nyquist modes of the even axes too
+    grid = lhf.Grid(L1=cfg_m3.domain.L1, L2=cfg_m3.domain.L2, G1=G1, G2=G2)
+    oset = lhf.build_orbital_set(cfg_m3, grid=grid)
+    pot = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3,
+                            **({} if sigma is None else {"sigma": sigma}))
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    oracle = helpers.fft2_gaussian_pair_matrix(pot, oset, grid)
+    assert np.max(np.abs(tensor.pair - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    if sigma == 0.1:
+        assert tensor.rank == G1 * G2
+
+
 def rule_free(monkeypatch):
     """Make every kernel's selection rule allow every transfer: the tensor as
     computed without the rule."""
