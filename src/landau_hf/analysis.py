@@ -106,8 +106,8 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
     projector prod_{k != j} (n_c - k) / (j - k) over k = 0..N.  Each
     projector is a polynomial of degree N in s = n_c - N/2, whose spectrum
     -N/2..N/2 keeps the powers small: the N powers s^m v are formed once,
-    and sector j is sum_m c_jm s^m v with c_j the ascending coefficients of
-    prod_{k != j} (x - (k - N/2)) / (j - k).
+    and sector j is sum_m c_jm s^m v, where sum_m c_jm (k - N/2)^m = [j = k]
+    makes c the transposed inverse of the levels' Vandermonde matrix.
     """
     Q = np.linalg.qr(orbitals)[0]
     complement = np.eye(basis.K) - Q @ Q.conj().T
@@ -115,14 +115,9 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
     powers = [defect]
     for _ in range(basis.N):
         powers.append(basis.one_body(complement, powers[-1]) - shift * powers[-1])
-    powers = np.array(powers)
-    levels = np.arange(basis.N + 1)
-    norms = np.zeros(basis.N + 1)
-    for j in levels:
-        others = np.delete(levels, j)
-        coefficients = np.poly(others - shift)[::-1] / np.prod(j - others)
-        norms[j] = np.linalg.norm(coefficients @ powers)
-    return norms
+    levels = np.arange(basis.N + 1) - shift
+    coefficients = np.linalg.inv(np.vander(levels, increasing=True)).T
+    return np.linalg.norm(coefficients @ np.array(powers), axis=1)
 
 
 def defect_norm(state: HFState, tensor: InteractionTensor,
