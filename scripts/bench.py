@@ -17,10 +17,13 @@ assembly takes, on a basis fresh from enumerate_determinants (so the table
 build counts), at each (K, N) of REPLACEMENT_SIZES.  The compare rows run
 `landau-hf compare --threads 1` REPEATS times on each of COMPARE_CONFIGS in
 a fresh process and keep the manifest's total time.  The tensor rows time
-two_body_tensor on TENSOR_CONFIG (K = 30, Gaussian kernel) at its sigma and
-at each of TENSOR_SIGMAS, where more Fourier modes are kept, the median of
-REPEATS runs with the orbitals built once.  The machine block names where
-the numbers come from.
+two_body_tensor on TENSOR_CONFIG's orbitals (K = 30), the median of REPEATS
+runs with the orbitals built once, for every kernel kind: the config's
+Gaussian at its sigma and at each of TENSOR_SIGMAS, where more Fourier modes
+are kept, the zero and the cosine kernel, and the Gaussian's pair values as
+a table on a TABLE_GRID^2 tensor grid; each records the tracemalloc peak of
+one more call over the bytes two_body_tensor predicts.  The machine block
+names where the numbers come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
 """
@@ -46,7 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from landau_hf import build_orbital_set, load_config  # noqa: E402
+from landau_hf import Grid, PotentialSpec, build_orbital_set, load_config  # noqa: E402
 from landau_hf.analysis import Problem, rdm_exact  # noqa: E402
 from landau_hf.manybody import (ASSEMBLY_BLOCK, ExactPropagator,  # noqa: E402
                                 ManyBodyState, assemble_hamiltonian,
@@ -58,6 +61,7 @@ COMPARE_CONFIGS = ["configs/example.cfg", "configs/gaussian.cfg", "configs/k16n4
 REPLACEMENT_SIZES = [(63, 2), (20, 5)]
 TENSOR_CONFIG = "configs/k30n10.cfg"
 TENSOR_SIGMAS = [0.3, 0.1]       # 2161 and all 4096 modes of the 64^2 tensor grid
+TABLE_GRID = 48                  # the table's complex copy is 85 MB at 48^2, 268 MB at 64^2
 REPEATS = 3
 INTERVAL = 0.1
 SEED = 20240917
@@ -128,19 +132,42 @@ def replacement_row(K: int, N: int) -> dict:
             "replacement_rows_s": median_time(run, REPEATS)}
 
 
-def tensor_rows(path: str) -> list[dict]:
-    """two_body_tensor on path's orbitals at its sigma and at each of
-    TENSOR_SIGMAS, the median of REPEATS, with the kept Fourier modes."""
-    config = load_config(ROOT / path)
+def tensor_row(potential: PotentialSpec, orbitals, grid: Grid) -> dict:
+    """two_body_tensor on orbitals, the median of REPEATS, and the
+    tracemalloc peak of one more call over its predicted bytes, 16 K^4 +
+    32 K^2 R + 32 K P, plus 16 P^2 for a table (R = P)."""
+    build = functools.partial(two_body_tensor, potential, orbitals, grid)
+    tracemalloc.start()
+    try:
+        rank = build().rank
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    K, P = orbitals.size, grid.G1 * grid.G2
+    R = P if rank is None else rank
+    predicted = 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * (rank is None)
+    return {"config": TENSOR_CONFIG, "kind": potential.kind, "K": K, "grid": list(grid.shape),
+            "sigma": potential.sigma, "rank": rank, "tensor_s": median_time(build, REPEATS),
+            "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,
+            "peak_over_prediction": peak / predicted}
+
+
+def tensor_rows() -> list[dict]:
+    """tensor_row for TENSOR_CONFIG's Gaussian at its sigma and at each of
+    TENSOR_SIGMAS, for the zero and the cosine kernel on its tensor grid, and
+    for the Gaussian's pair values as a table on a TABLE_GRID^2 grid."""
+    config = load_config(ROOT / TENSOR_CONFIG)
     grid = config.tensor_grid
     orbitals = build_orbital_set(config, grid=grid)
-    rows = []
-    for sigma in [config.potential.sigma, *TENSOR_SIGMAS]:
-        potential = dataclasses.replace(config.potential, sigma=sigma)
-        build = functools.partial(two_body_tensor, potential, orbitals, grid)
-        rows.append({"config": path, "K": orbitals.size, "grid": list(grid.shape),
-                     "sigma": sigma, "rank": build().rank,
-                     "tensor_s": median_time(build, REPEATS)})
+    gaussian = config.potential
+    rows = [tensor_row(dataclasses.replace(gaussian, sigma=sigma), orbitals, grid)
+            for sigma in [gaussian.sigma, *TENSOR_SIGMAS]]
+    for kind in ("zero", "separable-cosine"):
+        rows.append(tensor_row(PotentialSpec(kind=kind, strength=gaussian.strength),
+                               orbitals, grid))
+    table_grid = Grid(L1=grid.L1, L2=grid.L2, G1=TABLE_GRID, G2=TABLE_GRID)
+    table = PotentialSpec(kind="tabulated", table=gaussian.pair_values(table_grid))
+    rows.append(tensor_row(table, build_orbital_set(config, grid=table_grid), table_grid))
     return rows
 
 
@@ -177,7 +204,7 @@ def main():
         for M, n_max, N in LADDER:
             ladders[kind]["rungs"].append(rung(path, M, n_max, N))
             print(kind, json.dumps(ladders[kind]["rungs"][-1]), flush=True)
-    tensors = tensor_rows(TENSOR_CONFIG)
+    tensors = tensor_rows()
     for row in tensors:
         print(json.dumps(row), flush=True)
     compare = []

@@ -9,15 +9,18 @@ elements are stored in physicists' order,
 
 so a and g belong to the first particle, b and d to the second.
 
-two_body_tensor writes exact zeros where the magnetic translations of the
-torus forbid an entry (Haldane, PRL 55, 2095 (1985)): the x2 momentum m mod
-M of each orbital is exact, so with the cosine kernel m_g - m_a and m_d - m_b
-must each be +-harmonic2 mod M, and with the translation-invariant Gaussian
-kernel m_a + m_b = m_g + m_d mod M; harmonics are read at the grid's signed
-frequency (PotentialSpec.x2_transfers).  The zeros are set in the one-body
-factors before the contraction, so assemble_hamiltonian, which drops exact
-zeros, stores and multiplies only what the rule allows: 1/M of the pairs
-for the Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
+two_body_tensor builds every kernel kind as one product v = A @ B^T in the
+pair layout: B[(bd), r] holds the second particle's factors (Fourier modes,
+separable terms or grid points) and A is its exchange conjugate times the
+kernel's weights.  It writes exact zeros where the magnetic translations of
+the torus forbid an entry (Haldane, PRL 55, 2095 (1985)): the x2 momentum m
+mod M of each orbital is exact, so with the cosine kernel m_g - m_a and
+m_d - m_b must each be +-harmonic2 mod M, and with the translation-invariant
+Gaussian kernel m_a + m_b = m_g + m_d mod M; harmonics are read at the
+grid's signed frequency (PotentialSpec.x2_transfers).  The zeros are set in
+B before A is formed, so assemble_hamiltonian, which drops exact zeros,
+stores and multiplies only what the rule allows: 1/M of the pairs for the
+Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
 
 The determinant space has one primitive, DeterminantBasis.one_hole: for
 every determinant and place, the rank of the (N-1)-particle determinant
@@ -259,80 +262,79 @@ def symmetry_deviations(pair: np.ndarray) -> tuple[float, float]:
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                     threads: int = 1) -> InteractionTensor:
     """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y)
-    on grid, every kernel kind writing the pair layout (ag), (bd); the
-    orbitals must be sampled on grid (GridMismatch otherwise).
-
-    Translation-invariant kernels (PotentialSpec.fourier_modes) take the
-    discrete Fourier coefficients R_ag of the pair densities conj(phi_a)
-    phi_g w, g >= a, one a at a time, at the kept modes only: a partial DFT,
-    one product with the x2 columns E2 (dft_columns) and one with the x1
-    columns E1, at the distinct kept k1 and k2 and their negatives;
-    R_ga(k) = conj(R_ag(-k)) completes B[(bd), k] = R_bd(k), its conjugate
-    with (a, g) swapped is A[(ag), k] = R_ag(-k), and v = sum_k w_k A[:, k]
-    B[:, k]^T is one (K^2, R) @ (R, K^2) product.  Rank-expanded kernels
-    contract one term at a time; tabulated kernels are checked and go through
-    the dense pair matrix.  Before any factor is allocated, the predicted
-    bytes, 16 K^4 for the pair matrix plus 32 K^2 R for A and B with R kept
-    Fourier modes, are checked against TENSOR_BYTE_CAP (TooLarge).  threads
-    must be >= 1 and changes no work: every product runs on the BLAS's own
-    threads.
+    on grid into the pair layout (ag), (bd), for every kernel kind one product
+    v = A @ B^T of two (K^2, R) factors; the orbitals must be sampled on grid
+    (GridMismatch otherwise).  Each kind is V(x;y) = sum_r c_r conj(g_r(x))
+    g_r(y) on the grid, B[(bd), r] = <b|g_r|d>, and A[(ag), r] =
+    c_r conj(B[(ga), r]) is B's exchange conjugate times the weights:
+      - translation-invariant kernels (PotentialSpec.fourier_modes): the
+        coefficients R_bd(k) of the pair densities conj(phi_b) phi_d w at the
+        kept modes, d >= b, one b at a time, by a partial DFT (one product
+        with the x2 columns E2 of dft_columns, one with the x1 columns E1),
+        and R_db(k) = conj(R_bd(-k)); c_k = w_k;
+      - rank-expanded kernels (separable_terms): <b|g_r|d> per term;
+      - tabulated kernels, checked first: the pair densities at the P grid
+        points, their own exchange conjugates, so A = B @ T.
+    Before any factor is allocated, the predicted bytes, 16 K^4 for v,
+    32 K^2 R for A and B, 32 K P for phi and its weighted conjugate and
+    16 P^2 for a table's complex copy, are checked against TENSOR_BYTE_CAP
+    (TooLarge).  threads must be >= 1 and changes no work.
 
     The selection rule of the magnetic translations (Haldane 1985;
-    PotentialSpec.x2_transfers) is applied to the factors before the
-    contraction: a forbidden <b|g_r|d> in a term's K x K matrices, or
-    R_bd(k) in B, is set to 0, so every entry the rule forbids, aliasing
-    round-off on the grid, is a sum of exact zeros; no entry is tested
-    against a tolerance.  The raw tensor is checked finite and against its
+    PotentialSpec.x2_transfers) sets every forbidden <b|g_r|d> to 0 before A
+    is formed, so an entry it forbids, aliasing round-off on the grid, is a
+    sum of exact zeros.  The raw tensor is checked finite and against its
     exchange/hermiticity symmetries, then symmetrized."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
         raise GridMismatch(f"orbitals sampled on {orbitals.grid}, tensor grid {grid}")
-    K, M = orbitals.size, orbitals.flux_count
+    K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
     modes = potential.fourier_modes(grid)
-    R = 0 if modes is None else len(modes[1])
-    nbytes = 16 * K ** 4 + 32 * K ** 2 * R
+    terms = None if modes else potential.separable_terms(grid)
+    table = modes is None and terms is None
+    R, what = ((len(modes[1]), "Fourier modes") if modes else (P, "grid points") if table
+               else (len(terms), "separable terms"))
+    nbytes = 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * table
     if nbytes > TENSOR_BYTE_CAP:
-        raise TooLarge(f"two-body tensor at K = {K} with {R} Fourier modes needs "
-                       f"{nbytes / 1e9:.2f} GB, over the budget of "
-                       f"{TENSOR_BYTE_CAP / 1e9:.2f} GB")
+        raise TooLarge(f"two-body tensor at K = {K} with {R} {what} needs {nbytes / 1e9:.2f} "
+                       f"GB, over the budget of {TENSOR_BYTE_CAP / 1e9:.2f} GB")
     phi = orbitals.matrix()                  # (K, P)
-    w = grid.weight
     labels = np.array([orb.m for orb in orbitals.orbitals])
     transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
     rule = potential.x2_transfers(grid, M)
 
-    if modes is not None:
-        (k1, k2), weights = modes
+    B = np.empty((K, K, R), dtype=np.complex128)       # B[b, d, r]
+    if modes:
+        (k1, k2), c = modes
         E1, at1, minus1 = dft_columns(k1, grid.G1)
         E2, at2, minus2 = dft_columns(k2, grid.G2)
-        cw = phi.conj() * w
-        B = np.empty((K, K, len(weights)), dtype=np.complex128)   # R_bd(k)
-        for a in range(K):
-            half = ((cw[a] * phi[a:]).reshape(-1, grid.G2) @ E2).reshape(K - a, grid.G1, -1)
-            R = E1.T @ half                        # R_ag(u1, u2), g >= a
-            B[a:, a] = R[:, minus1, minus2].conj()
-            B[a, a:] = R[:, at1, at2]
+        cw = phi.conj() * grid.weight
+        for b in range(K):
+            half = ((cw[b] * phi[b:]).reshape(-1, grid.G2) @ E2).reshape(K - b, grid.G1, -1)
+            coef = E1.T @ half                     # R_bd(u1, u2), d >= b
+            B[b:, b] = coef[:, minus1, minus2].conj()
+            B[b, b:] = coef[:, at1, at2]
         rule = rule[k2]                                  # one row per kept mode
-        np.copyto(B, 0, where=(~rule).T[transfer])
-        A = np.multiply(B.transpose(1, 0, 2).conj(), weights, out=np.empty_like(B))
-        v = A.reshape(K * K, -1) @ B.reshape(K * K, -1).T
-    elif (terms := potential.separable_terms(grid)) is not None:
-        v = np.zeros((K * K, K * K), dtype=np.complex128)
-        for (c, f, g), allowed in zip(terms, rule):
-            A = (phi.conj() * f.ravel()) @ phi.T * w      # <a| f |g>
-            B = (phi.conj() * g.ravel()) @ phi.T * w      # <b| g |d>
-            A[~allowed[transfer.T]] = 0
-            B[~allowed[transfer]] = 0
-            v += c * np.einsum("ag,bd->agbd", A, B).reshape(K * K, K * K)
+    elif terms is not None:
+        c = np.array([c_r for c_r, _ in terms])
+        for r, (_, g) in enumerate(terms):
+            B[:, :, r] = (phi.conj() * g.ravel()) @ phi.T * grid.weight
     else:
         potential.check_symmetry(grid)
-        D = (phi.conj()[:, None, :] * phi[None, :, :] * w).reshape(K * K, -1)
-        v = D @ potential.pair_values(grid) @ D.T
+        np.multiply(phi.conj()[:, None], phi, out=B)
+        B *= grid.weight
+        A = B.reshape(K * K, R) @ potential.pair_values(grid)
+    if not table:
+        np.copyto(B, 0, where=(~rule).T[transfer])
+        A = np.conjugate(B.transpose(1, 0, 2), out=np.empty_like(B))
+        A *= c
+    v = A.reshape(K * K, R) @ B.reshape(K * K, R).T
 
     # the symmetry checks and the symmetrization add entries in pairs, so an
     # entry must stay below half the float range; NaN fails too
-    scale = max(float(np.max(np.abs(v))), 1.0)
+    S = v.reshape(K, K, K, K)                                  # [a, g, b, d]
+    scale = max(float(np.max([np.abs(s).max() for s in S])), 1.0)
     if not math.isfinite(2.0 * scale):
         raise NonFiniteValue("two-body tensor has a non-finite entry, or one "
                              "beyond half the float range")
@@ -342,7 +344,6 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
     # v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place one
     # slab of fixed a at a time; an entry and its image get the same bits
-    S = v.reshape(K, K, K, K)                                  # [a, g, b, d]
     for a in range(K):
         m = 0.5 * (S[a, :, a:] + S[a:, :, a].transpose(2, 0, 1))
         S[a, :, a:], S[a:, :, a] = m, m.transpose(1, 2, 0)
@@ -351,7 +352,7 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         S[a, a:], S[a:, a] = m, m.transpose(0, 2, 1).conj()
     return InteractionTensor(values=S.transpose(0, 2, 1, 3), sup_norm=potential.sup_norm(),
                              symmetry_deviation=max(exch, herm) / scale,
-                             rank=None if rule is None else len(rule),
+                             rank=None if table else R,
                              rule_kept=1.0 if rule is None else rule_kept(rule, transfer))
 
 

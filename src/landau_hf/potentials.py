@@ -12,10 +12,13 @@ by sup|V|.  Kinds:
   tabulated          values on grid x grid, supplied as an array (escape hatch)
 
 For quadrature each kind exposes the form that is exact on the grid and
-cheapest to contract: the zero and cosine kinds their rank expansion
-V(x;y) = sum_r c_r f_r(x) g_r(y) (separable_terms), the translation-invariant
-Gaussian kind the real discrete Fourier weights of its difference table
-(fourier_modes), and the tabulated kind its dense pair matrix (pair_values).
+cheapest to contract, each a weighted sum V(x;y) = sum_r c_r conj(g_r(x))
+g_r(y) that manybody.two_body_tensor contracts as one factor product: the
+zero and cosine kinds their rank expansion with real g_r (separable_terms),
+the translation-invariant Gaussian kind the real discrete Fourier weights of
+its difference table, g_k(y) = exp(-2 pi i k.y / G) (fourier_modes), and the
+tabulated kind its dense pair matrix, one g per grid point with the table
+for weights (pair_values).
 
 Selection rule (x2_transfers).  The box orbital phi_{n,m} has x2 harmonics
 m - M l1 only, so its x2 momentum m mod M is exact: the magnetic
@@ -148,13 +151,13 @@ class PotentialSpec:
         return tab / tab[0, 0]
 
     def separable_terms(self, grid):
-        """Rank expansion V(x;y) = sum_r c_r f_r(x) g_r(y) of the zero and
-        cosine kinds, exact on the grid; None for the other kinds."""
+        """Rank expansion V(x;y) = sum_r c_r g_r(x) g_r(y) of the zero and
+        cosine kinds, exact on the grid, as a list of (c_r, g_r); None for the
+        other kinds."""
         if self.kind == "zero":
             return []
         if self.kind == "separable-cosine":
-            g = self._cosine_factor(grid).astype(np.complex128)
-            return [(self.strength, g, g)]
+            return [(self.strength, self._cosine_factor(grid).astype(np.complex128))]
         return None
 
     def fourier_modes(self, grid):
@@ -181,7 +184,7 @@ class PotentialSpec:
         one-body factors on grid with M flux quanta, as a boolean (rows, M)
         array: row r marks the transfers t mod M that the second particle's
         factor allows, <b|g_r|d> = 0 unless m_d - m_b = t for a marked t; the
-        first particle's factor f_r allows -t.  Rows are the terms of
+        first particle's factor conj(g_r) allows -t.  Rows are the terms of
         separable_terms, none for the zero kind, and for the Gaussian kind the
         x2 mode indices 0..G2-1 (row k2 of fourier_modes' k2).  None for the
         tabulated kind, which has no rule."""

@@ -554,7 +554,8 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("command", ["evolve-hf", "compare"])
 def test_tensor_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
                                                             command):
-    # K = 9 and 89 kept modes: 16 K^4 + 32 K^2 R = 335,664 bytes, over a 100 kB cap
+    # K = 9, 89 kept modes, P = 48^2: 16 K^4 + 32 K^2 R + 32 K P = 999,216 bytes,
+    # over a 100 kB cap
     def unbuilt(*args):
         raise AssertionError("a Fourier factor was built")
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", 10 ** 5)
@@ -639,3 +640,32 @@ def test_groundstate_builds_no_orbital(tmp_path, monkeypatch, capsys):
     assert dispatch(["groundstate", "--config", write_cfg(tmp_path, M=4, N=6),
                      "--out-dir", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["degeneracy"] == 6
+
+
+def test_tabulated_kernel_compare_matches_the_gaussian_kind(tmp_path):
+    # the Gaussian's pair values on a 32 x 32 tensor grid as a table: the same
+    # kernel through the dense pair densities, without the selection rule
+    text = (ROOT / "configs/gaussian.cfg").read_text()
+    text = text.replace("tensor_grid1 = 64", "tensor_grid1 = 32").replace(
+        "tensor_grid2 = 64", "tensor_grid2 = 32")
+    gauss = tmp_path / "gauss.cfg"
+    gauss.write_text(text)
+    config = load_config(gauss)
+    table = tmp_path / "table.npy"
+    np.save(table, config.potential.pair_values(config.tensor_grid))
+    tab = tmp_path / "tab.cfg"
+    tab.write_text(text.replace("kind = periodic-gaussian",
+                                f"kind = tabulated\npath = {table}"))
+    columns = {}
+    for cfg in (gauss, tab):
+        out = tmp_path / cfg.stem
+        assert dispatch(["compare", "--config", str(cfg), "--out-dir", str(out),
+                         "--threads", "1"]) == 0
+        columns[cfg.stem] = np.genfromtxt(out / "compare_timeseries.csv", delimiter=",",
+                                          names=True)
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert (counters["tensor_rank"] is None) == (cfg is tab)
+    names = columns["gauss"].dtype.names
+    assert names == columns["tab"].dtype.names and len(columns["gauss"]) == 11
+    for name in names:
+        assert np.max(np.abs(columns["gauss"][name] - columns["tab"][name])) <= 1e-12, name

@@ -529,6 +529,40 @@ def test_tensor_thread_count_invariance(cfg_m3, oset_m3):
     assert np.array_equal(t1.values, t4.values)
 
 
+@pytest.mark.parametrize("kind", ["zero", "separable-cosine", "periodic-gaussian",
+                                  "tabulated"])
+def test_tensor_peak_memory_is_within_its_byte_prediction(kind, monkeypatch):
+    # K = 30 (configs/k30n10.cfg) on a 48 x 48 tensor grid; the table is the
+    # Gaussian's pair values.  The prediction is 16 K^4 for v, 32 K^2 R for
+    # the factors A and B, 32 K P for phi and its weighted conjugate and
+    # 16 P^2 for the table's complex copy, and it is the one the cap checks.
+    config = lhf.load_config(ROOT / "configs/k30n10.cfg")
+    grid = lhf.Grid(L1=config.domain.L1, L2=config.domain.L2, G1=48, G2=48)
+    oset = lhf.build_orbital_set(config, grid=grid)
+    if kind == "periodic-gaussian":
+        pot = config.potential
+    elif kind == "tabulated":
+        pot = lhf.PotentialSpec(kind=kind, table=config.potential.pair_values(grid))
+    else:
+        pot = lhf.PotentialSpec(kind=kind, strength=0.7)
+    tracemalloc.start()
+    try:
+        lhf.two_body_tensor(pot, oset, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    K, P = oset.size, grid.G1 * grid.G2
+    R = (len(pot.fourier_modes(grid)[1]) if kind == "periodic-gaussian"
+         else {"zero": 0, "separable-cosine": 1, "tabulated": P}[kind])
+    predicted = 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * (kind == "tabulated")
+    assert K == 30 and peak <= 1.1 * predicted
+    monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", predicted)
+    lhf.two_body_tensor(pot, oset, grid)
+    monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", predicted - 1)
+    with pytest.raises(TooLarge, match=f"with {R} .* over the budget"):
+        lhf.two_body_tensor(pot, oset, grid)
+
+
 # --- Hamiltonian assembly ------------------------------------------------------
 
 def test_assemble_no_interaction_is_diagonal(oset_m3):
