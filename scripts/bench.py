@@ -11,19 +11,17 @@ the assembly of H, one ExactPropagator(H).advance(psi, 0.1) from a seeded
 random unit vector, the build of DeterminantBasis.one_hole, the table that
 one_body and rdm_exact read, on a basis fresh from enumerate_determinants,
 and rdm_exact, each the median of REPEATS runs, and records the tracemalloc
-peak of one more assembly over the bytes of the CSR it returns.  The replacement rows time
-DeterminantBasis.replacement_rows(1) and (2) over every block of rows the
-assembly takes, on a basis fresh from enumerate_determinants (so the table
-build counts), at each (K, N) of REPLACEMENT_SIZES.  The compare rows run
-`landau-hf compare --threads 1` REPEATS times on each of COMPARE_CONFIGS in
-a fresh process and keep the manifest's total time.  The tensor rows time
+peak of one more assembly over the bytes of the CSR it returns.  The compare
+rows run `landau-hf compare --threads 1` REPEATS times on each of
+COMPARE_CONFIGS in a fresh process and keep the manifest's total time.  The
+tensor rows time
 two_body_tensor on TENSOR_CONFIG's orbitals (K = 30), the median of REPEATS
 runs with the orbitals built once, for every kernel kind: the config's
 Gaussian at its sigma and at each of TENSOR_SIGMAS, where more Fourier modes
 are kept, the zero and the cosine kernel, and the Gaussian's pair values as
 a table on a TABLE_GRID^2 tensor grid; each records the tracemalloc peak of
-one more call over the bytes two_body_tensor predicts.  The machine block
-names where the numbers come from.
+one more call over the bytes two_body_tensor predicts (tensor_bytes).  The
+machine block names where the numbers come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
 """
@@ -32,7 +30,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import pathlib
 import platform
@@ -51,14 +48,13 @@ import scipy  # noqa: E402
 
 from landau_hf import Grid, PotentialSpec, build_orbital_set, load_config  # noqa: E402
 from landau_hf.analysis import Problem, rdm_exact  # noqa: E402
-from landau_hf.manybody import (ASSEMBLY_BLOCK, ExactPropagator,  # noqa: E402
-                                ManyBodyState, assemble_hamiltonian,
-                                enumerate_determinants, two_body_tensor)
+from landau_hf.manybody import (ExactPropagator, ManyBodyState,  # noqa: E402
+                                assemble_hamiltonian, enumerate_determinants,
+                                tensor_bytes, two_body_tensor)
 
 LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5)]   # (M, n_max, N): K = 12, 16, 20, 20
 LADDER_CONFIGS = {"cosine": "configs/k16n4.cfg", "gaussian": "configs/gaussian.cfg"}
 COMPARE_CONFIGS = ["configs/example.cfg", "configs/gaussian.cfg", "configs/k16n4.cfg"]
-REPLACEMENT_SIZES = [(63, 2), (20, 5)]
 TENSOR_CONFIG = "configs/k30n10.cfg"
 TENSOR_SIGMAS = [0.3, 0.1]       # 2161 and all 4096 modes of the 64^2 tensor grid
 TABLE_GRID = 48                  # the table's complex copy is 85 MB at 48^2, 268 MB at 64^2
@@ -117,25 +113,10 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
             "table_s": table_s, "rdm_s": rdm_s}
 
 
-def replacement_row(K: int, N: int) -> dict:
-    """replacement_rows(1) and (2) over every block of rows the assembly
-    takes, from a fresh enumerate_determinants(K, N), the median of REPEATS."""
-    width = 1 + N * (K - N) + math.comb(N, 2) * math.comb(K - N, 2)
-    rows = max(1, ASSEMBLY_BLOCK // width)
-
-    def run():
-        basis = enumerate_determinants(K, N)
-        for start in range(0, basis.dim, rows):
-            for n in (1, 2):
-                basis.replacement_rows(n, start, min(start + rows, basis.dim))
-    return {"K": K, "N": N, "dim": math.comb(K, N), "block_rows": rows,
-            "replacement_rows_s": median_time(run, REPEATS)}
-
-
 def tensor_row(potential: PotentialSpec, orbitals, grid: Grid) -> dict:
     """two_body_tensor on orbitals, the median of REPEATS, and the
-    tracemalloc peak of one more call over its predicted bytes, 16 K^4 +
-    32 K^2 R + 32 K P, plus 16 P^2 for a table (R = P)."""
+    tracemalloc peak of one more call over its predicted bytes, tensor_bytes
+    (R = P for a table)."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
     tracemalloc.start()
     try:
@@ -145,7 +126,7 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid) -> dict:
         tracemalloc.stop()
     K, P = orbitals.size, grid.G1 * grid.G2
     R = P if rank is None else rank
-    predicted = 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * (rank is None)
+    predicted = tensor_bytes(K, R, P, rank is None)
     return {"config": TENSOR_CONFIG, "kind": potential.kind, "K": K, "grid": list(grid.shape),
             "sigma": potential.sigma, "rank": rank, "tensor_s": median_time(build, REPEATS),
             "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,
@@ -192,12 +173,6 @@ def main():
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     args = parser.parse_args()
     started = time.perf_counter()
-    # first, in a process that has not yet allocated and freed the ladder's
-    # large arrays: after them the same rows have measured up to 1.8x faster
-    replacements = []
-    for K, N in REPLACEMENT_SIZES:
-        replacements.append(replacement_row(K, N))
-        print(json.dumps(replacements[-1]), flush=True)
     ladders = {}
     for kind, path in LADDER_CONFIGS.items():
         ladders[kind] = {"config": path, "rungs": []}
@@ -212,8 +187,7 @@ def main():
         compare.append(compare_row(path))
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
-              "repeats": REPEATS, "ladders": ladders, "replacement_rows": replacements,
-              "tensor": tensors, "compare": compare,
+              "repeats": REPEATS, "ladders": ladders, "tensor": tensors, "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")

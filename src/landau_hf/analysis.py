@@ -219,9 +219,8 @@ class Problem:
     """The set-up of one run for every compute subcommand and run_comparison,
     each piece built on first use and kept; ground_state builds no orbital."""
 
-    def __init__(self, config: SimulationConfig, threads: int = 1):
+    def __init__(self, config: SimulationConfig):
         self.config = config
-        self.threads = threads
 
     @cached_property
     def orbital_set(self):
@@ -234,7 +233,7 @@ class Problem:
     @cached_property
     def tensor(self) -> InteractionTensor:
         return two_body_tensor(self.config.potential, self.orbital_set,
-                               self.config.tensor_grid, threads=self.threads)
+                               self.config.tensor_grid)
 
     @cached_property
     def det_basis(self) -> DeterminantBasis:
@@ -310,7 +309,7 @@ class Problem:
                 yield t, psi
 
 
-def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResult:
+def run_comparison(config: SimulationConfig) -> ComparisonResult:
     """Evolve the same initial determinant exactly and effectively, sampling
     error norms, both bounds, energies, and the reduced-density distance.
 
@@ -321,7 +320,7 @@ def run_comparison(config: SimulationConfig, threads: int = 1) -> ComparisonResu
     that breaks a bound is kept and counted in the summary's
     bound_violations.
     """
-    problem = Problem(config, threads)
+    problem = Problem(config)
     energies, tensor, constants = problem.energies, problem.tensor, config.constants
     det_basis, H = problem.det_basis, problem.H
     hf0 = problem.initial_state()

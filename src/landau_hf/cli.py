@@ -177,7 +177,7 @@ def cmd_basis(args, config: SimulationConfig, manifest: Manifest) -> int:
 
 
 def cmd_groundstate(args, config: SimulationConfig, manifest: Manifest) -> int:
-    problem = Problem(config, args.threads)
+    problem = Problem(config)
     filling, energy, sets = problem.ground_state
     manifest.data["counters"] = problem.counters()
     payload = {
@@ -196,7 +196,7 @@ def cmd_groundstate(args, config: SimulationConfig, manifest: Manifest) -> int:
 
 
 def cmd_evolve_exact(args, config: SimulationConfig, manifest: Manifest) -> int:
-    problem = Problem(config, args.threads)
+    problem = Problem(config)
     H = problem.H
     manifest.phase("assemble")
     rows = [(t, float(np.real(np.vdot(psi, H @ psi))), float(np.linalg.norm(psi)))
@@ -209,7 +209,7 @@ def cmd_evolve_exact(args, config: SimulationConfig, manifest: Manifest) -> int:
 
 
 def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
-    problem = Problem(config, args.threads)
+    problem = Problem(config)
     orbitals = None
     if args.initial != "nigs-ground":
         # OSError/ValueError: unreadable or not numpy data; EOFError: empty;
@@ -240,7 +240,7 @@ def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
 
 
 def cmd_compare(args, config: SimulationConfig, manifest: Manifest) -> int:
-    result = run_comparison(config, threads=args.threads)
+    result = run_comparison(config)
     manifest.phase("compare")
     manifest.data["counters"] = result.counters
     with manifest.output("compare_timeseries.csv") as path:
@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out-dir", default="./out", help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="must be at least 1; changes no work")
         p.set_defaults(func=func, dt=None, t_final=None, scheme=None)
 
     p = sub.choices["evolve-hf"]

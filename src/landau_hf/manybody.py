@@ -18,22 +18,23 @@ mod M of each orbital is exact, so with the cosine kernel m_g - m_a and
 m_d - m_b must each be +-harmonic2 mod M, and with the translation-invariant
 Gaussian kernel m_a + m_b = m_g + m_d mod M; harmonics are read at the
 grid's signed frequency (PotentialSpec.x2_transfers).  The zeros are set in
-B before A is formed, so assemble_hamiltonian, which drops exact zeros,
-stores and multiplies only what the rule allows: 1/M of the pairs for the
-Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
+B before A is formed, so W, and with it the product that assembles H, holds
+only what the rule allows: 1/M of the pairs for the Gaussian, 4/M^2 for the
+cosine at harmonic2 = 1 (M > 2).
 
-The determinant space has one primitive, DeterminantBasis.one_hole: for
-every determinant and place, the rank of the (N-1)-particle determinant
-left by removing that orbital, and the inverse map back (determinant CI
-through (N-1)-particle intermediates: Knowles & Handy, CPL 111, 315 (1984);
-Olsen et al., JCP 89, 2185 (1988)).  replacement_rows chains single
-replacements on it to give, for a block of determinants at once, every
-single or double replacement with target rank and fermionic sign, with no
-sort; assemble_hamiltonian consumes them and writes H as CSR directly, a
-bounded block of rows at a time, after checking that its closed-form size
-fits H_BYTE_CAP.  The hole amplitudes D = A_1 x on the same table give
+The determinant space has one primitive, the hole tables
+DeterminantBasis.hole_ranks(n): for every determinant and set of n places,
+the rank of the (N-n)-particle determinant left by removing those orbitals
+(determinant CI through (N-1)- and (N-2)-particle intermediates: Knowles &
+Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185 (1988)).  On the
+one-hole table (one_hole) the hole amplitudes D = A_1 x give
 DeterminantBasis.one_body, dGamma(M) x, as one product M @ D and one gather,
-and the one-body reduced density matrix as D D^H.
+and the one-body reduced density matrix as D D^H.  On the two-hole table
+assemble_hamiltonian writes H = A_2 (W x 1) A_2^T, A_2 the signs of a_s a_r
+with one row per determinant and W the antisymmetrized tensor with the
+one-body energies on its diagonal, as CSR: a bounded block of rows at a
+time, each block one sparse product, after checking that its closed-form
+size fits H_BYTE_CAP.
 
 Exact dynamics has one propagator, ExactPropagator: the action of
 exp(-i H t / hbar) on a vector from the sparse H, used as given, by truncated
@@ -61,7 +62,7 @@ from .errors import (DimensionMismatch, GridMismatch, InvalidValue,
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
-ASSEMBLY_BLOCK = 2 ** 15         # candidate entries of H per assemble_hamiltonian block
+ASSEMBLY_BLOCK = 2 ** 16         # entries of G per assemble_hamiltonian block
 H_BYTE_CAP = 2 ** 30             # largest predicted CSR size of H, in bytes
 TENSOR_BYTE_CAP = 2 ** 30        # largest predicted size of two_body_tensor's arrays, in bytes
 TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
@@ -91,13 +92,15 @@ class DeterminantBasis:
 
     @cached_property
     def _binomials(self) -> np.ndarray:
-        return np.array([[min(math.comb(a, b), self.dim) for b in range(self.N + 1)]
+        cap = max(self.dim, math.comb(self.K, max(self.N - 2, 0)))
+        return np.array([[min(math.comb(a, b), cap) for b in range(self.N + 1)]
                          for a in range(self.K)], dtype=np.int64)
 
     def rank(self, occ) -> np.ndarray:
         """Row of each increasing occupation (..., N) in the lexicographic
-        order, C(K,N) - 1 - sum_k C(K-1-c_k, N-k) (combinatorial numbers);
-        no term exceeds dim - 1, so binomials clipped at dim fit in int64."""
+        order, C(K,N) - 1 - sum_k C(K-1-c_k, N-k) (combinatorial numbers).
+        Its terms are at most dim - 1 and hole_ranks' at most C(K, N-2), so
+        binomials clipped at the larger fit in int64 and change neither."""
         terms = self._binomials[self.K - 1 - np.asarray(occ), self.N - np.arange(self.N)]
         return self.dim - 1 - terms.sum(axis=-1)
 
@@ -108,56 +111,33 @@ class DeterminantBasis:
             raise KeyError(f"{occ.tolist()} is not an occupation of {self.N} of {self.K}")
         return int(self.rank(occ))
 
-    @cached_property
-    def one_hole(self) -> tuple[np.ndarray, np.ndarray]:
-        """The one-hole table (h, inv) over the C(K, N-1) determinants a_p
-        leaves, ranked like N-1 of K: h[i, k] is the rank of row i without its
-        k-th orbital, and inv[h[i, k] w + o - k] = i for o = occupations[i, k]
-        and w = K - N + 1, o - k being the place of o among the hole's empty
-        orbitals.  h is C(K,N-1) - 1 minus the prefix sum of the remainder's
-        terms C(K-1-c_l, N-1-l) before place k and the suffix sum of rank's
-        terms C(K-1-c_l, N-l) after it, each term at most C(K-1, N-1) <= dim,
-        so within rank's clipped binomials; no remainder is formed."""
+    def hole_ranks(self, n: int) -> np.ndarray:
+        """(dim, C(N,n)): the rank among the C(K, N-n) determinants of N - n
+        orbitals of row i without its places k_1 < ... < k_n, the place sets
+        in the order of itertools.combinations.  It is C(K,N-n) - 1 minus the
+        remainder's terms: an orbital c_m with d removed places before it sits
+        at place m - d and adds C(K-1-c_m, N-n-m+d), read off prefix sums over
+        m of rank's binomials, one per d; no remainder is formed.  A term is
+        at most C(K-1, N-n), within the binomials' clip for n <= 2."""
         K, N, occ = self.K, self.N, self.occupations
-        places = np.arange(N)
-        before = self._binomials[K - 1 - occ, N - 1 - places]
-        after = self._binomials[K - 1 - occ, N - places]
-        h = (math.comb(K, N - 1) - 1 - (np.cumsum(before, axis=1) - before)
-             - (after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)))
-        inv = np.empty(math.comb(K, N - 1) * (K - N + 1), dtype=np.int64)
-        inv[h * (K - N + 1) + occ - places] = np.arange(self.dim)[:, None]
-        return h, inv
+        removed = np.array(list(itertools.combinations(range(N), n)),
+                           dtype=np.int64).reshape(-1, n)
+        sums = np.zeros((self.dim, N + 1, n + 1), dtype=np.int64)    # [i, m, d]: terms before m
+        b = np.maximum(N - n - np.arange(N)[:, None] + np.arange(n + 1), 0)
+        np.cumsum(self._binomials[K - 1 - occ[:, :, None], b], axis=1, out=sums[:, 1:])
+        # the orbitals with d removed places before them: places lo[:, d] to hi[:, d] - 1
+        lo = np.hstack([np.zeros((len(removed), 1), dtype=np.int64), removed + 1])
+        hi = np.hstack([removed, np.full((len(removed), 1), N)])
+        ranks = np.full((self.dim, len(removed)), math.comb(K, N - n) - 1)
+        for d in range(n + 1):
+            ranks -= sums[:, hi[:, d], d] - sums[:, lo[:, d], d]
+        return ranks
 
-    def replacement_rows(self, n: int, start: int, stop: int) -> tuple:
-        """Every replacement of n occupied by n empty orbitals from the source
-        rows start..stop-1, as (j, P, Q, sign): the orbitals P (B, r, n)
-        removed and Q (B, a, n) added, both ascending, and per pair (B, r, a)
-        the row j of the target and the sign (-1)^(sum pos(P) + sum newpos(Q)),
-        places in the source and the target: the parity of sorting after
-        replacing in place.
-
-        Nothing is sorted.  A replacement is n chained singles p -> q on the
-        one-hole table (one_hole), p_1 -> q_1 first, each from the row the
-        last one reached: with p at place k of that row and q the a-th of its
-        empty orbitals, the target is inv[h[row, k] w + a + [p < q]], and the
-        single's parity k + q - a - [p < q] adds to the others."""
-        K, N = self.K, self.N
-        h, inv = self.one_hole
-        removed, added = (np.array(list(itertools.combinations(range(m), n)),
-                                   dtype=np.int64).reshape(-1, n) for m in (N, K - N))
-        occ = self.occupations[start:stop]
-        held = np.zeros((len(occ), K), dtype=bool)
-        held[np.arange(len(occ))[:, None], occ] = True
-        P, Q = occ[:, removed], np.nonzero(~held)[1].reshape(len(occ), K - N)[:, added]
-
-        j, parity = np.arange(start, stop)[:, None, None], 0
-        for m in range(n):               # the earlier p and q of the chain move k and a
-            p, q = P[:, :, None, m], Q[:, None, :, m]
-            k = removed[:, None, m] - m + sum(Q[:, None, :, l] < p for l in range(m))
-            a = added[:, m] - m + sum(P[:, :, None, l] < q for l in range(m)) + (p < q)
-            j = inv.take(h.take(j * N + k) * (K - N + 1) + a)
-            parity = parity + k + q - a
-        return j, P, Q, np.where(parity & 1, -1.0, 1.0)
+    @cached_property
+    def one_hole(self) -> np.ndarray:
+        """The one-hole table hole_ranks(1): h[i, k] is the rank among
+        C(K, N-1) of row i without its k-th orbital."""
+        return self.hole_ranks(1)
 
     def hole_amplitudes(self, x) -> np.ndarray:
         """D = A_1 x, (K, C(K,N-1)): D[p, h] = <h| a_p |x>, written by
@@ -167,7 +147,7 @@ class DeterminantBasis:
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"vector of shape {x.shape} for dim={self.dim}")
         D = np.zeros((self.K, math.comb(self.K, self.N - 1)), dtype=np.complex128)
-        np.put(D, self.occupations * D.shape[1] + self.one_hole[0],
+        np.put(D, self.occupations * D.shape[1] + self.one_hole,
                x[:, None] * (-1.0) ** np.arange(self.N))
         return D
 
@@ -180,7 +160,7 @@ class DeterminantBasis:
         if M.shape != (self.K, self.K):
             raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
         MD = M @ self.hole_amplitudes(x)
-        at = self.occupations * MD.shape[1] + self.one_hole[0]
+        at = self.occupations * MD.shape[1] + self.one_hole
         return (MD.take(at) * (-1.0) ** np.arange(self.N)).sum(axis=1)
 
 
@@ -275,10 +255,9 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
       - rank-expanded kernels (separable_terms): <b|g_r|d> per term;
       - tabulated kernels, checked first: the pair densities at the P grid
         points, their own exchange conjugates, so A = B @ T.
-    Before any factor is allocated, the predicted bytes, 16 K^4 for v,
-    32 K^2 R for A and B, 32 K P for phi and its weighted conjugate and
-    16 P^2 for a table's complex copy, are checked against TENSOR_BYTE_CAP
-    (TooLarge).  threads must be >= 1 and changes no work.
+    Before any factor is allocated, the predicted bytes (tensor_bytes) are
+    checked against TENSOR_BYTE_CAP (TooLarge).  threads must be >= 1 and
+    changes no work.
 
     The selection rule of the magnetic translations (Haldane 1985;
     PotentialSpec.x2_transfers) sets every forbidden <b|g_r|d> to 0 before A
@@ -295,7 +274,7 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     table = modes is None and terms is None
     R, what = ((len(modes[1]), "Fourier modes") if modes else (P, "grid points") if table
                else (len(terms), "separable terms"))
-    nbytes = 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * table
+    nbytes = tensor_bytes(K, R, P, table)
     if nbytes > TENSOR_BYTE_CAP:
         raise TooLarge(f"two-body tensor at K = {K} with {R} {what} needs {nbytes / 1e9:.2f} "
                        f"GB, over the budget of {TENSOR_BYTE_CAP / 1e9:.2f} GB")
@@ -356,6 +335,13 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                              rule_kept=1.0 if rule is None else rule_kept(rule, transfer))
 
 
+def tensor_bytes(K: int, R: int, P: int, table: bool) -> int:
+    """The bytes two_body_tensor predicts for K orbitals, R factor columns and
+    P grid points: 16 K^4 for v, 32 K^2 R for A and B, 32 K P for phi and
+    its weighted conjugate and, for a table, 16 P^2 for its complex copy."""
+    return 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * table
+
+
 def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns of the length-G DFT matrix, E[x, u] = exp(-2 pi i x u / G),
     at the distinct u among k and -k mod G, with the column of each k and of
@@ -379,19 +365,26 @@ def rule_kept(rule: np.ndarray, transfer: np.ndarray) -> float:
 
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
                          tensor: InteractionTensor | None) -> sp.csr_matrix:
-    """One-body diagonal plus, with <pq||rs> = v[p,q,r,s] - v[p,q,s,r], the
-    sum of <pr||pr> over occupied pairs, sign * sum_{r occ} <pr||qr> per
-    single replacement p -> q (the r = p term vanishes by exchange symmetry)
-    and sign * <p1p2||q1q2> per double one.  An entry below the diagonal is
-    the conjugate of its partner above, summed as that partner's row sums it
-    (a single one over the occupations of the upper row).
+    """H = sum_p e_p n_p + sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r, with
+    <pq||rs> = v[p,q,r,s] - v[p,q,s,r], as A_2 (W x 1) A_2^T through the
+    (N-2)-particle determinants (Knowles & Handy 1984):
+      - W[(pq), (rs)] = <pq||rs> over ascending pairs, held as CSR so that
+        the selection rule's zeros are never visited, with (e_p + e_q) /
+        (N - 1) on its diagonal;
+      - A_2[i, pair(p, q) C(K,N-2) + h] = <h| a_q a_p |i> = (-1)^(k+l-1) for
+        the orbitals p < q at places k < l of row i, h = hole_ranks(2)[i, kl].
+    Each block of rows is one sparse product G @ A_2^T, G those rows of
+    A_2 (W x 1) expanded from W's CSR rows; the product sums the N - 1
+    spectator terms of a single replacement and the C(N,2) terms of the
+    diagonal.  N = 1 or no interaction gives the one-body diagonal alone.
 
-    H is written as CSR directly, about ASSEMBLY_BLOCK candidate entries at a
-    time, into arrays sized up front: each row has its diagonal, N (K - N)
-    single and C(N,2) C(K-N,2) double replacements, sorted by column; an
-    exact zero is dropped and a -0.0 part stored as 0.0.  An H whose CSR at
-    that count would exceed H_BYTE_CAP bytes raises TooLarge before any
-    replacement is listed.
+    H is written as CSR directly, a block of about ASSEMBLY_BLOCK entries of
+    G at a time, into arrays sized up front for each row's diagonal, N (K -
+    N) single and C(N,2) C(K-N,2) double replacements; exact zeros are
+    dropped and each row is sorted by column.  An H whose CSR at that count,
+    or whose A_2^T's C(K,2) C(K,N-2) int32 row pointers (most rows are empty
+    when N is near K), would exceed H_BYTE_CAP bytes raises TooLarge before
+    any table is built.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
@@ -399,74 +392,63 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
             f"{energies.shape[0]} one-body energies for K={basis.K}")
     occ, K = basis.occupations, basis.K
     dim, N = occ.shape
-    diag = energies[occ].sum(axis=1).astype(np.complex128)
+    if tensor is not None and tensor.K != K:
+        raise DimensionMismatch(f"tensor rank {tensor.K} for K={K}")
+    if N == 1 or tensor is None or tensor.is_zero():
+        return sp.diags(energies[occ].sum(axis=1).astype(np.complex128), format="csr")
 
-    if tensor is None or tensor.is_zero():
-        return sp.diags(diag, format="csr")
-
-    v = tensor.values
-    if v.shape[0] != K:
-        raise DimensionMismatch(f"tensor rank {v.shape[0]} for K={K}")
-    n_single = N * (K - N)
-    width = 1 + n_single + math.comb(N, 2) * math.comb(K - N, 2)
+    width = 1 + N * (K - N) + math.comb(N, 2) * math.comb(K - N, 2)
     nbytes = dim * width * (16 + 4) + (dim + 1) * 4        # complex data, int32 indices
     if nbytes > H_BYTE_CAP:
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
                        f"as CSR ({dim * width} entries), over the budget of "
                        f"{H_BYTE_CAP / 1e9:.2f} GB")
-    w = v - v.transpose(0, 1, 3, 2)
-    for k, l in itertools.combinations(range(N), 2):
-        diag += w[occ[:, k], occ[:, l], occ[:, k], occ[:, l]]
-    # flat tables for np.take: <pr||qr> at (r K + p) K + q, and <p1p2||q1q2>
-    # at pair(p1, p2) C(K,2) + pair(q1, q2) over ascending pairs, its conjugate
-    # transpose first (for the lower triangle), then itself at C(K,2)^2 on
-    single_elem = w.transpose(1, 3, 0, 2)[np.arange(K), np.arange(K)].ravel()
+    n_holes = math.comb(K, N - 2)
+    table = 4 * math.comb(K, 2) * n_holes      # A_2^T's int32 row pointers, one per row
+    if table > H_BYTE_CAP:
+        raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {table / 1e9:.2f} GB "
+                       f"of two-hole table row pointers, over the budget of "
+                       f"{H_BYTE_CAP / 1e9:.2f} GB")
+    holes = basis.hole_ranks(2)                       # (dim, C(N,2))
+    k, l = np.triu_indices(N, 1)                       # place pairs, in combinations order
+    sign = np.where((k + l) % 2, 1.0, -1.0)            # (-1)^(k+l-1)
     a, b = np.triu_indices(K, 1)
-    double_elem = w[a[:, None], b[:, None], a, b]
-    double_elem = np.concatenate([double_elem.T.conj().ravel(), double_elem.ravel()])
-    pair = np.zeros((K, K), dtype=np.intp)
+    pair = np.zeros((K, K), dtype=np.int64)
     pair[a, b] = np.arange(len(a))
-    occ_r = occ.T * K * K                   # r K^2 per occupied r, column by column
+    pairs = pair[occ[:, k], occ[:, l]]
+    A2T = sp.csc_matrix((np.broadcast_to(sign + 0j, pairs.shape).ravel(),
+                         (pairs * n_holes + holes).ravel(),
+                         np.arange(0, pairs.size + 1, len(k))),
+                        shape=(len(a) * n_holes, dim)).tocsr()
+
+    v = tensor.values
+    W = v[a[:, None], b[:, None], a, b] - v[a[:, None], b[:, None], b, a]
+    W[np.diag_indices(len(a))] += (energies[a] + energies[b]) / (N - 1)
+    W = sp.csr_matrix(W)
+    row_nnz = np.diff(W.indptr)
+    columns = W.indices.astype(np.int64) * n_holes        # G's column of each W entry, less h
 
     data = np.empty(dim * width, dtype=np.complex128)
     indices = np.empty(dim * width, dtype=np.int32)
     indptr = np.zeros(dim + 1, dtype=np.int32)
-    shift = width.bit_length()              # sort key: column << shift | place in row
-    rows = max(1, ASSEMBLY_BLOCK // width)
+    rows = max(1, ASSEMBLY_BLOCK // (len(k) * max(1, int(row_nnz.max()))))
     for start in range(0, dim, rows):
         stop = min(start + rows, dim)
-        i = np.arange(start, stop)[:, None, None]
-        key = np.empty((len(i), width), dtype=np.int64)
-        vals = np.empty((len(i), width), dtype=np.complex128)
-        key[:, 0], vals[:, 0] = i.ravel(), diag[start:stop]
-
-        # singles: above the diagonal summed over row i's occupations, below
-        # over row j's with p and q swapped, then conjugated
-        j, P, Q, sign = basis.replacement_rows(1, start, stop)
-        up, q = j > i, Q.transpose(0, 2, 1)
-        pq, src = np.where(up, P * K + q, q * K + P), np.where(up, i, j)
-        elem = sign * sum(single_elem.take(r.take(src) + pq) for r in occ_r)
-        key[:, 1:1 + n_single] = j.reshape(len(i), -1)
-        vals[:, 1:1 + n_single] = np.where(up, elem, elem.conj()).reshape(len(i), -1)
-
-        j, P, Q, sign = basis.replacement_rows(2, start, stop)
-        at = pair[P[..., 0], P[..., 1]][:, :, None] * len(a) + pair[Q[..., 0], Q[..., 1]][:, None]
-        at += (j > i) * len(a) ** 2
-        key[:, 1 + n_single:] = j.reshape(len(i), -1)
-        vals[:, 1 + n_single:] = (sign * double_elem.take(at)).reshape(len(i), -1)
-
-        # each row sorted by column; exact zeros dropped, -0.0 parts made 0.0
-        key <<= shift
-        key |= np.arange(width)
-        key.sort(axis=1)
-        vals = vals.take((key & ((1 << shift) - 1)) + np.arange(0, key.size, width)[:, None])
-        vals += 0
-        keep = vals != 0
+        # row j of G: W's row pair(p, q) times sign at columns + h, per place pair
+        p = pairs[start:stop].ravel()
+        count = row_nnz[p]
+        ends = np.cumsum(count)
+        at = np.arange(ends[-1]) + np.repeat(W.indptr[p] - (ends - count), count)
+        G = sp.csr_matrix((W.data[at] * np.repeat(np.tile(sign, stop - start), count),
+                           columns[at] + np.repeat(holes[start:stop].ravel(), count),
+                           np.concatenate([[0], ends[len(k) - 1::len(k)]])),
+                          shape=(stop - start, A2T.shape[0]))
+        block = G @ A2T                 # stores no entry that sums to exactly zero
+        block.sort_indices()
         lo = indptr[start]
-        indptr[start + 1:stop + 1] = lo + np.cumsum(keep.sum(axis=1))
-        kept = np.flatnonzero(keep)     # a gather: a mask copy branches per entry
-        data[lo:indptr[stop]] = vals.take(kept)
-        indices[lo:indptr[stop]] = (key >> shift).take(kept)
+        indptr[start + 1:stop + 1] = lo + block.indptr[1:]
+        data[lo:indptr[stop]] = block.data
+        indices[lo:indptr[stop]] = block.indices
     if indptr[-1] < len(data):                 # shrunk in place: no view of either exists
         data.resize(indptr[-1], refcheck=False)
         indices.resize(indptr[-1], refcheck=False)

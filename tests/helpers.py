@@ -139,7 +139,8 @@ def sorted_replacements(basis, n: int, block: int = 256):
 
 def coo_hamiltonian(basis, energies, tensor) -> sp.csr_matrix:
     """assemble_hamiltonian through COO lists of the upper triangle from
-    sorted_replacements, mirrored as upper + triu(upper, 1)^H."""
+    sorted_replacements, mirrored as upper + triu(upper, 1)^H: a single
+    replacement p -> q sums <pr||qr> over the spectators r != p."""
     energies = np.asarray(energies, dtype=float)
     occ = basis.occupations
     dim, N = occ.shape
@@ -153,7 +154,8 @@ def coo_hamiltonian(basis, energies, tensor) -> sp.csr_matrix:
         for i, j, P, Q, sign in sorted_replacements(basis, n):
             up = j > i
             i, P, Q = i[up], P[up], Q[up]
-            elem = (sum(w[P[:, 0], r, Q[:, 0], r] for r in occ[i].T) if n == 1
+            elem = (sum(np.where(r != P[:, 0], w[P[:, 0], r, Q[:, 0], r], 0)
+                        for r in occ[i].T) if n == 1
                     else w[P[:, 0], P[:, 1], Q[:, 0], Q[:, 1]])
             rows.append(i); cols.append(j[up]); vals.append(sign[up] * elem)
     upper = sp.coo_matrix((np.concatenate(vals),

@@ -536,8 +536,8 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
                                                        command):
     # K = 24, N = 6: C(24, 6) = 134596 is under the dimension cap, H needs 6.47 GB
     def unlisted(*args):
-        raise AssertionError("a replacement block was built")
-    monkeypatch.setattr(DeterminantBasis, "replacement_rows", unlisted)
+        raise AssertionError("a hole table was built")
+    monkeypatch.setattr(DeterminantBasis, "hole_ranks", unlisted)
     cfg = tmp_path / "k24.cfg"
     cfg.write_text(GOOD_CFG.format(M=8, n_max=2, N=6, strength=0.1, t_final=0.05)
                    .replace("grid1 = 32", "grid1 = 64").replace("= 48", "= 64"))

@@ -73,84 +73,119 @@ def test_lookup_rejects_occupation_outside_basis(occ):
         basis.lookup(occ)
 
 
-# --- the one-hole table and the replacement tables ------------------------------
+# --- the hole tables ----------------------------------------------------------
+
+def remainder_ranks(basis, n):
+    """hole_ranks(n) by dict: the rank of every remainder among all
+    increasing (N-n)-tuples of range(K)."""
+    row = {c: r for r, c in enumerate(itertools.combinations(range(basis.K), basis.N - n))}
+    return [[row[tuple(np.delete(occ, places).tolist())]
+             for places in itertools.combinations(range(basis.N), n)]
+            for occ in basis.occupations]
+
 
 @pytest.mark.parametrize("K,N", [(4, 1), (5, 1), (4, 4), (5, 5), (5, 2), (6, 3),
                                  (9, 3), (12, 4), (12, 5), (8, 7)])
 def test_one_hole_ranks_are_the_remainders_ranks(K, N):
     basis = lhf.enumerate_determinants(K, N)
-    h, inv = basis.one_hole
-    row = {c: r for r, c in enumerate(itertools.combinations(range(K), N - 1))}
-    expect = [[row[tuple(np.delete(occ, k).tolist())] for k in range(N)]
-              for occ in basis.occupations]
-    assert h.dtype == inv.dtype == np.int64
-    assert np.array_equal(h, expect)
-    # inv[h w + a] = i, a the place of the removed orbital among the hole's
-    # empty orbitals: every (hole, empty orbital) pair is one determinant
-    w = K - N + 1
-    assert inv.shape == (math.comb(K, N - 1) * w,) == (basis.dim * N,)
-    for i, occ in enumerate(basis.occupations):
-        for k, o in enumerate(occ):
-            hole = np.delete(occ, k)
-            assert inv[h[i, k] * w + o - np.count_nonzero(hole < o)] == i
+    h = basis.one_hole
+    assert h.dtype == np.int64
+    assert np.array_equal(h, remainder_ranks(basis, 1))
 
 
 def test_one_hole_where_binomials_overflow_int64():
     basis = lhf.enumerate_determinants(70, 67)          # C(69, 34) > 2^63 in the table
-    h, inv = basis.one_hole
+    h = basis.one_hole
     for i in [*range(0, basis.dim, 97), basis.dim - 1]:
         for k in (0, 33, 66):
             rest = np.delete(basis.occupations[i], k).tolist()
             rank = math.comb(70, 66) - 1 - sum(math.comb(69 - c, 66 - l)
                                                for l, c in enumerate(rest))
             assert h[i, k] == rank
-    assert np.array_equal(np.sort(inv), np.repeat(np.arange(basis.dim), 67))
 
 
-def flat_rows(basis, n, start, stop):
-    """replacement_rows(n, start, stop) as flat arrays (i, j, P, Q, sign) in
-    the order (i, P, Q)."""
-    j, P, Q, sign = basis.replacement_rows(n, start, stop)
-    shape = (*j.shape, n)
-    return (np.repeat(np.arange(start, stop), j[0].size), j.ravel(),
-            np.broadcast_to(P[:, :, None], shape).reshape(-1, n),
-            np.broadcast_to(Q[:, None], shape).reshape(-1, n), sign.ravel())
+@pytest.mark.parametrize("K,N", [(2, 2), (4, 2), (4, 4), (5, 3), (6, 3), (9, 3),
+                                 (12, 4), (12, 5), (5, 5), (8, 7), (9, 8)])
+def test_two_hole_ranks_are_the_remainders_ranks(K, N):
+    basis = lhf.enumerate_determinants(K, N)
+    if N > K // 2 + 1:              # rank's binomials clipped at dim would be too small
+        assert math.comb(K, N - 2) > basis.dim
+    h = basis.hole_ranks(2)
+    assert h.dtype == np.int64 and h.shape == (basis.dim, math.comb(N, 2))
+    assert np.array_equal(h, remainder_ranks(basis, 2))
+
+
+def hole_sign(places) -> float:
+    """<h| a_{p_n} ... a_{p_1} |i> for the orbitals at places k_1 < ... < k_n
+    of row i: (-1)^(sum k - n (n-1)/2), (-1)^k for n = 1 and (-1)^(k+l-1),
+    A_2's sign, for n = 2."""
+    n = len(places)
+    return -1.0 if (sum(places) - n * (n - 1) // 2) % 2 else 1.0
 
 
 @pytest.mark.parametrize("K,N,n", [(4, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 1),
                                    (5, 3, 2), (6, 3, 2), (6, 4, 2), (4, 4, 1)])
 def test_replacements_targets_and_signs(K, N, n):
+    # a replacement of n occupied by n empty orbitals meets its target at a
+    # shared n-hole, with the product of the two hole signs: the pairs that
+    # hole_ranks(n) matches are exactly the replacements
     basis = lhf.enumerate_determinants(K, N)
-    entries = list(zip(*flat_rows(basis, n, 0, basis.dim)))
+    sets = list(itertools.combinations(range(N), n))
+    by_hole = {}
+    for j, ranks in enumerate(basis.hole_ranks(n)):
+        for places, h in zip(sets, ranks):
+            by_hole.setdefault(h, []).append((j, places))
+    entries = []
+    for i, ranks in enumerate(basis.hole_ranks(n)):
+        occ_i = basis.occupations[i].tolist()
+        for places, h in zip(sets, ranks):
+            for j, target in by_hole[h]:
+                Q = basis.occupations[j][list(target)].tolist()
+                if not set(Q) & set(occ_i):
+                    P = [occ_i[k] for k in places]
+                    entries.append((i, j, P, Q, hole_sign(places) * hole_sign(target)))
     assert len(entries) == basis.dim * math.comb(N, n) * math.comb(K - N, n)
     for i, j, P, Q, sign in entries:
         occ_i = basis.occupations[i].tolist()
         occ_j = basis.occupations[j].tolist()
-        assert occ_j == sorted(set(occ_i) - set(P.tolist()) | set(Q.tolist()))
+        assert occ_j == sorted(set(occ_i) - set(P) | set(Q))
         # replace the columns of P in place by Q: the wedge is sign * D_j
-        moved = dict(zip(P.tolist(), Q.tolist()))
+        moved = dict(zip(P, Q))
         cols = np.zeros((K, N), dtype=complex)
         cols[[moved.get(o, o) for o in occ_i], range(N)] = 1.0
         ref = helpers.occupation_tensor(occ_j, K)
         assert np.allclose(helpers.wedge_tensor(cols), sign * ref, atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("K,N,block,blocks", [
-    (4, 4, 256, None), (4, 1, 256, None), (9, 3, 256, None),
-    (12, 5, 256, None),                     # dim 792: three blocks of 256, one of 24
-    (63, 2, 16, 2), (64, 2, 16, 2), (65, 2, 16, 2), (65, 63, 16, 2),
-    (70, 67, 16, 2)])                       # binomials past int64
+@pytest.mark.parametrize("K,N,block,blocks,n", [
+    (K, N, block, blocks, n) for K, N, block, blocks in [
+        (4, 4, 256, None), (4, 1, 256, None), (9, 3, 256, None),
+        (12, 5, 256, None),                 # dim 792: three blocks of 256, one of 24
+        (63, 2, 16, 2), (64, 2, 16, 2), (65, 2, 16, 2), (65, 63, 16, 2),
+        (70, 67, 16, 2)]                    # binomials past int64
+    for n in (1, 2) if (K, N, n) != (70, 67, 2)])   # hole_ranks(2) there: 121M entries
 def test_replacement_table_matches_sorting_oracle(K, N, block, blocks, n):
+    # every replacement the sorting oracle lists, source i, target j, P and Q,
+    # shares an n-hole of the two rows, and its sign is the product of the
+    # two hole signs
     basis = lhf.enumerate_determinants(K, N)
     expect = list(itertools.islice(helpers.sorted_replacements(basis, n, block), blocks))
     assert len(expect) == (blocks or -(-basis.dim // block))
-    for start, old in zip(range(0, basis.dim, block), expect):
-        stop = min(start + block, basis.dim)
-        assert basis.replacement_rows(n, start, stop)[0].shape == (
-            stop - start, math.comb(N, n), math.comb(K - N, n))
-        for a, b in zip(flat_rows(basis, n, start, stop), old):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    if n > N:                               # no n places to empty: nothing listed
+        assert not any(a.size for entries in expect for a in entries)
+        return
+    ranks = basis.hole_ranks(n)
+    sets = list(itertools.combinations(range(N), n))
+    column = np.zeros((N,) * n, dtype=np.int64)
+    for c, places in enumerate(sets):
+        column[places] = c
+    sign = np.array([hole_sign(places) for places in sets])
+    for i, j, P, Q, old in expect:
+        # the place of an occupied orbital x in its row is the count below it
+        at_i = column[tuple((basis.occupations[i][:, None] < P[:, :, None]).sum(axis=2).T)]
+        at_j = column[tuple((basis.occupations[j][:, None] < Q[:, :, None]).sum(axis=2).T)]
+        assert np.array_equal(ranks[i, at_i], ranks[j, at_j])
+        assert np.array_equal(sign[at_i] * sign[at_j], old)
 
 
 # --- one-body operators ------------------------------------------------------
@@ -533,9 +568,8 @@ def test_tensor_thread_count_invariance(cfg_m3, oset_m3):
                                   "tabulated"])
 def test_tensor_peak_memory_is_within_its_byte_prediction(kind, monkeypatch):
     # K = 30 (configs/k30n10.cfg) on a 48 x 48 tensor grid; the table is the
-    # Gaussian's pair values.  The prediction is 16 K^4 for v, 32 K^2 R for
-    # the factors A and B, 32 K P for phi and its weighted conjugate and
-    # 16 P^2 for the table's complex copy, and it is the one the cap checks.
+    # Gaussian's pair values.  The prediction is tensor_bytes, the one the
+    # cap checks.
     config = lhf.load_config(ROOT / "configs/k30n10.cfg")
     grid = lhf.Grid(L1=config.domain.L1, L2=config.domain.L2, G1=48, G2=48)
     oset = lhf.build_orbital_set(config, grid=grid)
@@ -554,7 +588,7 @@ def test_tensor_peak_memory_is_within_its_byte_prediction(kind, monkeypatch):
     K, P = oset.size, grid.G1 * grid.G2
     R = (len(pot.fourier_modes(grid)[1]) if kind == "periodic-gaussian"
          else {"zero": 0, "separable-cosine": 1, "tabulated": P}[kind])
-    predicted = 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * (kind == "tabulated")
+    predicted = manybody.tensor_bytes(K, R, P, kind == "tabulated")
     assert K == 30 and peak <= 1.1 * predicted
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", predicted)
     lhf.two_body_tensor(pot, oset, grid)
@@ -592,11 +626,15 @@ def test_assemble_matches_tensor_space_oracle(rng, K, N):
 
 
 def assert_same_csr(H, oracle):
-    """Bit for bit: index dtypes, indptr, indices (sorted), data with signed zeros."""
+    """The pattern bit for bit: index dtypes, indptr, indices (sorted); the
+    data within 1e-14 max |H|, since the two sum their terms in different
+    orders."""
     assert H.indptr.dtype == oracle.indptr.dtype and H.indices.dtype == oracle.indices.dtype
     assert np.array_equal(H.indptr, oracle.indptr)
     assert np.array_equal(H.indices, oracle.indices) and H.has_sorted_indices
-    assert H.data.dtype == oracle.data.dtype and H.data.tobytes() == oracle.data.tobytes()
+    assert H.data.dtype == oracle.data.dtype
+    assert (np.abs(H.data - oracle.data).max(initial=0)
+            <= 1e-14 * np.abs(oracle.data).max(initial=0))
 
 
 def momentum_masked(v, modulus=3):
@@ -633,6 +671,7 @@ def test_assemble_matches_coo_oracle_on_shipped_kernels(path, changes, nnz):
     basis, tensor = problem.det_basis, problem.tensor
     assert_same_csr(problem.H, helpers.coo_hamiltonian(basis, problem.energies, tensor))
     assert problem.H.nnz == nnz
+    assert (problem.H - problem.H.conj().T).count_nonzero() == 0     # exactly Hermitian
 
 
 def test_assembly_peak_memory_is_bounded_by_the_csr(rng):
@@ -672,10 +711,26 @@ def test_byte_budget_is_the_size_of_the_csr(rng, monkeypatch):
         lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
 
 
+def test_two_hole_table_over_the_byte_budget_raises_before_it_is_built(rng, monkeypatch):
+    # K = 8, N = 7: 1,316 bytes of CSR, but C(8,2) C(8,5) = 1,568 row pointers
+    v, _ = helpers.random_interaction_tensor(rng, 8)
+    tensor = InteractionTensor(values=v, sup_norm=1.0)
+    basis = lhf.enumerate_determinants(8, 7)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", 4 * 1568)
+    assert lhf.assemble_hamiltonian(basis, np.ones(8), tensor).nnz == 8 * 8    # dense 8 x 8
+
+    def unlisted(*args):
+        raise AssertionError("a hole table was built")
+    monkeypatch.setattr(lhf.DeterminantBasis, "hole_ranks", unlisted)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", 4 * 1568 - 1)
+    with pytest.raises(TooLarge, match="two-hole table row pointers, over the budget"):
+        lhf.assemble_hamiltonian(basis, np.ones(8), tensor)
+
+
 def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
     def unlisted(*args):
-        raise AssertionError("a replacement block was built")
-    monkeypatch.setattr(lhf.DeterminantBasis, "replacement_rows", unlisted)
+        raise AssertionError("a hole table was built")
+    monkeypatch.setattr(lhf.DeterminantBasis, "hole_ranks", unlisted)
     config = dataclasses.replace(lhf.load_config(ROOT / "configs/k16n4.cfg"), n_max=2, N=6)
     problem = Problem(config)
     assert problem.det_basis.dim == 134596              # under DET_SPACE_CAP
