@@ -7,11 +7,13 @@ different share of the tensor for each: configs/k16n4.cfg (cosine, 4/M^2 at
 harmonic2 = 1) and configs/gaussian.cfg (Gaussian, 1/M).  Each rung builds
 its problem through analysis.Problem from the ladder's config with M, n_max
 and N set: K = M (n_max + 1) orbitals and C(K, N) determinants.  It times
-the assembly of H, one ExactPropagator(H).advance(psi, 0.1) from a seeded
-random unit vector, the build of DeterminantBasis.one_hole, the table that
-one_body and rdm_exact read, on a basis fresh from enumerate_determinants,
-and rdm_exact, each the median of REPEATS runs, and records the tracemalloc
-peak of one more assembly over the bytes of the CSR it returns.  The compare
+the build of the operator H (assemble_hamiltonian), one matvec H @ psi and
+one ExactPropagator(H).advance(psi, 0.1) from a seeded random unit vector,
+the build of DeterminantBasis.one_hole, the table that one_body and
+rdm_exact read, on a basis fresh from enumerate_determinants, and
+rdm_exact, each the median of REPEATS runs, and records the tracemalloc peak
+of one more build over the bytes the budget predicts (hamiltonian_bytes);
+nnz is the count of W's nonzero entries.  The compare
 rows run `landau-hf compare --threads 1` REPEATS times on each of
 COMPARE_CONFIGS in a fresh process and keep the manifest's total time.  The
 tensor rows time
@@ -21,7 +23,10 @@ Gaussian at its sigma and at each of TENSOR_SIGMAS, where more Fourier modes
 are kept, the zero and the cosine kernel, and the Gaussian's pair values as
 a table on a TABLE_GRID^2 tensor grid; each records the tracemalloc peak of
 one more call over the bytes two_body_tensor predicts (tensor_bytes).  The
-machine block names where the numbers come from.
+exact row runs `landau-hf evolve-exact` once on EXACT_CONFIG with
+EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process and keeps its
+wall time, its peak RSS and the manifest's total time.  The machine block
+names where the numbers come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
 """
@@ -33,6 +38,7 @@ import json
 import os
 import pathlib
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -50,11 +56,14 @@ from landau_hf import Grid, PotentialSpec, build_orbital_set, load_config  # noq
 from landau_hf.analysis import Problem, rdm_exact  # noqa: E402
 from landau_hf.manybody import (ExactPropagator, ManyBodyState,  # noqa: E402
                                 assemble_hamiltonian, enumerate_determinants,
-                                tensor_bytes, two_body_tensor)
+                                hamiltonian_bytes, tensor_bytes, two_body_tensor)
 
-LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5)]   # (M, n_max, N): K = 12, 16, 20, 20
+# (M, n_max, N): K = 12, 16, 20, 20, 24; C(24, 6) = 134,596 determinants
+LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5), (8, 2, 6)]
 LADDER_CONFIGS = {"cosine": "configs/k16n4.cfg", "gaussian": "configs/gaussian.cfg"}
 COMPARE_CONFIGS = ["configs/example.cfg", "configs/gaussian.cfg", "configs/k16n4.cfg"]
+EXACT_CONFIG = "configs/k16n4.cfg"
+EXACT_CHANGES = {"n_max": 2, "N": 6, "t_final": 0.05}
 TENSOR_CONFIG = "configs/k30n10.cfg"
 TENSOR_SIGMAS = [0.3, 0.1]       # 2161 and all 4096 modes of the 64^2 tensor grid
 TABLE_GRID = 48                  # the table's complex copy is 85 MB at 48^2, 268 MB at 64^2
@@ -95,22 +104,22 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    csr = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+    predicted = hamiltonian_bytes(basis.K, N)
 
     rng = np.random.default_rng(SEED)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
     hbar = config.constants.hbar
+    matvec_s = median_time(lambda: H @ psi, REPEATS)
     advance_s = median_time(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL), REPEATS)
     fresh = [enumerate_determinants(basis.K, N) for _ in range(REPEATS)]
     table_s = median_time(lambda: fresh.pop().one_hole, REPEATS)
     state = ManyBodyState(basis=basis, coefficients=psi)
     rdm_s = median_time(lambda: rdm_exact(state, basis), REPEATS)
     return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "dim": basis.dim, "nnz": H.nnz,
-            "assemble_s": assemble_s, "assemble_ns_per_nnz": assemble_s / H.nnz * 1e9,
-            "assemble_peak_mb": peak / 1e6, "csr_mb": csr / 1e6,
-            "assemble_peak_over_csr": peak / csr, "advance_s": advance_s,
-            "table_s": table_s, "rdm_s": rdm_s}
+            "assemble_s": assemble_s, "assemble_peak_mb": peak / 1e6,
+            "predicted_mb": predicted / 1e6, "assemble_peak_over_prediction": peak / predicted,
+            "matvec_s": matvec_s, "advance_s": advance_s, "table_s": table_s, "rdm_s": rdm_s}
 
 
 def tensor_row(potential: PotentialSpec, orbitals, grid: Grid) -> dict:
@@ -168,6 +177,30 @@ def compare_row(path: str) -> dict:
             "counters": manifest.get("counters")}
 
 
+def exact_row() -> dict:
+    """`landau-hf evolve-exact` on EXACT_CONFIG with EXACT_CHANGES, once, in
+    a fresh process: its exit code, wall time and peak RSS (wait4), and the
+    manifest's total time and counters."""
+    text = (ROOT / EXACT_CONFIG).read_text()
+    for key, value in EXACT_CHANGES.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with tempfile.TemporaryDirectory() as out:
+        config = pathlib.Path(out, "exact.cfg")
+        config.write_text(text)
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "landau_hf.cli", "evolve-exact",
+                                 "--config", str(config), "--out-dir", out],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
+    return {"config": EXACT_CONFIG, "changes": EXACT_CHANGES, "exit": proc.returncode,
+            "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+            "total_s": manifest["timings"].get("total"), "counters": manifest.get("counters")}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -182,12 +215,15 @@ def main():
     tensors = tensor_rows()
     for row in tensors:
         print(json.dumps(row), flush=True)
+    exact = exact_row()
+    print(json.dumps(exact), flush=True)
     compare = []
     for path in COMPARE_CONFIGS:
         compare.append(compare_row(path))
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
-              "repeats": REPEATS, "ladders": ladders, "tensor": tensors, "compare": compare,
+              "repeats": REPEATS, "ladders": ladders, "tensor": tensors, "exact": exact,
+              "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")

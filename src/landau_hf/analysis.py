@@ -37,7 +37,7 @@ from .hartree_fock import (HFState, hf_energy, hf_rhs, hf_steps, is_sample,
 from .manybody import (DeterminantBasis, ExactPropagator, FillingSpec,
                        InteractionTensor, ManyBodyState, assemble_hamiltonian,
                        embed_slater, embed_wedge, enumerate_determinants,
-                       noninteracting_ground_state, two_body_tensor)
+                       noninteracting_ground_state, tensor_factors, two_body_tensor)
 
 BOUND_SLACK = 1e-7
 SECTOR_TOL = 1e-8
@@ -232,8 +232,9 @@ class Problem:
 
     @cached_property
     def tensor(self) -> InteractionTensor:
-        return two_body_tensor(self.config.potential, self.orbital_set,
-                               self.config.tensor_grid)
+        config = self.config           # its budget is checked before any orbital is built
+        tensor_factors(config.potential, config.single_particle_dim, config.tensor_grid)
+        return two_body_tensor(config.potential, self.orbital_set, config.tensor_grid)
 
     @cached_property
     def det_basis(self) -> DeterminantBasis:

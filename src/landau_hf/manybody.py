@@ -30,18 +30,16 @@ Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185 (1988)).  On the
 one-hole table (one_hole) the hole amplitudes D = A_1 x give
 DeterminantBasis.one_body, dGamma(M) x, as one product M @ D and one gather,
 and the one-body reduced density matrix as D D^H.  On the two-hole table
-assemble_hamiltonian writes H = A_2 (W x 1) A_2^T, A_2 the signs of a_s a_r
-with one row per determinant and W the antisymmetrized tensor with the
-one-body energies on its diagonal, as CSR: a bounded block of rows at a
-time, each block one sparse product, after checking that its closed-form
-size fits H_BYTE_CAP.
+assemble_hamiltonian returns H = A_2 (W x 1) A_2^T as an operator, applied
+and never stored (Hamiltonian): A_2 the signs of a_s a_r, one row per
+determinant, and W the dense antisymmetrized tensor with the one-body
+energies on its diagonal.
 
-Exact dynamics has one propagator, ExactPropagator: the action of
-exp(-i H t / hbar) on a vector from the sparse H, used as given, by truncated
-Taylor sums whose cost grows with t * ||H||_1 rather than with dim^3.  The
-shift by the mean of H's spectrum is applied inside each matvec, so the
-set-up is that mean and one 1-norm; an advance picks its Taylor degree and
-step count from the interval, then does matvecs alone and draws no random number.
+Exact dynamics has one propagator, ExactPropagator: exp(-i H t / hbar) on a
+vector through that operator, by truncated Taylor sums whose cost grows with
+t * ||H||_1 rather than with dim^3.  The operator carries the mean of H's
+spectrum (the shift applied in each matvec) and a 1-norm bound, so the
+propagator has no set-up and an advance draws no random number.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .basis import OrbitalSet
 from .config import Grid, PhysicalConstants
@@ -62,8 +60,7 @@ from .errors import (DimensionMismatch, GridMismatch, InvalidValue,
 from .potentials import PotentialSpec
 
 DET_SPACE_CAP = 200_000
-ASSEMBLY_BLOCK = 2 ** 16         # entries of G per assemble_hamiltonian block
-H_BYTE_CAP = 2 ** 30             # largest predicted CSR size of H, in bytes
+H_BYTE_CAP = 2 ** 30             # largest predicted size of the arrays that apply H, in bytes
 TENSOR_BYTE_CAP = 2 ** 30        # largest predicted size of two_body_tensor's arrays, in bytes
 TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
 SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
@@ -255,9 +252,11 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
       - rank-expanded kernels (separable_terms): <b|g_r|d> per term;
       - tabulated kernels, checked first: the pair densities at the P grid
         points, their own exchange conjugates, so A = B @ T.
-    Before any factor is allocated, the predicted bytes (tensor_bytes) are
-    checked against TENSOR_BYTE_CAP (TooLarge).  threads must be >= 1 and
-    changes no work.
+    Before any factor is allocated, the predicted bytes are checked against
+    TENSOR_BYTE_CAP (tensor_factors).  With no term (the zero kind, or no
+    Fourier mode kept) the zero tensor is returned before any orbital is
+    sampled, with rank 0 and nothing kept by the rule.  threads must be >= 1
+    and changes no work.
 
     The selection rule of the magnetic translations (Haldane 1985;
     PotentialSpec.x2_transfers) sets every forbidden <b|g_r|d> to 0 before A
@@ -269,15 +268,11 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     if orbitals.grid != grid:
         raise GridMismatch(f"orbitals sampled on {orbitals.grid}, tensor grid {grid}")
     K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
-    modes = potential.fourier_modes(grid)
-    terms = None if modes else potential.separable_terms(grid)
+    modes, terms, R = tensor_factors(potential, K, grid)
     table = modes is None and terms is None
-    R, what = ((len(modes[1]), "Fourier modes") if modes else (P, "grid points") if table
-               else (len(terms), "separable terms"))
-    nbytes = tensor_bytes(K, R, P, table)
-    if nbytes > TENSOR_BYTE_CAP:
-        raise TooLarge(f"two-body tensor at K = {K} with {R} {what} needs {nbytes / 1e9:.2f} "
-                       f"GB, over the budget of {TENSOR_BYTE_CAP / 1e9:.2f} GB")
+    if R == 0:
+        zero = np.zeros((K,) * 4, dtype=np.complex128).transpose(0, 2, 1, 3)   # pair layout
+        return InteractionTensor(zero, potential.sup_norm(), rank=0, rule_kept=0.0)
     phi = orbitals.matrix()                  # (K, P)
     labels = np.array([orb.m for orb in orbitals.orbitals])
     transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
@@ -342,6 +337,22 @@ def tensor_bytes(K: int, R: int, P: int, table: bool) -> int:
     return 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * table
 
 
+def tensor_factors(potential: PotentialSpec, K: int, grid: Grid):
+    """(modes, terms, R): fourier_modes or else separable_terms on grid
+    (None, None for a table) and the factor columns, once two_body_tensor's
+    bytes for K orbitals (tensor_bytes) are checked against TENSOR_BYTE_CAP."""
+    modes = potential.fourier_modes(grid)
+    terms = None if modes else potential.separable_terms(grid)
+    P = grid.G1 * grid.G2
+    R, what = ((len(modes[1]), "Fourier modes") if modes else
+               (P, "grid points") if terms is None else (len(terms), "separable terms"))
+    nbytes = tensor_bytes(K, R, P, modes is None and terms is None)
+    if nbytes > TENSOR_BYTE_CAP:
+        raise TooLarge(f"two-body tensor at K = {K} with {R} {what} needs {nbytes / 1e9:.2f} "
+                       f"GB, over the budget of {TENSOR_BYTE_CAP / 1e9:.2f} GB")
+    return modes, terms, R
+
+
 def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns of the length-G DFT matrix, E[x, u] = exp(-2 pi i x u / G),
     at the distinct u among k and -k mod G, with the column of each k and of
@@ -363,29 +374,58 @@ def rule_kept(rule: np.ndarray, transfer: np.ndarray) -> float:
     return float(pairs @ joint @ pairs) / transfer.size ** 2
 
 
-def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
-                         tensor: InteractionTensor | None) -> sp.csr_matrix:
-    """H = sum_p e_p n_p + sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r, with
-    <pq||rs> = v[p,q,r,s] - v[p,q,s,r], as A_2 (W x 1) A_2^T through the
-    (N-2)-particle determinants (Knowles & Handy 1984):
-      - W[(pq), (rs)] = <pq||rs> over ascending pairs, held as CSR so that
-        the selection rule's zeros are never visited, with (e_p + e_q) /
-        (N - 1) on its diagonal;
-      - A_2[i, pair(p, q) C(K,N-2) + h] = <h| a_q a_p |i> = (-1)^(k+l-1) for
-        the orbitals p < q at places k < l of row i, h = hole_ranks(2)[i, kl].
-    Each block of rows is one sparse product G @ A_2^T, G those rows of
-    A_2 (W x 1) expanded from W's CSR rows; the product sums the N - 1
-    spectator terms of a single replacement and the C(N,2) terms of the
-    diagonal.  N = 1 or no interaction gives the one-body diagonal alone.
+class Hamiltonian(LinearOperator):
+    """H applied and never stored: diagonal * x without a two-body part,
+    else A_2 (W x 1) A_2^T x (assemble_hamiltonian): a put of sign * x at
+    `at` into the two-hole amplitudes D_2, Z = W @ D_2, and the sum of sign
+    * Z.take(at) over the rows of `at` in order, so an entry of H and its
+    mirror add the same terms in the same order (H is exactly Hermitian, its
+    own adjoint).  D_2 and Z are allocated once; each put writes the same
+    positions, so D_2 is never zeroed again.  mu = tr H / dim; norm bounds
+    ||H - mu||_1 from W alone by |H_jj - mu| plus sum_{p != q} |W[p, q]| per
+    pair q of row j (the hole of q refilled by p != q is another determinant
+    or none).  nnz counts W's nonzero entries, 0 without W."""
 
-    H is written as CSR directly, a block of about ASSEMBLY_BLOCK entries of
-    G at a time, into arrays sized up front for each row's diagonal, N (K -
-    N) single and C(N,2) C(K-N,2) double replacements; exact zeros are
-    dropped and each row is sorted by column.  An H whose CSR at that count,
-    or whose A_2^T's C(K,2) C(K,N-2) int32 row pointers (most rows are empty
-    when N is near K), would exceed H_BYTE_CAP bytes raises TooLarge before
-    any table is built.
-    """
+    def __init__(self, diagonal: np.ndarray, W: np.ndarray | None = None,
+                 at: np.ndarray | None = None, sign=None, n_holes: int = 0):
+        super().__init__(np.complex128, (len(diagonal),) * 2)
+        self.diagonal, self.W, self.at, self.sign = diagonal, W, at, sign
+        self.mu, off, self.nnz = diagonal.mean(), 0.0, 0
+        if W is not None:               # the bound first, so its temporaries are gone before D_2
+            off = (np.abs(W).sum(axis=0) - np.abs(W.diagonal()))[at // n_holes].sum(axis=0)
+            self.nnz = int(np.count_nonzero(W))
+            self._D2 = np.zeros((len(W), n_holes), dtype=np.complex128)
+            self._Z = np.empty_like(self._D2)
+        self.norm = float(np.max(off + np.abs(diagonal - self.mu)))
+
+    def _matvec(self, x):
+        x = np.ravel(x)
+        if self.W is None:
+            return self.diagonal * x
+        np.put(self._D2, self.at, self.sign * x)
+        np.matmul(self.W, self._D2, out=self._Z)
+        return (self._Z.take(self.at) * self.sign).sum(axis=0)
+
+    _rmatvec = _matvec                  # H is Hermitian
+
+    def toarray(self) -> np.ndarray:
+        """Dense H, one matvec per column."""
+        return np.column_stack([self.matvec(e) for e in np.eye(self.shape[0])])
+
+
+def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
+                         tensor: InteractionTensor | None) -> Hamiltonian:
+    """H = sum_p e_p n_p + sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r, with
+    <pq||rs> = v[p,q,r,s] - v[p,q,s,r], as the operator A_2 (W x 1) A_2^T
+    through the (N-2)-particle determinants (Knowles & Handy 1984):
+      - W[(pq), (rs)] = <pq||rs> over ascending pairs, dense, with (e_p +
+        e_q) / (N - 1) on its diagonal, which H's diagonal sums per row;
+      - A_2[i, pair(p, q) C(K,N-2) + h] = <h| a_q a_p |i> = (-1)^(k+l-1) for
+        the orbitals p < q at places k < l of row i, h = hole_ranks(2)[i, kl],
+        held as the columns at[kl, i] and the signs.
+    N = 1 or no interaction gives the one-body diagonal alone.  The bytes of
+    D_2, Z, at and W (hamiltonian_bytes) over H_BYTE_CAP raise TooLarge
+    before any table is built."""
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
         raise DimensionMismatch(
@@ -395,64 +435,32 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     if tensor is not None and tensor.K != K:
         raise DimensionMismatch(f"tensor rank {tensor.K} for K={K}")
     if N == 1 or tensor is None or tensor.is_zero():
-        return sp.diags(energies[occ].sum(axis=1).astype(np.complex128), format="csr")
+        return Hamiltonian(energies[occ].sum(axis=1).astype(np.complex128))
 
-    width = 1 + N * (K - N) + math.comb(N, 2) * math.comb(K - N, 2)
-    nbytes = dim * width * (16 + 4) + (dim + 1) * 4        # complex data, int32 indices
+    n_pairs, n_holes = math.comb(K, 2), math.comb(K, N - 2)
+    nbytes = hamiltonian_bytes(K, N)
     if nbytes > H_BYTE_CAP:
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
-                       f"as CSR ({dim * width} entries), over the budget of "
-                       f"{H_BYTE_CAP / 1e9:.2f} GB")
-    n_holes = math.comb(K, N - 2)
-    table = 4 * math.comb(K, 2) * n_holes      # A_2^T's int32 row pointers, one per row
-    if table > H_BYTE_CAP:
-        raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {table / 1e9:.2f} GB "
-                       f"of two-hole table row pointers, over the budget of "
-                       f"{H_BYTE_CAP / 1e9:.2f} GB")
-    holes = basis.hole_ranks(2)                       # (dim, C(N,2))
+                       f"to apply ({n_pairs} x {n_holes} two-hole amplitudes), "
+                       f"over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
     k, l = np.triu_indices(N, 1)                       # place pairs, in combinations order
-    sign = np.where((k + l) % 2, 1.0, -1.0)            # (-1)^(k+l-1)
+    sign = np.where((k + l) % 2, 1.0, -1.0)[:, None] + 0j    # (-1)^(k+l-1)
     a, b = np.triu_indices(K, 1)
     pair = np.zeros((K, K), dtype=np.int64)
-    pair[a, b] = np.arange(len(a))
+    pair[a, b] = np.arange(n_pairs)
     pairs = pair[occ[:, k], occ[:, l]]
-    A2T = sp.csc_matrix((np.broadcast_to(sign + 0j, pairs.shape).ravel(),
-                         (pairs * n_holes + holes).ravel(),
-                         np.arange(0, pairs.size + 1, len(k))),
-                        shape=(len(a) * n_holes, dim)).tocsr()
-
     v = tensor.values
     W = v[a[:, None], b[:, None], a, b] - v[a[:, None], b[:, None], b, a]
-    W[np.diag_indices(len(a))] += (energies[a] + energies[b]) / (N - 1)
-    W = sp.csr_matrix(W)
-    row_nnz = np.diff(W.indptr)
-    columns = W.indices.astype(np.int64) * n_holes        # G's column of each W entry, less h
+    W[np.diag_indices(n_pairs)] += (energies[a] + energies[b]) / (N - 1)
+    at = (pairs * n_holes + basis.hole_ranks(2)).T.copy()     # [kl, i]
+    return Hamiltonian(W.diagonal()[pairs].sum(axis=1), W, at, sign, n_holes)
 
-    data = np.empty(dim * width, dtype=np.complex128)
-    indices = np.empty(dim * width, dtype=np.int32)
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    rows = max(1, ASSEMBLY_BLOCK // (len(k) * max(1, int(row_nnz.max()))))
-    for start in range(0, dim, rows):
-        stop = min(start + rows, dim)
-        # row j of G: W's row pair(p, q) times sign at columns + h, per place pair
-        p = pairs[start:stop].ravel()
-        count = row_nnz[p]
-        ends = np.cumsum(count)
-        at = np.arange(ends[-1]) + np.repeat(W.indptr[p] - (ends - count), count)
-        G = sp.csr_matrix((W.data[at] * np.repeat(np.tile(sign, stop - start), count),
-                           columns[at] + np.repeat(holes[start:stop].ravel(), count),
-                           np.concatenate([[0], ends[len(k) - 1::len(k)]])),
-                          shape=(stop - start, A2T.shape[0]))
-        block = G @ A2T                 # stores no entry that sums to exactly zero
-        block.sort_indices()
-        lo = indptr[start]
-        indptr[start + 1:stop + 1] = lo + block.indptr[1:]
-        data[lo:indptr[stop]] = block.data
-        indices[lo:indptr[stop]] = block.indices
-    if indptr[-1] < len(data):                 # shrunk in place: no view of either exists
-        data.resize(indptr[-1], refcheck=False)
-        indices.resize(indptr[-1], refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+def hamiltonian_bytes(K: int, N: int) -> int:
+    """Bytes of the two-body Hamiltonian's D_2, Z, at (int64) and W."""
+    pairs = math.comb(K, 2)
+    return (32 * pairs * math.comb(K, N - 2) + 8 * math.comb(K, N) * math.comb(N, 2)
+            + 16 * pairs ** 2)
 
 
 @dataclass(frozen=True)
@@ -554,32 +562,23 @@ def taylor_parameters(norm: float) -> tuple[int, int]:
 class ExactPropagator:
     """exp(-i H t / hbar) acting on vectors, by the truncated Taylor scheme of
     Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2) on the
-    sparse H as given (a CSR H is not copied); no dense H, no
-    eigendecomposition and no random number.
+    operator of assemble_hamiltonian as given; no dense H, no
+    eigendecomposition and no random number.  The generator A = -i (H - mu)
+    / hbar is never formed: each matvec is -i (H B - mu B) / hbar, each
+    Taylor step ends with exp(-i t mu / (hbar s)), and mu and the bound on
+    ||H - mu||_1 are read from H.  An advance over t takes (m*, s) from |t|
+    ||A||_1 (taylor_parameters; a bound will do, as ||A^p||_1^(1/p) <=
+    ||A||_1), then at most s m* matvecs, each Taylor sum stopped once its
+    terms fall below TAYLOR_TOL of it.  A non-finite entry of H or an infinite
+    ||A||_1 raises NonFiniteValue, a non-finite t ||A||_1 InvalidValue.
+    matvecs counts the products with H over every advance."""
 
-    The generator A = -i (H - mu) / hbar, mu = tr H / dim, is never formed:
-    each matvec is -i (H B - mu B) / hbar and each Taylor step ends with the
-    factor exp(-i t mu / (hbar s)).  ||A||_1 is one bincount over the columns
-    with |h_jj| replaced by |h_jj - mu| (an upper bound if the CSR holds
-    duplicates).  An advance over t takes (m*, s) from |t| ||A||_1
-    (taylor_parameters: the exact-norm branch, valid since ||A^p||_1^(1/p)
-    <= ||A||_1), then at most s m* matvecs, each Taylor sum stopped once its
-    terms fall below TAYLOR_TOL of it.  A non-finite entry of H or an
-    infinite ||A||_1 raises NonFiniteValue, a non-finite t ||A||_1
-    InvalidValue.  matvecs counts the products with H over every advance."""
-
-    def __init__(self, H, hbar: float = 1.0):
-        H = sp.csr_matrix(H)
-        if not np.all(np.isfinite(H.data)):
-            raise NonFiniteValue("exact generator -i H / hbar has a non-finite entry")
-        diag = H.diagonal()
-        self.H, self.hbar, self.mu = H, hbar, diag.sum() / H.shape[0]
+    def __init__(self, H: Hamiltonian, hbar: float = 1.0):
+        self.H, self.hbar, self.mu, self.norm = H, hbar, H.mu, H.norm / abs(hbar)
         self.matvecs = 0
-        columns = np.bincount(H.indices, weights=np.abs(H.data), minlength=H.shape[1])
-        columns += np.abs(diag - self.mu) - np.abs(diag)
-        self.norm = float(columns.max()) / abs(hbar)
         if not math.isfinite(self.norm):
-            raise NonFiniteValue("exact generator -i H / hbar has an infinite 1-norm")
+            raise NonFiniteValue("exact generator -i H / hbar has a non-finite entry "
+                                 "or an infinite 1-norm")
 
     def advance(self, psi0: np.ndarray, t: float) -> np.ndarray:
         norm = abs(t) * self.norm

@@ -1,6 +1,8 @@
 import json
 import math
 import pathlib
+import re
+import time
 import types
 
 import numpy as np
@@ -534,21 +536,45 @@ def test_too_large_writes_failed_manifest(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["compare", "evolve-exact"])
 def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
                                                        command):
-    # K = 24, N = 6: C(24, 6) = 134596 is under the dimension cap, H needs 6.47 GB
+    # K = 30, N = 27: C(30, 27) = 4060 determinants, but applying H needs
+    # two 435 x C(30, 25) arrays of two-hole amplitudes, 2.00 GB
     def unlisted(*args):
         raise AssertionError("a hole table was built")
     monkeypatch.setattr(DeterminantBasis, "hole_ranks", unlisted)
-    cfg = tmp_path / "k24.cfg"
-    cfg.write_text(GOOD_CFG.format(M=8, n_max=2, N=6, strength=0.1, t_final=0.05)
+    cfg = tmp_path / "k30.cfg"
+    cfg.write_text(GOOD_CFG.format(M=10, n_max=2, N=27, strength=0.1, t_final=0.05)
                    .replace("grid1 = 32", "grid1 = 64").replace("= 48", "= 64"))
     out = tmp_path / "out"
     assert dispatch([command, "--config", str(cfg), "--out-dir", str(out),
                      "--threads", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: H on C(24,6) = 134596 determinants needs 6.47 GB")
+    assert err.startswith("error: H on C(30,27) = 4060 determinants needs 2.00 GB")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
     assert "over the budget" in manifest["validations"]["error"]["detail"]
+
+
+def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, capsys,
+                                                                     monkeypatch):
+    # configs/k30n10.cfg at M = 60, n_max = 1 on 512^2 grids: K = 120, 4.37 GB
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("an orbital was built")
+    monkeypatch.setattr(analysis, "build_orbital_set", unbuilt)
+    text = (ROOT / "configs/k30n10.cfg").read_text()
+    for key, value in [("M", 60), ("n_max", 1), ("grid1", 512), ("grid2", 512),
+                       ("tensor_grid1", 512), ("tensor_grid2", 512)]:
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    cfg = tmp_path / "k120.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert dispatch(["evolve-hf", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: two-body tensor at K = 120 with ")
+    assert "needs 4.37 GB, over the budget" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False and manifest["outputs"] == []
 
 
 @pytest.mark.parametrize("command", ["evolve-hf", "compare"])

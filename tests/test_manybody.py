@@ -278,10 +278,14 @@ def oset24(cfg_m3):
     return lhf.build_orbital_set(cfg_m3, grid=grid)
 
 
-def test_tensor_zero_potential(cfg_m3, oset_m3):
+def test_tensor_zero_potential(cfg_m3, oset_m3, monkeypatch):
+    def unsampled(self):
+        raise AssertionError("an orbital was sampled")
+    monkeypatch.setattr(lhf.OrbitalSet, "matrix", unsampled)
     pot = lhf.PotentialSpec(kind="zero")
     tensor = lhf.two_body_tensor(pot, oset_m3, cfg_m3.tensor_grid)
-    assert tensor.is_zero()
+    assert tensor.is_zero() and tensor.values.shape == (9,) * 4
+    assert (tensor.rank, tensor.rule_kept, tensor.symmetry_deviation) == (0, 0.0, 0.0)
 
 
 def test_tensor_constant_potential_factorizes(cfg_m3, oset_m3):
@@ -484,12 +488,17 @@ def test_gaussian_tensor_evaluates_the_kernel_once(oset24, monkeypatch):
 
 
 def test_exact_propagator_rejects_non_finite_generator():
+    H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(2, 1), [1.0, np.inf], None)
     with pytest.raises(NonFiniteValue, match="exact generator"):
-        manybody.ExactPropagator(sp.diags([1.0, np.inf], format="csr"))
+        manybody.ExactPropagator(H)
 
 
-def test_exact_propagator_rejects_an_infinite_norm():
-    H = sp.csr_matrix(np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308)))
+def test_exact_propagator_rejects_an_infinite_norm(rng):
+    # every entry finite, the 1-norm beyond the float range
+    v, _ = helpers.random_interaction_tensor(rng, 6)
+    tensor = InteractionTensor(values=v / np.abs(v).max() * 4e307, sup_norm=1.0)
+    H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(6, 3), np.zeros(6), tensor)
+    assert np.all(np.isfinite(H.W)) and np.all(np.isfinite(H.diagonal))
     with pytest.raises(NonFiniteValue, match="infinite 1-norm"):
         manybody.ExactPropagator(H)
 
@@ -601,17 +610,20 @@ def test_tensor_peak_memory_is_within_its_byte_prediction(kind, monkeypatch):
 
 def test_assemble_no_interaction_is_diagonal(oset_m3):
     basis = lhf.enumerate_determinants(9, 3)
-    H = lhf.assemble_hamiltonian(basis, oset_m3.energies, None)
-    dense = H.toarray()
-    assert np.max(np.abs(dense - np.diag(np.diag(dense)))) == 0.0
-    expect0 = oset_m3.energies[[0, 1, 2]].sum()
-    assert dense[0, 0] == pytest.approx(expect0, rel=1e-14)
+    zero = InteractionTensor(values=np.zeros((9,) * 4), sup_norm=0.0)
+    for tensor in (None, zero):
+        H = lhf.assemble_hamiltonian(basis, oset_m3.energies, tensor)
+        dense = H.toarray()
+        assert np.max(np.abs(dense - np.diag(np.diag(dense)))) == 0.0
+        expect0 = oset_m3.energies[[0, 1, 2]].sum()
+        assert dense[0, 0] == pytest.approx(expect0, rel=1e-14)
+        assert H.nnz == 0 and H.W is None
 
 
 def test_assemble_hermitian(tensor_m3, oset_m3):
     basis = lhf.enumerate_determinants(9, 2)
-    H = lhf.assemble_hamiltonian(basis, oset_m3.energies, tensor_m3)
-    assert abs((H - H.getH()).toarray()).max() <= 1e-10
+    H = lhf.assemble_hamiltonian(basis, oset_m3.energies, tensor_m3).toarray()
+    assert abs(H - H.conj().T).max() <= 1e-10
 
 
 @pytest.mark.parametrize("K,N", [(4, 2), (6, 2), (5, 3), (4, 1), (4, 4)])
@@ -625,16 +637,23 @@ def test_assemble_matches_tensor_space_oracle(rng, K, N):
     assert np.max(np.abs(H - oracle)) < 1e-9
 
 
-def assert_same_csr(H, oracle):
-    """The pattern bit for bit: index dtypes, indptr, indices (sorted); the
-    data within 1e-14 max |H|, since the two sum their terms in different
+def assert_same_action(rng, H, oracle):
+    """H @ x for random x within 1e-13 max |H| sum |x| of the CSR oracle, and
+    H's diagonal within 1e-13 max |H|: the two sum their terms in different
     orders."""
-    assert H.indptr.dtype == oracle.indptr.dtype and H.indices.dtype == oracle.indices.dtype
-    assert np.array_equal(H.indptr, oracle.indptr)
-    assert np.array_equal(H.indices, oracle.indices) and H.has_sorted_indices
-    assert H.data.dtype == oracle.data.dtype
-    assert (np.abs(H.data - oracle.data).max(initial=0)
-            <= 1e-14 * np.abs(oracle.data).max(initial=0))
+    scale = np.abs(oracle.data).max(initial=0)
+    for x in random_complex(rng, 3, H.shape[1]):
+        assert np.abs(H @ x - oracle @ x).max() <= 1e-13 * scale * np.abs(x).sum()
+    assert np.abs(H.diagonal - oracle.diagonal()).max() <= 1e-13 * scale
+
+
+def assert_same_operator(rng, H, oracle):
+    """assert_same_action, and H.toarray() within 1e-13 max |H| of the
+    oracle.  Returns the dense H."""
+    assert_same_action(rng, H, oracle)
+    dense = H.toarray()
+    assert np.abs(dense - oracle.toarray()).max() <= 1e-13 * np.abs(oracle.data).max(initial=0)
+    return dense
 
 
 def momentum_masked(v, modulus=3):
@@ -645,96 +664,129 @@ def momentum_masked(v, modulus=3):
 
 @pytest.mark.parametrize("K,N,masked", [(4, 2, False), (5, 3, False), (8, 3, False),
                                         (4, 1, False), (4, 4, False), (9, 4, True),
-                                        (12, 4, True)])
+                                        (12, 4, True), (8, 7, False), (9, 8, False)])
 def test_assemble_matches_coo_oracle_on_random_tensors(rng, K, N, masked):
     v, _ = helpers.random_interaction_tensor(rng, K, P=K + 3)
     tensor = InteractionTensor(values=momentum_masked(v) if masked else v, sup_norm=1.0)
     energies = rng.uniform(0.2, 2.0, K)
     basis = lhf.enumerate_determinants(K, N)
     H = lhf.assemble_hamiltonian(basis, energies, tensor)
-    assert_same_csr(H, helpers.coo_hamiltonian(basis, energies, tensor))
+    dense = assert_same_operator(rng, H, helpers.coo_hamiltonian(basis, energies, tensor))
     if masked:
-        assert 0 < H.nnz < basis.dim * (1 + N * (K - N)
-                                        + math.comb(N, 2) * math.comb(K - N, 2))
+        assert 0 < np.count_nonzero(dense) < basis.dim * (
+            1 + N * (K - N) + math.comb(N, 2) * math.comb(K - N, 2))
 
 
-# nnz: the selection rule's exact zeros leave 80,943 of 99,495, 1,812 of
-# 5,376 and 115,260 of 809,900 entries
-@pytest.mark.parametrize("path,changes,nnz", [
-    ("configs/k16n4.cfg", {"M": 3, "n_max": 3}, 80943),   # exact_k12n4: cosine, K=12, N=4
-    ("configs/gaussian.cfg", {"N": 3}, 1812),              # compare_k9n3: Gaussian, K=9, N=3
-    ("configs/k16n4.cfg", {}, 115260)],                    # cosine, K=16, N=4, M=8
+def test_near_full_operator_matches_coo_oracle(rng):
+    # K = 20, N = 18: 190 determinants, but each matvec multiplies W (190 x
+    # 190) by 190 x C(20,16) = 4,845 two-hole amplitudes, so no dense H here
+    v, _ = helpers.random_interaction_tensor(rng, 20, P=23)
+    tensor = InteractionTensor(values=v, sup_norm=1.0)
+    energies = rng.uniform(0.2, 2.0, 20)
+    basis = lhf.enumerate_determinants(20, 18)
+    H = lhf.assemble_hamiltonian(basis, energies, tensor)
+    assert_same_action(rng, H, helpers.coo_hamiltonian(basis, energies, tensor))
+
+
+def shifted_norm(dense):
+    """||H - tr H / dim||_1 of a dense H."""
+    return np.abs(dense - np.trace(dense) / len(dense) * np.eye(len(dense))).sum(axis=0).max()
+
+
+# nnz of H: the selection rule's exact zeros leave 80,943 of 99,495, 1,812 of
+# 5,376 and 115,260 of 809,900 entries; w_nnz: the nonzero entries of W
+@pytest.mark.parametrize("path,changes,nnz,w_nnz", [
+    ("configs/k16n4.cfg", {"M": 3, "n_max": 3}, 80943, 3114),   # exact_k12n4: cosine, K=12, N=4
+    ("configs/gaussian.cfg", {"N": 3}, 1812, 430),               # compare_k9n3: Gaussian, K=9, N=3
+    ("configs/k16n4.cfg", {}, 115260, 1832)],                    # cosine, K=16, N=4, M=8
     ids=["configs/k16n4.cfg-changes0", "configs/gaussian.cfg-changes1",
          "configs/k16n4.cfg-changes2"])
-def test_assemble_matches_coo_oracle_on_shipped_kernels(path, changes, nnz):
+def test_assemble_matches_coo_oracle_on_shipped_kernels(rng, path, changes, nnz, w_nnz):
     problem = Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
-    basis, tensor = problem.det_basis, problem.tensor
-    assert_same_csr(problem.H, helpers.coo_hamiltonian(basis, problem.energies, tensor))
-    assert problem.H.nnz == nnz
-    assert (problem.H - problem.H.conj().T).count_nonzero() == 0     # exactly Hermitian
+    basis, tensor, H = problem.det_basis, problem.tensor, problem.H
+    dense = assert_same_operator(rng, H, helpers.coo_hamiltonian(basis, problem.energies,
+                                                                 tensor))
+    assert np.count_nonzero(dense) == nnz and H.nnz == w_nnz
+    assert np.count_nonzero(dense - dense.conj().T) == 0          # exactly Hermitian
+    # the 1-norm bound from W alone: within 1.25 times the exact norm
+    exact = shifted_norm(dense)
+    assert exact <= H.norm <= 1.25 * exact
 
 
-def test_assembly_peak_memory_is_bounded_by_the_csr(rng):
+@pytest.mark.parametrize("K,N,masked", [(4, 2, False), (6, 2, True), (8, 3, False),
+                                        (9, 4, True), (8, 7, False)],
+                         ids=["4-2", "6-2-masked", "8-3", "9-4-masked", "8-7"])
+def test_operator_norm_bounds_the_dense_shifted_norm(rng, K, N, masked):
+    # exact at N = 2, where each column of H is one column of W
+    v, _ = helpers.random_interaction_tensor(rng, K)
+    tensor = InteractionTensor(values=momentum_masked(v) if masked else v, sup_norm=1.0)
+    H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(K, N), rng.uniform(-2, 2, K),
+                                 tensor)
+    exact = shifted_norm(H.toarray())
+    assert H.norm >= exact * (1 - 1e-12)
+    if N == 2:
+        assert H.norm == pytest.approx(exact, rel=1e-12)
+
+
+def test_assembly_peak_memory_is_bounded_by_the_budget(rng):
     v, _ = helpers.random_interaction_tensor(rng, 16, P=19)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(16, 4)
     tracemalloc.start()
     try:
-        H = lhf.assemble_hamiltonian(basis, np.ones(16), tensor)
+        lhf.assemble_hamiltonian(basis, np.ones(16), tensor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    csr = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
-    assert H.nnz == 809900 and peak <= 1.5 * csr
+    assert peak <= 1.5 * manybody.hamiltonian_bytes(16, 4)
 
 
-def csr_bytes(K, N):
-    """Closed-form CSR size of H: complex data and int32 indices per entry."""
-    dim = math.comb(K, N)
-    return dim * (1 + N * (K - N) + math.comb(N, 2) * math.comb(K - N, 2)) * 20 + (dim + 1) * 4
+def test_byte_budget_admits_k24n6_and_rejects_k30n27():
+    nbytes = manybody.hamiltonian_bytes
+    assert nbytes(24, 6) <= manybody.H_BYTE_CAP < nbytes(30, 27)
+    assert math.comb(30, 27) < math.comb(24, 6) <= manybody.DET_SPACE_CAP
 
 
-def test_byte_budget_admits_k20n5_and_rejects_k24n6():
-    assert csr_bytes(20, 5) <= manybody.H_BYTE_CAP < csr_bytes(24, 6)
-    assert math.comb(24, 6) <= manybody.DET_SPACE_CAP
-
-
-def test_byte_budget_is_the_size_of_the_csr(rng, monkeypatch):
+def test_byte_budget_is_the_size_of_the_operator(rng, monkeypatch):
     v, _ = helpers.random_interaction_tensor(rng, 7)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(7, 3)
-    monkeypatch.setattr(manybody, "H_BYTE_CAP", csr_bytes(7, 3))
+    nbytes = manybody.hamiltonian_bytes(7, 3)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
-    assert H.data.nbytes + H.indices.nbytes + H.indptr.nbytes == csr_bytes(7, 3)
-    monkeypatch.setattr(manybody, "H_BYTE_CAP", csr_bytes(7, 3) - 1)
+    assert H._D2.nbytes + H._Z.nbytes + H.at.nbytes + H.W.nbytes == nbytes
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
     with pytest.raises(TooLarge, match="over the budget"):
         lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
 
 
 def test_two_hole_table_over_the_byte_budget_raises_before_it_is_built(rng, monkeypatch):
-    # K = 8, N = 7: 1,316 bytes of CSR, but C(8,2) C(8,5) = 1,568 row pointers
+    # K = 8, N = 7: 8 determinants, but D_2 and Z hold C(8,2) C(8,5) = 1,568 entries each
     v, _ = helpers.random_interaction_tensor(rng, 8)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(8, 7)
-    monkeypatch.setattr(manybody, "H_BYTE_CAP", 4 * 1568)
-    assert lhf.assemble_hamiltonian(basis, np.ones(8), tensor).nnz == 8 * 8    # dense 8 x 8
+    nbytes = manybody.hamiltonian_bytes(8, 7)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
+    H = lhf.assemble_hamiltonian(basis, np.ones(8), tensor)
+    assert np.count_nonzero(H.toarray()) == 8 * 8                    # dense 8 x 8
 
     def unlisted(*args):
         raise AssertionError("a hole table was built")
     monkeypatch.setattr(lhf.DeterminantBasis, "hole_ranks", unlisted)
-    monkeypatch.setattr(manybody, "H_BYTE_CAP", 4 * 1568 - 1)
-    with pytest.raises(TooLarge, match="two-hole table row pointers, over the budget"):
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
+    with pytest.raises(TooLarge, match=r"\(28 x 56 two-hole amplitudes\), over the budget"):
         lhf.assemble_hamiltonian(basis, np.ones(8), tensor)
 
 
 def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
+    # near full filling most of D_2 is never written: K = 30, N = 27
     def unlisted(*args):
         raise AssertionError("a hole table was built")
     monkeypatch.setattr(lhf.DeterminantBasis, "hole_ranks", unlisted)
-    config = dataclasses.replace(lhf.load_config(ROOT / "configs/k16n4.cfg"), n_max=2, N=6)
+    config = dataclasses.replace(lhf.load_config(ROOT / "configs/k30n10.cfg"), N=27)
     problem = Problem(config)
-    assert problem.det_basis.dim == 134596              # under DET_SPACE_CAP
-    with pytest.raises(TooLarge, match=r"needs 6\.47 GB as CSR \(323568784 entries\)"):
+    assert problem.det_basis.dim == 4060
+    with pytest.raises(TooLarge, match=r"needs 2\.00 GB to apply \(435 x 142506 "):
         problem.H
 
 
@@ -864,14 +916,18 @@ def test_embed_matches_tensor_space_wedge(rng):
 
 # --- exact propagation ----------------------------------------------------------
 
-def _random_hermitian(rng, dim):
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return sp.csr_matrix(0.5 * (A + A.conj().T))
+def _random_hamiltonian(rng, K, N, scale=1.0, masked=False):
+    """assemble_hamiltonian on a random tensor and random energies, both
+    times scale."""
+    v, _ = helpers.random_interaction_tensor(rng, K, P=K + 3, scale=scale)
+    tensor = InteractionTensor(values=momentum_masked(v) if masked else v, sup_norm=scale)
+    return lhf.assemble_hamiltonian(lhf.enumerate_determinants(K, N),
+                                    rng.uniform(-scale, scale, K), tensor)
 
 
 def test_evolve_time_zero_is_identity(rng):
-    H = _random_hermitian(rng, 12)
-    psi = rng.normal(size=12) + 1j * rng.normal(size=12)
+    H = _random_hamiltonian(rng, 6, 3)
+    psi = rng.normal(size=20) + 1j * rng.normal(size=20)
     psi /= np.linalg.norm(psi)
     state = ManyBodyState(basis=None, coefficients=psi)
     out = lhf.evolve_exact(state, H, 0.0, lhf.PhysicalConstants())
@@ -879,7 +935,7 @@ def test_evolve_time_zero_is_identity(rng):
 
 
 def test_evolve_eigenvector_gets_phase(rng):
-    H = _random_hermitian(rng, 10)
+    H = _random_hamiltonian(rng, 5, 2)
     w, V = np.linalg.eigh(H.toarray())
     state = ManyBodyState(basis=None, coefficients=V[:, 3])
     out = lhf.evolve_exact(state, H, 0.8, lhf.PhysicalConstants())
@@ -888,7 +944,7 @@ def test_evolve_eigenvector_gets_phase(rng):
 
 
 def test_evolve_matches_dense_oracle(rng):
-    H = _random_hermitian(rng, 20)
+    H = _random_hamiltonian(rng, 6, 3)
     psi = rng.normal(size=20) + 1j * rng.normal(size=20)
     psi /= np.linalg.norm(psi)
     state = ManyBodyState(basis=None, coefficients=psi)
@@ -900,8 +956,8 @@ def test_evolve_matches_dense_oracle(rng):
 
 
 def test_evolve_large_norm_matches_dense_oracle(rng):
-    H = _random_hermitian(rng, 80) * 5.0
-    psi = rng.normal(size=80) + 1j * rng.normal(size=80)
+    H = _random_hamiltonian(rng, 9, 3, scale=5.0)
+    psi = rng.normal(size=84) + 1j * rng.normal(size=84)
     psi /= np.linalg.norm(psi)
     state = ManyBodyState(basis=None, coefficients=psi)
     constants = lhf.PhysicalConstants()
@@ -914,13 +970,11 @@ def test_evolve_independent_of_global_random_state(rng):
     # above t * ||H||_1 = 64 expm_multiply sizes its steps from a randomized
     # 1-norm estimate drawn from the global numpy generator; left to it,
     # seeds 0..7 give two different step counts for this H and t
-    H = _random_hermitian(rng, 80) * 5.0
-    psi = rng.normal(size=80) + 1j * rng.normal(size=80)
+    H = _random_hamiltonian(rng, 9, 3, scale=5.0)
+    psi = rng.normal(size=84) + 1j * rng.normal(size=84)
     psi /= np.linalg.norm(psi)
     t = 5.0
-    Hd = H.toarray()
-    shifted = Hd - np.trace(Hd) / 80 * np.eye(80)
-    assert t * np.max(np.abs(shifted).sum(axis=0)) > 3 * 64
+    assert t * shifted_norm(H.toarray()) > 3 * 64
     state = ManyBodyState(basis=None, coefficients=psi)
     outs = set()
     for seed in range(8):
@@ -933,84 +987,55 @@ def test_evolve_independent_of_global_random_state(rng):
     assert len(outs) == 1
 
 
-def _hopping_ring(dim):
-    # no stored diagonal: the propagator's shift applies to it all the same
-    return sp.csr_matrix(sp.diags([np.ones(dim - 1), np.ones(dim - 1)], [-1, 1]))
-
-
-def _unstored_diagonal_entry(rng):
-    H = _random_hermitian(rng, 20).tolil()
-    H[3, 3] = 0.0
-    H = H.tocsr()
-    assert 3 not in H.indices[H.indptr[3]:H.indptr[4]]
+def _zero_diagonal(rng):
+    # N = 2 and no one-body energies: H_ii = v[pqpq] - v[pqqp], zeroed by
+    # masking the tensor where (g, d) is (a, b) or (b, a), a mask its
+    # symmetries keep; the propagator's shift applies all the same
+    v, _ = helpers.random_interaction_tensor(rng, 6)
+    a, b, g, d = np.ix_(*[np.arange(6)] * 4)
+    v = np.where(((a == g) & (b == d)) | ((a == d) & (b == g)), 0, v)
+    H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(6, 2), np.zeros(6),
+                                 InteractionTensor(values=v, sup_norm=1.0))
+    assert np.all(H.diagonal == 0) and H.mu == 0
     return H
 
 
-def _duplicate_entries(rng):
-    # every entry stored twice, as two equal halves: ||H - mu||_1 is unchanged
-    H = _random_hermitian(rng, 20)
-    D = sp.csr_matrix((np.repeat(H.data / 2, 2), np.repeat(H.indices, 2),
-                       2 * H.indptr), shape=H.shape)
-    assert D.nnz == 2 * H.nnz
-    return D
-
-
 @pytest.mark.parametrize("make_H,t,hbar", [
-    (lambda rng: _random_hermitian(rng, 20), 1e-3, 1.0),
-    # t ||A||_1 ~ 800 > 64: expm_multiply sizes its steps from a norm estimate
-    (lambda rng: _random_hermitian(rng, 80) * 5.0, 2.0, 1.0),
-    (lambda rng: _random_hermitian(rng, 30), 1.3, 0.7),
-    (lambda rng: _hopping_ring(25), 0.9, 1.0),
-    (_unstored_diagonal_entry, 0.9, 0.7),
-    (_duplicate_entries, 0.9, 0.7),
-], ids=["small-t", "large-norm", "hbar-0.7", "no-diagonal", "unstored-diagonal",
-        "duplicates"])
+    (lambda rng: _random_hamiltonian(rng, 6, 3), 1e-3, 1.0),
+    # t ||A||_1 > 64: expm_multiply sizes its steps from a norm estimate
+    (lambda rng: _random_hamiltonian(rng, 9, 3, scale=5.0), 2.0, 1.0),
+    (lambda rng: _random_hamiltonian(rng, 7, 3), 1.3, 0.7),
+    (_zero_diagonal, 0.9, 1.0),
+    (lambda rng: _random_hamiltonian(rng, 9, 1), 0.9, 0.7),
+    (lambda rng: _random_hamiltonian(rng, 9, 8, masked=True), 0.9, 0.7),
+], ids=["small-t", "large-norm", "hbar-0.7", "no-diagonal", "one-body", "near-full"])
 def test_advance_matches_public_expm_multiply(rng, make_H, t, hbar):
     from scipy.sparse.linalg import expm_multiply
     H = make_H(rng)
     psi = random_complex(rng, H.shape[0])
     psi /= np.linalg.norm(psi)
     prop = manybody.ExactPropagator(H, hbar)
-    # the oracle's randomized 1-norm estimate draws from the global generator
+    # the oracle's randomized 1-norm estimate draws from the global
+    # generator; given H as a CSR it takes the exact trace and norm
+    dense = sp.csr_matrix(H.toarray())
     saved = np.random.get_state()
     np.random.seed(0)
     try:
-        expect = expm_multiply((-1j * t / hbar) * H, psi)
+        expect = expm_multiply((-1j * t / hbar) * dense, psi)
     finally:
         np.random.set_state(saved)
     assert np.max(np.abs(prop.advance(psi, t) - expect)) <= 1e-12
 
 
-def test_propagator_keeps_a_complex_csr_as_given(rng):
-    H = _random_hermitian(rng, 12)
-    assert H.dtype == np.complex128
-    assert np.shares_memory(manybody.ExactPropagator(H).H.data, H.data)
-
-
-@pytest.mark.parametrize("make_H", [_unstored_diagonal_entry, _duplicate_entries],
-                         ids=["unstored-diagonal", "duplicates"])
-def test_propagator_norm_is_the_dense_shifted_norm(rng, make_H):
-    H, hbar = make_H(rng), 0.7
-    dense = H.toarray()
-    shifted = (dense - np.trace(dense) / len(dense) * np.eye(len(dense))) / hbar
-    norm = manybody.ExactPropagator(H, hbar).norm
-    assert norm == pytest.approx(np.abs(shifted).sum(axis=0).max(), rel=1e-12)
-
-
-def test_propagator_norm_bounds_cancelling_duplicates(rng):
-    # stored duplicates a + x and -x count as |a + x| + |x| >= |a|
-    H = _random_hermitian(rng, 20)
-    x = random_complex(rng, H.nnz)
-    D = sp.csr_matrix((np.column_stack([H.data + x, -x]).ravel(),
-                       np.repeat(H.indices, 2), 2 * H.indptr), shape=H.shape)
-    assert np.max(np.abs(D.toarray() - H.toarray())) < 1e-12
-    exact = manybody.ExactPropagator(H).norm
-    assert manybody.ExactPropagator(D).norm >= exact
+def test_propagator_holds_the_operator_it_was_given(rng):
+    H = _random_hamiltonian(rng, 6, 3)
+    prop = manybody.ExactPropagator(H, 0.7)
+    assert prop.H is H and prop.mu == H.mu and prop.norm == H.norm / 0.7
 
 
 def test_one_propagator_gives_the_bits_of_a_new_one_per_call(rng):
-    H = _random_hermitian(rng, 40)
-    psi = random_complex(rng, 40)
+    H = _random_hamiltonian(rng, 8, 3)
+    psi = random_complex(rng, 56)
     prop = manybody.ExactPropagator(H, 0.8)
     for t in (0.1, 0.25, 0.1, -0.3, 0.1):
         fresh = manybody.ExactPropagator(H, 0.8).advance(psi, t)
@@ -1020,8 +1045,8 @@ def test_one_propagator_gives_the_bits_of_a_new_one_per_call(rng):
 
 
 def test_propagator_counts_its_matvecs(rng):
-    H = _random_hermitian(rng, 30)
-    psi = random_complex(rng, 30)
+    H = _random_hamiltonian(rng, 7, 3)
+    psi = random_complex(rng, 35)
     prop = manybody.ExactPropagator(H, 0.7)
     assert prop.matvecs == 0
     prop.advance(psi, 0.0)
@@ -1049,14 +1074,14 @@ def test_taylor_parameters_exact_norm_branch():
 
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
 def test_advance_rejects_non_finite_interval(rng, t):
-    prop = manybody.ExactPropagator(_random_hermitian(rng, 6))
+    prop = manybody.ExactPropagator(_random_hamiltonian(rng, 4, 2))
     with pytest.raises(InvalidValue, match="'t'"):
         prop.advance(random_complex(rng, 6), t)
 
 
 def test_advance_backward_matches_dense_oracle(rng):
-    H = _random_hermitian(rng, 30)
-    psi = random_complex(rng, 30)
+    H = _random_hamiltonian(rng, 7, 3)
+    psi = random_complex(rng, 35)
     psi /= np.linalg.norm(psi)
     prop = manybody.ExactPropagator(H, 0.7)
     back = prop.advance(psi, -1.1)
