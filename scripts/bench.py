@@ -21,8 +21,10 @@ two_body_tensor on TENSOR_CONFIG's orbitals (K = 30), the median of REPEATS
 runs with the orbitals built once, for every kernel kind: the config's
 Gaussian at its sigma and at each of TENSOR_SIGMAS, where more Fourier modes
 are kept, the zero and the cosine kernel, and the Gaussian's pair values as
-a table on a TABLE_GRID^2 tensor grid; each records the tracemalloc peak of
-one more call over the bytes two_body_tensor predicts (tensor_bytes).  The
+a table on a TABLE_GRID^2 tensor grid; one more row times the config's
+Gaussian with WIDE_CHANGES (K = 60, the effective-flow run of CI).  Each
+row records its number of momentum blocks and the tracemalloc peak of one
+more call over the bytes two_body_tensor predicts (tensor_bytes).  The
 exact row runs `landau-hf evolve-exact` once on EXACT_CONFIG with
 EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process and keeps its
 wall time, its peak RSS and the manifest's total time.  The machine block
@@ -56,7 +58,8 @@ from landau_hf import Grid, PotentialSpec, build_orbital_set, load_config  # noq
 from landau_hf.analysis import Problem, rdm_exact  # noqa: E402
 from landau_hf.manybody import (ExactPropagator, ManyBodyState,  # noqa: E402
                                 assemble_hamiltonian, enumerate_determinants,
-                                hamiltonian_bytes, tensor_bytes, two_body_tensor)
+                                hamiltonian_bytes, tensor_bytes, tensor_factors,
+                                two_body_tensor)
 
 # (M, n_max, N): K = 12, 16, 20, 20, 24; C(24, 6) = 134,596 determinants
 LADDER = [(4, 2, 4), (4, 3, 4), (4, 4, 4), (4, 4, 5), (8, 2, 6)]
@@ -66,7 +69,10 @@ EXACT_CONFIG = "configs/k16n4.cfg"
 EXACT_CHANGES = {"n_max": 2, "N": 6, "t_final": 0.05}
 TENSOR_CONFIG = "configs/k30n10.cfg"
 TENSOR_SIGMAS = [0.3, 0.1]       # 2161 and all 4096 modes of the 64^2 tensor grid
-TABLE_GRID = 48                  # the table's complex copy is 85 MB at 48^2, 268 MB at 64^2
+TABLE_GRID = 48                  # the table itself is 42 MB at 48^2, 134 MB at 64^2
+# K = 60: M = 30, n_max = 1 and every grid at 256^2, as the K = 60 evolve-hf step of CI
+WIDE_CHANGES = {"M": 30, "n_max": 1, "grid1": 256, "grid2": 256, "tensor_grid1": 256,
+                "tensor_grid2": 256}
 REPEATS = 3
 INTERVAL = 0.1
 SEED = 20240917
@@ -122,10 +128,10 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
             "matvec_s": matvec_s, "advance_s": advance_s, "table_s": table_s, "rdm_s": rdm_s}
 
 
-def tensor_row(potential: PotentialSpec, orbitals, grid: Grid) -> dict:
-    """two_body_tensor on orbitals, the median of REPEATS, and the
-    tracemalloc peak of one more call over its predicted bytes, tensor_bytes
-    (R = P for a table)."""
+def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> dict:
+    """two_body_tensor on orbitals, the median of REPEATS, its momentum
+    blocks (tensor_factors), and the tracemalloc peak of one more call over
+    its predicted bytes, tensor_bytes."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
     tracemalloc.start()
     try:
@@ -133,19 +139,21 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    K, P = orbitals.size, grid.G1 * grid.G2
-    R = P if rank is None else rank
-    predicted = tensor_bytes(K, R, P, rank is None)
-    return {"config": TENSOR_CONFIG, "kind": potential.kind, "K": K, "grid": list(grid.shape),
-            "sigma": potential.sigma, "rank": rank, "tensor_s": median_time(build, REPEATS),
+    K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
+    blocks = tensor_factors(potential, K, M, grid)[2]
+    predicted = tensor_bytes(K, M, P, blocks)
+    return {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
+            "grid": list(grid.shape), "sigma": potential.sigma, "rank": rank,
+            "blocks": len(blocks), "tensor_s": median_time(build, REPEATS),
             "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,
             "peak_over_prediction": peak / predicted}
 
 
 def tensor_rows() -> list[dict]:
     """tensor_row for TENSOR_CONFIG's Gaussian at its sigma and at each of
-    TENSOR_SIGMAS, for the zero and the cosine kernel on its tensor grid, and
-    for the Gaussian's pair values as a table on a TABLE_GRID^2 grid."""
+    TENSOR_SIGMAS, for the zero and the cosine kernel on its tensor grid, for
+    the Gaussian's pair values as a table on a TABLE_GRID^2 grid, and for the
+    Gaussian with WIDE_CHANGES."""
     config = load_config(ROOT / TENSOR_CONFIG)
     grid = config.tensor_grid
     orbitals = build_orbital_set(config, grid=grid)
@@ -158,6 +166,9 @@ def tensor_rows() -> list[dict]:
     table_grid = Grid(L1=grid.L1, L2=grid.L2, G1=TABLE_GRID, G2=TABLE_GRID)
     table = PotentialSpec(kind="tabulated", table=gaussian.pair_values(table_grid))
     rows.append(tensor_row(table, build_orbital_set(config, grid=table_grid), table_grid))
+    wide = dataclasses.replace(config, **WIDE_CHANGES)
+    rows.append(tensor_row(wide.potential, build_orbital_set(wide, grid=wide.tensor_grid),
+                           wide.tensor_grid, WIDE_CHANGES))
     return rows
 
 

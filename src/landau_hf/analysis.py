@@ -233,7 +233,8 @@ class Problem:
     @cached_property
     def tensor(self) -> InteractionTensor:
         config = self.config           # its budget is checked before any orbital is built
-        tensor_factors(config.potential, config.single_particle_dim, config.tensor_grid)
+        tensor_factors(config.potential, config.single_particle_dim, config.domain.M,
+                       config.tensor_grid)
         return two_body_tensor(config.potential, self.orbital_set, config.tensor_grid)
 
     @cached_property

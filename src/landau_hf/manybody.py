@@ -9,18 +9,18 @@ elements are stored in physicists' order,
 
 so a and g belong to the first particle, b and d to the second.
 
-two_body_tensor builds every kernel kind as one product v = A @ B^T in the
+two_body_tensor builds every kernel kind as the product v = A @ B^T in the
 pair layout: B[(bd), r] holds the second particle's factors (Fourier modes,
 separable terms or grid points) and A is its exchange conjugate times the
-kernel's weights.  It writes exact zeros where the magnetic translations of
-the torus forbid an entry (Haldane, PRL 55, 2095 (1985)): the x2 momentum m
-mod M of each orbital is exact, so with the cosine kernel m_g - m_a and
-m_d - m_b must each be +-harmonic2 mod M, and with the translation-invariant
-Gaussian kernel m_a + m_b = m_g + m_d mod M; harmonics are read at the
-grid's signed frequency (PotentialSpec.x2_transfers).  The zeros are set in
-B before A is formed, so W, and with it the product that assembles H, holds
-only what the rule allows: 1/M of the pairs for the Gaussian, 4/M^2 for the
-cosine at harmonic2 = 1 (M > 2).
+kernel's weights.  The magnetic translations of the torus forbid most
+entries (Haldane, PRL 55, 2095 (1985)): the x2 momentum m mod M of each
+orbital is exact, so with the cosine kernel m_g - m_a and m_d - m_b must
+each be +-harmonic2 mod M, and with the translation-invariant Gaussian
+kernel m_a + m_b = m_g + m_d mod M; harmonics are read at the grid's signed
+frequency (PotentialSpec.x2_transfers).  The product is formed one momentum
+block at a time, every forbidden entry an exact zero never computed, so W
+and the product that assembles H hold only what the rule allows: 1/M of
+the pairs for the Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
 
 The determinant space has one primitive, the hole tables
 DeterminantBasis.hole_ranks(n): for every determinant and set of n places,
@@ -224,26 +224,15 @@ class InteractionTensor:
         return self._zero
 
 
-def symmetry_deviations(pair: np.ndarray) -> tuple[float, float]:
-    """max |v[a,b,g,d] - v[b,a,d,g]| (exchange, the transpose of the pair
-    matrix) and max |v[a,b,g,d] - conj(v[g,d,a,b])| (hermiticity) of a
-    pair-layout tensor, one slab of fixed a at a time, each pair once."""
-    S = pair.reshape((math.isqrt(pair.shape[0]),) * 4)        # [a, g, b, d]
-    exch = max(np.abs(S[a, :, a:] - S[a:, :, a].transpose(2, 0, 1)).max()
-               for a in range(len(S)))
-    herm = max(np.abs(S[a, a:] - S[a:, a].transpose(0, 2, 1).conj()).max()
-               for a in range(len(S)))
-    return float(exch), float(herm)
-
-
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                     threads: int = 1) -> InteractionTensor:
     """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y)
-    on grid into the pair layout (ag), (bd), for every kernel kind one product
-    v = A @ B^T of two (K^2, R) factors; the orbitals must be sampled on grid
-    (GridMismatch otherwise).  Each kind is V(x;y) = sum_r c_r conj(g_r(x))
-    g_r(y) on the grid, B[(bd), r] = <b|g_r|d>, and A[(ag), r] =
-    c_r conj(B[(ga), r]) is B's exchange conjugate times the weights:
+    on grid into the pair layout (ag), (bd), for every kernel kind the product
+    v = A @ B^T of two (K^2, R) factors, one momentum block at a time; the
+    orbitals must be sampled on grid (GridMismatch otherwise).  Each kind is
+    V(x;y) = sum_r c_r conj(g_r(x)) g_r(y) on the grid, B[(bd), r] =
+    <b|g_r|d>, and A[(ag), r] = c_r conj(B[(ga), r]) is B's exchange
+    conjugate times the weights:
       - translation-invariant kernels (PotentialSpec.fourier_modes): the
         coefficients R_bd(k) of the pair densities conj(phi_b) phi_d w at the
         kept modes, d >= b, one b at a time, by a partial DFT (one product
@@ -251,7 +240,7 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         and R_db(k) = conj(R_bd(-k)); c_k = w_k;
       - rank-expanded kernels (separable_terms): <b|g_r|d> per term;
       - tabulated kernels, checked first: the pair densities at the P grid
-        points, their own exchange conjugates, so A = B @ T.
+        points, their own exchange conjugates, so A = B @ T (real products).
     Before any factor is allocated, the predicted bytes are checked against
     TENSOR_BYTE_CAP (tensor_factors).  With no term (the zero kind, or no
     Fourier mode kept) the zero tensor is returned before any orbital is
@@ -259,37 +248,35 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     and changes no work.
 
     The selection rule of the magnetic translations (Haldane 1985;
-    PotentialSpec.x2_transfers) sets every forbidden <b|g_r|d> to 0 before A
-    is formed, so an entry it forbids, aliasing round-off on the grid, is a
-    sum of exact zeros.  The raw tensor is checked finite and against its
-    exchange/hermiticity symmetries, then symmetrized."""
+    PotentialSpec.x2_transfers) makes B[(bd), r] = 0 unless m_d - m_b is in
+    the row T of column r, and A[(ag), r] = 0 unless m_a - m_g is, so the
+    columns that share T make one block of v (tensor_factors) and every entry
+    outside the blocks is an exact zero, never computed.  Exchange and
+    hermiticity map the block of T onto that of -T: each is checked finite
+    and against its image, symmetrized with it, then scattered once."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
         raise GridMismatch(f"orbitals sampled on {orbitals.grid}, tensor grid {grid}")
-    K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
-    modes, terms, R = tensor_factors(potential, K, grid)
-    table = modes is None and terms is None
+    K, M = orbitals.size, orbitals.flux_count
+    modes, terms, blocks = tensor_factors(potential, K, M, grid)
+    R = sum(len(columns) for _, columns in blocks)
+    table = None
     if R == 0:
         zero = np.zeros((K,) * 4, dtype=np.complex128).transpose(0, 2, 1, 3)   # pair layout
         return InteractionTensor(zero, potential.sup_norm(), rank=0, rule_kept=0.0)
     phi = orbitals.matrix()                  # (K, P)
-    labels = np.array([orb.m for orb in orbitals.orbitals])
-    transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
-    rule = potential.x2_transfers(grid, M)
-
     B = np.empty((K, K, R), dtype=np.complex128)       # B[b, d, r]
     if modes:
         (k1, k2), c = modes
         E1, at1, minus1 = dft_columns(k1, grid.G1)
         E2, at2, minus2 = dft_columns(k2, grid.G2)
-        cw = phi.conj() * grid.weight
         for b in range(K):
-            half = ((cw[b] * phi[b:]).reshape(-1, grid.G2) @ E2).reshape(K - b, grid.G1, -1)
+            dens = phi[b].conj() * grid.weight * phi[b:]      # conj(phi_b) phi_d w, d >= b
+            half = (dens.reshape(-1, grid.G2) @ E2).reshape(K - b, grid.G1, -1)
             coef = E1.T @ half                     # R_bd(u1, u2), d >= b
             B[b:, b] = coef[:, minus1, minus2].conj()
             B[b, b:] = coef[:, at1, at2]
-        rule = rule[k2]                                  # one row per kept mode
     elif terms is not None:
         c = np.array([c_r for c_r, _ in terms])
         for r, (_, g) in enumerate(terms):
@@ -298,59 +285,100 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         potential.check_symmetry(grid)
         np.multiply(phi.conj()[:, None], phi, out=B)
         B *= grid.weight
-        A = B.reshape(K * K, R) @ potential.pair_values(grid)
-    if not table:
-        np.copyto(B, 0, where=(~rule).T[transfer])
-        A = np.conjugate(B.transpose(1, 0, 2), out=np.empty_like(B))
-        A *= c
-    v = A.reshape(K * K, R) @ B.reshape(K * K, R).T
+        table = potential.pair_values(grid)
+    del phi
+    labels = np.array([orb.m for orb in orbitals.orbitals])
+    transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
+    swap = np.arange(K * K).reshape(K, K).T.ravel()    # (bd) -> (db)
+    neg = -np.arange(M) % M                            # T -> -T
+    Bt = B.reshape(K * K, R).T
+    image = {T.tobytes(): columns for T, columns in blocks}
 
-    # the symmetry checks and the symmetrization add entries in pairs, so an
-    # entry must stay below half the float range; NaN fails too
-    S = v.reshape(K, K, K, K)                                  # [a, g, b, d]
-    scale = max(float(np.max([np.abs(s).max() for s in S])), 1.0)
-    if not math.isfinite(2.0 * scale):
-        raise NonFiniteValue("two-body tensor has a non-finite entry, or one "
-                             "beyond half the float range")
-    exch, herm = symmetry_deviations(v)
+    def block(columns, cols):        # v[swap[cols], cols] over the factor columns given
+        Y = Bt[np.ix_(columns, cols)]
+        if table is None:
+            Z = Y.conj() * c[columns, None]
+        else:                        # conj(table^T Y): real products on Y's float view
+            Z = (table.T @ Y.view(np.float64)).view(np.complex128)
+            np.conjugate(Z, out=Z)
+        return Z.T @ Y
+
+    pair = np.zeros((K * K, K * K), dtype=np.complex128)
+    scale, exch, herm, done = 1.0, 0.0, 0.0, set()
+    for T, columns in blocks:
+        if T.tobytes() in done:
+            continue
+        done.add(T[neg].tobytes())
+        cols = np.flatnonzero(T[transfer])             # (bd) with m_d - m_b in T
+        rows = swap[cols]                              # (ag) with m_a - m_g in T
+        V = block(columns, cols)                       # v[rows, cols]
+        if own := np.array_equal(T, T[neg]):           # v[cols, rows]: V reordered
+            at = np.searchsorted(cols, rows)
+            Q = V[np.ix_(at, at)]
+        else:                                          # or the block of -T
+            Q = block(image.get(T[neg].tobytes(), []), rows)
+        # K rows at a time: exchange maps V to Q.T, hermiticity to conj(Q)
+        for s in range(0, len(cols), K):
+            scale = float(np.max([scale, np.abs(V[s:s + K]).max(), np.abs(Q[s:s + K]).max()]))
+            exch = max(exch, float(np.abs(V[s:s + K] - Q.T[s:s + K]).max()))
+            herm = max(herm, float(np.abs(V[s:s + K] - Q[s:s + K].conj()).max()))
+        # the symmetrization adds entries in pairs, so an entry must stay
+        # below half the float range; NaN fails too
+        if not math.isfinite(2.0 * scale):
+            raise NonFiniteValue("two-body tensor has a non-finite entry, or one "
+                                 "beyond half the float range")
+        # v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2; an entry
+        # and its images get the same bits
+        V += Q.T
+        V *= 0.5
+        np.conjugate(V.T, out=Q)
+        V += Q
+        V *= 0.5
+        pair[np.ix_(rows, cols)] = V
+        if not own:
+            pair[np.ix_(cols, rows)] = np.conjugate(V, out=Q)
     if not (exch <= TENSOR_SYM_TOL * scale and herm <= TENSOR_SYM_TOL * scale):
         raise SymmetryViolation(
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
-    # v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place one
-    # slab of fixed a at a time; an entry and its image get the same bits
-    for a in range(K):
-        m = 0.5 * (S[a, :, a:] + S[a:, :, a].transpose(2, 0, 1))
-        S[a, :, a:], S[a:, :, a] = m, m.transpose(1, 2, 0)
-    for a in range(K):
-        m = 0.5 * (S[a, a:] + S[a:, a].transpose(0, 2, 1).conj())
-        S[a, a:], S[a:, a] = m, m.transpose(0, 2, 1).conj()
-    return InteractionTensor(values=S.transpose(0, 2, 1, 3), sup_norm=potential.sup_norm(),
+    return InteractionTensor(values=pair.reshape((K,) * 4).transpose(0, 2, 1, 3),
+                             sup_norm=potential.sup_norm(),
                              symmetry_deviation=max(exch, herm) / scale,
-                             rank=None if table else R,
-                             rule_kept=1.0 if rule is None else rule_kept(rule, transfer))
+                             rank=None if table is not None else R,
+                             rule_kept=sum(np.count_nonzero(T[transfer]) ** 2
+                                           for T, _ in blocks) / K ** 4)
 
 
-def tensor_bytes(K: int, R: int, P: int, table: bool) -> int:
-    """The bytes two_body_tensor predicts for K orbitals, R factor columns and
-    P grid points: 16 K^4 for v, 32 K^2 R for A and B, 32 K P for phi and
-    its weighted conjugate and, for a table, 16 P^2 for its complex copy."""
-    return 16 * K ** 4 + 32 * K ** 2 * R + 32 * K * P + 16 * P ** 2 * table
+def tensor_bytes(K: int, M: int, P: int, blocks) -> int:
+    """two_body_tensor's bytes for K orbitals, M flux quanta, P grid points
+    and the blocks of tensor_factors: 16 K^2 R for B, and the larger of 32 K P
+    for phi and a row of pair densities while B is filled and, once phi is
+    freed, 16 K^4 for v and 32 n (n + r) for the factor slices, product and
+    image of the largest block, n = |T| K^2 / M pairs by r columns."""
+    sizes = [(int(T.sum()) * K * K // M, len(columns)) for T, columns in blocks]
+    return 16 * K * K * sum(r for _, r in sizes) + max(
+        32 * K * P, 16 * K ** 4 + max((32 * n * (n + r) for n, r in sizes), default=0))
 
 
-def tensor_factors(potential: PotentialSpec, K: int, grid: Grid):
-    """(modes, terms, R): fourier_modes or else separable_terms on grid
-    (None, None for a table) and the factor columns, once two_body_tensor's
-    bytes for K orbitals (tensor_bytes) are checked against TENSOR_BYTE_CAP."""
+def tensor_factors(potential: PotentialSpec, K: int, M: int, grid: Grid):
+    """(modes, terms, blocks): fourier_modes or else separable_terms on grid
+    (None, None for a table) and one (T, columns) per distinct x2_transfers
+    row T of the factor columns, rows that are disjoint for every kind (all
+    transfers for a table), once the bytes for K orbitals and M flux quanta
+    (tensor_bytes) are checked against TENSOR_BYTE_CAP."""
     modes = potential.fourier_modes(grid)
     terms = None if modes else potential.separable_terms(grid)
     P = grid.G1 * grid.G2
     R, what = ((len(modes[1]), "Fourier modes") if modes else
                (P, "grid points") if terms is None else (len(terms), "separable terms"))
-    nbytes = tensor_bytes(K, R, P, modes is None and terms is None)
+    rule = potential.x2_transfers(grid, M)
+    rule = np.ones((R, M), dtype=bool) if rule is None else rule[modes[0][1]] if modes else rule
+    keys, group = np.unique(rule, axis=0, return_inverse=True)
+    blocks = [(T, np.flatnonzero(group == i)) for i, T in enumerate(keys)]
+    nbytes = tensor_bytes(K, M, P, blocks)
     if nbytes > TENSOR_BYTE_CAP:
         raise TooLarge(f"two-body tensor at K = {K} with {R} {what} needs {nbytes / 1e9:.2f} "
                        f"GB, over the budget of {TENSOR_BYTE_CAP / 1e9:.2f} GB")
-    return modes, terms, R
+    return modes, terms, blocks
 
 
 def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,17 +389,6 @@ def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     u, column = np.unique(np.concatenate([k, -k % G]), return_inverse=True)
     E = np.exp(-2j * np.pi * (np.outer(np.arange(G), u) % G) / G)
     return E, column[:len(k)], column[len(k):]
-
-
-def rule_kept(rule: np.ndarray, transfer: np.ndarray) -> float:
-    """Fraction of the tensor entries the selection rule leaves free, from
-    transfer[x, y] = m_y - m_x mod M: (ag, bd) is free when one row of rule
-    marks both m_a - m_g (the first factor allows minus the row's transfers)
-    and m_d - m_b.  Orbital pairs are counted per transfer, so no K^4 array
-    is formed."""
-    pairs = np.bincount(transfer.ravel(), minlength=rule.shape[1])
-    joint = (rule.T.astype(np.int64) @ rule) > 0          # [m_a - m_g, m_d - m_b]
-    return float(pairs @ joint @ pairs) / transfer.size ** 2
 
 
 class Hamiltonian(LinearOperator):

@@ -15,7 +15,10 @@ The reduced density matrix oracle accumulates it entry by entry with np.add.at.
 The replacement-table oracle sorts every target occupation and ranks it; the
 Hamiltonian oracle consumes it as COO lists and mirrors the upper triangle
 with scipy's transpose and sum.  The Gaussian-tensor oracle takes a full 2-D
-FFT of every pair density and reads the kept modes off it.
+FFT of every pair density and reads the kept modes off it.  The dense-tensor
+oracle forms the whole pair matrix as one product A @ B^T over every factor
+column, with the selection rule's zeros set in B, and checks and symmetrizes
+it one slab of fixed a at a time, with no momentum block.
 """
 
 import itertools
@@ -26,6 +29,7 @@ import scipy.fft
 import scipy.sparse as sp
 
 from landau_hf.hartree_fock import hf_rhs
+from landau_hf.manybody import dft_columns
 
 
 def perm_sign(perm) -> float:
@@ -186,6 +190,84 @@ def fft2_gaussian_pair_matrix(potential, orbitals, grid) -> np.ndarray:
     B[(~rule).T[transfer]] = 0
     A = B.transpose(1, 0, 2).conj() * weights
     return A.reshape(K * K, -1) @ B.reshape(K * K, -1).T
+
+
+def symmetry_deviations(pair: np.ndarray) -> tuple[float, float]:
+    """max |v[a,b,g,d] - v[b,a,d,g]| (exchange, the transpose of the pair
+    matrix) and max |v[a,b,g,d] - conj(v[g,d,a,b])| (hermiticity) of a
+    pair-layout tensor, one slab of fixed a at a time, each pair once."""
+    S = pair.reshape((math.isqrt(pair.shape[0]),) * 4)        # [a, g, b, d]
+    exch = max(np.abs(S[a, :, a:] - S[a:, :, a].transpose(2, 0, 1)).max()
+               for a in range(len(S)))
+    herm = max(np.abs(S[a, a:] - S[a:, a].transpose(0, 2, 1).conj()).max()
+               for a in range(len(S)))
+    return float(exch), float(herm)
+
+
+def rule_kept(rule: np.ndarray, transfer: np.ndarray) -> float:
+    """Fraction of the tensor entries the selection rule leaves free, from
+    transfer[x, y] = m_y - m_x mod M: (ag, bd) is free when one row of rule
+    marks both m_a - m_g (the first factor allows minus the row's transfers)
+    and m_d - m_b.  Orbital pairs are counted per transfer, so no K^4 array
+    is formed."""
+    pairs = np.bincount(transfer.ravel(), minlength=rule.shape[1])
+    joint = (rule.T.astype(np.int64) @ rule) > 0          # [m_a - m_g, m_d - m_b]
+    return float(pairs @ joint @ pairs) / transfer.size ** 2
+
+
+def dense_two_body_tensor(potential, orbitals, grid):
+    """(pair, symmetry_deviation, rule_kept) of the two-body tensor as one
+    dense product v = A @ B^T of (K^2, R) factors over every pair and factor
+    column: B[(bd), r] = <b|g_r|d> (the partial DFT at the kept Fourier
+    modes, the separable terms, or the pair densities at the grid points of a
+    table), every entry the selection rule forbids set to 0 in B, A[(ag), r]
+    = c_r conj(B[(ga), r]) (B @ T for a table); then the raw exchange and
+    hermiticity deviations (symmetry_deviations) relative to max(max |v|, 1),
+    and v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place
+    one slab of fixed a at a time.  Needs at least one factor column."""
+    K, M = orbitals.size, orbitals.flux_count
+    phi = orbitals.matrix()
+    labels = np.array([orb.m for orb in orbitals.orbitals])
+    transfer = (labels - labels[:, None]) % M
+    rule = potential.x2_transfers(grid, M)
+    modes = potential.fourier_modes(grid)
+    terms = None if modes else potential.separable_terms(grid)
+    R = len(modes[1]) if modes else grid.G1 * grid.G2 if terms is None else len(terms)
+    B = np.empty((K, K, R), dtype=np.complex128)
+    if modes:
+        (k1, k2), c = modes
+        E1, at1, minus1 = dft_columns(k1, grid.G1)
+        E2, at2, minus2 = dft_columns(k2, grid.G2)
+        cw = phi.conj() * grid.weight
+        for b in range(K):
+            half = ((cw[b] * phi[b:]).reshape(-1, grid.G2) @ E2).reshape(K - b, grid.G1, -1)
+            coef = E1.T @ half
+            B[b:, b] = coef[:, minus1, minus2].conj()
+            B[b, b:] = coef[:, at1, at2]
+        rule = rule[k2]
+    elif terms is not None:
+        c = np.array([c_r for c_r, _ in terms])
+        for r, (_, g) in enumerate(terms):
+            B[:, :, r] = (phi.conj() * g.ravel()) @ phi.T * grid.weight
+    else:
+        np.multiply(phi.conj()[:, None], phi, out=B)
+        B *= grid.weight
+        A = B.reshape(K * K, R) @ potential.pair_values(grid)
+    if rule is not None:
+        np.copyto(B, 0, where=(~rule).T[transfer])
+        A = np.conjugate(B.transpose(1, 0, 2)) * c
+    v = A.reshape(K * K, R) @ B.reshape(K * K, R).T
+    S = v.reshape(K, K, K, K)                                  # [a, g, b, d]
+    scale = max(float(np.abs(v).max()), 1.0)
+    exch, herm = symmetry_deviations(v)
+    for a in range(K):
+        m = 0.5 * (S[a, :, a:] + S[a:, :, a].transpose(2, 0, 1))
+        S[a, :, a:], S[a:, :, a] = m, m.transpose(1, 2, 0)
+    for a in range(K):
+        m = 0.5 * (S[a, a:] + S[a:, a].transpose(0, 2, 1).conj())
+        S[a, a:], S[a:, a] = m, m.transpose(0, 2, 1).conj()
+    kept = 1.0 if rule is None else rule_kept(rule, transfer)
+    return v, max(exch, herm) / scale, kept
 
 
 def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):

@@ -556,7 +556,8 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
 
 def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, capsys,
                                                                      monkeypatch):
-    # configs/k30n10.cfg at M = 60, n_max = 1 on 512^2 grids: K = 120, 4.37 GB
+    # configs/k30n10.cfg at M = 60, n_max = 1 on 512^2 grids: K = 120, 3.34 GB,
+    # nearly all of it the pair matrix, 16 K^4
     def unbuilt(*args, **kwargs):
         raise AssertionError("an orbital was built")
     monkeypatch.setattr(analysis, "build_orbital_set", unbuilt)
@@ -572,7 +573,7 @@ def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, 
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: two-body tensor at K = 120 with ")
-    assert "needs 4.37 GB, over the budget" in err
+    assert "needs 3.34 GB, over the budget" in err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
 
@@ -580,8 +581,8 @@ def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, 
 @pytest.mark.parametrize("command", ["evolve-hf", "compare"])
 def test_tensor_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
                                                             command):
-    # K = 9, 89 kept modes, P = 48^2: 16 K^4 + 32 K^2 R + 32 K P = 999,216 bytes,
-    # over a 100 kB cap
+    # K = 9, 89 kept modes, P = 48^2: 16 K^2 R + 32 K P = 778,896 bytes (the
+    # pair matrix and its blocks, 16 K^4 + 32 n (n + r), are less), over a 100 kB cap
     def unbuilt(*args):
         raise AssertionError("a Fourier factor was built")
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", 10 ** 5)

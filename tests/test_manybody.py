@@ -16,8 +16,7 @@ from landau_hf.errors import (DimensionMismatch, GridMismatch, InvalidValue,
                               LengthMismatch, NonFiniteValue, NotOrthonormal,
                               SymmetryViolation, TooLarge, TruncationTooSmall)
 from landau_hf.analysis import Problem
-from landau_hf.manybody import (InteractionTensor, ManyBodyState,
-                                symmetry_deviations)
+from landau_hf.manybody import InteractionTensor, ManyBodyState
 
 import helpers
 from conftest import make_config
@@ -432,6 +431,89 @@ def test_rule_moves_no_allowed_entry(name, monkeypatch):
     assert free.rule_kept == 1.0 and tensor.rank == free.rank
 
 
+def k30_gaussian_case():
+    config = lhf.load_config(ROOT / "configs/k30n10.cfg")
+    return (lhf.build_orbital_set(config, grid=config.tensor_grid), config.potential,
+            config.tensor_grid)
+
+
+@pytest.mark.parametrize("name,free", [*[(name, False) for name in RULE_CASES],
+                                       ("gaussian-M3", True), ("cosine-h1", True),
+                                       ("k30-gaussian", False)])
+def test_blocked_tensor_matches_dense_oracle(name, free, monkeypatch):
+    # the momentum blocks against one dense A @ B^T with slab checks and
+    # slab symmetrization; free: the rule allows every transfer, one block
+    oset, pot, grid = k30_gaussian_case() if name == "k30-gaussian" else rule_case(name)
+    if free:
+        rule_free(monkeypatch)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    pair, deviation, kept = helpers.dense_two_body_tensor(pot, oset, grid)
+    scale = np.abs(pair).max()
+    assert np.abs(tensor.pair - pair).max() <= 1e-15 * scale
+    assert np.array_equal(tensor.pair == 0, pair == 0)
+    assert helpers.symmetry_deviations(tensor.pair) == (0.0, 0.0)
+    assert tensor.rule_kept == kept and (kept == 1.0) == free
+    assert abs(tensor.symmetry_deviation - deviation) <= 1e-15
+
+
+def test_block_without_an_image_block_matches_dense_oracle(monkeypatch):
+    # Fourier modes kept at k2 = 0 and 1 only: at M = 4 the block of T = 1
+    # has no block of -T = 3, so its image is zero before the symmetrization
+    # and half of it after, as in the dense product
+    oset, pot, grid = rule_case("gaussian-M4")
+    modes = lhf.PotentialSpec.fourier_modes
+
+    def one_sided(self, g):
+        (k1, k2), w = modes(self, g)
+        keep = k2 <= 1
+        return (k1[keep], k2[keep]), w[keep]
+    monkeypatch.setattr(lhf.PotentialSpec, "fourier_modes", one_sided)
+    monkeypatch.setattr(manybody, "TENSOR_SYM_TOL", 1.0)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    pair, deviation, kept = helpers.dense_two_body_tensor(pot, oset, grid)
+    assert np.abs(tensor.pair - pair).max() <= 1e-15 * np.abs(pair).max()
+    assert np.array_equal(tensor.pair == 0, pair == 0)
+    assert helpers.symmetry_deviations(tensor.pair) == (0.0, 0.0)
+    assert tensor.rule_kept == kept and abs(tensor.symmetry_deviation - deviation) <= 1e-15
+    assert deviation > 1e-3
+
+
+def test_blocked_table_tensor_matches_dense_oracle(oset24):
+    # the table's real products against its complex product with the table
+    grid = oset24.grid
+    pot = lhf.PotentialSpec(kind="tabulated", table=lhf.PotentialSpec(
+        kind="periodic-gaussian", strength=0.3).pair_values(grid))
+    tensor = lhf.two_body_tensor(pot, oset24, grid)
+    pair, deviation, kept = helpers.dense_two_body_tensor(pot, oset24, grid)
+    assert np.abs(tensor.pair - pair).max() <= 2e-15 * np.abs(pair).max()
+    assert helpers.symmetry_deviations(tensor.pair) == (0.0, 0.0)
+    assert tensor.rule_kept == kept == 1.0 and tensor.rank is None
+    assert abs(tensor.symmetry_deviation - deviation) <= 1e-15
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-12])
+def test_block_checks_see_a_perturbed_gaussian_quadrature(size, monkeypatch):
+    # a shift of the x1 DFT columns breaks R_bb(k) = conj(R_bb(-k)) of the
+    # diagonal pair densities, which the self-paired block T = 0 holds; at M = 4
+    # the blocks are T = 0 and T = 2 (each its own image) and the pair T = 1, 3
+    oset, pot, grid = rule_case("gaussian-M4")
+    exact = lhf.two_body_tensor(pot, oset, grid)
+    columns = manybody.dft_columns
+
+    def perturbed(k, G):
+        E, at, minus = columns(k, G)
+        return (E + size * 1j if G == grid.G1 else E), at, minus
+    monkeypatch.setattr(manybody, "dft_columns", perturbed)
+    if size == 1e-6:
+        with pytest.raises(SymmetryViolation, match="tensor symmetry deviation"):
+            lhf.two_body_tensor(pot, oset, grid)
+        return
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    assert tensor.symmetry_deviation > 1e-13
+    assert helpers.symmetry_deviations(tensor.pair) == (0.0, 0.0)
+    assert np.array_equal(tensor.pair == 0, exact.pair == 0)
+
+
 ALL_KINDS = pytest.mark.parametrize("pot", [
     lhf.PotentialSpec(kind="zero"),
     lhf.PotentialSpec(kind="separable-cosine", strength=0.7),
@@ -541,7 +623,7 @@ def test_slab_symmetry_deviations_match_full_array_formula(rng, inject):
     else:
         v = v + 1e-6 * r
     pair = np.ascontiguousarray(v.transpose(0, 2, 1, 3)).reshape(K * K, K * K)
-    exch, herm = symmetry_deviations(pair)
+    exch, herm = helpers.symmetry_deviations(pair)
     assert exch == np.max(np.abs(v - exch_of(v))) == np.max(np.abs(pair - pair.T))
     assert herm == np.max(np.abs(v - herm_of(v)))
     assert (exch > 1e-8, herm > 1e-8) == {"exchange": (True, False),
@@ -556,7 +638,7 @@ def test_tensor_symmetrized_exactly_from_asymmetric_quadrature(rng, oset24):
     pot = lhf.PotentialSpec(kind="tabulated", table=table + 1e-9 * rng.normal(size=table.shape))
     t = lhf.two_body_tensor(pot, oset24, grid)
     assert t.symmetry_deviation > 1e-13
-    assert symmetry_deviations(t.pair) == (0.0, 0.0)
+    assert helpers.symmetry_deviations(t.pair) == (0.0, 0.0)
     exact = lhf.two_body_tensor(lhf.PotentialSpec(kind="tabulated", table=table), oset24, grid)
     assert np.max(np.abs(t.values - exact.values)) < 1e-8
 
@@ -573,17 +655,21 @@ def test_tensor_thread_count_invariance(cfg_m3, oset_m3):
     assert np.array_equal(t1.values, t4.values)
 
 
-@pytest.mark.parametrize("kind", ["zero", "separable-cosine", "periodic-gaussian",
-                                  "tabulated"])
-def test_tensor_peak_memory_is_within_its_byte_prediction(kind, monkeypatch):
+@pytest.mark.parametrize("kind,sigma", [("zero", None), ("separable-cosine", None),
+                                        ("periodic-gaussian", None), ("periodic-gaussian", 0.3),
+                                        ("tabulated", None)],
+                         ids=["zero", "separable-cosine", "periodic-gaussian",
+                              "periodic-gaussian-0.3", "tabulated"])
+def test_tensor_peak_memory_is_within_its_byte_prediction(kind, sigma, monkeypatch):
     # K = 30 (configs/k30n10.cfg) on a 48 x 48 tensor grid; the table is the
-    # Gaussian's pair values.  The prediction is tensor_bytes, the one the
-    # cap checks.
+    # Gaussian's pair values, and at sigma = 0.3 the Gaussian keeps most of
+    # the 2304 modes.  The prediction is tensor_bytes, the one the cap checks.
     config = lhf.load_config(ROOT / "configs/k30n10.cfg")
     grid = lhf.Grid(L1=config.domain.L1, L2=config.domain.L2, G1=48, G2=48)
     oset = lhf.build_orbital_set(config, grid=grid)
     if kind == "periodic-gaussian":
-        pot = config.potential
+        pot = config.potential if sigma is None else dataclasses.replace(config.potential,
+                                                                         sigma=sigma)
     elif kind == "tabulated":
         pot = lhf.PotentialSpec(kind=kind, table=config.potential.pair_values(grid))
     else:
@@ -594,10 +680,12 @@ def test_tensor_peak_memory_is_within_its_byte_prediction(kind, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    K, P = oset.size, grid.G1 * grid.G2
-    R = (len(pot.fourier_modes(grid)[1]) if kind == "periodic-gaussian"
-         else {"zero": 0, "separable-cosine": 1, "tabulated": P}[kind])
-    predicted = manybody.tensor_bytes(K, R, P, kind == "tabulated")
+    K, M, P = oset.size, oset.flux_count, grid.G1 * grid.G2
+    _, _, blocks = manybody.tensor_factors(pot, K, M, grid)
+    R = sum(len(columns) for _, columns in blocks)
+    assert R == (len(pot.fourier_modes(grid)[1]) if kind == "periodic-gaussian"
+                 else {"zero": 0, "separable-cosine": 1, "tabulated": P}[kind])
+    predicted = manybody.tensor_bytes(K, M, P, blocks)
     assert K == 30 and peak <= 1.1 * predicted
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", predicted)
     lhf.two_body_tensor(pot, oset, grid)
@@ -694,10 +782,13 @@ def shifted_norm(dense):
 
 
 # nnz of H: the selection rule's exact zeros leave 80,943 of 99,495, 1,812 of
-# 5,376 and 115,260 of 809,900 entries; w_nnz: the nonzero entries of W
+# 5,376 and 115,260 of 809,900 entries; w_nnz: the nonzero entries of W.  The
+# Gaussian's 432 include W[(1 2), (2 7)] = v[1,2,2,7] - v[1,2,7,2] and its
+# mirror, +-2.2e-20i (1.8e-20 of max |W|): round-off of the block products,
+# where one dense product cancelled it exactly
 @pytest.mark.parametrize("path,changes,nnz,w_nnz", [
     ("configs/k16n4.cfg", {"M": 3, "n_max": 3}, 80943, 3114),   # exact_k12n4: cosine, K=12, N=4
-    ("configs/gaussian.cfg", {"N": 3}, 1812, 430),               # compare_k9n3: Gaussian, K=9, N=3
+    ("configs/gaussian.cfg", {"N": 3}, 1812, 432),               # compare_k9n3: Gaussian, K=9, N=3
     ("configs/k16n4.cfg", {}, 115260, 1832)],                    # cosine, K=16, N=4, M=8
     ids=["configs/k16n4.cfg-changes0", "configs/gaussian.cfg-changes1",
          "configs/k16n4.cfg-changes2"])
