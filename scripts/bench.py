@@ -26,8 +26,9 @@ Gaussian with WIDE_CHANGES (K = 60, the effective-flow run of CI).  Each
 row records its number of momentum blocks and the tracemalloc peak of one
 more call over the bytes two_body_tensor predicts (tensor_bytes).  The
 exact row runs `landau-hf evolve-exact` once on EXACT_CONFIG with
-EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process and keeps its
-wall time, its peak RSS and the manifest's total time.  The machine block
+EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process started
+before any other row, and keeps its wall time, its peak RSS and the
+manifest's total time.  The machine block
 names where the numbers come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
@@ -217,6 +218,10 @@ def main():
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     args = parser.parse_args()
     started = time.perf_counter()
+    # first, while this process is small: the child's ru_maxrss also counts
+    # the pages it shares with this process when it is forked
+    exact = exact_row()
+    print(json.dumps(exact), flush=True)
     ladders = {}
     for kind, path in LADDER_CONFIGS.items():
         ladders[kind] = {"config": path, "rungs": []}
@@ -226,8 +231,6 @@ def main():
     tensors = tensor_rows()
     for row in tensors:
         print(json.dumps(row), flush=True)
-    exact = exact_row()
-    print(json.dumps(exact), flush=True)
     compare = []
     for path in COMPARE_CONFIGS:
         compare.append(compare_row(path))
