@@ -7,29 +7,30 @@ different share of the tensor for each: configs/k16n4.cfg (cosine, 4/M^2 at
 harmonic2 = 1) and configs/gaussian.cfg (Gaussian, 1/M).  Each rung builds
 its problem through analysis.Problem from the ladder's config with M, n_max
 and N set: K = M (n_max + 1) orbitals and C(K, N) determinants.  It times
-the build of the operator H (assemble_hamiltonian), one matvec H @ psi and
-one ExactPropagator(H).advance(psi, 0.1) from a seeded random unit vector,
-the build of DeterminantBasis.one_hole, the table that one_body and
-rdm_exact read, on a basis fresh from enumerate_determinants, and
-rdm_exact, each the median of REPEATS runs, and records the tracemalloc peak
-of one more build over the bytes the budget predicts (hamiltonian_bytes);
-nnz is the count of W's nonzero entries.  The compare
-rows run `landau-hf compare --threads 1` REPEATS times on each of
-COMPARE_CONFIGS in a fresh process and keep the manifest's total time.  The
-tensor rows time
-two_body_tensor on TENSOR_CONFIG's orbitals (K = 30), the median of REPEATS
-runs with the orbitals built once, for every kernel kind: the config's
-Gaussian at its sigma and at each of TENSOR_SIGMAS, where more Fourier modes
-are kept, the zero and the cosine kernel, and the Gaussian's pair values as
-a table on a TABLE_GRID^2 tensor grid; one more row times the config's
-Gaussian with WIDE_CHANGES (K = 60, the effective-flow run of CI).  Each
-row records its number of momentum blocks and the tracemalloc peak of one
-more call over the bytes two_body_tensor predicts (tensor_bytes).  The
-exact row runs `landau-hf evolve-exact` once on EXACT_CONFIG with
-EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process started
-before any other row, and keeps its wall time, its peak RSS and the
-manifest's total time.  The machine block
-names where the numbers come from.
+the build of the operator H (assemble_hamiltonian, its two-hole table
+included), one matvec H @ psi and one ExactPropagator(H).advance(psi, 0.1)
+from a seeded random unit vector, the builds of the hole tables
+DeterminantBasis.holes(1) (table_s), which one_body and rdm_exact read, and
+holes(2) (two_hole_s), which H reads, and rdm_exact, each the median of
+REPEATS runs, every build on a basis fresh from enumerate_determinants, and
+records the tracemalloc peak of one more build over the bytes the budget
+predicts (hamiltonian_bytes); nnz is the count of W's nonzero entries.
+The compare rows run `landau-hf compare --threads 1` REPEATS times on each
+of COMPARE_CONFIGS in a fresh process and keep the manifest's total time.
+The tensor rows time two_body_tensor on TENSOR_CONFIG's orbitals (K = 30),
+the median of at least REPEATS calls and at least TENSOR_SECONDS of calls,
+their number kept as calls, with the orbitals built once, for every kernel
+kind: the config's Gaussian at its sigma and at each of TENSOR_SIGMAS, where
+more Fourier modes are kept, the zero and the cosine kernel, and the
+Gaussian's pair values as a table on a TABLE_GRID^2 tensor grid; one more
+row times the config's Gaussian with WIDE_CHANGES (K = 60, the
+effective-flow run of CI).  Each row records its number of momentum blocks
+and the tracemalloc peak of one more call over the bytes two_body_tensor
+predicts (tensor_bytes).  The exact row runs `landau-hf evolve-exact` once
+on EXACT_CONFIG with EXACT_CHANGES, the (24, 6) rung's problem, in a fresh
+process started before any other row, and keeps its wall time, its peak RSS
+and the manifest's total time.  The machine block names where the numbers
+come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
 """
@@ -75,6 +76,7 @@ TABLE_GRID = 48                  # the table itself is 42 MB at 48^2, 134 MB at 
 WIDE_CHANGES = {"M": 30, "n_max": 1, "grid1": 256, "grid2": 256, "tensor_grid1": 256,
                 "tensor_grid2": 256}
 REPEATS = 3
+TENSOR_SECONDS = 1.0             # resolves the few-ms tensor rows
 INTERVAL = 0.1
 SEED = 20240917
 
@@ -91,23 +93,32 @@ def machine() -> dict:
             "numpy": np.__version__, "scipy": scipy.__version__, "commit": commit}
 
 
-def median_time(fn, repeats: int) -> float:
+def call_times(fn, repeats: int, seconds: float = 0.0) -> list[float]:
+    """The times of calls of fn, at least repeats calls and at least seconds
+    of calls in all."""
     times = []
-    for _ in range(repeats):
+    while len(times) < repeats or sum(times) < seconds:
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return times
+
+
+def median_time(fn, repeats: int) -> float:
+    return statistics.median(call_times(fn, repeats))
 
 
 def rung(path: str, M: int, n_max: int, N: int) -> dict:
     config = dataclasses.replace(load_config(ROOT / path), M=M, n_max=n_max, N=N)
     problem = Problem(config)
     basis, energies, tensor = problem.det_basis, problem.energies, problem.tensor
-    assemble_s = median_time(lambda: assemble_hamiltonian(basis, energies, tensor), REPEATS)
+    # the hole tables are built once per basis: each timed build gets its own
+    fresh = [enumerate_determinants(basis.K, N) for _ in range(3 * REPEATS + 1)]
+    assemble_s = median_time(lambda: assemble_hamiltonian(fresh.pop(), energies, tensor),
+                             REPEATS)
     tracemalloc.start()
     try:
-        H = assemble_hamiltonian(basis, energies, tensor)
+        H = assemble_hamiltonian(fresh.pop(), energies, tensor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -119,20 +130,22 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
     hbar = config.constants.hbar
     matvec_s = median_time(lambda: H @ psi, REPEATS)
     advance_s = median_time(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL), REPEATS)
-    fresh = [enumerate_determinants(basis.K, N) for _ in range(REPEATS)]
-    table_s = median_time(lambda: fresh.pop().one_hole, REPEATS)
+    table_s = median_time(lambda: fresh.pop().holes(1), REPEATS)
+    two_hole_s = median_time(lambda: fresh.pop().holes(2), REPEATS)
     state = ManyBodyState(basis=basis, coefficients=psi)
     rdm_s = median_time(lambda: rdm_exact(state, basis), REPEATS)
     return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "dim": basis.dim, "nnz": H.nnz,
             "assemble_s": assemble_s, "assemble_peak_mb": peak / 1e6,
             "predicted_mb": predicted / 1e6, "assemble_peak_over_prediction": peak / predicted,
-            "matvec_s": matvec_s, "advance_s": advance_s, "table_s": table_s, "rdm_s": rdm_s}
+            "matvec_s": matvec_s, "advance_s": advance_s, "table_s": table_s,
+            "two_hole_s": two_hole_s, "rdm_s": rdm_s}
 
 
 def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> dict:
-    """two_body_tensor on orbitals, the median of REPEATS, its momentum
-    blocks (tensor_factors), and the tracemalloc peak of one more call over
-    its predicted bytes, tensor_bytes."""
+    """two_body_tensor on orbitals, the median of at least REPEATS calls and
+    TENSOR_SECONDS of calls and their number, its momentum blocks
+    (tensor_factors), and the tracemalloc peak of one more call over its
+    predicted bytes, tensor_bytes."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
     tracemalloc.start()
     try:
@@ -143,9 +156,10 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> 
     K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
     blocks = tensor_factors(potential, K, M, grid)[2]
     predicted = tensor_bytes(K, M, P, blocks)
+    times = call_times(build, REPEATS, TENSOR_SECONDS)
     return {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
             "grid": list(grid.shape), "sigma": potential.sigma, "rank": rank,
-            "blocks": len(blocks), "tensor_s": median_time(build, REPEATS),
+            "blocks": len(blocks), "tensor_s": statistics.median(times), "calls": len(times),
             "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,
             "peak_over_prediction": peak / predicted}
 
@@ -236,7 +250,8 @@ def main():
         compare.append(compare_row(path))
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
-              "repeats": REPEATS, "ladders": ladders, "tensor": tensors, "exact": exact,
+              "repeats": REPEATS, "tensor_seconds": TENSOR_SECONDS, "ladders": ladders,
+              "tensor": tensors, "exact": exact,
               "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"

@@ -160,8 +160,8 @@ def check_defect_support(state: HFState, d: float, H, basis: DeterminantBasis,
 def rdm_exact(state: ManyBodyState, basis: DeterminantBasis) -> np.ndarray:
     """One-body reduced density matrix, trace N: omega[p, q] =
     <psi| a+_q a_p |psi> = sum_h D[p, h] conj(D[q, h]), so omega = D D^H with
-    D = A_1 psi the hole amplitudes on the one-hole table
-    (DeterminantBasis.hole_amplitudes)."""
+    D = A_1 psi, one put on the one-hole table holes(1)
+    (DeterminantBasis.hole_amplitudes), and one product."""
     D = basis.hole_amplitudes(state.coefficients)
     return D @ D.conj().T
 

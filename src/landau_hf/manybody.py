@@ -22,18 +22,18 @@ block at a time, every forbidden entry an exact zero never computed, so W
 and the product that assembles H hold only what the rule allows: 1/M of
 the pairs for the Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
 
-The determinant space has one primitive, the hole tables
-DeterminantBasis.hole_ranks(n): for every determinant and set of n places,
-the rank of the (N-n)-particle determinant left by removing those orbitals
-(determinant CI through (N-1)- and (N-2)-particle intermediates: Knowles &
-Handy, CPL 111, 315 (1984); Olsen et al., JCP 89, 2185 (1988)).  On the
-one-hole table (one_hole) the hole amplitudes D = A_1 x give
-DeterminantBasis.one_body, dGamma(M) x, as one product M @ D and one gather,
-and the one-body reduced density matrix as D D^H.  On the two-hole table
-assemble_hamiltonian returns H = A_2 (W x 1) A_2^T as an operator, applied
-and never stored (Hamiltonian): A_2 the signs of a_s a_r, one row per
-determinant, and W the dense antisymmetrized tensor with the one-body
-energies on its diagonal.
+The determinant space has one primitive, the hole table
+DeterminantBasis.holes(n), n = 1, 2: for every determinant and set of n
+places, the position, from rank, of the removed orbitals and the (N-n)-
+particle determinant left (determinant CI through (N-1)- and (N-2)-particle
+intermediates: Knowles & Handy, CPL 111, 315 (1984); Olsen et al., JCP 89,
+2185 (1988)), and the sign of the n annihilations.  Every operation is a put
+D = A_n x (hole_amplitudes), one product and, but for the RDM, one gather
+A_n^T: DeterminantBasis.one_body, dGamma(M) x, is M @ D_1 gathered; the
+one-body reduced density matrix is D_1 D_1^H; and assemble_hamiltonian
+returns H = A_2 (W x 1) A_2^T as an operator, applied and never stored
+(Hamiltonian), W the dense antisymmetrized tensor with the one-body energies
+on its diagonal.
 
 Exact dynamics has one propagator, ExactPropagator: exp(-i H t / hbar) on a
 vector through that operator, by truncated Taylor sums whose cost grows with
@@ -82,6 +82,7 @@ class DeterminantBasis:
     K: int
     N: int
     occupations: np.ndarray          # (dim, N) int, rows sorted lexicographically
+    _holes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -89,17 +90,24 @@ class DeterminantBasis:
 
     @cached_property
     def _binomials(self) -> np.ndarray:
+        """[b, c] = C(K-1-c, b), b <= N, clipped (rank)."""
         cap = max(self.dim, math.comb(self.K, max(self.N - 2, 0)))
-        return np.array([[min(math.comb(a, b), cap) for b in range(self.N + 1)]
-                         for a in range(self.K)], dtype=np.int64)
+        return np.array([[min(math.comb(self.K - 1 - c, b), cap) for c in range(self.K)]
+                         for b in range(self.N + 1)], dtype=np.int64)
 
     def rank(self, occ) -> np.ndarray:
-        """Row of each increasing occupation (..., N) in the lexicographic
-        order, C(K,N) - 1 - sum_k C(K-1-c_k, N-k) (combinatorial numbers).
-        Its terms are at most dim - 1 and hole_ranks' at most C(K, N-2), so
-        binomials clipped at the larger fit in int64 and change neither."""
-        terms = self._binomials[self.K - 1 - np.asarray(occ), self.N - np.arange(self.N)]
-        return self.dim - 1 - terms.sum(axis=-1)
+        """Rank of each increasing set (..., m), m <= N, among the C(K, m) sets
+        of m orbitals in lexicographic order: C(K,m) - 1 - sum_k C(K-1-c_k,
+        m-k).  A term is at most C(K-1, m), so binomials clipped at max(dim,
+        C(K,N-2)) fit in int64 and change none for the sizes the hole tables
+        read: N, N - 1 (C(K-1,N-1) = N dim / K), N - 2, and 1, 2 (C(K-1,m) <=
+        C(K,N) if m <= N <= K - m, else <= C(K,N-2) = C(K,K-N+2))."""
+        occ = np.asarray(occ)
+        m = occ.shape[-1]
+        terms = np.zeros(occ.shape[:-1], dtype=np.int64)
+        for k in range(m):
+            terms += self._binomials[m - k].take(occ[..., k])
+        return math.comb(self.K, m) - 1 - terms
 
     def lookup(self, occ) -> int:
         occ = np.asarray(occ)
@@ -108,57 +116,51 @@ class DeterminantBasis:
             raise KeyError(f"{occ.tolist()} is not an occupation of {self.N} of {self.K}")
         return int(self.rank(occ))
 
-    def hole_ranks(self, n: int) -> np.ndarray:
-        """(dim, C(N,n)): the rank among the C(K, N-n) determinants of N - n
-        orbitals of row i without its places k_1 < ... < k_n, the place sets
-        in the order of itertools.combinations.  It is C(K,N-n) - 1 minus the
-        remainder's terms: an orbital c_m with d removed places before it sits
-        at place m - d and adds C(K-1-c_m, N-n-m+d), read off prefix sums over
-        m of rank's binomials, one per d; no remainder is formed.  A term is
-        at most C(K-1, N-n), within the binomials' clip for n <= 2."""
-        K, N, occ = self.K, self.N, self.occupations
-        removed = np.array(list(itertools.combinations(range(N), n)),
-                           dtype=np.int64).reshape(-1, n)
-        sums = np.zeros((self.dim, N + 1, n + 1), dtype=np.int64)    # [i, m, d]: terms before m
-        b = np.maximum(N - n - np.arange(N)[:, None] + np.arange(n + 1), 0)
-        np.cumsum(self._binomials[K - 1 - occ[:, :, None], b], axis=1, out=sums[:, 1:])
-        # the orbitals with d removed places before them: places lo[:, d] to hi[:, d] - 1
-        lo = np.hstack([np.zeros((len(removed), 1), dtype=np.int64), removed + 1])
-        hi = np.hstack([removed, np.full((len(removed), 1), N)])
-        ranks = np.full((self.dim, len(removed)), math.comb(K, N - n) - 1)
-        for d in range(n + 1):
-            ranks -= sums[:, hi[:, d], d] - sums[:, lo[:, d], d]
-        return ranks
+    def holes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The n-hole table (at, sign), built once per basis: for the place
+        sets s = k_1 < ... < k_n in the order of itertools.combinations,
+        at[s, i] = rank(removed) C(K,N-n) + rank(remainder), the position in
+        the (C(K,n), C(K,N-n)) hole amplitudes of row i without the orbitals
+        at s, and sign[s] = (-1)^(sum s - n(n-1)/2) = <h| a_{p_n} ... a_{p_1}
+        |i>, both shared by every caller and never written (not flagged
+        read-only: take and put copy a read-only index on every call).  at is
+        filled one place set at a time."""
+        if n not in self._holes:
+            sets = np.array(list(itertools.combinations(range(self.N), n)),
+                            dtype=np.int64).reshape(-1, n)
+            occ = self.occupations.T.copy()              # rank reads contiguous places
+            at = np.empty((len(sets), self.dim), dtype=np.int64)
+            for s, places in enumerate(sets):
+                at[s] = self.rank(occ[places].T) * math.comb(self.K, self.N - n)
+                at[s] += self.rank(np.delete(occ, places, axis=0).T)
+            sign = np.where((sets.sum(axis=1) - n * (n - 1) // 2) % 2, -1.0, 1.0)
+            self._holes[n] = at, sign
+        return self._holes[n]
 
-    @cached_property
-    def one_hole(self) -> np.ndarray:
-        """The one-hole table hole_ranks(1): h[i, k] is the rank among
-        C(K, N-1) of row i without its k-th orbital."""
-        return self.hole_ranks(1)
-
-    def hole_amplitudes(self, x) -> np.ndarray:
-        """D = A_1 x, (K, C(K,N-1)): D[p, h] = <h| a_p |x>, written by
-        assignment, (-1)^k x[i] at (occupations[i, k], h[i, k]); each entry is
-        hit at most once."""
+    def hole_amplitudes(self, x, n: int = 1, out=None) -> np.ndarray:
+        """D = A_n x, (C(K,n), C(K,N-n)): D[P, h] = <h| a_{p_n} ... a_{p_1}
+        |x>, the put of sign[s] x[i] at at[s, i] (holes(n)); each entry is
+        hit at most once, so out, if given, is never zeroed again."""
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"vector of shape {x.shape} for dim={self.dim}")
-        D = np.zeros((self.K, math.comb(self.K, self.N - 1)), dtype=np.complex128)
-        np.put(D, self.occupations * D.shape[1] + self.one_hole,
-               x[:, None] * (-1.0) ** np.arange(self.N))
-        return D
+        at, sign = self.holes(n)
+        if out is None:
+            out = np.zeros((math.comb(self.K, n), math.comb(self.K, self.N - n)),
+                           dtype=np.complex128)
+        np.put(out, at, sign[:, None] * x)
+        return out
 
     def one_body(self, M, x) -> np.ndarray:
         """dGamma(M) x, dGamma(M) = sum_pq M[q, p] a+_q a_p (M acting on each
-        orbital in turn), through the one-hole table with no matrix of
-        dGamma: D = hole_amplitudes(x), one product M @ D, and per row i the
-        sum over its places k of (-1)^k (M D)[occupations[i, k], h[i, k]]."""
+        orbital in turn), with no matrix of dGamma: the put D =
+        hole_amplitudes(x), one product M @ D, and the gather A_1^T, per row
+        i the sum over its places k of sign[k] (M D).take(at[k, i])."""
         M = np.asarray(M)
         if M.shape != (self.K, self.K):
             raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
-        MD = M @ self.hole_amplitudes(x)
-        at = self.occupations * MD.shape[1] + self.one_hole
-        return (MD.take(at) * (-1.0) ** np.arange(self.N)).sum(axis=1)
+        at, sign = self.holes(1)
+        return ((M @ self.hole_amplitudes(x)).take(at.T) * sign).sum(axis=1)
 
 
 def enumerate_determinants(K: int, N: int) -> DeterminantBasis:
@@ -392,36 +394,38 @@ def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 class Hamiltonian(LinearOperator):
-    """H applied and never stored: diagonal * x without a two-body part,
-    else A_2 (W x 1) A_2^T x (assemble_hamiltonian): a put of sign * x at
-    `at` into the two-hole amplitudes D_2, Z = W @ D_2, and the sum of sign
-    * Z.take(at) over the rows of `at` in order, so an entry of H and its
-    mirror add the same terms in the same order (H is exactly Hermitian, its
-    own adjoint).  D_2 and Z are allocated once; each put writes the same
-    positions, so D_2 is never zeroed again.  mu = tr H / dim; norm bounds
-    ||H - mu||_1 from W alone by |H_jj - mu| plus sum_{p != q} |W[p, q]| per
-    pair q of row j (the hole of q refilled by p != q is another determinant
-    or none).  nnz counts W's nonzero entries, 0 without W."""
+    """H applied and never stored: diagonal * x without W, else A_2 (W x 1)
+    A_2^T x (assemble_hamiltonian) on basis.holes(2): the put D_2 =
+    hole_amplitudes(x, 2), Z = W @ D_2, and the gather, the sum of sign *
+    Z.take(at) over the place pairs in order, so an entry of H and its mirror
+    add the same terms in the same order (H is exactly Hermitian).  D_2 and
+    Z are allocated once.  With W, H's diagonal is read off W's, and norm
+    bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus sum_{p != q}
+    |W[p, q]| per pair q of row j (the hole of q refilled by p != q is
+    another determinant or none).  nnz counts W's nonzero entries."""
 
-    def __init__(self, diagonal: np.ndarray, W: np.ndarray | None = None,
-                 at: np.ndarray | None = None, sign=None, n_holes: int = 0):
-        super().__init__(np.complex128, (len(diagonal),) * 2)
-        self.diagonal, self.W, self.at, self.sign = diagonal, W, at, sign
-        self.mu, off, self.nnz = diagonal.mean(), 0.0, 0
-        if W is not None:               # the bound first, so its temporaries are gone before D_2
-            off = (np.abs(W).sum(axis=0) - np.abs(W.diagonal()))[at // n_holes].sum(axis=0)
+    def __init__(self, basis: DeterminantBasis, diagonal: np.ndarray | None = None,
+                 W: np.ndarray | None = None):
+        super().__init__(np.complex128, (basis.dim,) * 2)
+        self.basis, self.W, off, self.nnz = basis, W, 0.0, 0
+        if W is not None:               # diagonal and bound first: their temporaries go before D_2
+            n_holes = math.comb(basis.K, basis.N - 2)
+            pairs = basis.holes(2)[0] // n_holes
+            diagonal = W.diagonal()[pairs.T].sum(axis=1)
+            off = (np.abs(W).sum(axis=0) - np.abs(W.diagonal()))[pairs].sum(axis=0)
             self.nnz = int(np.count_nonzero(W))
             self._D2 = np.zeros((len(W), n_holes), dtype=np.complex128)
             self._Z = np.empty_like(self._D2)
+        self.diagonal, self.mu = diagonal, diagonal.mean()
         self.norm = float(np.max(off + np.abs(diagonal - self.mu)))
 
     def _matvec(self, x):
         x = np.ravel(x)
         if self.W is None:
             return self.diagonal * x
-        np.put(self._D2, self.at, self.sign * x)
-        np.matmul(self.W, self._D2, out=self._Z)
-        return (self._Z.take(self.at) * self.sign).sum(axis=0)
+        at, sign = self.basis.holes(2)
+        np.matmul(self.W, self.basis.hole_amplitudes(x, 2, out=self._D2), out=self._Z)
+        return (self._Z.take(at) * sign[:, None]).sum(axis=0)
 
     _rmatvec = _matvec                  # H is Hermitian
 
@@ -437,40 +441,31 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     through the (N-2)-particle determinants (Knowles & Handy 1984):
       - W[(pq), (rs)] = <pq||rs> over ascending pairs, dense, with (e_p +
         e_q) / (N - 1) on its diagonal, which H's diagonal sums per row;
-      - A_2[i, pair(p, q) C(K,N-2) + h] = <h| a_q a_p |i> = (-1)^(k+l-1) for
-        the orbitals p < q at places k < l of row i, h = hole_ranks(2)[i, kl],
-        held as the columns at[kl, i] and the signs.
+      - A_2[i, (pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
+        basis.holes(2).
     N = 1 or no interaction gives the one-body diagonal alone.  The bytes of
-    D_2, Z, at and W (hamiltonian_bytes) over H_BYTE_CAP raise TooLarge
-    before any table is built."""
+    D_2, Z, the table's at and W (hamiltonian_bytes) over H_BYTE_CAP raise
+    TooLarge before the table is built."""
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
         raise DimensionMismatch(
             f"{energies.shape[0]} one-body energies for K={basis.K}")
-    occ, K = basis.occupations, basis.K
-    dim, N = occ.shape
+    K, N, dim = basis.K, basis.N, basis.dim
     if tensor is not None and tensor.K != K:
         raise DimensionMismatch(f"tensor rank {tensor.K} for K={K}")
     if N == 1 or tensor is None or tensor.is_zero():
-        return Hamiltonian(energies[occ].sum(axis=1).astype(np.complex128))
+        return Hamiltonian(basis, energies[basis.occupations].sum(axis=1).astype(np.complex128))
 
-    n_pairs, n_holes = math.comb(K, 2), math.comb(K, N - 2)
     nbytes = hamiltonian_bytes(K, N)
     if nbytes > H_BYTE_CAP:
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
-                       f"to apply ({n_pairs} x {n_holes} two-hole amplitudes), "
-                       f"over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
-    k, l = np.triu_indices(N, 1)                       # place pairs, in combinations order
-    sign = np.where((k + l) % 2, 1.0, -1.0)[:, None] + 0j    # (-1)^(k+l-1)
+                       f"to apply ({math.comb(K, 2)} x {math.comb(K, N - 2)} two-hole "
+                       f"amplitudes), over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
     a, b = np.triu_indices(K, 1)
-    pair = np.zeros((K, K), dtype=np.int64)
-    pair[a, b] = np.arange(n_pairs)
-    pairs = pair[occ[:, k], occ[:, l]]
     v = tensor.values
     W = v[a[:, None], b[:, None], a, b] - v[a[:, None], b[:, None], b, a]
-    W[np.diag_indices(n_pairs)] += (energies[a] + energies[b]) / (N - 1)
-    at = (pairs * n_holes + basis.hole_ranks(2)).T.copy()     # [kl, i]
-    return Hamiltonian(W.diagonal()[pairs].sum(axis=1), W, at, sign, n_holes)
+    W[np.diag_indices(len(a))] += (energies[a] + energies[b]) / (N - 1)
+    return Hamiltonian(basis, W=W)
 
 
 def hamiltonian_bytes(K: int, N: int) -> int:

@@ -540,7 +540,7 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
     # two 435 x C(30, 25) arrays of two-hole amplitudes, 2.00 GB
     def unlisted(*args):
         raise AssertionError("a hole table was built")
-    monkeypatch.setattr(DeterminantBasis, "hole_ranks", unlisted)
+    monkeypatch.setattr(DeterminantBasis, "holes", unlisted)
     cfg = tmp_path / "k30.cfg"
     cfg.write_text(GOOD_CFG.format(M=10, n_max=2, N=27, strength=0.1, t_final=0.05)
                    .replace("grid1 = 32", "grid1 = 64").replace("= 48", "= 64"))

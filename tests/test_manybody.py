@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -75,32 +76,44 @@ def test_lookup_rejects_occupation_outside_basis(occ):
 # --- the hole tables ----------------------------------------------------------
 
 def remainder_ranks(basis, n):
-    """hole_ranks(n) by dict: the rank of every remainder among all
-    increasing (N-n)-tuples of range(K)."""
-    row = {c: r for r, c in enumerate(itertools.combinations(range(basis.K), basis.N - n))}
-    return [[row[tuple(np.delete(occ, places).tolist())]
-             for places in itertools.combinations(range(basis.N), n)]
-            for occ in basis.occupations]
+    """holes(n) by dict, (C(N,n), dim) each: the rank of the removed orbitals
+    among all increasing n-tuples of range(K) and of the remainder among all
+    (N-n)-tuples, the place sets in itertools.combinations order."""
+    removed, rest = ({c: r for r, c in enumerate(itertools.combinations(range(basis.K), m))}
+                     for m in (n, basis.N - n))
+    sets = list(itertools.combinations(range(basis.N), n))
+    return (np.array([[removed[tuple(occ[list(places)].tolist())]
+                       for occ in basis.occupations] for places in sets]),
+            np.array([[rest[tuple(np.delete(occ, places).tolist())]
+                       for occ in basis.occupations] for places in sets]))
+
+
+def split_holes(basis, n):
+    """holes(n)'s at as (rank of the removed orbitals, rank of the remainder)."""
+    return np.divmod(basis.holes(n)[0], math.comb(basis.K, basis.N - n))
 
 
 @pytest.mark.parametrize("K,N", [(4, 1), (5, 1), (4, 4), (5, 5), (5, 2), (6, 3),
                                  (9, 3), (12, 4), (12, 5), (8, 7)])
 def test_one_hole_ranks_are_the_remainders_ranks(K, N):
     basis = lhf.enumerate_determinants(K, N)
-    h = basis.one_hole
-    assert h.dtype == np.int64
-    assert np.array_equal(h, remainder_ranks(basis, 1))
+    at, sign = basis.holes(1)
+    assert at.dtype == np.int64 and at.shape == (N, basis.dim)
+    removed, rest = split_holes(basis, 1)
+    assert np.array_equal(removed, basis.occupations.T)
+    assert np.array_equal([removed, rest], remainder_ranks(basis, 1))
+    assert np.array_equal(sign, [hole_sign((k,)) for k in range(N)])
 
 
 def test_one_hole_where_binomials_overflow_int64():
     basis = lhf.enumerate_determinants(70, 67)          # C(69, 34) > 2^63 in the table
-    h = basis.one_hole
+    removed, rest = split_holes(basis, 1)
     for i in [*range(0, basis.dim, 97), basis.dim - 1]:
         for k in (0, 33, 66):
-            rest = np.delete(basis.occupations[i], k).tolist()
+            left = np.delete(basis.occupations[i], k).tolist()
             rank = math.comb(70, 66) - 1 - sum(math.comb(69 - c, 66 - l)
-                                               for l, c in enumerate(rest))
-            assert h[i, k] == rank
+                                               for l, c in enumerate(left))
+            assert rest[k, i] == rank and removed[k, i] == basis.occupations[i, k]
 
 
 @pytest.mark.parametrize("K,N", [(2, 2), (4, 2), (4, 4), (5, 3), (6, 3), (9, 3),
@@ -109,9 +122,48 @@ def test_two_hole_ranks_are_the_remainders_ranks(K, N):
     basis = lhf.enumerate_determinants(K, N)
     if N > K // 2 + 1:              # rank's binomials clipped at dim would be too small
         assert math.comb(K, N - 2) > basis.dim
-    h = basis.hole_ranks(2)
-    assert h.dtype == np.int64 and h.shape == (basis.dim, math.comb(N, 2))
-    assert np.array_equal(h, remainder_ranks(basis, 2))
+    at, sign = basis.holes(2)
+    assert at.dtype == np.int64 and at.shape == (math.comb(N, 2), basis.dim)
+    assert np.array_equal(split_holes(basis, 2), remainder_ranks(basis, 2))
+    assert np.array_equal(sign, [hole_sign(places)
+                                 for places in itertools.combinations(range(N), 2)])
+
+
+def rank_windows(K, m, width):
+    """(start, sets) of the itertools enumeration of the increasing m-tuples of
+    range(K) in windows of width: its first, a middle and its last window."""
+    total = math.comb(K, m)
+    combos = itertools.combinations(range(K), m)
+    for w in range(-(-total // width)):
+        window = itertools.islice(combos, width)
+        if w in {0, total // width // 2, (total - 1) // width}:
+            yield w * width, list(window)
+        else:
+            collections.deque(window, maxlen=0)
+
+
+@pytest.mark.parametrize("K,N", [(2, 2), (3, 3), (4, 2), (5, 3), (6, 5), (8, 7), (9, 4),
+                                 (12, 5), (70, 67)])    # C(69, 34) > 2^63 sits in the table
+def test_rank_of_every_size_the_hole_tables_read(K, N):
+    basis = lhf.enumerate_determinants(K, N)
+    if K == 70:
+        assert math.comb(69, 34) > np.iinfo(np.int64).max
+    for m in sorted({1, 2, N - 2, N - 1, N} & set(range(N + 1))):
+        for start, sets in rank_windows(K, m, 4000):
+            ranks = basis.rank(np.array(sets, dtype=np.int64).reshape(len(sets), m))
+            assert np.array_equal(ranks, np.arange(start, start + len(sets))), m
+
+
+def test_hole_tables_are_built_once(monkeypatch):
+    basis = lhf.enumerate_determinants(9, 4)
+    tables = {n: basis.holes(n) for n in (1, 2)}
+
+    def unranked(*args):
+        raise AssertionError("a hole table was built again")
+    monkeypatch.setattr(lhf.DeterminantBasis, "rank", unranked)
+    for n, (at, sign) in tables.items():
+        again = basis.holes(n)
+        assert again[0] is at and again[1] is sign
 
 
 def hole_sign(places) -> float:
@@ -127,22 +179,25 @@ def hole_sign(places) -> float:
 def test_replacements_targets_and_signs(K, N, n):
     # a replacement of n occupied by n empty orbitals meets its target at a
     # shared n-hole, with the product of the two hole signs: the pairs that
-    # hole_ranks(n) matches are exactly the replacements
+    # holes(n) matches are exactly the replacements
     basis = lhf.enumerate_determinants(K, N)
     sets = list(itertools.combinations(range(N), n))
+    _, rest = split_holes(basis, n)
+    signs = basis.holes(n)[1]
+    assert np.array_equal(signs, [hole_sign(places) for places in sets])
     by_hole = {}
-    for j, ranks in enumerate(basis.hole_ranks(n)):
-        for places, h in zip(sets, ranks):
-            by_hole.setdefault(h, []).append((j, places))
+    for j, ranks in enumerate(rest.T):
+        for s, h in enumerate(ranks):
+            by_hole.setdefault(h, []).append((j, s))
     entries = []
-    for i, ranks in enumerate(basis.hole_ranks(n)):
+    for i, ranks in enumerate(rest.T):
         occ_i = basis.occupations[i].tolist()
-        for places, h in zip(sets, ranks):
+        for s, h in enumerate(ranks):
             for j, target in by_hole[h]:
-                Q = basis.occupations[j][list(target)].tolist()
+                Q = basis.occupations[j][list(sets[target])].tolist()
                 if not set(Q) & set(occ_i):
-                    P = [occ_i[k] for k in places]
-                    entries.append((i, j, P, Q, hole_sign(places) * hole_sign(target)))
+                    P = [occ_i[k] for k in sets[s]]
+                    entries.append((i, j, P, Q, signs[s] * signs[target]))
     assert len(entries) == basis.dim * math.comb(N, n) * math.comb(K - N, n)
     for i, j, P, Q, sign in entries:
         occ_i = basis.occupations[i].tolist()
@@ -162,7 +217,7 @@ def test_replacements_targets_and_signs(K, N, n):
         (12, 5, 256, None),                 # dim 792: three blocks of 256, one of 24
         (63, 2, 16, 2), (64, 2, 16, 2), (65, 2, 16, 2), (65, 63, 16, 2),
         (70, 67, 16, 2)]                    # binomials past int64
-    for n in (1, 2) if (K, N, n) != (70, 67, 2)])   # hole_ranks(2) there: 121M entries
+    for n in (1, 2) if (K, N, n) != (70, 67, 2)])   # holes(2) there: 121M entries
 def test_replacement_table_matches_sorting_oracle(K, N, block, blocks, n):
     # every replacement the sorting oracle lists, source i, target j, P and Q,
     # shares an n-hole of the two rows, and its sign is the product of the
@@ -173,17 +228,21 @@ def test_replacement_table_matches_sorting_oracle(K, N, block, blocks, n):
     if n > N:                               # no n places to empty: nothing listed
         assert not any(a.size for entries in expect for a in entries)
         return
-    ranks = basis.hole_ranks(n)
+    removed, rest = split_holes(basis, n)
     sets = list(itertools.combinations(range(N), n))
     column = np.zeros((N,) * n, dtype=np.int64)
     for c, places in enumerate(sets):
         column[places] = c
-    sign = np.array([hole_sign(places) for places in sets])
+    sign = basis.holes(n)[1]
+    assert np.array_equal(sign, [hole_sign(places) for places in sets])
+    row = {c: r for r, c in enumerate(itertools.combinations(range(K), n))}
     for i, j, P, Q, old in expect:
         # the place of an occupied orbital x in its row is the count below it
         at_i = column[tuple((basis.occupations[i][:, None] < P[:, :, None]).sum(axis=2).T)]
         at_j = column[tuple((basis.occupations[j][:, None] < Q[:, :, None]).sum(axis=2).T)]
-        assert np.array_equal(ranks[i, at_i], ranks[j, at_j])
+        assert np.array_equal(rest[at_i, i], rest[at_j, j])
+        assert np.array_equal(removed[at_i, i], [row[tuple(p)] for p in P.tolist()])
+        assert np.array_equal(removed[at_j, j], [row[tuple(q)] for q in Q.tolist()])
         assert np.array_equal(sign[at_i] * sign[at_j], old)
 
 
@@ -845,7 +904,7 @@ def test_byte_budget_is_the_size_of_the_operator(rng, monkeypatch):
     nbytes = manybody.hamiltonian_bytes(7, 3)
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
-    assert H._D2.nbytes + H._Z.nbytes + H.at.nbytes + H.W.nbytes == nbytes
+    assert H._D2.nbytes + H._Z.nbytes + basis.holes(2)[0].nbytes + H.W.nbytes == nbytes
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
     with pytest.raises(TooLarge, match="over the budget"):
         lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
@@ -863,7 +922,7 @@ def test_two_hole_table_over_the_byte_budget_raises_before_it_is_built(rng, monk
 
     def unlisted(*args):
         raise AssertionError("a hole table was built")
-    monkeypatch.setattr(lhf.DeterminantBasis, "hole_ranks", unlisted)
+    monkeypatch.setattr(lhf.DeterminantBasis, "holes", unlisted)
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
     with pytest.raises(TooLarge, match=r"\(28 x 56 two-hole amplitudes\), over the budget"):
         lhf.assemble_hamiltonian(basis, np.ones(8), tensor)
@@ -873,7 +932,7 @@ def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
     # near full filling most of D_2 is never written: K = 30, N = 27
     def unlisted(*args):
         raise AssertionError("a hole table was built")
-    monkeypatch.setattr(lhf.DeterminantBasis, "hole_ranks", unlisted)
+    monkeypatch.setattr(lhf.DeterminantBasis, "holes", unlisted)
     config = dataclasses.replace(lhf.load_config(ROOT / "configs/k30n10.cfg"), N=27)
     problem = Problem(config)
     assert problem.det_basis.dim == 4060
