@@ -11,14 +11,17 @@ the build of the operator H (assemble_hamiltonian, its two-hole table
 included), one matvec H @ psi and one ExactPropagator(H).advance(psi, 0.1)
 from a seeded random unit vector, the builds of the hole tables
 DeterminantBasis.holes(1) (table_s), which one_body and rdm_exact read, and
-holes(2) (two_hole_s), which H reads, and rdm_exact, each the median of
-REPEATS runs, every build on a basis fresh from enumerate_determinants, and
-records the tracemalloc peak of one more build over the bytes the budget
-predicts (hamiltonian_bytes); nnz is the count of W's nonzero entries.
+holes(2) (two_hole_s), which H reads, and rdm_exact.  A build is the median
+of REPEATS builds, each on a basis fresh from enumerate_determinants; the
+matvec, the advance and rdm_exact are the median of at least REPEATS calls
+and at least MIN_SECONDS of calls, their number kept (matvec_calls,
+advance_calls, rdm_calls).  The rung also records the tracemalloc peak of one
+more build over the bytes the budget predicts (hamiltonian_bytes); nnz is
+the count of W's nonzero entries.
 The compare rows run `landau-hf compare --threads 1` REPEATS times on each
 of COMPARE_CONFIGS in a fresh process and keep the manifest's total time.
 The tensor rows time two_body_tensor on TENSOR_CONFIG's orbitals (K = 30),
-the median of at least REPEATS calls and at least TENSOR_SECONDS of calls,
+the median of at least REPEATS calls and at least MIN_SECONDS of calls,
 their number kept as calls, with the orbitals built once, for every kernel
 kind: the config's Gaussian at its sigma and at each of TENSOR_SIGMAS, where
 more Fourier modes are kept, the zero and the cosine kernel, and the
@@ -76,7 +79,7 @@ TABLE_GRID = 48                  # the table itself is 42 MB at 48^2, 134 MB at 
 WIDE_CHANGES = {"M": 30, "n_max": 1, "grid1": 256, "grid2": 256, "tensor_grid1": 256,
                 "tensor_grid2": 256}
 REPEATS = 3
-TENSOR_SECONDS = 1.0             # resolves the few-ms tensor rows
+MIN_SECONDS = 1.0                # resolves the few-ms tensor rows and ladder calls
 INTERVAL = 0.1
 SEED = 20240917
 
@@ -128,22 +131,25 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
     hbar = config.constants.hbar
-    matvec_s = median_time(lambda: H @ psi, REPEATS)
-    advance_s = median_time(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL), REPEATS)
+    matvec = call_times(lambda: H @ psi, REPEATS, MIN_SECONDS)
+    advance = call_times(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL), REPEATS,
+                         MIN_SECONDS)
     table_s = median_time(lambda: fresh.pop().holes(1), REPEATS)
     two_hole_s = median_time(lambda: fresh.pop().holes(2), REPEATS)
     state = ManyBodyState(basis=basis, coefficients=psi)
-    rdm_s = median_time(lambda: rdm_exact(state, basis), REPEATS)
+    rdm = call_times(lambda: rdm_exact(state, basis), REPEATS, MIN_SECONDS)
     return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "dim": basis.dim, "nnz": H.nnz,
             "assemble_s": assemble_s, "assemble_peak_mb": peak / 1e6,
             "predicted_mb": predicted / 1e6, "assemble_peak_over_prediction": peak / predicted,
-            "matvec_s": matvec_s, "advance_s": advance_s, "table_s": table_s,
-            "two_hole_s": two_hole_s, "rdm_s": rdm_s}
+            "matvec_s": statistics.median(matvec), "matvec_calls": len(matvec),
+            "advance_s": statistics.median(advance), "advance_calls": len(advance),
+            "table_s": table_s, "two_hole_s": two_hole_s,
+            "rdm_s": statistics.median(rdm), "rdm_calls": len(rdm)}
 
 
 def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> dict:
     """two_body_tensor on orbitals, the median of at least REPEATS calls and
-    TENSOR_SECONDS of calls and their number, its momentum blocks
+    MIN_SECONDS of calls and their number, its momentum blocks
     (tensor_factors), and the tracemalloc peak of one more call over its
     predicted bytes, tensor_bytes."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
@@ -156,7 +162,7 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> 
     K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
     blocks = tensor_factors(potential, K, M, grid)[2]
     predicted = tensor_bytes(K, M, P, blocks)
-    times = call_times(build, REPEATS, TENSOR_SECONDS)
+    times = call_times(build, REPEATS, MIN_SECONDS)
     return {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
             "grid": list(grid.shape), "sigma": potential.sigma, "rank": rank,
             "blocks": len(blocks), "tensor_s": statistics.median(times), "calls": len(times),
@@ -250,7 +256,7 @@ def main():
         compare.append(compare_row(path))
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
-              "repeats": REPEATS, "tensor_seconds": TENSOR_SECONDS, "ladders": ladders,
+              "repeats": REPEATS, "min_seconds": MIN_SECONDS, "ladders": ladders,
               "tensor": tensors, "exact": exact,
               "compare": compare,
               "wall_s": time.perf_counter() - started}

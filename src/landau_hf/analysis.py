@@ -123,14 +123,12 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
 def defect_norm(state: HFState, tensor: InteractionTensor,
                 constants: PhysicalConstants) -> float:
     """||du/dt - H u/(i hbar)|| = |a|/hbar sqrt(1/4 sum_ijab |<ab||ij>|^2),
-    i, j over the orbitals and a, b over the complement of their span, by
-    sequential contractions in O(K^4 N)."""
+    i, j over the orbitals and a, b over the complement of their span: the
+    amplitudes <pq||ij> (InteractionTensor.pair_amplitudes) with p and q
+    projected on the complement."""
     C = state.orbitals
-    K, N = C.shape
-    comp = np.eye(K) - C @ C.conj().T                  # projector onto the complement
-    vC = (tensor.pair.reshape(-1, K) @ C).reshape(K, K, K, N).transpose(0, 2, 1, 3)
-    g = np.tensordot(vC, C, axes=(2, 0)).swapaxes(2, 3)          # <pq|V|ij>
-    g = g - g.swapaxes(2, 3)                                     # <pq||ij>
+    comp = np.eye(len(C)) - C @ C.conj().T             # projector onto the complement
+    g = tensor.pair_amplitudes(C)
     g = np.tensordot(comp, np.tensordot(comp, g, axes=(1, 1)), axes=(1, 1))
     return abs(state.a) / constants.hbar * 0.5 * float(np.linalg.norm(g))
 

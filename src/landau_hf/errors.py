@@ -49,7 +49,10 @@ class OrthonormalityFailure(LandauHFError):
 # --- many-body layer ---------------------------------------------------------
 
 class TooLarge(LandauHFError):
-    """Determinant space exceeds the configured cap."""
+    """A problem exceeds a configured cap: the determinant space or the
+    ground-state occupation sets (DET_SPACE_CAP), the bytes of the tensor or
+    of H (TENSOR_BYTE_CAP, H_BYTE_CAP), or the matvecs of an exact advance
+    (TAYLOR_MATVEC_CAP)."""
 
 
 class LengthMismatch(LandauHFError):

@@ -7,10 +7,11 @@ orbitals obey
     i hbar d/dt phi_l = H1 phi_l + (J[rho] - X[rho]) phi_l,
 
 the Fock operator of the full density rho = sum_l phi_l phi_l^H, with the
-direct (mean-field) potential J[rho] and the nonlocal exchange X[rho].  The
-self-terms of orbital l in J and X cancel exactly, so this equals the mean
-field and exchange of the other orbitals alone.  This orbital flow preserves
-orthonormality exactly but carries the tangential phase rate
+direct (mean-field) potential J[rho] and the nonlocal exchange X[rho], applied
+by InteractionTensor.mean_field.  The self-terms of orbital l in J and X
+cancel exactly, so this equals the mean field and exchange of the other
+orbitals alone.  This orbital flow preserves orthonormality exactly but
+carries the tangential phase rate
 sum_l <phi_l | d/dt phi_l> = (T + 2W)/(i hbar), where T is the one-body and W
 the pair part of the energy.  For a*(wedge of orbitals) to satisfy the
 variational projection of the full dynamics (and hence preserve energy, norm,
@@ -69,21 +70,15 @@ class HFTrajectory:
     gram_devs: np.ndarray
 
 
-def _nonlinear_terms(orbitals: np.ndarray, tensor: InteractionTensor) -> np.ndarray:
-    """eta = (J[rho] - X[rho]) C, rho = C C^H; J and X are one product each
-    on the pair layout pair[(ag), (bd)] of v, using no symmetry of v."""
-    if tensor.is_zero() or orbitals.shape[1] == 1:
-        return np.zeros_like(orbitals)
-    rho = orbitals @ orbitals.conj().T
-    J = (tensor.pair @ rho.T.ravel()).reshape(rho.shape)
-    X = rho.ravel() @ tensor.pair.reshape(len(rho), -1, len(rho))
-    return (J - X) @ orbitals
+def _pair_energy(orbitals: np.ndarray, eta: np.ndarray) -> float:
+    """W = (1/2) Re <C, eta>, eta = (J[rho] - X[rho]) C the mean field of the
+    orbitals C (InteractionTensor.mean_field)."""
+    return 0.5 * float(np.real(np.vdot(orbitals, eta)))
 
 
 def interaction_energy(orbitals: np.ndarray, tensor: InteractionTensor) -> float:
     """W = (1/2) sum_{l != l'} (direct - exchange) pair terms."""
-    eta = _nonlinear_terms(orbitals, tensor)
-    return 0.5 * float(np.real(np.vdot(orbitals, eta)))
+    return _pair_energy(orbitals, tensor.mean_field(orbitals))
 
 
 def hf_rhs(state: HFState, energies: np.ndarray, tensor: InteractionTensor,
@@ -91,11 +86,10 @@ def hf_rhs(state: HFState, energies: np.ndarray, tensor: InteractionTensor,
     """(da/dt, dphi/dt) for the coupled phase/orbital system."""
     hbar = constants.hbar
     C = state.orbitals
-    eta = _nonlinear_terms(C, tensor)
+    eta = tensor.mean_field(C)
     h_phi = np.asarray(energies)[:, None] * C + eta
     dphi = h_phi / (1j * hbar)
-    W = 0.5 * float(np.real(np.vdot(C, eta)))
-    da = (1j * W / hbar) * state.a
+    da = (1j * _pair_energy(C, eta) / hbar) * state.a
     return da, dphi
 
 

@@ -65,6 +65,7 @@ TENSOR_BYTE_CAP = 2 ** 30        # largest predicted size of two_body_tensor's a
 TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(max |v|, 1)
 SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
 TAYLOR_TOL = 2.0 ** -53          # truncation tolerance of ExactPropagator's Taylor sums
+TAYLOR_MATVEC_CAP = 10_000       # most matvecs m* s one advance may plan (10 on the shipped configs)
 # theta_m for TAYLOR_TOL (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from
 # Higham, Functions of Matrices, Table A.3): the largest |t| ||A||_1 / s at
 # which m Taylor terms per step meet the tolerance
@@ -200,7 +201,12 @@ class InteractionTensor:
     exchange/hermiticity deviation, relative to max(max |v|, 1).  rank: the
     terms the quadrature contracted (kept Fourier modes or separable terms),
     None for a dense table; rule_kept: the fraction of entries the selection
-    rule leaves free, 1.0 without a rule."""
+    rule leaves free, 1.0 without a rule.
+
+    The tensor is the only reader of its storage: every contraction of v the
+    package makes is one of its methods, mean_field for the HF flow,
+    pair_amplitudes for the closed-form defect and antisymmetrized_pairs for
+    H, each using no symmetry of v."""
 
     values: np.ndarray
     sup_norm: float
@@ -224,6 +230,32 @@ class InteractionTensor:
 
     def is_zero(self) -> bool:
         return self._zero
+
+    def mean_field(self, C: np.ndarray) -> np.ndarray:
+        """eta = (J[rho] - X[rho]) C, rho = C C^H, for (K, N) orbitals C; J
+        and X are one product each on the pair layout pair[(ag), (bd)]."""
+        if self._zero or C.shape[1] == 1:
+            return np.zeros_like(C)
+        rho = C @ C.conj().T
+        J = (self.pair @ rho.T.ravel()).reshape(rho.shape)
+        X = rho.ravel() @ self.pair.reshape(len(rho), -1, len(rho))
+        return (J - X) @ C
+
+    def pair_amplitudes(self, C: np.ndarray) -> np.ndarray:
+        """<pq||ij> = <pq|V|ij> - <pq|V|ji>, (K, K, N, N), p, q over the
+        basis and i, j over the columns of C, by sequential contractions in
+        O(K^4 N)."""
+        K, N = C.shape
+        vC = (self.pair.reshape(-1, K) @ C).reshape(K, K, K, N).transpose(0, 2, 1, 3)
+        g = np.tensordot(vC, C, axes=(2, 0)).swapaxes(2, 3)          # <pq|V|ij>
+        return g - g.swapaxes(2, 3)
+
+    def antisymmetrized_pairs(self) -> np.ndarray:
+        """<pq||rs> = v[p,q,r,s] - v[p,q,s,r] over ascending pairs, (C(K,2),
+        C(K,2)), the pairs p < q in the order of np.triu_indices(K, 1)."""
+        a, b = np.triu_indices(self.K, 1)
+        v = self.values
+        return v[a[:, None], b[:, None], a, b] - v[a[:, None], b[:, None], b, a]
 
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
@@ -439,8 +471,9 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     """H = sum_p e_p n_p + sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r, with
     <pq||rs> = v[p,q,r,s] - v[p,q,s,r], as the operator A_2 (W x 1) A_2^T
     through the (N-2)-particle determinants (Knowles & Handy 1984):
-      - W[(pq), (rs)] = <pq||rs> over ascending pairs, dense, with (e_p +
-        e_q) / (N - 1) on its diagonal, which H's diagonal sums per row;
+      - W[(pq), (rs)] = <pq||rs> over ascending pairs, dense
+        (InteractionTensor.antisymmetrized_pairs), with (e_p + e_q) / (N - 1)
+        on its diagonal, which H's diagonal sums per row;
       - A_2[i, (pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
         basis.holes(2).
     N = 1 or no interaction gives the one-body diagonal alone.  The bytes of
@@ -461,9 +494,8 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
                        f"to apply ({math.comb(K, 2)} x {math.comb(K, N - 2)} two-hole "
                        f"amplitudes), over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
+    W = tensor.antisymmetrized_pairs()
     a, b = np.triu_indices(K, 1)
-    v = tensor.values
-    W = v[a[:, None], b[:, None], a, b] - v[a[:, None], b[:, None], b, a]
     W[np.diag_indices(len(a))] += (energies[a] + energies[b]) / (N - 1)
     return Hamiltonian(basis, W=W)
 
@@ -564,11 +596,13 @@ def embed_slater(phase: complex, orbitals: np.ndarray,
 
 def taylor_parameters(norm: float) -> tuple[int, int]:
     """(m*, s) of the fewest matvecs m s over TAYLOR_THETA, s = ceil(norm /
-    theta_m) for norm = |t| ||A||_1, the smaller m on a tie; (0, 1) at 0."""
+    theta_m) for norm = |t| ||A||_1, the smaller m on a tie; (0, 1) at 0.
+    An m whose norm / theta_m overflows is skipped: for a finite norm the
+    largest theta keeps it finite, with fewer matvecs."""
     if norm == 0:
         return 0, 1
-    return min(((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
+    return min(((m, math.ceil(norm / theta)) for m, theta in TAYLOR_THETA.items()
+                if math.isfinite(norm / theta)), key=lambda ms: ms[0] * ms[1])
 
 
 class ExactPropagator:
@@ -582,7 +616,8 @@ class ExactPropagator:
     ||A||_1 (taylor_parameters; a bound will do, as ||A^p||_1^(1/p) <=
     ||A||_1), then at most s m* matvecs, each Taylor sum stopped once its
     terms fall below TAYLOR_TOL of it.  A non-finite entry of H or an infinite
-    ||A||_1 raises NonFiniteValue, a non-finite t ||A||_1 InvalidValue.
+    ||A||_1 raises NonFiniteValue, a non-finite t ||A||_1 InvalidValue, and a
+    plan of more than TAYLOR_MATVEC_CAP matvecs TooLarge, before the first.
     matvecs counts the products with H over every advance."""
 
     def __init__(self, H: Hamiltonian, hbar: float = 1.0):
@@ -598,6 +633,10 @@ class ExactPropagator:
             raise InvalidValue("t", f"interval {t!r} times ||A||_1 = "
                                f"{self.norm:.6g} is not finite")
         m, s = taylor_parameters(norm)
+        if m * s > TAYLOR_MATVEC_CAP:
+            raise TooLarge(f"exact propagation over t = {t!r} plans {float(m) * s:.3g} "
+                           f"matvecs ({s:.3g} Taylor steps of {m} terms at |t| ||A||_1 "
+                           f"= {norm:.3g}), over the cap of {TAYLOR_MATVEC_CAP}")
         h = -1j * t / (self.hbar * s)        # one Taylor step of -i (H - mu) t / hbar
         F = B = psi0
         eta = np.exp(h * self.mu)

@@ -8,8 +8,7 @@ import pytest
 import landau_hf as lhf
 from landau_hf import hartree_fock
 from landau_hf.errors import InvalidValue, LandauHFError, NonFiniteValue, NotUnitary
-from landau_hf.hartree_fock import (HFState, _loewdin, _nonlinear_terms,
-                                    interaction_energy)
+from landau_hf.hartree_fock import HFState, _loewdin, interaction_energy
 from landau_hf.manybody import InteractionTensor
 
 import helpers
@@ -35,7 +34,7 @@ def setup():
 def test_fock_form_matches_per_orbital_oracle(rng, N):
     v, sup = helpers.random_interaction_tensor(rng, 7)
     C = random_state(rng, 7, N).orbitals
-    eta = _nonlinear_terms(C, InteractionTensor(values=v, sup_norm=sup))
+    eta = InteractionTensor(values=v, sup_norm=sup).mean_field(C)
     oracle = helpers.per_orbital_mean_field(C, v)
     assert np.max(np.abs(eta - oracle)) < 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
@@ -54,7 +53,8 @@ def _unsymmetric_tensor(rng, K):
     _unsymmetric_tensor,
 ], ids=["symmetric", "no-symmetry"])
 def test_fock_action_matches_index_sum_oracle(rng, layout, make):
-    # the pair-layout products use no symmetry of v and accept any memory order
+    # the pair-layout readers, mean_field and pair_amplitudes, use no
+    # symmetry of v and accept any memory order
     K, N = 7, 3
     v = make(rng, K)
     given = layout(v)
@@ -64,20 +64,24 @@ def test_fock_action_matches_index_sum_oracle(rng, layout, make):
     assert np.array_equal(tensor.values, v)
     C = random_state(rng, K, N).orbitals
     oracle = helpers.fock_matrix(v, C @ C.conj().T) @ C
-    assert np.max(np.abs(_nonlinear_terms(C, tensor) - oracle)) < 1e-13
+    assert np.max(np.abs(tensor.mean_field(C) - oracle)) < 1e-13
+    g = np.einsum("pqrs,ri,sj->pqij", v, C, C)
+    amplitudes = tensor.pair_amplitudes(C)
+    assert amplitudes.shape == (K, K, N, N)
+    assert np.max(np.abs(amplitudes - (g - g.swapaxes(2, 3)))) < 1e-13
 
 
 def test_zero_potential_gives_zero_actions(setup, rng):
     cfg, oset, _ = setup
     zero = lhf.two_body_tensor(lhf.PotentialSpec(kind="zero"), oset, cfg.tensor_grid)
     C = random_state(rng, 9, 3).orbitals
-    assert np.allclose(_nonlinear_terms(C, zero), 0.0)
+    assert np.allclose(zero.mean_field(C), 0.0)
 
 
 def test_single_particle_has_no_mean_field(setup, rng):
     _, _, tensor = setup
     C = random_state(rng, 9, 1).orbitals
-    assert np.allclose(_nonlinear_terms(C, tensor), 0.0)
+    assert np.allclose(tensor.mean_field(C), 0.0)
 
 
 def test_constant_kernel_gives_scaled_orbitals(setup, rng):
@@ -88,7 +92,7 @@ def test_constant_kernel_gives_scaled_orbitals(setup, rng):
                               harmonic1=0, harmonic2=0)
     tensor = lhf.two_body_tensor(const, oset, cfg.tensor_grid)
     C = random_state(rng, 9, 3).orbitals
-    eta = _nonlinear_terms(C, tensor)
+    eta = tensor.mean_field(C)
     assert np.max(np.abs(eta - 0.4 * 2 * C)) < 1e-8
 
 
@@ -117,7 +121,7 @@ def test_actions_match_grid_space_evaluation(setup):
     X_phi = X01 * f1
     exchange_grid = phi.conj() @ X_phi * w
 
-    eta = _nonlinear_terms(C, tensor)
+    eta = tensor.mean_field(C)
     assert np.max(np.abs(eta[:, 0] - (direct_grid - exchange_grid))) < 1e-8
 
 

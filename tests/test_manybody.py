@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -773,6 +774,22 @@ def test_assemble_hermitian(tensor_m3, oset_m3):
     assert abs(H - H.conj().T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("name", ["no-symmetry", *RULE_CASES])
+def test_antisymmetrized_pairs_match_a_loop(rng, name):
+    # W's block of H over ascending pairs in np.triu_indices order; the
+    # momentum-blocked tensors hold the rule's exact zeros
+    if name == "no-symmetry":
+        v = rng.normal(size=(6,) * 4) + 1j * rng.normal(size=(6,) * 4)
+        tensor = InteractionTensor(values=v, sup_norm=1.0)
+    else:
+        oset, pot, grid = rule_case(name)
+        tensor = lhf.two_body_tensor(pot, oset, grid)
+    v = tensor.values
+    pairs = list(itertools.combinations(range(tensor.K), 2))
+    loop = np.array([[v[p, q, r, s] - v[p, q, s, r] for r, s in pairs] for p, q in pairs])
+    assert np.array_equal(tensor.antisymmetrized_pairs(), loop)
+
+
 @pytest.mark.parametrize("K,N", [(4, 2), (6, 2), (5, 3), (4, 1), (4, 4)])
 def test_assemble_matches_tensor_space_oracle(rng, K, N):
     v, _ = helpers.random_interaction_tensor(rng, K)
@@ -1227,6 +1244,19 @@ def test_advance_rejects_non_finite_interval(rng, t):
     prop = manybody.ExactPropagator(_random_hamiltonian(rng, 4, 2))
     with pytest.raises(InvalidValue, match="'t'"):
         prop.advance(random_complex(rng, 6), t)
+
+
+@pytest.mark.parametrize("top", [1.5e150, 1e308])
+def test_advance_refuses_a_plan_over_the_matvec_cap(top):
+    # a finite but huge spectrum plans ~1e147 Taylor steps for t = 0.01; at
+    # 1e308, norm / theta_m overflows for the small m
+    H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(2, 1), [0.0, top], None)
+    prop = manybody.ExactPropagator(H)
+    m, s = manybody.taylor_parameters(0.01 * prop.norm)
+    assert m * s > manybody.TAYLOR_MATVEC_CAP
+    with pytest.raises(TooLarge, match=re.escape(f"plans {float(m) * s:.3g} matvecs")):
+        prop.advance(np.ones(2, dtype=complex), 0.01)
+    assert prop.matvecs == 0
 
 
 def test_advance_backward_matches_dense_oracle(rng):
