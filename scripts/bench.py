@@ -11,13 +11,14 @@ the build of the operator H (assemble_hamiltonian, its two-hole table
 included), one matvec H @ psi and one ExactPropagator(H).advance(psi, 0.1)
 from a seeded random unit vector, the builds of the hole tables
 DeterminantBasis.holes(1) (table_s), which one_body and rdm_exact read, and
-holes(2) (two_hole_s), which H reads, and rdm_exact.  A build is the median
-of REPEATS builds, each on a basis fresh from enumerate_determinants; the
-matvec, the advance and rdm_exact are the median of at least REPEATS calls
-and at least MIN_SECONDS of calls, their number kept (matvec_calls,
-advance_calls, rdm_calls).  The rung also records the tracemalloc peak of one
-more build over the bytes the budget predicts (hamiltonian_bytes); nnz is
-the count of W's nonzero entries.
+holes(2) (two_hole_s), which H reads, and rdm_exact.  Each is the median of
+at least REPEATS calls and at least MIN_SECONDS of calls, their number kept
+(assemble_calls, matvec_calls, advance_calls, table_calls, two_hole_calls,
+rdm_calls).  A table is built once per basis, so each timed build runs on a
+basis fresh from enumerate_determinants, made before the timed call and
+dropped after it.  The rung also records the tracemalloc peak of the build
+of its H over the bytes the budget predicts (hamiltonian_bytes); nnz is the
+count of W's nonzero entries.
 The compare rows run `landau-hf compare --threads 1` REPEATS times on each
 of COMPARE_CONFIGS in a fresh process and keep the manifest's total time.
 The tensor rows time two_body_tensor on TENSOR_CONFIG's orbitals (K = 30),
@@ -96,32 +97,40 @@ def machine() -> dict:
             "numpy": np.__version__, "scipy": scipy.__version__, "commit": commit}
 
 
-def call_times(fn, repeats: int, seconds: float = 0.0) -> list[float]:
-    """The times of calls of fn, at least repeats calls and at least seconds
-    of calls in all."""
+def call_times(fn) -> list[float]:
+    """The times of calls of fn, at least REPEATS calls and at least
+    MIN_SECONDS of calls in all."""
     times = []
-    while len(times) < repeats or sum(times) < seconds:
+    while len(times) < REPEATS or sum(times) < MIN_SECONDS:
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return times
 
 
-def median_time(fn, repeats: int) -> float:
-    return statistics.median(call_times(fn, repeats))
+def build_times(build, K: int, N: int) -> list[float]:
+    """call_times of build(basis), each on a basis fresh from
+    enumerate_determinants(K, N) made before the timed call and dropped after
+    it, so that at most one of the tables it builds is alive."""
+    times = []
+    while len(times) < REPEATS or sum(times) < MIN_SECONDS:
+        basis = enumerate_determinants(K, N)
+        start = time.perf_counter()
+        build(basis)
+        times.append(time.perf_counter() - start)
+        del basis
+    return times
 
 
 def rung(path: str, M: int, n_max: int, N: int) -> dict:
     config = dataclasses.replace(load_config(ROOT / path), M=M, n_max=n_max, N=N)
     problem = Problem(config)
     basis, energies, tensor = problem.det_basis, problem.energies, problem.tensor
-    # the hole tables are built once per basis: each timed build gets its own
-    fresh = [enumerate_determinants(basis.K, N) for _ in range(3 * REPEATS + 1)]
-    assemble_s = median_time(lambda: assemble_hamiltonian(fresh.pop(), energies, tensor),
-                             REPEATS)
+    assemble = build_times(lambda fresh: assemble_hamiltonian(fresh, energies, tensor),
+                           basis.K, N)
     tracemalloc.start()
     try:
-        H = assemble_hamiltonian(fresh.pop(), energies, tensor)
+        H = assemble_hamiltonian(basis, energies, tensor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -131,19 +140,20 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
     hbar = config.constants.hbar
-    matvec = call_times(lambda: H @ psi, REPEATS, MIN_SECONDS)
-    advance = call_times(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL), REPEATS,
-                         MIN_SECONDS)
-    table_s = median_time(lambda: fresh.pop().holes(1), REPEATS)
-    two_hole_s = median_time(lambda: fresh.pop().holes(2), REPEATS)
+    matvec = call_times(lambda: H @ psi)
+    advance = call_times(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL))
+    table = build_times(lambda fresh: fresh.holes(1), basis.K, N)
+    two_hole = build_times(lambda fresh: fresh.holes(2), basis.K, N)
     state = ManyBodyState(basis=basis, coefficients=psi)
-    rdm = call_times(lambda: rdm_exact(state, basis), REPEATS, MIN_SECONDS)
+    rdm = call_times(lambda: rdm_exact(state, basis))
     return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "dim": basis.dim, "nnz": H.nnz,
-            "assemble_s": assemble_s, "assemble_peak_mb": peak / 1e6,
+            "assemble_s": statistics.median(assemble), "assemble_calls": len(assemble),
+            "assemble_peak_mb": peak / 1e6,
             "predicted_mb": predicted / 1e6, "assemble_peak_over_prediction": peak / predicted,
             "matvec_s": statistics.median(matvec), "matvec_calls": len(matvec),
             "advance_s": statistics.median(advance), "advance_calls": len(advance),
-            "table_s": table_s, "two_hole_s": two_hole_s,
+            "table_s": statistics.median(table), "table_calls": len(table),
+            "two_hole_s": statistics.median(two_hole), "two_hole_calls": len(two_hole),
             "rdm_s": statistics.median(rdm), "rdm_calls": len(rdm)}
 
 
@@ -162,7 +172,7 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> 
     K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
     blocks = tensor_factors(potential, K, M, grid)[2]
     predicted = tensor_bytes(K, M, P, blocks)
-    times = call_times(build, REPEATS, MIN_SECONDS)
+    times = call_times(build)
     return {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
             "grid": list(grid.shape), "sigma": potential.sigma, "rank": rank,
             "blocks": len(blocks), "tensor_s": statistics.median(times), "calls": len(times),

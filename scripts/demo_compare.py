@@ -9,7 +9,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from landau_hf import load_config
-from landau_hf.analysis import run_comparison
+from landau_hf.analysis import Problem, run_comparison
 from landau_hf.cli import write_timeseries
 
 
@@ -21,7 +21,7 @@ def main():
     args = parser.parse_args()
 
     config = load_config(args.config)
-    result = run_comparison(config)
+    result = run_comparison(Problem(config))
 
     print(f"{'t':>6} {'error':>12} {'int.defect':>12} {'a-priori':>12} "
           f"{'rdm dist':>12}")

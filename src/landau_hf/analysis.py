@@ -210,12 +210,12 @@ def rescale_mean_field(config: SimulationConfig) -> ScalingConfig:
 class ComparisonResult:
     records: list
     summary: dict
-    counters: dict
 
 
 class Problem:
-    """The set-up of one run for every compute subcommand and run_comparison,
-    each piece built on first use and kept; ground_state builds no orbital."""
+    """The set-up of one run, each piece built on first use and kept;
+    ground_state builds no orbital.  The command line builds one per compute
+    subcommand and hands it to run_comparison for compare."""
 
     def __init__(self, config: SimulationConfig):
         self.config = config
@@ -309,8 +309,8 @@ class Problem:
                 yield t, psi
 
 
-def run_comparison(config: SimulationConfig) -> ComparisonResult:
-    """Evolve the same initial determinant exactly and effectively, sampling
+def run_comparison(problem: Problem) -> ComparisonResult:
+    """Evolve problem's initial determinant exactly and effectively, sampling
     error norms, both bounds, energies, and the reduced-density distance.
 
     One pass over hf_steps adds the closed-form defect of every step to a
@@ -320,7 +320,7 @@ def run_comparison(config: SimulationConfig) -> ComparisonResult:
     that breaks a bound is kept and counted in the summary's
     bound_violations.
     """
-    problem = Problem(config)
+    config = problem.config
     energies, tensor, constants = problem.energies, problem.tensor, config.constants
     det_basis, H = problem.det_basis, problem.H
     hf0 = problem.initial_state()
@@ -379,4 +379,4 @@ def run_comparison(config: SimulationConfig) -> ComparisonResult:
         "max_phase_deviation": max_phase,
         "tensor_symmetry_deviation": tensor.symmetry_deviation,
     }
-    return ComparisonResult(records=records, summary=summary, counters=problem.counters())
+    return ComparisonResult(records=records, summary=summary)

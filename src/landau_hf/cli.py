@@ -64,24 +64,25 @@ def write_csv(path: str, header: str, rows):
 class Manifest:
     """Record of one run: config echo, timings, counters, outputs, validations.
 
-    dispatch opens the one Manifest of every compute subcommand, which
-    creates the out dir.  Each output file is written inside a
-    `with manifest.output(name) as path:` block and listed only once that
-    block ends without an error.  On leaving, the Manifest writes
-    manifest.json, also when a LandauHFError stops the run: then with ok
-    false and the message as a failed validation, defect_support for a
+    dispatch opens the one Manifest of every compute subcommand on the run's
+    one Problem, and the Manifest creates the out dir.  Each output file is
+    written inside a `with manifest.output(name) as path:` block and listed
+    only once that block ends without an error.  On leaving, the Manifest
+    writes manifest.json with the counters of what the Problem built
+    (Problem.counters), also when a LandauHFError stops the run: then with
+    ok false and the message as a failed validation, defect_support for a
     SupportViolation and error otherwise.
     """
 
-    def __init__(self, command: str, args, config: SimulationConfig):
+    def __init__(self, command: str, args, problem: Problem):
         self.out_dir = args.out_dir
+        self.problem = problem
         self.data = {
             "command": command,
             "config_path": args.config,
-            "config": _config_echo(config),
+            "config": _config_echo(problem.config),
             "version": __version__,
             "timings": {},
-            "counters": {},
             "outputs": [],
             "validations": {},
             "ok": True,
@@ -124,6 +125,7 @@ class Manifest:
 
     def write(self):
         self.data["timings"]["total"] = time.perf_counter() - self._t0
+        self.data["counters"] = self.problem.counters()
         for name in self.data["outputs"]:
             full = os.path.join(self.out_dir, name)
             if not (os.path.exists(full) and os.path.getsize(full) > 0):
@@ -157,16 +159,16 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_basis(args, config: SimulationConfig, manifest: Manifest) -> int:
-    oset = build_orbital_set(config)
+def cmd_basis(args, problem: Problem, manifest: Manifest) -> int:
+    oset = build_orbital_set(problem.config)
     manifest.phase("build_basis")
-    X1, X2 = config.grid.mesh()
+    X1, X2 = problem.config.grid.mesh()
     for orb in oset.orbitals:
         rows = zip(X1.ravel(), X2.ravel(),
                    orb.values.real.ravel(), orb.values.imag.ravel())
         with manifest.output(f"orbital_n{orb.n}_m{orb.m}.csv") as path:
             write_csv(path, "x1,x2,Re,Im", rows)
-    report = basis_report(oset, config.constants)
+    report = basis_report(oset, problem.config.constants)
     manifest.phase("validate")
     with manifest.output("basis_report.json") as path:
         _write_json(path, report)
@@ -176,10 +178,8 @@ def cmd_basis(args, config: SimulationConfig, manifest: Manifest) -> int:
     return 0 if gram <= GRAM_TOL else 1
 
 
-def cmd_groundstate(args, config: SimulationConfig, manifest: Manifest) -> int:
-    problem = Problem(config)
+def cmd_groundstate(args, problem: Problem, manifest: Manifest) -> int:
     filling, energy, sets = problem.ground_state
-    manifest.data["counters"] = problem.counters()
     payload = {
         "E0": energy,
         "nu": filling.nu,
@@ -195,21 +195,19 @@ def cmd_groundstate(args, config: SimulationConfig, manifest: Manifest) -> int:
     return 0
 
 
-def cmd_evolve_exact(args, config: SimulationConfig, manifest: Manifest) -> int:
-    problem = Problem(config)
+def cmd_evolve_exact(args, problem: Problem, manifest: Manifest) -> int:
     H = problem.H
     manifest.phase("assemble")
     rows = [(t, float(np.real(np.vdot(psi, H @ psi))), float(np.linalg.norm(psi)))
             for t, psi in problem.exact_samples()]
-    manifest.data["counters"] = problem.counters()
     with manifest.output("exact_timeseries.csv") as path:
         write_csv(path, "t,energy,norm", rows)
     manifest.phase("evolve")
     return 0
 
 
-def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
-    problem = Problem(config)
+def cmd_evolve_hf(args, problem: Problem, manifest: Manifest) -> int:
+    config = problem.config
     orbitals = None
     if args.initial != "nigs-ground":
         # OSError/ValueError: unreadable or not numpy data; EOFError: empty;
@@ -225,7 +223,6 @@ def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
     traj = integrate_hf(hf0, config.dt, config.t_final, config.integrator,
                         tensor, problem.energies, config.constants,
                         sample_stride=config.sample_stride)
-    manifest.data["counters"] = problem.counters()
     rows = [(t, s.a.real, s.a.imag, e, n, g) for t, s, e, n, g in zip(
         traj.times, traj.states, traj.energies, traj.norms, traj.gram_devs)]
     with manifest.output("hf_timeseries.csv") as path:
@@ -239,10 +236,9 @@ def cmd_evolve_hf(args, config: SimulationConfig, manifest: Manifest) -> int:
     return 0
 
 
-def cmd_compare(args, config: SimulationConfig, manifest: Manifest) -> int:
-    result = run_comparison(config)
+def cmd_compare(args, problem: Problem, manifest: Manifest) -> int:
+    result = run_comparison(problem)
     manifest.phase("compare")
-    manifest.data["counters"] = result.counters
     with manifest.output("compare_timeseries.csv") as path:
         write_timeseries(result.records, path)
     with manifest.output("compare_summary.json") as path:
@@ -290,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     """The one run path of the compute subcommands: check --threads, load
     the config, apply --dt, --t-final and --scheme over it (revalidated by
-    dataclasses.replace), open the Manifest and call args.func(args, config,
-    manifest).  validate loads its own config.  A LandauHFError exits 1."""
+    dataclasses.replace), build the run's one Problem, open the Manifest on
+    it and call args.func(args, problem, manifest).  validate loads its own
+    config.  A LandauHFError exits 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -307,8 +304,9 @@ def dispatch(argv) -> int:
         flags = {key: value for key, value in flags.items() if value is not None}
         if flags:
             config = replace(config, **flags)
-        with Manifest(args.command, args, config) as manifest:
-            return args.func(args, config, manifest)
+        problem = Problem(config)
+        with Manifest(args.command, args, problem) as manifest:
+            return args.func(args, problem, manifest)
     except LandauHFError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -234,6 +234,8 @@ class SimulationConfig:
             raise InvalidValue("dt", "must be finite and > 0")
         if not (0.0 <= self.t_final < math.inf):
             raise InvalidValue("t_final", "must be finite and >= 0")
+        if not math.isfinite(self.t_final / self.dt):
+            raise InvalidValue("t_final", "t_final / dt must be finite")
         if self.integrator not in INTEGRATORS:
             raise InvalidValue("integrator", f"must be one of {INTEGRATORS}")
         if self.sample_stride < 1:

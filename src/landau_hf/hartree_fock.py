@@ -132,7 +132,10 @@ def _loewdin(a: complex, orbitals: np.ndarray) -> tuple[complex, np.ndarray]:
 
 def time_grid(dt: float, t_final: float) -> tuple[float, int]:
     """Step dividing [0, t_final] into n_steps = round(t_final / dt) steps (at
-    least one if t_final > 0), and n_steps."""
+    least one if t_final > 0), and n_steps.  A t_final / dt that is not finite
+    raises InvalidValue."""
+    if not math.isfinite(t_final / dt):
+        raise InvalidValue("t_final", "t_final / dt must be finite")
     n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
     return (t_final / n_steps if n_steps else 0.0), n_steps
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import landau_hf as lhf
-from landau_hf.analysis import run_comparison
+from landau_hf.analysis import Problem, run_comparison
 from landau_hf.cli import dispatch
 from landau_hf.hartree_fock import HFState
 from landau_hf.manybody import InteractionTensor, ManyBodyState
@@ -164,7 +164,7 @@ def bound_runs():
         for strength in (0.0, 0.05, 0.2):
             cfg = make_config(M=3, n_max=2, N=N, strength=strength,
                               t_final=1.0, dt=1e-3, sample_stride=10)
-            runs[(N, strength)] = run_comparison(cfg)
+            runs[(N, strength)] = run_comparison(Problem(cfg))
     return runs
 
 

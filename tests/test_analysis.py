@@ -58,7 +58,7 @@ def test_error_orthogonal_states_is_sqrt2(system):
 def test_error_vanishes_without_interaction():
     cfg = make_config(M=3, n_max=2, N=2, strength=0.0, t_final=0.5,
                       sample_stride=50)
-    result = run_comparison(cfg)
+    result = run_comparison(Problem(cfg))
     assert max(r.error_norm for r in result.records) <= 1e-8
 
 
@@ -195,7 +195,7 @@ def test_comparison_raises_on_sector_leak(monkeypatch):
 
     monkeypatch.setattr(analysis, "hf_rhs", leaky)
     with pytest.raises(SupportViolation, match="outside the two-replacement"):
-        run_comparison(cfg)
+        run_comparison(Problem(cfg))
 
 
 def test_comparison_raises_on_closed_form_deviation(monkeypatch):
@@ -204,7 +204,7 @@ def test_comparison_raises_on_closed_form_deviation(monkeypatch):
     monkeypatch.setattr(analysis, "defect_norm",
                         lambda *args: closed(*args) + 1e-6)
     with pytest.raises(SupportViolation, match="closed-form defect"):
-        run_comparison(cfg)
+        run_comparison(Problem(cfg))
 
 
 def test_comparison_evaluates_hf_energy_once_per_record(monkeypatch):
@@ -213,7 +213,7 @@ def test_comparison_evaluates_hf_energy_once_per_record(monkeypatch):
     counted = lambda *args: calls.append(args) or energy(*args)
     monkeypatch.setattr(analysis, "hf_energy", counted)
     monkeypatch.setattr(hartree_fock, "hf_energy", counted)
-    result = run_comparison(cfg)
+    result = run_comparison(Problem(cfg))
     assert len(result.records) == 3 and len(calls) == 3
     assert result.summary["initial_energy"] == result.records[0].energy_hf
 
@@ -221,7 +221,7 @@ def test_comparison_evaluates_hf_energy_once_per_record(monkeypatch):
 def test_integrated_defect_dominates_error():
     cfg = make_config(M=3, n_max=2, N=2, strength=0.2, t_final=0.3,
                       sample_stride=25)
-    result = run_comparison(cfg)
+    result = run_comparison(Problem(cfg))
     for rec in result.records:
         assert rec.error_norm <= rec.defect_bound + 1e-7
         assert rec.defect_bound <= rec.apriori_bound + 1e-7
@@ -245,7 +245,7 @@ def test_small_time_error_slope():
     C0 = unit_columns(9, sets[0])
     st0 = HFState(time=0.0, a=1.0 + 0j, orbitals=C0)
     slope = lhf.defect_norm(st0, tensor, cfg.constants)
-    result = run_comparison(cfg)
+    result = run_comparison(Problem(cfg))
     for rec in result.records:
         assert rec.error_norm <= 1.05 * slope * rec.t + 1e-12
 
@@ -255,8 +255,8 @@ def test_comparison_chains_samples_like_one_shot_propagation():
     # record must match propagating the initial state over the whole time
     cfg = make_config(M=3, n_max=2, N=2, strength=0.2, t_final=0.1,
                       sample_stride=20)
-    result = run_comparison(cfg)
     problem = Problem(cfg)
+    result = run_comparison(problem)
     hf0 = problem.initial_state()
     traj = lhf.integrate_hf(hf0, cfg.dt, cfg.t_final, cfg.integrator,
                             problem.tensor, problem.energies, cfg.constants,
@@ -275,8 +275,8 @@ def test_comparison_chains_samples_like_one_shot_propagation():
 def test_defect_bound_is_trapezoid_over_every_step():
     cfg = make_config(M=3, n_max=2, N=2, strength=0.2, t_final=0.05,
                       sample_stride=20)
-    result = run_comparison(cfg)
     problem = Problem(cfg)
+    result = run_comparison(problem)
     traj = lhf.integrate_hf(problem.initial_state(), cfg.dt, cfg.t_final,
                             cfg.integrator, problem.tensor, problem.energies,
                             cfg.constants, sample_stride=1)
@@ -293,7 +293,7 @@ def test_defect_bound_is_trapezoid_over_every_step():
 def test_error_never_exceeds_triangle_ceiling():
     cfg = make_config(M=2, n_max=1, N=2, strength=1.0, t_final=0.5,
                       sample_stride=50, tensor_grid=48)
-    result = run_comparison(cfg)
+    result = run_comparison(Problem(cfg))
     for rec in result.records:
         assert rec.error_norm <= 2.0 + 1e-12
 

@@ -141,25 +141,45 @@ def test_compare_outputs_and_manifest(tmp_path):
     assert "compare_timeseries.csv" in manifest["outputs"]
 
 
-def test_manifest_counters_name_what_each_run_built(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, M=3, n_max=2, N=3)
-    counters = {}
-    for command in ("compare", "evolve-exact", "evolve-hf", "groundstate"):
-        out = tmp_path / command
+def test_manifest_counters_name_what_each_run_built(tmp_path, capsys, monkeypatch):
+    def counters_of(command, cfg, rc=0):
+        out = tmp_path / f"{pathlib.Path(cfg).stem}-{command}-{rc}"
         assert dispatch([command, "--config", cfg, "--out-dir", str(out),
-                         "--threads", "1"]) == 0
-        counters[command] = json.loads((out / "manifest.json").read_text())["counters"]
+                         "--threads", "1"]) == rc
+        return json.loads((out / "manifest.json").read_text())["counters"]
+
+    cfg = write_cfg(tmp_path, M=3, n_max=2, N=3)
+    counters = {command: counters_of(command, cfg) for command in
+                ("compare", "evolve-exact", "evolve-hf", "groundstate")}
     problem = Problem(load_config(cfg))
     samples = sum(1 for _ in problem.exact_samples())
     assert samples == 6 and problem.propagator.matvecs > samples
     # cosine, harmonic2 = 1, M = 3: transfers +-1 mod 3 in each particle, 4/9
-    expect = {"K": 9, "N": 3, "dim": 84, "nnz": problem.H.nnz, "tensor_rank": 1,
-              "tensor_rule_kept": 4 / 9, "matvecs": problem.propagator.matvecs}
-    assert counters["compare"] == counters["evolve-exact"] == expect
-    assert 84 < expect["nnz"] < 84 * (1 + 3 * 6 + 3 * 15)
+    built = {"K": 9, "N": 3, "dim": 84, "nnz": problem.H.nnz, "tensor_rank": 1,
+             "tensor_rule_kept": 4 / 9}
+    assert counters["compare"] == counters["evolve-exact"] == {
+        **built, "matvecs": problem.propagator.matvecs}
+    assert 84 < built["nnz"] < 84 * (1 + 3 * 6 + 3 * 15)
     assert counters["evolve-hf"] == {"K": 9, "N": 3, "tensor_rank": 1,
                                      "tensor_rule_kept": 4 / 9}
     assert counters["groundstate"] == {"K": 9, "N": 3}
+    # grid1 = 32 resolves the magnetic length at M = 2, not at M = 3
+    assert counters_of("basis", write_cfg(tmp_path, "small.cfg", M=2, n_max=1, N=2)) == {
+        "K": 4, "N": 2}
+
+    # a run stopped by an error names what it built before the stop
+    huge = write_cfg(tmp_path, "huge.cfg", M=3, n_max=2, N=3, strength=1e150)
+    problem = Problem(load_config(huge))
+    assert counters_of("evolve-exact", huge, rc=1) == {
+        "K": 9, "N": 3, "dim": problem.det_basis.dim, "nnz": problem.H.nnz,
+        "tensor_rank": problem.tensor.rank, "tensor_rule_kept": problem.tensor.rule_kept,
+        "matvecs": 0}
+    closed = analysis.defect_norm
+    monkeypatch.setattr(analysis, "defect_norm", lambda *args: closed(*args) + 1e-6)
+    assert counters_of("compare", cfg, rc=1) == built
+    # C(30, 10) ground-state occupation sets, over DET_SPACE_CAP
+    wide = write_cfg(tmp_path, "wide.cfg", M=30, n_max=1, N=10)
+    assert counters_of("groundstate", wide, rc=1) == {"K": 60, "N": 10}
 
 
 def test_compare_runs_are_reproducible(tmp_path):
@@ -382,6 +402,19 @@ def test_zero_charge_exits_one(tmp_path, capsys, command):
         M=3, n_max=2, N=2, strength=0.1, t_final=0.05))
     _exits_one_without_traceback(tmp_path, capsys, command, str(cfg),
                                  "invalid value for 'charge'")
+
+
+@pytest.mark.parametrize("command", ["validate", "basis", "groundstate", "evolve-exact",
+                                     "evolve-hf", "compare"])
+def test_step_count_that_overflows_exits_one(tmp_path, capsys, command):
+    # configs/example.cfg with t_final / dt = 1e300 / 1e-10, which is inf
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text((ROOT / "configs/example.cfg").read_text()
+                   .replace("dt = 1e-3", "dt = 1e-10").replace("t_final = 1.0", "t_final = 1e300"))
+    prefix = "validation failed: " if command == "validate" else "error: "
+    _exits_one_without_traceback(tmp_path, capsys, command, str(cfg), prefix +
+                                 "invalid value for 't_final': t_final / dt must be finite")
+    assert not (tmp_path / "out").exists()
 
 
 def _huge_gaussian_cfg(tmp_path):

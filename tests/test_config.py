@@ -93,6 +93,15 @@ def test_bad_value_names_its_key(section, key, value):
     assert err.value.key == key
 
 
+def test_step_count_that_overflows_names_t_final():
+    # 1e300 / 1e-10 is inf: round() of it would raise OverflowError
+    sections = _minimal()
+    sections["dynamics"].update(dt="1e-10", t_final="1e300")
+    with pytest.raises(InvalidValue) as err:
+        lhf.parse_config(_text(sections))
+    assert err.value.key == "t_final" and "t_final / dt must be finite" in str(err.value)
+
+
 def test_omitted_keys_take_derived_defaults():
     text = _text(dict(MINIMAL, domain={"L1": "8.0", "L2": "6.0", "M": "1"},
                       basis={"n_max": "0", "grid1": "40", "tensor_grid1": "24"},

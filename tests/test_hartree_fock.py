@@ -319,7 +319,7 @@ def test_unknown_scheme_is_an_invalid_value(setup, rng):
     (1e-3, 0.01, "euler", "scheme"), (0.0, 0.01, "rk4", "dt"), (-1e-3, 0.01, "rk4", "dt"),
     (math.nan, 0.01, "rk4", "dt"), (math.inf, 0.01, "rk4", "dt"),
     (1e-3, -0.01, "rk4", "t_final"), (1e-3, math.nan, "rk4", "t_final"),
-    (1e-3, math.inf, "rk4", "t_final")])
+    (1e-3, math.inf, "rk4", "t_final"), (1e-10, 1e300, "rk4", "t_final")])
 def test_hf_steps_checks_its_arguments_at_the_call(setup, rng, dt, t_final, scheme, key):
     # the generator is never advanced: the call itself raises
     cfg, oset, tensor = setup
@@ -329,6 +329,11 @@ def test_hf_steps_checks_its_arguments_at_the_call(setup, rng, dt, t_final, sche
     with pytest.raises(InvalidValue, match=f"'{key}'"):
         lhf.integrate_hf(random_state(rng, 9, 2), dt, t_final, scheme, tensor,
                          oset.energies, cfg.constants)
+
+
+def test_time_grid_refuses_a_step_count_that_overflows():
+    with pytest.raises(InvalidValue, match="'t_final': t_final / dt must be finite"):
+        hartree_fock.time_grid(1e-10, 1e300)
 
 
 def test_first_steps_of_a_long_grid_allocate_no_step_list(setup, rng):
