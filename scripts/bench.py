@@ -28,12 +28,17 @@ kind: the config's Gaussian at its sigma and at each of TENSOR_SIGMAS, where
 more Fourier modes are kept, the zero and the cosine kernel, and the
 Gaussian's pair values as a table on a TABLE_GRID^2 tensor grid; one more
 row times the config's Gaussian with WIDE_CHANGES (K = 60, the
-effective-flow run of CI).  Each row records its number of momentum blocks
-and the tracemalloc peak of one more call over the bytes two_body_tensor
-predicts (tensor_bytes).  The exact row runs `landau-hf evolve-exact` once
-on EXACT_CONFIG with EXACT_CHANGES, the (24, 6) rung's problem, in a fresh
-process started before any other row, and keeps its wall time, its peak RSS
-and the manifest's total time.  The machine block names where the numbers
+effective-flow run of CI).  Each row records its number of momentum blocks,
+its momentum modulus g, the bytes of its stored blocks of v and F, and the
+tracemalloc peak of one more call over the bytes two_body_tensor predicts
+(tensor_bytes).  The config's Gaussian rows at K = 30 and K = 60 also time
+InteractionTensor.mean_field, the HF right-hand side's contraction, on
+seeded random orthonormal orbitals of the config's N, the median of at least
+REPEATS calls and MIN_SECONDS of calls (mean_field_s, mean_field_calls).
+The exact row runs `landau-hf evolve-exact` once on EXACT_CONFIG with
+EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process started
+before any other row, and keeps its wall time, its peak RSS and the
+manifest's total time.  The machine block names where the numbers
 come from.
 
     python scripts/bench.py --label after      # writes BENCH_after.json
@@ -157,15 +162,17 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
             "rdm_s": statistics.median(rdm), "rdm_calls": len(rdm)}
 
 
-def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> dict:
+def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
+               N: int | None = None) -> dict:
     """two_body_tensor on orbitals, the median of at least REPEATS calls and
     MIN_SECONDS of calls and their number, its momentum blocks
-    (tensor_factors), and the tracemalloc peak of one more call over its
-    predicted bytes, tensor_bytes."""
+    (tensor_factors), modulus and stored bytes, and the tracemalloc peak of
+    one more call over its predicted bytes, tensor_bytes; given N, the
+    median mean_field call on N seeded random orthonormal orbitals."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
     tracemalloc.start()
     try:
-        rank = build().rank
+        tensor = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,24 +180,34 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None) -> 
     blocks = tensor_factors(potential, K, M, grid)[2]
     predicted = tensor_bytes(K, M, P, blocks)
     times = call_times(build)
-    return {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
-            "grid": list(grid.shape), "sigma": potential.sigma, "rank": rank,
-            "blocks": len(blocks), "tensor_s": statistics.median(times), "calls": len(times),
-            "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,
-            "peak_over_prediction": peak / predicted}
+    row = {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
+           "grid": list(grid.shape), "sigma": potential.sigma, "rank": tensor.rank,
+           "blocks": len(blocks), "modulus": tensor.modulus,
+           "stored_mb": (tensor.blocks.nbytes + tensor.anti.nbytes) / 1e6,
+           "tensor_s": statistics.median(times), "calls": len(times),
+           "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,
+           "peak_over_prediction": peak / predicted}
+    if N is not None:
+        rng = np.random.default_rng(SEED)
+        C = np.linalg.qr(rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N)))[0]
+        calls = call_times(lambda: tensor.mean_field(C))
+        row.update(N=N, mean_field_s=statistics.median(calls), mean_field_calls=len(calls))
+    return row
 
 
 def tensor_rows() -> list[dict]:
-    """tensor_row for TENSOR_CONFIG's Gaussian at its sigma and at each of
-    TENSOR_SIGMAS, for the zero and the cosine kernel on its tensor grid, for
-    the Gaussian's pair values as a table on a TABLE_GRID^2 grid, and for the
-    Gaussian with WIDE_CHANGES."""
+    """tensor_row for TENSOR_CONFIG's Gaussian at its sigma, with mean_field
+    at the config's N, and at each of TENSOR_SIGMAS, for the zero and the
+    cosine kernel on its tensor grid, for the Gaussian's pair values as a
+    table on a TABLE_GRID^2 grid, and for the Gaussian with WIDE_CHANGES,
+    with mean_field."""
     config = load_config(ROOT / TENSOR_CONFIG)
     grid = config.tensor_grid
     orbitals = build_orbital_set(config, grid=grid)
     gaussian = config.potential
-    rows = [tensor_row(dataclasses.replace(gaussian, sigma=sigma), orbitals, grid)
-            for sigma in [gaussian.sigma, *TENSOR_SIGMAS]]
+    rows = [tensor_row(gaussian, orbitals, grid, N=config.N)]
+    rows += [tensor_row(dataclasses.replace(gaussian, sigma=sigma), orbitals, grid)
+             for sigma in TENSOR_SIGMAS]
     for kind in ("zero", "separable-cosine"):
         rows.append(tensor_row(PotentialSpec(kind=kind, strength=gaussian.strength),
                                orbitals, grid))
@@ -199,7 +216,7 @@ def tensor_rows() -> list[dict]:
     rows.append(tensor_row(table, build_orbital_set(config, grid=table_grid), table_grid))
     wide = dataclasses.replace(config, **WIDE_CHANGES)
     rows.append(tensor_row(wide.potential, build_orbital_set(wide, grid=wide.tensor_grid),
-                           wide.tensor_grid, WIDE_CHANGES))
+                           wide.tensor_grid, WIDE_CHANGES, N=wide.N))
     return rows
 
 

@@ -224,6 +224,11 @@ class Problem:
     def orbital_set(self):
         return build_orbital_set(self.config, grid=self.config.tensor_grid)
 
+    @cached_property
+    def grid_orbitals(self):
+        """The orbital set sampled on config.grid, which basis writes and checks."""
+        return build_orbital_set(self.config)
+
     @property
     def energies(self) -> np.ndarray:
         return self.orbital_set.energies
@@ -248,11 +253,14 @@ class Problem:
         return ExactPropagator(self.H, self.config.constants.hbar)
 
     def counters(self) -> dict:
-        """K and N, then what was built: dim, nnz(H), the tensor's rank and
-        the fraction of its entries the selection rule keeps, and the
-        propagator's matvecs.  Read from the built pieces; nothing is timed."""
+        """K and N, then what was built: the grid of the orbitals sampled on
+        config.grid, dim, nnz(H), the tensor's rank and the fraction of its
+        entries the selection rule keeps, and the propagator's matvecs.  Read
+        from the built pieces; nothing is timed."""
         built = vars(self)
         out = {"K": self.config.single_particle_dim, "N": self.config.N}
+        if "grid_orbitals" in built:
+            out["basis_grid"] = list(self.grid_orbitals.grid.shape)
         if "det_basis" in built:
             out["dim"] = self.det_basis.dim
         if "H" in built:

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import CSV_HEADER, ComparisonRecord, Problem, run_comparison
-from .basis import GRAM_TOL, basis_report, build_orbital_set
+from .basis import GRAM_TOL, basis_report
 from .config import (INTEGRATORS, SimulationConfig, load_config,
                      quantization_ulps)
 from .errors import (InvalidValue, IoFailure, LandauHFError,
-                     SupportViolation)
-from .hartree_fock import integrate_hf
+                     SupportViolation, TooLarge)
+from .hartree_fock import integrate_hf, time_grid
 
 
 def _fmt(x: float) -> str:
@@ -154,13 +154,17 @@ def cmd_validate(args) -> int:
         checks["potential_symmetric"] = {"ok": True, "detail": dev}
     except LandauHFError as exc:
         checks["potential_symmetric"] = {"ok": False, "detail": str(exc)}
+    try:
+        checks["time_steps"] = {"ok": True, "detail": time_grid(config.dt, config.t_final)[1]}
+    except TooLarge as exc:
+        checks["time_steps"] = {"ok": False, "detail": str(exc)}
     ok = all(c["ok"] for c in checks.values())
     print(json.dumps({"ok": ok, "checks": checks}, indent=2, sort_keys=True))
     return 0 if ok else 1
 
 
 def cmd_basis(args, problem: Problem, manifest: Manifest) -> int:
-    oset = build_orbital_set(problem.config)
+    oset = problem.grid_orbitals
     manifest.phase("build_basis")
     X1, X2 = problem.config.grid.mesh()
     for orb in oset.orbitals:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import INTEGRATORS, PhysicalConstants
-from .errors import InvalidValue, NonFiniteValue, NotUnitary, StepUnstable
-from .manybody import InteractionTensor
+from .errors import InvalidValue, NonFiniteValue, NotUnitary, StepUnstable, TooLarge
+from .manybody import TIME_STEP_CAP, InteractionTensor
 
 STEP_GRAM_TOL = 1e-3       # largest Gram-deviation growth in one RK4 step
 UNITARY_TOL = 1e-10        # largest |U^H U - 1| a gauge transform accepts
@@ -133,10 +133,13 @@ def _loewdin(a: complex, orbitals: np.ndarray) -> tuple[complex, np.ndarray]:
 def time_grid(dt: float, t_final: float) -> tuple[float, int]:
     """Step dividing [0, t_final] into n_steps = round(t_final / dt) steps (at
     least one if t_final > 0), and n_steps.  A t_final / dt that is not finite
-    raises InvalidValue."""
+    raises InvalidValue, and more than TIME_STEP_CAP steps TooLarge."""
     if not math.isfinite(t_final / dt):
         raise InvalidValue("t_final", "t_final / dt must be finite")
     n_steps = max(1, round(t_final / dt)) if t_final > 0 else 0
+    if n_steps > TIME_STEP_CAP:
+        raise TooLarge(f"time grid to t_final = {t_final!r} at dt = {dt!r} has "
+                       f"{float(n_steps):.3g} steps, over the cap of {TIME_STEP_CAP}")
     return (t_final / n_steps if n_steps else 0.0), n_steps
 
 

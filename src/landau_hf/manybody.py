@@ -22,6 +22,17 @@ block at a time, every forbidden entry an exact zero never computed, so W
 and the product that assembles H hold only what the rule allows: 1/M of
 the pairs for the Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
 
+The tensor is stored as those blocks and nothing else (InteractionTensor).
+The transfers of one factor column are one residue mod g = gcd(M, every t -
+t' of its row of x2_transfers) (momentum_modulus: M for the Gaussian and
+zero kinds, gcd(M, 2 harmonic2) for the cosine, 1 for a table), so v is
+block diagonal in x2 momentum mod g: block t holds the entries with m_a -
+m_g = t = m_d - m_b (mod g), a (K L, K L) matrix, L = K / g, and the g
+blocks, K^4 / g entries, are one (g, K L, K L) array.  Beside it the
+antisymmetrized F[a,b,g,d] = v[a,b,g,d] - v[a,b,d,g], in the same blocks, is
+built once and is what every contraction reads: the mean field J - X is
+one batched product of F with a gather of the density.
+
 The determinant space has one primitive, the hole table
 DeterminantBasis.holes(n), n = 1, 2: for every determinant and set of n
 places, the position, from rank, of the removed orbitals and the (N-n)-
@@ -66,6 +77,7 @@ TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(m
 SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
 TAYLOR_TOL = 2.0 ** -53          # truncation tolerance of ExactPropagator's Taylor sums
 TAYLOR_MATVEC_CAP = 10_000       # most matvecs m* s one advance may plan (10 on the shipped configs)
+TIME_STEP_CAP = 1_000_000        # most steps of a run's time grid (1,000 on the shipped configs)
 # theta_m for TAYLOR_TOL (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from
 # Higham, Functions of Matrices, Table A.3): the largest |t| ||A||_1 / s at
 # which m Taylor terms per step meet the tolerance
@@ -193,75 +205,128 @@ def slater_overlap(orbs_a: np.ndarray, orbs_b: np.ndarray) -> complex:
     return complex(np.linalg.det(A.conj().T @ B))
 
 
-@dataclass(frozen=True)
 class InteractionTensor:
-    """v[a, b, g, d] = <ab|V|gd> as a view of one (K^2, K^2) buffer in pair
-    layout, pair[(a g), (b d)]; other memory orders are copied in once, here,
-    where the zero flag is computed.  symmetry_deviation: the larger raw
+    """v[a, b, g, d] = <ab|V|gd> stored as its momentum blocks (module
+    docstring), for the modulus g.  Orbital k = n M + m is in class k mod g
+    (g divides M), the (k // g)-th of the L = K / g orbitals of its class.
+    Block t holds the entries with m_a - m_g = t = m_d - m_b (mod g): row a L
+    + i for the pair (a g), g the i-th orbital of class m_a - t, and column
+    b L + j for (b d), d the j-th of class m_b + t.  Every entry outside the
+    blocks is an exact zero.  The (g, K L, K L) stack of v (blocks) is kept
+    beside that of the antisymmetrized F[a, b, g, d] = v[a, b, g, d] - v[a,
+    b, d, g] (anti), built once here, which is all that fermions see and all
+    that the methods read.  Given a dense values array (any memory order),
+    the tensor is one block, g = 1.  symmetry_deviation: the larger raw
     exchange/hermiticity deviation, relative to max(max |v|, 1).  rank: the
     terms the quadrature contracted (kept Fourier modes or separable terms),
     None for a dense table; rule_kept: the fraction of entries the selection
-    rule leaves free, 1.0 without a rule.
+    rule leaves free, 1.0 without a rule.  values and pair (v in the pair
+    layout pair[(a g), (b d)]) are dense copies, made on each access.
 
     The tensor is the only reader of its storage: every contraction of v the
     package makes is one of its methods, mean_field for the HF flow,
     pair_amplitudes for the closed-form defect and antisymmetrized_pairs for
     H, each using no symmetry of v."""
 
-    values: np.ndarray
-    sup_norm: float
-    symmetry_deviation: float = 0.0
-    rank: int | None = None
-    rule_kept: float = 1.0
-    pair: np.ndarray = field(init=False, repr=False, compare=False)
-    _zero: bool = field(init=False, repr=False, compare=False)
+    def __init__(self, values, sup_norm: float, symmetry_deviation: float = 0.0,
+                 rank: int | None = None, rule_kept: float = 1.0):
+        K = np.shape(values)[0]
+        pair = np.ascontiguousarray(np.transpose(values, (0, 2, 1, 3)))
+        self._store(pair.reshape(1, K * K, K * K), K, sup_norm, symmetry_deviation,
+                    rank, rule_kept)
 
-    def __post_init__(self):
-        K = np.shape(self.values)[0]
-        pair = np.ascontiguousarray(np.transpose(self.values, (0, 2, 1, 3)))
-        pair = pair.reshape(K * K, K * K)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "values", pair.reshape((K,) * 4).transpose(0, 2, 1, 3))
-        object.__setattr__(self, "_zero", not np.any(pair))
+    @classmethod
+    def from_blocks(cls, blocks: np.ndarray, K: int, sup_norm: float,
+                    symmetry_deviation: float = 0.0, rank: int | None = None,
+                    rule_kept: float = 1.0) -> "InteractionTensor":
+        """The tensor of the (g, K L, K L) blocks of v, kept as given."""
+        tensor = cls.__new__(cls)
+        tensor._store(blocks, K, sup_norm, symmetry_deviation, rank, rule_kept)
+        return tensor
+
+    def _store(self, blocks, K, sup_norm, symmetry_deviation, rank, rule_kept):
+        g = len(blocks)
+        L = K // g
+        self.blocks, self.K, self.modulus = blocks, K, g
+        self.sup_norm, self.symmetry_deviation = sup_norm, symmetry_deviation
+        self.rank, self.rule_kept = rank, rule_kept
+        # F = v - v[a,b,d,g]: the image of (a, i, b, j) in block t is (a, j, b,
+        # i) in block (c - t) mod g, c = m_a - m_b, so per pair of classes of a
+        # and b the images of blocks 0, 1, ... are blocks c, c - 1, ... (mod g):
+        # two strided copies, no temporary
+        v = blocks.reshape(g, L, g, L, L, g, L)    # [t, a // g, a % g, i, b // g, b % g, j]
+        self.anti = np.empty_like(blocks)
+        anti = self.anti.reshape(v.shape)
+        for a0, b0 in itertools.product(range(g), repeat=2):
+            c = (a0 - b0) % g
+            image, out = v[:, :, a0, :, :, b0].swapaxes(2, 4), anti[:, :, a0, :, :, b0]
+            np.copyto(out[:c + 1], image[c::-1])
+            np.copyto(out[c + 1:], image[:c:-1])
+        np.subtract(blocks, self.anti, out=self.anti)   # contiguous: no ufunc buffers
+        self._zero = not np.any(self.anti)
+        # flat pair index (a g) of each row and (b d) of each column of block t
+        t, a, i = np.ix_(np.arange(g), np.arange(K), np.arange(L))
+        self._rows = (a * K + i * g + (a - t) % g).reshape(g, K * L)
+        self._cols = (a * K + i * g + (a + t) % g).reshape(g, K * L)
+        self._density_at = self._cols % K * K + self._cols // K     # rho[d, b]
+        self._fock_at = np.argsort(self._rows, axis=None)           # block rows -> (a g)
 
     @property
-    def K(self) -> int:
-        return self.values.shape[0]
+    def pair(self) -> np.ndarray:
+        """v in the pair layout, pair[(a g), (b d)], a dense (K^2, K^2) copy."""
+        K = self.K
+        pair = np.zeros((K * K, K * K), dtype=self.blocks.dtype)
+        pair[self._rows[:, :, None], self._cols[:, None, :]] = self.blocks
+        return pair
+
+    @property
+    def values(self) -> np.ndarray:
+        """v[a, b, g, d], a dense copy (a view of pair)."""
+        return self.pair.reshape((self.K,) * 4).transpose(0, 2, 1, 3)
 
     def is_zero(self) -> bool:
+        """Whether F, all that fermions see of v, is zero."""
         return self._zero
 
     def mean_field(self, C: np.ndarray) -> np.ndarray:
-        """eta = (J[rho] - X[rho]) C, rho = C C^H, for (K, N) orbitals C; J
-        and X are one product each on the pair layout pair[(ag), (bd)]."""
+        """eta = (J[rho] - X[rho]) C, rho = C C^H, for (K, N) orbitals C:
+        (J - X)[a, g] = sum_bd F[a, b, g, d] rho[d, b] is one product of each
+        block of F with its gather of rho, scattered back to (a, g)."""
         if self._zero or C.shape[1] == 1:
             return np.zeros_like(C)
-        rho = C @ C.conj().T
-        J = (self.pair @ rho.T.ravel()).reshape(rho.shape)
-        X = rho.ravel() @ self.pair.reshape(len(rho), -1, len(rho))
-        return (J - X) @ C
+        rho = (C @ C.conj().T).ravel()
+        fock = (self.anti @ rho.take(self._density_at)[:, :, None]).ravel()
+        return fock.take(self._fock_at).reshape(self.K, self.K) @ C
 
     def pair_amplitudes(self, C: np.ndarray) -> np.ndarray:
-        """<pq||ij> = <pq|V|ij> - <pq|V|ji>, (K, K, N, N), p, q over the
-        basis and i, j over the columns of C, by sequential contractions in
-        O(K^4 N)."""
+        """<pq||ij> = sum_gd F[p, q, g, d] C[g, i] C[d, j], (K, K, N, N), p,
+        q over the basis and i, j over the columns of C: per block and orbital
+        p one product with the rows of C at the g of its rows, then per
+        orbital q one product over every block's d at once."""
         K, N = C.shape
-        vC = (self.pair.reshape(-1, K) @ C).reshape(K, K, K, N).transpose(0, 2, 1, 3)
-        g = np.tensordot(vC, C, axes=(2, 0)).swapaxes(2, 3)          # <pq|V|ij>
-        return g - g.swapaxes(2, 3)
+        g, L = self.modulus, K // self.modulus
+        e = C[(self._rows % K).reshape(g, K, L)]              # [t, p, i', i] = C[g, i]
+        z = e.swapaxes(2, 3) @ self.anti.reshape(g, K, L, K * L)          # [t, p, i, (q j')]
+        z = z.reshape(g, K * N, K, L).transpose(2, 1, 0, 3).reshape(K, K * N, K)
+        d = C[(self._cols % K).reshape(g, K, L).swapaxes(0, 1)]   # [q, t, j', j] = C[d, j]
+        return (z @ d.reshape(K, K, N)).reshape(K, K, N, N).swapaxes(0, 1)
 
     def antisymmetrized_pairs(self) -> np.ndarray:
-        """<pq||rs> = v[p,q,r,s] - v[p,q,s,r] over ascending pairs, (C(K,2),
-        C(K,2)), the pairs p < q in the order of np.triu_indices(K, 1)."""
-        a, b = np.triu_indices(self.K, 1)
-        v = self.values
-        return v[a[:, None], b[:, None], a, b] - v[a[:, None], b[:, None], b, a]
+        """<pq||rs> = F[p,q,r,s] over ascending pairs, (C(K,2), C(K,2)), the
+        pairs p < q in the order of np.triu_indices(K, 1): gathered from the
+        block of t = m_p - m_r, zero where m_s - m_q is not t (mod g)."""
+        K, g = self.K, self.modulus
+        a, b = np.triu_indices(K, 1)
+        p, q, r, s = a[:, None], b[:, None], a, b
+        t = (p - r) % g
+        at = ((t * K + p) * (K // g) + r // g) * K * (K // g) + q * (K // g) + s // g
+        return np.where((s - q - t) % g == 0, self.anti.ravel().take(at), 0)
 
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
                     threads: int = 1) -> InteractionTensor:
     """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y)
-    on grid into the pair layout (ag), (bd), for every kernel kind the product
+    on grid in the pair layout (ag), (bd), for every kernel kind the product
     v = A @ B^T of two (K^2, R) factors, one momentum block at a time; the
     orbitals must be sampled on grid (GridMismatch otherwise).  Each kind is
     V(x;y) = sum_r c_r conj(g_r(x)) g_r(y) on the grid, B[(bd), r] =
@@ -287,7 +352,9 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     columns that share T make one block of v (tensor_factors) and every entry
     outside the blocks is an exact zero, never computed.  Exchange and
     hermiticity map the block of T onto that of -T: each is checked finite
-    and against its image, symmetrized with it, then scattered once."""
+    and against its image, symmetrized with it, then written once into its
+    block of x2 momentum mod g (momentum_modulus), the tensor's storage,
+    from which InteractionTensor builds F."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
@@ -295,26 +362,37 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     K, M = orbitals.size, orbitals.flux_count
     modes, terms, blocks = tensor_factors(potential, K, M, grid)
     R = sum(len(columns) for _, columns in blocks)
+    modulus = momentum_modulus(M, blocks)
+    L = K // modulus                                   # orbitals per momentum class
     table = None
     if R == 0:
-        zero = np.zeros((K,) * 4, dtype=np.complex128).transpose(0, 2, 1, 3)   # pair layout
-        return InteractionTensor(zero, potential.sup_norm(), rank=0, rule_kept=0.0)
+        zero = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
+        return InteractionTensor.from_blocks(zero, K, potential.sup_norm(), rank=0, rule_kept=0.0)
     phi = orbitals.matrix()                  # (K, P)
     B = np.empty((K, K, R), dtype=np.complex128)       # B[b, d, r]
     if modes:
         (k1, k2), c = modes
         E1, at1, minus1 = dft_columns(k1, grid.G1)
         E2, at2, minus2 = dft_columns(k2, grid.G2)
+        # d >= b in runs of rows whose temporaries (pair densities, both DFT
+        # stages, the previous run's coefficients, two gathers) fit in 16 K P bytes
+        P, u1, u2 = grid.G1 * grid.G2, E1.shape[1], E2.shape[1]
+        rows = max(1, K * P // (P + grid.G1 * u2 + 2 * u1 * u2 + 2 * R))
         for b in range(K):
-            dens = phi[b].conj() * grid.weight * phi[b:]      # conj(phi_b) phi_d w, d >= b
-            half = (dens.reshape(-1, grid.G2) @ E2).reshape(K - b, grid.G1, -1)
-            coef = E1.T @ half                     # R_bd(u1, u2), d >= b
-            B[b:, b] = coef[:, minus1, minus2].conj()
-            B[b, b:] = coef[:, at1, at2]
+            for lo in range(b, K, rows):
+                d = slice(lo, lo + rows)           # conj(phi_b) phi_d w, then R_bd(u1, u2)
+                coef = E1.T @ ((phi[b].conj() * grid.weight * phi[d]).reshape(-1, grid.G2)
+                               @ E2).reshape(-1, grid.G1, u2)
+                B[d, b] = coef[:, minus1, minus2].conj()
+                B[b, d] = coef[:, at1, at2]
+        del coef
     elif terms is not None:
         c = np.array([c_r for c_r, _ in terms])
         for r, (_, g) in enumerate(terms):
-            B[:, :, r] = (phi.conj() * g.ravel()) @ phi.T * grid.weight
+            weighted = phi.conj()                  # one (K, P) temporary beside phi
+            weighted *= g.ravel()
+            B[:, :, r] = weighted @ phi.T * grid.weight
+        del weighted
     else:
         potential.check_symmetry(grid)
         np.multiply(phi.conj()[:, None], phi, out=B)
@@ -331,18 +409,20 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     def block(columns, cols):        # v[swap[cols], cols] over the factor columns given
         Y = Bt[np.ix_(columns, cols)]
         if table is None:
-            Z = Y.conj() * c[columns, None]
+            Z = Y.conj()
+            Z *= c[columns, None]
         else:                        # conj(table^T Y): real products on Y's float view
             Z = (table.T @ Y.view(np.float64)).view(np.complex128)
             np.conjugate(Z, out=Z)
         return Z.T @ Y
 
-    pair = np.zeros((K * K, K * K), dtype=np.complex128)
+    store = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
     scale, exch, herm, done = 1.0, 0.0, 0.0, set()
     for T, columns in blocks:
         if T.tobytes() in done:
             continue
         done.add(T[neg].tobytes())
+        t = int(T.argmax()) % modulus                  # the block of store that holds T's
         cols = np.flatnonzero(T[transfer])             # (bd) with m_d - m_b in T
         rows = swap[cols]                              # (ag) with m_a - m_g in T
         V = block(columns, cols)                       # v[rows, cols]
@@ -368,29 +448,41 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         np.conjugate(V.T, out=Q)
         V += Q
         V *= 0.5
-        pair[np.ix_(rows, cols)] = V
+        # (x y) -> x L + y // modulus, its place in its block of store
+        rows, cols = (rows // K * L + rows % K // modulus, cols // K * L + cols % K // modulus)
+        store[t][np.ix_(rows, cols)] = V
         if not own:
-            pair[np.ix_(cols, rows)] = np.conjugate(V, out=Q)
+            store[-t % modulus][np.ix_(cols, rows)] = np.conjugate(V, out=Q)
+    del B, Bt, V, Q
     if not (exch <= TENSOR_SYM_TOL * scale and herm <= TENSOR_SYM_TOL * scale):
         raise SymmetryViolation(
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
-    return InteractionTensor(values=pair.reshape((K,) * 4).transpose(0, 2, 1, 3),
-                             sup_norm=potential.sup_norm(),
-                             symmetry_deviation=max(exch, herm) / scale,
-                             rank=None if table is not None else R,
-                             rule_kept=sum(np.count_nonzero(T[transfer]) ** 2
-                                           for T, _ in blocks) / K ** 4)
+    return InteractionTensor.from_blocks(
+        store, K, potential.sup_norm(), symmetry_deviation=max(exch, herm) / scale,
+        rank=None if table is not None else R,
+        rule_kept=sum(np.count_nonzero(T[transfer]) ** 2 for T, _ in blocks) / K ** 4)
 
 
 def tensor_bytes(K: int, M: int, P: int, blocks) -> int:
     """two_body_tensor's bytes for K orbitals, M flux quanta, P grid points
     and the blocks of tensor_factors: 16 K^2 R for B, and the larger of 32 K P
-    for phi and a row of pair densities while B is filled and, once phi is
-    freed, 16 K^4 for v and 32 n (n + r) for the factor slices, product and
-    image of the largest block, n = |T| K^2 / M pairs by r columns."""
+    for phi and a run of pair densities while B is filled and, once phi is
+    freed, 32 K^4 / g for the blocks of v and F (momentum_modulus g) with 64
+    K^2 for their index arrays and 32 n (n + r) for the factor slices,
+    product and image of the largest block, n = |T| K^2 / M pairs by r
+    columns."""
     sizes = [(int(T.sum()) * K * K // M, len(columns)) for T, columns in blocks]
+    stored = 32 * K ** 4 // momentum_modulus(M, blocks) + 64 * K * K
     return 16 * K * K * sum(r for _, r in sizes) + max(
-        32 * K * P, 16 * K ** 4 + max((32 * n * (n + r) for n, r in sizes), default=0))
+        32 * K * P, stored + max((32 * n * (n + r) for n, r in sizes), default=0))
+
+
+def momentum_modulus(M: int, blocks) -> int:
+    """g = gcd(M, every t - t' within one row T of the blocks of
+    tensor_factors): the transfers of a row are one residue mod g, so x2
+    momentum is conserved mod g.  M for the Gaussian and zero kinds, gcd(M,
+    2 harmonic2) for the cosine kind, 1 for a table (every transfer)."""
+    return math.gcd(M, *(int(t) for T, _ in blocks for t in np.flatnonzero(T) - T.argmax()))
 
 
 def tensor_factors(potential: PotentialSpec, K: int, M: int, grid: Grid):

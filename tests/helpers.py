@@ -18,7 +18,10 @@ with scipy's transpose and sum.  The Gaussian-tensor oracle takes a full 2-D
 FFT of every pair density and reads the kept modes off it.  The dense-tensor
 oracle forms the whole pair matrix as one product A @ B^T over every factor
 column, with the selection rule's zeros set in B, and checks and symmetrizes
-it one slab of fixed a at a time, with no momentum block.
+it one slab of fixed a at a time, with no momentum block.  DenseTensor reads
+a dense pair matrix for the tensor's methods, with no block and no
+antisymmetrized copy: J and X one pass each, the pair amplitudes by
+sequential contractions of v.
 """
 
 import itertools
@@ -268,6 +271,36 @@ def dense_two_body_tensor(potential, orbitals, grid):
         S[a, a:], S[a:, a] = m, m.transpose(0, 2, 1).conj()
     kept = 1.0 if rule is None else rule_kept(rule, transfer)
     return v, max(exch, herm) / scale, kept
+
+
+class DenseTensor:
+    """InteractionTensor's methods on the dense pair matrix pair[(ag), (bd)]
+    of v[a, b, g, d], for hf_energy, hf_rhs and defect_norm as well."""
+
+    def __init__(self, pair: np.ndarray):
+        self.pair, self.K = pair, math.isqrt(len(pair))
+
+    def mean_field(self, C: np.ndarray) -> np.ndarray:
+        """(J[rho] - X[rho]) C, rho = C C^H, J and X one product each."""
+        if C.shape[1] == 1:
+            return np.zeros_like(C)
+        rho = C @ C.conj().T
+        J = (self.pair @ rho.T.ravel()).reshape(rho.shape)
+        X = rho.ravel() @ self.pair.reshape(len(rho), -1, len(rho))
+        return (J - X) @ C
+
+    def pair_amplitudes(self, C: np.ndarray) -> np.ndarray:
+        """<pq|V|ij> - <pq|V|ji>, (K, K, N, N), by sequential contractions."""
+        K, N = C.shape
+        vC = (self.pair.reshape(-1, K) @ C).reshape(K, K, K, N).transpose(0, 2, 1, 3)
+        g = np.tensordot(vC, C, axes=(2, 0)).swapaxes(2, 3)          # <pq|V|ij>
+        return g - g.swapaxes(2, 3)
+
+    def antisymmetrized_pairs(self) -> np.ndarray:
+        """v[p,q,r,s] - v[p,q,s,r] over the pairs of np.triu_indices(K, 1)."""
+        a, b = np.triu_indices(self.K, 1)
+        v = self.pair.reshape((self.K,) * 4).transpose(0, 2, 1, 3)
+        return v[a[:, None], b[:, None], a, b] - v[a[:, None], b[:, None], b, a]
 
 
 def random_interaction_tensor(rng, K: int, P: int = 9, scale: float = 1.0):

@@ -165,7 +165,7 @@ def test_manifest_counters_name_what_each_run_built(tmp_path, capsys, monkeypatc
     assert counters["groundstate"] == {"K": 9, "N": 3}
     # grid1 = 32 resolves the magnetic length at M = 2, not at M = 3
     assert counters_of("basis", write_cfg(tmp_path, "small.cfg", M=2, n_max=1, N=2)) == {
-        "K": 4, "N": 2}
+        "K": 4, "N": 2, "basis_grid": [32, 32]}
 
     # a run stopped by an error names what it built before the stop
     huge = write_cfg(tmp_path, "huge.cfg", M=3, n_max=2, N=3, strength=1e150)
@@ -417,6 +417,29 @@ def test_step_count_that_overflows_exits_one(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "evolve-exact", "evolve-hf", "compare"])
+def test_step_count_over_the_cap_exits_one(tmp_path, capsys, command):
+    # configs/example.cfg with t_final = 1e300: 1e303 steps of dt = 1e-3, a
+    # finite count over TIME_STEP_CAP; validate fails its time_steps check,
+    # and each compute command stops before its first step with a manifest
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text((ROOT / "configs/example.cfg").read_text()
+                   .replace("t_final = 1.0", "t_final = 1e300"))
+    extra = [] if command == "validate" else ["--out-dir", str(tmp_path / "out")]
+    assert dispatch([command, "--config", str(cfg)] + extra) == 1
+    out, err = capsys.readouterr()
+    message = "time grid to t_final = 1e+300 at dt = 0.001 has 1e+303 steps, over the cap"
+    assert "Traceback" not in err
+    if command == "validate":
+        check = json.loads(out)["checks"]["time_steps"]
+        assert check["ok"] is False and check["detail"].startswith(message)
+        return
+    assert err.startswith("error: " + message)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["ok"] is False and manifest["outputs"] == []
+    assert manifest["validations"]["error"]["detail"].startswith(message)
+
+
 def _huge_gaussian_cfg(tmp_path):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(GOOD_CFG.format(M=3, n_max=2, N=2, strength=1e308, t_final=0.05)
@@ -589,14 +612,16 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
 
 def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, capsys,
                                                                      monkeypatch):
-    # configs/k30n10.cfg at M = 60, n_max = 1 on 512^2 grids: K = 120, 3.34 GB,
-    # nearly all of it the pair matrix, 16 K^4
+    # configs/k30n10.cfg at M = 60, n_max = 1 on 512^2 grids with the cosine
+    # kernel: K = 120, 3.33 GB, nearly all of it the blocks of v and F, 32 K^4 / g
+    # at g = gcd(60, 2) = 2 (the Gaussian's g = 60 blocks fit the budget)
     def unbuilt(*args, **kwargs):
         raise AssertionError("an orbital was built")
     monkeypatch.setattr(analysis, "build_orbital_set", unbuilt)
     text = (ROOT / "configs/k30n10.cfg").read_text()
     for key, value in [("M", 60), ("n_max", 1), ("grid1", 512), ("grid2", 512),
-                       ("tensor_grid1", 512), ("tensor_grid2", 512)]:
+                       ("tensor_grid1", 512), ("tensor_grid2", 512),
+                       ("kind", "separable-cosine")]:
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
     cfg = tmp_path / "k120.cfg"
     cfg.write_text(text)
@@ -606,7 +631,7 @@ def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, 
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: two-body tensor at K = 120 with ")
-    assert "needs 3.34 GB, over the budget" in err
+    assert "needs 3.33 GB, over the budget" in err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
 
@@ -615,7 +640,8 @@ def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, 
 def test_tensor_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
                                                             command):
     # K = 9, 89 kept modes, P = 48^2: 16 K^2 R + 32 K P = 778,896 bytes (the
-    # pair matrix and its blocks, 16 K^4 + 32 n (n + r), are less), over a 100 kB cap
+    # blocks of v and F and a block's factors, 32 K^4 / g + 32 n (n + r), are
+    # less), over a 100 kB cap
     def unbuilt(*args):
         raise AssertionError("a Fourier factor was built")
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", 10 ** 5)
@@ -694,7 +720,7 @@ def test_failed_write_is_not_listed(tmp_path, capsys, command, name):
 def test_groundstate_builds_no_orbital(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("groundstate built the orbital basis")
-    for module in ("basis", "analysis", "cli"):
+    for module in ("basis", "analysis"):       # cli builds orbitals only through Problem
         monkeypatch.setattr(f"landau_hf.{module}.build_orbital_set", refuse)
     out = tmp_path / "out"
     assert dispatch(["groundstate", "--config", write_cfg(tmp_path, M=4, N=6),

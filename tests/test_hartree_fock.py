@@ -7,7 +7,8 @@ import pytest
 
 import landau_hf as lhf
 from landau_hf import hartree_fock
-from landau_hf.errors import InvalidValue, LandauHFError, NonFiniteValue, NotUnitary
+from landau_hf.errors import (InvalidValue, LandauHFError, NonFiniteValue, NotUnitary,
+                              TooLarge)
 from landau_hf.hartree_fock import HFState, _loewdin, interaction_energy
 from landau_hf.manybody import InteractionTensor
 
@@ -60,8 +61,10 @@ def test_fock_action_matches_index_sum_oracle(rng, layout, make):
     given = layout(v)
     assert np.array_equal(given, v)
     tensor = InteractionTensor(values=given, sup_norm=1.0)
-    assert np.shares_memory(tensor.values, tensor.pair)
     assert np.array_equal(tensor.values, v)
+    # one block, F = v - v[a,b,d,g] in the pair layout
+    F = (v - v.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3).reshape(1, K * K, K * K)
+    assert tensor.modulus == 1 and np.array_equal(tensor.anti, F)
     C = random_state(rng, K, N).orbitals
     oracle = helpers.fock_matrix(v, C @ C.conj().T) @ C
     assert np.max(np.abs(tensor.mean_field(C) - oracle)) < 1e-13
@@ -297,8 +300,11 @@ def test_unstable_step_raises(setup, rng):
 
 
 def test_overflowing_step_raises_non_finite(setup, rng):
+    # v[a,b,g,d] = 1e308 for g <= d: F = v - v[a,b,d,g] is +-1e308 off g = d
+    # (a constant v would have F = 0, no interaction at all)
     cfg, oset, _ = setup
-    tensor = InteractionTensor(values=np.full((9,) * 4, 1e308, dtype=complex),
+    tensor = InteractionTensor(values=np.broadcast_to(np.triu(np.full((9, 9), 1e308 + 0j)),
+                                                      (9,) * 4),
                                sup_norm=1e308)
     steps = lhf.hf_steps(random_state(rng, 9, 2), 1e-3, 0.01, "rk4", tensor,
                          oset.energies, cfg.constants)
@@ -336,13 +342,24 @@ def test_time_grid_refuses_a_step_count_that_overflows():
         hartree_fock.time_grid(1e-10, 1e300)
 
 
+def test_time_grid_refuses_a_step_count_over_the_cap(setup, rng):
+    cap = lhf.manybody.TIME_STEP_CAP
+    assert hartree_fock.time_grid(1.0, float(cap)) == (1.0, cap)
+    with pytest.raises(TooLarge, match=f"has 1e\\+06 steps, over the cap of {cap}"):
+        hartree_fock.time_grid(1.0, cap + 1.0)
+    cfg, oset, tensor = setup
+    with pytest.raises(TooLarge, match="has 1e\\+303 steps"):
+        lhf.hf_steps(random_state(rng, 9, 2), 1e-3, 1e300, "rk4", tensor, oset.energies,
+                     cfg.constants)
+
+
 def test_first_steps_of_a_long_grid_allocate_no_step_list(setup, rng):
-    # 10^8 steps: a list of them alone would take gigabytes
+    # 10^6 steps, TIME_STEP_CAP: a list of them alone would take many megabytes
     cfg, oset, tensor = setup
     st = random_state(rng, 9, 2)
     tracemalloc.start()
     try:
-        steps = list(islice(lhf.hf_steps(st, 1e-8, 1.0, "rk4", tensor, oset.energies,
+        steps = list(islice(lhf.hf_steps(st, 1e-6, 1.0, "rk4", tensor, oset.energies,
                                          cfg.constants), 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -516,6 +516,78 @@ def test_blocked_tensor_matches_dense_oracle(name, free, monkeypatch):
     assert abs(tensor.symmetry_deviation - deviation) <= 1e-15
 
 
+def expected_modulus(oset, pot, G2):
+    """The momentum modulus g of a kernel: M for the Gaussian and zero kinds,
+    gcd(M, 2 s) for the cosine at its numpy.fft.fftfreq frequency s, 1 for a
+    table."""
+    M = oset.flux_count
+    if pot.kind == "separable-cosine":
+        return math.gcd(M, 2 * int(np.fft.fftfreq(G2, 1 / G2)[pot.harmonic2 % G2]))
+    return 1 if pot.kind == "tabulated" else M
+
+
+def block_case(name):
+    """rule_case, or gaussian-M3's orbitals with its pair values as a table or
+    with the zero kernel."""
+    if name in RULE_CASES:
+        return rule_case(name)
+    oset, pot, grid = rule_case("gaussian-M3")
+    return oset, (lhf.PotentialSpec(kind="tabulated", table=pot.pair_values(grid))
+                  if name == "tabulated" else lhf.PotentialSpec(kind="zero")), grid
+
+
+def random_hf_state(rng, K, N):
+    C = np.linalg.qr(random_complex(rng, K, N))[0]
+    return lhf.HFState(time=0.0, a=np.exp(0.3j), orbitals=C)
+
+
+def assert_hf_matches_dense_oracle(tensor, state, energies, constants):
+    """The Fock action, HF energy and closed-form defect of the tensor within
+    1e-13 max |v| of those of helpers.DenseTensor on its pair matrix."""
+    oracle = helpers.DenseTensor(tensor.pair)
+    scale, C = np.abs(oracle.pair).max(), state.orbitals
+    assert np.abs(tensor.mean_field(C) - oracle.mean_field(C)).max() <= 1e-13 * scale
+    energy = [lhf.hf_energy(state, energies, t) for t in (tensor, oracle)]
+    assert abs(energy[0] - energy[1]) <= 1e-13 * max(scale, 1.0)
+    defect = [lhf.defect_norm(state, t, constants) for t in (tensor, oracle)]
+    assert abs(defect[0] - defect[1]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", [*RULE_CASES, "tabulated", "zero"])
+def test_blocked_methods_match_dense_oracle(name, rng):
+    # the blocks of F against the dense pair matrix read by the dense
+    # contractions of helpers.DenseTensor, on seeded random orbitals
+    oset, pot, grid = block_case(name)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    K = tensor.K
+    assert tensor.modulus == expected_modulus(oset, pot, grid.G2)
+    if pot.kind == "zero":
+        pair = np.zeros((K * K, K * K))
+    else:
+        pair = helpers.dense_two_body_tensor(pot, oset, grid)[0]
+    scale = np.abs(pair).max()
+    tol = (2e-15 if pot.kind == "tabulated" else 1e-15) * scale
+    assert np.abs(tensor.pair - pair).max() <= tol
+    assert np.abs(tensor.values - pair.reshape((K,) * 4).transpose(0, 2, 1, 3)).max() <= tol
+    oracle = helpers.DenseTensor(tensor.pair)
+    state = random_hf_state(rng, K, 3)
+    C = state.orbitals
+    assert np.abs(tensor.pair_amplitudes(C) - oracle.pair_amplitudes(C)).max() <= 1e-13 * scale
+    assert np.array_equal(tensor.antisymmetrized_pairs(), oracle.antisymmetrized_pairs())
+    assert_hf_matches_dense_oracle(tensor, state, oset.energies, make_config().constants)
+
+
+@pytest.mark.parametrize("path", ["configs/example.cfg", "configs/gaussian.cfg",
+                                  "configs/k16n4.cfg", "configs/k30n10.cfg"])
+def test_shipped_blocked_hf_matches_dense_oracle(path, rng):
+    # the Fock action, HF energy and closed-form defect of every shipped
+    # config's tensor against the dense contractions of its pair matrix
+    problem = Problem(lhf.load_config(ROOT / path))
+    state = random_hf_state(rng, problem.tensor.K, problem.config.N)
+    assert_hf_matches_dense_oracle(problem.tensor, state, problem.energies,
+                                   problem.config.constants)
+
+
 def test_block_without_an_image_block_matches_dense_oracle(monkeypatch):
     # Fourier modes kept at k2 = 0 and 1 only: at M = 4 the block of T = 1
     # has no block of -T = 3, so its image is zero before the symmetrization
@@ -661,12 +733,18 @@ def test_tensor_raises_on_asymmetric_tabulated_kernel(rng, oset24, monkeypatch):
 
 @ALL_KINDS
 def test_tensor_is_one_pair_layout_buffer(oset24, pot):
+    # v and F are each one (g, K L, K L) buffer of momentum blocks of the pair
+    # layout; pair and values are dense copies that hold the blocks' entries
     grid = oset24.grid
     t = lhf.two_body_tensor(pot, oset24, grid)
-    K = t.K
-    assert t.pair.shape == (K * K, K * K) and t.pair.flags.c_contiguous
-    assert np.shares_memory(t.values, t.pair)
-    assert np.array_equal(t.pair.reshape(K, K, K, K), t.values.transpose(0, 2, 1, 3))
+    K, g = t.K, t.modulus
+    assert t.blocks.shape == t.anti.shape == (g, K * K // g, K * K // g)
+    assert t.blocks.flags.c_contiguous and t.anti.flags.c_contiguous
+    pair = t.pair
+    assert pair.shape == (K * K, K * K) and not np.shares_memory(pair, t.blocks)
+    assert np.array_equal(pair.reshape(K, K, K, K), t.values.transpose(0, 2, 1, 3))
+    assert np.array_equal(np.sort_complex(pair[pair != 0]),
+                          np.sort_complex(t.blocks[t.blocks != 0]))
 
 
 @pytest.mark.parametrize("inject", ["exchange", "hermitian", "both"])
