@@ -26,15 +26,20 @@ the median of at least REPEATS calls and at least MIN_SECONDS of calls,
 their number kept as calls, with the orbitals built once, for every kernel
 kind: the config's Gaussian at its sigma and at each of TENSOR_SIGMAS, where
 more Fourier modes are kept, the zero and the cosine kernel, and the
-Gaussian's pair values as a table on a TABLE_GRID^2 tensor grid; one more
-row times the config's Gaussian with WIDE_CHANGES (K = 60, the
-effective-flow run of CI).  Each row records its number of momentum blocks,
-its momentum modulus g, the bytes of its stored blocks of v and F, and the
-tracemalloc peak of one more call over the bytes two_body_tensor predicts
-(tensor_bytes).  The config's Gaussian rows at K = 30 and K = 60 also time
+Gaussian's pair values as a table on a TABLE_GRID^2 tensor grid; two more
+rows time the config's Gaussian with WIDE_CHANGES (K = 60) and with
+HUGE_CHANGES (K = 120), the effective-flow runs of CI.  Each row records
+its number of momentum blocks, its momentum modulus g, the bytes of its
+stored blocks of v and F, and the tracemalloc peak of one more call over
+the bytes two_body_tensor predicts (tensor_bytes).  The config's Gaussian
+rows at K = 30 and K = 60 also time
 InteractionTensor.mean_field, the HF right-hand side's contraction, on
 seeded random orthonormal orbitals of the config's N, the median of at least
 REPEATS calls and MIN_SECONDS of calls (mean_field_s, mean_field_calls).
+The orbital-set rows time build_orbital_set on TENSOR_CONFIG's tensor grid
+at K = 30, with WIDE_CHANGES and with HUGE_CHANGES, the median of at least
+REPEATS builds and MIN_SECONDS of builds, with the tracemalloc peak of one
+build, its lattice shells and the bytes of its x1 profiles.
 The exact row runs `landau-hf evolve-exact` once on EXACT_CONFIG with
 EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process started
 before any other row, and keeps its wall time, its peak RSS and the
@@ -84,6 +89,9 @@ TABLE_GRID = 48                  # the table itself is 42 MB at 48^2, 134 MB at 
 # K = 60: M = 30, n_max = 1 and every grid at 256^2, as the K = 60 evolve-hf step of CI
 WIDE_CHANGES = {"M": 30, "n_max": 1, "grid1": 256, "grid2": 256, "tensor_grid1": 256,
                 "tensor_grid2": 256}
+# K = 120: M = 60, n_max = 1 and every grid at 512^2, as the K = 120 evolve-hf step of CI
+HUGE_CHANGES = {"M": 60, "n_max": 1, "grid1": 512, "grid2": 512, "tensor_grid1": 512,
+                "tensor_grid2": 512}
 REPEATS = 3
 MIN_SECONDS = 1.0                # resolves the few-ms tensor rows and ladder calls
 INTERVAL = 0.1
@@ -176,9 +184,10 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    K, M, P = orbitals.size, orbitals.flux_count, grid.G1 * grid.G2
-    blocks = tensor_factors(potential, K, M, grid)[2]
-    predicted = tensor_bytes(K, M, P, blocks)
+    K, M = orbitals.size, orbitals.flux_count
+    factors = tensor_factors(potential, K, M, grid)
+    blocks = factors[2]
+    predicted = tensor_bytes(K, M, grid, *factors)
     times = call_times(build)
     row = {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
            "grid": list(grid.shape), "sigma": potential.sigma, "rank": tensor.rank,
@@ -193,6 +202,27 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
         calls = call_times(lambda: tensor.mean_field(C))
         row.update(N=N, mean_field_s=statistics.median(calls), mean_field_calls=len(calls))
     return row
+
+
+def orbital_row(changes=None) -> dict:
+    """build_orbital_set on TENSOR_CONFIG with changes, on its tensor grid:
+    the median of at least REPEATS builds and MIN_SECONDS of builds and
+    their number, the tracemalloc peak of one more build, and the set's
+    lattice shells and the bytes of its x1 profiles."""
+    config = load_config(ROOT / TENSOR_CONFIG)
+    config = dataclasses.replace(config, **(changes or {}))
+    build = functools.partial(build_orbital_set, config, grid=config.tensor_grid)
+    tracemalloc.start()
+    try:
+        orbitals = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    times = call_times(build)
+    return {"config": TENSOR_CONFIG, "changes": changes, "K": orbitals.size,
+            "grid": list(config.tensor_grid.shape), "shells": len(orbitals.shells),
+            "profiles_mb": orbitals.profiles.nbytes / 1e6,
+            "build_s": statistics.median(times), "calls": len(times), "peak_mb": peak / 1e6}
 
 
 def tensor_rows() -> list[dict]:
@@ -217,6 +247,9 @@ def tensor_rows() -> list[dict]:
     wide = dataclasses.replace(config, **WIDE_CHANGES)
     rows.append(tensor_row(wide.potential, build_orbital_set(wide, grid=wide.tensor_grid),
                            wide.tensor_grid, WIDE_CHANGES, N=wide.N))
+    huge = dataclasses.replace(config, **HUGE_CHANGES)
+    rows.append(tensor_row(huge.potential, build_orbital_set(huge, grid=huge.tensor_grid),
+                           huge.tensor_grid, HUGE_CHANGES))
     return rows
 
 
@@ -275,6 +308,9 @@ def main():
         for M, n_max, N in LADDER:
             ladders[kind]["rungs"].append(rung(path, M, n_max, N))
             print(kind, json.dumps(ladders[kind]["rungs"][-1]), flush=True)
+    orbital_sets = [orbital_row(changes) for changes in (None, WIDE_CHANGES, HUGE_CHANGES)]
+    for row in orbital_sets:
+        print(json.dumps(row), flush=True)
     tensors = tensor_rows()
     for row in tensors:
         print(json.dumps(row), flush=True)
@@ -284,7 +320,7 @@ def main():
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
               "repeats": REPEATS, "min_seconds": MIN_SECONDS, "ladders": ladders,
-              "tensor": tensors, "exact": exact,
+              "orbital_set": orbital_sets, "tensor": tensors, "exact": exact,
               "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"

@@ -14,7 +14,8 @@ from .potentials import PotentialSpec
 from .basis import (OrbitalField, OrbitalSet, apply_landau_hamiltonian,
                     basis_report, boundary_residuals, build_orbital_set,
                     check_magnetic_bc, finite_volume_orbital, hermite_function,
-                    infinite_volume_orbital, landau_level, magnetic_translate)
+                    infinite_volume_orbital, landau_level, lattice_profiles,
+                    magnetic_translate)
 from .manybody import (DeterminantBasis, FillingSpec, InteractionTensor,
                        ManyBodyState, assemble_hamiltonian, embed_slater,
                        embed_wedge, enumerate_determinants, evolve_exact,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +35,17 @@ EDGE_STENCIL = 12          # midpoint samples per one-sided edge extrapolation
 GRAM_TOL = 1e-8            # largest |Gram - 1| entry of an orbital basis
 
 
+def _hermite_recurrence(n: int, z: np.ndarray):
+    """h_0(z), h_1(z), ..., h_n(z) in turn (hermite_function)."""
+    hm1 = np.zeros_like(z)
+    h = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
+    yield h
+    for k in range(n):
+        h, hm1 = (math.sqrt(2.0 / (k + 1)) * z * h
+                  - math.sqrt(k / (k + 1)) * hm1), h
+        yield h
+
+
 def hermite_function(n: int, z):
     """Orthonormal Hermite function h_n(z) for scalar or array z.
 
@@ -46,12 +57,8 @@ def hermite_function(n: int, z):
     """
     if not (0 <= n <= MAX_HERMITE_DEGREE):
         raise DegreeOutOfRange(f"degree {n} outside [0, {MAX_HERMITE_DEGREE}]")
-    z = np.asarray(z, dtype=float)
-    hm1 = np.zeros_like(z)
-    h = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
-    for k in range(n):
-        h, hm1 = (math.sqrt(2.0 / (k + 1)) * z * h
-                  - math.sqrt(k / (k + 1)) * hm1), h
+    for h in _hermite_recurrence(n, np.asarray(z, dtype=float)):
+        pass
     return h
 
 
@@ -96,49 +103,98 @@ def grid_reduced_field(grid: Grid, flux_count: int) -> float:
     return 2.0 * math.pi * flux_count / (grid.L1 * grid.L2)
 
 
+def orbital_prefactor(grid: Grid, flux_count: int) -> float:
+    """b^(1/4) / sqrt(L2), the factor of every term of the lattice sum."""
+    return grid_reduced_field(grid, flux_count) ** 0.25 / math.sqrt(grid.L2)
+
+
+def lattice_profiles(levels, labels, grid: Grid, flux_count: int,
+                     lattice_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice sum of every orbital (n, m), n in levels (increasing), m
+    in labels, in separable form: (shells, profiles, kept).
+
+    Orbital (n, m) is b^(1/4) / sqrt(L2) times the sum over its kept shells l
+    of the x1 profile h_n(sqrt(b) (x1 + (l - m/M) L1)) times the x2 harmonic
+    exp(2 pi i (m - M l) x2 / L2).  Shells are taken ring by ring, |l| = 0,
+    1, ..., l before -l; a shell is kept while it lies inside the classical
+    turning range or its sampled maximum exceeds TAIL_TOL times the largest
+    one before it, and the sum stops at the first ring that keeps none.  A
+    positive lattice_cut bounds |l|: needing a shell beyond it raises
+    TruncationTooSmall, and below it the sum is the same as with the default
+    lattice_cut = 0, whose bound is 10 000 shells.
+
+    Every profile of every candidate shell comes from one Hermite recurrence
+    on grid.x1.  shells are the consecutive l from the lowest to the highest
+    any orbital keeps, profiles[i, j, s] the profile of (levels[i],
+    labels[j]) at shells[s], zero where kept[i, j, s] is False."""
+    M = flux_count
+    levels, labels = np.asarray(levels), np.asarray(labels)
+    for n in (levels[0], levels[-1]):
+        if not 0 <= n <= MAX_HERMITE_DEGREE:
+            raise DegreeOutOfRange(f"degree {n} outside [0, {MAX_HERMITE_DEGREE}]")
+    sqrt_b = math.sqrt(grid_reduced_field(grid, M))
+    turn = np.sqrt(2 * levels + 1.0) / sqrt_b + grid.L1   # beyond this, shells decay
+    bound = lattice_cut or 10_000
+    # a kept shell's center lies within 2 L1 plus the widest turning range
+    # plus 9 magnetic lengths of tail, and one ring past them keeps none;
+    # more rings are taken while an orbital keeps a shell in every ring
+    rings = min(int((math.sqrt(2 * levels[-1] + 1.0) + 9.0) / sqrt_b / grid.L1) + 4, bound + 2)
+    wanted = set(levels.tolist())
+    while True:
+        order = np.array([0, *(s for r in range(1, rings) for s in (r, -r))])
+        offset = (order[:, None] - labels / M) * grid.L1             # [shell, m]
+        z = sqrt_b * (grid.x1 + offset[..., None])
+        h = np.stack([hk for k, hk in enumerate(_hermite_recurrence(int(levels[-1]), z))
+                      if k in wanted])                               # [n, shell, m, x1]
+        mx = np.abs(h).max(axis=-1)
+        before = np.maximum.accumulate(mx, axis=1)[:, :-1]          # the largest before each
+        before = np.concatenate([np.zeros_like(mx[:, :1]), before], axis=1)
+        keep = ((mx > TAIL_TOL * np.maximum(before, 1e-300))
+                | (np.abs(offset) <= turn[:, None, None]))
+        hit = np.concatenate([np.zeros_like(keep[:, :1]), keep], axis=1)
+        empty = ~hit.reshape(len(levels), rings, 2, len(labels)).any(axis=2)    # [n, ring, m]
+        if empty.any(axis=1).all() or rings == bound + 2:
+            break
+        rings = min(2 * rings, bound + 2)
+    stop = np.where(empty.any(axis=1), empty.argmax(axis=1), rings)   # first ring keeping none
+    kept = keep & (np.abs(order)[:, None] < stop[:, None, :])
+    over = kept & (np.abs(order) > bound)[:, None]
+    if over.any():
+        i, j = np.argwhere(over.any(axis=1))[0]
+        raise TruncationTooSmall(
+            f"lattice sum for orbital (n={levels[i]}, m={labels[j]}) needs shell "
+            f"l1={order[over[i, :, j].argmax()]} beyond the cut {bound}")
+    used = order[kept.any(axis=(0, 2))]
+    shells = np.arange(used.min(), used.max() + 1)
+    at = 2 * np.abs(shells) - (shells > 0)                           # place of each in order
+    profiles = np.where(kept[..., None], h, 0.0)[:, at].transpose(0, 2, 1, 3)
+    return shells, profiles, kept[:, at].transpose(0, 2, 1)
+
+
+def _lattice_samples(profiles: np.ndarray, shells: np.ndarray, kept: np.ndarray,
+                     m: int, grid: Grid, flux_count: int) -> np.ndarray:
+    """One orbital's lattice sum sampled on grid from its separable form
+    (lattice_profiles): its kept shells added ring by ring, l before -l,
+    each as an outer product of profile and harmonic, then scaled."""
+    M = flux_count
+    values = np.zeros((grid.G1, grid.G2), dtype=np.complex128)
+    for s in sorted(np.flatnonzero(kept), key=lambda s: (abs(shells[s]), shells[s] < 0)):
+        harmonic = np.exp(2j * np.pi * (m - M * int(shells[s])) * grid.x2 / grid.L2)
+        values += np.outer(profiles[s], harmonic)
+    values *= orbital_prefactor(grid, M)
+    return values
+
+
 def finite_volume_orbital(n: int, m: int, grid: Grid, flux_count: int,
                           lattice_cut: int = 0) -> OrbitalField:
-    """Eigenstate of the boxed kinetic operator with labels (n, m).
-
-    Built as the lattice sum over x1 translations of the infinite-volume
-    states; each summand is an outer product of an x1 profile and an x2
-    harmonic, so the sum is assembled separably.  Shells |l1| = 0, 1, ... are
-    added while one of them lies inside the classical turning range or its
-    sampled maximum exceeds TAIL_TOL times the accumulated peak.  A positive
-    lattice_cut bounds |l1|: needing a shell beyond it raises
-    TruncationTooSmall, and below it the sum is the same as with the
-    default lattice_cut = 0, whose bound is 10 000 shells.
-    """
+    """Eigenstate of the boxed kinetic operator with labels (n, m): the
+    lattice sum over x1 translations of the infinite-volume states
+    (lattice_profiles) sampled on grid."""
     M = flux_count
     if not (0 <= m < M):
         raise DegreeOutOfRange(f"degeneracy index m={m} outside 0..{M - 1}")
-    b = grid_reduced_field(grid, M)
-    sqrt_b = math.sqrt(b)
-    prefactor = b ** 0.25 / math.sqrt(grid.L2)
-    turn = math.sqrt(2 * n + 1.0) / sqrt_b + grid.L1  # beyond this, shells decay
-    bound = lattice_cut or 10_000
-    values = np.zeros((grid.G1, grid.G2), dtype=np.complex128)
-    peak = 0.0
-    l1 = 0
-    while True:
-        hit = False
-        for shell in ((0,) if l1 == 0 else (l1, -l1)):
-            profile = hermite_function(n, sqrt_b * (grid.x1 + (shell - m / M) * grid.L1))
-            mx = float(np.max(np.abs(profile)))
-            center = abs(shell - m / M) * grid.L1
-            if mx > TAIL_TOL * max(peak, 1e-300) or center <= turn:
-                if l1 > bound:
-                    raise TruncationTooSmall(
-                        f"lattice sum for orbital (n={n}, m={m}) needs shell "
-                        f"l1={shell} beyond the cut {bound}")
-                harmonic = np.exp(2j * np.pi * (m - M * shell) * grid.x2 / grid.L2)
-                values += np.outer(profile, harmonic)
-                peak = max(peak, mx)
-                hit = True
-        if not hit:
-            break
-        l1 += 1
-    values *= prefactor
+    shells, profiles, kept = lattice_profiles([n], [m], grid, M, lattice_cut)
+    values = _lattice_samples(profiles[0, 0], shells, kept[0, 0], m, grid, M)
     return OrbitalField(grid=grid, values=values, n=n, m=m, flux_count=M)
 
 
@@ -264,24 +320,114 @@ def check_magnetic_bc(field: OrbitalField) -> float:
 
 @dataclass(frozen=True)
 class OrbitalSet:
-    """Orthonormal truncated basis, ordered (n, m) lexicographically."""
+    """Orthonormal truncated basis, ordered (n, m) lexicographically, kept in
+    separable form (lattice_profiles): orbital k = n M + m is
+    orbital_prefactor times the sum over the shells l = shells[s] it keeps
+    (kept[k, s]) of profiles[k, s](x1) exp(2 pi i harmonics[k, s] x2 / L2).
+    Its grid samples are formed only when asked for (sample, orbitals,
+    matrix); the quadratures of pair densities are read in closed form
+    (pair_coefficients, gram)."""
 
-    orbitals: tuple[OrbitalField, ...]
-    gram: np.ndarray
+    profiles: np.ndarray            # (K, S, G1) x1 profiles, zero where not kept
+    shells: np.ndarray              # (S,) consecutive lattice shells l
+    kept: np.ndarray                # (K, S)
     energies: np.ndarray
     flux_count: int
     grid: Grid
 
     @property
     def size(self) -> int:
-        return len(self.orbitals)
+        return len(self.profiles)
 
     def index(self, n: int, m: int) -> int:
         return n * self.flux_count + m
 
+    @property
+    def labels(self) -> np.ndarray:
+        """m = k mod M of each orbital k."""
+        return np.arange(self.size) % self.flux_count
+
+    @property
+    def harmonics(self) -> np.ndarray:
+        """(K, S) x2 harmonics q = m - M l of each orbital's shells."""
+        return self.labels[:, None] - self.flux_count * self.shells
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """<b|d> on the grid, pair_coefficients at k = 0."""
+        zero = np.zeros(1, dtype=np.int64)
+        return self.pair_coefficients(np.ones((self.grid.G1, 1)), zero, zero).reshape(
+            self.size, self.size)
+
+    def sample(self, k: int) -> np.ndarray:
+        """(G1, G2) grid samples of orbital k."""
+        M = self.flux_count
+        return _lattice_samples(self.profiles[k], self.shells, self.kept[k], k % M, self.grid, M)
+
+    @cached_property
+    def orbitals(self) -> tuple[OrbitalField, ...]:
+        """Every orbital sampled on the grid, formed on first access."""
+        M = self.flux_count
+        return tuple(OrbitalField(grid=self.grid, values=self.sample(k), flux_count=M,
+                                  n=k // M, m=k % M) for k in range(self.size))
+
     def matrix(self) -> np.ndarray:
-        """(K, P) array of orbital samples, rows ordered like the basis."""
-        return np.stack([orb.values.ravel() for orb in self.orbitals])
+        """(K, P) array of orbital samples, rows ordered like the basis,
+        sampled row by row and not kept."""
+        out = np.empty((self.size, self.grid.G1 * self.grid.G2), dtype=np.complex128)
+        for k, row in enumerate(out):
+            row[:] = self.sample(k).ravel()
+        return out
+
+    def pair_coefficients(self, x1_weights: np.ndarray, at1: np.ndarray,
+                          k2: np.ndarray) -> np.ndarray:
+        """(K^2, J) quadratures C[(b d), j] = w sum over the nodes (i1, i2)
+        of conj(phi_b) phi_d x1_weights[i1, at1[j]] exp(-2 pi i k2[j] i2 /
+        G2), for (G1, u) weights and x2 modes k2 in 0..G2-1, in closed form
+        with no grid sample.
+
+        conj(phi_b) phi_d is orbital_prefactor^2 times the sum over shell
+        pairs of f_b,s f_d,s' exp(2 pi i dq x2 / L2), dq = m_d - m_b - M
+        delta for the shell offset delta = l' - l, and a term sums over the x2 nodes
+        to G2 Grid.x2_phase(dq) at dq = k2 (mod G2), to 0 elsewhere; the
+        aliased dq, k2 + G2 j with j != 0, are the grid's too.  So per shell
+        offset, for the pairs whose dq meets a mode: one batched product over
+        x1 of the profiles (sum_s f_b,s f_d,s+delta at each x1) and one
+        product with the x1 weights, or, for one x1 column, one product over
+        (s, x1) of the weighted profiles; then a sum into the modes of
+        residue dq."""
+        K, S, G1 = self.profiles.shape
+        grid, M, n = self.grid, self.flux_count, len(k2)
+        counts = np.bincount(k2, minlength=grid.G2)
+        order = np.argsort(k2, kind="stable")
+        modes = np.full((grid.G2, counts.max()), n)           # the modes of each residue, and n
+        modes[k2[order], np.arange(n) - (np.cumsum(counts) - counts)[k2[order]]] = order
+        at1 = np.append(at1, 0)
+        c = (self.labels - self.labels[:, None]).ravel()        # m_d - m_b of (b d)
+        W = np.ascontiguousarray(x1_weights, dtype=np.complex128).view(np.float64)
+        out = np.zeros((K * K, n + 1), dtype=np.complex128)     # column n takes the padding
+        flat = out.reshape(-1)
+        for delta in range(1 - S, S):
+            dq = c - M * delta
+            pairs = np.flatnonzero(counts[dq % grid.G2])
+            if len(pairs) == 0:
+                continue
+            lo, hi = max(0, -delta), min(S, S - delta)
+            left, right = self.profiles[:, lo:hi], self.profiles[:, lo + delta:hi + delta]
+            if W.shape[1] == 2:        # one x1 column: its sum joins the product over shells
+                left = W.T[:, None, None, :] * left                  # [re/im, b, s, x1]
+                x1_sums = (left.reshape(2 * K, -1) @ right.reshape(K, -1).T).reshape(2, -1)
+                x1_sums = (x1_sums[0, pairs] + 1j * x1_sums[1, pairs])[:, None]
+            else:
+                prod = left.transpose(2, 0, 1) @ right.transpose(2, 1, 0)     # [x1, b, d]
+                x1_sums = (prod.reshape(G1, K * K)[:, pairs].T @ W).view(np.complex128)
+            cols = modes[dq[pairs] % grid.G2]
+            terms = np.take_along_axis(x1_sums, at1[cols], axis=1)
+            terms *= grid.x2_phase(dq[pairs])[:, None]
+            flat[pairs[:, None] * (n + 1) + cols] += terms
+        out = out[:, :n]
+        out *= grid.weight * grid.G2 * orbital_prefactor(grid, M) ** 2
+        return out
 
     def gram_deviation(self) -> float:
         return float(np.max(np.abs(self.gram - np.eye(self.size))))
@@ -304,30 +450,35 @@ def _nyquist_guard(n_max: int, flux_count: int, grid: Grid, cut_hint: int):
 
 
 def build_orbital_set(config: SimulationConfig, grid: Grid | None = None) -> OrbitalSet:
-    """All (n_max+1)*M orbitals on the given grid (default: config.grid)."""
+    """All (n_max+1)*M orbitals on the given grid (default: config.grid), in
+    separable form, its closed-form Gram matrix checked against GRAM_TOL."""
     grid = grid or config.grid
     n_max, M, cut = config.n_max, config.domain.M, config.lattice_cut
     _nyquist_guard(n_max, M, grid, cut)
-    orbitals = [finite_volume_orbital(n, m, grid, M, cut)
-                for n in range(n_max + 1) for m in range(M)]
-    mat = np.stack([orb.values.ravel() for orb in orbitals])
-    gram = (mat.conj() @ mat.T) * grid.weight
-    dev = np.abs(gram - np.eye(len(orbitals)))
+    shells, profiles, kept = lattice_profiles(range(n_max + 1), range(M), grid, M, cut)
+    K, S = (n_max + 1) * M, len(shells)
+    energies = np.array([landau_level(n, config.constants)
+                         for n in range(n_max + 1) for _ in range(M)])
+    oset = OrbitalSet(profiles=np.ascontiguousarray(profiles.reshape(K, S, grid.G1)),
+                      shells=shells, kept=kept.reshape(K, S), energies=energies,
+                      flux_count=M, grid=grid)
+    dev = np.abs(oset.gram - np.eye(K))
     worst = np.unravel_index(np.argmax(dev), dev.shape)
     if dev[worst] > GRAM_TOL:
         raise OrthonormalityFailure(
             f"Gram deviation {dev[worst]:.3e} > {GRAM_TOL:.1e} between "
             f"orbitals {worst[0]} and {worst[1]}")
-    energies = np.array([landau_level(n, config.constants)
-                         for n in range(n_max + 1) for _ in range(M)])
-    return OrbitalSet(orbitals=tuple(orbitals), gram=gram, energies=energies,
-                      flux_count=M, grid=grid)
+    return oset
 
 
 def basis_report(oset: OrbitalSet, constants: PhysicalConstants) -> dict:
-    """Gram deviation of the basis and, per orbital tag n{n}_m{m}, its seam
-    residuals (boundary_residuals) and eigenresidual ||H phi - E_n phi||."""
-    report = {"gram_max_dev": oset.gram_deviation(),
+    """Gram deviation of the sampled basis and, per orbital tag n{n}_m{m},
+    its seam residuals (boundary_residuals) and eigenresidual ||H phi - E_n
+    phi||."""
+    mat = oset.matrix()
+    gram = (mat.conj() @ mat.T) * oset.grid.weight
+    del mat
+    report = {"gram_max_dev": float(np.max(np.abs(gram - np.eye(oset.size)))),
               "bc_residuals": {}, "eigenresiduals": {}}
     for orb, level in zip(oset.orbitals, oset.energies):
         tag = f"n{orb.n}_m{orb.m}"

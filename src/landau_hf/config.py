@@ -123,6 +123,14 @@ class Grid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x1, self.x2, indexing="ij")
 
+    def x2_phase(self, q) -> np.ndarray:
+        """exp(2 pi i q x2_0 / L2) at the first x2 node x2_0 for integer
+        harmonics q: a harmonic sums over the x2 nodes to G2 times this where
+        q = 0 (mod G2), and to 0 elsewhere.  q x2_0 / L2 = q (1 - G2) / (2 G2)
+        is reduced mod 1 in integers first."""
+        q = np.asarray(q)
+        return np.exp(1j * np.pi * (q * (1 - self.G2) % (2 * self.G2)) / self.G2)
+
 
 def _field_data(f):
     values = getattr(f, "values", f)

@@ -328,22 +328,25 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y)
     on grid in the pair layout (ag), (bd), for every kernel kind the product
     v = A @ B^T of two (K^2, R) factors, one momentum block at a time; the
-    orbitals must be sampled on grid (GridMismatch otherwise).  Each kind is
+    orbital set must be on grid (GridMismatch otherwise).  Each kind is
     V(x;y) = sum_r c_r conj(g_r(x)) g_r(y) on the grid, B[(bd), r] =
     <b|g_r|d>, and A[(ag), r] = c_r conj(B[(ga), r]) is B's exchange
     conjugate times the weights:
       - translation-invariant kernels (PotentialSpec.fourier_modes): the
         coefficients R_bd(k) of the pair densities conj(phi_b) phi_d w at the
-        kept modes, d >= b, one b at a time, by a partial DFT (one product
-        with the x2 columns E2 of dft_columns, one with the x1 columns E1),
-        and R_db(k) = conj(R_bd(-k)); c_k = w_k;
-      - rank-expanded kernels (separable_terms): <b|g_r|d> per term;
+        kept modes, read in closed form from the orbitals' x1 profiles and x2
+        harmonics (OrbitalSet.pair_coefficients, with the x1 columns E1 of
+        dft_columns); c_k = w_k;
+      - rank-expanded kernels (separable_terms): <b|g_r|d> per term, its x1
+        factor and x2 modes read the same way;
       - tabulated kernels, checked first: the pair densities at the P grid
-        points, their own exchange conjugates, so A = B @ T (real products).
+        points of the sampled orbitals (OrbitalSet.matrix), their own
+        exchange conjugates, so A = B @ T (real products).
+    The Gaussian and cosine kinds form no grid sample of an orbital.
     Before any factor is allocated, the predicted bytes are checked against
     TENSOR_BYTE_CAP (tensor_factors).  With no term (the zero kind, or no
-    Fourier mode kept) the zero tensor is returned before any orbital is
-    sampled, with rank 0 and nothing kept by the rule.  threads must be >= 1
+    Fourier mode kept) the zero tensor is returned before any factor is
+    formed, with rank 0 and nothing kept by the rule.  threads must be >= 1
     and changes no work.
 
     The selection rule of the magnetic translations (Haldane 1985;
@@ -358,7 +361,7 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
-        raise GridMismatch(f"orbitals sampled on {orbitals.grid}, tensor grid {grid}")
+        raise GridMismatch(f"orbitals built on {orbitals.grid}, tensor grid {grid}")
     K, M = orbitals.size, orbitals.flux_count
     modes, terms, blocks = tensor_factors(potential, K, M, grid)
     R = sum(len(columns) for _, columns in blocks)
@@ -368,42 +371,22 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     if R == 0:
         zero = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
         return InteractionTensor.from_blocks(zero, K, potential.sup_norm(), rank=0, rule_kept=0.0)
-    phi = orbitals.matrix()                  # (K, P)
-    B = np.empty((K, K, R), dtype=np.complex128)       # B[b, d, r]
-    if modes:
-        (k1, k2), c = modes
-        E1, at1, minus1 = dft_columns(k1, grid.G1)
-        E2, at2, minus2 = dft_columns(k2, grid.G2)
-        # d >= b in runs of rows whose temporaries (pair densities, both DFT
-        # stages, the previous run's coefficients, two gathers) fit in 16 K P bytes
-        P, u1, u2 = grid.G1 * grid.G2, E1.shape[1], E2.shape[1]
-        rows = max(1, K * P // (P + grid.G1 * u2 + 2 * u1 * u2 + 2 * R))
-        for b in range(K):
-            for lo in range(b, K, rows):
-                d = slice(lo, lo + rows)           # conj(phi_b) phi_d w, then R_bd(u1, u2)
-                coef = E1.T @ ((phi[b].conj() * grid.weight * phi[d]).reshape(-1, grid.G2)
-                               @ E2).reshape(-1, grid.G1, u2)
-                B[d, b] = coef[:, minus1, minus2].conj()
-                B[b, d] = coef[:, at1, at2]
-        del coef
-    elif terms is not None:
-        c = np.array([c_r for c_r, _ in terms])
-        for r, (_, g) in enumerate(terms):
-            weighted = phi.conj()                  # one (K, P) temporary beside phi
-            weighted *= g.ravel()
-            B[:, :, r] = weighted @ phi.T * grid.weight
-        del weighted
+    if modes or terms:
+        B = pair_factors(orbitals, modes, terms)
+        c = modes[1] if modes else np.array([c_r for c_r, *_ in terms])
     else:
         potential.check_symmetry(grid)
-        np.multiply(phi.conj()[:, None], phi, out=B)
+        phi = orbitals.matrix()                        # (K, P)
+        B = np.empty((K * K, R), dtype=np.complex128)
+        np.multiply(phi.conj()[:, None], phi, out=B.reshape(K, K, R))
         B *= grid.weight
+        del phi
         table = potential.pair_values(grid)
-    del phi
-    labels = np.array([orb.m for orb in orbitals.orbitals])
+    labels = orbitals.labels
     transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
     swap = np.arange(K * K).reshape(K, K).T.ravel()    # (bd) -> (db)
     neg = -np.arange(M) % M                            # T -> -T
-    Bt = B.reshape(K * K, R).T
+    Bt = B.T
     image = {T.tobytes(): columns for T, columns in blocks}
 
     def block(columns, cols):        # v[swap[cols], cols] over the factor columns given
@@ -463,18 +446,49 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         rule_kept=sum(np.count_nonzero(T[transfer]) ** 2 for T, _ in blocks) / K ** 4)
 
 
-def tensor_bytes(K: int, M: int, P: int, blocks) -> int:
-    """two_body_tensor's bytes for K orbitals, M flux quanta, P grid points
-    and the blocks of tensor_factors: 16 K^2 R for B, and the larger of 32 K P
-    for phi and a run of pair densities while B is filled and, once phi is
+def pair_factors(orbitals: OrbitalSet, modes, terms) -> np.ndarray:
+    """B[(bd), r] = <b|g_r|d>, (K^2, R), for the kept Fourier modes or else
+    the factored separable terms of tensor_factors, in closed form from the
+    orbitals' profiles and harmonics (OrbitalSet.pair_coefficients): the
+    mode k, exp(-2 pi i k.y / G), as the x1 column of dft_columns and the x2
+    mode k2; a term as its x1 factor and its weighted x2 modes."""
+    if modes:
+        (k1, k2), _ = modes
+        E1, at1, _ = dft_columns(k1, orbitals.grid.G1)
+        return orbitals.pair_coefficients(E1, at1, k2)
+    return np.column_stack([orbitals.pair_coefficients(f[:, None], np.zeros_like(k), k) @ a
+                            for _, f, k, a in terms])
+
+
+def tensor_bytes(K: int, M: int, grid: Grid, modes, terms, blocks) -> int:
+    """two_body_tensor's bytes for K orbitals, M flux quanta and the factors
+    of tensor_factors on grid: 16 K^2 (R + 1) for B and a padding column,
+    and the larger of B's temporaries while it is filled and, once they are
     freed, 32 K^4 / g for the blocks of v and F (momentum_modulus g) with 64
     K^2 for their index arrays and 32 n (n + r) for the factor slices,
     product and image of the largest block, n = |T| K^2 / M pairs by r
-    columns."""
+    columns.  B's temporaries: for a table, 32 K P for the orbital samples
+    at the P grid points and their conjugate; in closed form
+    (OrbitalSet.pair_coefficients), per shell offset, 16 G1 K^2 for the
+    products of x1 profiles and their kept columns, 16 K^2 u for their sums
+    at the u x1 columns of dft_columns (one for a separable term) and 72 K^2
+    c for the gathers, phases and indices of the c modes of one x2 residue."""
     sizes = [(int(T.sum()) * K * K // M, len(columns)) for T, columns in blocks]
+    R = sum(r for _, r in sizes)
+    if modes is None and terms is None:
+        fill = 32 * K * grid.G1 * grid.G2
+    elif R == 0:
+        fill = 0
+    else:
+        if modes:
+            (k1, k2), _ = modes
+            u, c = len(np.unique(np.concatenate([k1, -k1 % grid.G1]))), np.bincount(k2).max()
+        else:
+            u, c = 1, max(np.bincount(k).max() for *_, k, _ in terms)
+        fill = 16 * K * K * (grid.G1 + u) + 72 * K * K * int(c)
     stored = 32 * K ** 4 // momentum_modulus(M, blocks) + 64 * K * K
-    return 16 * K * K * sum(r for _, r in sizes) + max(
-        32 * K * P, stored + max((32 * n * (n + r) for n, r in sizes), default=0))
+    return 16 * K * K * (R + 1) + max(
+        fill, stored + max((32 * n * (n + r) for n, r in sizes), default=0))
 
 
 def momentum_modulus(M: int, blocks) -> int:
@@ -500,7 +514,7 @@ def tensor_factors(potential: PotentialSpec, K: int, M: int, grid: Grid):
     rule = np.ones((R, M), dtype=bool) if rule is None else rule[modes[0][1]] if modes else rule
     keys, group = np.unique(rule, axis=0, return_inverse=True)
     blocks = [(T, np.flatnonzero(group == i)) for i, T in enumerate(keys)]
-    nbytes = tensor_bytes(K, M, P, blocks)
+    nbytes = tensor_bytes(K, M, grid, modes, terms, blocks)
     if nbytes > TENSOR_BYTE_CAP:
         raise TooLarge(f"two-body tensor at K = {K} with {R} {what} needs {nbytes / 1e9:.2f} "
                        f"GB, over the budget of {TENSOR_BYTE_CAP / 1e9:.2f} GB")

@@ -14,11 +14,11 @@ by sup|V|.  Kinds:
 For quadrature each kind exposes the form that is exact on the grid and
 cheapest to contract, each a weighted sum V(x;y) = sum_r c_r conj(g_r(x))
 g_r(y) that manybody.two_body_tensor contracts as one factor product: the
-zero and cosine kinds their rank expansion with real g_r (separable_terms),
-the translation-invariant Gaussian kind the real discrete Fourier weights of
-its difference table, g_k(y) = exp(-2 pi i k.y / G) (fourier_modes), and the
-tabulated kind its dense pair matrix, one g per grid point with the table
-for weights (pair_values).
+zero and cosine kinds their rank expansion with real g_r, each an x1 factor
+times x2 harmonics (separable_terms), the translation-invariant Gaussian
+kind the real discrete Fourier weights of its difference table, g_k(y) =
+exp(-2 pi i k.y / G) (fourier_modes), and the tabulated kind its dense pair
+matrix, one g per grid point with the table for weights (pair_values).
 
 Selection rule (x2_transfers).  The box orbital phi_{n,m} has x2 harmonics
 m - M l1 only, so its x2 momentum m mod M is exact: the magnetic
@@ -65,6 +65,13 @@ def signed_frequency(k, G: int):
     """Grid frequency of the integer harmonic k on G points, in -G//2 .. (G-1)//2
     (numpy.fft.fftfreq(G, 1 / G) at k mod G)."""
     return (np.asarray(k) + G // 2) % G - G // 2
+
+
+def _midpoint_cosine(h: int, G: int) -> np.ndarray:
+    """cos(2 pi h x / L) at the G midpoint nodes x = L ((i + 1/2) / G - 1/2)
+    of an axis of length L, h (2 i + 1 - G) / (2 G) reduced mod 1 in
+    integers first, so the samples carry no rounding of a large argument."""
+    return np.cos(np.pi * (h * (2 * np.arange(G) + 1 - G) % (2 * G)) / G)
 
 
 @dataclass(frozen=True)
@@ -124,9 +131,8 @@ class PotentialSpec:
     # -- evaluation --------------------------------------------------------
 
     def _cosine_factor(self, grid) -> np.ndarray:
-        X1, X2 = grid.mesh()
-        return (np.cos(2.0 * np.pi * self.harmonic1 * X1 / grid.L1)
-                * np.cos(2.0 * np.pi * self.harmonic2 * X2 / grid.L2))
+        return np.outer(_midpoint_cosine(self.harmonic1, grid.G1),
+                        _midpoint_cosine(self.harmonic2, grid.G2))
 
     def _difference_table(self, grid) -> np.ndarray:
         """Periodized Gaussian at grid offsets, normalized to 1 at zero offset.
@@ -152,12 +158,18 @@ class PotentialSpec:
 
     def separable_terms(self, grid):
         """Rank expansion V(x;y) = sum_r c_r g_r(x) g_r(y) of the zero and
-        cosine kinds, exact on the grid, as a list of (c_r, g_r); None for the
-        other kinds."""
+        cosine kinds, exact on the grid, in factored form: a list of (c_r,
+        f_r, k_r, a_r) with g_r(x) = f_r(x1) sum_j a_r[j] exp(-2 pi i
+        k_r[j] i2 / G2) at the node (i1, i2), f_r sampled on grid.x1.  The
+        cosine's x2 factor cos(2 pi h x2 / L2) is its two modes k = -h and h
+        (mod G2), of weights Grid.x2_phase(+-h) / 2.  None for the other
+        kinds."""
         if self.kind == "zero":
             return []
         if self.kind == "separable-cosine":
-            return [(self.strength, self._cosine_factor(grid).astype(np.complex128))]
+            h = np.array([self.harmonic2, -self.harmonic2])
+            return [(self.strength, _midpoint_cosine(self.harmonic1, grid.G1),
+                     -h % grid.G2, 0.5 * grid.x2_phase(h))]
         return None
 
     def fourier_modes(self, grid):

@@ -8,7 +8,7 @@ TWO_PI = 2.0 * np.pi
 
 def make_config(M=3, n_max=2, N=2, strength=0.2, kind="separable-cosine",
                 grid=64, tensor_grid=64, dt=1e-3, t_final=0.2,
-                sample_stride=10, L=TWO_PI, integrator="rk4", sigma=1.2):
+                sample_stride=10, L=TWO_PI, integrator="rk4", sigma=1.2, lattice_cut=0):
     text = f"""
 [domain]
 L1 = {L!r}
@@ -19,6 +19,7 @@ M = {M}
 n_max = {n_max}
 grid1 = {grid}
 tensor_grid1 = {tensor_grid}
+lattice_cut = {lattice_cut}
 
 [dynamics]
 N = {N}

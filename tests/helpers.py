@@ -15,10 +15,14 @@ The reduced density matrix oracle accumulates it entry by entry with np.add.at.
 The replacement-table oracle sorts every target occupation and ranks it; the
 Hamiltonian oracle consumes it as COO lists and mirrors the upper triangle
 with scipy's transpose and sum.  The Gaussian-tensor oracle takes a full 2-D
-FFT of every pair density and reads the kept modes off it.  The dense-tensor
-oracle forms the whole pair matrix as one product A @ B^T over every factor
-column, with the selection rule's zeros set in B, and checks and symmetrizes
-it one slab of fixed a at a time, with no momentum block.  DenseTensor reads
+FFT of every pair density and reads the kept modes off it.  The orbital
+oracle samples the lattice sum on the grid shell by shell, one Hermite
+recurrence per shell; the pair-factor oracle fills B from those samples by a
+partial DFT of every 2-D pair density, or by the sampled separable terms.
+The dense-tensor oracle forms the whole pair matrix as one product A @ B^T
+over every factor column of the tensor's own B, with the selection rule's
+zeros set in B, and checks and symmetrizes it one slab of fixed a at a
+time, with no momentum block.  DenseTensor reads
 a dense pair matrix for the tensor's methods, with no block and no
 antisymmetrized copy: J and X one pass each, the pair amplitudes by
 sequential contractions of v.
@@ -31,8 +35,10 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sp
 
+from landau_hf.basis import TAIL_TOL, grid_reduced_field, hermite_function
+from landau_hf.errors import TruncationTooSmall
 from landau_hf.hartree_fock import hf_rhs
-from landau_hf.manybody import dft_columns
+from landau_hf.manybody import dft_columns, pair_factors
 
 
 def perm_sign(perm) -> float:
@@ -218,27 +224,67 @@ def rule_kept(rule: np.ndarray, transfer: np.ndarray) -> float:
     return float(pairs @ joint @ pairs) / transfer.size ** 2
 
 
-def dense_two_body_tensor(potential, orbitals, grid):
-    """(pair, symmetry_deviation, rule_kept) of the two-body tensor as one
-    dense product v = A @ B^T of (K^2, R) factors over every pair and factor
-    column: B[(bd), r] = <b|g_r|d> (the partial DFT at the kept Fourier
-    modes, the separable terms, or the pair densities at the grid points of a
-    table), every entry the selection rule forbids set to 0 in B, A[(ag), r]
-    = c_r conj(B[(ga), r]) (B @ T for a table); then the raw exchange and
-    hermiticity deviations (symmetry_deviations) relative to max(max |v|, 1),
-    and v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place
-    one slab of fixed a at a time.  Needs at least one factor column."""
-    K, M = orbitals.size, orbitals.flux_count
-    phi = orbitals.matrix()
-    labels = np.array([orb.m for orb in orbitals.orbitals])
-    transfer = (labels - labels[:, None]) % M
-    rule = potential.x2_transfers(grid, M)
+def grid_orbital(n: int, m: int, grid, flux_count: int, lattice_cut: int = 0) -> np.ndarray:
+    """(G1, G2) samples of the box orbital (n, m): the lattice sum over x1
+    translations assembled on the grid shell by shell, |l1| = 0, 1, ..., l1
+    before -l1, each shell's profile from its own hermite_function call,
+    while one of a ring's shells lies inside the classical turning range or
+    its sampled maximum exceeds TAIL_TOL times the accumulated peak."""
+    M = flux_count
+    b = grid_reduced_field(grid, M)
+    sqrt_b = math.sqrt(b)
+    turn = math.sqrt(2 * n + 1.0) / sqrt_b + grid.L1
+    bound = lattice_cut or 10_000
+    values = np.zeros((grid.G1, grid.G2), dtype=np.complex128)
+    peak = 0.0
+    l1 = 0
+    while True:
+        hit = False
+        for shell in ((0,) if l1 == 0 else (l1, -l1)):
+            profile = hermite_function(n, sqrt_b * (grid.x1 + (shell - m / M) * grid.L1))
+            mx = float(np.max(np.abs(profile)))
+            center = abs(shell - m / M) * grid.L1
+            if mx > TAIL_TOL * max(peak, 1e-300) or center <= turn:
+                if l1 > bound:
+                    raise TruncationTooSmall(
+                        f"lattice sum for orbital (n={n}, m={m}) needs shell "
+                        f"l1={shell} beyond the cut {bound}")
+                harmonic = np.exp(2j * np.pi * (m - M * shell) * grid.x2 / grid.L2)
+                values += np.outer(profile, harmonic)
+                peak = max(peak, mx)
+                hit = True
+        if not hit:
+            break
+        l1 += 1
+    values *= b ** 0.25 / math.sqrt(grid.L2)
+    return values
+
+
+def grid_orbital_matrix(oset, lattice_cut: int = 0) -> np.ndarray:
+    """(K, P) grid_orbital samples of every orbital of oset, on its grid."""
+    M = oset.flux_count
+    return np.stack([grid_orbital(k // M, k % M, oset.grid, M, lattice_cut).ravel()
+                     for k in range(oset.size)])
+
+
+def grid_gram(phi: np.ndarray, grid) -> np.ndarray:
+    """<b|d> of (K, P) samples by the rectangle rule."""
+    return (phi.conj() @ phi.T) * grid.weight
+
+
+def grid_pair_factors(potential, phi: np.ndarray, grid) -> np.ndarray:
+    """B[b, d, r] = <b|g_r|d> of the (K, P) orbital samples phi on grid for
+    the kept Fourier modes (a partial DFT of each pair density, one product
+    with the x2 columns E2 of dft_columns, one with the x1 columns E1), the
+    cosine kind's sampled factor, or the grid points of a table (the pair
+    densities)."""
+    K = len(phi)
     modes = potential.fourier_modes(grid)
     terms = None if modes else potential.separable_terms(grid)
     R = len(modes[1]) if modes else grid.G1 * grid.G2 if terms is None else len(terms)
     B = np.empty((K, K, R), dtype=np.complex128)
     if modes:
-        (k1, k2), c = modes
+        (k1, k2), _ = modes
         E1, at1, minus1 = dft_columns(k1, grid.G1)
         E2, at2, minus2 = dft_columns(k2, grid.G2)
         cw = phi.conj() * grid.weight
@@ -247,14 +293,39 @@ def dense_two_body_tensor(potential, orbitals, grid):
             coef = E1.T @ half
             B[b:, b] = coef[:, minus1, minus2].conj()
             B[b, b:] = coef[:, at1, at2]
-        rule = rule[k2]
-    elif terms is not None:
-        c = np.array([c_r for c_r, _ in terms])
-        for r, (_, g) in enumerate(terms):
-            B[:, :, r] = (phi.conj() * g.ravel()) @ phi.T * grid.weight
+    elif terms:                                   # the cosine kind's one term
+        B[:, :, 0] = (phi.conj() * potential._cosine_factor(grid).ravel()) @ phi.T * grid.weight
     else:
         np.multiply(phi.conj()[:, None], phi, out=B)
         B *= grid.weight
+    return B
+
+
+def dense_two_body_tensor(potential, orbitals, grid):
+    """(pair, symmetry_deviation, rule_kept) of the two-body tensor as one
+    dense product v = A @ B^T of (K^2, R) factors over every pair and factor
+    column: B[(bd), r] = <b|g_r|d> (manybody.pair_factors, whose own oracle
+    is grid_pair_factors; for a table, the pair densities of the samples),
+    every entry the selection rule forbids set to 0 in B, A[(ag), r] = c_r
+    conj(B[(ga), r]) (B @ T for a table); then the raw exchange and
+    hermiticity deviations (symmetry_deviations) relative to max(max |v|, 1),
+    and v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place
+    one slab of fixed a at a time.  Needs at least one factor column."""
+    K, M = orbitals.size, orbitals.flux_count
+    labels = np.arange(K) % M
+    transfer = (labels - labels[:, None]) % M
+    rule = potential.x2_transfers(grid, M)
+    modes = potential.fourier_modes(grid)
+    terms = None if modes else potential.separable_terms(grid)
+    if terms is None and not modes:
+        B, c = grid_pair_factors(potential, orbitals.matrix(), grid), None
+    else:
+        B = pair_factors(orbitals, modes, terms).reshape(K, K, -1).copy()
+        c = modes[1] if modes else np.array([c_r for c_r, *_ in terms])
+    R = B.shape[2]
+    if modes:
+        rule = rule[modes[0][1]]
+    if c is None:
         A = B.reshape(K * K, R) @ potential.pair_values(grid)
     if rule is not None:
         np.copyto(B, 0, where=(~rule).T[transfer])

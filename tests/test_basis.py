@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from landau_hf.basis import (MAX_HERMITE_DEGREE, boundary_residuals,
                              grid_reduced_field, infinite_volume_profile)
 from landau_hf.errors import (DegreeOutOfRange, GridTooCoarse,
                               OffGridDisplacement, TruncationTooSmall)
+import helpers
 from helpers import midpoint_quad_1d, seam_phase_translate
 
 from conftest import make_config
 
 TWO_PI = 2.0 * math.pi
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # --- Hermite functions -------------------------------------------------------
@@ -154,6 +158,12 @@ def test_lattice_cut_too_small(cfg_m3):
 def test_bad_degeneracy_index(cfg_m3):
     with pytest.raises(DegreeOutOfRange):
         lhf.finite_volume_orbital(0, 3, cfg_m3.grid, 3)
+
+
+@pytest.mark.parametrize("n", [-1, MAX_HERMITE_DEGREE + 1])
+def test_bad_level_index(cfg_m3, n):
+    with pytest.raises(DegreeOutOfRange, match=f"degree {n} outside"):
+        lhf.finite_volume_orbital(n, 0, cfg_m3.grid, 3)
 
 
 # --- magnetic translations ---------------------------------------------------
@@ -319,3 +329,83 @@ def test_degeneracy_shift_closed_under_relabelling(cfg_m3):
             overlap = lhf.inner_product(orig[m], again)
             expected = 1.0 if shifted == m else 0.0
             assert abs(abs(overlap) - expected) < 1e-8
+
+
+# --- separable form against the grid oracle ------------------------------------
+
+def separable_set(case):
+    """(orbital set, lattice cut) of a case: a shipped config on its grid or
+    its tensor grid, cfg_m3's basis with lattice_cut = 3, or an aliasing
+    set, M = 3 on a 16 x 4 grid (below the Nyquist guard, so shell pairs one
+    apart meet modes through dq = k2 + G2 j, j != 0), built from
+    lattice_profiles with no Gram check."""
+    if case == "cut3":
+        return lhf.build_orbital_set(make_config(lattice_cut=3)), 3
+    if case == "aliasing":
+        grid = lhf.Grid(L1=TWO_PI, L2=TWO_PI, G1=16, G2=4)
+        shells, profiles, kept = lhf.lattice_profiles(range(3), range(3), grid, 3)
+        return lhf.OrbitalSet(profiles=np.ascontiguousarray(profiles.reshape(9, -1, 16)),
+                              shells=shells, kept=kept.reshape(9, -1),
+                              energies=np.zeros(9), flux_count=3, grid=grid), 0
+    name, which = case.split("-")
+    config = lhf.load_config(ROOT / f"configs/{name}.cfg")
+    return lhf.build_orbital_set(config, grid=getattr(config, which)), config.lattice_cut
+
+
+SEPARABLE_CASES = [f"{name}-{which}" for name in ("example", "k16n4", "k30n10")
+                   for which in ("grid", "tensor_grid")] + ["cut3", "aliasing"]
+
+
+@pytest.mark.parametrize("case", SEPARABLE_CASES)
+def test_samples_are_the_grid_oracle_bit_for_bit(case):
+    # the on-demand samples of the separable form against the lattice sum
+    # assembled on the grid shell by shell, one Hermite call per shell
+    oset, cut = separable_set(case)
+    expect = helpers.grid_orbital_matrix(oset, cut)
+    assert oset.matrix().tobytes() == expect.tobytes()
+    M = oset.flux_count
+    for k, (orb, row) in enumerate(zip(oset.orbitals, expect)):
+        assert (orb.n, orb.m, orb.flux_count) == (k // M, k % M, M)
+        assert orb.values.tobytes() == row.reshape(oset.grid.shape).tobytes()
+    assert np.array_equal(oset.labels, np.arange(oset.size) % M)
+    assert np.array_equal(oset.harmonics, oset.labels[:, None] - M * oset.shells)
+
+
+@pytest.mark.parametrize("case", SEPARABLE_CASES)
+def test_closed_form_gram_matches_the_grid_oracle(case):
+    oset, cut = separable_set(case)
+    gram = helpers.grid_gram(helpers.grid_orbital_matrix(oset, cut), oset.grid)
+    assert np.abs(oset.gram - gram).max() <= 1e-14 * np.abs(gram).max()
+    if case == "aliasing":          # the grid's aliasing, not orthonormality
+        assert np.abs(gram - np.eye(oset.size)).max() > 1e-3
+
+
+@pytest.mark.parametrize("n,m,cut", [(0, 1, 0), (2, 0, 0), (1, 2, 0), (2, 0, 1), (2, 0, 2),
+                                     (1, 2, 1), (0, 0, 5), (4, 2, 0)])
+def test_finite_volume_orbital_is_the_grid_oracle(cfg_m3, n, m, cut):
+    # bit for bit, or the same TruncationTooSmall
+    grid = cfg_m3.grid
+    try:
+        expect = helpers.grid_orbital(n, m, grid, 3, cut)
+    except TruncationTooSmall as exc:
+        with pytest.raises(TruncationTooSmall, match=f"^{re.escape(str(exc))}$"):
+            lhf.finite_volume_orbital(n, m, grid, 3, lattice_cut=cut)
+        return
+    got = lhf.finite_volume_orbital(n, m, grid, 3, lattice_cut=cut)
+    assert got.values.tobytes() == expect.tobytes()
+
+
+def test_orbital_set_cut_raises_for_the_first_orbital_that_needs_more():
+    # build_orbital_set names the first orbital, in (n, m) order, whose sum
+    # needs a shell beyond the cut, and that orbital's first such shell
+    config = make_config(lattice_cut=1)
+    messages = []
+    for n in range(3):
+        for m in range(3):
+            try:
+                helpers.grid_orbital(n, m, config.grid, 3, 1)
+            except TruncationTooSmall as exc:
+                messages.append(str(exc))
+    assert messages
+    with pytest.raises(TruncationTooSmall, match=f"^{re.escape(messages[0])}$"):
+        lhf.build_orbital_set(config)

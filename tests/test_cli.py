@@ -639,9 +639,10 @@ def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, 
 @pytest.mark.parametrize("command", ["evolve-hf", "compare"])
 def test_tensor_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
                                                             command):
-    # K = 9, 89 kept modes, P = 48^2: 16 K^2 R + 32 K P = 778,896 bytes (the
-    # blocks of v and F and a block's factors, 32 K^4 / g + 32 n (n + r), are
-    # less), over a 100 kB cap
+    # K = 9, 89 kept modes on a 48^2 grid: 16 K^2 (R + 1) for B and its
+    # closed-form fill, 16 K^2 (G1 + u) + 72 K^2 c with u = c = 11, 257,256
+    # bytes (the blocks of v and F and a block's factors, 32 K^4 / g + 32 n
+    # (n + r), are less), over a 100 kB cap
     def unbuilt(*args):
         raise AssertionError("a Fourier factor was built")
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", 10 ** 5)

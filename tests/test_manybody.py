@@ -516,6 +516,65 @@ def test_blocked_tensor_matches_dense_oracle(name, free, monkeypatch):
     assert abs(tensor.symmetry_deviation - deviation) <= 1e-15
 
 
+SHIPPED = ["example", "gaussian", "k16n4", "k30n10"]
+
+
+def factor_case(name):
+    """(orbital set, kernel, grid, lattice cut) of a pair-factor case: a
+    RULE_CASES entry, a shipped config's kernel on its tensor grid, cfg_m3's
+    basis at lattice_cut = 3 with the Gaussian, or M = 3 on a 16 x 4
+    aliasing grid (below the Nyquist guard: shell pairs one apart meet modes
+    through dq = k2 + G2 j, j != 0) with the cosine or the Gaussian."""
+    if name in RULE_CASES:
+        return (*rule_case(name), 0)
+    if name in SHIPPED:
+        config = lhf.load_config(ROOT / f"configs/{name}.cfg")
+        return (lhf.build_orbital_set(config, grid=config.tensor_grid), config.potential,
+                config.tensor_grid, config.lattice_cut)
+    gaussian = lhf.PotentialSpec(kind="periodic-gaussian", strength=0.3, sigma=0.5)
+    if name == "cut3":
+        config = make_config(lattice_cut=3)
+        grid = config.tensor_grid
+        return lhf.build_orbital_set(config, grid=grid), gaussian, grid, 3
+    grid = lhf.Grid(L1=2.0 * np.pi, L2=2.0 * np.pi, G1=16, G2=4)
+    shells, profiles, kept = lhf.lattice_profiles(range(3), range(3), grid, 3)
+    oset = lhf.OrbitalSet(profiles=np.ascontiguousarray(profiles.reshape(9, -1, 16)),
+                          shells=shells, kept=kept.reshape(9, -1), energies=np.zeros(9),
+                          flux_count=3, grid=grid)
+    pot = gaussian if name == "aliasing-gaussian" else lhf.PotentialSpec(
+        kind="separable-cosine", strength=0.7)
+    return oset, pot, grid, 0
+
+
+@pytest.mark.parametrize("name", [*RULE_CASES, *SHIPPED, "cut3", "aliasing-cosine",
+                                  "aliasing-gaussian"])
+def test_pair_factors_match_the_grid_oracle(name):
+    # B in closed form from profiles and harmonics against the grid fill of
+    # the oracle samples: a partial DFT of every 2-D pair density, or the
+    # cosine's sampled factor
+    oset, pot, grid, cut = factor_case(name)
+    modes, terms, _ = manybody.tensor_factors(pot, oset.size, oset.flux_count, grid)
+    B = manybody.pair_factors(oset, modes, terms)
+    oracle = helpers.grid_pair_factors(pot, helpers.grid_orbital_matrix(oset, cut), grid)
+    oracle = oracle.reshape(B.shape)
+    assert np.abs(B - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_closed_form_tensors_sample_no_orbital(monkeypatch):
+    # a sampler that raises: the Gaussian and cosine tensors form no grid
+    # sample of an orbital, and the table's does
+    def unsampled(*args):
+        raise AssertionError("an orbital was sampled")
+    monkeypatch.setattr(lhf.basis, "_lattice_samples", unsampled)
+    for name in ("example", "k30n10"):             # cosine, Gaussian
+        oset, pot, grid, _ = factor_case(name)
+        assert lhf.two_body_tensor(pot, oset, grid).rank >= 1
+    oset, pot, grid = rule_case("gaussian-M3")
+    table = lhf.PotentialSpec(kind="tabulated", table=pot.pair_values(grid))
+    with pytest.raises(AssertionError, match="an orbital was sampled"):
+        lhf.two_body_tensor(table, oset, grid)
+
+
 def expected_modulus(oset, pot, G2):
     """The momentum modulus g of a kernel: M for the Gaussian and zero kinds,
     gcd(M, 2 s) for the cosine at its numpy.fft.fftfreq frequency s, 1 for a
@@ -819,11 +878,11 @@ def test_tensor_peak_memory_is_within_its_byte_prediction(kind, sigma, monkeypat
     finally:
         tracemalloc.stop()
     K, M, P = oset.size, oset.flux_count, grid.G1 * grid.G2
-    _, _, blocks = manybody.tensor_factors(pot, K, M, grid)
-    R = sum(len(columns) for _, columns in blocks)
+    factors = manybody.tensor_factors(pot, K, M, grid)
+    R = sum(len(columns) for _, columns in factors[2])
     assert R == (len(pot.fourier_modes(grid)[1]) if kind == "periodic-gaussian"
                  else {"zero": 0, "separable-cosine": 1, "tabulated": P}[kind])
-    predicted = manybody.tensor_bytes(K, M, P, blocks)
+    predicted = manybody.tensor_bytes(K, M, grid, *factors)
     assert K == 30 and peak <= 1.1 * predicted
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", predicted)
     lhf.two_body_tensor(pot, oset, grid)

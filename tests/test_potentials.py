@@ -36,6 +36,23 @@ def test_cosine_zero_harmonics_is_constant(grid):
     assert np.max(np.abs(vals - 0.3)) < 1e-15
 
 
+@pytest.mark.parametrize("h1,h2", [(1, 1), (0, 0), (2, -3), (1, 16), (1, 30), (3, 33)])
+def test_cosine_factored_form_samples_the_cosine(h1, h2):
+    # the separable term's x1 factor and weighted x2 modes sample
+    # cos(2 pi h1 x1 / L1) cos(2 pi h2 x2 / L2) on the midpoint grid; the
+    # samples reduce the argument exactly, the naive ones round it
+    grid = lhf.Grid(L1=2.0 * np.pi, L2=3.0, G1=16, G2=32)
+    pot = PotentialSpec(kind="separable-cosine", strength=0.7, harmonic1=h1, harmonic2=h2)
+    [(c, f, k, a)] = pot.separable_terms(grid)
+    modes = np.exp(-2j * np.pi * (np.outer(np.arange(grid.G2), k) % grid.G2) / grid.G2)
+    sampled = pot._cosine_factor(grid)
+    assert c == 0.7 and f.shape == (grid.G1,) and np.array_equal(k, [-h2 % 32, h2 % 32])
+    assert np.abs(np.outer(f, modes @ a) - sampled).max() <= 1e-15
+    X1, X2 = grid.mesh()
+    naive = np.cos(2 * np.pi * h1 * X1 / grid.L1) * np.cos(2 * np.pi * h2 * X2 / grid.L2)
+    assert np.abs(sampled - naive).max() <= 1e-13
+
+
 @pytest.mark.parametrize("shape", [(12, 12), (15, 24)], ids=["12x12", "15x24"])
 def test_gaussian_fourier_modes_reconstruct(shape):
     grid = lhf.Grid(L1=2.0 * np.pi, L2=2.0 * np.pi, G1=shape[0], G2=shape[1])
