@@ -33,9 +33,13 @@ its number of momentum blocks, its momentum modulus g, the bytes of its
 stored blocks of v and F, and the tracemalloc peak of one more call over
 the bytes two_body_tensor predicts (tensor_bytes).  The config's Gaussian
 rows at K = 30 and K = 60 also time
-InteractionTensor.mean_field, the HF right-hand side's contraction, on
-seeded random orthonormal orbitals of the config's N, the median of at least
-REPEATS calls and MIN_SECONDS of calls (mean_field_s, mean_field_calls).
+InteractionTensor.mean_field, the HF right-hand side's contraction, and
+InteractionTensor.pair_amplitudes, the closed-form defect's, on seeded
+random orthonormal orbitals of the config's N, each the median of at least
+REPEATS calls and MIN_SECONDS of calls (mean_field_s, mean_field_calls,
+pair_amplitudes_s, pair_amplitudes_calls), the pair blocks built by one
+call before the timed ones, with the bytes of those kept blocks
+(pair_blocks_mb).
 The orbital-set rows time build_orbital_set on TENSOR_CONFIG's tensor grid
 at K = 30, with WIDE_CHANGES and with HUGE_CHANGES, the median of at least
 REPEATS builds and MIN_SECONDS of builds, with the tracemalloc peak of one
@@ -176,7 +180,8 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
     MIN_SECONDS of calls and their number, its momentum blocks
     (tensor_factors), modulus and stored bytes, and the tracemalloc peak of
     one more call over its predicted bytes, tensor_bytes; given N, the
-    median mean_field call on N seeded random orthonormal orbitals."""
+    median mean_field and pair_amplitudes calls on N seeded random
+    orthonormal orbitals, and the bytes of the pair blocks."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
     tracemalloc.start()
     try:
@@ -201,6 +206,11 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
         C = np.linalg.qr(rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N)))[0]
         calls = call_times(lambda: tensor.mean_field(C))
         row.update(N=N, mean_field_s=statistics.median(calls), mean_field_calls=len(calls))
+        tensor.pair_amplitudes(C)                      # builds the pair blocks
+        calls = call_times(lambda: tensor.pair_amplitudes(C))
+        row.update(pair_amplitudes_s=statistics.median(calls),
+                   pair_amplitudes_calls=len(calls),
+                   pair_blocks_mb=tensor.pair_blocks.values.nbytes / 1e6)
     return row
 
 
@@ -227,10 +237,10 @@ def orbital_row(changes=None) -> dict:
 
 def tensor_rows() -> list[dict]:
     """tensor_row for TENSOR_CONFIG's Gaussian at its sigma, with mean_field
-    at the config's N, and at each of TENSOR_SIGMAS, for the zero and the
+    and pair_amplitudes at the config's N, and at each of TENSOR_SIGMAS, for the zero and the
     cosine kernel on its tensor grid, for the Gaussian's pair values as a
-    table on a TABLE_GRID^2 grid, and for the Gaussian with WIDE_CHANGES,
-    with mean_field."""
+    table on a TABLE_GRID^2 grid, for the Gaussian with WIDE_CHANGES, with
+    mean_field and pair_amplitudes, and with HUGE_CHANGES."""
     config = load_config(ROOT / TENSOR_CONFIG)
     grid = config.tensor_grid
     orbitals = build_orbital_set(config, grid=grid)

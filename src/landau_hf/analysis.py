@@ -125,12 +125,14 @@ def defect_norm(state: HFState, tensor: InteractionTensor,
     """||du/dt - H u/(i hbar)|| = |a|/hbar sqrt(1/4 sum_ijab |<ab||ij>|^2),
     i, j over the orbitals and a, b over the complement of their span: the
     amplitudes <pq||ij> (InteractionTensor.pair_amplitudes) with p and q
-    projected on the complement."""
+    projected on the complement, one product on (K, K N^2) each, and the sum
+    of squares one vdot."""
     C = state.orbitals
-    comp = np.eye(len(C)) - C @ C.conj().T             # projector onto the complement
-    g = tensor.pair_amplitudes(C)
-    g = np.tensordot(comp, np.tensordot(comp, g, axes=(1, 1)), axes=(1, 1))
-    return abs(state.a) / constants.hbar * 0.5 * float(np.linalg.norm(g))
+    K, N = C.shape
+    comp = np.eye(K) - C @ C.conj().T                  # projector onto the complement
+    g = comp @ tensor.pair_amplitudes(C).reshape(K, K * N * N)              # [p, q, ij]
+    g = comp @ g.reshape(K, K, N * N).swapaxes(0, 1).reshape(K, K * N * N)   # [q, p, ij]
+    return abs(state.a) / constants.hbar * 0.5 * math.sqrt(np.vdot(g, g).real)
 
 
 def check_defect_support(state: HFState, d: float, H, basis: DeterminantBasis,

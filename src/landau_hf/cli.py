@@ -32,6 +32,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# what a run may stop on and still end with an `error:` line, exit 1 and a
+# manifest: the package's own errors, and an allocation numpy or Python
+# could not make (a prediction under a byte cap can still exceed the
+# memory the process may take)
+FAILURES = (LandauHFError, MemoryError)
+
+
+def failure_message(exc: BaseException) -> str:
+    """The one-line message of a failure in FAILURES."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)
+
+
 def _write_text(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -69,9 +83,10 @@ class Manifest:
     written inside a `with manifest.output(name) as path:` block and listed
     only once that block ends without an error.  On leaving, the Manifest
     writes manifest.json with the counters of what the Problem built
-    (Problem.counters), also when a LandauHFError stops the run: then with
-    ok false and the message as a failed validation, defect_support for a
-    SupportViolation and error otherwise.
+    (Problem.counters), also when a LandauHFError or a MemoryError stops
+    the run: then with ok false and the message (failure_message) as a
+    failed validation, defect_support for a SupportViolation and error
+    otherwise.
     """
 
     def __init__(self, command: str, args, problem: Problem):
@@ -95,10 +110,10 @@ class Manifest:
         return self
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, LandauHFError):
+        if isinstance(exc, FAILURES):
             name = "defect_support" if isinstance(exc, SupportViolation) else "error"
-            self.validation(name, False, str(exc))
-        if exc is None or isinstance(exc, LandauHFError):
+            self.validation(name, False, failure_message(exc))
+        if exc is None or isinstance(exc, FAILURES):
             self.write()
 
     def phase(self, name: str):
@@ -292,7 +307,8 @@ def dispatch(argv) -> int:
     the config, apply --dt, --t-final and --scheme over it (revalidated by
     dataclasses.replace), build the run's one Problem, open the Manifest on
     it and call args.func(args, problem, manifest).  validate loads its own
-    config.  A LandauHFError exits 1."""
+    config.  A LandauHFError or a MemoryError exits 1 with an `error:`
+    line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -311,8 +327,8 @@ def dispatch(argv) -> int:
         problem = Problem(config)
         with Manifest(args.command, args, problem) as manifest:
             return args.func(args, problem, manifest)
-    except LandauHFError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except FAILURES as exc:
+        print(f"error: {failure_message(exc)}", file=sys.stderr)
         return 1
 
 

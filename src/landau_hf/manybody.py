@@ -31,7 +31,12 @@ m_g = t = m_d - m_b (mod g), a (K L, K L) matrix, L = K / g, and the g
 blocks, K^4 / g entries, are one (g, K L, K L) array.  Beside it the
 antisymmetrized F[a,b,g,d] = v[a,b,g,d] - v[a,b,d,g], in the same blocks, is
 built once and is what every contraction reads: the mean field J - X is
-one batched product of F with a gather of the density.
+one batched product of F with a gather of the density.  F also conserves
+pair momentum, m_p + m_q = m_r + m_s (mod g), so over the ascending pairs
+it is block diagonal in g classes (InteractionTensor.pair_blocks, about 16
+C(K,2)^2 / g bytes, built on first read): the amplitudes <pq||ij> of the
+closed-form defect are one batched product of those blocks with the 2x2
+minors of the orbitals, and H's dense W is their scatter.
 
 The determinant space has one primitive, the hole table
 DeterminantBasis.holes(n), n = 1, 2: for every determinant and set of n
@@ -59,6 +64,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator
@@ -205,6 +211,16 @@ def slater_overlap(orbs_a: np.ndarray, orbs_b: np.ndarray) -> complex:
     return complex(np.linalg.det(A.conj().T @ B))
 
 
+class PairBlocks(NamedTuple):
+    """F[(pq), (rs)] over the ascending pairs in blocks of pair momentum c =
+    m_p + m_q (mod g) (InteractionTensor.pair_blocks)."""
+
+    values: np.ndarray    # (g, P, P), read-only: F between the pairs of class c
+    r: np.ndarray         # (g, P): the pairs (r, s) of each class, (0, 0) in padding
+    s: np.ndarray
+    pairs: np.ndarray     # (g, P): their places in np.triu_indices order, C(K,2) in padding
+
+
 class InteractionTensor:
     """v[a, b, g, d] = <ab|V|gd> stored as its momentum blocks (module
     docstring), for the modulus g.  Orbital k = n M + m is in class k mod g
@@ -226,7 +242,11 @@ class InteractionTensor:
     The tensor is the only reader of its storage: every contraction of v the
     package makes is one of its methods, mean_field for the HF flow,
     pair_amplitudes for the closed-form defect and antisymmetrized_pairs for
-    H, each using no symmetry of v."""
+    H, each using no symmetry of v.  The last two read F through
+    pair_blocks, F over the ascending pairs in blocks of pair momentum,
+    about 16 C(K,2)^2 / g bytes gathered from anti on their first call and
+    kept read-only beside it; mean_field, and so the HF flow, never builds
+    them."""
 
     def __init__(self, values, sup_norm: float, symmetry_deviation: float = 0.0,
                  rank: int | None = None, rule_kept: float = 1.0):
@@ -298,29 +318,99 @@ class InteractionTensor:
         fock = (self.anti @ rho.take(self._density_at)[:, :, None]).ravel()
         return fock.take(self._fock_at).reshape(self.K, self.K) @ C
 
+    def _entries(self, p, q, r, s) -> np.ndarray:
+        """F[p, q, r, s] for broadcast orbital arrays: read from the block of
+        t = m_p - m_r, zero where m_s - m_q is not t (mod g)."""
+        K, g = self.K, self.modulus
+        L = K // g
+        t = (p - r) % g
+        at = ((t * K + p) * L + r // g) * K * L + q * L + s // g
+        return np.where((s - q - t) % g == 0, self.anti.ravel().take(at), 0)
+
+    def _by_class(self, p, q) -> tuple[np.ndarray, np.ndarray]:
+        """(table, slot) of the pairs (p, q): row c of table (g, P) holds,
+        in order, the indices of the pairs of pair momentum c = (p + q) mod
+        g, padded with len(p), P the largest class (at least 1); slot[k] is
+        pair k's place in table.ravel()."""
+        g = self.modulus
+        c = (p + q) % g
+        order = np.argsort(c, kind="stable")
+        counts = np.bincount(c, minlength=g)
+        P = max(int(counts.max(initial=0)), 1)
+        slot = np.empty(len(c), dtype=np.int64)
+        slot[order] = c[order] * P + np.arange(len(c)) - (np.cumsum(counts) - counts)[c[order]]
+        table = np.full(g * P, len(c))
+        table[slot] = np.arange(len(c))
+        return table.reshape(g, P), slot
+
+    @cached_property
+    def pair_blocks(self) -> PairBlocks:
+        """F over the ascending pairs in pair-momentum blocks (PairBlocks),
+        gathered from anti on the first read and kept read-only: F keeps m_p
+        + m_q = m_r + m_s (mod g), so the pairs split into g classes, each
+        padded to the largest with the pair (0, 0), whose column of F and
+        2x2 minor are exact zeros and whose row is never read.  About 16
+        C(K,2)^2 / g bytes, against 16 C(K,2)^2 for the dense
+        antisymmetrized_pairs."""
+        a, b = np.triu_indices(self.K, 1)
+        pairs = self._by_class(a, b)[0]
+        r, s = np.append(a, 0)[pairs], np.append(b, 0)[pairs]
+        values = self._entries(r[:, :, None], s[:, :, None], r[:, None, :], s[:, None, :])
+        values.flags.writeable = False
+        return PairBlocks(values, r, s, pairs)
+
+    @cached_property
+    def _amplitude_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, at, sign) of pair_amplitudes: F in blocks of rows (pq) by
+        the ascending column pairs of pair_blocks, and per (p, q) of K^2 the
+        row, in rows.reshape(-1, P), and sign that give F[p, q].  The rows
+        are pair_blocks itself, read at (min, max) with the sign of q - p and
+        0 at p = q, when F[q, p] = -F[p, q] and F[p, p] = 0 hold bit for bit
+        (exchange-symmetric v, as two_body_tensor makes it); otherwise every
+        ordered pair (p, q) has a row of its own, so no symmetry of v is
+        used."""
+        K, blocks = self.K, self.pair_blocks
+        a, b = np.triu_indices(K, 1)
+        rr, ss = blocks.r[:, :, None], blocks.s[:, :, None]       # rows (r, s) of each block
+        r, s = blocks.r[:, None], blocks.s[:, None]               # and its columns
+        k = np.arange(K)[:, None]
+        if (np.array_equal(self._entries(ss, rr, r, s), -blocks.values)
+                and not self._entries(k, k, a, b).any()):
+            ascending = np.zeros((K, K), dtype=np.int64)
+            ascending[a, b] = ascending[b, a] = np.arange(len(a))
+            slot = self._by_class(a, b)[1]
+            sign = np.sign(np.arange(K) - k).ravel().astype(float)
+            return blocks.values, slot[ascending.ravel()], sign
+        p, q = np.divmod(np.arange(K * K), K)
+        table, slot = self._by_class(p, q)
+        p, q = np.append(p, 0)[table][:, :, None], np.append(q, 0)[table][:, :, None]
+        return self._entries(p, q, r, s), slot, np.ones(K * K)
+
     def pair_amplitudes(self, C: np.ndarray) -> np.ndarray:
-        """<pq||ij> = sum_gd F[p, q, g, d] C[g, i] C[d, j], (K, K, N, N), p,
-        q over the basis and i, j over the columns of C: per block and orbital
-        p one product with the rows of C at the g of its rows, then per
-        orbital q one product over every block's d at once."""
+        """<pq||ij> = sum_rs F[p, q, r, s] C[r, i] C[s, j], (K, K, N, N), p,
+        q over the basis and i, j over the columns of C: F is antisymmetric
+        in (rs), so per pair-momentum block one product of its rows of F
+        (_amplitude_rows) with the 2x2 minors C[r, i] C[s, j] - C[s, i] C[r,
+        j] of its ascending column pairs (pair_blocks), then one signed
+        gather fills every (p, q)."""
         K, N = C.shape
-        g, L = self.modulus, K // self.modulus
-        e = C[(self._rows % K).reshape(g, K, L)]              # [t, p, i', i] = C[g, i]
-        z = e.swapaxes(2, 3) @ self.anti.reshape(g, K, L, K * L)          # [t, p, i, (q j')]
-        z = z.reshape(g, K * N, K, L).transpose(2, 1, 0, 3).reshape(K, K * N, K)
-        d = C[(self._cols % K).reshape(g, K, L).swapaxes(0, 1)]   # [q, t, j', j] = C[d, j]
-        return (z @ d.reshape(K, K, N)).reshape(K, K, N, N).swapaxes(0, 1)
+        blocks = self.pair_blocks
+        rows, at, sign = self._amplitude_rows
+        x = C[blocks.r][:, :, :, None] * C[blocks.s][:, :, None, :]    # C[r, i] C[s, j]
+        minors = (x - x.swapaxes(2, 3)).reshape(len(x), -1, N * N)
+        out = (rows @ minors).reshape(-1, N * N).take(at, axis=0)
+        out *= sign[:, None]
+        return out.reshape(K, K, N, N)
 
     def antisymmetrized_pairs(self) -> np.ndarray:
         """<pq||rs> = F[p,q,r,s] over ascending pairs, (C(K,2), C(K,2)), the
-        pairs p < q in the order of np.triu_indices(K, 1): gathered from the
-        block of t = m_p - m_r, zero where m_s - m_q is not t (mod g)."""
-        K, g = self.K, self.modulus
-        a, b = np.triu_indices(K, 1)
-        p, q, r, s = a[:, None], b[:, None], a, b
-        t = (p - r) % g
-        at = ((t * K + p) * (K // g) + r // g) * K * (K // g) + q * (K // g) + s // g
-        return np.where((s - q - t) % g == 0, self.anti.ravel().take(at), 0)
+        pairs p < q in the order of np.triu_indices(K, 1): the dense scatter
+        of pair_blocks, zero between pairs of different pair momentum."""
+        blocks = self.pair_blocks
+        n = math.comb(self.K, 2)
+        W = np.zeros((n + 1, n + 1), dtype=np.complex128)   # row and column n take the padding
+        W[blocks.pairs[:, :, None], blocks.pairs[:, None, :]] = blocks.values
+        return W[:n, :n].copy()
 
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
@@ -551,6 +641,7 @@ class Hamiltonian(LinearOperator):
             pairs = basis.holes(2)[0] // n_holes
             diagonal = W.diagonal()[pairs.T].sum(axis=1)
             off = (np.abs(W).sum(axis=0) - np.abs(W.diagonal()))[pairs].sum(axis=0)
+            del pairs
             self.nnz = int(np.count_nonzero(W))
             self._D2 = np.zeros((len(W), n_holes), dtype=np.complex128)
             self._Z = np.empty_like(self._D2)

@@ -661,6 +661,27 @@ def test_tensor_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, mo
     assert "over the budget" in manifest["validations"]["error"]["detail"]
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 3.91 GiB for an array", ""])
+@pytest.mark.parametrize("command", ["compare", "evolve-hf"])
+def test_allocation_failure_in_set_up_writes_failed_manifest(tmp_path, capsys, monkeypatch,
+                                                             command, message):
+    # a MemoryError (numpy's _ArrayMemoryError is one) while the tensor is
+    # built: exit 1 with an error line and a manifest, no traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(analysis, "two_body_tensor", exhausted)
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", write_cfg(tmp_path), "--out-dir", str(out),
+                     "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    expected = f"out of memory: {message}" if message else "out of memory"
+    assert err == f"error: {expected}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ok"] is False and manifest["outputs"] == []
+    assert manifest["validations"]["error"] == {"ok": False, "detail": expected}
+    assert manifest["counters"] == {"K": 9, "N": 2}
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 @pytest.mark.parametrize("command", ["compare", "evolve-hf", "basis"])
 def test_threads_below_one_exit_one(tmp_path, capsys, command, threads):

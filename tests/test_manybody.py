@@ -647,6 +647,112 @@ def test_shipped_blocked_hf_matches_dense_oracle(path, rng):
                                    problem.config.constants)
 
 
+@pytest.mark.parametrize("name", [*RULE_CASES, "tabulated", "zero"])
+def test_pair_blocks_hold_the_antisymmetrized_pairs_by_pair_momentum(name):
+    # each class c holds the ascending pairs with p + q = c (mod g), padded
+    # to the largest class, and F between them as the dense oracle has it;
+    # a built tensor's amplitudes read these blocks, with no second copy
+    oset, pot, grid = block_case(name)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    K, g = tensor.K, tensor.modulus
+    pairs = list(itertools.combinations(range(K), 2))
+    classes = collections.Counter((p + q) % g for p, q in pairs)
+    blocks = tensor.pair_blocks
+    P = max(classes.values())
+    assert blocks.values.shape == (g, P, P) and blocks.pairs.shape == (g, P)
+    W = helpers.DenseTensor(tensor.pair).antisymmetrized_pairs()
+    for c in range(g):
+        at = blocks.pairs[c, :classes[c]]
+        assert [pairs[k] for k in at] == [(p, q) for p, q in pairs if (p + q) % g == c]
+        assert np.all(blocks.pairs[c, classes[c]:] == len(pairs))
+        assert np.array_equal(blocks.r[c, :classes[c]], [pairs[k][0] for k in at])
+        assert np.array_equal(blocks.s[c, :classes[c]], [pairs[k][1] for k in at])
+        assert np.array_equal(blocks.values[c, :classes[c], :classes[c]], W[np.ix_(at, at)])
+    assert blocks.values.nbytes == 16 * g * P * P
+    assert tensor._amplitude_rows[0] is blocks.values
+
+
+@pytest.mark.parametrize("name", ["gaussian-M3", "cosine-h1", "cosine-M4-h2", "tabulated",
+                                  "zero"])
+def test_defect_is_exactly_zero_at_one_orbital_and_at_a_full_set(name, rng):
+    # N = 1: every 2x2 minor is 0; N = K on unit columns: the complement is
+    # 0; random N = K orbitals: round-off, as the dense oracle's
+    oset, pot, grid = block_case(name)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    oracle = helpers.DenseTensor(tensor.pair)
+    K, constants = tensor.K, make_config().constants
+    scale = max(np.abs(oracle.pair).max(), 1.0)
+    for C in (random_hf_state(rng, K, 1).orbitals, np.eye(K, dtype=np.complex128)):
+        state = lhf.HFState(time=0.0, a=np.exp(0.3j), orbitals=C)
+        assert np.abs(tensor.pair_amplitudes(C) - oracle.pair_amplitudes(C)).max() <= 1e-13 * scale
+        assert lhf.defect_norm(state, tensor, constants) == 0.0
+    state = random_hf_state(rng, K, K)
+    defect = [lhf.defect_norm(state, t, constants) for t in (tensor, oracle)]
+    assert max(defect) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["periodic-gaussian", "separable-cosine"])
+def test_pair_blocks_of_a_single_pair(kind, rng):
+    # K = 2: one pair, (0, 1); with the Gaussian it is in class 1 of g = 2
+    # and class 0 is padding alone
+    config = make_config(M=2, n_max=0, N=2, kind=kind)
+    oset = lhf.build_orbital_set(config, grid=config.tensor_grid)
+    tensor = lhf.two_body_tensor(config.potential, oset, config.tensor_grid)
+    oracle = helpers.DenseTensor(tensor.pair)
+    assert tensor.K == 2
+    blocks = tensor.pair_blocks
+    assert blocks.values.shape == (tensor.modulus, 1, 1)
+    assert np.array_equal(tensor.antisymmetrized_pairs(), oracle.antisymmetrized_pairs())
+    scale = np.abs(oracle.pair).max()
+    for N in (1, 2):
+        C = random_hf_state(rng, 2, N).orbitals
+        assert np.abs(tensor.pair_amplitudes(C) - oracle.pair_amplitudes(C)).max() <= 1e-13 * scale
+    v = rng.normal(size=(2,) * 4) + 1j * rng.normal(size=(2,) * 4)       # no symmetry
+    tensor = InteractionTensor(values=v, sup_norm=1.0)
+    C = random_hf_state(rng, 2, 2).orbitals
+    g = np.einsum("pqrs,ri,sj->pqij", v, C, C)
+    assert np.abs(tensor.pair_amplitudes(C) - (g - g.swapaxes(2, 3))).max() < 1e-13
+
+
+def test_pair_blocks_are_built_once_and_read_only(rng):
+    oset, pot, grid = rule_case("gaussian-M3")
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    assert "pair_blocks" not in vars(tensor)
+    C = random_hf_state(rng, tensor.K, 3).orbitals
+    first = tensor.pair_amplitudes(C)
+    blocks = tensor.pair_blocks
+    copy = blocks.values.copy()
+    assert not blocks.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        blocks.values[0, 0, 0] = 1.0
+    W = tensor.antisymmetrized_pairs()
+    W += 1.0
+    assert np.array_equal(tensor.pair_amplitudes(C), first)
+    assert tensor.pair_blocks is blocks and np.array_equal(blocks.values, copy)
+
+
+def test_hamiltonian_diagonal_leaves_the_pair_blocks_untouched():
+    # assemble_hamiltonian adds the one-body energies to W's diagonal in place
+    oset, pot, grid = rule_case("gaussian-M3")
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    W = tensor.antisymmetrized_pairs()
+    values = tensor.pair_blocks.values.copy()
+    H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(9, 3), oset.energies, tensor)
+    assert not np.array_equal(H.W, W)
+    assert not np.shares_memory(H.W, tensor.pair_blocks.values)
+    assert np.array_equal(tensor.pair_blocks.values, values)
+    assert np.array_equal(tensor.antisymmetrized_pairs(), W)
+
+
+def test_tensor_and_hf_flow_build_no_pair_block():
+    problem = Problem(make_config(kind="periodic-gaussian", N=3, t_final=0.02))
+    tensor, config = problem.tensor, problem.config
+    assert "pair_blocks" not in vars(tensor) and "_amplitude_rows" not in vars(tensor)
+    lhf.integrate_hf(problem.initial_state(), config.dt, config.t_final, config.integrator,
+                     tensor, problem.energies, config.constants, config.sample_stride)
+    assert "pair_blocks" not in vars(tensor) and "_amplitude_rows" not in vars(tensor)
+
+
 def test_block_without_an_image_block_matches_dense_oracle(monkeypatch):
     # Fourier modes kept at k2 = 0 and 1 only: at M = 4 the block of T = 1
     # has no block of -T = 3, so its image is zero before the symmetrization
