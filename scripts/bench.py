@@ -30,9 +30,11 @@ Gaussian's pair values as a table on a TABLE_GRID^2 tensor grid; two more
 rows time the config's Gaussian with WIDE_CHANGES (K = 60) and with
 HUGE_CHANGES (K = 120), the effective-flow runs of CI.  Each row records
 its number of momentum blocks, its momentum modulus g, the bytes of its
-stored blocks of v and F, and the tracemalloc peak of one more call over
-the bytes two_body_tensor predicts (tensor_bytes).  The config's Gaussian
-rows at K = 30 and K = 60 also time
+factor matrix B with its padding column (factors_mb, 16 K^2 (w + 1) for
+the widest block's w columns; transfer-compact for the Gaussian), the
+bytes of its stored blocks of v and F, and the tracemalloc peak of one
+more call over the bytes two_body_tensor predicts (tensor_bytes).  The
+config's Gaussian rows at K = 30 and K = 60 also time
 InteractionTensor.mean_field, the HF right-hand side's contraction, and
 InteractionTensor.pair_amplitudes, the closed-form defect's, on seeded
 random orthonormal orbitals of the config's N, each the median of at least
@@ -178,8 +180,8 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
                N: int | None = None) -> dict:
     """two_body_tensor on orbitals, the median of at least REPEATS calls and
     MIN_SECONDS of calls and their number, its momentum blocks
-    (tensor_factors), modulus and stored bytes, and the tracemalloc peak of
-    one more call over its predicted bytes, tensor_bytes; given N, the
+    (tensor_factors), modulus, factor and stored bytes, and the tracemalloc
+    peak of one more call over its predicted bytes, tensor_bytes; given N, the
     median mean_field and pair_amplitudes calls on N seeded random
     orthonormal orbitals, and the bytes of the pair blocks."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
@@ -192,11 +194,13 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
     K, M = orbitals.size, orbitals.flux_count
     factors = tensor_factors(potential, K, M, grid)
     blocks = factors[2]
+    width = max((len(columns) for _, columns in blocks), default=0)
     predicted = tensor_bytes(K, M, grid, *factors)
     times = call_times(build)
     row = {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
            "grid": list(grid.shape), "sigma": potential.sigma, "rank": tensor.rank,
            "blocks": len(blocks), "modulus": tensor.modulus,
+           "factors_mb": 16 * K * K * (width + 1) / 1e6 if width else 0.0,
            "stored_mb": (tensor.blocks.nbytes + tensor.anti.nbytes) / 1e6,
            "tensor_s": statistics.median(times), "calls": len(times),
            "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,

@@ -140,17 +140,20 @@ def check_defect_support(state: HFState, d: float, H, basis: DeterminantBasis,
                          constants: PhysicalConstants) -> tuple[float, float]:
     """Embedded oracle of the closed-form defect d at one state: the norm of
     the residual outside the two-replacement sector and its distance from d.
-    Raises SupportViolation if either exceeds SECTOR_TOL."""
+    Raises SupportViolation if either exceeds SECTOR_TOL times max(1, the
+    embedded defect's norm): both are rounding of that norm's size at any
+    kernel strength."""
     vec = defect_vector(state, H, basis, energies, tensor, constants)
     norm = float(np.linalg.norm(vec))
     sectors = defect_sector_norms(vec, state.orbitals, basis)
     leak = float(np.linalg.norm(np.delete(sectors, 2))) if basis.N >= 2 else norm
-    if leak > SECTOR_TOL:
+    tol = SECTOR_TOL * max(1.0, norm)
+    if leak > tol:
         raise SupportViolation(
             f"defect leaks {leak:.3e} outside the two-replacement sector at "
             f"t = {state.time} (sector norms {sectors})")
     dev = abs(norm - d)
-    if dev > SECTOR_TOL:
+    if dev > tol:
         raise SupportViolation(
             f"closed-form defect {d!r} is {dev:.3e} from the embedded one at "
             f"t = {state.time}")
@@ -238,9 +241,10 @@ class Problem:
     @cached_property
     def tensor(self) -> InteractionTensor:
         config = self.config           # its budget is checked before any orbital is built
-        tensor_factors(config.potential, config.single_particle_dim, config.domain.M,
-                       config.tensor_grid)
-        return two_body_tensor(config.potential, self.orbital_set, config.tensor_grid)
+        factors = tensor_factors(config.potential, config.single_particle_dim, config.domain.M,
+                                 config.tensor_grid)
+        return two_body_tensor(config.potential, self.orbital_set, config.tensor_grid,
+                               factors=factors)
 
     @cached_property
     def det_basis(self) -> DeterminantBasis:

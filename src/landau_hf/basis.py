@@ -379,8 +379,9 @@ class OrbitalSet:
             row[:] = self.sample(k).ravel()
         return out
 
-    def pair_coefficients(self, x1_weights: np.ndarray, at1: np.ndarray,
-                          k2: np.ndarray) -> np.ndarray:
+    def pair_coefficients(self, x1_weights: np.ndarray, at1: np.ndarray, k2: np.ndarray,
+                          slot: np.ndarray | None = None,
+                          allowed: np.ndarray | None = None) -> np.ndarray:
         """(K^2, J) quadratures C[(b d), j] = w sum over the nodes (i1, i2)
         of conj(phi_b) phi_d x1_weights[i1, at1[j]] exp(-2 pi i k2[j] i2 /
         G2), for (G1, u) weights and x2 modes k2 in 0..G2-1, in closed form
@@ -395,7 +396,14 @@ class OrbitalSet:
         x1 of the profiles (sum_s f_b,s f_d,s+delta at each x1) and one
         product with the x1 weights, or, for one x1 column, one product over
         (s, x1) of the weighted profiles; then a sum into the modes of
-        residue dq."""
+        residue dq.
+
+        Given slot and allowed, (J,) columns and (J, M) booleans, the output
+        is transfer-compact, (K^2, max(slot) + 1): mode j is summed into
+        column slot[j], and only on the pairs (b d) with allowed[j, (m_d -
+        m_b) mod M]; the other entries of a row stay zero.  Every written
+        entry has the bits of the dense one, and modes that share a column
+        must be allowed on disjoint transfers."""
         K, S, G1 = self.profiles.shape
         grid, M, n = self.grid, self.flux_count, len(k2)
         counts = np.bincount(k2, minlength=grid.G2)
@@ -404,8 +412,12 @@ class OrbitalSet:
         modes[k2[order], np.arange(n) - (np.cumsum(counts) - counts)[k2[order]]] = order
         at1 = np.append(at1, 0)
         c = (self.labels - self.labels[:, None]).ravel()        # m_d - m_b of (b d)
+        width = n if slot is None else int(slot.max()) + 1
+        column = np.append(np.arange(n) if slot is None else slot, width)   # of modes 0..n
+        if allowed is not None:
+            allowed = np.vstack([allowed, np.zeros((1, M), dtype=bool)])
         W = np.ascontiguousarray(x1_weights, dtype=np.complex128).view(np.float64)
-        out = np.zeros((K * K, n + 1), dtype=np.complex128)     # column n takes the padding
+        out = np.zeros((K * K, width + 1), dtype=np.complex128)  # column width takes the padding
         flat = out.reshape(-1)
         for delta in range(1 - S, S):
             dq = c - M * delta
@@ -424,8 +436,10 @@ class OrbitalSet:
             cols = modes[dq[pairs] % grid.G2]
             terms = np.take_along_axis(x1_sums, at1[cols], axis=1)
             terms *= grid.x2_phase(dq[pairs])[:, None]
-            flat[pairs[:, None] * (n + 1) + cols] += terms
-        out = out[:, :n]
+            if allowed is not None:                              # the rest go to padding
+                cols = np.where(allowed[cols, c[pairs, None] % M], cols, n)
+            flat[pairs[:, None] * (width + 1) + column[cols]] += terms
+        out = out[:, :width]
         out *= grid.weight * grid.G2 * orbital_prefactor(grid, M) ** 2
         return out
 

@@ -21,6 +21,10 @@ frequency (PotentialSpec.x2_transfers).  The product is formed one momentum
 block at a time, every forbidden entry an exact zero never computed, so W
 and the product that assembles H hold only what the rule allows: 1/M of
 the pairs for the Gaussian, 4/M^2 for the cosine at harmonic2 = 1 (M > 2).
+The rule shapes B too: a Gaussian mode's column is nonzero only on the K^2
+/ M pairs of its transfer, so B is kept transfer-compact, row (bd) holding
+only the modes of its own block, (K^2, w) for the widest block's w columns
+(18 of 89 at K = 30) in place of (K^2, R).
 
 The tensor is stored as those blocks and nothing else (InteractionTensor).
 The transfers of one factor column are one residue mod g = gcd(M, every t -
@@ -414,7 +418,7 @@ class InteractionTensor:
 
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
-                    threads: int = 1) -> InteractionTensor:
+                    threads: int = 1, factors=None) -> InteractionTensor:
     """Quadrature of conj(phi_a(x)) conj(phi_b(y)) V(x;y) phi_g(x) phi_d(y)
     on grid in the pair layout (ag), (bd), for every kernel kind the product
     v = A @ B^T of two (K^2, R) factors, one momentum block at a time; the
@@ -432,9 +436,15 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
       - tabulated kernels, checked first: the pair densities at the P grid
         points of the sampled orbitals (OrbitalSet.matrix), their own
         exchange conjugates, so A = B @ T (real products).
-    The Gaussian and cosine kinds form no grid sample of an orbital.
+    The Gaussian and cosine kinds form no grid sample of an orbital.  B is
+    transfer-compact (pair_factors with the blocks): a block's r factor
+    columns are the first r entries of its pairs' rows, in the block's
+    order, with no gather over factor columns; the cosine's one term and a
+    table's grid points are one block, whose compact B is the dense one.
     Before any factor is allocated, the predicted bytes are checked against
-    TENSOR_BYTE_CAP (tensor_factors).  With no term (the zero kind, or no
+    TENSOR_BYTE_CAP (tensor_factors), unless factors, the (modes, terms,
+    blocks) tensor_factors returned for this kernel, K, M and grid, are
+    given, their bytes checked already.  With no term (the zero kind, or no
     Fourier mode kept) the zero tensor is returned before any factor is
     formed, with rank 0 and nothing kept by the rule.  threads must be >= 1
     and changes no work.
@@ -445,15 +455,16 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     columns that share T make one block of v (tensor_factors) and every entry
     outside the blocks is an exact zero, never computed.  Exchange and
     hermiticity map the block of T onto that of -T: each is checked finite
-    and against its image, symmetrized with it, then written once into its
-    block of x2 momentum mod g (momentum_modulus), the tensor's storage,
-    from which InteractionTensor builds F."""
+    and against its image, about 2^14 entries at a time, symmetrized with
+    it, then written once into its block of x2 momentum mod g
+    (momentum_modulus), the tensor's storage, from which InteractionTensor
+    builds F."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
         raise GridMismatch(f"orbitals built on {orbitals.grid}, tensor grid {grid}")
     K, M = orbitals.size, orbitals.flux_count
-    modes, terms, blocks = tensor_factors(potential, K, M, grid)
+    modes, terms, blocks = tensor_factors(potential, K, M, grid) if factors is None else factors
     R = sum(len(columns) for _, columns in blocks)
     modulus = momentum_modulus(M, blocks)
     L = K // modulus                                   # orbitals per momentum class
@@ -462,7 +473,7 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         zero = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
         return InteractionTensor.from_blocks(zero, K, potential.sup_norm(), rank=0, rule_kept=0.0)
     if modes or terms:
-        B = pair_factors(orbitals, modes, terms)
+        B = pair_factors(orbitals, modes, terms, blocks)
         c = modes[1] if modes else np.array([c_r for c_r, *_ in terms])
     else:
         potential.check_symmetry(grid)
@@ -480,11 +491,12 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     image = {T.tobytes(): columns for T, columns in blocks}
 
     def block(columns, cols):        # v[swap[cols], cols] over the factor columns given
-        Y = Bt[np.ix_(columns, cols)]
         if table is None:
+            Y = Bt[:len(columns), cols]
             Z = Y.conj()
             Z *= c[columns, None]
-        else:                        # conj(table^T Y): real products on Y's float view
+        else:                        # conj(table^T Y): real products on Y's float view,
+            Y = Bt.take(cols, axis=1)          # which take makes C-contiguous
             Z = (table.T @ Y.view(np.float64)).view(np.complex128)
             np.conjugate(Z, out=Z)
         return Z.T @ Y
@@ -504,11 +516,13 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
             Q = V[np.ix_(at, at)]
         else:                                          # or the block of -T
             Q = block(image.get(T[neg].tobytes(), []), rows)
-        # K rows at a time: exchange maps V to Q.T, hermiticity to conj(Q)
-        for s in range(0, len(cols), K):
-            scale = float(np.max([scale, np.abs(V[s:s + K]).max(), np.abs(Q[s:s + K]).max()]))
-            exch = max(exch, float(np.abs(V[s:s + K] - Q.T[s:s + K]).max()))
-            herm = max(herm, float(np.abs(V[s:s + K] - Q[s:s + K].conj()).max()))
+        # about 2^14 entries at a time: exchange maps V to Q.T, hermiticity to conj(Q)
+        step = max(1, 2 ** 14 // len(cols))
+        for s in range(0, len(cols), step):
+            e = s + step
+            scale = float(np.max([scale, np.abs(V[s:e]).max(), np.abs(Q[s:e]).max()]))
+            exch = max(exch, float(np.abs(V[s:e] - Q.T[s:e]).max()))
+            herm = max(herm, float(np.abs(V[s:e] - Q[s:e].conj()).max()))
         # the symmetrization adds entries in pairs, so an entry must stay
         # below half the float range; NaN fails too
         if not math.isfinite(2.0 * scale):
@@ -536,24 +550,37 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         rule_kept=sum(np.count_nonzero(T[transfer]) ** 2 for T, _ in blocks) / K ** 4)
 
 
-def pair_factors(orbitals: OrbitalSet, modes, terms) -> np.ndarray:
+def pair_factors(orbitals: OrbitalSet, modes, terms, blocks=None) -> np.ndarray:
     """B[(bd), r] = <b|g_r|d>, (K^2, R), for the kept Fourier modes or else
     the factored separable terms of tensor_factors, in closed form from the
     orbitals' profiles and harmonics (OrbitalSet.pair_coefficients): the
     mode k, exp(-2 pi i k.y / G), as the x1 column of dft_columns and the x2
-    mode k2; a term as its x1 factor and its weighted x2 modes."""
+    mode k2; a term as its x1 factor and its weighted x2 modes.
+
+    Given the blocks of tensor_factors, the modes' B is transfer-compact,
+    (K^2, w) for the widest block's w columns: row (bd) holds only the
+    modes of the block whose row T allows m_d - m_b, in the order of its
+    columns, with the bits of the dense B, and no entry the rule forbids.
+    The separable terms are one block, whose compact B is the dense one."""
     if modes:
         (k1, k2), _ = modes
         E1, at1, _ = dft_columns(k1, orbitals.grid.G1)
-        return orbitals.pair_coefficients(E1, at1, k2)
+        if blocks is None:
+            return orbitals.pair_coefficients(E1, at1, k2)
+        slot = np.empty(len(k2), dtype=np.int64)
+        allowed = np.empty((len(k2), orbitals.flux_count), dtype=bool)
+        for T, columns in blocks:
+            slot[columns], allowed[columns] = np.arange(len(columns)), T
+        return orbitals.pair_coefficients(E1, at1, k2, slot, allowed)
     return np.column_stack([orbitals.pair_coefficients(f[:, None], np.zeros_like(k), k) @ a
                             for _, f, k, a in terms])
 
 
 def tensor_bytes(K: int, M: int, grid: Grid, modes, terms, blocks) -> int:
     """two_body_tensor's bytes for K orbitals, M flux quanta and the factors
-    of tensor_factors on grid: 16 K^2 (R + 1) for B and a padding column,
-    and the larger of B's temporaries while it is filled and, once they are
+    of tensor_factors on grid: 16 K^2 (w + 1) for the transfer-compact B,
+    w the widest block's columns (pair_factors), and a padding column, and
+    the larger of B's temporaries while it is filled and, once they are
     freed, 32 K^4 / g for the blocks of v and F (momentum_modulus g) with 64
     K^2 for their index arrays and 32 n (n + r) for the factor slices,
     product and image of the largest block, n = |T| K^2 / M pairs by r
@@ -564,7 +591,7 @@ def tensor_bytes(K: int, M: int, grid: Grid, modes, terms, blocks) -> int:
     at the u x1 columns of dft_columns (one for a separable term) and 72 K^2
     c for the gathers, phases and indices of the c modes of one x2 residue."""
     sizes = [(int(T.sum()) * K * K // M, len(columns)) for T, columns in blocks]
-    R = sum(r for _, r in sizes)
+    R, width = sum(r for _, r in sizes), max((r for _, r in sizes), default=0)
     if modes is None and terms is None:
         fill = 32 * K * grid.G1 * grid.G2
     elif R == 0:
@@ -577,7 +604,7 @@ def tensor_bytes(K: int, M: int, grid: Grid, modes, terms, blocks) -> int:
             u, c = 1, max(np.bincount(k).max() for *_, k, _ in terms)
         fill = 16 * K * K * (grid.G1 + u) + 72 * K * K * int(c)
     stored = 32 * K ** 4 // momentum_modulus(M, blocks) + 64 * K * K
-    return 16 * K * K * (R + 1) + max(
+    return 16 * K * K * (width + 1) + max(
         fill, stored + max((32 * n * (n + r) for n, r in sizes), default=0))
 
 

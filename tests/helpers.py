@@ -20,9 +20,9 @@ oracle samples the lattice sum on the grid shell by shell, one Hermite
 recurrence per shell; the pair-factor oracle fills B from those samples by a
 partial DFT of every 2-D pair density, or by the sampled separable terms.
 The dense-tensor oracle forms the whole pair matrix as one product A @ B^T
-over every factor column of the tensor's own B, with the selection rule's
-zeros set in B, and checks and symmetrizes it one slab of fixed a at a
-time, with no momentum block.  DenseTensor reads
+over every factor column of the tensor's own dense B, with the selection
+rule's zeros set in B, and checks and symmetrizes it one slab of fixed a
+at a time, with no momentum block and no transfer-compact B.  DenseTensor reads
 a dense pair matrix for the tensor's methods, with no block and no
 antisymmetrized copy: J and X one pass each, the pair amplitudes by
 sequential contractions of v.
@@ -35,8 +35,9 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sp
 
+from landau_hf import manybody
 from landau_hf.basis import TAIL_TOL, grid_reduced_field, hermite_function
-from landau_hf.errors import TruncationTooSmall
+from landau_hf.errors import SymmetryViolation, TruncationTooSmall
 from landau_hf.hartree_fock import hf_rhs
 from landau_hf.manybody import dft_columns, pair_factors
 
@@ -309,6 +310,8 @@ def dense_two_body_tensor(potential, orbitals, grid):
     every entry the selection rule forbids set to 0 in B, A[(ag), r] = c_r
     conj(B[(ga), r]) (B @ T for a table); then the raw exchange and
     hermiticity deviations (symmetry_deviations) relative to max(max |v|, 1),
+    which raise two_body_tensor's SymmetryViolation beyond its
+    TENSOR_SYM_TOL,
     and v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, in place
     one slab of fixed a at a time.  Needs at least one factor column."""
     K, M = orbitals.size, orbitals.flux_count
@@ -334,6 +337,10 @@ def dense_two_body_tensor(potential, orbitals, grid):
     S = v.reshape(K, K, K, K)                                  # [a, g, b, d]
     scale = max(float(np.abs(v).max()), 1.0)
     exch, herm = symmetry_deviations(v)
+    tol = manybody.TENSOR_SYM_TOL * scale
+    if not (exch <= tol and herm <= tol):
+        raise SymmetryViolation(
+            f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
     for a in range(K):
         m = 0.5 * (S[a, :, a:] + S[a:, :, a].transpose(2, 0, 1))
         S[a, :, a:], S[a:, :, a] = m, m.transpose(1, 2, 0)

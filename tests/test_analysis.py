@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau_hf as lhf
-from landau_hf import analysis, hartree_fock
+from landau_hf import analysis, hartree_fock, manybody
 from landau_hf.analysis import (SECTOR_TOL, Problem, check_defect_support,
                                 defect_sector_norms, defect_vector,
                                 run_comparison)
@@ -16,6 +18,8 @@ from landau_hf.manybody import InteractionTensor, ManyBodyState
 
 import helpers
 from conftest import make_config
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +209,39 @@ def test_comparison_raises_on_closed_form_deviation(monkeypatch):
                         lambda *args: closed(*args) + 1e-6)
     with pytest.raises(SupportViolation, match="closed-form defect"):
         run_comparison(Problem(cfg))
+
+
+def test_problem_plans_the_tensor_factors_once(monkeypatch):
+    # Problem.tensor checks the budget before any orbital is built and hands
+    # the factors it planned to two_body_tensor, which plans none again
+    built, plan = [], manybody.tensor_factors
+
+    def counted(*args):
+        built.append("orbital_set" in vars(problem))
+        return plan(*args)
+    monkeypatch.setattr(analysis, "tensor_factors", counted)
+    monkeypatch.setattr(manybody, "tensor_factors", counted)
+    problem = Problem(make_config(kind="periodic-gaussian"))
+    assert problem.tensor.rank > 0 and built == [False]
+
+
+def test_sector_check_is_relative_to_the_defect_norm(monkeypatch):
+    # at strength 1e12 the embedded and closed-form defects, ~1.6e11, differ
+    # by rounding of that size, far above the absolute SECTOR_TOL; an
+    # out-of-sector component of 1e-6 of the norm still raises
+    config = dataclasses.replace(lhf.load_config(ROOT / "configs/example.cfg"), strength=1e12)
+    problem = Problem(config)
+    state, tensor, constants = problem.initial_state(), problem.tensor, config.constants
+    args = (problem.H, problem.det_basis, problem.energies, tensor, constants)
+    d = lhf.defect_norm(state, tensor, constants)
+    leak, dev = check_defect_support(state, d, *args)
+    assert d > 1e11 and max(leak, dev) <= SECTOR_TOL * d
+    vec = defect_vector(state, *args)
+    wedge = lhf.embed_wedge(state.orbitals, problem.det_basis)       # sector 0
+    planted = vec + 1e-6 * np.linalg.norm(vec) * wedge / np.linalg.norm(wedge)
+    monkeypatch.setattr(analysis, "defect_vector", lambda *_: planted)
+    with pytest.raises(SupportViolation, match="outside the two-replacement"):
+        check_defect_support(state, d, *args)
 
 
 def test_comparison_evaluates_hf_energy_once_per_record(monkeypatch):

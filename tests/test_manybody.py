@@ -560,6 +560,63 @@ def test_pair_factors_match_the_grid_oracle(name):
     assert np.abs(B - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
+# K = 60: M = 30, n_max = 1 and every grid at 256^2, as CI's K = 60 evolve-hf step
+K60_CHANGES = {"M": 30, "n_max": 1, "grid1": 256, "grid2": 256, "tensor_grid1": 256,
+               "tensor_grid2": 256}
+
+
+def rule_columns(oset, blocks, R) -> np.ndarray:
+    """(K^2, R) mask of the (pair, factor column) entries the selection rule
+    allows: the columns of the block whose row T marks m_d - m_b of (b d)."""
+    M = oset.flux_count
+    transfer = ((oset.labels - oset.labels[:, None]) % M).ravel()
+    on_rule = np.zeros((len(transfer), R), dtype=bool)
+    for T, columns in blocks:
+        on_rule[np.ix_(T[transfer], columns)] = True
+    return on_rule
+
+
+@pytest.mark.parametrize("name", ["gaussian-M3", "gaussian-M4", "gaussian", "k30n10", "k60"])
+def test_compact_pair_factors_are_the_dense_on_the_rule(name):
+    # the transfer-compact B scattered back to (K^2, R) has the dense B's
+    # bits on the rule, and the dense B is an exact zero off it
+    if name == "k60":
+        config = dataclasses.replace(lhf.load_config(ROOT / "configs/k30n10.cfg"),
+                                     **K60_CHANGES)
+        oset, pot, grid = (lhf.build_orbital_set(config, grid=config.tensor_grid),
+                           config.potential, config.tensor_grid)
+    else:
+        oset, pot, grid, _ = factor_case(name)
+    modes, terms, blocks = manybody.tensor_factors(pot, oset.size, oset.flux_count, grid)
+    dense = manybody.pair_factors(oset, modes, terms)
+    compact = manybody.pair_factors(oset, modes, terms, blocks)
+    on_rule = rule_columns(oset, blocks, dense.shape[1])
+    scattered = np.zeros_like(dense)
+    for _, columns in blocks:
+        rows = np.flatnonzero(on_rule[:, columns[0]])
+        scattered[np.ix_(rows, columns)] = compact[rows, :len(columns)]
+        assert not compact[rows, len(columns):].any()
+    assert not compact[~on_rule.any(axis=1)].any()
+    assert compact.shape[1] == max(len(columns) for _, columns in blocks) < dense.shape[1]
+    assert np.array_equal(scattered[on_rule].view(np.uint64), dense[on_rule].view(np.uint64))
+    assert not dense[~on_rule].any()
+
+
+def test_aliasing_grid_raises_as_the_dense_factor_build():
+    # on the 16 x 4 grid the dense B holds entries off the rule, which a
+    # compact row would sum into another mode's column; they stay out, so
+    # the symmetry check reads what the dense-B build reads
+    oset, pot, grid, _ = factor_case("aliasing-gaussian")
+    modes, terms, blocks = manybody.tensor_factors(pot, oset.size, oset.flux_count, grid)
+    dense = manybody.pair_factors(oset, modes, terms)
+    off_rule = np.abs(dense[~rule_columns(oset, blocks, dense.shape[1])])
+    assert off_rule.max() > 0.1 * np.abs(dense).max()
+    with pytest.raises(SymmetryViolation) as oracle:
+        helpers.dense_two_body_tensor(pot, oset, grid)
+    with pytest.raises(SymmetryViolation, match=re.escape(str(oracle.value))):
+        lhf.two_body_tensor(pot, oset, grid)
+
+
 def test_closed_form_tensors_sample_no_orbital(monkeypatch):
     # a sampler that raises: the Gaussian and cosine tensors form no grid
     # sample of an orbital, and the table's does
@@ -958,17 +1015,23 @@ def test_tensor_thread_count_invariance(cfg_m3, oset_m3):
     assert np.array_equal(t1.values, t4.values)
 
 
-@pytest.mark.parametrize("kind,sigma", [("zero", None), ("separable-cosine", None),
-                                        ("periodic-gaussian", None), ("periodic-gaussian", 0.3),
-                                        ("tabulated", None)],
+@pytest.mark.parametrize("kind,sigma,K", [("zero", None, 30), ("separable-cosine", None, 30),
+                                          ("periodic-gaussian", None, 30),
+                                          ("periodic-gaussian", 0.3, 30),
+                                          ("tabulated", None, 30),
+                                          ("periodic-gaussian", None, 60)],
                          ids=["zero", "separable-cosine", "periodic-gaussian",
-                              "periodic-gaussian-0.3", "tabulated"])
-def test_tensor_peak_memory_is_within_its_byte_prediction(kind, sigma, monkeypatch):
+                              "periodic-gaussian-0.3", "tabulated", "periodic-gaussian-K60"])
+def test_tensor_peak_memory_is_within_its_byte_prediction(kind, sigma, K, monkeypatch):
     # K = 30 (configs/k30n10.cfg) on a 48 x 48 tensor grid; the table is the
     # Gaussian's pair values, and at sigma = 0.3 the Gaussian keeps most of
-    # the 2304 modes.  The prediction is tensor_bytes, the one the cap checks.
+    # the 2304 modes.  K = 60 is the config with K60_CHANGES, on 256 x 256.
+    # The prediction is tensor_bytes, the one the cap checks.
     config = lhf.load_config(ROOT / "configs/k30n10.cfg")
     grid = lhf.Grid(L1=config.domain.L1, L2=config.domain.L2, G1=48, G2=48)
+    if K == 60:
+        config = dataclasses.replace(config, **K60_CHANGES)
+        grid = config.tensor_grid
     oset = lhf.build_orbital_set(config, grid=grid)
     if kind == "periodic-gaussian":
         pot = config.potential if sigma is None else dataclasses.replace(config.potential,
@@ -983,13 +1046,14 @@ def test_tensor_peak_memory_is_within_its_byte_prediction(kind, sigma, monkeypat
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    K, M, P = oset.size, oset.flux_count, grid.G1 * grid.G2
+    assert oset.size == K
+    M, P = oset.flux_count, grid.G1 * grid.G2
     factors = manybody.tensor_factors(pot, K, M, grid)
     R = sum(len(columns) for _, columns in factors[2])
     assert R == (len(pot.fourier_modes(grid)[1]) if kind == "periodic-gaussian"
                  else {"zero": 0, "separable-cosine": 1, "tabulated": P}[kind])
     predicted = manybody.tensor_bytes(K, M, grid, *factors)
-    assert K == 30 and peak <= 1.1 * predicted
+    assert peak <= 1.1 * predicted
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", predicted)
     lhf.two_body_tensor(pot, oset, grid)
     monkeypatch.setattr(manybody, "TENSOR_BYTE_CAP", predicted - 1)
