@@ -46,6 +46,10 @@ The orbital-set rows time build_orbital_set on TENSOR_CONFIG's tensor grid
 at K = 30, with WIDE_CHANGES and with HUGE_CHANGES, the median of at least
 REPEATS builds and MIN_SECONDS of builds, with the tracemalloc peak of one
 build, its lattice shells and the bytes of its x1 profiles.
+The start-up row runs `import landau_hf.cli` in at least REPEATS fresh
+processes and MIN_SECONDS of them, and keeps the median wall time of a
+process, the high-water RSS each reports of itself (VmHWM) and the number of
+scipy modules each has loaded: the fixed cost of every command.
 The exact row runs `landau-hf evolve-exact` once on EXACT_CONFIG with
 EXACT_CHANGES, the (24, 6) rung's problem, in a fresh process started
 before any other row, and keeps its wall time, its peak RSS and the
@@ -283,6 +287,31 @@ def compare_row(path: str) -> dict:
             "counters": manifest.get("counters")}
 
 
+STARTUP_CODE = """import sys, landau_hf.cli
+hwm = next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM"))
+print(sum(name.split(".")[0] == "scipy" for name in sys.modules), int(hwm) / 1024)"""
+
+
+def startup_row() -> dict:
+    """`import landau_hf.cli` in at least REPEATS fresh processes and
+    MIN_SECONDS of them: the wall time of each and their median, the median
+    of the VmHWM each reads of itself after the import (from /proc, so the
+    pages of this process are not counted), and the scipy modules loaded."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    walls, rss, scipy_modules = [], [], set()
+    while len(walls) < REPEATS or sum(walls) < MIN_SECONDS:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", STARTUP_CODE], env=env, check=True,
+                              capture_output=True, text=True)
+        walls.append(time.perf_counter() - start)
+        modules, hwm = proc.stdout.split()
+        scipy_modules.add(int(modules))
+        rss.append(float(hwm))
+    return {"command": "import landau_hf.cli", "wall_s": statistics.median(walls),
+            "runs_s": walls, "rss_mb": statistics.median(rss),
+            "scipy_modules": sorted(scipy_modules)}
+
+
 def exact_row() -> dict:
     """`landau-hf evolve-exact` on EXACT_CONFIG with EXACT_CHANGES, once, in
     a fresh process: its exit code, wall time and peak RSS (wait4), and the
@@ -316,6 +345,8 @@ def main():
     # the pages it shares with this process when it is forked
     exact = exact_row()
     print(json.dumps(exact), flush=True)
+    startup = startup_row()
+    print(json.dumps(startup), flush=True)
     ladders = {}
     for kind, path in LADDER_CONFIGS.items():
         ladders[kind] = {"config": path, "rungs": []}
@@ -335,6 +366,7 @@ def main():
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
               "repeats": REPEATS, "min_seconds": MIN_SECONDS, "ladders": ladders,
               "orbital_set": orbital_sets, "tensor": tensors, "exact": exact,
+              "startup": startup,
               "compare": compare,
               "wall_s": time.perf_counter() - started}
     path = ROOT / f"BENCH_{args.label}.json"

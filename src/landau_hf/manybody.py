@@ -71,7 +71,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .basis import OrbitalSet
 from .config import Grid, PhysicalConstants
@@ -648,7 +647,7 @@ def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return E, column[:len(k)], column[len(k):]
 
 
-class Hamiltonian(LinearOperator):
+class Hamiltonian:
     """H applied and never stored: diagonal * x without W, else A_2 (W x 1)
     A_2^T x (assemble_hamiltonian) on basis.holes(2): the put D_2 =
     hole_amplitudes(x, 2), Z = W @ D_2, and the gather, the sum of sign *
@@ -657,11 +656,18 @@ class Hamiltonian(LinearOperator):
     Z are allocated once.  With W, H's diagonal is read off W's, and norm
     bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus sum_{p != q}
     |W[p, q]| per pair q of row j (the hole of q refilled by p != q is
-    another determinant or none).  nnz counts W's nonzero entries."""
+    another determinant or none).  nnz counts W's nonzero entries.
 
+    A plain numpy operator: H @ x, H.matvec(x) and H.rmatvec(x) take x of
+    shape (dim,) or (dim, 1) and return H x of shape (dim,); any other
+    shape raises DimensionMismatch."""
+
+    # a non-finite or overflowing diagonal or bound is reported by
+    # ExactPropagator as NonFiniteValue, with no RuntimeWarning before it
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, basis: DeterminantBasis, diagonal: np.ndarray | None = None,
                  W: np.ndarray | None = None):
-        super().__init__(np.complex128, (basis.dim,) * 2)
+        self.shape, self.dtype = (basis.dim,) * 2, np.dtype(np.complex128)
         self.basis, self.W, off, self.nnz = basis, W, 0.0, 0
         if W is not None:               # diagonal and bound first: their temporaries go before D_2
             n_holes = math.comb(basis.K, basis.N - 2)
@@ -675,7 +681,9 @@ class Hamiltonian(LinearOperator):
         self.diagonal, self.mu = diagonal, diagonal.mean()
         self.norm = float(np.max(off + np.abs(diagonal - self.mu)))
 
-    def _matvec(self, x):
+    def __matmul__(self, x):
+        if np.shape(x) not in ((self.shape[1],), (self.shape[1], 1)):
+            raise DimensionMismatch(f"operand of shape {np.shape(x)} for H of dim {self.shape[1]}")
         x = np.ravel(x)
         if self.W is None:
             return self.diagonal * x
@@ -683,7 +691,14 @@ class Hamiltonian(LinearOperator):
         np.matmul(self.W, self.basis.hole_amplitudes(x, 2, out=self._D2), out=self._Z)
         return (self._Z.take(at) * sign[:, None]).sum(axis=0)
 
-    _rmatvec = _matvec                  # H is Hermitian
+    matvec = rmatvec = __matmul__       # H is Hermitian
+
+    def __rmul__(self, scalar):
+        """scalar * H as a SciPy LinearOperator, for callers that hand it to
+        scipy.sparse.linalg (the benchmark's expm_multiply oracle); SciPy is
+        imported here and nowhere else, so every command runs on numpy alone."""
+        from scipy.sparse.linalg import aslinearoperator
+        return scalar * aslinearoperator(self)
 
     def toarray(self) -> np.ndarray:
         """Dense H, one matvec per column."""

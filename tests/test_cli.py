@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 import types
 
@@ -777,3 +780,29 @@ def test_tabulated_kernel_compare_matches_the_gaussian_kind(tmp_path):
     assert names == columns["tab"].dtype.names and len(columns["gauss"]) == 11
     for name in names:
         assert np.max(np.abs(columns["gauss"][name] - columns["tab"][name])) <= 1e-12, name
+
+
+def run_python(code, *args):
+    """A fresh interpreter running code, with this checkout's src first on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def test_cli_import_loads_no_scipy():
+    run = run_python("import sys, landau_hf.cli; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_compare_runs_on_numpy_alone(tmp_path):
+    cfg = str(ROOT / "configs/gaussian.cfg")
+    bare, full = tmp_path / "bare", tmp_path / "full"
+    run = run_python("import sys; sys.modules['scipy'] = None; "
+                     "from landau_hf.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))",
+                     "compare", "--config", cfg, "--out-dir", str(bare))
+    assert run.returncode == 0, run.stderr
+    assert dispatch(["compare", "--config", cfg, "--out-dir", str(full)]) == 0
+    for name in ("compare_timeseries.csv", "compare_summary.json"):
+        assert (bare / name).read_bytes() == (full / name).read_bytes()

@@ -923,12 +923,14 @@ def test_gaussian_tensor_evaluates_the_kernel_once(oset24, monkeypatch):
     assert calls == [grid]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exact_propagator_rejects_non_finite_generator():
     H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(2, 1), [1.0, np.inf], None)
     with pytest.raises(NonFiniteValue, match="exact generator"):
         manybody.ExactPropagator(H)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exact_propagator_rejects_an_infinite_norm(rng):
     # every entry finite, the 1-norm beyond the float range
     v, _ = helpers.random_interaction_tensor(rng, 6)
@@ -1474,7 +1476,7 @@ def _zero_diagonal(rng):
     return H
 
 
-@pytest.mark.parametrize("make_H,t,hbar", [
+ADVANCE_CASES = pytest.mark.parametrize("make_H,t,hbar", [
     (lambda rng: _random_hamiltonian(rng, 6, 3), 1e-3, 1.0),
     # t ||A||_1 > 64: expm_multiply sizes its steps from a norm estimate
     (lambda rng: _random_hamiltonian(rng, 9, 3, scale=5.0), 2.0, 1.0),
@@ -1483,6 +1485,9 @@ def _zero_diagonal(rng):
     (lambda rng: _random_hamiltonian(rng, 9, 1), 0.9, 0.7),
     (lambda rng: _random_hamiltonian(rng, 9, 8, masked=True), 0.9, 0.7),
 ], ids=["small-t", "large-norm", "hbar-0.7", "no-diagonal", "one-body", "near-full"])
+
+
+@ADVANCE_CASES
 def test_advance_matches_public_expm_multiply(rng, make_H, t, hbar):
     from scipy.sparse.linalg import expm_multiply
     H = make_H(rng)
@@ -1499,6 +1504,40 @@ def test_advance_matches_public_expm_multiply(rng, make_H, t, hbar):
     finally:
         np.random.set_state(saved)
     assert np.max(np.abs(prop.advance(psi, t) - expect)) <= 1e-12
+
+
+@ADVANCE_CASES
+@pytest.mark.filterwarnings("ignore:Trace of LinearOperator not available")
+def test_scaled_hamiltonian_serves_expm_multiply(rng, make_H, t, hbar):
+    # the benchmark's exact oracle: a scalar times H is a SciPy LinearOperator,
+    # so expm_multiply estimates its trace (from an unseeded generator) and its
+    # 1-norm (from the global one); the estimates change its steps and round-off
+    from scipy.sparse.linalg import LinearOperator, expm_multiply
+    H = make_H(rng)
+    psi = random_complex(rng, H.shape[0])
+    psi /= np.linalg.norm(psi)
+    scaled = (-1j * t / hbar) * H
+    assert isinstance(scaled, LinearOperator) and scaled.shape == H.shape
+    assert np.array_equal(scaled.matvec(psi), (-1j * t / hbar) * (H @ psi))
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        expect = expm_multiply(scaled, psi)
+    finally:
+        np.random.set_state(saved)
+    assert np.max(np.abs(manybody.ExactPropagator(H, hbar).advance(psi, t) - expect)) <= 1e-12
+
+
+def test_hamiltonian_takes_a_vector_or_a_column_and_nothing_else(rng):
+    H = _random_hamiltonian(rng, 6, 3)
+    x = random_complex(rng, H.shape[0])
+    y = H @ x
+    assert y.shape == (H.shape[0],)
+    assert np.array_equal(H @ x[:, None], y) and np.array_equal(H.matvec(x), y)
+    assert np.array_equal(H.rmatvec(x), y)
+    for shape in [(H.shape[0], 2), (H.shape[0] + 1,), (1, H.shape[0]), ()]:
+        with pytest.raises(DimensionMismatch, match="operand of shape"):
+            H @ np.ones(shape)
 
 
 def test_propagator_holds_the_operator_it_was_given(rng):
