@@ -29,7 +29,9 @@ more Fourier modes are kept, the zero and the cosine kernel, and the
 Gaussian's pair values as a table on a TABLE_GRID^2 tensor grid; two more
 rows time the config's Gaussian with WIDE_CHANGES (K = 60) and with
 HUGE_CHANGES (K = 120), the effective-flow runs of CI.  Each row records
-its number of momentum blocks, its momentum modulus g, the bytes of its
+its number of momentum blocks, its momentum modulus g, the number h of
+the g blocks of F that mean_field contracts (fock_blocks: g // 2 + 1 where
+F is Hermitian bit for bit and g > 2, else g), the bytes of its
 factor matrix B with its padding column (factors_mb, 16 K^2 (w + 1) for
 the widest block's w columns; transfer-compact for the Gaussian), the
 bytes of its stored blocks of v and F, and the tracemalloc peak of one
@@ -41,7 +43,8 @@ random orthonormal orbitals of the config's N, each the median of at least
 REPEATS calls and MIN_SECONDS of calls (mean_field_s, mean_field_calls,
 pair_amplitudes_s, pair_amplitudes_calls), the pair blocks built by one
 call before the timed ones, with the bytes of those kept blocks
-(pair_blocks_mb).
+(pair_blocks_mb); the K = 120 row times mean_field alone, on HUGE_N
+orbitals.  mean_field's plan is built by one call before the timed ones.
 The orbital-set rows time build_orbital_set on TENSOR_CONFIG's tensor grid
 at K = 30, with WIDE_CHANGES and with HUGE_CHANGES, the median of at least
 REPEATS builds and MIN_SECONDS of builds, with the tracemalloc peak of one
@@ -102,6 +105,7 @@ WIDE_CHANGES = {"M": 30, "n_max": 1, "grid1": 256, "grid2": 256, "tensor_grid1":
 # K = 120: M = 60, n_max = 1 and every grid at 512^2, as the K = 120 evolve-hf step of CI
 HUGE_CHANGES = {"M": 60, "n_max": 1, "grid1": 512, "grid2": 512, "tensor_grid1": 512,
                 "tensor_grid2": 512}
+HUGE_N = 60                      # orbitals of the K = 120 row's mean_field
 REPEATS = 3
 MIN_SECONDS = 1.0                # resolves the few-ms tensor rows and ladder calls
 INTERVAL = 0.1
@@ -181,13 +185,14 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
 
 
 def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
-               N: int | None = None) -> dict:
+               N: int | None = None, amplitudes: bool = True) -> dict:
     """two_body_tensor on orbitals, the median of at least REPEATS calls and
     MIN_SECONDS of calls and their number, its momentum blocks
-    (tensor_factors), modulus, factor and stored bytes, and the tracemalloc
-    peak of one more call over its predicted bytes, tensor_bytes; given N, the
-    median mean_field and pair_amplitudes calls on N seeded random
-    orthonormal orbitals, and the bytes of the pair blocks."""
+    (tensor_factors), modulus, the blocks of F mean_field contracts, factor
+    and stored bytes, and the tracemalloc peak of one more call over its
+    predicted bytes, tensor_bytes; given N, the median mean_field calls on N
+    seeded random orthonormal orbitals and, with amplitudes, the median
+    pair_amplitudes calls and the bytes of the pair blocks."""
     build = functools.partial(two_body_tensor, potential, orbitals, grid)
     tracemalloc.start()
     try:
@@ -201,9 +206,11 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
     width = max((len(columns) for _, columns in blocks), default=0)
     predicted = tensor_bytes(K, M, grid, *factors)
     times = call_times(build)
+    plan = tensor._fock_plan
     row = {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
            "grid": list(grid.shape), "sigma": potential.sigma, "rank": tensor.rank,
            "blocks": len(blocks), "modulus": tensor.modulus,
+           "fock_blocks": tensor.modulus if plan is None else len(plan[0]),
            "factors_mb": 16 * K * K * (width + 1) / 1e6 if width else 0.0,
            "stored_mb": (tensor.blocks.nbytes + tensor.anti.nbytes) / 1e6,
            "tensor_s": statistics.median(times), "calls": len(times),
@@ -212,13 +219,15 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
     if N is not None:
         rng = np.random.default_rng(SEED)
         C = np.linalg.qr(rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N)))[0]
+        tensor.mean_field(C)
         calls = call_times(lambda: tensor.mean_field(C))
         row.update(N=N, mean_field_s=statistics.median(calls), mean_field_calls=len(calls))
-        tensor.pair_amplitudes(C)                      # builds the pair blocks
-        calls = call_times(lambda: tensor.pair_amplitudes(C))
-        row.update(pair_amplitudes_s=statistics.median(calls),
-                   pair_amplitudes_calls=len(calls),
-                   pair_blocks_mb=tensor.pair_blocks.values.nbytes / 1e6)
+        if amplitudes:
+            tensor.pair_amplitudes(C)                  # builds the pair blocks
+            calls = call_times(lambda: tensor.pair_amplitudes(C))
+            row.update(pair_amplitudes_s=statistics.median(calls),
+                       pair_amplitudes_calls=len(calls),
+                       pair_blocks_mb=tensor.pair_blocks.values.nbytes / 1e6)
     return row
 
 
@@ -248,7 +257,8 @@ def tensor_rows() -> list[dict]:
     and pair_amplitudes at the config's N, and at each of TENSOR_SIGMAS, for the zero and the
     cosine kernel on its tensor grid, for the Gaussian's pair values as a
     table on a TABLE_GRID^2 grid, for the Gaussian with WIDE_CHANGES, with
-    mean_field and pair_amplitudes, and with HUGE_CHANGES."""
+    mean_field and pair_amplitudes, and with HUGE_CHANGES, with mean_field
+    on HUGE_N orbitals."""
     config = load_config(ROOT / TENSOR_CONFIG)
     grid = config.tensor_grid
     orbitals = build_orbital_set(config, grid=grid)
@@ -267,7 +277,7 @@ def tensor_rows() -> list[dict]:
                            wide.tensor_grid, WIDE_CHANGES, N=wide.N))
     huge = dataclasses.replace(config, **HUGE_CHANGES)
     rows.append(tensor_row(huge.potential, build_orbital_set(huge, grid=huge.tensor_grid),
-                           huge.tensor_grid, HUGE_CHANGES))
+                           huge.tensor_grid, HUGE_CHANGES, N=HUGE_N, amplitudes=False))
     return rows
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -74,24 +74,28 @@ def apriori_bound(N: int, v_norm: float, constants: PhysicalConstants,
 
 
 def error_norm(exact: ManyBodyState, hf: HFState,
-               basis: DeterminantBasis) -> float:
-    """l2 distance between the exact coefficients and the embedded state."""
+               basis: DeterminantBasis, wedge: np.ndarray | None = None) -> float:
+    """l2 distance between the exact coefficients and the embedded state;
+    wedge, if given, is embed_wedge(hf.orbitals, basis), made by the caller."""
     if exact.coefficients.shape[0] != basis.dim:
         raise DimensionMismatch("exact state does not match the basis")
-    embedded = hf.a * embed_wedge(hf.orbitals, basis)
+    if wedge is None:
+        wedge = embed_wedge(hf.orbitals, basis)
+    embedded = hf.a * wedge
     return float(np.linalg.norm(exact.coefficients - embedded))
 
 
 def defect_vector(state: HFState, H, basis: DeterminantBasis,
                   energies: np.ndarray, tensor: InteractionTensor,
-                  constants: PhysicalConstants) -> np.ndarray:
+                  constants: PhysicalConstants, wedge: np.ndarray | None = None) -> np.ndarray:
     """du/dt - H u / (i hbar) embedded in the determinant basis, with
-    du/dt = da w + a dGamma(dphi C^+) w and w the wedge of the orbitals C:
-    dGamma(X) replaces each column c_l by X c_l in turn, and C^+ C = 1 for
-    any full-rank C, so column l becomes dphi_l."""
+    du/dt = da w + a dGamma(dphi C^+) w and w the wedge of the orbitals C
+    (embed_wedge, unless the caller gives it as wedge): dGamma(X) replaces
+    each column c_l by X c_l in turn, and C^+ C = 1 for any full-rank C, so
+    column l becomes dphi_l."""
     da, dphi = hf_rhs(state, energies, tensor, constants)
     C = state.orbitals
-    w = embed_wedge(C, basis)
+    w = embed_wedge(C, basis) if wedge is None else wedge
     udot = da * w + state.a * basis.one_body(dphi @ np.linalg.pinv(C), w)
     return udot - (H @ (state.a * w)) / (1j * constants.hbar)
 
@@ -107,7 +111,8 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
     projector is a polynomial of degree N in s = n_c - N/2, whose spectrum
     -N/2..N/2 keeps the powers small: the N powers s^m v are formed once,
     and sector j is sum_m c_jm s^m v, where sum_m c_jm (k - N/2)^m = [j = k]
-    makes c the transposed inverse of the levels' Vandermonde matrix.
+    makes c the transposed inverse of the levels' Vandermonde matrix
+    (_sector_coefficients, made once per N).
     """
     Q = np.linalg.qr(orbitals)[0]
     complement = np.eye(basis.K) - Q @ Q.conj().T
@@ -115,9 +120,17 @@ def defect_sector_norms(defect: np.ndarray, orbitals: np.ndarray,
     powers = [defect]
     for _ in range(basis.N):
         powers.append(basis.one_body(complement, powers[-1]) - shift * powers[-1])
-    levels = np.arange(basis.N + 1) - shift
+    return np.linalg.norm(_sector_coefficients(basis.N) @ np.array(powers), axis=1)
+
+
+@cache
+def _sector_coefficients(N: int) -> np.ndarray:
+    """c of defect_sector_norms, read-only: the transposed inverse of the
+    Vandermonde matrix of the levels k - N/2, k = 0..N."""
+    levels = np.arange(N + 1) - N / 2
     coefficients = np.linalg.inv(np.vander(levels, increasing=True)).T
-    return np.linalg.norm(coefficients @ np.array(powers), axis=1)
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def defect_norm(state: HFState, tensor: InteractionTensor,
@@ -137,13 +150,14 @@ def defect_norm(state: HFState, tensor: InteractionTensor,
 
 def check_defect_support(state: HFState, d: float, H, basis: DeterminantBasis,
                          energies: np.ndarray, tensor: InteractionTensor,
-                         constants: PhysicalConstants) -> tuple[float, float]:
+                         constants: PhysicalConstants,
+                         wedge: np.ndarray | None = None) -> tuple[float, float]:
     """Embedded oracle of the closed-form defect d at one state: the norm of
     the residual outside the two-replacement sector and its distance from d.
     Raises SupportViolation if either exceeds SECTOR_TOL times max(1, the
     embedded defect's norm): both are rounding of that norm's size at any
-    kernel strength."""
-    vec = defect_vector(state, H, basis, energies, tensor, constants)
+    kernel strength.  wedge is handed to defect_vector."""
+    vec = defect_vector(state, H, basis, energies, tensor, constants, wedge)
     norm = float(np.linalg.norm(vec))
     sectors = defect_sector_norms(vec, state.orbitals, basis)
     leak = float(np.linalg.norm(np.delete(sectors, 2))) if basis.N >= 2 else norm
@@ -329,8 +343,9 @@ def run_comparison(problem: Problem) -> ComparisonResult:
 
     One pass over hf_steps adds the closed-form defect of every step to a
     trapezoid integral, whose discretization error stays well below the
-    bound slack.  At each sample the state passes check_defect_support and
-    meets the next state of Problem.exact_samples in a record.  A record
+    bound slack.  At each sample the state is embedded once, its wedge
+    handed to check_defect_support and error_norm, and it meets the next
+    state of Problem.exact_samples in a record.  A record
     that breaks a bound is kept and counted in the summary's
     bound_violations.
     """
@@ -352,15 +367,16 @@ def run_comparison(problem: Problem) -> ComparisonResult:
         t_prev, d_prev = state.time, d
         if not is_sample(step, n_steps, config.sample_stride):
             continue
+        wedge = embed_wedge(state.orbitals, det_basis)
         checks.append(check_defect_support(state, d, H, det_basis, energies,
-                                           tensor, constants))
+                                           tensor, constants, wedge))
         max_gram = max(max_gram, state.gram_deviation())
         max_phase = max(max_phase, abs(abs(state.a) - 1.0))
         psi = next(exact)[1]
         psi_state = ManyBodyState(basis=det_basis, coefficients=psi)
         records.append(ComparisonRecord(
             t=state.time,
-            error_norm=error_norm(psi_state, state, det_basis),
+            error_norm=error_norm(psi_state, state, det_basis, wedge),
             apriori_bound=apriori_bound(config.N, v_norm, constants, state.time),
             defect_bound=defect_bound,
             energy_exact=float(np.real(np.vdot(psi, H @ psi))),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -266,6 +267,15 @@ _SECTIONS = {
 }
 
 
+@cache
+def _field_types() -> dict:
+    """The type each SimulationConfig field's text is read as, an optional
+    field's its non-None type; resolved once per process, as
+    get_type_hints compiles every annotation on each call."""
+    return {name: next((t for t in get_args(hint) if t is not type(None)), hint)
+            for name, hint in get_type_hints(SimulationConfig).items()}
+
+
 def parse_config(text: str) -> SimulationConfig:
     """Parse a key=value config document into a validated SimulationConfig.
 
@@ -280,9 +290,7 @@ def parse_config(text: str) -> SimulationConfig:
     except configparser.Error as exc:
         raise MalformedConfig(str(exc)) from exc
 
-    # an optional field's text is read as its non-None type
-    types = {name: next((t for t in get_args(hint) if t is not type(None)), hint)
-             for name, hint in get_type_hints(SimulationConfig).items()}
+    types = _field_types()
     values = {}
     for section in parser.sections():
         if section not in _SECTIONS:

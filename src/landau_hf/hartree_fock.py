@@ -57,8 +57,11 @@ class HFState:
         return self.orbitals.shape[1]
 
     def gram_deviation(self) -> float:
+        """max |C^H C - 1|, the 1 subtracted from the diagonal in place."""
         C = self.orbitals
-        return float(np.max(np.abs(C.conj().T @ C - np.eye(self.N))))
+        gram = C.conj().T @ C
+        gram.ravel()[::self.N + 1] -= 1.0
+        return float(np.max(np.abs(gram)))
 
 
 @dataclass
@@ -178,19 +181,20 @@ def _rk4_steps(initial: HFState, dt_eff: float, n_steps: int, scheme: str,
     state = HFState(time=float(initial.time), a=complex(initial.a),
                     orbitals=initial.orbitals.astype(np.complex128))
 
-    def rhs(a_val, C_val):
+    def rhs(a_val, C_val):         # hf_rhs looked up per call: a rebinding of it is seen
         return hf_rhs(HFState(state.time, a_val, C_val), energies, tensor, constants)
 
+    half, sixth = 0.5 * dt_eff, dt_eff / 6.0     # 0.5 * dt_eff * k is (0.5 * dt_eff) * k
     yield 0, state
     gram = state.gram_deviation()
     for step in range(1, n_steps + 1):
         a, C = state.a, state.orbitals
         k1a, k1C = rhs(a, C)
-        k2a, k2C = rhs(a + 0.5 * dt_eff * k1a, C + 0.5 * dt_eff * k1C)
-        k3a, k3C = rhs(a + 0.5 * dt_eff * k2a, C + 0.5 * dt_eff * k2C)
+        k2a, k2C = rhs(a + half * k1a, C + half * k1C)
+        k3a, k3C = rhs(a + half * k2a, C + half * k2C)
         k4a, k4C = rhs(a + dt_eff * k3a, C + dt_eff * k3C)
-        a = a + dt_eff / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        C = C + dt_eff / 6.0 * (k1C + 2 * k2C + 2 * k3C + k4C)
+        a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
+        C = C + sixth * (k1C + 2 * k2C + 2 * k3C + k4C)
         state = HFState(time=initial.time + step * dt_eff, a=a, orbitals=C)
 
         if not (np.isfinite(a) and np.all(np.isfinite(C))):

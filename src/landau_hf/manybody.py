@@ -35,7 +35,11 @@ m_g = t = m_d - m_b (mod g), a (K L, K L) matrix, L = K / g, and the g
 blocks, K^4 / g entries, are one (g, K L, K L) array.  Beside it the
 antisymmetrized F[a,b,g,d] = v[a,b,g,d] - v[a,b,d,g], in the same blocks, is
 built once and is what every contraction reads: the mean field J - X is
-one batched product of F with a gather of the density.  F also conserves
+one batched product of F with a gather of the density.  Hermiticity maps
+block t onto block -t, so where F[a,b,g,d] == conj(F[g,d,a,b]) holds bit
+for bit (checked once per tensor, on the first mean field), only blocks 0..
+g/2 are contracted and J - X on the others is their conjugate: (g - g//2 -
+1) / g of the product is skipped, 47% at g = 30.  F also conserves
 pair momentum, m_p + m_q = m_r + m_s (mod g), so over the ascending pairs
 it is block diagonal in g classes (InteractionTensor.pair_blocks, about 16
 C(K,2)^2 / g bytes, built on first read): the amplitudes <pq||ij> of the
@@ -173,16 +177,22 @@ class DeterminantBasis:
         np.put(out, at, sign[:, None] * x)
         return out
 
+    @cached_property
+    def _gather_at(self) -> np.ndarray:
+        """holes(1)'s at transposed, (dim, N), contiguous: one_body's gather."""
+        return np.ascontiguousarray(self.holes(1)[0].T)
+
     def one_body(self, M, x) -> np.ndarray:
         """dGamma(M) x, dGamma(M) = sum_pq M[q, p] a+_q a_p (M acting on each
         orbital in turn), with no matrix of dGamma: the put D =
         hole_amplitudes(x), one product M @ D, and the gather A_1^T, per row
-        i the sum over its places k of sign[k] (M D).take(at[k, i])."""
+        i the sum over its places k of sign[k] (M D).take(at[k, i]), read
+        through at transposed once (_gather_at)."""
         M = np.asarray(M)
         if M.shape != (self.K, self.K):
             raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
-        at, sign = self.holes(1)
-        return ((M @ self.hole_amplitudes(x)).take(at.T) * sign).sum(axis=1)
+        sign = self.holes(1)[1]
+        return ((M @ self.hole_amplitudes(x)).take(self._gather_at) * sign).sum(axis=1)
 
 
 def enumerate_determinants(K: int, N: int) -> DeterminantBasis:
@@ -245,7 +255,12 @@ class InteractionTensor:
     The tensor is the only reader of its storage: every contraction of v the
     package makes is one of its methods, mean_field for the HF flow,
     pair_amplitudes for the closed-form defect and antisymmetrized_pairs for
-    H, each using no symmetry of v.  The last two read F through
+    H.  A symmetry of v is used only where a bit-for-bit check finds it:
+    mean_field contracts blocks 0..g/2 alone and conjugates them into the
+    rest when F[a,b,g,d] == conj(F[g,d,a,b]) (_fock_plan), and
+    pair_amplitudes reads one signed row per unordered pair when F[q,p] ==
+    -F[p,q] (_amplitude_rows); otherwise each contracts every entry.
+    pair_amplitudes and antisymmetrized_pairs read F through
     pair_blocks, F over the ascending pairs in blocks of pair momentum,
     about 16 C(K,2)^2 / g bytes gathered from anti on their first call and
     kept read-only beside it; mean_field, and so the HF flow, never builds
@@ -311,15 +326,55 @@ class InteractionTensor:
         """Whether F, all that fermions see of v, is zero."""
         return self._zero
 
+    @cached_property
+    def _fock_plan(self):
+        """(F, density_at, out, at) of the Hermitian mean_field, or None.
+        With h = g // 2 + 1 < g and F[a, b, g, d] == conj(F[g, d, a, b]) bit
+        for bit, J - X is Hermitian and its blocks t > g / 2 are the
+        conjugates of blocks g - t: row (a g) of block t is row (g a) of
+        block -t, at image[t], and column (b d) is column (d b), at
+        image[-t].  So only the prefix F = anti[:h] is contracted, into
+        out[:h], out[h:] takes its conjugate, and at (K, K) gathers J - X
+        from out.  The check runs once, block by block, on the blocks t >=
+        h against their images, and stops at the first that fails.  None
+        for g <= 2 (a dense values array is one block) or a v not Hermitian
+        bit for bit."""
+        K, g = self.K, self.modulus
+        L, h = K // g, g // 2 + 1
+        if h == g:
+            return None
+        t, (a, i) = np.arange(g)[:, None], np.divmod(np.arange(K * L), L)
+        image = (i * g + (a - t) % g) * L + a // g
+        for s in range(h, g):
+            mirror = self.anti[g - s].take(image[s], axis=0).take(image[g - s], axis=1)
+            np.conjugate(mirror, out=mirror)
+            if not np.array_equal(mirror.view(np.float64), self.anti[s].view(np.float64)):
+                return None
+        at = t * K * L + np.arange(K * L)                       # place in the full product
+        at[h:] = (h + g - t[h:]) * K * L + image[h:]
+        return (self.anti[:h], self._density_at[:h],
+                np.empty((2 * h, K * L, 1), dtype=np.complex128),
+                at.ravel().take(self._fock_at).reshape(K, K))
+
     def mean_field(self, C: np.ndarray) -> np.ndarray:
         """eta = (J[rho] - X[rho]) C, rho = C C^H, for (K, N) orbitals C:
         (J - X)[a, g] = sum_bd F[a, b, g, d] rho[d, b] is one product of each
-        block of F with its gather of rho, scattered back to (a, g)."""
+        block of F with its gather of rho, scattered back to (a, g).  When F
+        is Hermitian bit for bit (_fock_plan, checked on the first call), so
+        is J - X, and only blocks 0..g/2 are contracted, the others their
+        conjugates; otherwise every block is, using no symmetry of v."""
         if self._zero or C.shape[1] == 1:
             return np.zeros_like(C)
         rho = (C @ C.conj().T).ravel()
-        fock = (self.anti @ rho.take(self._density_at)[:, :, None]).ravel()
-        return fock.take(self._fock_at).reshape(self.K, self.K) @ C
+        plan = self._fock_plan
+        if plan is None:
+            fock = (self.anti @ rho.take(self._density_at)[:, :, None]).ravel()
+            return fock.take(self._fock_at).reshape(self.K, self.K) @ C
+        F, density_at, out, at = plan
+        h = len(F)
+        np.matmul(F, rho.take(density_at)[:, :, None], out=out[:h])
+        np.conjugate(out[:h], out=out[h:])
+        return out.ravel().take(at) @ C
 
     def _entries(self, p, q, r, s) -> np.ndarray:
         """F[p, q, r, s] for broadcast orbital arrays: read from the block of

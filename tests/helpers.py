@@ -25,7 +25,9 @@ rule's zeros set in B, and checks and symmetrizes it one slab of fixed a
 at a time, with no momentum block and no transfer-compact B.  DenseTensor reads
 a dense pair matrix for the tensor's methods, with no block and no
 antisymmetrized copy: J and X one pass each, the pair amplitudes by
-sequential contractions of v.
+sequential contractions of v.  The blockwise mean field contracts every
+momentum block of F, with no Hermitian mirror; the Gram deviation and RK4
+oracles form the identity and the step constants afresh each time.
 """
 
 import itertools
@@ -38,7 +40,7 @@ import scipy.sparse as sp
 from landau_hf import manybody
 from landau_hf.basis import TAIL_TOL, grid_reduced_field, hermite_function
 from landau_hf.errors import SymmetryViolation, TruncationTooSmall
-from landau_hf.hartree_fock import hf_rhs
+from landau_hf.hartree_fock import HFState, hf_rhs
 from landau_hf.manybody import dft_columns, pair_factors
 
 
@@ -411,6 +413,42 @@ def per_orbital_mean_field(orbitals: np.ndarray, v: np.ndarray) -> np.ndarray:
         others = np.delete(orbitals, ell, axis=1)
         eta[:, ell] = fock_matrix(v, others @ others.conj().T) @ orbitals[:, ell]
     return eta
+
+
+def blockwise_mean_field(tensor, C: np.ndarray) -> np.ndarray:
+    """(J - X) C with every momentum block of the tensor's F contracted, no
+    symmetry of v used: one batched product of F with its gather of rho,
+    scattered back to (a, g), the numpy calls of InteractionTensor.mean_field
+    where F is not Hermitian bit for bit."""
+    if tensor.is_zero() or C.shape[1] == 1:
+        return np.zeros_like(C)
+    rho = (C @ C.conj().T).ravel()
+    fock = (tensor.anti @ rho.take(tensor._density_at)[:, :, None]).ravel()
+    return fock.take(tensor._fock_at).reshape(tensor.K, tensor.K) @ C
+
+
+def gram_deviation(C: np.ndarray) -> float:
+    """max |C^H C - 1| with the identity formed and subtracted whole."""
+    return float(np.max(np.abs(C.conj().T @ C - np.eye(C.shape[1]))))
+
+
+def rk4_states(initial, dt_eff: float, n_steps: int, tensor, energies, constants) -> list:
+    """(a, C) after each of n_steps classical RK4 steps of hf_rhs, the step
+    constants 0.5 dt and dt / 6 formed inside every stage."""
+    def rhs(a_val, C_val):
+        return hf_rhs(HFState(initial.time, a_val, C_val), energies, tensor, constants)
+
+    a, C = complex(initial.a), initial.orbitals.astype(np.complex128)
+    out = []
+    for _ in range(n_steps):
+        k1a, k1C = rhs(a, C)
+        k2a, k2C = rhs(a + 0.5 * dt_eff * k1a, C + 0.5 * dt_eff * k1C)
+        k3a, k3C = rhs(a + 0.5 * dt_eff * k2a, C + 0.5 * dt_eff * k2C)
+        k4a, k4C = rhs(a + dt_eff * k3a, C + dt_eff * k3C)
+        a = a + dt_eff / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        C = C + dt_eff / 6.0 * (k1C + 2 * k2C + 2 * k3C + k4C)
+        out.append((a, C))
+    return out
 
 
 def _wedge(columns: np.ndarray, basis) -> np.ndarray:

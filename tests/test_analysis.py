@@ -255,6 +255,42 @@ def test_comparison_evaluates_hf_energy_once_per_record(monkeypatch):
     assert result.summary["initial_energy"] == result.records[0].energy_hf
 
 
+def test_comparison_embeds_each_sample_once(monkeypatch):
+    # the sample's wedge is made once and handed to the sample check and to
+    # error_norm, which give the bits of embedding it themselves
+    cfg = make_config(M=3, n_max=1, N=2, kind="periodic-gaussian", t_final=0.02,
+                      sample_stride=10)
+    expected = run_comparison(Problem(cfg))
+    calls, embed = [], analysis.embed_wedge
+    monkeypatch.setattr(analysis, "embed_wedge",
+                        lambda *args: calls.append(args) or embed(*args))
+    result = run_comparison(Problem(cfg))
+    assert len(result.records) == 3 and len(calls) == 3
+    assert result.records == expected.records and result.summary == expected.summary
+
+
+def test_given_wedge_gives_the_bits_of_embedding(system, rng):
+    cfg, oset, tensor, basis, H = system
+    C = np.linalg.qr(rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)))[0]
+    state = HFState(0.1, np.exp(0.4j), C)
+    wedge = lhf.embed_wedge(C, basis)
+    args = (H, basis, oset.energies, tensor, cfg.constants)
+    assert np.array_equal(defect_vector(state, *args, wedge), defect_vector(state, *args))
+    d = analysis.defect_norm(state, tensor, cfg.constants)
+    assert check_defect_support(state, d, *args, wedge) == check_defect_support(state, d, *args)
+    psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    exact = ManyBodyState(basis, psi / np.linalg.norm(psi))
+    assert analysis.error_norm(exact, state, basis, wedge) == analysis.error_norm(exact, state, basis)
+
+
+def test_sector_coefficients_are_made_once_per_particle_number():
+    # sum_m c[j, m] (k - N/2)^m = [j = k], kept read-only
+    c = analysis._sector_coefficients(4)
+    assert analysis._sector_coefficients(4) is c and not c.flags.writeable
+    levels = np.arange(5) - 2.0
+    assert np.abs(c @ np.vander(levels, increasing=True).T - np.eye(5)).max() <= 1e-12
+
+
 def test_integrated_defect_dominates_error():
     cfg = make_config(M=3, n_max=2, N=2, strength=0.2, t_final=0.3,
                       sample_stride=25)

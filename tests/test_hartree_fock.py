@@ -368,6 +368,34 @@ def test_first_steps_of_a_long_grid_allocate_no_step_list(setup, rng):
     assert peak < 1e6
 
 
+@pytest.mark.parametrize("N", [1, 3, 9])
+def test_gram_deviation_matches_the_whole_identity_subtracted(rng, N):
+    C = np.linalg.qr(rng.normal(size=(9, N)) + 1j * rng.normal(size=(9, N)))[0]
+    for orbitals in (C, C + 1e-7 * rng.normal(size=C.shape), 2.0 * C):
+        got = HFState(0.0, 1.0, orbitals).gram_deviation()
+        assert got == helpers.gram_deviation(orbitals)
+
+
+@pytest.mark.parametrize("kind", ["separable-cosine", "periodic-gaussian"])
+def test_rk4_steps_match_the_stage_formulas_bit_for_bit(rng, kind, monkeypatch):
+    # step constants formed once per run give the bits of 0.5 dt and dt / 6
+    # formed in every stage; hf_rhs is read from the module on every call
+    cfg = make_config(M=3, n_max=2, N=3, kind=kind, strength=0.5, sigma=0.7)
+    oset = lhf.build_orbital_set(cfg, grid=cfg.tensor_grid)
+    tensor = lhf.two_body_tensor(cfg.potential, oset, cfg.tensor_grid)
+    initial = random_state(rng, 9, 3)
+    dt, n_steps = 1e-2 / 3, 5
+    calls = []
+    rhs = hartree_fock.hf_rhs
+    monkeypatch.setattr(hartree_fock, "hf_rhs", lambda *args: calls.append(1) or rhs(*args))
+    states = [s for _, s in hartree_fock._rk4_steps(initial, dt, n_steps, "rk4", tensor,
+                                                      oset.energies, cfg.constants)]
+    assert len(calls) == 4 * n_steps
+    oracle = helpers.rk4_states(initial, dt, n_steps, tensor, oset.energies, cfg.constants)
+    for state, (a, C) in zip(states[1:], oracle, strict=True):
+        assert state.a == a and np.array_equal(state.orbitals, C)
+
+
 # --- gauge transform -------------------------------------------------------------
 
 def test_gauge_identity(setup, rng):

@@ -704,6 +704,90 @@ def test_shipped_blocked_hf_matches_dense_oracle(path, rng):
                                    problem.config.constants)
 
 
+# K = 60: M = 30, n_max = 1 and every grid at 256^2, the K = 60 evolve-hf run of CI
+WIDE_CHANGES = {"M": 30, "n_max": 1, "grid1": 256, "grid2": 256, "tensor_grid1": 256,
+                "tensor_grid2": 256}
+MIRROR_CASES = {"gaussian-g3": ("configs/gaussian.cfg", {}),
+                "gaussian-g6": ("configs/k30n10.cfg", {}),
+                "gaussian-g30": ("configs/k30n10.cfg", WIDE_CHANGES)}
+
+
+def mirror_case(name) -> tuple[InteractionTensor, int]:
+    """A fresh Gaussian tensor of MIRROR_CASES and its config's N."""
+    path, changes = MIRROR_CASES[name]
+    config = dataclasses.replace(lhf.load_config(ROOT / path), **changes)
+    oset = lhf.build_orbital_set(config, grid=config.tensor_grid)
+    return lhf.two_body_tensor(config.potential, oset, config.tensor_grid), config.N
+
+
+@pytest.mark.parametrize("name,g", [("gaussian-g3", 3), ("gaussian-g6", 6), ("gaussian-g30", 30)])
+def test_hermitian_mirror_matches_every_block(name, g, rng):
+    # F of a Gaussian tensor is Hermitian bit for bit, so mean_field
+    # contracts blocks 0..g/2 alone and mirrors the rest
+    tensor, N = mirror_case(name)
+    assert tensor.modulus == g
+    for n in (N, 1 + N // 2):
+        C = random_hf_state(rng, tensor.K, n).orbitals
+        oracle = helpers.blockwise_mean_field(tensor, C)
+        eta = tensor.mean_field(C)
+        assert len(tensor._fock_plan[0]) == g // 2 + 1
+        assert np.abs(eta - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_hermitian_mirror_conjugates_its_images_exactly(rng):
+    # every entry of J - X in a block t > g/2 is the conjugate of its image
+    # (g a) in block g - t, bit for bit; blocks 0 and g/2 hold their own
+    # images and are contracted whole, so Hermitian to round-off there
+    tensor, N = mirror_case("gaussian-g6")
+    K, g = tensor.K, tensor.modulus
+    C = random_hf_state(rng, K, N).orbitals
+    tensor.mean_field(C)
+    _, _, out, at = tensor._fock_plan
+    fock = out.ravel().take(at)
+    m = np.arange(K) % g
+    mirrored = (m[:, None] - m) % g > g // 2          # m_a - m_g = t > g/2
+    assert np.count_nonzero(mirrored) == K * K * (g - g // 2 - 1) // g
+    assert np.array_equal(fock[mirrored], fock.conj().T[mirrored])
+    assert np.abs(fock - fock.conj().T).max() <= 1e-15 * np.abs(fock).max()
+    assert np.abs(fock - helpers.fock_matrix(tensor.values, C @ C.conj().T)).max() \
+        <= 1e-13 * np.abs(fock).max()
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 5])
+def test_one_perturbed_entry_turns_the_mirror_off(t, rng):
+    # one F entry one ulp off its image's conjugate, in a contracted block
+    # whose image is mirrored (t = 1, 2) or in a mirrored block (t = 4, 5):
+    # every block is contracted, with the bits of the product over all
+    tensor, N = mirror_case("gaussian-g6")
+    rows, cols = np.nonzero(tensor.anti[t])
+    r, c = rows[len(rows) // 2], cols[len(rows) // 2]
+    x = tensor.anti[t, r, c]
+    tensor.anti[t, r, c] = complex(np.nextafter(x.real, np.inf), x.imag)
+    C = random_hf_state(rng, tensor.K, N).orbitals
+    assert np.array_equal(tensor.mean_field(C), helpers.blockwise_mean_field(tensor, C))
+    assert tensor._fock_plan is None
+
+
+@pytest.mark.parametrize("path", ["configs/example.cfg", "configs/k16n4.cfg"])
+def test_two_blocks_or_fewer_contract_every_block(path, rng):
+    # the cosine kernel at harmonic2 = 1 has g = gcd(M, 2) <= 2: nothing to mirror
+    problem = Problem(lhf.load_config(ROOT / path))
+    tensor = problem.tensor
+    assert tensor.modulus <= 2
+    C = random_hf_state(rng, tensor.K, problem.config.N).orbitals
+    assert np.array_equal(tensor.mean_field(C), helpers.blockwise_mean_field(tensor, C))
+    assert tensor._fock_plan is None
+
+
+def test_dense_values_contract_every_block(rng):
+    # a dense values array is one block, whatever its symmetry
+    v, sup = helpers.random_interaction_tensor(rng, 7)
+    tensor = InteractionTensor(values=v, sup_norm=sup)
+    C = random_hf_state(rng, 7, 3).orbitals
+    assert np.array_equal(tensor.mean_field(C), helpers.blockwise_mean_field(tensor, C))
+    assert tensor.modulus == 1 and tensor._fock_plan is None
+
+
 @pytest.mark.parametrize("name", [*RULE_CASES, "tabulated", "zero"])
 def test_pair_blocks_hold_the_antisymmetrized_pairs_by_pair_momentum(name):
     # each class c holds the ascending pairs with p + q = c (mod g), padded
