@@ -6,21 +6,25 @@ There is one ladder per kernel kind, because the selection rule keeps a
 different share of the tensor for each: configs/k16n4.cfg (cosine, 4/M^2 at
 harmonic2 = 1) and configs/gaussian.cfg (Gaussian, 1/M).  Each rung builds
 its problem through analysis.Problem from the ladder's config with M, n_max
-and N set: K = M (n_max + 1) orbitals and C(K, N) determinants.  It times
-the build of the operator H (assemble_hamiltonian, its two-hole table
-included), one matvec H @ psi and one ExactPropagator(H).advance(psi, 0.1)
-from a seeded random unit vector, the builds of the hole tables
+and N set: K = M (n_max + 1) orbitals and C(K, N) determinants, and records
+the tensor's momentum modulus g, the number of pair-momentum blocks of H's
+W.  It times the build of the operator H (assemble_hamiltonian, its
+two-hole table included), one matvec H @ psi and, apart, its three stages
+(put_s, the put of psi into D_2; product_s, Z = W @ D_2; gather_s, the
+gather of Z), and one ExactPropagator(H).advance(psi, 0.1) from a seeded
+random unit vector, the builds of the hole tables
 DeterminantBasis.holes(1) (table_s), which one_body and rdm_exact read, and
 holes(2) (two_hole_s), which H reads, and rdm_exact.  Each is the median of
 at least REPEATS calls and at least MIN_SECONDS of calls, their number kept
-(assemble_calls, matvec_calls, advance_calls, table_calls, two_hole_calls,
-rdm_calls).  A table is built once per basis, so each timed build runs on a
-basis fresh from enumerate_determinants, made before the timed call and
-dropped after it.  The rung also records the tracemalloc peak of the build
+(assemble_calls, matvec_calls, put_calls, product_calls, gather_calls,
+advance_calls, table_calls, two_hole_calls, rdm_calls).  A table is built
+once per basis, so each timed build runs on a basis fresh from
+enumerate_determinants, made before the timed call and dropped after it.  The rung also records the tracemalloc peak of the build
 of its H over the bytes the budget predicts (hamiltonian_bytes); nnz is the
 count of W's nonzero entries.
-The compare rows run `landau-hf compare --threads 1` REPEATS times on each
-of COMPARE_CONFIGS in a fresh process and keep the manifest's total time.
+The compare rows run `landau-hf compare --threads 1` COMPARE_RUNS times on
+each of COMPARE_CONFIGS, each in a fresh process, and keep the manifest's
+total time of every run, their median and their quartiles.
 The tensor rows time two_body_tensor on TENSOR_CONFIG's orbitals (K = 30),
 the median of at least REPEATS calls and at least MIN_SECONDS of calls,
 their number kept as calls, with the orbitals built once, for every kernel
@@ -107,6 +111,7 @@ HUGE_CHANGES = {"M": 60, "n_max": 1, "grid1": 512, "grid2": 512, "tensor_grid1":
                 "tensor_grid2": 512}
 HUGE_N = 60                      # orbitals of the K = 120 row's mean_field
 REPEATS = 3
+COMPARE_RUNS = 7                 # fresh processes per compare row: quartiles that resolve a change
 MIN_SECONDS = 1.0                # resolves the few-ms tensor rows and ladder calls
 INTERVAL = 0.1
 SEED = 20240917
@@ -161,23 +166,30 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    predicted = hamiltonian_bytes(basis.K, N)
+    predicted = hamiltonian_bytes(basis.K, N, tensor.modulus)
 
     rng = np.random.default_rng(SEED)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
     hbar = config.constants.hbar
     matvec = call_times(lambda: H @ psi)
+    put = call_times(lambda: H._put(psi))
+    product = call_times(H._product)
+    gather = call_times(H._gather)
     advance = call_times(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL))
     table = build_times(lambda fresh: fresh.holes(1), basis.K, N)
     two_hole = build_times(lambda fresh: fresh.holes(2), basis.K, N)
     state = ManyBodyState(basis=basis, coefficients=psi)
     rdm = call_times(lambda: rdm_exact(state, basis))
-    return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "dim": basis.dim, "nnz": H.nnz,
+    return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "g": tensor.modulus,
+            "dim": basis.dim, "nnz": H.nnz,
             "assemble_s": statistics.median(assemble), "assemble_calls": len(assemble),
             "assemble_peak_mb": peak / 1e6,
             "predicted_mb": predicted / 1e6, "assemble_peak_over_prediction": peak / predicted,
             "matvec_s": statistics.median(matvec), "matvec_calls": len(matvec),
+            "put_s": statistics.median(put), "put_calls": len(put),
+            "product_s": statistics.median(product), "product_calls": len(product),
+            "gather_s": statistics.median(gather), "gather_calls": len(gather),
             "advance_s": statistics.median(advance), "advance_calls": len(advance),
             "table_s": statistics.median(table), "table_calls": len(table),
             "two_hole_s": statistics.median(two_hole), "two_hole_calls": len(two_hole),
@@ -282,19 +294,21 @@ def tensor_rows() -> list[dict]:
 
 
 def compare_row(path: str) -> dict:
-    """`landau-hf compare --threads 1` on path, REPEATS fresh processes: the
-    manifest's total time of each and their median, with its counters."""
+    """`landau-hf compare --threads 1` on path, COMPARE_RUNS fresh processes:
+    the manifest's total time of each, their median and quartiles, with its
+    counters."""
     totals = []
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    for _ in range(REPEATS):
+    for _ in range(COMPARE_RUNS):
         with tempfile.TemporaryDirectory() as out:
             subprocess.run([sys.executable, "-m", "landau_hf.cli", "compare", "--config",
                             str(ROOT / path), "--out-dir", out, "--threads", "1"],
                            env=env, check=True, capture_output=True)
             manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         totals.append(manifest["timings"]["total"])
-    return {"config": path, "total_s": statistics.median(totals), "runs_s": totals,
-            "counters": manifest.get("counters")}
+    quartiles = statistics.quantiles(totals, n=4)
+    return {"config": path, "total_s": quartiles[1], "q1_s": quartiles[0],
+            "q3_s": quartiles[2], "runs_s": totals, "counters": manifest.get("counters")}
 
 
 STARTUP_CODE = """import sys, landau_hf.cli
@@ -374,7 +388,8 @@ def main():
         compare.append(compare_row(path))
         print(json.dumps(compare[-1]), flush=True)
     result = {"label": args.label, "machine": machine(), "interval": INTERVAL,
-              "repeats": REPEATS, "min_seconds": MIN_SECONDS, "ladders": ladders,
+              "repeats": REPEATS, "compare_runs": COMPARE_RUNS, "min_seconds": MIN_SECONDS,
+              "ladders": ladders,
               "orbital_set": orbital_sets, "tensor": tensors, "exact": exact,
               "startup": startup,
               "compare": compare,

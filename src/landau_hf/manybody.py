@@ -44,7 +44,7 @@ pair momentum, m_p + m_q = m_r + m_s (mod g), so over the ascending pairs
 it is block diagonal in g classes (InteractionTensor.pair_blocks, about 16
 C(K,2)^2 / g bytes, built on first read): the amplitudes <pq||ij> of the
 closed-form defect are one batched product of those blocks with the 2x2
-minors of the orbitals, and H's dense W is their scatter.
+minors of the orbitals, and H's W is a copy of them.
 
 The determinant space has one primitive, the hole table
 DeterminantBasis.holes(n), n = 1, 2: for every determinant and set of n
@@ -56,8 +56,12 @@ D = A_n x (hole_amplitudes), one product and, but for the RDM, one gather
 A_n^T: DeterminantBasis.one_body, dGamma(M) x, is M @ D_1 gathered; the
 one-body reduced density matrix is D_1 D_1^H; and assemble_hamiltonian
 returns H = A_2 (W x 1) A_2^T as an operator, applied and never stored
-(Hamiltonian), W the dense antisymmetrized tensor with the one-body energies
-on its diagonal.
+(Hamiltonian), W the antisymmetrized tensor's pair-momentum blocks with the
+one-body energies on their diagonal, so D_2 = A_2^T x and Z = W D_2 are
+(g, P, C(K,N-2)) and each matvec is one batched product: 1/g of the dense
+W's work.  The put and H's gather walk the hole table one place set at a
+time (put_signed, gather_signed), so each holds a vector or two beside D
+or Z, never a (C(N,n), dim) product.
 
 Exact dynamics has one propagator, ExactPropagator: exp(-i H t / hbar) on a
 vector through that operator, by truncated Taylor sums whose cost grows with
@@ -165,8 +169,11 @@ class DeterminantBasis:
 
     def hole_amplitudes(self, x, n: int = 1, out=None) -> np.ndarray:
         """D = A_n x, (C(K,n), C(K,N-n)): D[P, h] = <h| a_{p_n} ... a_{p_1}
-        |x>, the put of sign[s] x[i] at at[s, i] (holes(n)); each entry is
-        hit at most once, so out, if given, is never zeroed again."""
+        |x>, sign[s] x[i] put at at[s, i] (holes(n)) one place set at a
+        time (put_signed); each entry is hit at most once, so out, if given,
+        is never zeroed again.  The put writes through out.reshape(-1), so an
+        out that is not C-contiguous, of which that would be a copy, raises
+        InvalidValue."""
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"vector of shape {x.shape} for dim={self.dim}")
@@ -174,7 +181,9 @@ class DeterminantBasis:
         if out is None:
             out = np.zeros((math.comb(self.K, n), math.comb(self.K, self.N - n)),
                            dtype=np.complex128)
-        np.put(out, at, sign[:, None] * x)
+        elif not out.flags.c_contiguous:
+            raise InvalidValue("out", "hole amplitudes are put into a C-contiguous array only")
+        put_signed(out.reshape(-1), at, sign, x)
         return out
 
     @cached_property
@@ -193,6 +202,37 @@ class DeterminantBasis:
             raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
         sign = self.holes(1)[1]
         return ((M @ self.hole_amplitudes(x)).take(self._gather_at) * sign).sum(axis=1)
+
+
+def put_signed(flat: np.ndarray, at: np.ndarray, sign: np.ndarray, x: np.ndarray) -> None:
+    """flat[at[s]] = sign[s] x for each row s of a hole table, one fancy
+    assignment per row, with -x formed once: the values of np.put(flat, at,
+    sign[:, None] * x), bit for bit but for the sign of a zero part, and no
+    (C(N,n), dim) temporary."""
+    negated = None
+    for row, positive in zip(at, sign > 0):
+        if positive:
+            flat[row] = x
+        else:
+            if negated is None:
+                negated = -x
+            flat[row] = negated
+
+
+def gather_signed(flat: np.ndarray, at: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sum_s sign[s] flat.take(at[s]) for a hole table whose first sign is
+    +1: the first row taken, then each later row added or subtracted in
+    order, as the axis-0 sum of (flat.take(at) * sign[:, None]) adds its
+    rows (a - b == a + (-b)), through one reused row buffer."""
+    y = flat.take(at[0])
+    row = np.empty_like(y)
+    for index, positive in zip(at[1:], sign[1:] > 0):
+        flat.take(index, out=row, mode="clip")      # in range: clip only skips the buffer
+        if positive:
+            y += row
+        else:
+            y -= row
+    return y
 
 
 def enumerate_determinants(K: int, N: int) -> DeterminantBasis:
@@ -253,18 +293,17 @@ class InteractionTensor:
     layout pair[(a g), (b d)]) are dense copies, made on each access.
 
     The tensor is the only reader of its storage: every contraction of v the
-    package makes is one of its methods, mean_field for the HF flow,
-    pair_amplitudes for the closed-form defect and antisymmetrized_pairs for
-    H.  A symmetry of v is used only where a bit-for-bit check finds it:
+    package makes is one of its methods, mean_field for the HF flow and
+    pair_amplitudes for the closed-form defect, or reads pair_blocks, as H
+    does.  A symmetry of v is used only where a bit-for-bit check finds it:
     mean_field contracts blocks 0..g/2 alone and conjugates them into the
     rest when F[a,b,g,d] == conj(F[g,d,a,b]) (_fock_plan), and
     pair_amplitudes reads one signed row per unordered pair when F[q,p] ==
     -F[p,q] (_amplitude_rows); otherwise each contracts every entry.
-    pair_amplitudes and antisymmetrized_pairs read F through
-    pair_blocks, F over the ascending pairs in blocks of pair momentum,
-    about 16 C(K,2)^2 / g bytes gathered from anti on their first call and
-    kept read-only beside it; mean_field, and so the HF flow, never builds
-    them."""
+    pair_amplitudes and H read F through pair_blocks, F over the ascending
+    pairs in blocks of pair momentum, about 16 C(K,2)^2 / g bytes gathered
+    from anti on their first read and kept read-only beside it; mean_field,
+    and so the HF flow, never builds them."""
 
     def __init__(self, values, sup_norm: float, symmetry_deviation: float = 0.0,
                  rank: int | None = None, rule_kept: float = 1.0):
@@ -407,9 +446,9 @@ class InteractionTensor:
         gathered from anti on the first read and kept read-only: F keeps m_p
         + m_q = m_r + m_s (mod g), so the pairs split into g classes, each
         padded to the largest with the pair (0, 0), whose column of F and
-        2x2 minor are exact zeros and whose row is never read.  About 16
-        C(K,2)^2 / g bytes, against 16 C(K,2)^2 for the dense
-        antisymmetrized_pairs."""
+        2x2 minor are exact zeros and whose row is never read (H's copy
+        zeroes it).  About 16 C(K,2)^2 / g bytes, against 16 C(K,2)^2 for
+        the dense <pq||rs> over every pair."""
         a, b = np.triu_indices(self.K, 1)
         pairs = self._by_class(a, b)[0]
         r, s = np.append(a, 0)[pairs], np.append(b, 0)[pairs]
@@ -459,16 +498,6 @@ class InteractionTensor:
         out = (rows @ minors).reshape(-1, N * N).take(at, axis=0)
         out *= sign[:, None]
         return out.reshape(K, K, N, N)
-
-    def antisymmetrized_pairs(self) -> np.ndarray:
-        """<pq||rs> = F[p,q,r,s] over ascending pairs, (C(K,2), C(K,2)), the
-        pairs p < q in the order of np.triu_indices(K, 1): the dense scatter
-        of pair_blocks, zero between pairs of different pair momentum."""
-        blocks = self.pair_blocks
-        n = math.comb(self.K, 2)
-        W = np.zeros((n + 1, n + 1), dtype=np.complex128)   # row and column n take the padding
-        W[blocks.pairs[:, :, None], blocks.pairs[:, None, :]] = blocks.values
-        return W[:n, :n].copy()
 
 
 def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
@@ -704,14 +733,21 @@ def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 class Hamiltonian:
     """H applied and never stored: diagonal * x without W, else A_2 (W x 1)
-    A_2^T x (assemble_hamiltonian) on basis.holes(2): the put D_2 =
-    hole_amplitudes(x, 2), Z = W @ D_2, and the gather, the sum of sign *
-    Z.take(at) over the place pairs in order, so an entry of H and its mirror
-    add the same terms in the same order (H is exactly Hermitian).  D_2 and
-    Z are allocated once.  With W, H's diagonal is read off W's, and norm
-    bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus sum_{p != q}
-    |W[p, q]| per pair q of row j (the hole of q refilled by p != q is
-    another determinant or none).  nnz counts W's nonzero entries.
+    A_2^T x (assemble_hamiltonian) with W in pair-momentum blocks, (g, P, P):
+    the put of sign * x into D_2 (put_signed), Z = W @ D_2, one batched
+    product, and the gather, the sum of sign * Z.take(at) over the place
+    pairs in order (gather_signed), so an entry of H and its mirror add the
+    same terms in the same order (H is exactly Hermitian).  D_2 and Z are
+    (g, P, C(K,N-2)), allocated once; their rows are the slots class P +
+    place of the pairs (pairs, the (g, P) table of PairBlocks, C(K,2) in
+    padding), and at is basis.holes(2)'s table remapped to them once (at g
+    = 1 the slots are the pairs and the table is holes(2)'s own).  Padding
+    rows of D_2 are never written and stay zero, padding rows of Z are never
+    gathered, and padding rows of W are zero.  With W, H's diagonal is read
+    off W's, and norm bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu|
+    plus sum_{p != q} |W[p, q]| per pair q of row j (the hole of q refilled
+    by p != q is another determinant or none).  nnz counts W's nonzero
+    entries.
 
     A plain numpy operator: H @ x, H.matvec(x) and H.rmatvec(x) take x of
     shape (dim,) or (dim, 1) and return H x of shape (dim,); any other
@@ -721,17 +757,21 @@ class Hamiltonian:
     # ExactPropagator as NonFiniteValue, with no RuntimeWarning before it
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, basis: DeterminantBasis, diagonal: np.ndarray | None = None,
-                 W: np.ndarray | None = None):
+                 W: np.ndarray | None = None, pairs: np.ndarray | None = None):
         self.shape, self.dtype = (basis.dim,) * 2, np.dtype(np.complex128)
         self.basis, self.W, off, self.nnz = basis, W, 0.0, 0
         if W is not None:               # diagonal and bound first: their temporaries go before D_2
             n_holes = math.comb(basis.K, basis.N - 2)
-            pairs = basis.holes(2)[0] // n_holes
-            diagonal = W.diagonal()[pairs.T].sum(axis=1)
-            off = (np.abs(W).sum(axis=0) - np.abs(W.diagonal()))[pairs].sum(axis=0)
-            del pairs
+            self.at, self.sign = basis.holes(2)
+            if len(W) > 1:
+                self.at = _slot_table(self.at, pairs, math.comb(basis.K, 2), n_holes)
+            slots = self.at // n_holes
+            W_diagonal = W.diagonal(axis1=1, axis2=2).ravel()
+            diagonal = W_diagonal[slots.T].sum(axis=1)
+            off = (np.abs(W).sum(axis=1).ravel() - np.abs(W_diagonal))[slots].sum(axis=0)
+            del slots
             self.nnz = int(np.count_nonzero(W))
-            self._D2 = np.zeros((len(W), n_holes), dtype=np.complex128)
+            self._D2 = np.zeros(W.shape[:2] + (n_holes,), dtype=np.complex128)
             self._Z = np.empty_like(self._D2)
         self.diagonal, self.mu = diagonal, diagonal.mean()
         self.norm = float(np.max(off + np.abs(diagonal - self.mu)))
@@ -742,11 +782,23 @@ class Hamiltonian:
         x = np.ravel(x)
         if self.W is None:
             return self.diagonal * x
-        at, sign = self.basis.holes(2)
-        np.matmul(self.W, self.basis.hole_amplitudes(x, 2, out=self._D2), out=self._Z)
-        return (self._Z.take(at) * sign[:, None]).sum(axis=0)
+        self._put(x)
+        self._product()
+        return self._gather()
 
     matvec = rmatvec = __matmul__       # H is Hermitian
+
+    def _put(self, x):
+        """D_2 = A_2 x in the slots of W's blocks."""
+        put_signed(self._D2.reshape(-1), self.at, self.sign, x)
+
+    def _product(self):
+        """Z = W @ D_2, one product per pair-momentum block."""
+        np.matmul(self.W, self._D2, out=self._Z)
+
+    def _gather(self) -> np.ndarray:
+        """A_2^T Z."""
+        return gather_signed(self._Z.reshape(-1), self.at, self.sign)
 
     def __rmul__(self, scalar):
         """scalar * H as a SciPy LinearOperator, for callers that hand it to
@@ -760,19 +812,36 @@ class Hamiltonian:
         return np.column_stack([self.matvec(e) for e in np.eye(self.shape[0])])
 
 
+def _slot_table(at: np.ndarray, pairs: np.ndarray, n_pairs: int, n_holes: int) -> np.ndarray:
+    """The two-hole table at[s, i] = pair C(K,N-2) + hole remapped to slot
+    C(K,N-2) + hole, slot = class P + place of the pair in pairs (g, P,
+    n_pairs = C(K,2) in padding), one place set at a time."""
+    valid = np.flatnonzero(pairs.ravel() < n_pairs)
+    slot = np.empty(n_pairs, dtype=np.int64)
+    slot[pairs.ravel()[valid]] = valid
+    out = np.empty_like(at)
+    for row, remapped in zip(at, out):
+        pair, hole = np.divmod(row, n_holes)
+        np.multiply(slot.take(pair), n_holes, out=remapped)
+        remapped += hole
+    return out
+
+
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
                          tensor: InteractionTensor | None) -> Hamiltonian:
     """H = sum_p e_p n_p + sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r, with
     <pq||rs> = v[p,q,r,s] - v[p,q,s,r], as the operator A_2 (W x 1) A_2^T
     through the (N-2)-particle determinants (Knowles & Handy 1984):
-      - W[(pq), (rs)] = <pq||rs> over ascending pairs, dense
-        (InteractionTensor.antisymmetrized_pairs), with (e_p + e_q) / (N - 1)
-        on its diagonal, which H's diagonal sums per row;
+      - W[c, (pq), (rs)] = <pq||rs> between the ascending pairs of pair
+        momentum c = m_p + m_q (mod g), a copy of InteractionTensor.
+        pair_blocks' values with its padding rows zeroed and (e_p + e_q) /
+        (N - 1) on the diagonal of each pair, which H's diagonal sums per
+        row (at g = 1, the dense W over every pair);
       - A_2[i, (pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
-        basis.holes(2).
+        basis.holes(2), read in the slots of W's blocks.
     N = 1 or no interaction gives the one-body diagonal alone.  The bytes of
-    D_2, Z, the table's at and W (hamiltonian_bytes) over H_BYTE_CAP raise
-    TooLarge before the table is built."""
+    D_2, Z, the tables and W (hamiltonian_bytes) over H_BYTE_CAP raise
+    TooLarge before the table or the pair blocks are built."""
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
         raise DimensionMismatch(
@@ -783,22 +852,37 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     if N == 1 or tensor is None or tensor.is_zero():
         return Hamiltonian(basis, energies[basis.occupations].sum(axis=1).astype(np.complex128))
 
-    nbytes = hamiltonian_bytes(K, N)
+    nbytes = hamiltonian_bytes(K, N, tensor.modulus)
     if nbytes > H_BYTE_CAP:
+        rows = tensor.modulus * pair_class_size(K, tensor.modulus)
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
-                       f"to apply ({math.comb(K, 2)} x {math.comb(K, N - 2)} two-hole "
+                       f"to apply ({rows} x {math.comb(K, N - 2)} two-hole "
                        f"amplitudes), over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
-    W = tensor.antisymmetrized_pairs()
+    blocks = tensor.pair_blocks
+    W = blocks.values.copy()
+    padding = blocks.pairs == math.comb(K, 2)
+    W[padding] = 0
+    place = np.arange(W.shape[1])
+    W[:, place, place] += np.where(padding, 0.0, (energies[blocks.r] + energies[blocks.s])
+                                   / (N - 1))
+    return Hamiltonian(basis, W=W, pairs=blocks.pairs)
+
+
+def pair_class_size(K: int, g: int) -> int:
+    """P, the most ascending pairs p < q of K orbitals in one class of pair
+    momentum (p + q) mod g (InteractionTensor._by_class), at least 1."""
     a, b = np.triu_indices(K, 1)
-    W[np.diag_indices(len(a))] += (energies[a] + energies[b]) / (N - 1)
-    return Hamiltonian(basis, W=W)
+    return max(int(np.bincount((a + b) % g, minlength=g).max(initial=0)), 1)
 
 
-def hamiltonian_bytes(K: int, N: int) -> int:
-    """Bytes of the two-body Hamiltonian's D_2, Z, at (int64) and W."""
-    pairs = math.comb(K, 2)
-    return (32 * pairs * math.comb(K, N - 2) + 8 * math.comb(K, N) * math.comb(N, 2)
-            + 16 * pairs ** 2)
+def hamiltonian_bytes(K: int, N: int, modulus: int = 1) -> int:
+    """Bytes of the two-body Hamiltonian's D_2 and Z, (g P, C(K,N-2)) each,
+    its W blocks, (g, P, P), and its tables (int64): basis.holes(2)'s at
+    and, at g > 1, its remap to the slots of the blocks."""
+    P = pair_class_size(K, modulus)
+    tables = 1 if modulus == 1 else 2
+    return (32 * modulus * P * math.comb(K, N - 2)
+            + 8 * tables * math.comb(K, N) * math.comb(N, 2) + 16 * modulus * P * P)
 
 
 @dataclass(frozen=True)
@@ -909,9 +993,13 @@ class ExactPropagator:
     ||H - mu||_1 are read from H.  An advance over t takes (m*, s) from |t|
     ||A||_1 (taylor_parameters; a bound will do, as ||A^p||_1^(1/p) <=
     ||A||_1), then at most s m* matvecs, each Taylor sum stopped once its
-    terms fall below TAYLOR_TOL of it.  A non-finite entry of H or an infinite
-    ||A||_1 raises NonFiniteValue, a non-finite t ||A||_1 InvalidValue, and a
-    plan of more than TAYLOR_MATVEC_CAP matvecs TooLarge, before the first.
+    terms fall below TAYLOR_TOL of it.  max |F| of the sum is read only
+    once the last two terms fall below 2 TAYLOR_TOL of a running bound on
+    it (max |F| at the step's start plus each term's max), so each sum
+    stops where the exact max after every term would stop it.  A
+    non-finite entry of H or an infinite ||A||_1 raises NonFiniteValue, a
+    non-finite t ||A||_1 InvalidValue, and a plan of more than
+    TAYLOR_MATVEC_CAP matvecs TooLarge, before the first.
     matvecs counts the products with H over every advance."""
 
     def __init__(self, H: Hamiltonian, hbar: float = 1.0):
@@ -935,14 +1023,17 @@ class ExactPropagator:
         F = B = psi0
         eta = np.exp(h * self.mu)
         for _ in range(s):
-            c1 = np.abs(B).max()
+            c1 = bound = np.abs(B).max()        # B is F: bound starts at max |F|
             for j in range(m):
                 B = (h / (j + 1)) * (self.H @ B - self.mu * B)
                 self.matvecs += 1
                 c2 = np.abs(B).max()
                 F = F + B
-                if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():
-                    break
+                bound += c2                     # max |F| < 2 bound, whatever the rounding
+                if c1 + c2 <= 2 * TAYLOR_TOL * bound:
+                    bound = np.abs(F).max()
+                    if c1 + c2 <= TAYLOR_TOL * bound:
+                        break
                 c1 = c2
             F = eta * F
             B = F

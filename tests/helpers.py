@@ -27,7 +27,10 @@ a dense pair matrix for the tensor's methods, with no block and no
 antisymmetrized copy: J and X one pass each, the pair amplitudes by
 sequential contractions of v.  The blockwise mean field contracts every
 momentum block of F, with no Hermitian mirror; the Gram deviation and RK4
-oracles form the identity and the step constants afresh each time.
+oracles form the identity and the step constants afresh each time.  The
+dense-W Hamiltonian scatters the pair blocks into W over every pair and
+applies it with the put and the sum of whole (C(N,2), dim) products, and the
+Taylor oracle reads the exact max |F| after every term.
 """
 
 import itertools
@@ -548,3 +551,68 @@ def poisson_gaussian_table(sigma: float, grid, modes: int = 50) -> np.ndarray:
                                   * np.cos(2.0 * math.pi * k * d / L), axis=0)
     tab = np.outer(axis(grid.G1, grid.L1), axis(grid.G2, grid.L2))
     return tab / tab[0, 0]
+
+
+def antisymmetrized_pairs(tensor) -> np.ndarray:
+    """<pq||rs> = F[p,q,r,s] over ascending pairs, (C(K,2), C(K,2)), the
+    pairs p < q in the order of np.triu_indices(K, 1): the dense scatter of
+    the tensor's pair blocks, zero between pairs of different pair
+    momentum."""
+    blocks = tensor.pair_blocks
+    n = math.comb(tensor.K, 2)
+    W = np.zeros((n + 1, n + 1), dtype=np.complex128)   # row and column n take the padding
+    W[blocks.pairs[:, :, None], blocks.pairs[:, None, :]] = blocks.values
+    return W[:n, :n].copy()
+
+
+def signed_put(out: np.ndarray, at: np.ndarray, sign: np.ndarray, x: np.ndarray) -> None:
+    """sign[s] x put at at[s] for every place set at once: one np.put of the
+    (C(N,n), dim) product sign[:, None] * x."""
+    np.put(out, at, sign[:, None] * x)
+
+
+def signed_sum(Z: np.ndarray, at: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sum_s sign[s] Z.take(at[s]): the axis-0 sum of the (C(N,n), dim)
+    product Z.take(at) * sign[:, None]."""
+    return (Z.take(at) * sign[:, None]).sum(axis=0)
+
+
+def dense_w_matvec(basis, energies, tensor):
+    """x -> H x through the dense W over every ascending pair, (C(K,2),
+    C(K,2)), the energies (e_p + e_q) / (N - 1) on its diagonal, with D_2
+    and Z over every pair: signed_put on basis.holes(2), Z = W @ D_2 and
+    signed_sum."""
+    K, N = basis.K, basis.N
+    W = antisymmetrized_pairs(tensor)
+    a, b = np.triu_indices(K, 1)
+    W[np.diag_indices(len(a))] += (np.asarray(energies)[a] + np.asarray(energies)[b]) / (N - 1)
+    at, sign = basis.holes(2)
+    D2 = np.zeros((len(W), math.comb(K, N - 2)), dtype=np.complex128)
+
+    def matvec(x):
+        signed_put(D2, at, sign, x)
+        return signed_sum(W @ D2, at, sign)
+    return matvec
+
+
+def taylor_advance(H, psi0: np.ndarray, t: float, hbar: float = 1.0):
+    """(exp(-i H t / hbar) psi0, matvecs) by ExactPropagator's truncated
+    Taylor steps with the exact max |F| read after every term."""
+    m, s = manybody.taylor_parameters(abs(t) * H.norm / abs(hbar))
+    h = -1j * t / (hbar * s)
+    F = B = psi0
+    eta = np.exp(h * H.mu)
+    matvecs = 0
+    for _ in range(s):
+        c1 = np.abs(B).max()
+        for j in range(m):
+            B = (h / (j + 1)) * (H @ B - H.mu * B)
+            matvecs += 1
+            c2 = np.abs(B).max()
+            F = F + B
+            if c1 + c2 <= manybody.TAYLOR_TOL * np.abs(F).max():
+                break
+            c1 = c2
+        F = eta * F
+        B = F
+    return F, matvecs

@@ -596,7 +596,8 @@ def test_too_large_writes_failed_manifest(tmp_path, capsys, command):
 def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeypatch,
                                                        command):
     # K = 30, N = 27: C(30, 27) = 4060 determinants, but applying H needs
-    # two 435 x C(30, 25) arrays of two-hole amplitudes, 2.00 GB
+    # two g P x C(30, 25) arrays of two-hole amplitudes, 450 rows for the 435
+    # pairs in g pair-momentum classes of P = 450 / g, 2.08 GB
     def unlisted(*args):
         raise AssertionError("a hole table was built")
     monkeypatch.setattr(DeterminantBasis, "holes", unlisted)
@@ -607,7 +608,7 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
     assert dispatch([command, "--config", str(cfg), "--out-dir", str(out),
                      "--threads", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: H on C(30,27) = 4060 determinants needs 2.00 GB")
+    assert err.startswith("error: H on C(30,27) = 4060 determinants needs 2.08 GB")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
     assert "over the budget" in manifest["validations"]["error"]["detail"]

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import pathlib
@@ -689,7 +690,7 @@ def test_blocked_methods_match_dense_oracle(name, rng):
     state = random_hf_state(rng, K, 3)
     C = state.orbitals
     assert np.abs(tensor.pair_amplitudes(C) - oracle.pair_amplitudes(C)).max() <= 1e-13 * scale
-    assert np.array_equal(tensor.antisymmetrized_pairs(), oracle.antisymmetrized_pairs())
+    assert np.array_equal(helpers.antisymmetrized_pairs(tensor), oracle.antisymmetrized_pairs())
     assert_hf_matches_dense_oracle(tensor, state, oset.energies, make_config().constants)
 
 
@@ -843,7 +844,7 @@ def test_pair_blocks_of_a_single_pair(kind, rng):
     assert tensor.K == 2
     blocks = tensor.pair_blocks
     assert blocks.values.shape == (tensor.modulus, 1, 1)
-    assert np.array_equal(tensor.antisymmetrized_pairs(), oracle.antisymmetrized_pairs())
+    assert np.array_equal(helpers.antisymmetrized_pairs(tensor), oracle.antisymmetrized_pairs())
     scale = np.abs(oracle.pair).max()
     for N in (1, 2):
         C = random_hf_state(rng, 2, N).orbitals
@@ -866,23 +867,24 @@ def test_pair_blocks_are_built_once_and_read_only(rng):
     assert not blocks.values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         blocks.values[0, 0, 0] = 1.0
-    W = tensor.antisymmetrized_pairs()
+    W = helpers.antisymmetrized_pairs(tensor)
     W += 1.0
     assert np.array_equal(tensor.pair_amplitudes(C), first)
     assert tensor.pair_blocks is blocks and np.array_equal(blocks.values, copy)
 
 
 def test_hamiltonian_diagonal_leaves_the_pair_blocks_untouched():
-    # assemble_hamiltonian adds the one-body energies to W's diagonal in place
+    # assemble_hamiltonian adds the one-body energies to the diagonal of its
+    # copy of the blocks in place
     oset, pot, grid = rule_case("gaussian-M3")
     tensor = lhf.two_body_tensor(pot, oset, grid)
-    W = tensor.antisymmetrized_pairs()
+    W = helpers.antisymmetrized_pairs(tensor)
     values = tensor.pair_blocks.values.copy()
     H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(9, 3), oset.energies, tensor)
-    assert not np.array_equal(H.W, W)
+    assert H.W.shape == values.shape and not np.array_equal(H.W, values)
     assert not np.shares_memory(H.W, tensor.pair_blocks.values)
     assert np.array_equal(tensor.pair_blocks.values, values)
-    assert np.array_equal(tensor.antisymmetrized_pairs(), W)
+    assert np.array_equal(helpers.antisymmetrized_pairs(tensor), W)
 
 
 def test_tensor_and_hf_flow_build_no_pair_block():
@@ -1180,7 +1182,7 @@ def test_antisymmetrized_pairs_match_a_loop(rng, name):
     v = tensor.values
     pairs = list(itertools.combinations(range(tensor.K), 2))
     loop = np.array([[v[p, q, r, s] - v[p, q, s, r] for r, s in pairs] for p, q in pairs])
-    assert np.array_equal(tensor.antisymmetrized_pairs(), loop)
+    assert np.array_equal(helpers.antisymmetrized_pairs(tensor), loop)
 
 
 @pytest.mark.parametrize("K,N", [(4, 2), (6, 2), (5, 3), (4, 1), (4, 4)])
@@ -1288,6 +1290,117 @@ def test_operator_norm_bounds_the_dense_shifted_norm(rng, K, N, masked):
         assert H.norm == pytest.approx(exact, rel=1e-12)
 
 
+# --- H on pair-momentum blocks of W ---------------------------------------------
+
+BLOCKED_CASES = ["example-g1", "k16n4-g2", "gaussian-g3", "gaussian-g8", "random-g2"]
+
+
+@functools.lru_cache(maxsize=None)
+def blocked_case(name):
+    """(basis, energies, tensor): a shipped config at N = 3 but k16n4.cfg
+    (N = 4), of g = 1, 2, 3 and 8 (gaussian.cfg at M = 8, K = 24), or a
+    random tensor of g = 2 momentum blocks, K = 6, N = 3, neither exchange
+    symmetric nor Hermitian, whose padding rows of F are nonzero."""
+    if name == "random-g2":
+        rng = np.random.default_rng(32)
+        blocks = rng.normal(size=(2, 18, 18)) + 1j * rng.normal(size=(2, 18, 18))
+        tensor = InteractionTensor.from_blocks(blocks, 6, sup_norm=1.0)
+        return lhf.enumerate_determinants(6, 3), rng.uniform(-1, 1, 6), tensor
+    path, changes = {"example-g1": ("configs/example.cfg", {"N": 3}),
+                     "k16n4-g2": ("configs/k16n4.cfg", {}),
+                     "gaussian-g3": ("configs/gaussian.cfg", {"N": 3}),
+                     "gaussian-g8": ("configs/gaussian.cfg", {"M": 8, "N": 3})}[name]
+    problem = Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
+    return problem.det_basis, problem.energies, problem.tensor
+
+
+def blocked_dense(name):
+    """H of blocked_case(name) and its dense matrix (up to 2024^2 entries,
+    so not kept between tests)."""
+    H = lhf.assemble_hamiltonian(*blocked_case(name))
+    return H, H.toarray()
+
+
+@pytest.mark.parametrize("name", BLOCKED_CASES)
+def test_blocked_matvec_matches_the_dense_w_path(name, rng):
+    basis, energies, tensor = blocked_case(name)
+    H, dense = blocked_dense(name)
+    assert tensor.modulus == int(name[-1]) and len(H.W) == tensor.modulus
+    padding = tensor.pair_blocks.pairs == math.comb(basis.K, 2)
+    if name == "random-g2":                    # every padding row of F is nonzero
+        assert padding.any() and tensor.pair_blocks.values[padding].any(axis=-1).all()
+    oracle = helpers.dense_w_matvec(basis, energies, tensor)
+    scale = np.abs(dense).max()
+    for x in random_complex(rng, 3, basis.dim):
+        x /= np.linalg.norm(x)
+        y = H @ x
+        assert np.abs(y - oracle(x)).max() <= 1e-15 * scale
+        if tensor.modulus == 1:
+            assert y.tobytes() == oracle(x).tobytes()
+
+
+@pytest.mark.parametrize("name", BLOCKED_CASES[:-1])
+def test_blocked_hamiltonian_is_exactly_hermitian(name):
+    dense = blocked_dense(name)[1]
+    assert np.array_equal(dense, dense.conj().T)
+
+
+@pytest.mark.parametrize("name", BLOCKED_CASES)
+def test_nnz_counts_the_dense_w_with_its_diagonal(name):
+    basis, energies, tensor = blocked_case(name)
+    W = helpers.antisymmetrized_pairs(tensor)
+    a, b = np.triu_indices(basis.K, 1)
+    W[np.diag_indices(len(a))] += (energies[a] + energies[b]) / (basis.N - 1)
+    H = lhf.assemble_hamiltonian(basis, energies, tensor)
+    assert H.nnz == np.count_nonzero(W) > 0
+
+
+@pytest.mark.parametrize("K,N,n", [(4, 1, 1), (5, 3, 1), (9, 3, 2), (12, 4, 2), (8, 7, 2),
+                                   (9, 8, 1)])
+def test_put_and_gather_give_the_bits_of_whole_products(rng, K, N, n):
+    basis = lhf.enumerate_determinants(K, N)
+    at, sign = basis.holes(n)
+    x = random_complex(rng, basis.dim)
+    shape = (math.comb(K, n), math.comb(K, N - n))
+    expect = np.zeros(shape, dtype=np.complex128)
+    helpers.signed_put(expect, at, sign, x)
+    assert basis.hole_amplitudes(x, n).tobytes() == expect.tobytes()
+    Z = random_complex(rng, *shape)
+    expect = helpers.signed_sum(Z, at, sign)
+    assert manybody.gather_signed(Z.reshape(-1), at, sign).tobytes() == expect.tobytes()
+
+
+def test_hole_amplitudes_refuse_an_out_that_is_not_c_contiguous(rng):
+    # out.reshape(-1) of such an array is a copy: the put would be lost
+    basis = lhf.enumerate_determinants(6, 3)
+    x = random_complex(rng, basis.dim)
+    expect = basis.hole_amplitudes(x, 2)
+    for out in (np.zeros((6, 15), dtype=np.complex128).T,
+                np.zeros((15, 12), dtype=np.complex128)[:, ::2]):
+        with pytest.raises(InvalidValue, match="'out'.*C-contiguous"):
+            basis.hole_amplitudes(x, 2, out=out)
+        assert not out.any()
+    out = np.zeros((15, 6), dtype=np.complex128)
+    assert basis.hole_amplitudes(x, 2, out=out) is out and np.array_equal(out, expect)
+
+
+def test_one_matvec_holds_no_place_set_temporary(rng):
+    # the put and the gather hold a few vectors of dim, not the (C(N,2), dim)
+    # products sign * x and Z.take(at) * sign
+    v, _ = helpers.random_interaction_tensor(rng, 16, P=19)
+    basis = lhf.enumerate_determinants(16, 4)
+    H = lhf.assemble_hamiltonian(basis, np.ones(16), InteractionTensor(values=v, sup_norm=1.0))
+    x = random_complex(rng, basis.dim)
+    H @ x
+    tracemalloc.start()
+    try:
+        H @ x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * math.comb(4, 2) * basis.dim
+
+
 def test_assembly_peak_memory_is_bounded_by_the_budget(rng):
     v, _ = helpers.random_interaction_tensor(rng, 16, P=19)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
@@ -1308,16 +1421,36 @@ def test_byte_budget_admits_k24n6_and_rejects_k30n27():
 
 
 def test_byte_budget_is_the_size_of_the_operator(rng, monkeypatch):
+    # g = 1: one (1, C(7,2), C(7,2)) block, and H reads holes(2)'s own table
     v, _ = helpers.random_interaction_tensor(rng, 7)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(7, 3)
     nbytes = manybody.hamiltonian_bytes(7, 3)
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
-    assert H._D2.nbytes + H._Z.nbytes + basis.holes(2)[0].nbytes + H.W.nbytes == nbytes
+    assert H.W.shape == (1, 21, 21) and H._D2.shape == H._Z.shape == (1, 21, 7)
+    assert H.at is basis.holes(2)[0]
+    assert H._D2.nbytes + H._Z.nbytes + H.at.nbytes + H.W.nbytes == nbytes
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
     with pytest.raises(TooLarge, match="over the budget"):
         lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
+
+
+def test_byte_budget_is_the_size_of_the_blocked_operator(monkeypatch):
+    # g = 8: C(24,2) = 276 pairs in 8 classes of at most P = 36, so D_2 and Z
+    # have 288 rows, W is (8, 36, 36), and H holds the remapped table beside
+    # holes(2)'s own
+    basis, energies, tensor = blocked_case("gaussian-g8")
+    nbytes = manybody.hamiltonian_bytes(24, 3, 8)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
+    H = lhf.assemble_hamiltonian(basis, energies, tensor)
+    assert H.W.shape == (8, 36, 36) and H._D2.shape == H._Z.shape == (8, 36, 24)
+    assert H.at is not basis.holes(2)[0]
+    assert (H._D2.nbytes + H._Z.nbytes + H.at.nbytes + basis.holes(2)[0].nbytes
+            + H.W.nbytes == nbytes)
+    monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
+    with pytest.raises(TooLarge, match=r"\(288 x 24 two-hole amplitudes\), over the budget"):
+        lhf.assemble_hamiltonian(basis, energies, tensor)
 
 
 def test_two_hole_table_over_the_byte_budget_raises_before_it_is_built(rng, monkeypatch):
@@ -1346,7 +1479,8 @@ def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
     config = dataclasses.replace(lhf.load_config(ROOT / "configs/k30n10.cfg"), N=27)
     problem = Problem(config)
     assert problem.det_basis.dim == 4060
-    with pytest.raises(TooLarge, match=r"needs 2\.00 GB to apply \(435 x 142506 "):
+    # g = 6 classes of P = 75 pairs hold the 435: 450 rows of D_2 and Z
+    with pytest.raises(TooLarge, match=r"needs 2\.08 GB to apply \(450 x 142506 "):
         problem.H
 
 
@@ -1610,6 +1744,18 @@ def test_scaled_hamiltonian_serves_expm_multiply(rng, make_H, t, hbar):
     finally:
         np.random.set_state(saved)
     assert np.max(np.abs(manybody.ExactPropagator(H, hbar).advance(psi, t) - expect)) <= 1e-12
+
+
+@ADVANCE_CASES
+def test_advance_gives_the_bits_and_matvecs_of_the_exact_max_loop(rng, make_H, t, hbar):
+    # max |F| is read only near the end of a Taylor sum, with the same stops
+    H = make_H(rng)
+    psi = random_complex(rng, H.shape[0])
+    psi /= np.linalg.norm(psi)
+    prop = manybody.ExactPropagator(H, hbar)
+    expect, matvecs = helpers.taylor_advance(H, psi, t, hbar)
+    assert prop.advance(psi, t).tobytes() == expect.tobytes()
+    assert prop.matvecs == matvecs > 0
 
 
 def test_hamiltonian_takes_a_vector_or_a_column_and_nothing_else(rng):
