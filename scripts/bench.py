@@ -14,14 +14,16 @@ two-hole table included), one matvec H @ psi and, apart, its three stages
 gather of Z), and one ExactPropagator(H).advance(psi, 0.1) from a seeded
 random unit vector, the builds of the hole tables
 DeterminantBasis.holes(1) (table_s), which one_body and rdm_exact read, and
-holes(2) (two_hole_s), which H reads, and rdm_exact.  Each is the median of
+holes(2, slot) (two_hole_s), the two-hole table H builds in the slots of
+its W's blocks (PairBlocks.slot), and rdm_exact.  Each is the median of
 at least REPEATS calls and at least MIN_SECONDS of calls, their number kept
 (assemble_calls, matvec_calls, put_calls, product_calls, gather_calls,
-advance_calls, table_calls, two_hole_calls, rdm_calls).  A table is built
-once per basis, so each timed build runs on a basis fresh from
-enumerate_determinants, made before the timed call and dropped after it.  The rung also records the tracemalloc peak of the build
-of its H over the bytes the budget predicts (hamiltonian_bytes); nnz is the
-count of W's nonzero entries.
+advance_calls, table_calls, two_hole_calls, rdm_calls).  holes(1) is built
+once per basis and kept (holes(2, slot) is never kept), so each timed build
+runs on a basis fresh from enumerate_determinants, made before the timed
+call and dropped after it.  The rung also records the tracemalloc peak of
+the build of its H over the bytes the budget predicts (hamiltonian_bytes);
+nnz is the count of W's nonzero entries.
 The compare rows run `landau-hf compare --threads 1` COMPARE_RUNS times on
 each of COMPARE_CONFIGS, each in a fresh process, and keep the manifest's
 total time of every run, their median and their quartiles.
@@ -178,7 +180,8 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
     gather = call_times(H._gather)
     advance = call_times(lambda: ExactPropagator(H, hbar).advance(psi, INTERVAL))
     table = build_times(lambda fresh: fresh.holes(1), basis.K, N)
-    two_hole = build_times(lambda fresh: fresh.holes(2), basis.K, N)
+    slot = tensor.pair_blocks.slot
+    two_hole = build_times(lambda fresh: fresh.holes(2, slot), basis.K, N)
     state = ManyBodyState(basis=basis, coefficients=psi)
     rdm = call_times(lambda: rdm_exact(state, basis))
     return {"M": M, "n_max": n_max, "K": basis.K, "N": N, "g": tensor.modulus,

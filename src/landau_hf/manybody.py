@@ -59,9 +59,12 @@ returns H = A_2 (W x 1) A_2^T as an operator, applied and never stored
 (Hamiltonian), W the antisymmetrized tensor's pair-momentum blocks with the
 one-body energies on their diagonal, so D_2 = A_2^T x and Z = W D_2 are
 (g, P, C(K,N-2)) and each matvec is one batched product: 1/g of the dense
-W's work.  The put and H's gather walk the hole table one place set at a
-time (put_signed, gather_signed), so each holds a vector or two beside D
-or Z, never a (C(N,n), dim) product.
+W's work.  H's table is built straight in the rows of W's blocks,
+holes(2, slot), and is at every g the one two-hole table alive; holes(1)
+is the one-hole table one_body and the RDM share.  The put and every
+gather walk a hole table one place set at a time (put_signed,
+gather_signed), so each holds a vector or two beside D or Z, never a
+(C(N,n), dim) product.
 
 Exact dynamics has one propagator, ExactPropagator: exp(-i H t / hbar) on a
 vector through that operator, by truncated Taylor sums whose cost grows with
@@ -146,62 +149,54 @@ class DeterminantBasis:
             raise KeyError(f"{occ.tolist()} is not an occupation of {self.N} of {self.K}")
         return int(self.rank(occ))
 
-    def holes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The n-hole table (at, sign), built once per basis: for the place
-        sets s = k_1 < ... < k_n in the order of itertools.combinations,
-        at[s, i] = rank(removed) C(K,N-n) + rank(remainder), the position in
-        the (C(K,n), C(K,N-n)) hole amplitudes of row i without the orbitals
-        at s, and sign[s] = (-1)^(sum s - n(n-1)/2) = <h| a_{p_n} ... a_{p_1}
-        |i>, both shared by every caller and never written (not flagged
-        read-only: take and put copy a read-only index on every call).  at is
-        filled one place set at a time."""
-        if n not in self._holes:
-            sets = np.array(list(itertools.combinations(range(self.N), n)),
-                            dtype=np.int64).reshape(-1, n)
-            occ = self.occupations.T.copy()              # rank reads contiguous places
-            at = np.empty((len(sets), self.dim), dtype=np.int64)
-            for s, places in enumerate(sets):
-                at[s] = self.rank(occ[places].T) * math.comb(self.K, self.N - n)
-                at[s] += self.rank(np.delete(occ, places, axis=0).T)
-            sign = np.where((sets.sum(axis=1) - n * (n - 1) // 2) % 2, -1.0, 1.0)
+    def holes(self, n: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The n-hole table (at, sign): for the place sets s = k_1 < ... <
+        k_n in the order of itertools.combinations, at[s, i] = rows[rank(
+        removed)] C(K,N-n) + rank(remainder), the position, in hole
+        amplitudes of C(K,N-n) columns, of row i without the orbitals at s,
+        and sign[s] = (-1)^(sum s - n(n-1)/2) = <h| a_{p_n} ... a_{p_1} |i>.
+        Without rows the row is rank(removed) itself, the (C(K,n), C(K,N-n))
+        amplitudes of hole_amplitudes, and that table is built once per
+        basis, shared by every caller and never written (not flagged
+        read-only: take and put copy a read-only index on every call); a
+        table with rows (H's, the slots of W's pair-momentum blocks) is built
+        on each call and not kept.  at is filled one place set at a time."""
+        if rows is None and n in self._holes:
+            return self._holes[n]
+        sets = np.array(list(itertools.combinations(range(self.N), n)),
+                        dtype=np.int64).reshape(-1, n)
+        occ = self.occupations.T.copy()                  # rank reads contiguous places
+        at = np.empty((len(sets), self.dim), dtype=np.int64)
+        n_rest = math.comb(self.K, self.N - n)
+        for s, places in enumerate(sets):
+            removed = self.rank(occ[places].T)
+            at[s] = (removed if rows is None else rows.take(removed)) * n_rest
+            at[s] += self.rank(np.delete(occ, places, axis=0).T)
+        sign = np.where((sets.sum(axis=1) - n * (n - 1) // 2) % 2, -1.0, 1.0)
+        if rows is None:
             self._holes[n] = at, sign
-        return self._holes[n]
+        return at, sign
 
-    def hole_amplitudes(self, x, n: int = 1, out=None) -> np.ndarray:
+    def hole_amplitudes(self, x, n: int = 1) -> np.ndarray:
         """D = A_n x, (C(K,n), C(K,N-n)): D[P, h] = <h| a_{p_n} ... a_{p_1}
         |x>, sign[s] x[i] put at at[s, i] (holes(n)) one place set at a
-        time (put_signed); each entry is hit at most once, so out, if given,
-        is never zeroed again.  The put writes through out.reshape(-1), so an
-        out that is not C-contiguous, of which that would be a copy, raises
-        InvalidValue."""
+        time (put_signed)."""
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"vector of shape {x.shape} for dim={self.dim}")
-        at, sign = self.holes(n)
-        if out is None:
-            out = np.zeros((math.comb(self.K, n), math.comb(self.K, self.N - n)),
-                           dtype=np.complex128)
-        elif not out.flags.c_contiguous:
-            raise InvalidValue("out", "hole amplitudes are put into a C-contiguous array only")
-        put_signed(out.reshape(-1), at, sign, x)
+        out = np.zeros((math.comb(self.K, n), math.comb(self.K, self.N - n)), dtype=np.complex128)
+        put_signed(out.reshape(-1), *self.holes(n), x)
         return out
-
-    @cached_property
-    def _gather_at(self) -> np.ndarray:
-        """holes(1)'s at transposed, (dim, N), contiguous: one_body's gather."""
-        return np.ascontiguousarray(self.holes(1)[0].T)
 
     def one_body(self, M, x) -> np.ndarray:
         """dGamma(M) x, dGamma(M) = sum_pq M[q, p] a+_q a_p (M acting on each
         orbital in turn), with no matrix of dGamma: the put D =
-        hole_amplitudes(x), one product M @ D, and the gather A_1^T, per row
-        i the sum over its places k of sign[k] (M D).take(at[k, i]), read
-        through at transposed once (_gather_at)."""
+        hole_amplitudes(x), one product M @ D, and the gather A_1^T of the
+        product on holes(1) (gather_signed)."""
         M = np.asarray(M)
         if M.shape != (self.K, self.K):
             raise DimensionMismatch(f"one-body matrix {M.shape} for K={self.K}")
-        sign = self.holes(1)[1]
-        return ((M @ self.hole_amplitudes(x)).take(self._gather_at) * sign).sum(axis=1)
+        return gather_signed((M @ self.hole_amplitudes(x)).reshape(-1), *self.holes(1))
 
 
 def put_signed(flat: np.ndarray, at: np.ndarray, sign: np.ndarray, x: np.ndarray) -> None:
@@ -272,6 +267,23 @@ class PairBlocks(NamedTuple):
     r: np.ndarray         # (g, P): the pairs (r, s) of each class, (0, 0) in padding
     s: np.ndarray
     pairs: np.ndarray     # (g, P): their places in np.triu_indices order, C(K,2) in padding
+    slot: np.ndarray      # (C(K,2),): each pair's place in pairs.ravel()
+
+
+def pair_classes(p, q, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, slot) of the pairs (p, q) in classes of pair momentum c = (p
+    + q) mod g: row c of table (g, P) holds, in order, the indices of the
+    pairs of class c, padded with len(p), P the largest class (at least 1);
+    slot[k] is pair k's place in table.ravel()."""
+    c = (p + q) % g
+    order = np.argsort(c, kind="stable")
+    counts = np.bincount(c, minlength=g)
+    P = max(int(counts.max(initial=0)), 1)
+    slot = np.empty(len(c), dtype=np.int64)
+    slot[order] = c[order] * P + np.arange(len(c)) - (np.cumsum(counts) - counts)[c[order]]
+    table = np.full(g * P, len(c))
+    table[slot] = np.arange(len(c))
+    return table.reshape(g, P), slot
 
 
 class InteractionTensor:
@@ -424,22 +436,6 @@ class InteractionTensor:
         at = ((t * K + p) * L + r // g) * K * L + q * L + s // g
         return np.where((s - q - t) % g == 0, self.anti.ravel().take(at), 0)
 
-    def _by_class(self, p, q) -> tuple[np.ndarray, np.ndarray]:
-        """(table, slot) of the pairs (p, q): row c of table (g, P) holds,
-        in order, the indices of the pairs of pair momentum c = (p + q) mod
-        g, padded with len(p), P the largest class (at least 1); slot[k] is
-        pair k's place in table.ravel()."""
-        g = self.modulus
-        c = (p + q) % g
-        order = np.argsort(c, kind="stable")
-        counts = np.bincount(c, minlength=g)
-        P = max(int(counts.max(initial=0)), 1)
-        slot = np.empty(len(c), dtype=np.int64)
-        slot[order] = c[order] * P + np.arange(len(c)) - (np.cumsum(counts) - counts)[c[order]]
-        table = np.full(g * P, len(c))
-        table[slot] = np.arange(len(c))
-        return table.reshape(g, P), slot
-
     @cached_property
     def pair_blocks(self) -> PairBlocks:
         """F over the ascending pairs in pair-momentum blocks (PairBlocks),
@@ -450,11 +446,11 @@ class InteractionTensor:
         zeroes it).  About 16 C(K,2)^2 / g bytes, against 16 C(K,2)^2 for
         the dense <pq||rs> over every pair."""
         a, b = np.triu_indices(self.K, 1)
-        pairs = self._by_class(a, b)[0]
+        pairs, slot = pair_classes(a, b, self.modulus)
         r, s = np.append(a, 0)[pairs], np.append(b, 0)[pairs]
         values = self._entries(r[:, :, None], s[:, :, None], r[:, None, :], s[:, None, :])
         values.flags.writeable = False
-        return PairBlocks(values, r, s, pairs)
+        return PairBlocks(values, r, s, pairs, slot)
 
     @cached_property
     def _amplitude_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -475,11 +471,10 @@ class InteractionTensor:
                 and not self._entries(k, k, a, b).any()):
             ascending = np.zeros((K, K), dtype=np.int64)
             ascending[a, b] = ascending[b, a] = np.arange(len(a))
-            slot = self._by_class(a, b)[1]
             sign = np.sign(np.arange(K) - k).ravel().astype(float)
-            return blocks.values, slot[ascending.ravel()], sign
+            return blocks.values, blocks.slot[ascending.ravel()], sign
         p, q = np.divmod(np.arange(K * K), K)
-        table, slot = self._by_class(p, q)
+        table, slot = pair_classes(p, q, self.modulus)
         p, q = np.append(p, 0)[table][:, :, None], np.append(q, 0)[table][:, :, None]
         return self._entries(p, q, r, s), slot, np.ones(K * K)
 
@@ -739,32 +734,29 @@ class Hamiltonian:
     pairs in order (gather_signed), so an entry of H and its mirror add the
     same terms in the same order (H is exactly Hermitian).  D_2 and Z are
     (g, P, C(K,N-2)), allocated once; their rows are the slots class P +
-    place of the pairs (pairs, the (g, P) table of PairBlocks, C(K,2) in
-    padding), and at is basis.holes(2)'s table remapped to them once (at g
-    = 1 the slots are the pairs and the table is holes(2)'s own).  Padding
-    rows of D_2 are never written and stay zero, padding rows of Z are never
-    gathered, and padding rows of W are zero.  With W, H's diagonal is read
-    off W's, and norm bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu|
-    plus sum_{p != q} |W[p, q]| per pair q of row j (the hole of q refilled
-    by p != q is another determinant or none).  nnz counts W's nonzero
-    entries.
+    place of the pairs (slot, PairBlocks' map from each ascending pair, the
+    identity at g = 1), and at, sign is the two-hole table built straight in
+    them, basis.holes(2, slot), the one table H holds.  Padding rows of D_2
+    are never written and stay zero, padding rows of Z are never gathered,
+    and padding rows of W are zero.  With W, H's diagonal is read off W's,
+    and norm bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus
+    sum_{p != q} |W[p, q]| per pair q of row j (the hole of q refilled by p
+    != q is another determinant or none).  nnz counts W's nonzero entries.
 
     A plain numpy operator: H @ x, H.matvec(x) and H.rmatvec(x) take x of
     shape (dim,) or (dim, 1) and return H x of shape (dim,); any other
-    shape raises DimensionMismatch."""
+    shape raises DimensionMismatch.  scalar * H is the dense array."""
 
     # a non-finite or overflowing diagonal or bound is reported by
     # ExactPropagator as NonFiniteValue, with no RuntimeWarning before it
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, basis: DeterminantBasis, diagonal: np.ndarray | None = None,
-                 W: np.ndarray | None = None, pairs: np.ndarray | None = None):
+                 W: np.ndarray | None = None, slot: np.ndarray | None = None):
         self.shape, self.dtype = (basis.dim,) * 2, np.dtype(np.complex128)
         self.basis, self.W, off, self.nnz = basis, W, 0.0, 0
         if W is not None:               # diagonal and bound first: their temporaries go before D_2
             n_holes = math.comb(basis.K, basis.N - 2)
-            self.at, self.sign = basis.holes(2)
-            if len(W) > 1:
-                self.at = _slot_table(self.at, pairs, math.comb(basis.K, 2), n_holes)
+            self.at, self.sign = basis.holes(2, slot)
             slots = self.at // n_holes
             W_diagonal = W.diagonal(axis1=1, axis2=2).ravel()
             diagonal = W_diagonal[slots.T].sum(axis=1)
@@ -800,31 +792,14 @@ class Hamiltonian:
         """A_2^T Z."""
         return gather_signed(self._Z.reshape(-1), self.at, self.sign)
 
-    def __rmul__(self, scalar):
-        """scalar * H as a SciPy LinearOperator, for callers that hand it to
-        scipy.sparse.linalg (the benchmark's expm_multiply oracle); SciPy is
-        imported here and nowhere else, so every command runs on numpy alone."""
-        from scipy.sparse.linalg import aslinearoperator
-        return scalar * aslinearoperator(self)
+    def __rmul__(self, scalar) -> np.ndarray:
+        """scalar * H, dense (toarray): an array whose trace and norms any
+        caller reads exactly."""
+        return scalar * self.toarray()
 
     def toarray(self) -> np.ndarray:
         """Dense H, one matvec per column."""
         return np.column_stack([self.matvec(e) for e in np.eye(self.shape[0])])
-
-
-def _slot_table(at: np.ndarray, pairs: np.ndarray, n_pairs: int, n_holes: int) -> np.ndarray:
-    """The two-hole table at[s, i] = pair C(K,N-2) + hole remapped to slot
-    C(K,N-2) + hole, slot = class P + place of the pair in pairs (g, P,
-    n_pairs = C(K,2) in padding), one place set at a time."""
-    valid = np.flatnonzero(pairs.ravel() < n_pairs)
-    slot = np.empty(n_pairs, dtype=np.int64)
-    slot[pairs.ravel()[valid]] = valid
-    out = np.empty_like(at)
-    for row, remapped in zip(at, out):
-        pair, hole = np.divmod(row, n_holes)
-        np.multiply(slot.take(pair), n_holes, out=remapped)
-        remapped += hole
-    return out
 
 
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
@@ -837,10 +812,10 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
         pair_blocks' values with its padding rows zeroed and (e_p + e_q) /
         (N - 1) on the diagonal of each pair, which H's diagonal sums per
         row (at g = 1, the dense W over every pair);
-      - A_2[i, (pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
-        basis.holes(2), read in the slots of W's blocks.
+      - A_2[i, slot(pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
+        basis.holes(2, slot) built in the slots of W's blocks, at every g.
     N = 1 or no interaction gives the one-body diagonal alone.  The bytes of
-    D_2, Z, the tables and W (hamiltonian_bytes) over H_BYTE_CAP raise
+    D_2, Z, the table and W (hamiltonian_bytes) over H_BYTE_CAP raise
     TooLarge before the table or the pair blocks are built."""
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
@@ -854,7 +829,7 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
 
     nbytes = hamiltonian_bytes(K, N, tensor.modulus)
     if nbytes > H_BYTE_CAP:
-        rows = tensor.modulus * pair_class_size(K, tensor.modulus)
+        rows = pair_classes(*np.triu_indices(K, 1), tensor.modulus)[0].size
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
                        f"to apply ({rows} x {math.comb(K, N - 2)} two-hole "
                        f"amplitudes), over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
@@ -865,24 +840,16 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     place = np.arange(W.shape[1])
     W[:, place, place] += np.where(padding, 0.0, (energies[blocks.r] + energies[blocks.s])
                                    / (N - 1))
-    return Hamiltonian(basis, W=W, pairs=blocks.pairs)
-
-
-def pair_class_size(K: int, g: int) -> int:
-    """P, the most ascending pairs p < q of K orbitals in one class of pair
-    momentum (p + q) mod g (InteractionTensor._by_class), at least 1."""
-    a, b = np.triu_indices(K, 1)
-    return max(int(np.bincount((a + b) % g, minlength=g).max(initial=0)), 1)
+    return Hamiltonian(basis, W=W, slot=blocks.slot)
 
 
 def hamiltonian_bytes(K: int, N: int, modulus: int = 1) -> int:
-    """Bytes of the two-body Hamiltonian's D_2 and Z, (g P, C(K,N-2)) each,
-    its W blocks, (g, P, P), and its tables (int64): basis.holes(2)'s at
-    and, at g > 1, its remap to the slots of the blocks."""
-    P = pair_class_size(K, modulus)
-    tables = 1 if modulus == 1 else 2
-    return (32 * modulus * P * math.comb(K, N - 2)
-            + 8 * tables * math.comb(K, N) * math.comb(N, 2) + 16 * modulus * P * P)
+    """Bytes of the two-body Hamiltonian's arrays: D_2 and Z, (g P,
+    C(K,N-2)) each, its W blocks, (g, P, P), P the largest class of
+    pair_classes, and its one two-hole table, (C(N,2), C(K,N)) int64."""
+    g, P = pair_classes(*np.triu_indices(K, 1), modulus)[0].shape
+    return (32 * g * P * math.comb(K, N - 2) + 8 * math.comb(N, 2) * math.comb(K, N)
+            + 16 * g * P * P)
 
 
 @dataclass(frozen=True)

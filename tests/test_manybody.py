@@ -810,6 +810,7 @@ def test_pair_blocks_hold_the_antisymmetrized_pairs_by_pair_momentum(name):
         assert np.array_equal(blocks.r[c, :classes[c]], [pairs[k][0] for k in at])
         assert np.array_equal(blocks.s[c, :classes[c]], [pairs[k][1] for k in at])
         assert np.array_equal(blocks.values[c, :classes[c], :classes[c]], W[np.ix_(at, at)])
+    assert np.array_equal(blocks.pairs.ravel()[blocks.slot], np.arange(len(pairs)))
     assert blocks.values.nbytes == 16 * g * P * P
     assert tensor._amplitude_rows[0] is blocks.values
 
@@ -1355,6 +1356,24 @@ def test_nnz_counts_the_dense_w_with_its_diagonal(name):
     assert H.nnz == np.count_nonzero(W) > 0
 
 
+@pytest.mark.parametrize("name", ["example-g1", "k16n4-g2", "gaussian-g8"])
+def test_hamiltonian_table_is_the_slot_remap_of_the_two_hole_table(name):
+    # H builds its two-hole table straight in the slots of W's blocks, the
+    # one two-hole table alive after assembly; holes(2)'s plain ranks,
+    # remapped, give the same entries (at g = 1 the slots are the ranks)
+    shared, energies, tensor = blocked_case(name)
+    basis = lhf.enumerate_determinants(shared.K, shared.N)
+    H = lhf.assemble_hamiltonian(basis, energies, tensor)
+    assert 2 not in basis._holes
+    at, sign = basis.holes(2)
+    n_holes = math.comb(basis.K, basis.N - 2)
+    slot = tensor.pair_blocks.slot
+    assert np.array_equal(H.at, slot[at // n_holes] * n_holes + at % n_holes)
+    assert np.array_equal(H.sign, sign)
+    if tensor.modulus == 1:
+        assert np.array_equal(H.at, at)
+
+
 @pytest.mark.parametrize("K,N,n", [(4, 1, 1), (5, 3, 1), (9, 3, 2), (12, 4, 2), (8, 7, 2),
                                    (9, 8, 1)])
 def test_put_and_gather_give_the_bits_of_whole_products(rng, K, N, n):
@@ -1368,20 +1387,6 @@ def test_put_and_gather_give_the_bits_of_whole_products(rng, K, N, n):
     Z = random_complex(rng, *shape)
     expect = helpers.signed_sum(Z, at, sign)
     assert manybody.gather_signed(Z.reshape(-1), at, sign).tobytes() == expect.tobytes()
-
-
-def test_hole_amplitudes_refuse_an_out_that_is_not_c_contiguous(rng):
-    # out.reshape(-1) of such an array is a copy: the put would be lost
-    basis = lhf.enumerate_determinants(6, 3)
-    x = random_complex(rng, basis.dim)
-    expect = basis.hole_amplitudes(x, 2)
-    for out in (np.zeros((6, 15), dtype=np.complex128).T,
-                np.zeros((15, 12), dtype=np.complex128)[:, ::2]):
-        with pytest.raises(InvalidValue, match="'out'.*C-contiguous"):
-            basis.hole_amplitudes(x, 2, out=out)
-        assert not out.any()
-    out = np.zeros((15, 6), dtype=np.complex128)
-    assert basis.hole_amplitudes(x, 2, out=out) is out and np.array_equal(out, expect)
 
 
 def test_one_matvec_holds_no_place_set_temporary(rng):
@@ -1421,7 +1426,8 @@ def test_byte_budget_admits_k24n6_and_rejects_k30n27():
 
 
 def test_byte_budget_is_the_size_of_the_operator(rng, monkeypatch):
-    # g = 1: one (1, C(7,2), C(7,2)) block, and H reads holes(2)'s own table
+    # g = 1: one (1, C(7,2), C(7,2)) block, and H's table is the only
+    # two-hole table: the basis caches none
     v, _ = helpers.random_interaction_tensor(rng, 7)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(7, 3)
@@ -1429,7 +1435,7 @@ def test_byte_budget_is_the_size_of_the_operator(rng, monkeypatch):
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
     assert H.W.shape == (1, 21, 21) and H._D2.shape == H._Z.shape == (1, 21, 7)
-    assert H.at is basis.holes(2)[0]
+    assert 2 not in basis._holes
     assert H._D2.nbytes + H._Z.nbytes + H.at.nbytes + H.W.nbytes == nbytes
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
     with pytest.raises(TooLarge, match="over the budget"):
@@ -1438,16 +1444,16 @@ def test_byte_budget_is_the_size_of_the_operator(rng, monkeypatch):
 
 def test_byte_budget_is_the_size_of_the_blocked_operator(monkeypatch):
     # g = 8: C(24,2) = 276 pairs in 8 classes of at most P = 36, so D_2 and Z
-    # have 288 rows, W is (8, 36, 36), and H holds the remapped table beside
-    # holes(2)'s own
-    basis, energies, tensor = blocked_case("gaussian-g8")
+    # have 288 rows, W is (8, 36, 36), and H holds its slot table alone: the
+    # basis caches no two-hole table
+    _, energies, tensor = blocked_case("gaussian-g8")
+    basis = lhf.enumerate_determinants(24, 3)          # blocked_case's is shared
     nbytes = manybody.hamiltonian_bytes(24, 3, 8)
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, energies, tensor)
     assert H.W.shape == (8, 36, 36) and H._D2.shape == H._Z.shape == (8, 36, 24)
-    assert H.at is not basis.holes(2)[0]
-    assert (H._D2.nbytes + H._Z.nbytes + H.at.nbytes + basis.holes(2)[0].nbytes
-            + H.W.nbytes == nbytes)
+    assert 2 not in basis._holes
+    assert H._D2.nbytes + H._Z.nbytes + H.at.nbytes + H.W.nbytes == nbytes
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes - 1)
     with pytest.raises(TooLarge, match=r"\(288 x 24 two-hole amplitudes\), over the budget"):
         lhf.assemble_hamiltonian(basis, energies, tensor)
@@ -1480,7 +1486,7 @@ def test_h_over_the_byte_budget_raises_before_listing_replacements(monkeypatch):
     problem = Problem(config)
     assert problem.det_basis.dim == 4060
     # g = 6 classes of P = 75 pairs hold the 435: 450 rows of D_2 and Z
-    with pytest.raises(TooLarge, match=r"needs 2\.08 GB to apply \(450 x 142506 "):
+    with pytest.raises(TooLarge, match=r"needs 2\.06 GB to apply \(450 x 142506 "):
         problem.H
 
 
@@ -1725,24 +1731,20 @@ def test_advance_matches_public_expm_multiply(rng, make_H, t, hbar):
 
 
 @ADVANCE_CASES
-@pytest.mark.filterwarnings("ignore:Trace of LinearOperator not available")
+@pytest.mark.filterwarnings("error")
 def test_scaled_hamiltonian_serves_expm_multiply(rng, make_H, t, hbar):
-    # the benchmark's exact oracle: a scalar times H is a SciPy LinearOperator,
-    # so expm_multiply estimates its trace (from an unseeded generator) and its
-    # 1-norm (from the global one); the estimates change its steps and round-off
-    from scipy.sparse.linalg import LinearOperator, expm_multiply
+    # the benchmark's exact oracle: a scalar times H is the dense array, so
+    # expm_multiply reads its trace and 1-norm exactly, draws no random
+    # number and warns of nothing
+    from scipy.sparse.linalg import expm_multiply
     H = make_H(rng)
     psi = random_complex(rng, H.shape[0])
     psi /= np.linalg.norm(psi)
     scaled = (-1j * t / hbar) * H
-    assert isinstance(scaled, LinearOperator) and scaled.shape == H.shape
-    assert np.array_equal(scaled.matvec(psi), (-1j * t / hbar) * (H @ psi))
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        expect = expm_multiply(scaled, psi)
-    finally:
-        np.random.set_state(saved)
+    assert type(scaled) is np.ndarray
+    assert np.array_equal(scaled, (-1j * t / hbar) * H.toarray())
+    expect = expm_multiply(scaled, psi)
+    assert expm_multiply(scaled, psi).tobytes() == expect.tobytes()
     assert np.max(np.abs(manybody.ExactPropagator(H, hbar).advance(psi, t) - expect)) <= 1e-12
 
 
