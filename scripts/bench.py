@@ -36,8 +36,8 @@ Gaussian's pair values as a table on a TABLE_GRID^2 tensor grid; two more
 rows time the config's Gaussian with WIDE_CHANGES (K = 60) and with
 HUGE_CHANGES (K = 120), the effective-flow runs of CI.  Each row records
 its number of momentum blocks, its momentum modulus g, the number h of
-the g blocks of F that mean_field contracts (fock_blocks: g // 2 + 1 where
-F is Hermitian bit for bit and g > 2, else g), the bytes of its
+the g blocks of F that mean_field contracts (fock_blocks: g // 2 + 1, the
+others mirrored, which is g at g <= 2), the bytes of its
 factor matrix B with its padding column (factors_mb, 16 K^2 (w + 1) for
 the widest block's w columns; transfer-compact for the Gaussian), the
 bytes of its stored blocks of v and F, and the tracemalloc peak of one
@@ -221,11 +221,10 @@ def tensor_row(potential: PotentialSpec, orbitals, grid: Grid, changes=None,
     width = max((len(columns) for _, columns in blocks), default=0)
     predicted = tensor_bytes(K, M, grid, *factors)
     times = call_times(build)
-    plan = tensor._fock_plan
     row = {"config": TENSOR_CONFIG, "changes": changes, "kind": potential.kind, "K": K,
            "grid": list(grid.shape), "sigma": potential.sigma, "rank": tensor.rank,
            "blocks": len(blocks), "modulus": tensor.modulus,
-           "fock_blocks": tensor.modulus if plan is None else len(plan[0]),
+           "fock_blocks": len(tensor._fock_plan[0]),
            "factors_mb": 16 * K * K * (width + 1) / 1e6 if width else 0.0,
            "stored_mb": (tensor.blocks.nbytes + tensor.anti.nbytes) / 1e6,
            "tensor_s": statistics.median(times), "calls": len(times),

@@ -51,8 +51,8 @@ class OrthonormalityFailure(LandauHFError):
 class TooLarge(LandauHFError):
     """A problem exceeds a configured cap: the determinant space or the
     ground-state occupation sets (DET_SPACE_CAP), the bytes of the tensor or
-    of H (TENSOR_BYTE_CAP, H_BYTE_CAP), or the matvecs of an exact advance
-    (TAYLOR_MATVEC_CAP)."""
+    of H (TENSOR_BYTE_CAP, H_BYTE_CAP), the matvecs of an exact advance
+    (TAYLOR_MATVEC_CAP), or the steps of a run's time grid (TIME_STEP_CAP)."""
 
 
 class LengthMismatch(LandauHFError):

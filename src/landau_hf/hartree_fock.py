@@ -161,7 +161,8 @@ def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
     scheme 'rk4' integrates as-is; 'rk4+reorth' follows every step with a
     symmetric orthogonalization plus phase compensation (a pure gauge move).
     A step that leaves a non-finite value raises NonFiniteValue; one that
-    grows the Gram deviation by more than STEP_GRAM_TOL raises StepUnstable.
+    grows the Gram deviation by more than STEP_GRAM_TOL, or to NaN, raises
+    StepUnstable.  Either is raised with no numpy RuntimeWarning before it.
     Each state's Gram deviation is computed once and kept for the next step.
     The scheme, dt (finite, > 0) and t_final (finite, >= 0) are checked here,
     before the generator is returned: a bad one raises InvalidValue at the call.
@@ -189,19 +190,21 @@ def _rk4_steps(initial: HFState, dt_eff: float, n_steps: int, scheme: str,
     gram = state.gram_deviation()
     for step in range(1, n_steps + 1):
         a, C = state.a, state.orbitals
-        k1a, k1C = rhs(a, C)
-        k2a, k2C = rhs(a + half * k1a, C + half * k1C)
-        k3a, k3C = rhs(a + half * k2a, C + half * k2C)
-        k4a, k4C = rhs(a + dt_eff * k3a, C + dt_eff * k3C)
-        a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
-        C = C + sixth * (k1C + 2 * k2C + 2 * k3C + k4C)
-        state = HFState(time=initial.time + step * dt_eff, a=a, orbitals=C)
-
-        if not (np.isfinite(a) and np.all(np.isfinite(C))):
-            raise NonFiniteValue(f"non-finite value at t = {state.time}")
-        gram_before, gram = gram, state.gram_deviation()
+        # an overflow is reported as NonFiniteValue or StepUnstable below,
+        # with no RuntimeWarning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1a, k1C = rhs(a, C)
+            k2a, k2C = rhs(a + half * k1a, C + half * k1C)
+            k3a, k3C = rhs(a + half * k2a, C + half * k2C)
+            k4a, k4C = rhs(a + dt_eff * k3a, C + dt_eff * k3C)
+            a = a + sixth * (k1a + 2 * k2a + 2 * k3a + k4a)
+            C = C + sixth * (k1C + 2 * k2C + 2 * k3C + k4C)
+            state = HFState(time=initial.time + step * dt_eff, a=a, orbitals=C)
+            if not (np.isfinite(a) and np.all(np.isfinite(C))):
+                raise NonFiniteValue(f"non-finite value at t = {state.time}")
+            gram_before, gram = gram, state.gram_deviation()
         drift = gram - gram_before
-        if drift > STEP_GRAM_TOL:
+        if not drift <= STEP_GRAM_TOL:                  # NaN fails too
             raise StepUnstable(f"orthonormality drifted by {drift:.3e} "
                                f"in one step at t = {state.time}")
         if scheme == "rk4+reorth":

@@ -35,11 +35,12 @@ m_g = t = m_d - m_b (mod g), a (K L, K L) matrix, L = K / g, and the g
 blocks, K^4 / g entries, are one (g, K L, K L) array.  Beside it the
 antisymmetrized F[a,b,g,d] = v[a,b,g,d] - v[a,b,d,g], in the same blocks, is
 built once and is what every contraction reads: the mean field J - X is
-one batched product of F with a gather of the density.  Hermiticity maps
-block t onto block -t, so where F[a,b,g,d] == conj(F[g,d,a,b]) holds bit
-for bit (checked once per tensor, on the first mean field), only blocks 0..
-g/2 are contracted and J - X on the others is their conjugate: (g - g//2 -
-1) / g of the product is skipped, 47% at g = 30.  F also conserves
+one batched product of F with a gather of the density.  v is made exactly
+exchange-symmetric and Hermitian where it is built, block by block in
+two_body_tensor or as one block in InteractionTensor, and nothing checks it
+again.  Hermiticity maps block t onto block -t, so only blocks 0..g/2 are
+contracted and J - X on the others is their conjugate: (g - g//2 - 1) / g
+of the product is skipped, 47% at g = 30.  F also conserves
 pair momentum, m_p + m_q = m_r + m_s (mod g), so over the ascending pairs
 it is block diagonal in g classes (InteractionTensor.pair_blocks, about 16
 C(K,2)^2 / g bytes, built on first read): the amplitudes <pq||ij> of the
@@ -268,6 +269,8 @@ class PairBlocks(NamedTuple):
     s: np.ndarray
     pairs: np.ndarray     # (g, P): their places in np.triu_indices order, C(K,2) in padding
     slot: np.ndarray      # (C(K,2),): each pair's place in pairs.ravel()
+    ordered: np.ndarray   # (K^2,): per ordered pair (p, q), the slot of (min, max)
+    sign: np.ndarray      # (K^2,): the sign of q - p, F[q, p] = -F[p, q]
 
 
 def pair_classes(p, q, g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,39 +299,51 @@ class InteractionTensor:
     blocks is an exact zero.  The (g, K L, K L) stack of v (blocks) is kept
     beside that of the antisymmetrized F[a, b, g, d] = v[a, b, g, d] - v[a,
     b, d, g] (anti), built once here, which is all that fermions see and all
-    that the methods read.  Given a dense values array (any memory order),
-    the tensor is one block, g = 1.  symmetry_deviation: the larger raw
-    exchange/hermiticity deviation, relative to max(max |v|, 1).  rank: the
-    terms the quadrature contracted (kept Fourier modes or separable terms),
-    None for a dense table; rule_kept: the fraction of entries the selection
-    rule leaves free, 1.0 without a rule.  values and pair (v in the pair
-    layout pair[(a g), (b d)]) are dense copies, made on each access.
+    that the methods read.  Given a dense values array (any memory order
+    and numeric dtype, stored as complex128), the tensor is one block, g =
+    1.  rank: the terms the quadrature
+    contracted (kept Fourier modes or separable terms), None for a dense
+    table; rule_kept: the fraction of entries the selection rule leaves
+    free, 1.0 without a rule.  values and pair (v in the pair layout pair[(a
+    g), (b d)]) are dense copies, made on each access.
+
+    v is exactly symmetric, v[a,b,g,d] == v[b,a,d,g] == conj(v[g,d,a,b])
+    bit for bit, so F[q,p,r,s] == -F[p,q,r,s], F[p,p] == 0 and F[a,b,g,d]
+    == conj(F[g,d,a,b]).  The symmetry is made once, where v is built: the
+    dense values array is checked and symmetrized here by the routine that
+    two_body_tensor runs on each pair of its blocks (_symmetrize; a
+    non-finite entry or one beyond half the float range raises
+    NonFiniteValue, an asymmetry above TENSOR_SYM_TOL SymmetryViolation),
+    and symmetry_deviation is the larger raw exchange/hermiticity deviation
+    it measured, relative to max(max |v|, 1).
 
     The tensor is the only reader of its storage: every contraction of v the
     package makes is one of its methods, mean_field for the HF flow and
     pair_amplitudes for the closed-form defect, or reads pair_blocks, as H
-    does.  A symmetry of v is used only where a bit-for-bit check finds it:
-    mean_field contracts blocks 0..g/2 alone and conjugates them into the
-    rest when F[a,b,g,d] == conj(F[g,d,a,b]) (_fock_plan), and
-    pair_amplitudes reads one signed row per unordered pair when F[q,p] ==
-    -F[p,q] (_amplitude_rows); otherwise each contracts every entry.
+    does.  Each has one path, which uses the symmetry: mean_field contracts
+    blocks 0..g/2 alone and conjugates them into the rest (_fock_plan), and
+    pair_amplitudes reads one signed row per unordered pair.
     pair_amplitudes and H read F through pair_blocks, F over the ascending
     pairs in blocks of pair momentum, about 16 C(K,2)^2 / g bytes gathered
     from anti on their first read and kept read-only beside it; mean_field,
     and so the HF flow, never builds them."""
 
-    def __init__(self, values, sup_norm: float, symmetry_deviation: float = 0.0,
-                 rank: int | None = None, rule_kept: float = 1.0):
+    def __init__(self, values, sup_norm: float, rank: int | None = None,
+                 rule_kept: float = 1.0):
         K = np.shape(values)[0]
-        pair = np.ascontiguousarray(np.transpose(values, (0, 2, 1, 3)))
-        self._store(pair.reshape(1, K * K, K * K), K, sup_norm, symmetry_deviation,
-                    rank, rule_kept)
+        swap = np.arange(K * K).reshape(K, K).T.ravel()          # (bd) -> (db)
+        # one block: cols every pair, rows = swap[cols], so V = v[rows, cols]
+        V = np.transpose(np.asarray(values, dtype=np.complex128), (0, 2, 1, 3))
+        V = V.reshape(K * K, K * K)[swap]
+        deviation = _symmetrize([(V, V[np.ix_(swap, swap)])])
+        self._store(V[swap].reshape(1, K * K, K * K), K, sup_norm, deviation, rank, rule_kept)
 
     @classmethod
-    def from_blocks(cls, blocks: np.ndarray, K: int, sup_norm: float,
-                    symmetry_deviation: float = 0.0, rank: int | None = None,
-                    rule_kept: float = 1.0) -> "InteractionTensor":
-        """The tensor of the (g, K L, K L) blocks of v, kept as given."""
+    def _from_blocks(cls, blocks: np.ndarray, K: int, sup_norm: float,
+                     symmetry_deviation: float, rank: int | None,
+                     rule_kept: float) -> "InteractionTensor":
+        """The tensor of the (g, K L, K L) blocks of v, kept as given:
+        two_body_tensor's, symmetrized already (_symmetrize)."""
         tensor = cls.__new__(cls)
         tensor._store(blocks, K, sup_norm, symmetry_deviation, rank, rule_kept)
         return tensor
@@ -379,119 +394,79 @@ class InteractionTensor:
 
     @cached_property
     def _fock_plan(self):
-        """(F, density_at, out, at) of the Hermitian mean_field, or None.
-        With h = g // 2 + 1 < g and F[a, b, g, d] == conj(F[g, d, a, b]) bit
-        for bit, J - X is Hermitian and its blocks t > g / 2 are the
-        conjugates of blocks g - t: row (a g) of block t is row (g a) of
-        block -t, at image[t], and column (b d) is column (d b), at
-        image[-t].  So only the prefix F = anti[:h] is contracted, into
-        out[:h], out[h:] takes its conjugate, and at (K, K) gathers J - X
-        from out.  The check runs once, block by block, on the blocks t >=
-        h against their images, and stops at the first that fails.  None
-        for g <= 2 (a dense values array is one block) or a v not Hermitian
-        bit for bit."""
+        """(F, density_at, out, at) of mean_field.  F is Hermitian, so J - X
+        is, and its blocks t > g / 2 are the conjugates of blocks g - t: row
+        (a g) of block t is row (g a) of block -t, at image[t], and column
+        (b d) is column (d b), at image[-t].  So only the prefix F =
+        anti[:h], h = g // 2 + 1, is contracted, into out[:h], out[h:] takes
+        the conjugates of blocks 1..g - h, and at (K, K) gathers J - X from
+        out.  At g <= 2, h = g: every block is contracted, none mirrored."""
         K, g = self.K, self.modulus
         L, h = K // g, g // 2 + 1
-        if h == g:
-            return None
         t, (a, i) = np.arange(g)[:, None], np.divmod(np.arange(K * L), L)
         image = (i * g + (a - t) % g) * L + a // g
-        for s in range(h, g):
-            mirror = self.anti[g - s].take(image[s], axis=0).take(image[g - s], axis=1)
-            np.conjugate(mirror, out=mirror)
-            if not np.array_equal(mirror.view(np.float64), self.anti[s].view(np.float64)):
-                return None
-        at = t * K * L + np.arange(K * L)                       # place in the full product
-        at[h:] = (h + g - t[h:]) * K * L + image[h:]
+        at = t * K * L + np.arange(K * L)                       # place in out
+        at[h:] = (h + g - 1 - t[h:]) * K * L + image[h:]
         return (self.anti[:h], self._density_at[:h],
-                np.empty((2 * h, K * L, 1), dtype=np.complex128),
+                np.empty((g, K * L, 1), dtype=np.complex128),
                 at.ravel().take(self._fock_at).reshape(K, K))
 
     def mean_field(self, C: np.ndarray) -> np.ndarray:
         """eta = (J[rho] - X[rho]) C, rho = C C^H, for (K, N) orbitals C:
-        (J - X)[a, g] = sum_bd F[a, b, g, d] rho[d, b] is one product of each
-        block of F with its gather of rho, scattered back to (a, g).  When F
-        is Hermitian bit for bit (_fock_plan, checked on the first call), so
-        is J - X, and only blocks 0..g/2 are contracted, the others their
-        conjugates; otherwise every block is, using no symmetry of v."""
+        (J - X)[a, g] = sum_bd F[a, b, g, d] rho[d, b] is one product of
+        each of blocks 0..g/2 of F with its gather of rho, the other blocks
+        of the Hermitian J - X their conjugates (_fock_plan), scattered back
+        to (a, g)."""
         if self._zero or C.shape[1] == 1:
             return np.zeros_like(C)
-        rho = (C @ C.conj().T).ravel()
-        plan = self._fock_plan
-        if plan is None:
-            fock = (self.anti @ rho.take(self._density_at)[:, :, None]).ravel()
-            return fock.take(self._fock_at).reshape(self.K, self.K) @ C
-        F, density_at, out, at = plan
+        F, density_at, out, at = self._fock_plan
         h = len(F)
+        rho = (C @ C.conj().T).ravel()
         np.matmul(F, rho.take(density_at)[:, :, None], out=out[:h])
-        np.conjugate(out[:h], out=out[h:])
+        np.conjugate(out[1:len(out) - h + 1], out=out[h:])
         return out.ravel().take(at) @ C
-
-    def _entries(self, p, q, r, s) -> np.ndarray:
-        """F[p, q, r, s] for broadcast orbital arrays: read from the block of
-        t = m_p - m_r, zero where m_s - m_q is not t (mod g)."""
-        K, g = self.K, self.modulus
-        L = K // g
-        t = (p - r) % g
-        at = ((t * K + p) * L + r // g) * K * L + q * L + s // g
-        return np.where((s - q - t) % g == 0, self.anti.ravel().take(at), 0)
 
     @cached_property
     def pair_blocks(self) -> PairBlocks:
         """F over the ascending pairs in pair-momentum blocks (PairBlocks),
         gathered from anti on the first read and kept read-only: F keeps m_p
         + m_q = m_r + m_s (mod g), so the pairs split into g classes, each
-        padded to the largest with the pair (0, 0), whose column of F and
-        2x2 minor are exact zeros and whose row is never read (H's copy
-        zeroes it).  About 16 C(K,2)^2 / g bytes, against 16 C(K,2)^2 for
-        the dense <pq||rs> over every pair."""
-        a, b = np.triu_indices(self.K, 1)
-        pairs, slot = pair_classes(a, b, self.modulus)
-        r, s = np.append(a, 0)[pairs], np.append(b, 0)[pairs]
-        values = self._entries(r[:, :, None], s[:, :, None], r[:, None, :], s[:, None, :])
-        values.flags.writeable = False
-        return PairBlocks(values, r, s, pairs, slot)
-
-    @cached_property
-    def _amplitude_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, at, sign) of pair_amplitudes: F in blocks of rows (pq) by
-        the ascending column pairs of pair_blocks, and per (p, q) of K^2 the
-        row, in rows.reshape(-1, P), and sign that give F[p, q].  The rows
-        are pair_blocks itself, read at (min, max) with the sign of q - p and
-        0 at p = q, when F[q, p] = -F[p, q] and F[p, p] = 0 hold bit for bit
-        (exchange-symmetric v, as two_body_tensor makes it); otherwise every
-        ordered pair (p, q) has a row of its own, so no symmetry of v is
-        used."""
-        K, blocks = self.K, self.pair_blocks
+        padded to the largest with the pair (0, 0), whose row and column of
+        F (F[0, 0] = 0, F[p, q, 0, 0] = 0) and 2x2 minor are exact zeros.
+        F[p, q, r, s] is read from the block of t = m_p - m_r, and is zero
+        where m_s - m_q is not t (mod g).  About 16 C(K,2)^2 / g bytes,
+        against 16 C(K,2)^2 for the dense <pq||rs> over every pair.  As F[q,
+        p] = -F[p, q] and F[p, p] = 0, the row of an ordered pair (p, q) is
+        that of (min, max), at ordered[(p q)] with the sign of q - p, 0 at p
+        = q."""
+        K, g = self.K, self.modulus
+        L = K // g
         a, b = np.triu_indices(K, 1)
-        rr, ss = blocks.r[:, :, None], blocks.s[:, :, None]       # rows (r, s) of each block
-        r, s = blocks.r[:, None], blocks.s[:, None]               # and its columns
-        k = np.arange(K)[:, None]
-        if (np.array_equal(self._entries(ss, rr, r, s), -blocks.values)
-                and not self._entries(k, k, a, b).any()):
-            ascending = np.zeros((K, K), dtype=np.int64)
-            ascending[a, b] = ascending[b, a] = np.arange(len(a))
-            sign = np.sign(np.arange(K) - k).ravel().astype(float)
-            return blocks.values, blocks.slot[ascending.ravel()], sign
-        p, q = np.divmod(np.arange(K * K), K)
-        table, slot = pair_classes(p, q, self.modulus)
-        p, q = np.append(p, 0)[table][:, :, None], np.append(q, 0)[table][:, :, None]
-        return self._entries(p, q, r, s), slot, np.ones(K * K)
+        pairs, slot = pair_classes(a, b, g)
+        r, s = np.append(a, 0)[pairs], np.append(b, 0)[pairs]
+        p, q, x, y = r[:, :, None], s[:, :, None], r[:, None], s[:, None]   # F[p, q, x, y]
+        t = (p - x) % g
+        at = ((t * K + p) * L + x // g) * K * L + q * L + y // g
+        values = np.where((y - q - t) % g == 0, self.anti.ravel().take(at), 0)
+        values.flags.writeable = False
+        ascending = np.zeros((K, K), dtype=np.int64)
+        ascending[a, b] = ascending[b, a] = np.arange(len(a))
+        sign = np.sign(np.arange(K) - np.arange(K)[:, None]).ravel().astype(float)
+        return PairBlocks(values, r, s, pairs, slot, slot[ascending.ravel()], sign)
 
     def pair_amplitudes(self, C: np.ndarray) -> np.ndarray:
         """<pq||ij> = sum_rs F[p, q, r, s] C[r, i] C[s, j], (K, K, N, N), p,
         q over the basis and i, j over the columns of C: F is antisymmetric
-        in (rs), so per pair-momentum block one product of its rows of F
-        (_amplitude_rows) with the 2x2 minors C[r, i] C[s, j] - C[s, i] C[r,
-        j] of its ascending column pairs (pair_blocks), then one signed
-        gather fills every (p, q)."""
+        in (rs), so per pair-momentum block one product of F (pair_blocks)
+        with the 2x2 minors C[r, i] C[s, j] - C[s, i] C[r, j] of its
+        ascending column pairs, then one signed gather of the ascending rows
+        fills every (p, q)."""
         K, N = C.shape
         blocks = self.pair_blocks
-        rows, at, sign = self._amplitude_rows
         x = C[blocks.r][:, :, :, None] * C[blocks.s][:, :, None, :]    # C[r, i] C[s, j]
         minors = (x - x.swapaxes(2, 3)).reshape(len(x), -1, N * N)
-        out = (rows @ minors).reshape(-1, N * N).take(at, axis=0)
-        out *= sign[:, None]
+        out = (blocks.values @ minors).reshape(-1, N * N).take(blocks.ordered, axis=0)
+        out *= blocks.sign[:, None]
         return out.reshape(K, K, N, N)
 
 
@@ -533,10 +508,9 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     columns that share T make one block of v (tensor_factors) and every entry
     outside the blocks is an exact zero, never computed.  Exchange and
     hermiticity map the block of T onto that of -T: each is checked finite
-    and against its image, about 2^14 entries at a time, symmetrized with
-    it, then written once into its block of x2 momentum mod g
-    (momentum_modulus), the tensor's storage, from which InteractionTensor
-    builds F."""
+    and against its image and symmetrized with it (_symmetrize), then
+    written once into its block of x2 momentum mod g (momentum_modulus),
+    the tensor's storage, from which InteractionTensor builds F."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
@@ -549,7 +523,8 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     table = None
     if R == 0:
         zero = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
-        return InteractionTensor.from_blocks(zero, K, potential.sup_norm(), rank=0, rule_kept=0.0)
+        return InteractionTensor._from_blocks(zero, K, potential.sup_norm(),
+                                              symmetry_deviation=0.0, rank=0, rule_kept=0.0)
     if modes or terms:
         B = pair_factors(orbitals, modes, terms, blocks)
         c = modes[1] if modes else np.array([c_r for c_r, *_ in terms])
@@ -579,53 +554,70 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
             np.conjugate(Z, out=Z)
         return Z.T @ Y
 
+    def images():                    # (v[rows, cols], v[cols, rows]) per pair of blocks T, -T
+        done = set()
+        for T, columns in blocks:
+            if T.tobytes() in done:
+                continue
+            done.add(T[neg].tobytes())
+            t = int(T.argmax()) % modulus              # the block of store that holds T's
+            cols = np.flatnonzero(T[transfer])         # (bd) with m_d - m_b in T
+            rows = swap[cols]                          # (ag) with m_a - m_g in T
+            V = block(columns, cols)
+            if own := np.array_equal(T, T[neg]):       # v[cols, rows]: V reordered
+                at = np.searchsorted(cols, rows)
+                Q = V[np.ix_(at, at)]
+            else:                                      # or the block of -T
+                Q = block(image.get(T[neg].tobytes(), []), rows)
+            yield V, Q                                 # symmetrized when drawn again
+            # (x y) -> x L + y // modulus, its place in its block of store
+            rows, cols = (rows // K * L + rows % K // modulus, cols // K * L + cols % K // modulus)
+            store[t][np.ix_(rows, cols)] = V
+            if not own:
+                store[-t % modulus][np.ix_(cols, rows)] = np.conjugate(V, out=Q)
+
     store = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
-    scale, exch, herm, done = 1.0, 0.0, 0.0, set()
-    for T, columns in blocks:
-        if T.tobytes() in done:
-            continue
-        done.add(T[neg].tobytes())
-        t = int(T.argmax()) % modulus                  # the block of store that holds T's
-        cols = np.flatnonzero(T[transfer])             # (bd) with m_d - m_b in T
-        rows = swap[cols]                              # (ag) with m_a - m_g in T
-        V = block(columns, cols)                       # v[rows, cols]
-        if own := np.array_equal(T, T[neg]):           # v[cols, rows]: V reordered
-            at = np.searchsorted(cols, rows)
-            Q = V[np.ix_(at, at)]
-        else:                                          # or the block of -T
-            Q = block(image.get(T[neg].tobytes(), []), rows)
-        # about 2^14 entries at a time: exchange maps V to Q.T, hermiticity to conj(Q)
-        step = max(1, 2 ** 14 // len(cols))
-        for s in range(0, len(cols), step):
-            e = s + step
-            scale = float(np.max([scale, np.abs(V[s:e]).max(), np.abs(Q[s:e]).max()]))
-            exch = max(exch, float(np.abs(V[s:e] - Q.T[s:e]).max()))
-            herm = max(herm, float(np.abs(V[s:e] - Q[s:e].conj()).max()))
-        # the symmetrization adds entries in pairs, so an entry must stay
-        # below half the float range; NaN fails too
-        if not math.isfinite(2.0 * scale):
+    deviation = _symmetrize(images())
+    del B, Bt
+    return InteractionTensor._from_blocks(
+        store, K, potential.sup_norm(), deviation, rank=None if table is not None else R,
+        rule_kept=sum(np.count_nonzero(T[transfer]) ** 2 for T, _ in blocks) / K ** 4)
+
+
+def _symmetrize(images) -> float:
+    """Check and symmetrize the two-body tensor v in place, one (V, Q) =
+    (v[rows, cols], v[cols, rows]) of images at a time, rows = swap[cols]
+    ((bd) -> (db)), each before the next is drawn: exchange maps V to Q.T,
+    hermiticity to conj(Q).  The raw deviations are measured about 2^14
+    entries at a time.  The symmetrization adds entries in pairs, so a
+    non-finite entry, or one beyond half the float range, raises
+    NonFiniteValue (with no RuntimeWarning), and, once every pair is drawn,
+    an exchange or hermiticity deviation above TENSOR_SYM_TOL max(max |v|,
+    1) raises SymmetryViolation.  Then V = (V + Q.T) / 2, then (V + conj(
+    V.T)) / 2, Q the scratch for conj(V.T): an entry and its images get the
+    same bits.  Returns the larger deviation relative to max(max |v|, 1)."""
+    scale, exch, herm = 1.0, 0.0, 0.0
+    for V, Q in images:
+        step = max(1, 2 ** 14 // len(V))
+        with np.errstate(over="ignore", invalid="ignore"):     # NonFiniteValue below
+            for s in range(0, len(V), step):
+                e = s + step
+                scale = float(np.max([scale, np.abs(V[s:e]).max(), np.abs(Q[s:e]).max()]))
+                exch = max(exch, float(np.abs(V[s:e] - Q.T[s:e]).max()))
+                herm = max(herm, float(np.abs(V[s:e] - Q[s:e].conj()).max()))
+        if not math.isfinite(2.0 * scale):                     # NaN fails too
             raise NonFiniteValue("two-body tensor has a non-finite entry, or one "
                                  "beyond half the float range")
-        # v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2; an entry
-        # and its images get the same bits
         V += Q.T
         V *= 0.5
         np.conjugate(V.T, out=Q)
         V += Q
         V *= 0.5
-        # (x y) -> x L + y // modulus, its place in its block of store
-        rows, cols = (rows // K * L + rows % K // modulus, cols // K * L + cols % K // modulus)
-        store[t][np.ix_(rows, cols)] = V
-        if not own:
-            store[-t % modulus][np.ix_(cols, rows)] = np.conjugate(V, out=Q)
-    del B, Bt, V, Q
+        del V, Q                      # not held while the next pair is formed
     if not (exch <= TENSOR_SYM_TOL * scale and herm <= TENSOR_SYM_TOL * scale):
         raise SymmetryViolation(
             f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
-    return InteractionTensor.from_blocks(
-        store, K, potential.sup_norm(), symmetry_deviation=max(exch, herm) / scale,
-        rank=None if table is not None else R,
-        rule_kept=sum(np.count_nonzero(T[transfer]) ** 2 for T, _ in blocks) / K ** 4)
+    return max(exch, herm) / scale
 
 
 def pair_factors(orbitals: OrbitalSet, modes, terms, blocks=None) -> np.ndarray:
@@ -809,7 +801,7 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     through the (N-2)-particle determinants (Knowles & Handy 1984):
       - W[c, (pq), (rs)] = <pq||rs> between the ascending pairs of pair
         momentum c = m_p + m_q (mod g), a copy of InteractionTensor.
-        pair_blocks' values with its padding rows zeroed and (e_p + e_q) /
+        pair_blocks' values, whose padding rows are zero, with (e_p + e_q) /
         (N - 1) on the diagonal of each pair, which H's diagonal sums per
         row (at g = 1, the dense W over every pair);
       - A_2[i, slot(pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
@@ -836,7 +828,6 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     blocks = tensor.pair_blocks
     W = blocks.values.copy()
     padding = blocks.pairs == math.comb(K, 2)
-    W[padding] = 0
     place = np.arange(W.shape[1])
     W[:, place, place] += np.where(padding, 0.0, (energies[blocks.r] + energies[blocks.s])
                                    / (N - 1))

@@ -22,7 +22,10 @@ partial DFT of every 2-D pair density, or by the sampled separable terms.
 The dense-tensor oracle forms the whole pair matrix as one product A @ B^T
 over every factor column of the tensor's own dense B, with the selection
 rule's zeros set in B, and checks and symmetrizes it one slab of fixed a
-at a time, with no momentum block and no transfer-compact B.  DenseTensor reads
+at a time, with no momentum block and no transfer-compact B; the same slab
+symmetrization serves a dense v given to InteractionTensor, and the
+exact-symmetry oracle reads v and F entry by entry from the documented
+block layout.  DenseTensor reads
 a dense pair matrix for the tensor's methods, with no block and no
 antisymmetrized copy: J and X one pass each, the pair amplitudes by
 sequential contractions of v.  The blockwise mean field contracts every
@@ -339,9 +342,21 @@ def dense_two_body_tensor(potential, orbitals, grid):
         np.copyto(B, 0, where=(~rule).T[transfer])
         A = np.conjugate(B.transpose(1, 0, 2)) * c
     v = A.reshape(K * K, R) @ B.reshape(K * K, R).T
-    S = v.reshape(K, K, K, K)                                  # [a, g, b, d]
-    scale = max(float(np.abs(v).max()), 1.0)
-    exch, herm = symmetry_deviations(v)
+    deviation = symmetrize_pair(v)
+    kept = 1.0 if rule is None else rule_kept(rule, transfer)
+    return v, deviation, kept
+
+
+def symmetrize_pair(pair: np.ndarray) -> float:
+    """Symmetrize a (K^2, K^2) pair-layout tensor in place and return its
+    raw exchange and hermiticity deviation (symmetry_deviations) relative
+    to max(max |v|, 1), raising SymmetryViolation beyond TENSOR_SYM_TOL:
+    v = (v + v[b,a,d,g]) / 2, then (v + conj(v[g,d,a,b])) / 2, one slab of
+    fixed a at a time."""
+    K = math.isqrt(pair.shape[0])
+    S = pair.reshape(K, K, K, K)                               # [a, g, b, d]
+    scale = max(float(np.abs(pair).max()), 1.0)
+    exch, herm = symmetry_deviations(pair)
     tol = manybody.TENSOR_SYM_TOL * scale
     if not (exch <= tol and herm <= tol):
         raise SymmetryViolation(
@@ -352,8 +367,45 @@ def dense_two_body_tensor(potential, orbitals, grid):
     for a in range(K):
         m = 0.5 * (S[a, a:] + S[a:, a].transpose(0, 2, 1).conj())
         S[a, a:], S[a:, a] = m, m.transpose(0, 2, 1).conj()
-    kept = 1.0 if rule is None else rule_kept(rule, transfer)
-    return v, max(exch, herm) / scale, kept
+    return max(exch, herm) / scale
+
+
+def symmetrized(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(v symmetrized, its deviation) of a dense v[a, b, g, d]
+    (symmetrize_pair on a copy of its pair layout)."""
+    K = len(v)
+    pair = np.ascontiguousarray(np.transpose(v, (0, 2, 1, 3))).reshape(K * K, K * K)
+    deviation = symmetrize_pair(pair)
+    return pair.reshape(K, K, K, K).transpose(0, 2, 1, 3), deviation
+
+
+def tensor_entries(stack: np.ndarray, K: int, p, q, r, s) -> np.ndarray:
+    """x[p, q, r, s] of a (g, K L, K L) stack of momentum blocks in
+    InteractionTensor's layout (its blocks, v, or anti, F) at broadcast
+    orbital arrays: row p L + r // g and column q L + s // g of block t = (p
+    - r) mod g, zero where (s - q) mod g is not t."""
+    g = len(stack)
+    L = K // g
+    t = (p - r) % g
+    return np.where((s - q - t) % g == 0, stack[t, p * L + r // g, q * L + s // g], 0)
+
+
+def assert_exactly_symmetric(tensor) -> None:
+    """v[b,a,d,g] == v[a,b,g,d] == conj(v[g,d,a,b]) bit for bit, and so
+    F[q,p,r,s] == -F[p,q,r,s], F[g,d,a,b] == conj(F[a,b,g,d]) and F[p,p] ==
+    0, read from the blocks (tensor_entries) one slab of fixed p at a time."""
+    K = tensor.K
+    q, r, s = np.ix_(*[np.arange(K)] * 3)
+    v = lambda *index: tensor_entries(tensor.blocks, K, *index)
+    F = lambda *index: tensor_entries(tensor.anti, K, *index)
+    for p in range(K):
+        slab = v(p, q, r, s)
+        assert np.array_equal(v(q, p, s, r), slab)
+        assert np.array_equal(v(r, s, p, q), slab.conj())
+        slab = F(p, q, r, s)
+        assert np.array_equal(F(q, p, r, s), -slab)
+        assert np.array_equal(F(r, s, p, q), slab.conj())
+        assert not F(p, p, r, s).any()
 
 
 class DenseTensor:
@@ -422,7 +474,7 @@ def blockwise_mean_field(tensor, C: np.ndarray) -> np.ndarray:
     """(J - X) C with every momentum block of the tensor's F contracted, no
     symmetry of v used: one batched product of F with its gather of rho,
     scattered back to (a, g), the numpy calls of InteractionTensor.mean_field
-    where F is not Hermitian bit for bit."""
+    at g <= 2, where it mirrors no block."""
     if tensor.is_zero() or C.shape[1] == 1:
         return np.zeros_like(C)
     rho = (C @ C.conj().T).ravel()

@@ -8,7 +8,7 @@ import pytest
 import landau_hf as lhf
 from landau_hf import hartree_fock
 from landau_hf.errors import (InvalidValue, LandauHFError, NonFiniteValue, NotUnitary,
-                              TooLarge)
+                              StepUnstable, SymmetryViolation, TooLarge)
 from landau_hf.hartree_fock import HFState, _loewdin, interaction_energy
 from landau_hf.manybody import InteractionTensor
 
@@ -54,14 +54,19 @@ def _unsymmetric_tensor(rng, K):
     _unsymmetric_tensor,
 ], ids=["symmetric", "no-symmetry"])
 def test_fock_action_matches_index_sum_oracle(rng, layout, make):
-    # the pair-layout readers, mean_field and pair_amplitudes, use no
-    # symmetry of v and accept any memory order
+    # the dense constructor accepts any memory order: it symmetrizes a v
+    # symmetric to round-off exactly, and refuses a v with no symmetry
     K, N = 7, 3
     v = make(rng, K)
     given = layout(v)
     assert np.array_equal(given, v)
+    if make is _unsymmetric_tensor:
+        with pytest.raises(SymmetryViolation, match="tensor symmetry deviation"):
+            InteractionTensor(values=given, sup_norm=1.0)
+        return
+    v, deviation = helpers.symmetrized(v)
     tensor = InteractionTensor(values=given, sup_norm=1.0)
-    assert np.array_equal(tensor.values, v)
+    assert np.array_equal(tensor.values, v) and tensor.symmetry_deviation == deviation
     # one block, F = v - v[a,b,d,g] in the pair layout
     F = (v - v.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3).reshape(1, K * K, K * K)
     assert tensor.modulus == 1 and np.array_equal(tensor.anti, F)
@@ -299,16 +304,34 @@ def test_unstable_step_raises(setup, rng):
                          cfg.constants)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_step_raises_non_finite(setup, rng):
-    # v[a,b,g,d] = 1e308 for g <= d: F = v - v[a,b,d,g] is +-1e308 off g = d
-    # (a constant v would have F = 0, no interaction at all)
+    # the direct-only v[a,b,g,d] = 1e200 delta_ag delta_bd, exactly symmetric
+    # and below half the float range, gives J - X of order 1e200, so the
+    # density of the first step's second stage overflows: NonFiniteValue,
+    # with no RuntimeWarning before it
     cfg, oset, _ = setup
-    tensor = InteractionTensor(values=np.broadcast_to(np.triu(np.full((9, 9), 1e308 + 0j)),
-                                                      (9,) * 4),
-                               sup_norm=1e308)
+    eye = np.eye(9)
+    tensor = InteractionTensor(values=1e200 * eye[:, None, :, None] * eye[None, :, None, :],
+                               sup_norm=1e200)
+    assert tensor.symmetry_deviation == 0.0
     steps = lhf.hf_steps(random_state(rng, 9, 2), 1e-3, 0.01, "rk4", tensor,
                          oset.energies, cfg.constants)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue, match="non-finite value at t = 0.001"):
+        list(steps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_to_a_nan_gram_deviation_raises_unstable(setup, rng, monkeypatch):
+    # a right-hand side of 1e200 leaves finite orbitals of order 1e197 whose
+    # Gram matrix sums +inf and -inf: a NaN drift is StepUnstable, not passed
+    cfg, oset, tensor = setup
+    signs = np.where(np.arange(9) < 5, 1.0, -1.0)
+    huge = np.stack([np.full(9, 1e200), 1e200 * signs], axis=1) * (1 + 1j)
+    monkeypatch.setattr(hartree_fock, "hf_rhs", lambda *args: (0j, huge))
+    steps = lhf.hf_steps(random_state(rng, 9, 2), 1e-3, 0.01, "rk4", tensor,
+                         oset.energies, cfg.constants)
+    with pytest.raises(StepUnstable, match="drifted by nan"):
         list(steps)
 
 

@@ -754,21 +754,6 @@ def test_hermitian_mirror_conjugates_its_images_exactly(rng):
         <= 1e-13 * np.abs(fock).max()
 
 
-@pytest.mark.parametrize("t", [1, 2, 4, 5])
-def test_one_perturbed_entry_turns_the_mirror_off(t, rng):
-    # one F entry one ulp off its image's conjugate, in a contracted block
-    # whose image is mirrored (t = 1, 2) or in a mirrored block (t = 4, 5):
-    # every block is contracted, with the bits of the product over all
-    tensor, N = mirror_case("gaussian-g6")
-    rows, cols = np.nonzero(tensor.anti[t])
-    r, c = rows[len(rows) // 2], cols[len(rows) // 2]
-    x = tensor.anti[t, r, c]
-    tensor.anti[t, r, c] = complex(np.nextafter(x.real, np.inf), x.imag)
-    C = random_hf_state(rng, tensor.K, N).orbitals
-    assert np.array_equal(tensor.mean_field(C), helpers.blockwise_mean_field(tensor, C))
-    assert tensor._fock_plan is None
-
-
 @pytest.mark.parametrize("path", ["configs/example.cfg", "configs/k16n4.cfg"])
 def test_two_blocks_or_fewer_contract_every_block(path, rng):
     # the cosine kernel at harmonic2 = 1 has g = gcd(M, 2) <= 2: nothing to mirror
@@ -777,16 +762,51 @@ def test_two_blocks_or_fewer_contract_every_block(path, rng):
     assert tensor.modulus <= 2
     C = random_hf_state(rng, tensor.K, problem.config.N).orbitals
     assert np.array_equal(tensor.mean_field(C), helpers.blockwise_mean_field(tensor, C))
-    assert tensor._fock_plan is None
+    assert len(tensor._fock_plan[0]) == tensor.modulus
 
 
 def test_dense_values_contract_every_block(rng):
-    # a dense values array is one block, whatever its symmetry
+    # a dense values array is one block, contracted whole
     v, sup = helpers.random_interaction_tensor(rng, 7)
     tensor = InteractionTensor(values=v, sup_norm=sup)
     C = random_hf_state(rng, 7, 3).orbitals
     assert np.array_equal(tensor.mean_field(C), helpers.blockwise_mean_field(tensor, C))
-    assert tensor.modulus == 1 and tensor._fock_plan is None
+    assert tensor.modulus == 1 and len(tensor._fock_plan[0]) == 1
+
+
+@pytest.mark.parametrize("name", [*RULE_CASES, *MIRROR_CASES, "tabulated", "zero"])
+def test_built_tensor_is_exactly_symmetric(name):
+    # what the mean field's mirror and the amplitudes' signed rows rely on:
+    # v exchange-symmetric and Hermitian bit for bit, so F antisymmetric in
+    # each pair and Hermitian, F[p, p] = 0, for every kind two_body_tensor
+    # builds, and the padding rows and columns of its pair blocks zero
+    if name in MIRROR_CASES:
+        tensor = mirror_case(name)[0]
+    else:
+        oset, pot, grid = block_case(name)
+        tensor = lhf.two_body_tensor(pot, oset, grid)
+    helpers.assert_exactly_symmetric(tensor)
+    blocks = tensor.pair_blocks
+    padding = blocks.pairs == math.comb(tensor.K, 2)
+    assert not blocks.values[padding].any()
+    assert not blocks.values.swapaxes(1, 2)[padding].any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dense_values_are_symmetrized_once_or_refused(rng):
+    # symmetric to round-off: exactly symmetric after, with the deviation of
+    # the slab oracle; no symmetry: SymmetryViolation; an entry beyond half
+    # the float range, which the symmetrization would overflow: NonFiniteValue
+    v, sup = helpers.random_interaction_tensor(rng, 6)
+    tensor = InteractionTensor(values=v, sup_norm=sup)
+    expected, deviation = helpers.symmetrized(v)
+    assert 0.0 < tensor.symmetry_deviation == deviation <= manybody.TENSOR_SYM_TOL
+    helpers.assert_exactly_symmetric(tensor)
+    assert np.array_equal(tensor.values, expected)
+    with pytest.raises(SymmetryViolation, match="tensor symmetry deviation"):
+        InteractionTensor(values=v + 1e-6 * random_complex(rng, 6, 6, 6, 6), sup_norm=sup)
+    with pytest.raises(NonFiniteValue, match="beyond half the float range"):
+        InteractionTensor(values=v / np.abs(v).max() * 1e308, sup_norm=1e308)
 
 
 @pytest.mark.parametrize("name", [*RULE_CASES, "tabulated", "zero"])
@@ -812,7 +832,11 @@ def test_pair_blocks_hold_the_antisymmetrized_pairs_by_pair_momentum(name):
         assert np.array_equal(blocks.values[c, :classes[c], :classes[c]], W[np.ix_(at, at)])
     assert np.array_equal(blocks.pairs.ravel()[blocks.slot], np.arange(len(pairs)))
     assert blocks.values.nbytes == 16 * g * P * P
-    assert tensor._amplitude_rows[0] is blocks.values
+    # an ordered pair reads the row of its ascending pair, with the sign of q - p
+    for p, q in itertools.product(range(K), repeat=2):
+        if p != q:
+            assert blocks.ordered[p * K + q] == blocks.slot[pairs.index((min(p, q), max(p, q)))]
+        assert blocks.sign[p * K + q] == np.sign(q - p)
 
 
 @pytest.mark.parametrize("name", ["gaussian-M3", "cosine-h1", "cosine-M4-h2", "tabulated",
@@ -850,8 +874,11 @@ def test_pair_blocks_of_a_single_pair(kind, rng):
     for N in (1, 2):
         C = random_hf_state(rng, 2, N).orbitals
         assert np.abs(tensor.pair_amplitudes(C) - oracle.pair_amplitudes(C)).max() <= 1e-13 * scale
-    v = rng.normal(size=(2,) * 4) + 1j * rng.normal(size=(2,) * 4)       # no symmetry
-    tensor = InteractionTensor(values=v, sup_norm=1.0)
+    with pytest.raises(SymmetryViolation):                              # no symmetry
+        InteractionTensor(values=random_complex(rng, 2, 2, 2, 2), sup_norm=1.0)
+    tensor = InteractionTensor(values=helpers.random_interaction_tensor(rng, 2)[0],
+                               sup_norm=1.0)
+    v = tensor.values
     C = random_hf_state(rng, 2, 2).orbitals
     g = np.einsum("pqrs,ri,sj->pqij", v, C, C)
     assert np.abs(tensor.pair_amplitudes(C) - (g - g.swapaxes(2, 3))).max() < 1e-13
@@ -891,10 +918,10 @@ def test_hamiltonian_diagonal_leaves_the_pair_blocks_untouched():
 def test_tensor_and_hf_flow_build_no_pair_block():
     problem = Problem(make_config(kind="periodic-gaussian", N=3, t_final=0.02))
     tensor, config = problem.tensor, problem.config
-    assert "pair_blocks" not in vars(tensor) and "_amplitude_rows" not in vars(tensor)
+    assert "pair_blocks" not in vars(tensor)
     lhf.integrate_hf(problem.initial_state(), config.dt, config.t_final, config.integrator,
                      tensor, problem.energies, config.constants, config.sample_stride)
-    assert "pair_blocks" not in vars(tensor) and "_amplitude_rows" not in vars(tensor)
+    assert "pair_blocks" not in vars(tensor)
 
 
 def test_block_without_an_image_block_matches_dense_oracle(monkeypatch):
@@ -1173,13 +1200,14 @@ def test_assemble_hermitian(tensor_m3, oset_m3):
 @pytest.mark.parametrize("name", ["no-symmetry", *RULE_CASES])
 def test_antisymmetrized_pairs_match_a_loop(rng, name):
     # W's block of H over ascending pairs in np.triu_indices order; the
-    # momentum-blocked tensors hold the rule's exact zeros
+    # momentum-blocked tensors hold the rule's exact zeros; a v with no
+    # symmetry is refused when the tensor is made
     if name == "no-symmetry":
-        v = rng.normal(size=(6,) * 4) + 1j * rng.normal(size=(6,) * 4)
-        tensor = InteractionTensor(values=v, sup_norm=1.0)
-    else:
-        oset, pot, grid = rule_case(name)
-        tensor = lhf.two_body_tensor(pot, oset, grid)
+        with pytest.raises(SymmetryViolation):
+            InteractionTensor(values=random_complex(rng, 6, 6, 6, 6), sup_norm=1.0)
+        return
+    oset, pot, grid = rule_case(name)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
     v = tensor.values
     pairs = list(itertools.combinations(range(tensor.K), 2))
     loop = np.array([[v[p, q, r, s] - v[p, q, s, r] for r, s in pairs] for p, q in pairs])
@@ -1293,24 +1321,20 @@ def test_operator_norm_bounds_the_dense_shifted_norm(rng, K, N, masked):
 
 # --- H on pair-momentum blocks of W ---------------------------------------------
 
-BLOCKED_CASES = ["example-g1", "k16n4-g2", "gaussian-g3", "gaussian-g8", "random-g2"]
+BLOCKED_CASES = ["example-g1", "k16n4-g2", "gaussian-g3", "gaussian-g8", "gaussian-g2"]
 
 
 @functools.lru_cache(maxsize=None)
 def blocked_case(name):
     """(basis, energies, tensor): a shipped config at N = 3 but k16n4.cfg
-    (N = 4), of g = 1, 2, 3 and 8 (gaussian.cfg at M = 8, K = 24), or a
-    random tensor of g = 2 momentum blocks, K = 6, N = 3, neither exchange
-    symmetric nor Hermitian, whose padding rows of F are nonzero."""
-    if name == "random-g2":
-        rng = np.random.default_rng(32)
-        blocks = rng.normal(size=(2, 18, 18)) + 1j * rng.normal(size=(2, 18, 18))
-        tensor = InteractionTensor.from_blocks(blocks, 6, sup_norm=1.0)
-        return lhf.enumerate_determinants(6, 3), rng.uniform(-1, 1, 6), tensor
+    (N = 4), of g = 1, 2, 3 and 8 (gaussian.cfg at M = 8, K = 24), and
+    gaussian.cfg at M = 2, K = 6, whose g = 2 classes of 9 and 6 pairs
+    leave 3 padding rows."""
     path, changes = {"example-g1": ("configs/example.cfg", {"N": 3}),
                      "k16n4-g2": ("configs/k16n4.cfg", {}),
                      "gaussian-g3": ("configs/gaussian.cfg", {"N": 3}),
-                     "gaussian-g8": ("configs/gaussian.cfg", {"M": 8, "N": 3})}[name]
+                     "gaussian-g8": ("configs/gaussian.cfg", {"M": 8, "N": 3}),
+                     "gaussian-g2": ("configs/gaussian.cfg", {"M": 2, "N": 3})}[name]
     problem = Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
     return problem.det_basis, problem.energies, problem.tensor
 
@@ -1328,8 +1352,8 @@ def test_blocked_matvec_matches_the_dense_w_path(name, rng):
     H, dense = blocked_dense(name)
     assert tensor.modulus == int(name[-1]) and len(H.W) == tensor.modulus
     padding = tensor.pair_blocks.pairs == math.comb(basis.K, 2)
-    if name == "random-g2":                    # every padding row of F is nonzero
-        assert padding.any() and tensor.pair_blocks.values[padding].any(axis=-1).all()
+    if name == "gaussian-g2":                  # padding rows of F: zero, and zero in W
+        assert padding.sum() == 3 and not H.W[padding].any()
     oracle = helpers.dense_w_matvec(basis, energies, tensor)
     scale = np.abs(dense).max()
     for x in random_complex(rng, 3, basis.dim):
@@ -1340,7 +1364,7 @@ def test_blocked_matvec_matches_the_dense_w_path(name, rng):
             assert y.tobytes() == oracle(x).tobytes()
 
 
-@pytest.mark.parametrize("name", BLOCKED_CASES[:-1])
+@pytest.mark.parametrize("name", BLOCKED_CASES)
 def test_blocked_hamiltonian_is_exactly_hermitian(name):
     dense = blocked_dense(name)[1]
     assert np.array_equal(dense, dense.conj().T)
