@@ -23,7 +23,8 @@ once per basis and kept (holes(2, slot) is never kept), so each timed build
 runs on a basis fresh from enumerate_determinants, made before the timed
 call and dropped after it.  The rung also records the tracemalloc peak of
 the build of its H over the bytes the budget predicts (hamiltonian_bytes);
-nnz is the count of W's nonzero entries.
+nnz is H.nnz, the count of the nonzero entries of the dense W over every
+pair with the one-body energies (e_p + e_q) / (N - 1) on its diagonal.
 The compare rows run `landau-hf compare --threads 1` COMPARE_RUNS times on
 each of COMPARE_CONFIGS, each in a fresh process, and keep the manifest's
 total time of every run, their median and their quartiles.

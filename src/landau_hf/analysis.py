@@ -36,7 +36,7 @@ from .hartree_fock import (HFState, hf_energy, hf_rhs, hf_steps, is_sample,
                            time_grid)
 from .manybody import (DeterminantBasis, ExactPropagator, FillingSpec,
                        InteractionTensor, ManyBodyState, assemble_hamiltonian,
-                       embed_slater, embed_wedge, enumerate_determinants,
+                       embed_wedge, enumerate_determinants,
                        noninteracting_ground_state, tensor_factors, two_body_tensor)
 
 BOUND_SLACK = 1e-7
@@ -323,10 +323,11 @@ class Problem:
 
     def exact_samples(self):
         """(t, psi) at time_grid's samples (is_sample): the determinant of the
-        initial orbitals under exp(-i H t / hbar), advanced from sample to
-        sample."""
-        config = self.config
-        psi = embed_slater(1.0, self.initial_orbitals, self.det_basis).coefficients
+        initial orbitals, the unit vector at orbitals 0..N-1, under exp(-i H
+        t / hbar), advanced from sample to sample."""
+        config, basis = self.config, self.det_basis
+        psi = np.zeros(basis.dim, dtype=np.complex128)
+        psi[basis.lookup(range(config.N))] = 1.0
         dt, n_steps = time_grid(config.dt, config.t_final)
         t_prev = 0.0
         for step in range(n_steps + 1):

@@ -394,9 +394,8 @@ class OrbitalSet:
         aliased dq, k2 + G2 j with j != 0, are the grid's too.  So per shell
         offset, for the pairs whose dq meets a mode: one batched product over
         x1 of the profiles (sum_s f_b,s f_d,s+delta at each x1) and one
-        product with the x1 weights, or, for one x1 column, one product over
-        (s, x1) of the weighted profiles; then a sum into the modes of
-        residue dq.
+        product with the x1 weights; then a sum into the modes of residue
+        dq.
 
         Given slot and allowed, (J,) columns and (J, M) booleans, the output
         is transfer-compact, (K^2, max(slot) + 1): mode j is summed into
@@ -426,13 +425,8 @@ class OrbitalSet:
                 continue
             lo, hi = max(0, -delta), min(S, S - delta)
             left, right = self.profiles[:, lo:hi], self.profiles[:, lo + delta:hi + delta]
-            if W.shape[1] == 2:        # one x1 column: its sum joins the product over shells
-                left = W.T[:, None, None, :] * left                  # [re/im, b, s, x1]
-                x1_sums = (left.reshape(2 * K, -1) @ right.reshape(K, -1).T).reshape(2, -1)
-                x1_sums = (x1_sums[0, pairs] + 1j * x1_sums[1, pairs])[:, None]
-            else:
-                prod = left.transpose(2, 0, 1) @ right.transpose(2, 1, 0)     # [x1, b, d]
-                x1_sums = (prod.reshape(G1, K * K)[:, pairs].T @ W).view(np.complex128)
+            prod = left.transpose(2, 0, 1) @ right.transpose(2, 1, 0)         # [x1, b, d]
+            x1_sums = (prod.reshape(G1, K * K)[:, pairs].T @ W).view(np.complex128)
             cols = modes[dq[pairs] % grid.G2]
             terms = np.take_along_axis(x1_sums, at1[cols], axis=1)
             terms *= grid.x2_phase(dq[pairs])[:, None]

@@ -45,7 +45,7 @@ pair momentum, m_p + m_q = m_r + m_s (mod g), so over the ascending pairs
 it is block diagonal in g classes (InteractionTensor.pair_blocks, about 16
 C(K,2)^2 / g bytes, built on first read): the amplitudes <pq||ij> of the
 closed-form defect are one batched product of those blocks with the 2x2
-minors of the orbitals, and H's W is a copy of them.
+minors of the orbitals, and H's two-body term reads them in place.
 
 The determinant space has one primitive, the hole table
 DeterminantBasis.holes(n), n = 1, 2: for every determinant and set of n
@@ -56,11 +56,11 @@ intermediates: Knowles & Handy, CPL 111, 315 (1984); Olsen et al., JCP 89,
 D = A_n x (hole_amplitudes), one product and, but for the RDM, one gather
 A_n^T: DeterminantBasis.one_body, dGamma(M) x, is M @ D_1 gathered; the
 one-body reduced density matrix is D_1 D_1^H; and assemble_hamiltonian
-returns H = A_2 (W x 1) A_2^T as an operator, applied and never stored
-(Hamiltonian), W the antisymmetrized tensor's pair-momentum blocks with the
-one-body energies on their diagonal, so D_2 = A_2^T x and Z = W D_2 are
-(g, P, C(K,N-2)) and each matvec is one batched product: 1/g of the dense
-W's work.  H's table is built straight in the rows of W's blocks,
+returns H as an operator, applied and never stored (Hamiltonian): the
+one-body energies, diagonal, plus A_2 (W x 1) A_2^T, W the antisymmetrized
+tensor's pair-momentum blocks, so D_2 = A_2^T x and Z = W D_2 are (g, P,
+C(K,N-2)) and each matvec is one batched product: 1/g of the dense W's
+work.  H's table is built straight in the rows of W's blocks,
 holes(2, slot), and is at every g the one two-hole table alive; holes(1)
 is the one-hole table one_body and the RDM share.  The put and every
 gather walk a hole table one place set at a time (put_signed,
@@ -719,21 +719,26 @@ def dft_columns(k: np.ndarray, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 class Hamiltonian:
-    """H applied and never stored: diagonal * x without W, else A_2 (W x 1)
-    A_2^T x (assemble_hamiltonian) with W in pair-momentum blocks, (g, P, P):
-    the put of sign * x into D_2 (put_signed), Z = W @ D_2, one batched
-    product, and the gather, the sum of sign * Z.take(at) over the place
-    pairs in order (gather_signed), so an entry of H and its mirror add the
-    same terms in the same order (H is exactly Hermitian).  D_2 and Z are
-    (g, P, C(K,N-2)), allocated once; their rows are the slots class P +
-    place of the pairs (slot, PairBlocks' map from each ascending pair, the
-    identity at g = 1), and at, sign is the two-hole table built straight in
-    them, basis.holes(2, slot), the one table H holds.  Padding rows of D_2
-    are never written and stay zero, padding rows of Z are never gathered,
-    and padding rows of W are zero.  With W, H's diagonal is read off W's,
-    and norm bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus
-    sum_{p != q} |W[p, q]| per pair q of row j (the hole of q refilled by p
-    != q is another determinant or none).  nnz counts W's nonzero entries.
+    """H = sum_p e_p n_p + A_2 (W x 1) A_2^T applied and never stored
+    (assemble_hamiltonian): one_body * x, one_body the sum of e_p over each
+    row's orbitals, plus, given pair blocks of F (PairBlocks), the two-body
+    term on their read-only (g, P, P) values W, never copied: the put of
+    sign * x into D_2 (put_signed), Z = W @ D_2, one batched product, and
+    the gather, the sum of sign * Z.take(at) over the place pairs in order
+    (gather_signed), into which one_body * x is added, so an entry of H and
+    its mirror add the same terms in the same order (H is exactly
+    Hermitian).  D_2 and Z are (g, P, C(K,N-2)), allocated once; their rows
+    are the slots class P + place of the pairs (slot, PairBlocks' map from
+    each ascending pair, the identity at g = 1), and at, sign is the
+    two-hole table built straight in them, basis.holes(2, slot), the one
+    table H holds.  Padding rows of D_2 are never written and stay zero,
+    padding rows of Z are never gathered, and padding rows of W are zero.
+    diagonal is one_body plus W's diagonal summed over each row's pairs, and
+    norm bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus sum_{p !=
+    q} |W[p, q]| per pair q of row j (the hole of q refilled by p != q is
+    another determinant or none).  nnz counts W with each e_p spread over
+    its N - 1 pairs on the diagonal: W's nonzero entries off the diagonal
+    plus C(K,2).
 
     A plain numpy operator: H @ x, H.matvec(x) and H.rmatvec(x) take x of
     shape (dim,) or (dim, 1) and return H x of shape (dim,); any other
@@ -742,19 +747,20 @@ class Hamiltonian:
     # a non-finite or overflowing diagonal or bound is reported by
     # ExactPropagator as NonFiniteValue, with no RuntimeWarning before it
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, basis: DeterminantBasis, diagonal: np.ndarray | None = None,
-                 W: np.ndarray | None = None, slot: np.ndarray | None = None):
+    def __init__(self, basis: DeterminantBasis, one_body: np.ndarray,
+                 blocks: PairBlocks | None = None):
         self.shape, self.dtype = (basis.dim,) * 2, np.dtype(np.complex128)
-        self.basis, self.W, off, self.nnz = basis, W, 0.0, 0
-        if W is not None:               # diagonal and bound first: their temporaries go before D_2
+        self.one_body, self.W, diagonal, off, self.nnz = one_body, None, one_body, 0.0, 0
+        if blocks is not None:          # diagonal and bound first: their temporaries go before D_2
+            W = self.W = blocks.values
             n_holes = math.comb(basis.K, basis.N - 2)
-            self.at, self.sign = basis.holes(2, slot)
+            self.at, self.sign = basis.holes(2, blocks.slot)
             slots = self.at // n_holes
             W_diagonal = W.diagonal(axis1=1, axis2=2).ravel()
-            diagonal = W_diagonal[slots.T].sum(axis=1)
+            diagonal = one_body + W_diagonal[slots.T].sum(axis=1)
             off = (np.abs(W).sum(axis=1).ravel() - np.abs(W_diagonal))[slots].sum(axis=0)
             del slots
-            self.nnz = int(np.count_nonzero(W))
+            self.nnz = int(np.count_nonzero(W) - np.count_nonzero(W_diagonal)) + len(blocks.slot)
             self._D2 = np.zeros(W.shape[:2] + (n_holes,), dtype=np.complex128)
             self._Z = np.empty_like(self._D2)
         self.diagonal, self.mu = diagonal, diagonal.mean()
@@ -765,10 +771,12 @@ class Hamiltonian:
             raise DimensionMismatch(f"operand of shape {np.shape(x)} for H of dim {self.shape[1]}")
         x = np.ravel(x)
         if self.W is None:
-            return self.diagonal * x
+            return self.one_body * x
         self._put(x)
         self._product()
-        return self._gather()
+        y = self._gather()
+        y += self.one_body * x
+        return y
 
     matvec = rmatvec = __matmul__       # H is Hermitian
 
@@ -797,17 +805,16 @@ class Hamiltonian:
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
                          tensor: InteractionTensor | None) -> Hamiltonian:
     """H = sum_p e_p n_p + sum_{p<q, r<s} <pq||rs> a+_p a+_q a_s a_r, with
-    <pq||rs> = v[p,q,r,s] - v[p,q,s,r], as the operator A_2 (W x 1) A_2^T
-    through the (N-2)-particle determinants (Knowles & Handy 1984):
-      - W[c, (pq), (rs)] = <pq||rs> between the ascending pairs of pair
-        momentum c = m_p + m_q (mod g), a copy of InteractionTensor.
-        pair_blocks' values, whose padding rows are zero, with (e_p + e_q) /
-        (N - 1) on the diagonal of each pair, which H's diagonal sums per
-        row (at g = 1, the dense W over every pair);
-      - A_2[i, slot(pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
-        basis.holes(2, slot) built in the slots of W's blocks, at every g.
-    N = 1 or no interaction gives the one-body diagonal alone.  The bytes of
-    D_2, Z, the table and W (hamiltonian_bytes) over H_BYTE_CAP raise
+    <pq||rs> = v[p,q,r,s] - v[p,q,s,r], as its two terms (Hamiltonian): the
+    one-body diagonal, sum_p e_p over each determinant's orbitals, and A_2
+    (W x 1) A_2^T through the (N-2)-particle determinants (Knowles & Handy
+    1984), W[c, (pq), (rs)] = <pq||rs> between the ascending pairs of pair
+    momentum c = m_p + m_q (mod g), the values of InteractionTensor.
+    pair_blocks read in place (at g = 1, the dense W over every pair), and
+    A_2[i, slot(pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
+    basis.holes(2, slot) built in the slots of W's blocks, at every g.  N =
+    1 or no interaction gives the one-body term alone.  The bytes of D_2, Z,
+    the table and the pair blocks (hamiltonian_bytes) over H_BYTE_CAP raise
     TooLarge before the table or the pair blocks are built."""
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
@@ -816,8 +823,9 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     K, N, dim = basis.K, basis.N, basis.dim
     if tensor is not None and tensor.K != K:
         raise DimensionMismatch(f"tensor rank {tensor.K} for K={K}")
+    one_body = energies[basis.occupations].sum(axis=1).astype(np.complex128)
     if N == 1 or tensor is None or tensor.is_zero():
-        return Hamiltonian(basis, energies[basis.occupations].sum(axis=1).astype(np.complex128))
+        return Hamiltonian(basis, one_body)
 
     nbytes = hamiltonian_bytes(K, N, tensor.modulus)
     if nbytes > H_BYTE_CAP:
@@ -825,19 +833,14 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
                        f"to apply ({rows} x {math.comb(K, N - 2)} two-hole "
                        f"amplitudes), over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
-    blocks = tensor.pair_blocks
-    W = blocks.values.copy()
-    padding = blocks.pairs == math.comb(K, 2)
-    place = np.arange(W.shape[1])
-    W[:, place, place] += np.where(padding, 0.0, (energies[blocks.r] + energies[blocks.s])
-                                   / (N - 1))
-    return Hamiltonian(basis, W=W, slot=blocks.slot)
+    return Hamiltonian(basis, one_body, tensor.pair_blocks)
 
 
 def hamiltonian_bytes(K: int, N: int, modulus: int = 1) -> int:
     """Bytes of the two-body Hamiltonian's arrays: D_2 and Z, (g P,
-    C(K,N-2)) each, its W blocks, (g, P, P), P the largest class of
-    pair_classes, and its one two-hole table, (C(N,2), C(K,N)) int64."""
+    C(K,N-2)) each, the pair blocks it reads, (g, P, P), P the largest
+    class of pair_classes, built by assemble_hamiltonian on their first
+    read, and its one two-hole table, (C(N,2), C(K,N)) int64."""
     g, P = pair_classes(*np.triu_indices(K, 1), modulus)[0].shape
     return (32 * g * P * math.comb(K, N - 2) + 8 * math.comb(N, 2) * math.comb(K, N)
             + 16 * g * P * P)

@@ -631,19 +631,20 @@ def signed_sum(Z: np.ndarray, at: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
 def dense_w_matvec(basis, energies, tensor):
     """x -> H x through the dense W over every ascending pair, (C(K,2),
-    C(K,2)), the energies (e_p + e_q) / (N - 1) on its diagonal, with D_2
-    and Z over every pair: signed_put on basis.holes(2), Z = W @ D_2 and
-    signed_sum."""
+    C(K,2)), with D_2 and Z over every pair: signed_put on basis.holes(2),
+    Z = W @ D_2 and signed_sum, into which the one-body diagonal, the sum of
+    e_p over each row's orbitals, times x is added."""
     K, N = basis.K, basis.N
     W = antisymmetrized_pairs(tensor)
-    a, b = np.triu_indices(K, 1)
-    W[np.diag_indices(len(a))] += (np.asarray(energies)[a] + np.asarray(energies)[b]) / (N - 1)
+    one_body = np.asarray(energies)[basis.occupations].sum(axis=1).astype(np.complex128)
     at, sign = basis.holes(2)
     D2 = np.zeros((len(W), math.comb(K, N - 2)), dtype=np.complex128)
 
     def matvec(x):
         signed_put(D2, at, sign, x)
-        return signed_sum(W @ D2, at, sign)
+        y = signed_sum(W @ D2, at, sign)
+        y += one_body * x
+        return y
     return matvec
 
 

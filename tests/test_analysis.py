@@ -225,6 +225,16 @@ def test_problem_plans_the_tensor_factors_once(monkeypatch):
     assert problem.tensor.rank > 0 and built == [False]
 
 
+@pytest.mark.parametrize("name", ["example", "gaussian", "k16n4"])
+def test_exact_samples_start_from_the_embedded_initial_determinant(name):
+    # the initial determinant is the unit vector at orbitals 0..N-1, with the
+    # bits of the embedded unit columns
+    problem = Problem(lhf.load_config(ROOT / f"configs/{name}.cfg"))
+    t, psi = next(problem.exact_samples())
+    expect = lhf.embed_slater(1.0, problem.initial_orbitals, problem.det_basis).coefficients
+    assert t == 0.0 and psi.tobytes() == expect.tobytes()
+
+
 def test_sector_check_is_relative_to_the_defect_norm(monkeypatch):
     # at strength 1e12 the embedded and closed-form defects, ~1.6e11, differ
     # by rounding of that size, far above the absolute SECTOR_TOL; an

@@ -901,17 +901,20 @@ def test_pair_blocks_are_built_once_and_read_only(rng):
     assert tensor.pair_blocks is blocks and np.array_equal(blocks.values, copy)
 
 
-def test_hamiltonian_diagonal_leaves_the_pair_blocks_untouched():
-    # assemble_hamiltonian adds the one-body energies to the diagonal of its
-    # copy of the blocks in place
+def test_hamiltonian_reads_the_pair_blocks_in_place(rng):
+    # H's two-body term is the tensor's read-only pair blocks themselves:
+    # shared, never copied, and written neither by assembly nor by a matvec
     oset, pot, grid = rule_case("gaussian-M3")
     tensor = lhf.two_body_tensor(pot, oset, grid)
     W = helpers.antisymmetrized_pairs(tensor)
-    values = tensor.pair_blocks.values.copy()
-    H = lhf.assemble_hamiltonian(lhf.enumerate_determinants(9, 3), oset.energies, tensor)
-    assert H.W.shape == values.shape and not np.array_equal(H.W, values)
-    assert not np.shares_memory(H.W, tensor.pair_blocks.values)
-    assert np.array_equal(tensor.pair_blocks.values, values)
+    basis = lhf.enumerate_determinants(9, 3)
+    H = lhf.assemble_hamiltonian(basis, oset.energies, tensor)
+    values = tensor.pair_blocks.values
+    assert H.W is values and np.shares_memory(H.W, values) and not H.W.flags.writeable
+    assert np.array_equal(helpers.antisymmetrized_pairs(tensor), W)
+    for x in random_complex(rng, 3, basis.dim):
+        H @ x
+    assert tensor.pair_blocks.values is values
     assert np.array_equal(helpers.antisymmetrized_pairs(tensor), W)
 
 
