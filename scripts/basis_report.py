@@ -3,18 +3,20 @@
 boundary-condition residuals, and the eigenresidual convergence ratio."""
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from landau_hf import Grid, basis_report, build_orbital_set, load_config
+from landau_hf import basis_report, load_config
+from landau_hf.analysis import Problem
 
 
 def report_at(config, G: int) -> dict:
     """basis_report of the basis sampled on a G x G grid."""
-    grid = Grid(L1=config.domain.L1, L2=config.domain.L2, G1=G, G2=G)
-    return basis_report(build_orbital_set(config, grid=grid), config.constants)
+    problem = Problem(dataclasses.replace(config, grid1=G, grid2=G))
+    return basis_report(problem.grid_orbitals, config.constants)
 
 
 def main():

@@ -38,10 +38,11 @@ import numpy as np
 
 from .config import INTEGRATORS, PhysicalConstants
 from .errors import InvalidValue, NonFiniteValue, NotUnitary, StepUnstable, TooLarge
-from .manybody import TIME_STEP_CAP, InteractionTensor
+from .manybody import InteractionTensor
 
 STEP_GRAM_TOL = 1e-3       # largest Gram-deviation growth in one RK4 step
 UNITARY_TOL = 1e-10        # largest |U^H U - 1| a gauge transform accepts
+TIME_STEP_CAP = 1_000_000  # most steps of a run's time grid (1,000 on the shipped configs)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,6 @@ TENSOR_SYM_TOL = 1e-8            # largest raw asymmetry of v, relative to max(m
 SLATER_GRAM_TOL = 1e-6           # largest |Gram - 1| entry embed_slater accepts
 TAYLOR_TOL = 2.0 ** -53          # truncation tolerance of ExactPropagator's Taylor sums
 TAYLOR_MATVEC_CAP = 10_000       # most matvecs m* s one advance may plan (10 on the shipped configs)
-TIME_STEP_CAP = 1_000_000        # most steps of a run's time grid (1,000 on the shipped configs)
 # theta_m for TAYLOR_TOL (Al-Mohy & Higham 2011, Table 3.1; m <= 30 from
 # Higham, Functions of Matrices, Table A.3): the largest |t| ||A||_1 / s at
 # which m Taylor terms per step meet the tolerance
@@ -733,23 +732,23 @@ class Hamiltonian:
     two-hole table built straight in them, basis.holes(2, slot), the one
     table H holds.  Padding rows of D_2 are never written and stay zero,
     padding rows of Z are never gathered, and padding rows of W are zero.
-    diagonal is one_body plus W's diagonal summed over each row's pairs, and
     norm bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus sum_{p !=
     q} |W[p, q]| per pair q of row j (the hole of q refilled by p != q is
-    another determinant or none).  nnz counts W with each e_p spread over
-    its N - 1 pairs on the diagonal: W's nonzero entries off the diagonal
-    plus C(K,2).
+    another determinant or none), H_jj being one_body plus W's diagonal
+    summed over row j's pairs, which is not kept.  nnz counts W with each
+    e_p spread over its N - 1 pairs on the diagonal: W's nonzero entries off
+    the diagonal plus C(K,2).
 
-    A plain numpy operator: H @ x, H.matvec(x) and H.rmatvec(x) take x of
-    shape (dim,) or (dim, 1) and return H x of shape (dim,); any other
-    shape raises DimensionMismatch.  scalar * H is the dense array."""
+    A plain numpy operator: H @ x takes x of shape (dim,) and returns H x of
+    shape (dim,); any other shape raises DimensionMismatch.  scalar * H is
+    the dense array."""
 
     # a non-finite or overflowing diagonal or bound is reported by
     # ExactPropagator as NonFiniteValue, with no RuntimeWarning before it
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, basis: DeterminantBasis, one_body: np.ndarray,
                  blocks: PairBlocks | None = None):
-        self.shape, self.dtype = (basis.dim,) * 2, np.dtype(np.complex128)
+        self.shape = (basis.dim,) * 2
         self.one_body, self.W, diagonal, off, self.nnz = one_body, None, one_body, 0.0, 0
         if blocks is not None:          # diagonal and bound first: their temporaries go before D_2
             W = self.W = blocks.values
@@ -763,13 +762,12 @@ class Hamiltonian:
             self.nnz = int(np.count_nonzero(W) - np.count_nonzero(W_diagonal)) + len(blocks.slot)
             self._D2 = np.zeros(W.shape[:2] + (n_holes,), dtype=np.complex128)
             self._Z = np.empty_like(self._D2)
-        self.diagonal, self.mu = diagonal, diagonal.mean()
+        self.mu = diagonal.mean()
         self.norm = float(np.max(off + np.abs(diagonal - self.mu)))
 
     def __matmul__(self, x):
-        if np.shape(x) not in ((self.shape[1],), (self.shape[1], 1)):
+        if np.shape(x) != self.shape[1:]:
             raise DimensionMismatch(f"operand of shape {np.shape(x)} for H of dim {self.shape[1]}")
-        x = np.ravel(x)
         if self.W is None:
             return self.one_body * x
         self._put(x)
@@ -777,8 +775,6 @@ class Hamiltonian:
         y = self._gather()
         y += self.one_body * x
         return y
-
-    matvec = rmatvec = __matmul__       # H is Hermitian
 
     def _put(self, x):
         """D_2 = A_2 x in the slots of W's blocks."""
@@ -799,7 +795,7 @@ class Hamiltonian:
 
     def toarray(self) -> np.ndarray:
         """Dense H, one matvec per column."""
-        return np.column_stack([self.matvec(e) for e in np.eye(self.shape[0])])
+        return np.column_stack([self @ e for e in np.eye(self.shape[0])])
 
 
 def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,

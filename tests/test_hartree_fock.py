@@ -366,7 +366,7 @@ def test_time_grid_refuses_a_step_count_that_overflows():
 
 
 def test_time_grid_refuses_a_step_count_over_the_cap(setup, rng):
-    cap = lhf.manybody.TIME_STEP_CAP
+    cap = lhf.hartree_fock.TIME_STEP_CAP
     assert hartree_fock.time_grid(1.0, float(cap)) == (1.0, cap)
     with pytest.raises(TooLarge, match=f"has 1e\\+06 steps, over the cap of {cap}"):
         hartree_fock.time_grid(1.0, cap + 1.0)
