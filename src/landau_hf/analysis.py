@@ -32,7 +32,7 @@ from .basis import GRAM_TOL, build_orbital_set, landau_level
 from .config import PhysicalConstants, SimulationConfig
 from .errors import (DimensionMismatch, NotHermitian, NotOrthonormal,
                      SupportViolation)
-from .hartree_fock import (HFState, hf_energy, hf_rhs, hf_steps, is_sample,
+from .hartree_fock import (HFState, hf_energy, hf_rhs, hf_steps, sample_steps,
                            time_grid)
 from .manybody import (DeterminantBasis, ExactPropagator, FillingSpec,
                        InteractionTensor, ManyBodyState, assemble_hamiltonian,
@@ -322,20 +322,21 @@ class Problem:
         return state
 
     def exact_samples(self):
-        """(t, psi) at time_grid's samples (is_sample): the determinant of the
-        initial orbitals, the unit vector at orbitals 0..N-1, under exp(-i H
-        t / hbar), advanced from sample to sample."""
+        """(t, psi, energy) at the steps of sample_steps on time_grid's grid:
+        psi is the determinant of the initial orbitals, the unit vector at
+        orbitals 0..N-1, under exp(-i H t / hbar), advanced from sample to
+        sample, and energy is Re <psi|H psi>, the one place an exact
+        sample's energy is computed."""
         config, basis = self.config, self.det_basis
         psi = np.zeros(basis.dim, dtype=np.complex128)
         psi[basis.lookup(range(config.N))] = 1.0
         dt, n_steps = time_grid(config.dt, config.t_final)
         t_prev = 0.0
-        for step in range(n_steps + 1):
-            if is_sample(step, n_steps, config.sample_stride):
-                t = step * dt
-                psi = self.propagator.advance(psi, t - t_prev)
-                t_prev = t
-                yield t, psi
+        for step in sample_steps(n_steps, config.sample_stride):
+            t = step * dt
+            psi = self.propagator.advance(psi, t - t_prev)
+            t_prev = t
+            yield t, psi, float(np.real(np.vdot(psi, self.H @ psi)))
 
 
 def run_comparison(problem: Problem) -> ComparisonResult:
@@ -344,10 +345,10 @@ def run_comparison(problem: Problem) -> ComparisonResult:
 
     One pass over hf_steps adds the closed-form defect of every step to a
     trapezoid integral, whose discretization error stays well below the
-    bound slack.  At each sample the state is embedded once, its wedge
-    handed to check_defect_support and error_norm, and it meets the next
-    state of Problem.exact_samples in a record.  A record
-    that breaks a bound is kept and counted in the summary's
+    bound slack.  At each step of sample_steps the state is embedded once,
+    its wedge handed to check_defect_support and error_norm, and it meets
+    the next state and energy of Problem.exact_samples in a record.  A
+    record that breaks a bound is kept and counted in the summary's
     bound_violations.
     """
     config = problem.config
@@ -355,7 +356,7 @@ def run_comparison(problem: Problem) -> ComparisonResult:
     det_basis, H = problem.det_basis, problem.H
     hf0 = problem.initial_state()
     v_norm = tensor.sup_norm
-    n_steps = time_grid(config.dt, config.t_final)[1]
+    samples = set(sample_steps(time_grid(config.dt, config.t_final)[1], config.sample_stride))
     exact = problem.exact_samples()
 
     records, checks = [], []
@@ -366,21 +367,21 @@ def run_comparison(problem: Problem) -> ComparisonResult:
         if step:
             defect_bound += 0.5 * (state.time - t_prev) * (d_prev + d)
         t_prev, d_prev = state.time, d
-        if not is_sample(step, n_steps, config.sample_stride):
+        if step not in samples:
             continue
         wedge = embed_wedge(state.orbitals, det_basis)
         checks.append(check_defect_support(state, d, H, det_basis, energies,
                                            tensor, constants, wedge))
         max_gram = max(max_gram, state.gram_deviation())
         max_phase = max(max_phase, abs(abs(state.a) - 1.0))
-        psi = next(exact)[1]
+        _, psi, energy_exact = next(exact)
         psi_state = ManyBodyState(basis=det_basis, coefficients=psi)
         records.append(ComparisonRecord(
             t=state.time,
             error_norm=error_norm(psi_state, state, det_basis, wedge),
             apriori_bound=apriori_bound(config.N, v_norm, constants, state.time),
             defect_bound=defect_bound,
-            energy_exact=float(np.real(np.vdot(psi, H @ psi))),
+            energy_exact=energy_exact,
             energy_hf=hf_energy(state, energies, tensor),
             rdm_trace_dist=trace_norm_diff(rdm_exact(psi_state, det_basis),
                                            rdm_slater(state)),

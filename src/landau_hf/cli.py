@@ -79,7 +79,8 @@ class Manifest:
     """Record of one run: config echo, timings, counters, outputs, validations.
 
     dispatch opens the one Manifest of every compute subcommand on the run's
-    one Problem, and the Manifest creates the out dir.  Each output file is
+    one Problem, and the Manifest creates the out dir: one it cannot create
+    raises IoFailure, and no manifest is written.  Each output file is
     written inside a `with manifest.output(name) as path:` block and listed
     only once that block ends without an error.  On leaving, the Manifest
     writes manifest.json with the counters of what the Problem built
@@ -104,7 +105,10 @@ class Manifest:
         }
         self._t0 = time.perf_counter()
         self._phase_start = self._t0
-        os.makedirs(self.out_dir, exist_ok=True)
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create out dir {self.out_dir}: {exc}") from exc
 
     def __enter__(self):
         return self
@@ -215,10 +219,10 @@ def cmd_groundstate(args, problem: Problem, manifest: Manifest) -> int:
 
 
 def cmd_evolve_exact(args, problem: Problem, manifest: Manifest) -> int:
-    H = problem.H
+    problem.H  # assembled here, so that the "assemble" phase times it
     manifest.phase("assemble")
-    rows = [(t, float(np.real(np.vdot(psi, H @ psi))), float(np.linalg.norm(psi)))
-            for t, psi in problem.exact_samples()]
+    rows = [(t, energy, float(np.linalg.norm(psi)))
+            for t, psi, energy in problem.exact_samples()]
     with manifest.output("exact_timeseries.csv") as path:
         write_csv(path, "t,energy,norm", rows)
     manifest.phase("evolve")

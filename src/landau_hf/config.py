@@ -128,8 +128,10 @@ class Grid:
         """exp(2 pi i q x2_0 / L2) at the first x2 node x2_0 for integer
         harmonics q: a harmonic sums over the x2 nodes to G2 times this where
         q = 0 (mod G2), and to 0 elsewhere.  q x2_0 / L2 = q (1 - G2) / (2 G2)
-        is reduced mod 1 in integers first."""
-        q = np.asarray(q)
+        is reduced mod 1 in integers first: q mod 2 G2 before any numpy
+        arithmetic (in Python's integers for a Python int q), then the product
+        mod 2 G2."""
+        q = np.asarray(q % (2 * self.G2))
         return np.exp(1j * np.pi * (q * (1 - self.G2) % (2 * self.G2)) / self.G2)
 
 

@@ -25,8 +25,8 @@ from the current orbitals at every stage; the total energy T + W is a flow
 invariant, evaluated by hf_energy only where a sample records it.
 
 hf_steps counts the steps of time_grid's grid and yields every state as it
-is taken, holding only the current one; integrate_hf keeps the sampled ones
-(is_sample), and per-step consumers read the generator directly.
+is taken, holding only the current one; integrate_hf keeps the states at the
+steps of sample_steps, and per-step consumers read the generator directly.
 """
 
 from __future__ import annotations
@@ -147,10 +147,11 @@ def time_grid(dt: float, t_final: float) -> tuple[float, int]:
     return (t_final / n_steps if n_steps else 0.0), n_steps
 
 
-def is_sample(step: int, n_steps: int, sample_stride: int) -> bool:
-    """Whether a step of an n_steps grid is sampled: every sample_stride-th
-    step is, and the last."""
-    return step % sample_stride == 0 or step == n_steps
+def sample_steps(n_steps: int, sample_stride: int) -> list[int]:
+    """The sampled steps of an n_steps grid, in order: every
+    sample_stride-th step, and the last.  The one schedule of every walk
+    of the grid that keeps samples."""
+    return [*range(0, n_steps, sample_stride), n_steps]
 
 
 def hf_steps(initial: HFState, dt: float, t_final: float, scheme: str,
@@ -217,11 +218,11 @@ def _rk4_steps(initial: HFState, dt_eff: float, n_steps: int, scheme: str,
 def integrate_hf(initial: HFState, dt: float, t_final: float, scheme: str,
                  tensor: InteractionTensor, energies: np.ndarray,
                  constants: PhysicalConstants, sample_stride: int = 1) -> HFTrajectory:
-    """The states of hf_steps at time_grid's samples (is_sample), with their
+    """The states of hf_steps at the steps of sample_steps, with their
     energy, |a| and Gram deviation."""
     steps = hf_steps(initial, dt, t_final, scheme, tensor, energies, constants)
-    n_steps = time_grid(dt, t_final)[1]
-    states = [s for step, s in steps if is_sample(step, n_steps, sample_stride)]
+    samples = set(sample_steps(time_grid(dt, t_final)[1], sample_stride))
+    states = [s for step, s in steps if step in samples]
     return HFTrajectory(
         times=np.asarray([s.time for s in states]), states=states,
         energies=np.asarray([hf_energy(s, energies, tensor) for s in states]),

@@ -70,8 +70,9 @@ def signed_frequency(k, G: int):
 def _midpoint_cosine(h: int, G: int) -> np.ndarray:
     """cos(2 pi h x / L) at the G midpoint nodes x = L ((i + 1/2) / G - 1/2)
     of an axis of length L, h (2 i + 1 - G) / (2 G) reduced mod 1 in
-    integers first, so the samples carry no rounding of a large argument."""
-    return np.cos(np.pi * (h * (2 * np.arange(G) + 1 - G) % (2 * G)) / G)
+    integers first, so the samples carry no rounding of a large argument:
+    h mod 2 G in Python integers, then the product mod 2 G in numpy's."""
+    return np.cos(np.pi * (h % (2 * G) * (2 * np.arange(G) + 1 - G) % (2 * G)) / G)
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,13 @@ class PotentialSpec:
         f_r, k_r, a_r) with g_r(x) = f_r(x1) sum_j a_r[j] exp(-2 pi i
         k_r[j] i2 / G2) at the node (i1, i2), f_r sampled on grid.x1.  The
         cosine's x2 factor cos(2 pi h x2 / L2) is its two modes k = -h and h
-        (mod G2), of weights Grid.x2_phase(+-h) / 2.  None for the other
+        (mod G2), of weights Grid.x2_phase(+-h) / 2, h reduced mod 2 G2 (the
+        period of both) in Python integers first.  None for the other
         kinds."""
         if self.kind == "zero":
             return []
         if self.kind == "separable-cosine":
-            h = np.array([self.harmonic2, -self.harmonic2])
+            h = np.array([1, -1]) * (self.harmonic2 % (2 * grid.G2))
             return [(self.strength, _midpoint_cosine(self.harmonic1, grid.G1),
                      -h % grid.G2, 0.5 * grid.x2_phase(h))]
         return None
@@ -204,7 +206,7 @@ class PotentialSpec:
         if self.kind == "zero":
             return np.zeros((0, M), dtype=bool)
         if self.kind == "separable-cosine":
-            s = signed_frequency(self.harmonic2, grid.G2)
+            s = signed_frequency(self.harmonic2 % grid.G2, grid.G2)
             return ((residues == s % M) | (residues == -s % M))[None, :]
         if self.kind == "periodic-gaussian":
             return residues == signed_frequency(np.arange(grid.G2), grid.G2)[:, None] % M

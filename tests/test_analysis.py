@@ -13,7 +13,7 @@ from landau_hf.analysis import (SECTOR_TOL, Problem, check_defect_support,
                                 defect_sector_norms, defect_vector,
                                 run_comparison)
 from landau_hf.errors import NotHermitian, SupportViolation
-from landau_hf.hartree_fock import HFState, is_sample, time_grid
+from landau_hf.hartree_fock import HFState, sample_steps, time_grid
 from landau_hf.manybody import InteractionTensor, ManyBodyState
 
 import helpers
@@ -230,9 +230,45 @@ def test_exact_samples_start_from_the_embedded_initial_determinant(name):
     # the initial determinant is the unit vector at orbitals 0..N-1, with the
     # bits of the embedded unit columns
     problem = Problem(lhf.load_config(ROOT / f"configs/{name}.cfg"))
-    t, psi = next(problem.exact_samples())
+    t, psi, _ = next(problem.exact_samples())
     expect = lhf.embed_slater(1.0, problem.initial_orbitals, problem.det_basis).coefficients
     assert t == 0.0 and psi.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example", "gaussian", "k16n4"])
+def test_compare_records_meet_the_exact_samples_bit_for_bit(name):
+    # each record's t is its exact sample's t, and each exact sample's
+    # energy is Re <psi|H psi> of its own state, as the record reads it
+    problem = Problem(lhf.load_config(ROOT / f"configs/{name}.cfg"))
+    records = run_comparison(problem).records
+    samples = list(problem.exact_samples())
+    assert len(samples) == len(records) > 2
+
+    def bits(values):
+        return np.array(values, dtype=np.float64).tobytes()
+
+    assert bits([r.t for r in records]) == bits([t for t, _, _ in samples])
+    assert bits([r.energy_exact for r in records]) == bits([e for *_, e in samples])
+    assert bits([e for *_, e in samples]) == bits(
+        [np.real(np.vdot(psi, problem.H @ psi)) for _, psi, _ in samples])
+
+
+def _old_sample_rule(n_steps, sample_stride):
+    """The per-step rule sample_steps replaced: every sample_stride-th step
+    is sampled, and the last."""
+    return [k for k in range(n_steps + 1) if k % sample_stride == 0 or k == n_steps]
+
+
+def test_sample_steps_is_the_per_step_rule():
+    # every pair with n <= 120 and s <= 150 (each order of n and s), every
+    # n <= 2000 at strides 1, 7 and 3000, and 2000 seeded pairs across
+    # n <= 2000, s <= 3000, against the old rule as the oracle
+    pairs = [(n, s) for n in range(121) for s in range(1, 151)]
+    pairs += [(n, s) for n in range(2001) for s in (1, 7, 3000)]
+    rng = np.random.default_rng(7)
+    pairs += zip(rng.integers(0, 2001, 2000).tolist(), rng.integers(1, 3001, 2000).tolist())
+    for n, s in pairs:
+        assert sample_steps(n, s) == _old_sample_rule(n, s), (n, s)
 
 
 def test_sector_check_is_relative_to_the_defect_norm(monkeypatch):
@@ -367,8 +403,7 @@ def test_defect_bound_is_trapezoid_over_every_step():
     integral = [0.0]
     for t0, t1, d0, d1 in zip(traj.times, traj.times[1:], d, d[1:]):
         integral.append(integral[-1] + 0.5 * (t1 - t0) * (d0 + d1))
-    _, n_steps = time_grid(cfg.dt, cfg.t_final)
-    samples = [s for s in range(n_steps + 1) if is_sample(s, n_steps, cfg.sample_stride)]
+    samples = sample_steps(time_grid(cfg.dt, cfg.t_final)[1], cfg.sample_stride)
     assert samples == [0, 20, 40, 50]
     assert [r.defect_bound for r in result.records] == [integral[s] for s in samples]
 

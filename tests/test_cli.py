@@ -743,6 +743,41 @@ def test_failed_write_is_not_listed(tmp_path, capsys, command, name):
     assert name not in manifest["outputs"]
 
 
+@pytest.mark.parametrize("command,sub", [
+    ("compare", ""), ("basis", ""), ("groundstate", ""), ("evolve-exact", "sub")])
+def test_out_dir_that_cannot_be_created_exits_one(tmp_path, capsys, command, sub):
+    # an existing file as the out dir, or as its parent: no directory, so no
+    # manifest, and an `error:` line in place of a traceback
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / sub if sub else afile
+    assert dispatch([command, "--config", write_cfg(tmp_path), "--out-dir", str(out),
+                     "--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create out dir {out}: ")
+    assert "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+
+
+@pytest.mark.parametrize("key", ["harmonic1", "harmonic2"])
+def test_a_harmonic_past_int64_runs_as_its_alias(tmp_path, capsys, key):
+    # 10^20 and its alias mod 2 G = 96 on the 48-point tensor grid give the
+    # same outputs
+    outputs = []
+    for h in (10 ** 20, 10 ** 20 % 96):
+        cfg = write_cfg(tmp_path, name=f"{h}.cfg")
+        with open(cfg, "a") as fh:
+            fh.write(f"{key} = {h}\n")
+        out = tmp_path / f"out{h}"
+        assert dispatch(["validate", "--config", cfg]) == 0
+        assert dispatch(["compare", "--config", cfg, "--out-dir", str(out), "--threads", "1"]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("compare_timeseries.csv", "compare_summary.json")])
+    assert "Traceback" not in capsys.readouterr().err
+    assert outputs[0] == outputs[1]
+
+
 def test_groundstate_builds_no_orbital(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("groundstate built the orbital basis")

@@ -461,6 +461,23 @@ def rule_case(name):
     return oset, pot, grid
 
 
+@pytest.mark.parametrize("h1,h2", [(1, 1), (3, -1), (0, 30)])
+def test_cosine_harmonic_aliases_give_the_same_tensor(h1, h2):
+    # on the 32 x 32 grid a harmonic and its aliases mod 2 G = 64, however
+    # large, sample the same kernel: the same bits of the tensor
+    oset, _, grid = rule_case("cosine-h1")
+
+    def built(a, b):
+        pot = lhf.PotentialSpec(kind="separable-cosine", strength=0.7, harmonic1=a, harmonic2=b)
+        t = lhf.two_body_tensor(pot, oset, grid)
+        return (t.modulus, t.rule_kept, t.symmetry_deviation, t.blocks.tobytes(),
+                t.anti.tobytes())
+
+    expect = built(h1, h2)
+    for k in (1, -3, 2 ** 55, 10 ** 20):
+        assert built(h1 + 64 * k, h2 - 64 * k) == expect
+
+
 @pytest.mark.parametrize("name", RULE_CASES)
 def test_rule_tensor_matches_tabulated_oracle(name):
     oset, pot, grid = rule_case(name)
