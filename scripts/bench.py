@@ -208,7 +208,7 @@ def rung(path: str, M: int, n_max: int, N: int) -> dict:
     fresh = functools.partial(enumerate_determinants, basis.K, N)
     assemble = call_times(lambda det: assemble_hamiltonian(det, energies, tensor), fresh)
     H, peak = traced(lambda: rung_problem.H)
-    predicted = hamiltonian_bytes(basis.K, N, tensor.modulus)
+    predicted = hamiltonian_bytes(basis.K, N, tensor.modulus, tensor.anti.itemsize)
     rng = np.random.default_rng(SEED)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi /= np.linalg.norm(psi)
@@ -268,9 +268,10 @@ def tensor_row(variant: Problem, orbitals, changes: dict | None, contractions: t
     (tensor_factors), modulus g, the number h of the g blocks of F that
     mean_field contracts (fock_blocks: g // 2 + 1, the others mirrored, which
     is g at g <= 2), the bytes of its factor matrix B with its padding column
-    (factors_mb, 16 K^2 (w + 1) for the widest block's w columns), of its
-    stored blocks of v and F, and the tracemalloc peak of one more call over
-    the bytes two_body_tensor predicts (tensor_bytes).  Each contraction
+    (factors_mb, 16 K^2 (w + 1) for the widest block's w columns), the dtype
+    of its stored blocks of v and F (tensor_dtype, as Problem.counters has
+    it: float64 for a real v) and their bytes, and the tracemalloc peak of
+    one more call over the bytes two_body_tensor predicts (tensor_bytes).  Each contraction
     (mean_field, the HF right-hand side's, or pair_amplitudes, the closed-form
     defect's) is then timed by call_times on seeded random orthonormal
     orbitals of the config's N, after one call that builds its plan or the
@@ -289,6 +290,7 @@ def tensor_row(variant: Problem, orbitals, changes: dict | None, contractions: t
            "blocks": len(factors[2]), "modulus": tensor.modulus,
            "fock_blocks": len(tensor._fock_plan[0]),
            "factors_mb": 16 * K * K * (width + 1) / 1e6 if width else 0.0,
+           "tensor_dtype": str(tensor.anti.dtype),
            "stored_mb": (tensor.blocks.nbytes + tensor.anti.nbytes) / 1e6,
            "tensor_s": statistics.median(times), "calls": len(times),
            "peak_mb": peak / 1e6, "predicted_mb": predicted / 1e6,

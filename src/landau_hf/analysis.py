@@ -274,9 +274,11 @@ class Problem:
 
     def counters(self) -> dict:
         """K and N, then what was built: the grid of the orbitals sampled on
-        config.grid, dim, nnz(H), the tensor's rank and the fraction of its
-        entries the selection rule keeps, and the propagator's matvecs.  Read
-        from the built pieces; nothing is timed."""
+        config.grid, dim, nnz(H), the tensor's rank, the fraction of its
+        entries the selection rule keeps and its dtype (float64 for a real
+        F, so the contractions ran on float views, else complex128), and the
+        propagator's matvecs.  Read from the built pieces; nothing is
+        timed."""
         built = vars(self)
         out = {"K": self.config.single_particle_dim, "N": self.config.N}
         if "grid_orbitals" in built:
@@ -288,6 +290,7 @@ class Problem:
         if "tensor" in built:
             out["tensor_rank"] = self.tensor.rank
             out["tensor_rule_kept"] = self.tensor.rule_kept
+            out["tensor_dtype"] = str(self.tensor.anti.dtype)
         if "propagator" in built:
             out["matvecs"] = self.propagator.matvecs
         return out

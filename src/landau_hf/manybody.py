@@ -38,12 +38,19 @@ built once and is what every contraction reads: the mean field J - X is
 one batched product of F with a gather of the density.  v is made exactly
 exchange-symmetric and Hermitian where it is built, block by block in
 two_body_tensor or as one block in InteractionTensor, and nothing checks it
-again.  Hermiticity maps block t onto block -t, so only blocks 0..g/2 are
+again.  It is real, too: the Landau-gauge one-body Hamiltonian commutes with
+Theta = (complex conjugation) o (x2 -> -x2), the orbitals are Theta-real and
+every analytic kernel is even under x2 -> -x2 (Haldane & Rezayi, PRB 31,
+2529 (1985)), so the imaginary part of v is round-off, measured and dropped
+where v is built: v and F are float64, and every contraction multiplies a
+real F by the float view of its complex operand, half the bytes and the
+flops of a complex F.  A table that is not even under x2 -> -x2 keeps them
+complex.  Hermiticity maps block t onto block -t, so only blocks 0..g/2 are
 contracted and J - X on the others is their conjugate: (g - g//2 - 1) / g
-of the product is skipped, 47% at g = 30.  F also conserves
-pair momentum, m_p + m_q = m_r + m_s (mod g), so over the ascending pairs
-it is block diagonal in g classes (InteractionTensor.pair_blocks, about 16
-C(K,2)^2 / g bytes, built on first read): the amplitudes <pq||ij> of the
+of the product is skipped, 47% at g = 30.  F also conserves pair momentum,
+m_p + m_q = m_r + m_s (mod g), so over the ascending pairs it is block
+diagonal in g classes (InteractionTensor.pair_blocks, about 8 C(K,2)^2 / g
+bytes for a real F, built on first read): the amplitudes <pq||ij> of the
 closed-form defect are one batched product of those blocks with the 2x2
 minors of the orbitals, and H's two-body term reads them in place.
 
@@ -299,22 +306,25 @@ class InteractionTensor:
     beside that of the antisymmetrized F[a, b, g, d] = v[a, b, g, d] - v[a,
     b, d, g] (anti), built once here, which is all that fermions see and all
     that the methods read.  Given a dense values array (any memory order
-    and numeric dtype, stored as complex128), the tensor is one block, g =
-    1.  rank: the terms the quadrature
-    contracted (kept Fourier modes or separable terms), None for a dense
-    table; rule_kept: the fraction of entries the selection rule leaves
-    free, 1.0 without a rule.  values and pair (v in the pair layout pair[(a
-    g), (b d)]) are dense copies, made on each access.
+    and numeric dtype), the tensor is one block, g = 1.  rank: the terms
+    the quadrature contracted (kept Fourier modes or separable terms), None
+    for a dense table; rule_kept: the fraction of entries the selection rule
+    leaves free, 1.0 without a rule.  values and pair (v in the pair layout
+    pair[(a g), (b d)]) are dense complex128 copies, made on each access.
 
     v is exactly symmetric, v[a,b,g,d] == v[b,a,d,g] == conj(v[g,d,a,b])
     bit for bit, so F[q,p,r,s] == -F[p,q,r,s], F[p,p] == 0 and F[a,b,g,d]
     == conj(F[g,d,a,b]).  The symmetry is made once, where v is built: the
     dense values array is checked and symmetrized here by the routine that
-    two_body_tensor runs on each pair of its blocks (_symmetrize; a
+    two_body_tensor runs on each pair of its blocks (_Symmetrizer; a
     non-finite entry or one beyond half the float range raises
     NonFiniteValue, an asymmetry above TENSOR_SYM_TOL SymmetryViolation),
-    and symmetry_deviation is the larger raw exchange/hermiticity deviation
-    it measured, relative to max(max |v|, 1).
+    and symmetry_deviation is the largest raw exchange, hermiticity or, for
+    a real v, imaginary deviation it measured, relative to max(max |v|, 1).
+    Where every imaginary part is within TENSOR_SYM_TOL, as for every kernel
+    even under x2 -> -x2 (module docstring), blocks, anti and the pair
+    blocks are float64, the real parts of the complex symmetrization bit for
+    bit; otherwise (a table that is not, a random dense v) complex128.
 
     The tensor is the only reader of its storage: every contraction of v the
     package makes is one of its methods, mean_field for the HF flow and
@@ -323,9 +333,11 @@ class InteractionTensor:
     blocks 0..g/2 alone and conjugates them into the rest (_fock_plan), and
     pair_amplitudes reads one signed row per unordered pair.
     pair_amplitudes and H read F through pair_blocks, F over the ascending
-    pairs in blocks of pair momentum, about 16 C(K,2)^2 / g bytes gathered
-    from anti on their first read and kept read-only beside it; mean_field,
-    and so the HF flow, never builds them."""
+    pairs in blocks of pair momentum, about 8 C(K,2)^2 / g bytes for a real
+    F, gathered from anti on their first read and kept read-only beside it;
+    mean_field, and so the HF flow, never builds them.  Every product with F
+    goes through _matmul, the one place its dtype matters: a real F
+    multiplies the float view of its complex operand."""
 
     def __init__(self, values, sup_norm: float, rank: int | None = None,
                  rule_kept: float = 1.0):
@@ -334,15 +346,18 @@ class InteractionTensor:
         # one block: cols every pair, rows = swap[cols], so V = v[rows, cols]
         V = np.transpose(np.asarray(values, dtype=np.complex128), (0, 2, 1, 3))
         V = V.reshape(K * K, K * K)[swap]
-        deviation = _symmetrize([(V, V[np.ix_(swap, swap)])])
-        self._store(V[swap].reshape(1, K * K, K * K), K, sup_norm, deviation, rank, rule_kept)
+        symmetrize = _Symmetrizer()
+        V = symmetrize(V, V[np.ix_(swap, swap)])[0]
+        self._store(V[swap].reshape(1, K * K, K * K), K, sup_norm, symmetrize.deviation(),
+                    rank, rule_kept)
 
     @classmethod
     def _from_blocks(cls, blocks: np.ndarray, K: int, sup_norm: float,
                      symmetry_deviation: float, rank: int | None,
                      rule_kept: float) -> "InteractionTensor":
         """The tensor of the (g, K L, K L) blocks of v, kept as given:
-        two_body_tensor's, symmetrized already (_symmetrize)."""
+        two_body_tensor's, symmetrized already (_Symmetrizer), float64 for a
+        real v."""
         tensor = cls.__new__(cls)
         tensor._store(blocks, K, sup_norm, symmetry_deviation, rank, rule_kept)
         return tensor
@@ -378,7 +393,7 @@ class InteractionTensor:
     def pair(self) -> np.ndarray:
         """v in the pair layout, pair[(a g), (b d)], a dense (K^2, K^2) copy."""
         K = self.K
-        pair = np.zeros((K * K, K * K), dtype=self.blocks.dtype)
+        pair = np.zeros((K * K, K * K), dtype=np.complex128)
         pair[self._rows[:, :, None], self._cols[:, None, :]] = self.blocks
         return pair
 
@@ -413,15 +428,15 @@ class InteractionTensor:
     def mean_field(self, C: np.ndarray) -> np.ndarray:
         """eta = (J[rho] - X[rho]) C, rho = C C^H, for (K, N) orbitals C:
         (J - X)[a, g] = sum_bd F[a, b, g, d] rho[d, b] is one product of
-        each of blocks 0..g/2 of F with its gather of rho, the other blocks
-        of the Hermitian J - X their conjugates (_fock_plan), scattered back
-        to (a, g)."""
+        each of blocks 0..g/2 of F with its gather of rho (_matmul: a real F
+        with the gather's float view), the other blocks of the Hermitian J -
+        X their conjugates (_fock_plan), scattered back to (a, g)."""
         if self._zero or C.shape[1] == 1:
             return np.zeros_like(C)
         F, density_at, out, at = self._fock_plan
         h = len(F)
         rho = (C @ C.conj().T).ravel()
-        np.matmul(F, rho.take(density_at)[:, :, None], out=out[:h])
+        _matmul(F, rho.take(density_at)[:, :, None], out[:h])
         np.conjugate(out[1:len(out) - h + 1], out=out[h:])
         return out.ravel().take(at) @ C
 
@@ -433,8 +448,9 @@ class InteractionTensor:
         padded to the largest with the pair (0, 0), whose row and column of
         F (F[0, 0] = 0, F[p, q, 0, 0] = 0) and 2x2 minor are exact zeros.
         F[p, q, r, s] is read from the block of t = m_p - m_r, and is zero
-        where m_s - m_q is not t (mod g).  About 16 C(K,2)^2 / g bytes,
-        against 16 C(K,2)^2 for the dense <pq||rs> over every pair.  As F[q,
+        where m_s - m_q is not t (mod g).  In anti's dtype: about 8 C(K,2)^2 /
+        g bytes for a real F, against 16 C(K,2)^2 for the dense complex
+        <pq||rs> over every pair.  As F[q,
         p] = -F[p, q] and F[p, p] = 0, the row of an ordered pair (p, q) is
         that of (min, max), at ordered[(p q)] with the sign of q - p, 0 at p
         = q."""
@@ -458,13 +474,15 @@ class InteractionTensor:
         q over the basis and i, j over the columns of C: F is antisymmetric
         in (rs), so per pair-momentum block one product of F (pair_blocks)
         with the 2x2 minors C[r, i] C[s, j] - C[s, i] C[r, j] of its
-        ascending column pairs, then one signed gather of the ascending rows
-        fills every (p, q)."""
+        ascending column pairs (_matmul: a real F with the minors' float
+        view), then one signed gather of the ascending rows fills every (p,
+        q)."""
         K, N = C.shape
         blocks = self.pair_blocks
         x = C[blocks.r][:, :, :, None] * C[blocks.s][:, :, None, :]    # C[r, i] C[s, j]
         minors = (x - x.swapaxes(2, 3)).reshape(len(x), -1, N * N)
-        out = (blocks.values @ minors).reshape(-1, N * N).take(blocks.ordered, axis=0)
+        out = _matmul(blocks.values, minors, np.empty_like(minors))
+        out = out.reshape(-1, N * N).take(blocks.ordered, axis=0)
         out *= blocks.sign[:, None]
         return out.reshape(K, K, N, N)
 
@@ -507,9 +525,12 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     columns that share T make one block of v (tensor_factors) and every entry
     outside the blocks is an exact zero, never computed.  Exchange and
     hermiticity map the block of T onto that of -T: each is checked finite
-    and against its image and symmetrized with it (_symmetrize), then
+    and against its image and symmetrized with it (_Symmetrizer), then
     written once into its block of x2 momentum mod g (momentum_modulus),
-    the tensor's storage, from which InteractionTensor builds F."""
+    the tensor's storage, from which InteractionTensor builds F.  The
+    storage takes the dtype of the first pair, float64 where its imaginary
+    part is round-off, as for every kernel even under x2 -> -x2, and turns
+    complex at the first pair that is not (a table that is not even)."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
@@ -521,7 +542,7 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     L = K // modulus                                   # orbitals per momentum class
     table = None
     if R == 0:
-        zero = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
+        zero = np.zeros((modulus, K * L, K * L))
         return InteractionTensor._from_blocks(zero, K, potential.sup_norm(),
                                               symmetry_deviation=0.0, rank=0, rule_kept=0.0)
     if modes or terms:
@@ -553,70 +574,113 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
             np.conjugate(Z, out=Z)
         return Z.T @ Y
 
-    def images():                    # (v[rows, cols], v[cols, rows]) per pair of blocks T, -T
-        done = set()
-        for T, columns in blocks:
-            if T.tobytes() in done:
-                continue
-            done.add(T[neg].tobytes())
-            t = int(T.argmax()) % modulus              # the block of store that holds T's
-            cols = np.flatnonzero(T[transfer])         # (bd) with m_d - m_b in T
-            rows = swap[cols]                          # (ag) with m_a - m_g in T
-            V = block(columns, cols)
-            if own := np.array_equal(T, T[neg]):       # v[cols, rows]: V reordered
-                at = np.searchsorted(cols, rows)
-                Q = V[np.ix_(at, at)]
-            else:                                      # or the block of -T
-                Q = block(image.get(T[neg].tobytes(), []), rows)
-            yield V, Q                                 # symmetrized when drawn again
-            # (x y) -> x L + y // modulus, its place in its block of store
-            rows, cols = (rows // K * L + rows % K // modulus, cols // K * L + cols % K // modulus)
-            store[t][np.ix_(rows, cols)] = V
-            if not own:
-                store[-t % modulus][np.ix_(cols, rows)] = np.conjugate(V, out=Q)
-
-    store = np.zeros((modulus, K * L, K * L), dtype=np.complex128)
-    deviation = _symmetrize(images())
+    symmetrize, store, done = _Symmetrizer(), None, set()
+    for T, columns in blocks:        # v[rows, cols] and its image v[cols, rows] per pair T, -T
+        if T.tobytes() in done:
+            continue
+        done.add(T[neg].tobytes())
+        t = int(T.argmax()) % modulus                  # the block of store that holds T's
+        cols = np.flatnonzero(T[transfer])             # (bd) with m_d - m_b in T
+        rows = swap[cols]                              # (ag) with m_a - m_g in T
+        V = block(columns, cols)
+        if own := np.array_equal(T, T[neg]):           # v[cols, rows]: V reordered
+            at = np.searchsorted(cols, rows)
+            Q = V[np.ix_(at, at)]
+        else:                                          # or the block of -T
+            Q = block(image.get(T[neg].tobytes(), []), rows)
+        V, Q = symmetrize(V, Q)
+        if store is None:                              # in the dtype of the first pair
+            store = np.zeros((modulus, K * L, K * L), dtype=V.dtype)
+        elif store.dtype != V.dtype:                   # a complex pair after a real one
+            store = store.astype(V.dtype)
+        # (x y) -> x L + y // modulus, its place in its block of store
+        rows, cols = (rows // K * L + rows % K // modulus, cols // K * L + cols % K // modulus)
+        store[t][np.ix_(rows, cols)] = V
+        if not own:
+            store[-t % modulus][np.ix_(cols, rows)] = np.conjugate(V, out=Q)
+        del V, Q                      # not held while the next pair is formed
     del B, Bt
     return InteractionTensor._from_blocks(
-        store, K, potential.sup_norm(), deviation, rank=None if table is not None else R,
+        store, K, potential.sup_norm(), symmetrize.deviation(),
+        rank=None if table is not None else R,
         rule_kept=sum(np.count_nonzero(T[transfer]) ** 2 for T, _ in blocks) / K ** 4)
 
 
-def _symmetrize(images) -> float:
+class _Symmetrizer:
     """Check and symmetrize the two-body tensor v in place, one (V, Q) =
-    (v[rows, cols], v[cols, rows]) of images at a time, rows = swap[cols]
-    ((bd) -> (db)), each before the next is drawn: exchange maps V to Q.T,
-    hermiticity to conj(Q).  The raw deviations are measured about 2^14
-    entries at a time.  The symmetrization adds entries in pairs, so a
-    non-finite entry, or one beyond half the float range, raises
-    NonFiniteValue (with no RuntimeWarning), and, once every pair is drawn,
-    an exchange or hermiticity deviation above TENSOR_SYM_TOL max(max |v|,
-    1) raises SymmetryViolation.  Then V = (V + Q.T) / 2, then (V + conj(
-    V.T)) / 2, Q the scratch for conj(V.T): an entry and its images get the
-    same bits.  Returns the larger deviation relative to max(max |v|, 1)."""
-    scale, exch, herm = 1.0, 0.0, 0.0
-    for V, Q in images:
-        step = max(1, 2 ** 14 // len(V))
+    (v[rows, cols], v[cols, rows]) pair of blocks at a time, rows =
+    swap[cols] ((bd) -> (db)), each before the next is formed: exchange maps
+    V to Q.T, hermiticity to conj(Q).  The raw deviations, and max |Im| of
+    the pair, are measured in one pass about 2^14 entries at a time.  The
+    symmetrization adds entries in pairs, so a non-finite entry, or one
+    beyond half the float range, raises NonFiniteValue (with no
+    RuntimeWarning).  Then V = (V + Q.T) / 2, then (V + conj(V.T)) / 2, Q
+    the scratch for conj(V.T): an entry and its images get the same bits.
+
+    The orbitals are real under Theta = (complex conjugation) o (x2 -> -x2),
+    which commutes with the Landau-gauge one-body Hamiltonian, and every
+    analytic kernel is even under x2 -> -x2 in both particles, so v is real
+    (Haldane & Rezayi, PRB 31, 2529 (1985)): its imaginary part is round-off.
+    While max |Im| of every pair so far is within TENSOR_SYM_TOL of the
+    running scale max(max |v|, 1), the real parts alone are symmetrized and
+    returned, float64 views of V and Q: as complex addition and halving are
+    componentwise, they are the complex path's real parts bit for bit.  A
+    pair beyond that (a table that is not even under x2 -> -x2, a random
+    dense v) keeps V and Q complex, and so does every later pair.
+
+    deviation(), once every pair is drawn, raises SymmetryViolation for an
+    exchange or hermiticity deviation above TENSOR_SYM_TOL max(max |v|, 1),
+    and returns the largest deviation, the imaginary part dropped included,
+    relative to max(max |v|, 1)."""
+
+    def __init__(self):
+        self.scale, self.exch, self.herm, self.imag, self.real = 1.0, 0.0, 0.0, 0.0, True
+
+    def __call__(self, V: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        step, imag = max(1, 2 ** 14 // len(V)), 0.0
         with np.errstate(over="ignore", invalid="ignore"):     # NonFiniteValue below
             for s in range(0, len(V), step):
                 e = s + step
-                scale = float(np.max([scale, np.abs(V[s:e]).max(), np.abs(Q[s:e]).max()]))
-                exch = max(exch, float(np.abs(V[s:e] - Q.T[s:e]).max()))
-                herm = max(herm, float(np.abs(V[s:e] - Q[s:e].conj()).max()))
-        if not math.isfinite(2.0 * scale):                     # NaN fails too
+                self.scale = float(np.max([self.scale, np.abs(V[s:e]).max(),
+                                           np.abs(Q[s:e]).max()]))
+                self.exch = max(self.exch, float(np.abs(V[s:e] - Q.T[s:e]).max()))
+                self.herm = max(self.herm, float(np.abs(V[s:e] - Q[s:e].conj()).max()))
+                imag = max(imag, float(np.abs(V.imag[s:e]).max()),
+                           float(np.abs(Q.imag[s:e]).max()))
+        if not math.isfinite(2.0 * self.scale):                # NaN fails too
             raise NonFiniteValue("two-body tensor has a non-finite entry, or one "
                                  "beyond half the float range")
+        self.real = self.real and imag <= TENSOR_SYM_TOL * self.scale
+        if self.real:
+            self.imag = max(self.imag, imag)
+            V, Q = V.real, Q.real
         V += Q.T
         V *= 0.5
         np.conjugate(V.T, out=Q)
         V += Q
         V *= 0.5
-        del V, Q                      # not held while the next pair is formed
-    if not (exch <= TENSOR_SYM_TOL * scale and herm <= TENSOR_SYM_TOL * scale):
-        raise SymmetryViolation(
-            f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
-    return max(exch, herm) / scale
+        return V, Q
+
+    def deviation(self) -> float:
+        exch, herm, tol = self.exch, self.herm, TENSOR_SYM_TOL * self.scale
+        if not (exch <= tol and herm <= tol):
+            raise SymmetryViolation(
+                f"tensor symmetry deviation: exchange {exch:.3e}, hermitian {herm:.3e}")
+        return max(exch, herm, self.imag) / self.scale
+
+
+def _matmul(F: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = F @ X for a stack F of the tensor's blocks and a complex X, out
+    returned; the only product whose dtypes differ by the tensor.  A float64
+    F multiplies the float view of X, its real and imaginary parts as
+    adjacent columns, into that of out: one real product, where a mixed
+    matmul would upcast F to complex on every call.  X's and out's last axes
+    are contiguous."""
+    if F.dtype == np.float64:
+        np.matmul(F, X.view(np.float64), out=out.view(np.float64))
+    else:
+        np.matmul(F, X, out=out)
+    return out
 
 
 def pair_factors(orbitals: OrbitalSet, modes, terms, blocks=None) -> np.ndarray:
@@ -650,8 +714,10 @@ def tensor_bytes(K: int, M: int, grid: Grid, modes, terms, blocks) -> int:
     of tensor_factors on grid: 16 K^2 (w + 1) for the transfer-compact B,
     w the widest block's columns (pair_factors), and a padding column, and
     the larger of B's temporaries while it is filled and, once they are
-    freed, 32 K^4 / g for the blocks of v and F (momentum_modulus g) with 64
-    K^2 for their index arrays and 32 n (n + r) for the factor slices,
+    freed, the blocks of v and F (momentum_modulus g), 16 K^4 / g for the
+    real ones of the Gaussian, cosine and zero kinds (even under x2 -> -x2)
+    and 32 K^4 / g for a table's, which may be complex, with 64 K^2 for
+    their index arrays and 32 n (n + r) for the complex factor slices,
     product and image of the largest block, n = |T| K^2 / M pairs by r
     columns.  B's temporaries: for a table, 32 K P for the orbital samples
     at the P grid points and their conjugate; in closed form
@@ -672,7 +738,8 @@ def tensor_bytes(K: int, M: int, grid: Grid, modes, terms, blocks) -> int:
         else:
             u, c = 1, max(np.bincount(k).max() for *_, k, _ in terms)
         fill = 16 * K * K * (grid.G1 + u) + 72 * K * K * int(c)
-    stored = 32 * K ** 4 // momentum_modulus(M, blocks) + 64 * K * K
+    item = 16 if modes is None and terms is None else 8     # a table's v may be complex
+    stored = 2 * item * K ** 4 // momentum_modulus(M, blocks) + 64 * K * K
     return 16 * K * K * (width + 1) + max(
         fill, stored + max((32 * n * (n + r) for n, r in sizes), default=0))
 
@@ -722,7 +789,9 @@ class Hamiltonian:
     (assemble_hamiltonian): one_body * x, one_body the sum of e_p over each
     row's orbitals, plus, given pair blocks of F (PairBlocks), the two-body
     term on their read-only (g, P, P) values W, never copied: the put of
-    sign * x into D_2 (put_signed), Z = W @ D_2, one batched product, and
+    sign * x into D_2 (put_signed), Z = W @ D_2, one batched product (for a
+    real W, float64 as F is, one real product on the float views of D_2 and
+    Z: _matmul), and
     the gather, the sum of sign * Z.take(at) over the place pairs in order
     (gather_signed), into which one_body * x is added, so an entry of H and
     its mirror add the same terms in the same order (H is exactly
@@ -782,7 +851,7 @@ class Hamiltonian:
 
     def _product(self):
         """Z = W @ D_2, one product per pair-momentum block."""
-        np.matmul(self.W, self._D2, out=self._Z)
+        _matmul(self.W, self._D2, self._Z)
 
     def _gather(self) -> np.ndarray:
         """A_2^T Z."""
@@ -823,7 +892,7 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     if N == 1 or tensor is None or tensor.is_zero():
         return Hamiltonian(basis, one_body)
 
-    nbytes = hamiltonian_bytes(K, N, tensor.modulus)
+    nbytes = hamiltonian_bytes(K, N, tensor.modulus, tensor.anti.itemsize)
     if nbytes > H_BYTE_CAP:
         rows = pair_classes(*np.triu_indices(K, 1), tensor.modulus)[0].size
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
@@ -832,14 +901,15 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     return Hamiltonian(basis, one_body, tensor.pair_blocks)
 
 
-def hamiltonian_bytes(K: int, N: int, modulus: int = 1) -> int:
+def hamiltonian_bytes(K: int, N: int, modulus: int = 1, itemsize: int = 16) -> int:
     """Bytes of the two-body Hamiltonian's arrays: D_2 and Z, (g P,
-    C(K,N-2)) each, the pair blocks it reads, (g, P, P), P the largest
-    class of pair_classes, built by assemble_hamiltonian on their first
-    read, and its one two-hole table, (C(N,2), C(K,N)) int64."""
+    C(K,N-2)) complex each, the pair blocks it reads, (g, P, P) entries of
+    itemsize bytes (the tensor's: 8 for a real F, 16 for a complex one), P
+    the largest class of pair_classes, built by assemble_hamiltonian on
+    their first read, and its one two-hole table, (C(N,2), C(K,N)) int64."""
     g, P = pair_classes(*np.triu_indices(K, 1), modulus)[0].shape
     return (32 * g * P * math.comb(K, N - 2) + 8 * math.comb(N, 2) * math.comb(K, N)
-            + 16 * g * P * P)
+            + itemsize * g * P * P)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ rule's zeros set in B, and checks and symmetrizes it one slab of fixed a
 at a time, with no momentum block and no transfer-compact B; the same slab
 symmetrization serves a dense v given to InteractionTensor, and the
 exact-symmetry oracle reads v and F entry by entry from the documented
-block layout.  DenseTensor reads
+block layout.  The complex-path oracle builds the tensor with the complex
+symmetrization it had before v was made real, every block kept complex,
+for the contractions' complex path.  DenseTensor reads
 a dense pair matrix for the tensor's methods, with no block and no
 antisymmetrized copy: J and X one pass each, the pair amplitudes by
 sequential contractions of v.  The blockwise mean field contracts every
@@ -472,14 +474,70 @@ def per_orbital_mean_field(orbitals: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def blockwise_mean_field(tensor, C: np.ndarray) -> np.ndarray:
     """(J - X) C with every momentum block of the tensor's F contracted, no
-    symmetry of v used: one batched product of F with its gather of rho,
-    scattered back to (a, g), the numpy calls of InteractionTensor.mean_field
-    at g <= 2, where it mirrors no block."""
+    symmetry of v used: one batched product of F with its gather of rho (a
+    real F with the gather's float view), scattered back to (a, g), the
+    numpy calls of InteractionTensor.mean_field at g <= 2, where it mirrors
+    no block."""
     if tensor.is_zero() or C.shape[1] == 1:
         return np.zeros_like(C)
     rho = (C @ C.conj().T).ravel()
-    fock = (tensor.anti @ rho.take(tensor._density_at)[:, :, None]).ravel()
+    fock = real_product(tensor.anti, rho.take(tensor._density_at)[:, :, None]).ravel()
     return fock.take(tensor._fock_at).reshape(tensor.K, tensor.K) @ C
+
+
+def real_product(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F @ X for a complex X, a float64 F multiplied with X's float view
+    (real and imaginary parts as adjacent columns), so no complex copy of F
+    is made."""
+    if F.dtype != np.float64:
+        return F @ X
+    return (F @ np.ascontiguousarray(X).view(np.float64)).view(np.complex128)
+
+
+class ComplexSymmetrizer:
+    """The complex symmetrization of the two-body tensor, manybody's
+    _Symmetrizer with every pair kept complex, as it was before v was made
+    real: the exchange and hermiticity deviations of each (V, Q) pair about
+    2^14 entries at a time, then V = (V + Q.T) / 2 and (V + conj(V.T)) / 2 on
+    the complex blocks; deviation() raises SymmetryViolation beyond
+    TENSOR_SYM_TOL and returns the larger deviation relative to max(max |v|,
+    1)."""
+
+    def __init__(self):
+        self.scale, self.exch, self.herm = 1.0, 0.0, 0.0
+
+    def __call__(self, V, Q):
+        step = max(1, 2 ** 14 // len(V))
+        for s in range(0, len(V), step):
+            e = s + step
+            self.scale = float(np.max([self.scale, np.abs(V[s:e]).max(), np.abs(Q[s:e]).max()]))
+            self.exch = max(self.exch, float(np.abs(V[s:e] - Q.T[s:e]).max()))
+            self.herm = max(self.herm, float(np.abs(V[s:e] - Q[s:e].conj()).max()))
+        V += Q.T
+        V *= 0.5
+        np.conjugate(V.T, out=Q)
+        V += Q
+        V *= 0.5
+        return V, Q
+
+    def deviation(self) -> float:
+        tol = manybody.TENSOR_SYM_TOL * self.scale
+        if not (self.exch <= tol and self.herm <= tol):
+            raise SymmetryViolation(f"tensor symmetry deviation: exchange {self.exch:.3e}, "
+                                    f"hermitian {self.herm:.3e}")
+        return max(self.exch, self.herm) / self.scale
+
+
+def complex_path(build):
+    """build() with manybody's symmetrization replaced by ComplexSymmetrizer:
+    the tensor as it was built before v was made real, its blocks, F and
+    pair blocks complex128, for every contraction's complex path."""
+    real = manybody._Symmetrizer
+    manybody._Symmetrizer = ComplexSymmetrizer
+    try:
+        return build()
+    finally:
+        manybody._Symmetrizer = real
 
 
 def gram_deviation(C: np.ndarray) -> float:
@@ -608,11 +666,11 @@ def poisson_gaussian_table(sigma: float, grid, modes: int = 50) -> np.ndarray:
 def antisymmetrized_pairs(tensor) -> np.ndarray:
     """<pq||rs> = F[p,q,r,s] over ascending pairs, (C(K,2), C(K,2)), the
     pairs p < q in the order of np.triu_indices(K, 1): the dense scatter of
-    the tensor's pair blocks, zero between pairs of different pair
-    momentum."""
+    the tensor's pair blocks, in their dtype, zero between pairs of
+    different pair momentum."""
     blocks = tensor.pair_blocks
     n = math.comb(tensor.K, 2)
-    W = np.zeros((n + 1, n + 1), dtype=np.complex128)   # row and column n take the padding
+    W = np.zeros((n + 1, n + 1), dtype=blocks.values.dtype)   # row and column n: the padding
     W[blocks.pairs[:, :, None], blocks.pairs[:, None, :]] = blocks.values
     return W[:n, :n].copy()
 
@@ -632,7 +690,7 @@ def signed_sum(Z: np.ndarray, at: np.ndarray, sign: np.ndarray) -> np.ndarray:
 def dense_w_matvec(basis, energies, tensor):
     """x -> H x through the dense W over every ascending pair, (C(K,2),
     C(K,2)), with D_2 and Z over every pair: signed_put on basis.holes(2),
-    Z = W @ D_2 and signed_sum, into which the one-body diagonal, the sum of
+    Z = W @ D_2 (real_product) and signed_sum, into which the one-body diagonal, the sum of
     e_p over each row's orbitals, times x is added."""
     K, N = basis.K, basis.N
     W = antisymmetrized_pairs(tensor)
@@ -642,7 +700,7 @@ def dense_w_matvec(basis, energies, tensor):
 
     def matvec(x):
         signed_put(D2, at, sign, x)
-        y = signed_sum(W @ D2, at, sign)
+        y = signed_sum(real_product(W, D2), at, sign)
         y += one_body * x
         return y
     return matvec

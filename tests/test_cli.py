@@ -14,7 +14,7 @@ import pytest
 from landau_hf import analysis, manybody
 from landau_hf.analysis import ComparisonRecord, Problem
 from landau_hf.cli import build_parser, dispatch, write_timeseries
-from landau_hf.config import INTEGRATORS, load_config
+from landau_hf.config import INTEGRATORS, Grid, load_config
 from landau_hf.manybody import DeterminantBasis, FillingSpec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -157,14 +157,14 @@ def test_manifest_counters_name_what_each_run_built(tmp_path, capsys, monkeypatc
     problem = Problem(load_config(cfg))
     samples = sum(1 for _ in problem.exact_samples())
     assert samples == 6 and problem.propagator.matvecs > samples
-    # cosine, harmonic2 = 1, M = 3: transfers +-1 mod 3 in each particle, 4/9
-    built = {"K": 9, "N": 3, "dim": 84, "nnz": problem.H.nnz, "tensor_rank": 1,
-             "tensor_rule_kept": 4 / 9}
+    # cosine, harmonic2 = 1, M = 3: transfers +-1 mod 3 in each particle, 4/9;
+    # the kernel is even under x2 -> -x2, so F is real
+    tensor = {"tensor_rank": 1, "tensor_rule_kept": 4 / 9, "tensor_dtype": "float64"}
+    built = {"K": 9, "N": 3, "dim": 84, "nnz": problem.H.nnz, **tensor}
     assert counters["compare"] == counters["evolve-exact"] == {
         **built, "matvecs": problem.propagator.matvecs}
     assert 84 < built["nnz"] < 84 * (1 + 3 * 6 + 3 * 15)
-    assert counters["evolve-hf"] == {"K": 9, "N": 3, "tensor_rank": 1,
-                                     "tensor_rule_kept": 4 / 9}
+    assert counters["evolve-hf"] == {"K": 9, "N": 3, **tensor}
     assert counters["groundstate"] == {"K": 9, "N": 3}
     # grid1 = 32 resolves the magnetic length at M = 2, not at M = 3
     assert counters_of("basis", write_cfg(tmp_path, "small.cfg", M=2, n_max=1, N=2)) == {
@@ -176,7 +176,7 @@ def test_manifest_counters_name_what_each_run_built(tmp_path, capsys, monkeypatc
     assert counters_of("evolve-exact", huge, rc=1) == {
         "K": 9, "N": 3, "dim": problem.det_basis.dim, "nnz": problem.H.nnz,
         "tensor_rank": problem.tensor.rank, "tensor_rule_kept": problem.tensor.rule_kept,
-        "matvecs": 0}
+        "tensor_dtype": "float64", "matvecs": 0}
     closed = analysis.defect_norm
     monkeypatch.setattr(analysis, "defect_norm", lambda *args: closed(*args) + 1e-6)
     assert counters_of("compare", cfg, rc=1) == built
@@ -597,7 +597,8 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
                                                        command):
     # K = 30, N = 27: C(30, 27) = 4060 determinants, but applying H needs
     # two g P x C(30, 25) arrays of two-hole amplitudes, 450 rows for the 435
-    # pairs in g pair-momentum classes of P = 450 / g, 2.07 GB
+    # pairs in g pair-momentum classes of P = 450 / g, 2.06 GB (2.07 GB while
+    # the pair blocks of F were complex)
     def unlisted(*args):
         raise AssertionError("a hole table was built")
     monkeypatch.setattr(DeterminantBasis, "holes", unlisted)
@@ -608,7 +609,7 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
     assert dispatch([command, "--config", str(cfg), "--out-dir", str(out),
                      "--threads", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: H on C(30,27) = 4060 determinants needs 2.07 GB")
+    assert err.startswith("error: H on C(30,27) = 4060 determinants needs 2.06 GB")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
     assert "over the budget" in manifest["validations"]["error"]["detail"]
@@ -617,8 +618,9 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
 def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, capsys,
                                                                      monkeypatch):
     # configs/k30n10.cfg at M = 60, n_max = 1 on 512^2 grids with the cosine
-    # kernel: K = 120, 3.33 GB, nearly all of it the blocks of v and F, 32 K^4 / g
-    # at g = gcd(60, 2) = 2 (the Gaussian's g = 60 blocks fit the budget)
+    # kernel: K = 120, 1.67 GB, nearly all of it the real blocks of v and F,
+    # 16 K^4 / g at g = gcd(60, 2) = 2 (the Gaussian's g = 60 blocks fit the
+    # budget)
     def unbuilt(*args, **kwargs):
         raise AssertionError("an orbital was built")
     monkeypatch.setattr(analysis, "build_orbital_set", unbuilt)
@@ -635,7 +637,7 @@ def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, 
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: two-body tensor at K = 120 with ")
-    assert "needs 3.33 GB, over the budget" in err
+    assert "needs 1.67 GB, over the budget" in err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
 
@@ -816,6 +818,32 @@ def test_tabulated_kernel_compare_matches_the_gaussian_kind(tmp_path):
     assert names == columns["tab"].dtype.names and len(columns["gauss"]) == 11
     for name in names:
         assert np.max(np.abs(columns["gauss"][name] - columns["tab"][name])) <= 1e-12, name
+
+
+def test_tabulated_kernel_odd_under_x2_reflection_keeps_a_complex_tensor(tmp_path):
+    # 0.2 cos 2 pi ((x1 - y1) / L1 + (x2 - y2) / L2) is real and symmetric but
+    # not even under x2 -> -x2, so v is complex: F stays complex128, and the
+    # run meets its bounds
+    text = (ROOT / "configs/gaussian.cfg").read_text()
+    text = text.replace("tensor_grid1 = 64", "tensor_grid1 = 32").replace(
+        "tensor_grid2 = 64", "tensor_grid2 = 32")
+    domain = load_config(ROOT / "configs/gaussian.cfg").domain
+    grid = Grid(L1=domain.L1, L2=domain.L2, G1=32, G2=32)
+    x1, x2 = grid.mesh()
+    phase = 2 * np.pi * (x1 / grid.L1 + x2 / grid.L2).ravel()
+    table = tmp_path / "table.npy"
+    np.save(table, 0.2 * np.cos(phase[:, None] - phase))
+    cfg = tmp_path / "tilted.cfg"
+    cfg.write_text(text.replace("kind = periodic-gaussian", f"kind = tabulated\npath = {table}"))
+    tensor = Problem(load_config(cfg)).tensor
+    assert tensor.anti.dtype == tensor.pair_blocks.values.dtype == np.complex128
+    assert np.abs(tensor.blocks.imag).max() > 0.1 * np.abs(tensor.blocks).max()
+    out = tmp_path / "out"
+    assert dispatch(["compare", "--config", str(cfg), "--out-dir", str(out),
+                     "--threads", "1"]) == 0
+    assert json.loads((out / "compare_summary.json").read_text())["bound_violations"] == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    assert counters["tensor_dtype"] == "complex128" and counters["tensor_rank"] is None
 
 
 def run_python(code, *args):

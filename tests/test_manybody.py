@@ -528,7 +528,9 @@ def test_blocked_tensor_matches_dense_oracle(name, free, monkeypatch):
     pair, deviation, kept = helpers.dense_two_body_tensor(pot, oset, grid)
     scale = np.abs(pair).max()
     assert np.abs(tensor.pair - pair).max() <= 1e-15 * scale
-    assert np.array_equal(tensor.pair == 0, pair == 0)
+    # the oracle keeps the round-off imaginary parts the real tensor drops
+    assert tensor.anti.dtype == np.float64 and not tensor.pair.imag.any()
+    assert np.array_equal(tensor.pair == 0, pair.real == 0)
     assert helpers.symmetry_deviations(tensor.pair) == (0.0, 0.0)
     assert tensor.rule_kept == kept and (kept == 1.0) == free
     assert abs(tensor.symmetry_deviation - deviation) <= 1e-15
@@ -791,22 +793,64 @@ def test_dense_values_contract_every_block(rng):
     assert tensor.modulus == 1 and len(tensor._fock_plan[0]) == 1
 
 
-@pytest.mark.parametrize("name", [*RULE_CASES, *MIRROR_CASES, "tabulated", "zero"])
+def tensor_case(name):
+    """(orbital set, kernel, grid) of block_case(name), or of config_problem's
+    on its tensor grid."""
+    if name in RULE_CASES or name in ("tabulated", "zero"):
+        return block_case(name)
+    config = config_problem(name).config
+    grid = config.tensor_grid
+    return lhf.build_orbital_set(config, grid=grid), config.potential, grid
+
+
+@pytest.mark.parametrize("name", [*RULE_CASES, *MIRROR_CASES, "example", "k16n4", "tabulated",
+                                  "zero"])
 def test_built_tensor_is_exactly_symmetric(name):
     # what the mean field's mirror and the amplitudes' signed rows rely on:
     # v exchange-symmetric and Hermitian bit for bit, so F antisymmetric in
     # each pair and Hermitian, F[p, p] = 0, for every kind two_body_tensor
-    # builds, and the padding rows and columns of its pair blocks zero
-    if name in MIRROR_CASES:
-        tensor = mirror_case(name)[0]
-    else:
-        oset, pot, grid = block_case(name)
-        tensor = lhf.two_body_tensor(pot, oset, grid)
+    # builds, and the padding rows and columns of its pair blocks zero.
+    # Every kernel here is even under x2 -> -x2, so v is real: v, F and the
+    # pair blocks are float64, the real parts of the complex symmetrization's
+    # bit for bit, while the dense copies values and pair stay complex128
+    oset, pot, grid = tensor_case(name)
+    build = functools.partial(lhf.two_body_tensor, pot, oset, grid)
+    tensor, oracle = build(), helpers.complex_path(build)
     helpers.assert_exactly_symmetric(tensor)
+    for real, complex_ in [(tensor.blocks, oracle.blocks), (tensor.anti, oracle.anti),
+                           (tensor.pair_blocks.values, oracle.pair_blocks.values)]:
+        assert real.dtype == np.float64
+        assert complex_.dtype == np.complex128 or name == "zero"     # no block is formed
+        assert real.tobytes() == complex_.real.tobytes()
+    assert tensor.values.dtype == tensor.pair.dtype == np.complex128
+    assert tensor.symmetry_deviation >= oracle.symmetry_deviation
     blocks = tensor.pair_blocks
     padding = blocks.pairs == math.comb(tensor.K, 2)
     assert not blocks.values[padding].any()
     assert not blocks.values.swapaxes(1, 2)[padding].any()
+
+
+def test_a_complex_pair_after_a_real_one_turns_the_storage_complex(monkeypatch):
+    # gaussian-M3 forms two pairs of blocks; with the second kept complex the
+    # storage turns complex, every real part as the complex path has it and
+    # the first pair's imaginary part, round-off, dropped
+    class KeepLaterPairsComplex(manybody._Symmetrizer):
+        def __call__(self, V, Q):
+            out = super().__call__(V, Q)
+            self.real = False
+            return out
+
+    oset, pot, grid = rule_case("gaussian-M3")
+    oracle = helpers.complex_path(lambda: lhf.two_body_tensor(pot, oset, grid))
+    monkeypatch.setattr(manybody, "_Symmetrizer", KeepLaterPairsComplex)
+    tensor = lhf.two_body_tensor(pot, oset, grid)
+    assert tensor.blocks.dtype == tensor.anti.dtype == np.complex128
+    helpers.assert_exactly_symmetric(tensor)
+    assert tensor.blocks.real.tobytes() == oracle.blocks.real.tobytes()
+    dropped = tensor.blocks.imag != oracle.blocks.imag
+    assert dropped.any() and not tensor.blocks.imag[dropped].any()
+    scale = max(np.abs(oracle.blocks).max(), 1.0)        # what the deviation is relative to
+    assert np.abs(oracle.blocks.imag[dropped]).max() <= tensor.symmetry_deviation * scale
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -848,7 +892,7 @@ def test_pair_blocks_hold_the_antisymmetrized_pairs_by_pair_momentum(name):
         assert np.array_equal(blocks.s[c, :classes[c]], [pairs[k][1] for k in at])
         assert np.array_equal(blocks.values[c, :classes[c], :classes[c]], W[np.ix_(at, at)])
     assert np.array_equal(blocks.pairs.ravel()[blocks.slot], np.arange(len(pairs)))
-    assert blocks.values.nbytes == 16 * g * P * P
+    assert blocks.values.nbytes == 8 * g * P * P                # real F
     # an ordered pair reads the row of its ascending pair, with the sign of q - p
     for p, q in itertools.product(range(K), repeat=2):
         if p != q:
@@ -1301,15 +1345,16 @@ def shifted_norm(dense):
     return np.abs(dense - np.trace(dense) / len(dense) * np.eye(len(dense))).sum(axis=0).max()
 
 
-# nnz of H: the selection rule's exact zeros leave 80,943 of 99,495, 1,812 of
-# 5,376 and 115,260 of 809,900 entries; w_nnz: the nonzero entries of W.  The
-# Gaussian's 432 include W[(1 2), (2 7)] = v[1,2,2,7] - v[1,2,7,2] and its
-# mirror, +-2.2e-20i (1.8e-20 of max |W|): round-off of the block products,
-# where one dense product cancelled it exactly
+# nnz of H: the selection rule's exact zeros leave 80,943 of 99,495, 1,790 of
+# 5,376 and 115,220 of 809,900 entries; w_nnz: the nonzero entries of W.  F
+# is real, so an entry whose real part is zero is an exact zero: the complex
+# tensor had W[(1 2), (2 7)] = v[1,2,2,7] - v[1,2,7,2] on the Gaussian and
+# its mirror at +-2.2e-20i (1.8e-20 of max |W|), round-off of the block
+# products, counted in its 432 and 1,812
 @pytest.mark.parametrize("path,changes,nnz,w_nnz", [
     ("configs/k16n4.cfg", {"M": 3, "n_max": 3}, 80943, 3114),   # exact_k12n4: cosine, K=12, N=4
-    ("configs/gaussian.cfg", {"N": 3}, 1812, 432),               # compare_k9n3: Gaussian, K=9, N=3
-    ("configs/k16n4.cfg", {}, 115260, 1832)],                    # cosine, K=16, N=4, M=8
+    ("configs/gaussian.cfg", {"N": 3}, 1790, 422),               # compare_k9n3: Gaussian, K=9, N=3
+    ("configs/k16n4.cfg", {}, 115220, 1832)],                    # cosine, K=16, N=4, M=8
     ids=["configs/k16n4.cfg-changes0", "configs/gaussian.cfg-changes1",
          "configs/k16n4.cfg-changes2"])
 def test_assemble_matches_coo_oracle_on_shipped_kernels(rng, path, changes, nnz, w_nnz):
@@ -1350,13 +1395,21 @@ def blocked_case(name):
     (N = 4), of g = 1, 2, 3 and 8 (gaussian.cfg at M = 8, K = 24), and
     gaussian.cfg at M = 2, K = 6, whose g = 2 classes of 9 and 6 pairs
     leave 3 padding rows."""
+    problem = config_problem(name)
+    return problem.det_basis, problem.energies, problem.tensor
+
+
+def config_problem(name) -> Problem:
+    """A fresh Problem of a BLOCKED_CASES or MIRROR_CASES name, or of a
+    shipped config."""
     path, changes = {"example-g1": ("configs/example.cfg", {"N": 3}),
                      "k16n4-g2": ("configs/k16n4.cfg", {}),
                      "gaussian-g3": ("configs/gaussian.cfg", {"N": 3}),
                      "gaussian-g8": ("configs/gaussian.cfg", {"M": 8, "N": 3}),
-                     "gaussian-g2": ("configs/gaussian.cfg", {"M": 2, "N": 3})}[name]
-    problem = Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
-    return problem.det_basis, problem.energies, problem.tensor
+                     "gaussian-g2": ("configs/gaussian.cfg", {"M": 2, "N": 3}),
+                     **MIRROR_CASES,
+                     **{name: (f"configs/{name}.cfg", {}) for name in SHIPPED}}[name]
+    return Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
 
 
 def blocked_dense(name):
@@ -1382,6 +1435,29 @@ def test_blocked_matvec_matches_the_dense_w_path(name, rng):
         assert np.abs(y - oracle(x)).max() <= 1e-15 * scale
         if tensor.modulus == 1:
             assert y.tobytes() == oracle(x).tobytes()
+
+
+@pytest.mark.parametrize("name", [*BLOCKED_CASES, "gaussian-g6", "gaussian-g30"])
+def test_real_contractions_match_the_complex_path(name, rng):
+    # a real F multiplies the float views of its operands: the Fock action,
+    # the amplitudes and H @ x within 1e-15 of the complex tensor's, the one
+    # of the complex symmetrization (H at K = 30 and 60 is not built)
+    problem = config_problem(name)
+    config, tensor = problem.config, problem.tensor
+    oracle = helpers.complex_path(lambda: lhf.two_body_tensor(
+        config.potential, problem.orbital_set, config.tensor_grid))
+    assert tensor.anti.dtype == np.float64 and oracle.anti.dtype == np.complex128
+    C = random_hf_state(rng, tensor.K, config.N).orbitals
+    for method in ("mean_field", "pair_amplitudes"):
+        got, want = getattr(tensor, method)(C), getattr(oracle, method)(C)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    if name in MIRROR_CASES:
+        return
+    H = lhf.assemble_hamiltonian(problem.det_basis, problem.energies, oracle)
+    assert problem.H.W.dtype == np.float64 and H.W.dtype == np.complex128
+    for x in random_complex(rng, 3, H.shape[1]):
+        want = H @ x
+        assert np.abs(problem.H @ x - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name", BLOCKED_CASES)
@@ -1492,7 +1568,7 @@ def test_byte_budget_is_the_size_of_the_blocked_operator(monkeypatch):
     # basis caches no two-hole table
     _, energies, tensor = blocked_case("gaussian-g8")
     basis = lhf.enumerate_determinants(24, 3)          # blocked_case's is shared
-    nbytes = manybody.hamiltonian_bytes(24, 3, 8)
+    nbytes = manybody.hamiltonian_bytes(24, 3, 8, itemsize=8)     # a real F
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, energies, tensor)
     assert H.W.shape == (8, 36, 36) and H._D2.shape == H._Z.shape == (8, 36, 24)
