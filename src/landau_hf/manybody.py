@@ -529,8 +529,10 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     written once into its block of x2 momentum mod g (momentum_modulus),
     the tensor's storage, from which InteractionTensor builds F.  The
     storage takes the dtype of the first pair, float64 where its imaginary
-    part is round-off, as for every kernel even under x2 -> -x2, and turns
-    complex at the first pair that is not (a table that is not even)."""
+    part is round-off, as for every kernel even under x2 -> -x2, complex128
+    where it is not: a table, which forms one pair (its row T allows every
+    transfer, T = -T), that is not even.  Every later pair must agree, or
+    SymmetryViolation is raised (as for a broken quadrature)."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
@@ -591,8 +593,10 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
         V, Q = symmetrize(V, Q)
         if store is None:                              # in the dtype of the first pair
             store = np.zeros((modulus, K * L, K * L), dtype=V.dtype)
-        elif store.dtype != V.dtype:                   # a complex pair after a real one
-            store = store.astype(V.dtype)
+        elif store.dtype != V.dtype:                   # an exchange or hermiticity
+            symmetrize.deviation()                     # deviation is named first
+            raise SymmetryViolation("tensor symmetry deviation: one pair of blocks real, "
+                                    "another not")
         # (x y) -> x L + y // modulus, its place in its block of store
         rows, cols = (rows // K * L + rows % K // modulus, cols // K * L + cols % K // modulus)
         store[t][np.ix_(rows, cols)] = V
@@ -621,12 +625,12 @@ class _Symmetrizer:
     which commutes with the Landau-gauge one-body Hamiltonian, and every
     analytic kernel is even under x2 -> -x2 in both particles, so v is real
     (Haldane & Rezayi, PRB 31, 2529 (1985)): its imaginary part is round-off.
-    While max |Im| of every pair so far is within TENSOR_SYM_TOL of the
-    running scale max(max |v|, 1), the real parts alone are symmetrized and
-    returned, float64 views of V and Q: as complex addition and halving are
+    Where max |Im| of the pair is within TENSOR_SYM_TOL of the running scale
+    max(max |v|, 1), the real parts alone are symmetrized and returned,
+    float64 views of V and Q: as complex addition and halving are
     componentwise, they are the complex path's real parts bit for bit.  A
     pair beyond that (a table that is not even under x2 -> -x2, a random
-    dense v) keeps V and Q complex, and so does every later pair.
+    dense v) keeps V and Q complex.
 
     deviation(), once every pair is drawn, raises SymmetryViolation for an
     exchange or hermiticity deviation above TENSOR_SYM_TOL max(max |v|, 1),
@@ -634,7 +638,7 @@ class _Symmetrizer:
     relative to max(max |v|, 1)."""
 
     def __init__(self):
-        self.scale, self.exch, self.herm, self.imag, self.real = 1.0, 0.0, 0.0, 0.0, True
+        self.scale, self.exch, self.herm, self.imag = 1.0, 0.0, 0.0, 0.0
 
     def __call__(self, V: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         step, imag = max(1, 2 ** 14 // len(V)), 0.0
@@ -650,8 +654,7 @@ class _Symmetrizer:
         if not math.isfinite(2.0 * self.scale):                # NaN fails too
             raise NonFiniteValue("two-body tensor has a non-finite entry, or one "
                                  "beyond half the float range")
-        self.real = self.real and imag <= TENSOR_SYM_TOL * self.scale
-        if self.real:
+        if imag <= TENSOR_SYM_TOL * self.scale:
             self.imag = max(self.imag, imag)
             V, Q = V.real, Q.real
         V += Q.T
@@ -901,7 +904,7 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     return Hamiltonian(basis, one_body, tensor.pair_blocks)
 
 
-def hamiltonian_bytes(K: int, N: int, modulus: int = 1, itemsize: int = 16) -> int:
+def hamiltonian_bytes(K: int, N: int, modulus: int, itemsize: int) -> int:
     """Bytes of the two-body Hamiltonian's arrays: D_2 and Z, (g P,
     C(K,N-2)) complex each, the pair blocks it reads, (g, P, P) entries of
     itemsize bytes (the tensor's: 8 for a real F, 16 for a complex one), P

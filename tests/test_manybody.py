@@ -830,29 +830,6 @@ def test_built_tensor_is_exactly_symmetric(name):
     assert not blocks.values.swapaxes(1, 2)[padding].any()
 
 
-def test_a_complex_pair_after_a_real_one_turns_the_storage_complex(monkeypatch):
-    # gaussian-M3 forms two pairs of blocks; with the second kept complex the
-    # storage turns complex, every real part as the complex path has it and
-    # the first pair's imaginary part, round-off, dropped
-    class KeepLaterPairsComplex(manybody._Symmetrizer):
-        def __call__(self, V, Q):
-            out = super().__call__(V, Q)
-            self.real = False
-            return out
-
-    oset, pot, grid = rule_case("gaussian-M3")
-    oracle = helpers.complex_path(lambda: lhf.two_body_tensor(pot, oset, grid))
-    monkeypatch.setattr(manybody, "_Symmetrizer", KeepLaterPairsComplex)
-    tensor = lhf.two_body_tensor(pot, oset, grid)
-    assert tensor.blocks.dtype == tensor.anti.dtype == np.complex128
-    helpers.assert_exactly_symmetric(tensor)
-    assert tensor.blocks.real.tobytes() == oracle.blocks.real.tobytes()
-    dropped = tensor.blocks.imag != oracle.blocks.imag
-    assert dropped.any() and not tensor.blocks.imag[dropped].any()
-    scale = max(np.abs(oracle.blocks).max(), 1.0)        # what the deviation is relative to
-    assert np.abs(oracle.blocks.imag[dropped]).max() <= tensor.symmetry_deviation * scale
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dense_values_are_symmetrized_once_or_refused(rng):
     # symmetric to round-off: exactly symmetric after, with the deviation of
@@ -1386,7 +1363,11 @@ def test_operator_norm_bounds_the_dense_shifted_norm(rng, K, N, masked):
 
 # --- H on pair-momentum blocks of W ---------------------------------------------
 
-BLOCKED_CASES = ["example-g1", "k16n4-g2", "gaussian-g3", "gaussian-g8", "gaussian-g2"]
+BLOCKED_CASES = {"example-g1": ("configs/example.cfg", {"N": 3}),
+                 "k16n4-g2": ("configs/k16n4.cfg", {}),
+                 "gaussian-g3": ("configs/gaussian.cfg", {"N": 3}),
+                 "gaussian-g8": ("configs/gaussian.cfg", {"M": 8, "N": 3}),
+                 "gaussian-g2": ("configs/gaussian.cfg", {"M": 2, "N": 3})}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1400,15 +1381,11 @@ def blocked_case(name):
 
 
 def config_problem(name) -> Problem:
-    """A fresh Problem of a BLOCKED_CASES or MIRROR_CASES name, or of a
-    shipped config."""
-    path, changes = {"example-g1": ("configs/example.cfg", {"N": 3}),
-                     "k16n4-g2": ("configs/k16n4.cfg", {}),
-                     "gaussian-g3": ("configs/gaussian.cfg", {"N": 3}),
-                     "gaussian-g8": ("configs/gaussian.cfg", {"M": 8, "N": 3}),
-                     "gaussian-g2": ("configs/gaussian.cfg", {"M": 2, "N": 3}),
-                     **MIRROR_CASES,
-                     **{name: (f"configs/{name}.cfg", {}) for name in SHIPPED}}[name]
+    """A fresh Problem of a BLOCKED_CASES name, else of a MIRROR_CASES name
+    (gaussian-g3 is both: the blocked case, at N = 3, is the one built; the
+    tensor is the mirror case's), else of a shipped config."""
+    path, changes = (BLOCKED_CASES.get(name) or MIRROR_CASES.get(name)
+                     or (f"configs/{name}.cfg", {}))
     return Problem(dataclasses.replace(lhf.load_config(ROOT / path), **changes))
 
 
@@ -1423,6 +1400,7 @@ def blocked_dense(name):
 def test_blocked_matvec_matches_the_dense_w_path(name, rng):
     basis, energies, tensor = blocked_case(name)
     H, dense = blocked_dense(name)
+    assert basis.N == (4 if name == "k16n4-g2" else 3)
     assert tensor.modulus == int(name[-1]) and len(H.W) == tensor.modulus
     padding = tensor.pair_blocks.pairs == math.comb(basis.K, 2)
     if name == "gaussian-g2":                  # padding rows of F: zero, and zero in W
@@ -1440,8 +1418,10 @@ def test_blocked_matvec_matches_the_dense_w_path(name, rng):
 @pytest.mark.parametrize("name", [*BLOCKED_CASES, "gaussian-g6", "gaussian-g30"])
 def test_real_contractions_match_the_complex_path(name, rng):
     # a real F multiplies the float views of its operands: the Fock action,
-    # the amplitudes and H @ x within 1e-15 of the complex tensor's, the one
-    # of the complex symmetrization (H at K = 30 and 60 is not built)
+    # the amplitudes and H @ x within 4e-15 of the complex tensor's, the one
+    # of the complex symmetrization (H at K = 30 and 60 is not built).  The
+    # two differ by BLAS summation order alone, which varies with the kernel
+    # the BLAS picks for the CPU: under 1e-15 at worst here, so a margin of 4
     problem = config_problem(name)
     config, tensor = problem.config, problem.tensor
     oracle = helpers.complex_path(lambda: lhf.two_body_tensor(
@@ -1450,14 +1430,14 @@ def test_real_contractions_match_the_complex_path(name, rng):
     C = random_hf_state(rng, tensor.K, config.N).orbitals
     for method in ("mean_field", "pair_amplitudes"):
         got, want = getattr(tensor, method)(C), getattr(oracle, method)(C)
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    if name in MIRROR_CASES:
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+    if name not in BLOCKED_CASES:                    # K = 30 and 60
         return
     H = lhf.assemble_hamiltonian(problem.det_basis, problem.energies, oracle)
     assert problem.H.W.dtype == np.float64 and H.W.dtype == np.complex128
     for x in random_complex(rng, 3, H.shape[1]):
         want = H @ x
-        assert np.abs(problem.H @ x - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(problem.H @ x - want).max() <= 4e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name", BLOCKED_CASES)
@@ -1536,12 +1516,12 @@ def test_assembly_peak_memory_is_bounded_by_the_budget(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * manybody.hamiltonian_bytes(16, 4)
+    assert peak <= 1.5 * manybody.hamiltonian_bytes(16, 4, 1, 16)     # a complex F
 
 
 def test_byte_budget_admits_k24n6_and_rejects_k30n27():
     nbytes = manybody.hamiltonian_bytes
-    assert nbytes(24, 6) <= manybody.H_BYTE_CAP < nbytes(30, 27)
+    assert nbytes(24, 6, 1, 16) <= manybody.H_BYTE_CAP < nbytes(30, 27, 1, 16)   # any F
     assert math.comb(30, 27) < math.comb(24, 6) <= manybody.DET_SPACE_CAP
 
 
@@ -1551,7 +1531,7 @@ def test_byte_budget_is_the_size_of_the_operator(rng, monkeypatch):
     v, _ = helpers.random_interaction_tensor(rng, 7)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(7, 3)
-    nbytes = manybody.hamiltonian_bytes(7, 3)
+    nbytes = manybody.hamiltonian_bytes(7, 3, 1, 16)                # a complex F
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, np.ones(7), tensor)
     assert H.W.shape == (1, 21, 21) and H._D2.shape == H._Z.shape == (1, 21, 7)
@@ -1568,7 +1548,7 @@ def test_byte_budget_is_the_size_of_the_blocked_operator(monkeypatch):
     # basis caches no two-hole table
     _, energies, tensor = blocked_case("gaussian-g8")
     basis = lhf.enumerate_determinants(24, 3)          # blocked_case's is shared
-    nbytes = manybody.hamiltonian_bytes(24, 3, 8, itemsize=8)     # a real F
+    nbytes = manybody.hamiltonian_bytes(24, 3, 8, 8)               # a real F
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, energies, tensor)
     assert H.W.shape == (8, 36, 36) and H._D2.shape == H._Z.shape == (8, 36, 24)
@@ -1584,7 +1564,7 @@ def test_two_hole_table_over_the_byte_budget_raises_before_it_is_built(rng, monk
     v, _ = helpers.random_interaction_tensor(rng, 8)
     tensor = InteractionTensor(values=v, sup_norm=1.0)
     basis = lhf.enumerate_determinants(8, 7)
-    nbytes = manybody.hamiltonian_bytes(8, 7)
+    nbytes = manybody.hamiltonian_bytes(8, 7, 1, 16)                # a complex F
     monkeypatch.setattr(manybody, "H_BYTE_CAP", nbytes)
     H = lhf.assemble_hamiltonian(basis, np.ones(8), tensor)
     assert np.count_nonzero(H.toarray()) == 8 * 8                    # dense 8 x 8
