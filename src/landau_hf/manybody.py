@@ -36,10 +36,11 @@ blocks, K^4 / g entries, are one (g, K L, K L) array.  Beside it the
 antisymmetrized F[a,b,g,d] = v[a,b,g,d] - v[a,b,d,g], in the same blocks, is
 built once and is what every contraction reads: the mean field J - X is
 one batched product of F with a gather of the density.  v is made exactly
-exchange-symmetric and Hermitian where it is built, block by block in
-two_body_tensor or as one block in InteractionTensor, and nothing checks it
-again.  It is real, too: the Landau-gauge one-body Hamiltonian commutes with
-Theta = (complex conjugation) o (x2 -> -x2), the orbitals are Theta-real and
+exchange-symmetric and Hermitian where it is stored, by InteractionTensor's
+one build, pair by pair of the blocks of two_body_tensor or as the one
+block of a dense array, and nothing checks it again.  It is real, too: the
+Landau-gauge one-body Hamiltonian commutes with Theta = (complex
+conjugation) o (x2 -> -x2), the orbitals are Theta-real and
 every analytic kernel is even under x2 -> -x2 (Haldane & Rezayi, PRB 31,
 2529 (1985)), so the imaginary part of v is round-off, measured and dropped
 where v is built: v and F are float64, and every contraction multiplies a
@@ -305,31 +306,35 @@ class InteractionTensor:
     blocks is an exact zero.  The (g, K L, K L) stack of v (blocks) is kept
     beside that of the antisymmetrized F[a, b, g, d] = v[a, b, g, d] - v[a,
     b, d, g] (anti), built once here, which is all that fermions see and all
-    that the methods read.  Given a dense values array (any memory order
-    and numeric dtype), the tensor is one block, g = 1.  rank: the terms
-    the quadrature contracted (kept Fourier modes or separable terms), None
-    for a dense table; rule_kept: the fraction of entries the selection rule
-    leaves free, 1.0 without a rule.  values and pair (v in the pair layout
-    pair[(a g), (b d)]) are dense complex128 copies, made on each access.
+    that the methods read.  rank: the terms the quadrature contracted (kept
+    Fourier modes or separable terms), None for a table or a dense array;
+    rule_kept: the fraction of entries the selection rule leaves free, 1.0
+    without a rule.  values and pair (v in the pair layout pair[(a g), (b
+    d)]) are dense complex128 copies, made on each access.
 
-    v is exactly symmetric, v[a,b,g,d] == v[b,a,d,g] == conj(v[g,d,a,b])
-    bit for bit, so F[q,p,r,s] == -F[p,q,r,s], F[p,p] == 0 and F[a,b,g,d]
-    == conj(F[g,d,a,b]).  The symmetry is made once, where v is built: the
-    dense values array is checked and symmetrized here by the routine that
-    two_body_tensor runs on each pair of its blocks (_Symmetrizer; a
-    non-finite entry or one beyond half the float range raises
-    NonFiniteValue, an asymmetry above TENSOR_SYM_TOL SymmetryViolation),
-    and symmetry_deviation is the largest raw exchange, hermiticity or, for
-    a real v, imaginary deviation it measured, relative to max(max |v|, 1).
-    Where every imaginary part is within TENSOR_SYM_TOL, as for every kernel
-    even under x2 -> -x2 (module docstring), blocks, anti and the pair
-    blocks are float64, the real parts of the complex symmetrization bit for
-    bit; otherwise (a table that is not, a random dense v) complex128.
+    One build (_build) writes the storage, from pairs (V, Q) of v's blocks
+    in the pair layout, V = v[rows, cols] and Q = v[cols, rows], rows =
+    swap[cols] ((b d) -> (d b)): two_body_tensor's quadrature yields one
+    pair per transfer row T and its image -T, and a dense values array
+    (any memory order and numeric dtype) is one pair that is its own image,
+    cols every pair, g = 1.  No pair (no factor column) gives the zero
+    tensor, float64.  v is exactly symmetric, v[a,b,g,d] == v[b,a,d,g] ==
+    conj(v[g,d,a,b]) bit for bit, so F[q,p,r,s] == -F[p,q,r,s], F[p,p] ==
+    0 and F[a,b,g,d] == conj(F[g,d,a,b]).  The symmetry is made once, by
+    that build, as each pair is stored (_Symmetrizer; a non-finite entry or
+    one beyond half the float range raises NonFiniteValue, an asymmetry
+    above TENSOR_SYM_TOL SymmetryViolation), and symmetry_deviation is the
+    largest raw exchange, hermiticity or, for a real v, imaginary deviation
+    it measured, relative to max(max |v|, 1).  Where every imaginary part
+    is within TENSOR_SYM_TOL, as for every kernel even under x2 -> -x2
+    (module docstring), blocks, anti and the pair blocks are float64, the
+    real parts of the complex symmetrization bit for bit; otherwise (a
+    table that is not, a random dense v) complex128.
 
-    The tensor is the only reader of its storage: every contraction of v the
-    package makes is one of its methods, mean_field for the HF flow and
-    pair_amplitudes for the closed-form defect, or reads pair_blocks, as H
-    does.  Each has one path, which uses the symmetry: mean_field contracts
+    The tensor is the only writer and reader of its storage: every
+    contraction of v the package makes is one of its methods, mean_field for
+    the HF flow and pair_amplitudes for the closed-form defect, or reads
+    pair_blocks, as H does.  Each has one path, which uses the symmetry: mean_field contracts
     blocks 0..g/2 alone and conjugates them into the rest (_fock_plan), and
     pair_amplitudes reads one signed row per unordered pair.
     pair_amplitudes and H read F through pair_blocks, F over the ascending
@@ -339,34 +344,49 @@ class InteractionTensor:
     goes through _matmul, the one place its dtype matters: a real F
     multiplies the float view of its complex operand."""
 
-    def __init__(self, values, sup_norm: float, rank: int | None = None,
-                 rule_kept: float = 1.0):
+    def __init__(self, values, sup_norm: float):
         K = np.shape(values)[0]
         swap = np.arange(K * K).reshape(K, K).T.ravel()          # (bd) -> (db)
-        # one block: cols every pair, rows = swap[cols], so V = v[rows, cols]
+        # one own pair at g = 1: cols every pair, rows = swap[cols], V = v[rows, cols]
         V = np.transpose(np.asarray(values, dtype=np.complex128), (0, 2, 1, 3))
-        V = V.reshape(K * K, K * K)[swap]
-        symmetrize = _Symmetrizer()
-        V = symmetrize(V, V[np.ix_(swap, swap)])[0]
-        self._store(V[swap].reshape(1, K * K, K * K), K, sup_norm, symmetrize.deviation(),
-                    rank, rule_kept)
+        self._build(iter([(swap, np.arange(K * K), V.reshape(K * K, K * K)[swap], None)]),
+                    K, 1, sup_norm, rank=None, rule_kept=1.0)
 
-    @classmethod
-    def _from_blocks(cls, blocks: np.ndarray, K: int, sup_norm: float,
-                     symmetry_deviation: float, rank: int | None,
-                     rule_kept: float) -> "InteractionTensor":
-        """The tensor of the (g, K L, K L) blocks of v, kept as given:
-        two_body_tensor's, symmetrized already (_Symmetrizer), float64 for a
-        real v."""
-        tensor = cls.__new__(cls)
-        tensor._store(blocks, K, sup_norm, symmetry_deviation, rank, rule_kept)
-        return tensor
-
-    def _store(self, blocks, K, sup_norm, symmetry_deviation, rank, rule_kept):
-        g = len(blocks)
+    def _build(self, pairs, K: int, g: int, sup_norm: float, rank: int | None,
+               rule_kept: float) -> "InteractionTensor":
+        """Store v from pairs, each (rows, cols, V, Q): V = v[rows, cols]
+        with rows = swap[cols], and Q = v[cols, rows], or None where the
+        pair is its own image and Q is V reordered.  Each pair is checked
+        and symmetrized (_Symmetrizer), then V is written into block t = m_a
+        - m_g (mod g) of its rows (a g) and, unless the pair is its own
+        image, conj(V) into block -t, in the dtype of the first pair (a
+        later pair of another raises SymmetryViolation); no pair leaves
+        float64 zeros.  Then F and the methods' index arrays.  Returns the
+        tensor."""
         L = K // g
+        symmetrize, blocks = _Symmetrizer(), None
+        for rows, cols, V, Q in pairs:
+            if own := Q is None:                       # v[cols, rows]: V reordered
+                at = np.searchsorted(cols, rows)
+                Q = V[np.ix_(at, at)]
+            V, Q = symmetrize(V, Q)
+            if blocks is None:                         # in the dtype of the first pair
+                blocks = np.zeros((g, K * L, K * L), dtype=V.dtype)
+            elif blocks.dtype != V.dtype:              # an exchange or hermiticity
+                symmetrize.deviation()                 # deviation is named first
+                raise SymmetryViolation("tensor symmetry deviation: one pair of blocks real, "
+                                        "another not")
+            t = (rows[0] // K - rows[0] % K) % g         # m_a - m_g, one residue for all rows
+            # (x y) -> x L + y // g, its place in its block
+            rows, cols = rows // K * L + rows % K // g, cols // K * L + cols % K // g
+            blocks[t][np.ix_(rows, cols)] = V
+            if not own:
+                blocks[-t % g][np.ix_(cols, rows)] = np.conjugate(V, out=Q)
+            del V, Q                                   # not held while the next pair is formed
+        if blocks is None:
+            blocks = np.zeros((g, K * L, K * L))
         self.blocks, self.K, self.modulus = blocks, K, g
-        self.sup_norm, self.symmetry_deviation = sup_norm, symmetry_deviation
+        self.sup_norm, self.symmetry_deviation = sup_norm, symmetrize.deviation()
         self.rank, self.rule_kept = rank, rule_kept
         # F = v - v[a,b,d,g]: the image of (a, i, b, j) in block t is (a, j, b,
         # i) in block (c - t) mod g, c = m_a - m_b, so per pair of classes of a
@@ -388,6 +408,7 @@ class InteractionTensor:
         self._cols = (a * K + i * g + (a + t) % g).reshape(g, K * L)
         self._density_at = self._cols % K * K + self._cols // K     # rho[d, b]
         self._fock_at = np.argsort(self._rows, axis=None)           # block rows -> (a g)
+        return self
 
     @property
     def pair(self) -> np.ndarray:
@@ -515,8 +536,8 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     TENSOR_BYTE_CAP (tensor_factors), unless factors, the (modes, terms,
     blocks) tensor_factors returned for this kernel, K, M and grid, are
     given, their bytes checked already.  With no term (the zero kind, or no
-    Fourier mode kept) the zero tensor is returned before any factor is
-    formed, with rank 0 and nothing kept by the rule.  threads must be >= 1
+    Fourier mode kept) no factor is formed and no pair yielded: the zero
+    tensor, with rank 0 and nothing kept by the rule.  threads must be >= 1
     and changes no work.
 
     The selection rule of the magnetic translations (Haldane 1985;
@@ -524,15 +545,13 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     the row T of column r, and A[(ag), r] = 0 unless m_a - m_g is, so the
     columns that share T make one block of v (tensor_factors) and every entry
     outside the blocks is an exact zero, never computed.  Exchange and
-    hermiticity map the block of T onto that of -T: each is checked finite
-    and against its image and symmetrized with it (_Symmetrizer), then
-    written once into its block of x2 momentum mod g (momentum_modulus),
-    the tensor's storage, from which InteractionTensor builds F.  The
-    storage takes the dtype of the first pair, float64 where its imaginary
-    part is round-off, as for every kernel even under x2 -> -x2, complex128
-    where it is not: a table, which forms one pair (its row T allows every
-    transfer, T = -T), that is not even.  Every later pair must agree, or
-    SymmetryViolation is raised (as for a broken quadrature)."""
+    hermiticity map the block of T onto that of -T, so the blocks are
+    formed in pairs, one at a time, and handed to InteractionTensor's build,
+    which checks, symmetrizes and stores each before the next is formed:
+    (rows, cols, V, Q), cols the pairs (b d) with m_d - m_b in T, rows =
+    swap[cols], V = v[rows, cols] and Q = v[cols, rows], the block of -T,
+    or None where T = -T (a table's one row, which allows every
+    transfer)."""
     if threads < 1:
         raise InvalidValue("threads", "must be >= 1")
     if orbitals.grid != grid:
@@ -540,80 +559,60 @@ def two_body_tensor(potential: PotentialSpec, orbitals: OrbitalSet, grid: Grid,
     K, M = orbitals.size, orbitals.flux_count
     modes, terms, blocks = tensor_factors(potential, K, M, grid) if factors is None else factors
     R = sum(len(columns) for _, columns in blocks)
-    modulus = momentum_modulus(M, blocks)
-    L = K // modulus                                   # orbitals per momentum class
-    table = None
-    if R == 0:
-        zero = np.zeros((modulus, K * L, K * L))
-        return InteractionTensor._from_blocks(zero, K, potential.sup_norm(),
-                                              symmetry_deviation=0.0, rank=0, rule_kept=0.0)
-    if modes or terms:
-        B = pair_factors(orbitals, modes, terms, blocks)
-        c = modes[1] if modes else np.array([c_r for c_r, *_ in terms])
-    else:
-        potential.check_symmetry(grid)
-        phi = orbitals.matrix()                        # (K, P)
-        B = np.empty((K * K, R), dtype=np.complex128)
-        np.multiply(phi.conj()[:, None], phi, out=B.reshape(K, K, R))
-        B *= grid.weight
-        del phi
-        table = potential.pair_values(grid)
     labels = orbitals.labels
     transfer = (labels - labels[:, None]) % M          # [b, d]: m_d - m_b mod M
-    swap = np.arange(K * K).reshape(K, K).T.ravel()    # (bd) -> (db)
-    neg = -np.arange(M) % M                            # T -> -T
-    Bt = B.T
-    image = {T.tobytes(): columns for T, columns in blocks}
 
-    def block(columns, cols):        # v[swap[cols], cols] over the factor columns given
-        if table is None:
-            Y = Bt[:len(columns), cols]
-            Z = Y.conj()
-            Z *= c[columns, None]
-        else:                        # conj(table^T Y): real products on Y's float view,
-            Y = Bt.take(cols, axis=1)          # which take makes C-contiguous
-            Z = (table.T @ Y.view(np.float64)).view(np.complex128)
-            np.conjugate(Z, out=Z)
-        return Z.T @ Y
+    def pairs():                     # v[rows, cols] and its image v[cols, rows] per pair T, -T
+        table = None
+        if modes or terms:
+            B = pair_factors(orbitals, modes, terms, blocks)
+            c = modes[1] if modes else np.array([c_r for c_r, *_ in terms])
+        else:
+            potential.check_symmetry(grid)
+            phi = orbitals.matrix()                    # (K, P)
+            B = np.empty((K * K, R), dtype=np.complex128)
+            np.multiply(phi.conj()[:, None], phi, out=B.reshape(K, K, R))
+            B *= grid.weight
+            del phi
+            table = potential.pair_values(grid)
+        swap = np.arange(K * K).reshape(K, K).T.ravel()    # (bd) -> (db)
+        neg = -np.arange(M) % M                            # T -> -T
+        Bt = B.T
+        image = {T.tobytes(): columns for T, columns in blocks}
 
-    symmetrize, store, done = _Symmetrizer(), None, set()
-    for T, columns in blocks:        # v[rows, cols] and its image v[cols, rows] per pair T, -T
-        if T.tobytes() in done:
-            continue
-        done.add(T[neg].tobytes())
-        t = int(T.argmax()) % modulus                  # the block of store that holds T's
-        cols = np.flatnonzero(T[transfer])             # (bd) with m_d - m_b in T
-        rows = swap[cols]                              # (ag) with m_a - m_g in T
-        V = block(columns, cols)
-        if own := np.array_equal(T, T[neg]):           # v[cols, rows]: V reordered
-            at = np.searchsorted(cols, rows)
-            Q = V[np.ix_(at, at)]
-        else:                                          # or the block of -T
-            Q = block(image.get(T[neg].tobytes(), []), rows)
-        V, Q = symmetrize(V, Q)
-        if store is None:                              # in the dtype of the first pair
-            store = np.zeros((modulus, K * L, K * L), dtype=V.dtype)
-        elif store.dtype != V.dtype:                   # an exchange or hermiticity
-            symmetrize.deviation()                     # deviation is named first
-            raise SymmetryViolation("tensor symmetry deviation: one pair of blocks real, "
-                                    "another not")
-        # (x y) -> x L + y // modulus, its place in its block of store
-        rows, cols = (rows // K * L + rows % K // modulus, cols // K * L + cols % K // modulus)
-        store[t][np.ix_(rows, cols)] = V
-        if not own:
-            store[-t % modulus][np.ix_(cols, rows)] = np.conjugate(V, out=Q)
-        del V, Q                      # not held while the next pair is formed
-    del B, Bt
-    return InteractionTensor._from_blocks(
-        store, K, potential.sup_norm(), symmetrize.deviation(),
-        rank=None if table is not None else R,
+        def block(columns, cols):    # v[swap[cols], cols] over the factor columns given
+            if table is None:
+                Y = Bt[:len(columns), cols]
+                Z = Y.conj()
+                Z *= c[columns, None]
+            else:                    # conj(table^T Y): real products on Y's float view,
+                Y = Bt.take(cols, axis=1)          # which take makes C-contiguous
+                Z = (table.T @ Y.view(np.float64)).view(np.complex128)
+                np.conjugate(Z, out=Z)
+            return Z.T @ Y
+
+        done = set()
+        for T, columns in blocks:
+            if T.tobytes() in done:
+                continue
+            done.add(T[neg].tobytes())
+            cols = np.flatnonzero(T[transfer])         # (bd) with m_d - m_b in T
+            rows = swap[cols]                          # (ag) with m_a - m_g in T
+            own = np.array_equal(T, T[neg])
+            yield rows, cols, block(columns, cols), (
+                None if own else block(image.get(T[neg].tobytes(), []), rows))
+
+    return InteractionTensor.__new__(InteractionTensor)._build(
+        pairs() if R else (), K, momentum_modulus(M, blocks), potential.sup_norm(),
+        rank=None if modes is None and terms is None else R,
         rule_kept=sum(np.count_nonzero(T[transfer]) ** 2 for T, _ in blocks) / K ** 4)
 
 
 class _Symmetrizer:
     """Check and symmetrize the two-body tensor v in place, one (V, Q) =
     (v[rows, cols], v[cols, rows]) pair of blocks at a time, rows =
-    swap[cols] ((bd) -> (db)), each before the next is formed: exchange maps
+    swap[cols] ((bd) -> (db)), as InteractionTensor's build stores each pair,
+    before the next is formed (by two_body_tensor): exchange maps
     V to Q.T, hermiticity to conj(Q).  The raw deviations, and max |Im| of
     the pair, are measured in one pass about 2^14 entries at a time.  The
     symmetrization adds entries in pairs, so a non-finite entry, or one
@@ -807,7 +806,8 @@ class Hamiltonian:
     norm bounds ||H - mu||_1, mu = tr H / dim, by |H_jj - mu| plus sum_{p !=
     q} |W[p, q]| per pair q of row j (the hole of q refilled by p != q is
     another determinant or none), H_jj being one_body plus W's diagonal
-    summed over row j's pairs, which is not kept.  nnz counts W with each
+    summed over row j's pairs, which is not kept: mu and norm are formed
+    before D_2 and Z are allocated.  nnz counts W with each
     e_p spread over its N - 1 pairs on the diagonal: W's nonzero entries off
     the diagonal plus C(K,2).
 
@@ -832,10 +832,12 @@ class Hamiltonian:
             off = (np.abs(W).sum(axis=1).ravel() - np.abs(W_diagonal))[slots].sum(axis=0)
             del slots
             self.nnz = int(np.count_nonzero(W) - np.count_nonzero(W_diagonal)) + len(blocks.slot)
-            self._D2 = np.zeros(W.shape[:2] + (n_holes,), dtype=np.complex128)
-            self._Z = np.empty_like(self._D2)
         self.mu = diagonal.mean()
         self.norm = float(np.max(off + np.abs(diagonal - self.mu)))
+        del diagonal, off
+        if blocks is not None:
+            self._D2 = np.zeros(W.shape[:2] + (n_holes,), dtype=np.complex128)
+            self._Z = np.empty_like(self._D2)
 
     def __matmul__(self, x):
         if np.shape(x) != self.shape[1:]:
@@ -909,10 +911,13 @@ def hamiltonian_bytes(K: int, N: int, modulus: int, itemsize: int) -> int:
     C(K,N-2)) complex each, the pair blocks it reads, (g, P, P) entries of
     itemsize bytes (the tensor's: 8 for a real F, 16 for a complex one), P
     the largest class of pair_classes, built by assemble_hamiltonian on
-    their first read, and its one two-hole table, (C(N,2), C(K,N)) int64."""
+    their first read, its one two-hole table, (C(N,2), C(K,N)) int64, and
+    its complex one-body diagonal, C(K,N).  Hamiltonian forms its diagonal
+    and bound before D_2 and Z, so their dim-length temporaries are freed
+    first and the assembly peaks at about these bytes."""
     g, P = pair_classes(*np.triu_indices(K, 1), modulus)[0].shape
     return (32 * g * P * math.comb(K, N - 2) + 8 * math.comb(N, 2) * math.comb(K, N)
-            + itemsize * g * P * P)
+            + itemsize * g * P * P + 16 * math.comb(K, N))
 
 
 @dataclass(frozen=True)
