@@ -233,7 +233,9 @@ class ComparisonResult:
 
 class Problem:
     """The set-up of one run, each piece built on first use and kept;
-    ground_state builds no orbital.  The command line builds one per compute
+    ground_state and det_basis build no orbital, and H and run_comparison
+    read the tensor first, so its budget is checked before any orbital is
+    built, in every command.  The command line builds one per compute
     subcommand and hands it to run_comparison for compare."""
 
     def __init__(self, config: SimulationConfig):
@@ -262,11 +264,12 @@ class Problem:
 
     @cached_property
     def det_basis(self) -> DeterminantBasis:
-        return enumerate_determinants(self.orbital_set.size, self.config.N)
+        return enumerate_determinants(self.config.single_particle_dim, self.config.N)
 
     @cached_property
     def H(self):
-        return assemble_hamiltonian(self.det_basis, self.energies, self.tensor)
+        tensor = self.tensor           # its budget first, before any orbital is built
+        return assemble_hamiltonian(self.det_basis, self.energies, tensor)
 
     @cached_property
     def propagator(self) -> ExactPropagator:
@@ -355,7 +358,7 @@ def run_comparison(problem: Problem) -> ComparisonResult:
     bound_violations.
     """
     config = problem.config
-    energies, tensor, constants = problem.energies, problem.tensor, config.constants
+    tensor, energies, constants = problem.tensor, problem.energies, config.constants
     det_basis, H = problem.det_basis, problem.H
     hf0 = problem.initial_state()
     v_norm = tensor.sup_norm

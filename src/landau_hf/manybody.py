@@ -51,9 +51,10 @@ contracted and J - X on the others is their conjugate: (g - g//2 - 1) / g
 of the product is skipped, 47% at g = 30.  F also conserves pair momentum,
 m_p + m_q = m_r + m_s (mod g), so over the ascending pairs it is block
 diagonal in g classes (InteractionTensor.pair_blocks, about 8 C(K,2)^2 / g
-bytes for a real F, built on first read): the amplitudes <pq||ij> of the
-closed-form defect are one batched product of those blocks with the 2x2
-minors of the orbitals, and H's two-body term reads them in place.
+bytes for a real F, copied from F's blocks class by class on first read):
+the amplitudes <pq||ij> of the closed-form defect are one batched product
+of those blocks with the 2x2 minors of the orbitals, and H's two-body term
+reads them in place.
 
 The determinant space has one primitive, the hole table
 DeterminantBasis.holes(n), n = 1, 2: for every determinant and set of n
@@ -269,31 +270,21 @@ def slater_overlap(orbs_a: np.ndarray, orbs_b: np.ndarray) -> complex:
 
 class PairBlocks(NamedTuple):
     """F[(pq), (rs)] over the ascending pairs in blocks of pair momentum c =
-    m_p + m_q (mod g) (InteractionTensor.pair_blocks)."""
+    m_p + m_q (mod g) (InteractionTensor.pair_blocks): class c's pairs in
+    np.triu_indices order, padded to P = pair_class_size(K, g) places."""
 
     values: np.ndarray    # (g, P, P), read-only: F between the pairs of class c
     r: np.ndarray         # (g, P): the pairs (r, s) of each class, (0, 0) in padding
     s: np.ndarray
-    pairs: np.ndarray     # (g, P): their places in np.triu_indices order, C(K,2) in padding
-    slot: np.ndarray      # (C(K,2),): each pair's place in pairs.ravel()
+    slot: np.ndarray      # (C(K,2),): each pair's place c P + i in r.ravel() and s.ravel()
     ordered: np.ndarray   # (K^2,): per ordered pair (p, q), the slot of (min, max)
     sign: np.ndarray      # (K^2,): the sign of q - p, F[q, p] = -F[p, q]
 
 
-def pair_classes(p, q, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, slot) of the pairs (p, q) in classes of pair momentum c = (p
-    + q) mod g: row c of table (g, P) holds, in order, the indices of the
-    pairs of class c, padded with len(p), P the largest class (at least 1);
-    slot[k] is pair k's place in table.ravel()."""
-    c = (p + q) % g
-    order = np.argsort(c, kind="stable")
-    counts = np.bincount(c, minlength=g)
-    P = max(int(counts.max(initial=0)), 1)
-    slot = np.empty(len(c), dtype=np.int64)
-    slot[order] = c[order] * P + np.arange(len(c)) - (np.cumsum(counts) - counts)[c[order]]
-    table = np.full(g * P, len(c))
-    table[slot] = np.arange(len(c))
-    return table.reshape(g, P), slot
+def pair_class_size(K: int, g: int) -> int:
+    """P, the most ascending pairs p < q of one pair momentum (p + q) mod g,
+    at least 1: the rows of each of InteractionTensor.pair_blocks' g blocks."""
+    return max(int(np.bincount(np.add(*np.triu_indices(K, 1)) % g, minlength=1).max()), 1)
 
 
 class InteractionTensor:
@@ -339,7 +330,7 @@ class InteractionTensor:
     pair_amplitudes reads one signed row per unordered pair.
     pair_amplitudes and H read F through pair_blocks, F over the ascending
     pairs in blocks of pair momentum, about 8 C(K,2)^2 / g bytes for a real
-    F, gathered from anti on their first read and kept read-only beside it;
+    F, copied from anti on their first read and kept read-only beside it;
     mean_field, and so the HF flow, never builds them.  Every product with F
     goes through _matmul, the one place its dtype matters: a real F
     multiplies the float view of its complex operand."""
@@ -464,31 +455,42 @@ class InteractionTensor:
     @cached_property
     def pair_blocks(self) -> PairBlocks:
         """F over the ascending pairs in pair-momentum blocks (PairBlocks),
-        gathered from anti on the first read and kept read-only: F keeps m_p
+        copied from anti on the first read and kept read-only: F keeps m_p
         + m_q = m_r + m_s (mod g), so the pairs split into g classes, each
-        padded to the largest with the pair (0, 0), whose row and column of
-        F (F[0, 0] = 0, F[p, q, 0, 0] = 0) and 2x2 minor are exact zeros.
-        F[p, q, r, s] is read from the block of t = m_p - m_r, and is zero
-        where m_s - m_q is not t (mod g).  In anti's dtype: about 8 C(K,2)^2 /
-        g bytes for a real F, against 16 C(K,2)^2 for the dense complex
-        <pq||rs> over every pair.  As F[q,
-        p] = -F[p, q] and F[p, p] = 0, the row of an ordered pair (p, q) is
+        padded to the largest (pair_class_size) with the pair (0, 0), whose
+        row and column of F (F[0, 0] = 0, F[p, q, 0, 0] = 0) and 2x2 minor
+        are exact zeros.  One loop over the classes fills r, s and slot from
+        the class's pairs in np.triu_indices order and copies F[p, q, x, y]
+        between them from the block t = m_p - m_x of anti, about 2^14
+        entries at a time; padding keeps the zeros it was allocated as.  In
+        anti's dtype: about 8 C(K,2)^2 / g bytes for a real F, against 16
+        C(K,2)^2 for the dense complex <pq||rs> over every pair.  As F[q, p]
+        = -F[p, q] and F[p, p] = 0, the row of an ordered pair (p, q) is
         that of (min, max), at ordered[(p q)] with the sign of q - p, 0 at p
         = q."""
         K, g = self.K, self.modulus
-        L = K // g
         a, b = np.triu_indices(K, 1)
-        pairs, slot = pair_classes(a, b, g)
-        r, s = np.append(a, 0)[pairs], np.append(b, 0)[pairs]
-        p, q, x, y = r[:, :, None], s[:, :, None], r[:, None], s[:, None]   # F[p, q, x, y]
-        t = (p - x) % g
-        at = ((t * K + p) * L + x // g) * K * L + q * L + y // g
-        values = np.where((y - q - t) % g == 0, self.anti.ravel().take(at), 0)
+        c, P = (a + b) % g, pair_class_size(K, g)
+        step = max(1, 2 ** 14 // P)                           # rows: at most about 2^14 entries
+        r, s = np.zeros((2, g, P), dtype=np.int64)
+        slot = np.empty(len(a), dtype=np.int64)
+        values = np.zeros((g, P, P), dtype=self.anti.dtype)
+        anti = self.anti.reshape(g, K, K // g, K, K // g)     # [t, p, x // g, q, y // g]
+        for k in range(g):
+            at = np.flatnonzero(c == k)                       # class k's pairs, ascending
+            n = len(at)
+            slot[at] = k * P + np.arange(n)
+            r[k, :n], s[k, :n] = x, y = a[at], b[at]
+            # within a class p + q = x + y (mod g), so m_y - m_q = m_p - m_x = t
+            # for every entry: each is in block t, none is zero by the rule
+            for i in range(0, n, step):
+                p, q = x[i:i + step, None], y[i:i + step, None]
+                values[k, i:i + len(p), :n] = anti[(p - x) % g, p, x // g, q, y // g]
         values.flags.writeable = False
         ascending = np.zeros((K, K), dtype=np.int64)
         ascending[a, b] = ascending[b, a] = np.arange(len(a))
         sign = np.sign(np.arange(K) - np.arange(K)[:, None]).ravel().astype(float)
-        return PairBlocks(values, r, s, pairs, slot, slot[ascending.ravel()], sign)
+        return PairBlocks(values, r, s, slot, slot[ascending.ravel()], sign)
 
     def pair_amplitudes(self, C: np.ndarray) -> np.ndarray:
         """<pq||ij> = sum_rs F[p, q, r, s] C[r, i] C[s, j], (K, K, N, N), p,
@@ -884,8 +886,8 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
     A_2[i, slot(pq) C(K,N-2) + h] = <h| a_q a_p |i>, the two-hole table
     basis.holes(2, slot) built in the slots of W's blocks, at every g.  N =
     1 or no interaction gives the one-body term alone.  The bytes of D_2, Z,
-    the table and the pair blocks (hamiltonian_bytes) over H_BYTE_CAP raise
-    TooLarge before the table or the pair blocks are built."""
+    the table, the pair blocks and the bound's |W| (hamiltonian_bytes) over
+    H_BYTE_CAP raise TooLarge before the table or the pair blocks are built."""
     energies = np.asarray(energies, dtype=float)
     if energies.shape[0] != basis.K:
         raise DimensionMismatch(
@@ -899,7 +901,7 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
 
     nbytes = hamiltonian_bytes(K, N, tensor.modulus, tensor.anti.itemsize)
     if nbytes > H_BYTE_CAP:
-        rows = pair_classes(*np.triu_indices(K, 1), tensor.modulus)[0].size
+        rows = tensor.modulus * pair_class_size(K, tensor.modulus)
         raise TooLarge(f"H on C({K},{N}) = {dim} determinants needs {nbytes / 1e9:.2f} GB "
                        f"to apply ({rows} x {math.comb(K, N - 2)} two-hole "
                        f"amplitudes), over the budget of {H_BYTE_CAP / 1e9:.2f} GB")
@@ -907,17 +909,18 @@ def assemble_hamiltonian(basis: DeterminantBasis, energies: np.ndarray,
 
 
 def hamiltonian_bytes(K: int, N: int, modulus: int, itemsize: int) -> int:
-    """Bytes of the two-body Hamiltonian's arrays: D_2 and Z, (g P,
+    """Bytes of the two-body Hamiltonian's set-up: D_2 and Z, (g P,
     C(K,N-2)) complex each, the pair blocks it reads, (g, P, P) entries of
     itemsize bytes (the tensor's: 8 for a real F, 16 for a complex one), P
-    the largest class of pair_classes, built by assemble_hamiltonian on
-    their first read, its one two-hole table, (C(N,2), C(K,N)) int64, and
-    its complex one-body diagonal, C(K,N).  Hamiltonian forms its diagonal
-    and bound before D_2 and Z, so their dim-length temporaries are freed
-    first and the assembly peaks at about these bytes."""
-    g, P = pair_classes(*np.triu_indices(K, 1), modulus)[0].shape
+    = pair_class_size(K, g), built by assemble_hamiltonian on their first
+    read, the float |W| of the same shape that Hamiltonian forms for its
+    1-norm bound, its one two-hole table, (C(N,2), C(K,N)) int64, and its
+    complex one-body diagonal, C(K,N).  Hamiltonian forms its diagonal and
+    bound before D_2 and Z, so their dim-length temporaries are freed first
+    and the assembly peaks at about these bytes, at every N."""
+    g, P = modulus, pair_class_size(K, modulus)
     return (32 * g * P * math.comb(K, N - 2) + 8 * math.comb(N, 2) * math.comb(K, N)
-            + itemsize * g * P * P + 16 * math.comb(K, N))
+            + (itemsize + 8) * g * P * P + 16 * math.comb(K, N))
 
 
 @dataclass(frozen=True)

@@ -669,10 +669,15 @@ def antisymmetrized_pairs(tensor) -> np.ndarray:
     the tensor's pair blocks, in their dtype, zero between pairs of
     different pair momentum."""
     blocks = tensor.pair_blocks
-    n = math.comb(tensor.K, 2)
-    W = np.zeros((n + 1, n + 1), dtype=blocks.values.dtype)   # row and column n: the padding
-    W[blocks.pairs[:, :, None], blocks.pairs[:, None, :]] = blocks.values
-    return W[:n, :n].copy()
+    c, at = np.divmod(blocks.slot, blocks.values.shape[1])      # each pair's class and place
+    return np.where(c[:, None] == c, blocks.values[c[:, None], at[:, None], at], 0)
+
+
+def pair_padding(blocks) -> np.ndarray:
+    """(g, P) mask of the padding places of pair blocks, the places no slot names."""
+    padding = np.ones(blocks.r.shape, dtype=bool)
+    padding.flat[blocks.slot] = False
+    return padding
 
 
 def signed_put(out: np.ndarray, at: np.ndarray, sign: np.ndarray, x: np.ndarray) -> None:

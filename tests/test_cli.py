@@ -597,8 +597,8 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
                                                        command):
     # K = 30, N = 27: C(30, 27) = 4060 determinants, but applying H needs
     # two g P x C(30, 25) arrays of two-hole amplitudes, 450 rows for the 435
-    # pairs in g pair-momentum classes of P = 450 / g, 2.06 GB (2.07 GB while
-    # the pair blocks of F were complex)
+    # pairs in g = 2 pair-momentum classes of P = 225, 2.07 GB with the
+    # bound's |W| (2.06 GB while the budget left it out)
     def unlisted(*args):
         raise AssertionError("a hole table was built")
     monkeypatch.setattr(DeterminantBasis, "holes", unlisted)
@@ -609,18 +609,20 @@ def test_h_over_the_byte_budget_writes_failed_manifest(tmp_path, capsys, monkeyp
     assert dispatch([command, "--config", str(cfg), "--out-dir", str(out),
                      "--threads", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: H on C(30,27) = 4060 determinants needs 2.06 GB")
+    assert err.startswith("error: H on C(30,27) = 4060 determinants needs 2.07 GB")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ok"] is False and manifest["outputs"] == []
     assert "over the budget" in manifest["validations"]["error"]["detail"]
 
 
+@pytest.mark.parametrize("command", ["evolve-hf", "compare", "evolve-exact"])
 def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, capsys,
-                                                                     monkeypatch):
+                                                                     monkeypatch, command):
     # configs/k30n10.cfg at M = 60, n_max = 1 on 512^2 grids with the cosine
     # kernel: K = 120, 1.67 GB, nearly all of it the real blocks of v and F,
     # 16 K^4 / g at g = gcd(60, 2) = 2 (the Gaussian's g = 60 blocks fit the
-    # budget)
+    # budget); compare and evolve-exact check it before their determinant
+    # space, too
     def unbuilt(*args, **kwargs):
         raise AssertionError("an orbital was built")
     monkeypatch.setattr(analysis, "build_orbital_set", unbuilt)
@@ -633,7 +635,7 @@ def test_tensor_over_the_byte_budget_at_k120_exits_before_any_orbital(tmp_path, 
     cfg.write_text(text)
     out = tmp_path / "out"
     start = time.perf_counter()
-    assert dispatch(["evolve-hf", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert dispatch([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: two-body tensor at K = 120 with ")
